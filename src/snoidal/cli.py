@@ -13,7 +13,11 @@ sweep      fan a key=value config file (comma lists expand to a cartesian
            product) over a worker pool; one output file set per job
 
 Exit codes: 0 success, 2 invalid parameters, 3 internal consistency
-violation, 4 blow-up (blow-up time goes to stderr).
+violation, 4 blow-up (blow-up time goes to stderr).  Flags are checked
+before any compute runs or any file is written: N must be even and at
+least 16 (64 for spectrum), T a positive whole number of dt steps, eps
+nonnegative (positive for stability).  A sweep job that fails, even on
+its flags, is reported with its exit code and the other jobs still run.
 
 All floating-point output uses shortest round-trip decimal strings, so a
 repeated run with the same flags and seed is byte-identical.
@@ -24,6 +28,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -134,8 +139,6 @@ def cmd_evolve(args) -> int:
     _write_csv(args.out + ".csv", TRACE_COLUMNS, trace.samples)
     extra = {"sample_every": sample_every}
     if args.command == "stability":
-        if args.eps <= 0.0:
-            raise OutOfRangeError("stability runs need a positive --eps")
         max_dist = float(np.max(trace.column("orbit_distance")))
         extra["max_orbit_distance"] = max_dist
         extra["stability_ratio"] = max_dist / args.eps
@@ -146,15 +149,19 @@ def cmd_evolve(args) -> int:
 def _parse_sweep_config(path: str) -> list[dict]:
     """key = value lines; comma-separated values expand to a cartesian product."""
     scalars: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            scalars[key] = value
+    try:
+        with open(path) as fh:
+            raw_lines = fh.readlines()
+    except OSError as exc:
+        raise ValueError(f"cannot read sweep config {path}: {exc.strerror}") from exc
+    for lineno, raw in enumerate(raw_lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        scalars[key] = value
     if "command" not in scalars:
         raise ValueError(f"{path}: sweep config needs a 'command' entry")
     if scalars["command"] not in ("wave", "spectrum", "evolve", "stability"):
@@ -178,7 +185,10 @@ def _run_sweep_job(payload: tuple[int, dict, str]) -> tuple[int, int, str]:
         else:
             argv.extend([f"--{key}", value])
     argv.extend(["--out", f"{out_prefix}_{idx:04d}"])
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit:  # argparse rejected the job's keys and printed why
+        code = 2
     return idx, code, " ".join(argv)
 
 
@@ -239,6 +249,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_args(args) -> None:
+    """Reject invalid flags before any compute runs or any file is written."""
+    if args.command == "sweep":
+        return  # each job is checked when it runs
+    min_N = 64 if args.command == "spectrum" else 16
+    if args.N < min_N or args.N % 2 != 0:
+        raise ValueError(f"--N must be even and at least {min_N}, got {args.N}")
+    if args.command not in ("evolve", "stability"):
+        return
+    if not 0.0 < args.dt < math.inf:
+        raise ValueError(f"--dt must be positive and finite, got {args.dt}")
+    if not 0.0 < args.T < math.inf:
+        raise ValueError(f"--T must be positive and finite, got {args.T}")
+    steps = args.T / args.dt
+    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
+        raise ValueError(f"--T {args.T} is not a whole number of --dt {args.dt} steps")
+    if not args.eps >= 0.0:
+        raise ValueError(f"--eps must be nonnegative, got {args.eps}")
+    if args.command == "stability" and args.eps == 0.0:
+        raise OutOfRangeError("stability runs need a positive --eps")
+
+
 _DISPATCH = {
     "wave": cmd_wave,
     "spectrum": cmd_spectrum,
@@ -254,6 +286,7 @@ def main(argv=None) -> int:
     if getattr(args, "out", None) is None:
         args.out = f"snoidal_{args.command}"
     try:
+        _check_args(args)
         return _DISPATCH[args.command](args)
     except BlowUpError as exc:
         print(f"blow-up at t = {_fmt(exc.time)}: {exc}", file=sys.stderr)

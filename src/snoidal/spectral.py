@@ -10,9 +10,17 @@ Operators handled here (all dense, symmetric):
   L1      = -omega d2/dx2 - 1 + 3 h^2                       (scalar, N x N)
   Lblock  = [[-d2/dx2 - 1 + 3 h^2,  c d/dx], [-c d/dx, 1]]  (pair, 2N x 2N)
 
-plus their zero-mean-constrained companions, obtained by subtracting the
-rank-one mean coupling (3/L) (h^2, .) from the first component and
-compressing onto an orthonormal basis of mean-free grid vectors.
+plus their zero-mean-constrained companions, obtained by compressing onto
+an orthonormal basis of mean-free grid vectors.  The constrained operator of
+the paper also subtracts the rank-one mean coupling (3/L) (h^2, .) from the
+first component; its range is the constant vector, which the compression
+annihilates, so the compression alone yields the constrained operator.
+
+Each operator is diagonalized exactly once, by `eigen_report`, which is the
+only eigensolve in this module and the only place eigenvalues are
+classified as negative or zero.  Its SpectralReport keeps the eigenvectors,
+and every consumer (the kernel-deflated solves behind D1 and the matrix D,
+the coercivity constant) reads them from the report.
 
 The constrained Morse index is cross-checked two ways: directly from the
 compressed spectra, and through the index bookkeeping driven by the scalar
@@ -87,15 +95,14 @@ class OperatorMatrix:
 
     kernel_vector holds the expected discrete kernel direction (h' for L1,
     (h', c h'') for the block operator, their compressions for constrained
-    kinds); h_squared keeps the potential samples needed to form the
-    rank-one mean coupling when constraining.
+    kinds).  Constraining needs nothing beyond the entries: the rank-one mean
+    coupling vanishes under the compression.
     """
 
     kind: str
     L: float
     entries: np.ndarray
     kernel_vector: np.ndarray
-    h_squared: np.ndarray | None = None
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
@@ -111,13 +118,19 @@ class OperatorMatrix:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Sorted spectrum with negative/zero counts at tolerance tau_zero."""
+    """Sorted eigenpairs with negative/zero counts at tolerance tau_zero.
+
+    eigenvectors holds the orthonormal eigenvectors as columns, in the order
+    of eigenvalues; kind names the operator they belong to.
+    """
 
     eigenvalues: np.ndarray
     n: int
     z: int
     tau_zero: float
     kernel_residual: float
+    eigenvectors: np.ndarray | None = None
+    kind: str = ""
 
 
 @dataclass(frozen=True)
@@ -183,11 +196,10 @@ def _assemble_L1_raw(
     h_values = np.asarray(h_values, dtype=float)
     N = h_values.size
     _, d2 = fourier_diff_matrices(N, L)
-    h2 = h_values * h_values
-    m = -omega * d2 + np.diag(3.0 * h2 - 1.0)
+    m = -omega * d2 + np.diag(3.0 * h_values * h_values - 1.0)
     if kernel is None:
         kernel = np.zeros(N)
-    return OperatorMatrix(KIND_L1, L, m, kernel, h_squared=h2)
+    return OperatorMatrix(KIND_L1, L, m, kernel)
 
 
 def assemble_Lblock(wave: WaveParameters, N: int) -> OperatorMatrix:
@@ -203,13 +215,12 @@ def _assemble_Lblock_raw(
     h_values = np.asarray(h_values, dtype=float)
     N = h_values.size
     d1, d2 = fourier_diff_matrices(N, L)
-    h2 = h_values * h_values
-    upper_left = -d2 + np.diag(3.0 * h2 - 1.0)
+    upper_left = -d2 + np.diag(3.0 * h_values * h_values - 1.0)
     cd1 = c * d1
     m = np.block([[upper_left, cd1], [cd1.T, np.eye(N)]])
     if kernel is None:
         kernel = np.zeros(2 * N)
-    return OperatorMatrix(KIND_LBLOCK, L, m, kernel, h_squared=h2)
+    return OperatorMatrix(KIND_LBLOCK, L, m, kernel)
 
 
 def zero_mean_basis(N: int) -> np.ndarray:
@@ -222,45 +233,37 @@ def zero_mean_basis(N: int) -> np.ndarray:
 
 
 def constrain_zero_mean(M: OperatorMatrix) -> OperatorMatrix:
-    """Zero-mean companion: subtract the rank-one mean coupling, then compress.
+    """Zero-mean companion: compress onto the orthonormal mean-free basis.
 
-    The subtracted term sends the first component p to the constant
-    (3/L) (h^2, p); on discrete samples with quadrature weight L/N that is
-    the outer product ones * (3 h^2 / N)^T.  Compression onto the
-    orthonormal mean-free basis then yields an (N-1) x (N-1) (scalar) or
-    2(N-1) x 2(N-1) (pair) symmetric matrix.  The rank-one term vanishes
-    identically under the compression (its range is the constant vector),
-    which is exactly why quadratic forms of the constrained and plain
-    operators agree on mean-free vectors.
+    The result is an (N-1) x (N-1) (scalar) or 2(N-1) x 2(N-1) (pair)
+    symmetric matrix.  The constrained operator also carries the rank-one
+    mean coupling p -> (3/L) (h^2, p) in its first component, on samples the
+    outer product ones * (3 h^2 / N)^T; its range is the constant vector and
+    basis^T ones = 0, so the compression cancels it identically and it is
+    not formed.  The same fact is why quadratic forms of the constrained and
+    plain operators agree on mean-free vectors.
     """
     if M.kind == KIND_L1:
-        N = M.dim
-        rank_one = np.outer(np.ones(N), 3.0 * M.h_squared / N)
-        basis = zero_mean_basis(N)
-        compressed = basis.T @ (M.entries - rank_one) @ basis
-        kernel = basis.T @ M.kernel_vector
+        basis = zero_mean_basis(M.dim)
         kind = KIND_L1_CONSTRAINED
     elif M.kind == KIND_LBLOCK:
         N = M.dim // 2
-        rank_one = np.zeros((2 * N, 2 * N))
-        rank_one[:N, :N] = np.outer(np.ones(N), 3.0 * M.h_squared / N)
         b = zero_mean_basis(N)
         basis = np.zeros((2 * N, 2 * (N - 1)))
         basis[:N, : N - 1] = b
         basis[N:, N - 1 :] = b
-        compressed = basis.T @ (M.entries - rank_one) @ basis
-        kernel = basis.T @ M.kernel_vector
         kind = KIND_LBLOCK_CONSTRAINED
     else:
         raise ValueError(f"cannot constrain operator of kind {M.kind}")
+    compressed = basis.T @ M.entries @ basis
     compressed = 0.5 * (compressed + compressed.T)  # scrub compression roundoff
-    return OperatorMatrix(kind, M.L, compressed, kernel)
+    return OperatorMatrix(kind, M.L, compressed, basis.T @ M.kernel_vector)
 
 
 def eigen_report(M: OperatorMatrix, tau_zero: float | None = None) -> SpectralReport:
-    """Full sorted spectrum with counts n (< -tau) and z (within tau) of zero."""
+    """Full sorted eigenpairs with counts n (< -tau) and z (within tau) of zero."""
     try:
-        vals = np.linalg.eigvalsh(M.entries)
+        vals, vecs = np.linalg.eigh(M.entries)
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(f"eigensolve failed for kind {M.kind}: {exc}") from exc
     if tau_zero is None:
@@ -268,7 +271,7 @@ def eigen_report(M: OperatorMatrix, tau_zero: float | None = None) -> SpectralRe
     n = int(np.sum(vals < -tau_zero))
     z = int(np.sum(np.abs(vals) <= tau_zero))
     kres = float(np.max(np.abs(M.entries @ M.kernel_vector)))
-    return SpectralReport(vals, n, z, tau_zero, kres)
+    return SpectralReport(vals, n, z, tau_zero, kres, vecs, M.kind)
 
 
 def closed_form_eigenpairs(
@@ -324,44 +327,40 @@ def D1_closed(wave: WaveParameters) -> float:
     return -wave.L * (1.0 + k2) / (1.0 - k2) ** 2 * bracket
 
 
-def solve_in_kernel_complement(
-    M: OperatorMatrix, rhs: np.ndarray, tau_zero: float | None = None
-) -> np.ndarray:
-    """Solve M x = rhs orthogonally to the numerically computed kernel.
+def solve_in_kernel_complement(report: SpectralReport, rhs: np.ndarray) -> np.ndarray:
+    """Solve M x = rhs orthogonally to the numerically computed kernel of M.
 
-    Diagonalizes M, deflates the zero-classified eigenpair(s), and inverts on
-    the rest.  The deflated directions are the discrete kernel, not the
-    analytic one, so the projected system is consistent to solver precision.
+    Reads the eigenpairs of M from its report, deflates the zero-classified
+    eigenpair, and inverts on the rest.  The deflated direction is the
+    discrete kernel, not the analytic one, so the projected system is
+    consistent to solver precision.
     """
-    try:
-        vals, vecs = np.linalg.eigh(M.entries)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolveError(f"eigensolve failed for kind {M.kind}: {exc}") from exc
-    if tau_zero is None:
-        tau_zero = ZERO_TOL_FACTOR * float(np.max(np.abs(vals)))
-    keep = np.abs(vals) > tau_zero
-    dropped = int(np.sum(~keep))
-    if dropped != 1:
+    vals, vecs, tau_zero = report.eigenvalues, report.eigenvectors, report.tau_zero
+    if report.z != 1:
         raise SingularSystemError(
-            f"expected a one-dimensional discrete kernel for kind {M.kind}, "
-            f"classified {dropped} eigenvalues within {tau_zero:.3e} of zero"
+            f"expected a one-dimensional discrete kernel for kind {report.kind}, "
+            f"classified {report.z} eigenvalues within {tau_zero:.3e} of zero"
         )
+    keep = np.abs(vals) > tau_zero
     if np.min(np.abs(vals[keep])) < 1e3 * tau_zero:
         raise SingularSystemError(
-            f"retained spectrum of kind {M.kind} nearly singular: "
+            f"retained spectrum of kind {report.kind} nearly singular: "
             f"min |eigenvalue| {np.min(np.abs(vals[keep])):.3e} at tau_zero {tau_zero:.3e}"
         )
     coeff = vecs[:, keep].T @ rhs / vals[keep]
     return vecs[:, keep] @ coeff
 
 
-def D1_numeric(wave: WaveParameters, N: int) -> float:
-    """D1 from the grid: solve L1 f = 1 against the deflated kernel, L * mean f."""
+def D1_numeric(report: SpectralReport, L: float) -> float:
+    """D1 from the grid: solve L1 f = 1 against the deflated kernel, L * mean f.
+
+    report is the eigen_report of L1 on an N-point grid of period L.
+    """
+    N = report.eigenvalues.size
     if N < 64 or N % 2 != 0:
         raise ValueError(f"D1_numeric needs an even grid of at least 64 points, got {N}")
-    m = assemble_L1(wave, N)
-    f = solve_in_kernel_complement(m, np.ones(N))
-    return wave.L * float(np.mean(f))
+    f = solve_in_kernel_complement(report, np.ones(N))
+    return L * float(np.mean(f))
 
 
 def n0_z0_from_D1(D1: float, tol: float) -> tuple[int, int]:
@@ -371,36 +370,37 @@ def n0_z0_from_D1(D1: float, tol: float) -> tuple[int, int]:
     return (1, 0) if D1 < 0.0 else (0, 0)
 
 
-def D_matrix(wave: WaveParameters, N: int) -> ConstrainedIndexData:
+def D_matrix(report: SpectralReport, L: float) -> ConstrainedIndexData:
     """Numerical 2x2 constraint matrix from the pair operator.
 
+    report is the eigen_report of Lblock on an N-point grid of period L.
     Solves Lblock u = e for the two constant directions e = (1,0), (0,1)
     (both orthogonal to the kernel by periodicity) and assembles
     D_ij = (u_i, e_j) with the L/N quadrature weight.  Verifies the expected
     structure diag(D1, L) before deriving (n0, z0) from the D1 sign.
     """
-    m = assemble_Lblock(wave, N)
+    N = report.eigenvalues.size // 2
     e1 = np.concatenate([np.ones(N), np.zeros(N)])
     e2 = np.concatenate([np.zeros(N), np.ones(N)])
-    u1 = solve_in_kernel_complement(m, e1)
-    u2 = solve_in_kernel_complement(m, e2)
-    w = wave.L / N
+    u1 = solve_in_kernel_complement(report, e1)
+    u2 = solve_in_kernel_complement(report, e2)
+    w = L / N
     d = np.array(
         [
             [w * float(u1 @ e1), w * float(u1 @ e2)],
             [w * float(u2 @ e1), w * float(u2 @ e2)],
         ]
     )
-    if max(abs(d[0, 1]), abs(d[1, 0])) > 1e-8 * wave.L:
+    if max(abs(d[0, 1]), abs(d[1, 0])) > 1e-8 * L:
         raise SingularSystemError(
             f"constraint matrix off-diagonal {d[0, 1]:.3e}, {d[1, 0]:.3e} "
-            f"exceeds 1e-8 * L = {1e-8 * wave.L:.3e}"
+            f"exceeds 1e-8 * L = {1e-8 * L:.3e}"
         )
-    if abs(d[1, 1] - wave.L) > 1e-8 * wave.L:
+    if abs(d[1, 1] - L) > 1e-8 * L:
         raise SingularSystemError(
-            f"constraint matrix lower-right {d[1, 1]:.12g} differs from L = {wave.L:.12g}"
+            f"constraint matrix lower-right {d[1, 1]:.12g} differs from L = {L:.12g}"
         )
-    n0, z0 = n0_z0_from_D1(d[0, 0], tol=1e-8 * wave.L)
+    n0, z0 = n0_z0_from_D1(d[0, 0], tol=1e-8 * L)
     return ConstrainedIndexData(D1=float(d[0, 0]), Dmatrix=d, n0=n0, z0=z0)
 
 
@@ -422,9 +422,8 @@ def verify_index_counts(
     return n_pred, z_pred
 
 
-def coercivity_constant(M: OperatorMatrix, tau_zero: float | None = None) -> float:
+def coercivity_constant(report: SpectralReport) -> float:
     """Smallest eigenvalue on the orthogonal complement of the kernel direction."""
-    report = eigen_report(M, tau_zero)
     if report.z != 1:
         raise SingularSystemError(
             f"coercivity constant needs a one-dimensional kernel, found z = {report.z}"
@@ -463,17 +462,15 @@ def full_report(L: float, c: float, N: int, dc: float = 1e-4) -> dict:
     wave = solve_modulus(L, c)
     m1 = assemble_L1(wave, N)
     mb = assemble_Lblock(wave, N)
-    m1c = constrain_zero_mean(m1)
-    mbc = constrain_zero_mean(mb)
     r1 = eigen_report(m1)
     rb = eigen_report(mb)
-    r1c = eigen_report(m1c)
-    rbc = eigen_report(mbc)
-    idx = D_matrix(wave, N)
+    r1c = eigen_report(constrain_zero_mean(m1))
+    rbc = eigen_report(constrain_zero_mean(mb))
+    idx = D_matrix(rb, wave.L)
     verify_index_counts(r1, idx, r1c)
     verify_index_counts(rb, idx, rbc)
     d1_closed = D1_closed(wave)
-    d1_numeric = D1_numeric(wave, N)
+    d1_numeric = D1_numeric(r1, wave.L)
     pair0, _ = closed_form_eigenpairs(wave, N)
     d2 = d_second_derivative(L, c, dc, N)
     return {
@@ -513,5 +510,5 @@ def full_report(L: float, c: float, N: int, dc: float = 1e-4) -> dict:
             "D1_relative_gap": abs(d1_numeric - d1_closed) / abs(d1_closed),
             "ground_state_gap": abs(float(r1.eigenvalues[0]) - pair0.lam),
         },
-        "coercivity": coercivity_constant(mbc),
+        "coercivity": coercivity_constant(rbc),
     }

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import snoidal.cli as cli
 
@@ -165,3 +166,53 @@ class TestFormatting:
                             "c": np.bool_(True), "d": np.arange(3)})
         assert out == {"a": 1.5, "b": 2, "c": True, "d": [0, 1, 2]}
         assert isinstance(out["c"], bool)
+
+
+WAVE = ["--L", "3.14159", "--c", "0.95"]
+
+
+class TestInputValidation:
+    """Invalid flags exit 2 before any compute runs or any file is written."""
+
+    @pytest.mark.parametrize("argv", [
+        ["stability", *WAVE, "--N", "64", "--T", "0.1", "--eps", "0"],
+        ["evolve", *WAVE, "--N", "64", "--T", "-5"],
+        ["evolve", *WAVE, "--N", "64", "--T", "0.0105", "--dt", "0.001"],
+        ["wave", *WAVE, "--N", "0"],
+        ["wave", *WAVE, "--N", "15"],
+        ["spectrum", *WAVE, "--N", "32"],
+    ], ids=["stability-eps-0", "evolve-negative-T", "evolve-T-not-whole-steps",
+            "wave-N-0", "wave-N-odd", "spectrum-N-below-64"])
+    def test_exits_2_without_compute_or_output(self, argv, tmp_path, monkeypatch, capsys):
+        def no_compute(*a, **k):
+            raise AssertionError("compute ran before the flags were checked")
+
+        monkeypatch.setattr(cli, "solve_modulus", no_compute)
+        monkeypatch.setattr(cli, "full_report", no_compute)
+        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert "invalid parameters" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_whole_step_horizon_accepted(self, tmp_path):
+        # 0.7 / 0.001 is 699.9999999999999 in floating point: within tolerance
+        assert cli.main(["evolve", *WAVE, "--N", "16", "--T", "0.7", "--dt", "0.001",
+                         "--out", str(tmp_path / "ok")]) == 0
+        assert len((tmp_path / "ok.csv").read_text().splitlines()) == 702
+
+
+class TestSweepRobustness:
+    def test_missing_config_exits_2(self, tmp_path, capsys):
+        assert cli.main(["sweep", str(tmp_path / "missing.cfg"),
+                         "--out", str(tmp_path / "x")]) == 2
+        assert "cannot read sweep config" in capsys.readouterr().err
+
+    def test_job_with_bad_flags_does_not_stop_the_sweep(self, tmp_path, capsys):
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text("command = wave\nL = 3.14159\nc = 0.95\nN = 64,sixty\n")
+        code = cli.main(["sweep", str(cfg), "--out", str(tmp_path / "tw")])
+        assert code == 2
+        assert (tmp_path / "tw_0000.csv").exists() and (tmp_path / "tw_0000.json").exists()
+        assert not (tmp_path / "tw_0001.csv").exists()
+        err = capsys.readouterr().err
+        assert "sweep job 1 failed with exit 2" in err and "--N sixty" in err
+        assert "sweep job 0" not in err

@@ -218,40 +218,42 @@ class TestD1:
     def test_numeric_matches_closed(self, wave):
         d_closed = D1_closed(wave)
         for n_grid in (128, 256):
-            assert abs(D1_numeric(wave, n_grid) - d_closed) / abs(d_closed) <= 1e-6
+            d_num = D1_numeric(eigen_report(assemble_L1(wave, n_grid)), wave.L)
+            assert abs(d_num - d_closed) / abs(d_closed) <= 1e-6
 
     def test_numeric_converged_on_steep_wave(self):
         w = solve_modulus(L_CANON, math.sqrt(1.0 - 0.1 * 0.25))
         d_closed = D1_closed(w)
         for n_grid in (64, 256):
-            assert abs(D1_numeric(w, n_grid) - d_closed) / abs(d_closed) <= 1e-6
+            d_num = D1_numeric(eigen_report(assemble_L1(w, n_grid)), w.L)
+            assert abs(d_num - d_closed) / abs(d_closed) <= 1e-6
 
     def test_solution_orthogonal_to_kernel(self, wave, op_L1):
-        f = solve_in_kernel_complement(op_L1, np.ones(256))
+        f = solve_in_kernel_complement(eigen_report(op_L1), np.ones(256))
         h1 = op_L1.kernel_vector
         assert abs(float(f @ h1)) / (np.linalg.norm(f) * np.linalg.norm(h1)) <= 1e-10
 
     def test_grid_size_guard(self, wave):
         with pytest.raises(ValueError):
-            D1_numeric(wave, 32)
+            D1_numeric(eigen_report(assemble_L1(wave, 32)), wave.L)
 
     def test_singular_detection(self):
         # two zero-classified eigenvalues -> kernel handling must refuse
         m = OperatorMatrix(KIND_L1, 1.0, np.diag([0.0, 0.0, 3.0]), np.zeros(3))
         with pytest.raises(SingularSystemError):
-            solve_in_kernel_complement(m, np.ones(3))
+            solve_in_kernel_complement(eigen_report(m), np.ones(3))
 
 
 class TestDMatrix:
-    def test_structure(self, wave):
-        idx = D_matrix(wave, 256)
+    def test_structure(self, wave, op_Lblock):
+        idx = D_matrix(eigen_report(op_Lblock), wave.L)
         assert abs(idx.Dmatrix[0, 1]) <= 1e-8 * wave.L
         assert abs(idx.Dmatrix[1, 0]) <= 1e-8 * wave.L
         assert abs(idx.Dmatrix[1, 1] - wave.L) <= 1e-8 * wave.L
         assert (idx.n0, idx.z0) == (1, 0)
 
-    def test_upper_left_matches_D1(self, wave):
-        idx = D_matrix(wave, 256)
+    def test_upper_left_matches_D1(self, wave, op_Lblock):
+        idx = D_matrix(eigen_report(op_Lblock), wave.L)
         d_closed = D1_closed(wave)
         assert abs(idx.D1 - d_closed) / abs(d_closed) <= 1e-6
 
@@ -260,7 +262,7 @@ class TestDMatrix:
         # inner product ((0,1),(0,1)) = L
         m = assemble_Lblock(wave, 128)
         e2 = np.concatenate([np.zeros(128), np.ones(128)])
-        u2 = solve_in_kernel_complement(m, e2)
+        u2 = solve_in_kernel_complement(eigen_report(m), e2)
         assert np.max(np.abs(u2 - e2)) <= 1e-8
 
 
@@ -297,21 +299,24 @@ class TestIndexBookkeeping:
         n_grid = 192
         m1 = assemble_L1(w, n_grid)
         mb = assemble_Lblock(w, n_grid)
-        idx = D_matrix(w, n_grid)
+        rb = eigen_report(mb)
+        idx = D_matrix(rb, w.L)
         r1c = eigen_report(constrain_zero_mean(m1))
         rbc = eigen_report(constrain_zero_mean(mb))
         assert verify_index_counts(eigen_report(m1), idx, r1c) == (0, 1)
-        assert verify_index_counts(eigen_report(mb), idx, rbc) == (0, 1)
+        assert verify_index_counts(rb, idx, rbc) == (0, 1)
 
 
 class TestConstrainedOperators:
     def test_quadratic_form_agrees_on_mean_free_vectors(self, wave, op_Lblock):
-        # (Lc u, u) = (L u, u) when both components of u have zero mean
+        # (Lc u, u) = (L u, u) when both components of u have zero mean: the
+        # rank-one mean coupling drops out, so constrain_zero_mean omits it
         rng = np.random.default_rng(3)
         n = op_Lblock.dim // 2
         basis = zero_mean_basis(n)
+        h, _, _ = sample_wave(wave, n)
         rank_one = np.zeros_like(op_Lblock.entries)
-        rank_one[:n, :n] = np.outer(np.ones(n), 3.0 * op_Lblock.h_squared / n)
+        rank_one[:n, :n] = np.outer(np.ones(n), 3.0 * h.values**2 / n)
         modified = op_Lblock.entries - rank_one
         for _ in range(5):
             u = np.concatenate([basis @ rng.standard_normal(n - 1),
@@ -339,10 +344,11 @@ class TestConstrainedOperators:
         assert np.max(np.abs(basis.T @ np.ones(40))) <= 1e-13
 
     def test_coercivity_constant(self, op_Lblock):
-        c_val = coercivity_constant(constrain_zero_mean(op_Lblock))
+        report = eigen_report(constrain_zero_mean(op_Lblock))
+        c_val = coercivity_constant(report)
         assert c_val >= 1e-3
         # it is the smallest nonkernel eigenvalue
-        vals = eigen_report(constrain_zero_mean(op_Lblock)).eigenvalues
+        vals = report.eigenvalues
         assert abs(c_val - vals[1]) <= 1e-12
 
     def test_unknown_kind_rejected(self, op_L1):
@@ -390,3 +396,27 @@ class TestFullReport:
         assert rec["residuals"]["kernel_L1"] <= 1e-8
         assert rec["coercivity"] >= 1e-3
         assert (rec["n0"], rec["z0"]) == (1, 0)
+
+    def test_each_operator_assembled_and_diagonalized_once(self, monkeypatch):
+        # L1, Lblock and their two constrained companions: one eigensolve
+        # each, and every consumer reads the eigenpairs from its report
+        import snoidal.spectral as spectral
+
+        calls = dict.fromkeys(("eigh", "eigvalsh", "assemble_L1", "assemble_Lblock"), 0)
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in ("eigh", "eigvalsh"):
+            counted(np.linalg, name)
+        for name in ("assemble_L1", "assemble_Lblock"):
+            counted(spectral, name)
+        full_report(L_CANON, C_CANON, 128)
+        assert calls["eigh"] + calls["eigvalsh"] == 4
+        assert calls["assemble_L1"] == calls["assemble_Lblock"] == 1
