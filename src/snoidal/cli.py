@@ -14,10 +14,12 @@ sweep      fan a key=value config file (comma lists expand to a cartesian
 
 Exit codes: 0 success, 2 invalid parameters, 3 internal consistency
 violation, 4 blow-up (blow-up time goes to stderr).  Flags are checked
-before any compute runs or any file is written: N must be even and at
-least 16 (64 for spectrum), T a positive whole number of dt steps, eps
-nonnegative (positive for stability).  A sweep job that fails, even on
-its flags, is reported with its exit code and the other jobs still run.
+before any compute runs or any file is written: the directory of the
+--out prefix must exist, N must be even and at least 16 (64 for
+spectrum), T a positive whole number of dt steps, eps nonnegative
+(positive for stability).  A sweep job that fails, even on its flags, is
+reported with its exit code and the other jobs still run.  Only `wave`
+takes --format; the other commands write the one format they have.
 
 All floating-point output uses shortest round-trip decimal strings, so a
 repeated run with the same flags and seed is byte-identical.
@@ -28,7 +30,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -36,6 +38,7 @@ import numpy as np
 
 from .evolution import (
     BlowUpError,
+    horizon_steps,
     perturbation_random,
     run_experiment,
     TRACE_COLUMNS,
@@ -46,7 +49,13 @@ from .spectral import (
     SingularSystemError,
     full_report,
 )
-from .waves import ModulusBoundaryError, OutOfRangeError, solve_modulus
+from .waves import (
+    ModulusBoundaryError,
+    OutOfRangeError,
+    ode_residual,
+    sample_wave,
+    solve_modulus,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -93,7 +102,7 @@ def _metadata(args, wave, **extra) -> dict:
         "omega": wave.omega,
         "k": wave.k.value,
         "N": args.N,
-        "format": args.format,
+        "format": "csv",
     }
     for name in ("dt", "T", "eps", "seed", "projected"):
         if hasattr(args, name):
@@ -103,11 +112,9 @@ def _metadata(args, wave, **extra) -> dict:
 
 
 def cmd_wave(args) -> int:
-    from .waves import ode_residual, profile_eval
-
     wave = solve_modulus(args.L, args.c)
-    xs = np.arange(args.N) * (wave.L / args.N)
-    rows = [(x, *profile_eval(wave, x)) for x in xs]
+    h, h1, h2 = sample_wave(wave, args.N)
+    rows = np.column_stack([h.x, h.values, h1.values, h2.values])
     residual = ode_residual(wave, args.N)
     if args.format == "csv":
         _write_csv(args.out + ".csv", ("x", "h", "h1", "h2"), rows)
@@ -115,7 +122,8 @@ def cmd_wave(args) -> int:
         _write_json(args.out + "_samples.json",
                     [dict(zip(("x", "h", "h1", "h2"), row)) for row in rows])
     _write_json(args.out + ".json", _metadata(args, wave, a=wave.a, b=wave.b,
-                                               ode_residual=residual))
+                                               ode_residual=residual,
+                                               format=args.format))
     return 0
 
 
@@ -130,7 +138,7 @@ def cmd_evolve(args) -> int:
     perturbation = None
     if args.eps > 0.0:
         perturbation = perturbation_random(wave.L, args.N, args.seed)
-    nsteps = int(round(args.T / args.dt))
+    nsteps = horizon_steps(args.T, args.dt)
     sample_every = max(1, nsteps // 500)
     trace = run_experiment(
         wave, perturbation, args.eps, args.T, args.dt, sample_every,
@@ -221,10 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--c", type=float, required=True, help="wave speed")
         p.add_argument("--N", type=int, default=256, help="grid size (even)")
         p.add_argument("--out", type=str, default=None, help="output path prefix")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_wave = sub.add_parser("wave", help="construct one snoidal profile")
     add_wave_flags(p_wave)
+    p_wave.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_spec = sub.add_parser("spectrum", help="linearized-operator spectral report")
     add_wave_flags(p_spec)
@@ -251,6 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_args(args) -> None:
     """Reject invalid flags before any compute runs or any file is written."""
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):
+        raise ValueError(f"--out directory {out_dir!r} does not exist")
     if args.command == "sweep":
         return  # each job is checked when it runs
     min_N = 64 if args.command == "spectrum" else 16
@@ -258,13 +269,7 @@ def _check_args(args) -> None:
         raise ValueError(f"--N must be even and at least {min_N}, got {args.N}")
     if args.command not in ("evolve", "stability"):
         return
-    if not 0.0 < args.dt < math.inf:
-        raise ValueError(f"--dt must be positive and finite, got {args.dt}")
-    if not 0.0 < args.T < math.inf:
-        raise ValueError(f"--T must be positive and finite, got {args.T}")
-    steps = args.T / args.dt
-    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
-        raise ValueError(f"--T {args.T} is not a whole number of --dt {args.dt} steps")
+    horizon_steps(args.T, args.dt)
     if not args.eps >= 0.0:
         raise ValueError(f"--eps must be nonnegative, got {args.eps}")
     if args.command == "stability" and args.eps == 0.0:

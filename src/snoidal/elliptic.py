@@ -2,7 +2,8 @@
 
 Self-contained implementations built on the arithmetic-geometric mean:
 K(k) and E(k) come straight from the AGM iteration, and sn/cn/dn from the
-descending Landen (Gauss) transformation of the amplitude function.  No
+descending Landen (Gauss) transformation of the amplitude function, run
+elementwise over an array of arguments on one AGM ladder per call.  No
 special-function library is involved, so accuracy is limited only by the
 quadratic convergence of the AGM (machine precision in ~8 iterations).
 """
@@ -11,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "EllipticModulus",
@@ -74,8 +77,7 @@ def _agm_levels(k: float) -> tuple[list[float], list[float]]:
 
 def complete_K(k) -> float:
     """Complete elliptic integral of the first kind, K(k) = pi / (2 AGM(1, k'))."""
-    m = _as_modulus(k)
-    a_seq, _ = _agm_levels(m.value)
+    a_seq, _ = _agm_levels(_as_modulus(k).value)
     return math.pi / (2.0 * a_seq[-1])
 
 
@@ -84,16 +86,16 @@ def complete_E(k) -> float:
 
     Uses the AGM tail sum E = K (1 - sum_{n>=0} 2^{n-1} c_n^2).
     """
-    m = _as_modulus(k)
-    a_seq, c_seq = _agm_levels(m.value)
-    s = 0.0
-    for n, c in enumerate(c_seq):
-        s += 2.0 ** (n - 1) * c * c
+    a_seq, c_seq = _agm_levels(_as_modulus(k).value)
+    s = sum(2.0 ** (n - 1) * c * c for n, c in enumerate(c_seq))
     return math.pi / (2.0 * a_seq[-1]) * (1.0 - s)
 
 
-def jacobi_sn_cn_dn(u: float, k) -> tuple[float, float, float]:
+def jacobi_sn_cn_dn(u, k) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Jacobi elliptic functions (sn, cn, dn) at real argument u.
+
+    u is a float (results are numpy float64 scalars) or an array (results
+    have its shape); one call builds the AGM ladder once for all entries.
 
     The amplitude phi = am(u, k) is obtained by the descending Landen
     transformation: seed phi_N = 2^N a_N u at the top of the AGM ladder,
@@ -107,23 +109,22 @@ def jacobi_sn_cn_dn(u: float, k) -> tuple[float, float, float]:
     arguments do not inflate the seed phi_N; fmod preserves the sign of u,
     which makes the whole recursion antisymmetric and sn exactly odd.
     """
-    m = _as_modulus(k)
-    kk = m.value
-    if not math.isfinite(u):
+    kk = _as_modulus(k).value
+    u = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(u)):
         raise ValueError(f"argument of jacobi_sn_cn_dn must be finite, got {u}")
     a_seq, c_seq = _agm_levels(kk)
     top = len(c_seq) - 1
     big_k = math.pi / (2.0 * a_seq[-1])
-    u = math.fmod(u, 4.0 * big_k)
+    u = np.fmod(u, 4.0 * big_k)
 
-    phi = math.ldexp(a_seq[top] * u, top)
+    phi = np.ldexp(a_seq[top] * u, top)
     for n in range(top, 0, -1):
-        t = c_seq[n] / a_seq[n] * math.sin(phi)
         # Clamp against rounding excursions just outside [-1, 1].
-        t = max(-1.0, min(1.0, t))
-        phi = 0.5 * (phi + math.asin(t))
+        t = np.clip(c_seq[n] / a_seq[n] * np.sin(phi), -1.0, 1.0)
+        phi = 0.5 * (phi + np.arcsin(t))
 
-    sn = math.sin(phi)
-    cn = math.cos(phi)
-    dn = math.sqrt((1.0 - kk * sn) * (1.0 + kk * sn))
+    sn = np.sin(phi)
+    cn = np.cos(phi)
+    dn = np.sqrt((1.0 - kk * sn) * (1.0 + kk * sn))
     return sn, cn, dn

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .waves import GridField, WaveParameters, sample_wave
+from .waves import GridField, WaveParameters, grid_points, sample_wave
 
 __all__ = [
     "BlowUpError",
@@ -42,6 +42,7 @@ __all__ = [
     "perturbation_mode",
     "perturbation_random",
     "ynorm_sq",
+    "horizon_steps",
     "run_experiment",
 ]
 
@@ -293,7 +294,7 @@ def perturbation_mode(L: float, N: int, mode: int = 1) -> tuple[GridField, GridF
     """Unit-Y-norm trigonometric perturbation (cos mode in phi, sin mode in phi_t)."""
     if not (1 <= mode < N // 2):
         raise ValueError(f"mode must lie in [1, N/2), got {mode}")
-    x = np.arange(N) * (L / N)
+    x = grid_points(L, N)
     xi = 2.0 * math.pi * mode / L
     p = GridField(L, np.cos(xi * x))
     q = GridField(L, np.sin(xi * x))
@@ -309,7 +310,7 @@ def perturbation_random(L: float, N: int, seed: int) -> tuple[GridField, GridFie
     component, in mode order, phi before phi_t), with a 1/m^2 falloff.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    x = np.arange(N) * (L / N)
+    x = grid_points(L, N)
     fields = []
     for _ in range(2):
         vals = np.zeros(N)
@@ -322,6 +323,23 @@ def perturbation_random(L: float, N: int, seed: int) -> tuple[GridField, GridFie
     q = GridField(L, fields[1])
     scale = 1.0 / math.sqrt(ynorm_sq(p, q))
     return GridField(L, scale * p.values), GridField(L, scale * q.values)
+
+
+def horizon_steps(T: float, dt: float) -> int:
+    """Number of dt steps that make up the horizon T.
+
+    Raises ValueError unless dt and T are positive and finite and T is a
+    whole number of steps, |T/dt - round(T/dt)| <= 1e-9 T/dt, so that no
+    horizon is silently rounded to a different one.
+    """
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"time step must be positive and finite, got {dt}")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"time horizon must be positive and finite, got {T}")
+    steps = T / dt
+    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
+        raise ValueError(f"time horizon {T} is not a whole number of {dt} steps")
+    return int(round(steps))
 
 
 def run_experiment(
@@ -338,13 +356,13 @@ def run_experiment(
     """Evolve (h, c h') + eps * perturbation and record the orbit diagnostics.
 
     Samples at t = 0 and every `sample_every` steps; each row holds
-    (t, E, F, mean phi, mean phi_t, orbit distance).  Blow-up during the
+    (t, E, F, mean phi, mean phi_t, orbit distance).  T must be a whole
+    number of dt steps (see :func:`horizon_steps`).  Blow-up during the
     run propagates as BlowUpError.
     """
     if eps < 0.0:
         raise ValueError(f"perturbation amplitude must be nonnegative, got {eps}")
-    if dt <= 0.0:
-        raise ValueError(f"experiment time step must be positive, got {dt}")
+    nsteps = horizon_steps(T, dt)
     if sample_every < 1:
         raise ValueError(f"sample_every must be at least 1, got {sample_every}")
     h, h1, _ = sample_wave(wave, N)
@@ -360,7 +378,6 @@ def run_experiment(
     ceiling = ceiling_factor * float(np.max(np.abs(h.values)))
     stepper = SplitStepper(wave.L, N, dt, projected, ceiling)
     distance = _OrbitDistance(wave, N)
-    nsteps = int(round(T / dt))
 
     def sample_row(t, phi_vals, phidot_vals):
         st = FieldState(GridField(wave.L, phi_vals), GridField(wave.L, phidot_vals), t)

@@ -168,14 +168,13 @@ def fourier_diff_matrices(N: int, L: float) -> tuple[np.ndarray, np.ndarray]:
     c1 = np.zeros(N)
     c2 = np.zeros(N)
     c2[0] = -(N * N) / 12.0 - 1.0 / 6.0
-    for m in range(1, half + 1):
-        s = math.sin(m * math.pi / N)
-        sign = -1.0 if m % 2 else 1.0
-        c1[m] = 0.5 * sign * (math.cos(m * math.pi / N) / s)
-        c2[m] = -sign / (2.0 * s * s)
-    for m in range(1, half):
-        c1[N - m] = -c1[m]
-        c2[N - m] = c2[m]
+    m = np.arange(1, half + 1)
+    s = np.sin(m * math.pi / N)
+    sign = np.where(m % 2, -1.0, 1.0)
+    c1[1:half + 1] = 0.5 * sign * (np.cos(m * math.pi / N) / s)
+    c2[1:half + 1] = -sign / (2.0 * s * s)
+    c1[half + 1:] = -c1[half - 1:0:-1]
+    c2[half + 1:] = c2[half - 1:0:-1]
     c1[half] = 0.0  # cot(pi/2) = 0; keeps the sawtooth annihilated
 
     idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N

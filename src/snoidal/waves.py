@@ -26,6 +26,7 @@ __all__ = [
     "ModulusBoundaryError",
     "GridField",
     "WaveParameters",
+    "grid_points",
     "admissible_omega_window",
     "solve_modulus",
     "profile_eval",
@@ -47,9 +48,14 @@ class ModulusBoundaryError(RuntimeError):
     """Root bracketing for the modulus hit the (0, 1) boundary guard."""
 
 
+def grid_points(L: float, N: int) -> np.ndarray:
+    """The uniform grid x_j = j (L / N), j = 0..N-1, that every GridField samples."""
+    return np.arange(N) * (L / N)
+
+
 @dataclass(frozen=True)
 class GridField:
-    """Samples of a real L-periodic function at x_j = j L / N, j = 0..N-1."""
+    """Samples of a real L-periodic function on the grid of :func:`grid_points`."""
 
     L: float
     values: np.ndarray
@@ -71,7 +77,7 @@ class GridField:
 
     @property
     def x(self) -> np.ndarray:
-        return np.arange(self.N) * (self.L / self.N)
+        return grid_points(self.L, self.N)
 
     def mean(self) -> float:
         """Discrete mean; equals the periodic trapezoid mean (1/L) integral."""
@@ -198,42 +204,34 @@ def solve_modulus(L: float, c: float) -> WaveParameters:
     return WaveParameters(L=L, c=c, omega=omega, k=EllipticModulus(k), a=a, b=b)
 
 
-def _profile_raw(a: float, b: float, k: float, x: float) -> tuple[float, float, float]:
-    sn, cn, dn = jacobi_sn_cn_dn(b * x, EllipticModulus(k))
+def _profile_raw(a: float, b: float, k: float, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    sn, cn, dn = jacobi_sn_cn_dn(b * x, k)
     h = a * sn
     h1 = a * b * cn * dn
     h2 = -a * b * b * sn * (1.0 + k * k - 2.0 * k * k * sn * sn)
     return h, h1, h2
 
 
-def profile_eval(p: WaveParameters, x: float) -> tuple[float, float, float]:
-    """(h, h', h'') at position x.
+def profile_eval(p: WaveParameters, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h, h', h'') at position x, a float or an array of positions.
 
     h = a sn(bx; k), h' = a b cn dn, and
     h'' = -a b^2 sn (1 + k^2 - 2 k^2 sn^2) from the sn/cn/dn identities.
+    An array x costs one sn/cn/dn call for all of its entries.
     """
     return _profile_raw(p.a, p.b, p.k.value, x)
 
 
 def sample_wave(p: WaveParameters, N: int) -> tuple[GridField, GridField, GridField]:
-    """Sample (h, h', h'') on the uniform N-point grid."""
+    """Sample (h, h', h'') at the N points of :func:`grid_points` in one call."""
     if N < 16 or N % 2 != 0:
         raise ValueError(f"sample count must be even and >= 16, got {N}")
-    h = np.empty(N)
-    h1 = np.empty(N)
-    h2 = np.empty(N)
-    a, b, k = p.a, p.b, p.k.value
-    for j in range(N):
-        h[j], h1[j], h2[j] = _profile_raw(a, b, k, j * p.L / N)
-    return GridField(p.L, h), GridField(p.L, h1), GridField(p.L, h2)
+    return tuple(GridField(p.L, f) for f in profile_eval(p, grid_points(p.L, N)))
 
 
 def _ode_residual_raw(L: float, omega: float, a: float, b: float, k: float, N: int) -> float:
-    res = 0.0
-    for j in range(N):
-        h, _, h2 = _profile_raw(a, b, k, j * L / N)
-        res = max(res, abs(-omega * h2 - h + h * h * h))
-    return res
+    h, _, h2 = _profile_raw(a, b, k, grid_points(L, N))
+    return float(np.max(np.abs(-omega * h2 - h + h * h * h)))
 
 
 def ode_residual(p: WaveParameters, N: int) -> float:

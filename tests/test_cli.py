@@ -29,6 +29,22 @@ class TestWaveCommand:
         rows = json.loads((tmp_path / "wvj_samples.json").read_text())
         assert len(rows) == 64 and set(rows[0]) == {"x", "h", "h1", "h2"}
 
+    def test_at_most_two_sn_calls(self, tmp_path, monkeypatch):
+        import snoidal.waves as waves
+
+        sizes = []
+        real = waves.jacobi_sn_cn_dn
+
+        def counting(u, k):
+            sizes.append(np.size(u))
+            return real(u, k)
+
+        monkeypatch.setattr(waves, "jacobi_sn_cn_dn", counting)
+        assert cli.main(["wave", "--L", "3.14159", "--c", "0.95", "--N", "1024",
+                         "--out", str(tmp_path / "wv")]) == 0
+        assert 1 <= len(sizes) <= 2
+        assert len((tmp_path / "wv.csv").read_text().splitlines()) == 1025
+
     def test_inadmissible_speed_exits_2(self, tmp_path, capsys):
         code = cli.main(["wave", "--L", "3.14159", "--c", "0.5",
                          "--out", str(tmp_path / "bad")])
@@ -83,6 +99,7 @@ class TestEvolveCommands:
         for key in ("L", "c", "k", "N", "dt", "T", "eps", "seed", "projected"):
             assert key in meta
         assert meta["projected"] is True
+        assert meta["format"] == "csv"
 
     def test_same_seed_identical_bytes(self, tmp_path):
         args = ["evolve", "--L", "3.14159", "--c", "0.95", "--N", "64",
@@ -191,6 +208,29 @@ class TestInputValidation:
         monkeypatch.setattr(cli, "full_report", no_compute)
         assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
         assert "invalid parameters" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["wave", *WAVE, "--N", "64"],
+        ["sweep", "job.cfg"],
+    ], ids=["wave", "sweep"])
+    def test_missing_out_directory_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        def no_compute(*a, **k):
+            raise AssertionError("compute ran before the flags were checked")
+
+        monkeypatch.setattr(cli, "solve_modulus", no_compute)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "job.cfg").write_text("command = wave\nL = 3.14159\nc = 0.95\n")
+        assert cli.main(argv + ["--out", "nodir/x"]) == 2
+        assert "nodir" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["job.cfg"]
+
+    @pytest.mark.parametrize("command", ["spectrum", "evolve", "stability"])
+    def test_format_only_on_wave(self, command, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, *WAVE, "--N", "64", "--format", "json",
+                      "--out", str(tmp_path / "f")])
+        assert info.value.code == 2
         assert list(tmp_path.iterdir()) == []
 
     def test_whole_step_horizon_accepted(self, tmp_path):

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad, solve_ivp
 
 from snoidal.elliptic import EllipticModulus, complete_E, complete_K, jacobi_sn_cn_dn
@@ -146,3 +149,24 @@ class TestJacobiFunctions:
     def test_rejects_nonfinite_argument(self):
         with pytest.raises(ValueError):
             jacobi_sn_cn_dn(float("inf"), 0.5)
+        with pytest.raises(ValueError):
+            jacobi_sn_cn_dn(np.array([0.0, 1.0, float("nan")]), 0.5)
+
+
+class TestArrayArgument:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(u=arrays(np.float64, st.integers(1, 40),
+                    elements=st.floats(-1e3, 1e3, allow_nan=False)),
+           k=st.floats(0.05, 0.99))
+    def test_array_call_equals_elementwise_calls(self, u, k):
+        triple = jacobi_sn_cn_dn(u, k)
+        per_point = np.array([jacobi_sn_cn_dn(float(x), k) for x in u]).T
+        for got, ref in zip(triple, per_point):
+            assert got.shape == u.shape
+            assert got.tobytes() == ref.tobytes()
+        # Equal as values; sn(-0.0) may be +0.0 when the last AGM c_n rounds negative.
+        assert np.array_equal(jacobi_sn_cn_dn(-u, k)[0], -triple[0])
+
+    def test_shape_preserved(self):
+        u = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        assert all(f.shape == (3, 4) for f in jacobi_sn_cn_dn(u, 0.7))

@@ -10,6 +10,7 @@ from snoidal.evolution import (
     FieldState,
     SplitStepper,
     conserved,
+    horizon_steps,
     orbit_distance,
     perturbation_mode,
     perturbation_random,
@@ -18,7 +19,7 @@ from snoidal.evolution import (
     ynorm_sq,
 )
 from snoidal.evolution import _h1_semi_sq
-from snoidal.waves import GridField, profile_eval, sample_wave, solve_modulus
+from snoidal.waves import GridField, grid_points, profile_eval, sample_wave, solve_modulus
 
 L, C = math.pi, 0.95
 N = 128
@@ -36,9 +37,7 @@ def wave_state(wave):
 
 
 def translate_state(wave, n, shift):
-    xs = np.arange(n) * (wave.L / n)
-    h = np.array([profile_eval(wave, x - shift)[0] for x in xs])
-    h1 = np.array([profile_eval(wave, x - shift)[1] for x in xs])
+    h, h1, _ = profile_eval(wave, grid_points(wave.L, n) - shift)
     return FieldState(GridField(wave.L, h), GridField(wave.L, wave.c * h1), 0.0)
 
 
@@ -256,6 +255,17 @@ class TestRunExperiment:
         p, q = perturbation_random(L, 64, seed=0)
         with pytest.raises(ValueError):
             run_experiment(wave, (p, q), 1e-3, 1.0, 1e-3, 10, N=N)
+
+    @pytest.mark.parametrize("T", [-5.0, 0.0105])
+    def test_horizon_not_a_whole_number_of_steps_rejected(self, wave, T):
+        with pytest.raises(ValueError):
+            horizon_steps(T, 1e-3)
+        with pytest.raises(ValueError):
+            run_experiment(wave, None, 0.0, T, 1e-3, 10, N=N)
+
+    def test_whole_step_horizon_accepted(self):
+        # 0.7 / 0.001 is 699.9999999999999 in floating point
+        assert horizon_steps(0.7, 1e-3) == 700
 
 
 class TestStateInvariants:

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import snoidal.waves as waves
 from snoidal.elliptic import complete_K
 from snoidal.waves import (
     GridField,
@@ -13,6 +14,7 @@ from snoidal.waves import (
     OutOfRangeError,
     WaveParameters,
     admissible_omega_window,
+    grid_points,
     ode_residual,
     profile_eval,
     sample_wave,
@@ -137,6 +139,21 @@ class TestSampling:
     def test_spectral_derivative_matches_analytic(self, wave):
         h, h1, _ = sample_wave(wave, 256)
         assert np.max(np.abs(h.derivative().values - h1.values)) <= 1e-8
+
+    def test_one_sn_call_on_the_grid(self, wave, monkeypatch):
+        sizes = []
+        real = waves.jacobi_sn_cn_dn
+
+        def counting(u, k):
+            sizes.append(np.size(u))
+            return real(u, k)
+
+        monkeypatch.setattr(waves, "jacobi_sn_cn_dn", counting)
+        h, h1, h2 = sample_wave(wave, 1024)
+        assert sizes == [1024]
+        assert np.array_equal(h.x, grid_points(wave.L, 1024))
+        for j in (0, 1, 333, 1023):
+            assert (h.values[j], h1.values[j], h2.values[j]) == profile_eval(wave, h.x[j])
 
     def test_odd_sample_count_rejected(self, wave):
         with pytest.raises(ValueError):
