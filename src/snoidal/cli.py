@@ -65,33 +65,17 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
-    return obj
-
-
 def _write_json(path: str, obj) -> None:
     with open(path, "w") as fh:
-        json.dump(_jsonify(obj), fh, sort_keys=True, indent=2)
+        json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for row in rows.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def _metadata(args, wave, **extra) -> dict:

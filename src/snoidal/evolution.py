@@ -13,11 +13,15 @@ Strang composition [half linear, kick, half linear] is symmetric, hence
 time-reversible and second-order, and the exact linear flow removes any
 CFL restriction from phi_xx.
 
+`SplitStepper.advance` is the only stepping entry point; it carries the
+state as the rfft coefficients (ph, pt) of (phi, phi_t), with wavenumbers
+xi_n = 2 pi n / L, n = 0..N/2, from `waves.wavenumbers`.
+
 Distances to the traveling-wave orbit use the energy-space norm
-||(p, q)||^2 = integral(p^2 + p_x^2) + integral(q^2), evaluated through
-Fourier coefficients with physical wavenumbers xi_n = 2 pi n / L; spatial
-shifts are realized by phase multiplication and minimized by a coarse
-grid pass plus golden-section refinement.
+||(p, q)||^2 = integral(p^2 + p_x^2) + integral(q^2), evaluated on those
+same rfft coefficients with the Parseval weights that `ynorm_sq` uses;
+spatial shifts are realized by phase multiplication and minimized by a
+coarse grid pass plus golden-section refinement.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .waves import GridField, WaveParameters, grid_points, sample_wave
+from .waves import GridField, WaveParameters, grid_points, sample_wave, wavenumbers
 
 __all__ = [
     "BlowUpError",
@@ -36,7 +40,6 @@ __all__ = [
     "EvolutionTrace",
     "TRACE_COLUMNS",
     "SplitStepper",
-    "step",
     "conserved",
     "orbit_distance",
     "perturbation_mode",
@@ -98,11 +101,6 @@ class EvolutionTrace:
         return self.samples[:, TRACE_COLUMNS.index(name)]
 
 
-def _wavenumbers(L: float, N: int) -> np.ndarray:
-    """rfft wavenumbers xi_n = 2 pi n / L, n = 0..N/2."""
-    return 2.0 * math.pi / L * np.fft.rfftfreq(N, d=1.0 / N)
-
-
 def _parseval_weights(L: float, N: int) -> np.ndarray:
     """Weights turning |rfft|^2 sums into integrals over one period."""
     w = np.full(N // 2 + 1, 2.0 * L / (N * N))
@@ -115,7 +113,9 @@ class SplitStepper:
     """Strang splitting with precomputed per-mode linear rotations.
 
     One instance is bound to (L, N, dt, projected); `ceiling` bounds
-    ||phi||_inf and trips BlowUpError when exceeded during a kick.
+    ||phi||_inf and trips BlowUpError when exceeded during a kick.  The
+    rotation of mode 0 is cosh/sinh unprojected and zero when projected,
+    so one linear flow serves every mode.
     """
 
     def __init__(self, L: float, N: int, dt: float, projected: bool = True,
@@ -129,28 +129,19 @@ class SplitStepper:
         self.L, self.N, self.dt = L, N, dt
         self.projected = projected
         self.ceiling = ceiling
-        xi = _wavenumbers(L, N)
+        xi = wavenumbers(L, N)
         omega2 = xi * xi - 1.0  # > 0 for every nonzero mode when L < 2 pi
         om = np.sqrt(omega2[1:])
         self._rot = {}
         for tag, tau in (("half", 0.5 * dt), ("full", dt)):
             cos = np.cos(om * tau)
             sin = np.sin(om * tau)
-            self._rot[tag] = (cos, sin / om, -sin * om, math.cosh(tau), math.sinh(tau))
+            ch, sh = (0.0, 0.0) if projected else (math.cosh(tau), math.sinh(tau))
+            self._rot[tag] = (np.r_[ch, cos], np.r_[sh, sin / om], np.r_[sh, -sin * om])
 
     def _linear(self, ph, pt, tag):
-        cos, sin_over, neg_sin_times, ch, sh = self._rot[tag]
-        new_ph = ph.copy()
-        new_pt = pt.copy()
-        new_ph[1:] = cos * ph[1:] + sin_over * pt[1:]
-        new_pt[1:] = neg_sin_times * ph[1:] + cos * pt[1:]
-        if self.projected:
-            new_ph[0] = 0.0
-            new_pt[0] = 0.0
-        else:
-            new_ph[0] = ch * ph[0] + sh * pt[0]
-            new_pt[0] = sh * ph[0] + ch * pt[0]
-        return new_ph, new_pt
+        cos, sin_over, neg_sin_times = self._rot[tag]
+        return cos * ph + sin_over * pt, neg_sin_times * ph + cos * pt
 
     def _kick(self, ph, pt, t):
         phi = np.fft.irfft(ph, self.N)
@@ -163,13 +154,14 @@ class SplitStepper:
         force = np.fft.rfft(phi * phi * phi)
         if self.projected:
             force[0] = 0.0  # subtracting the mean of phi^3, exactly
-        pt = pt - self.dt * force
-        if self.projected:
-            pt[0] = 0.0
-        return ph, pt
+        return ph, pt - self.dt * force
 
     def advance(self, ph, pt, nsteps: int, t0: float):
-        """nsteps Strang steps on rfft coefficients, fusing interior half flows."""
+        """nsteps Strang steps from time t0, fusing interior half flows.
+
+        ph, pt are the rfft coefficients of (phi, phi_t); new arrays are
+        returned and the inputs are left untouched.
+        """
         if nsteps < 1:
             return ph, pt
         ph, pt = self._linear(ph, pt, "half")
@@ -179,28 +171,11 @@ class SplitStepper:
         ph, pt = self._kick(ph, pt, t0 + (nsteps - 0.5) * self.dt)
         return self._linear(ph, pt, "half")
 
-    def step_state(self, state: FieldState) -> FieldState:
-        ph = np.fft.rfft(state.phi.values)
-        pt = np.fft.rfft(state.phidot.values)
-        ph, pt = self.advance(ph, pt, 1, state.t)
-        return FieldState(
-            GridField(self.L, np.fft.irfft(ph, self.N)),
-            GridField(self.L, np.fft.irfft(pt, self.N)),
-            state.t + self.dt,
-        )
-
-
-def step(state: FieldState, dt: float, projected: bool = True,
-         ceiling: float = np.inf) -> FieldState:
-    """One Strang step of the (projected) flow; see SplitStepper for reuse."""
-    stepper = SplitStepper(state.phi.L, state.phi.N, dt, projected, ceiling)
-    return stepper.step_state(state)
-
 
 def _h1_semi_sq(values: np.ndarray, L: float) -> float:
     """integral of (d/dx)^2 via Parseval, Nyquist included."""
     N = values.size
-    xi = _wavenumbers(L, N)
+    xi = wavenumbers(L, N)
     w = _parseval_weights(L, N)
     return float(np.sum(w * (xi * np.abs(np.fft.rfft(values))) ** 2))
 
@@ -235,15 +210,15 @@ class _OrbitDistance:
     def __init__(self, wave: WaveParameters, N: int):
         self.L, self.N = wave.L, N
         h, h1, _ = sample_wave(wave, N)
-        self.hhat = np.fft.fft(h.values) / N
-        self.hthat = wave.c * np.fft.fft(h1.values) / N
-        self.xi = 2.0 * math.pi / wave.L * np.fft.fftfreq(N, d=1.0 / N)
-        self.weight = 1.0 + self.xi * self.xi
+        self.hhat = np.fft.rfft(h.values)
+        self.hthat = wave.c * np.fft.rfft(h1.values)
+        self.xi = wavenumbers(wave.L, N)
+        self.sobolev = 1.0 + self.xi * self.xi
+        self.weight = _parseval_weights(wave.L, N)
 
-    def __call__(self, phi: np.ndarray, phidot: np.ndarray) -> float:
+    def __call__(self, ph: np.ndarray, pt: np.ndarray) -> float:
+        """Distance of the state with rfft coefficients (ph, pt) to the orbit."""
         N, L = self.N, self.L
-        ph = np.fft.fft(phi) / N
-        pt = np.fft.fft(phidot) / N
 
         def dist_sq(s: float) -> float:
             # Stable form: difference per mode first, then square, so the
@@ -251,17 +226,16 @@ class _OrbitDistance:
             phase = np.exp(1j * self.xi * s)
             dp = ph * phase - self.hhat
             dq = pt * phase - self.hthat
-            return L * float(
-                np.sum(self.weight * (dp.real**2 + dp.imag**2))
-                + np.sum(dq.real**2 + dq.imag**2)
-            )
+            return float(np.sum(self.weight * (
+                self.sobolev * (dp.real**2 + dp.imag**2) + dq.real**2 + dq.imag**2
+            )))
 
         # Coarse pass: the shift-correlation gain at every grid shift via one
-        # inverse transform locates the basin; exact grid shifts (phase
-        # exactly representable) stay in the candidate set.
-        cross = self.weight * ph * np.conj(self.hhat) + pt * np.conj(self.hthat)
-        grid_gain = np.real(np.fft.ifft(cross) * N)
-        j = int(np.argmax(grid_gain))
+        # inverse transform locates the basin (irfft supplies the conjugate
+        # modes, so the cross spectrum carries no Parseval weights); exact
+        # grid shifts (phase exactly representable) stay in the candidate set.
+        cross = self.sobolev * ph * np.conj(self.hhat) + pt * np.conj(self.hthat)
+        j = int(np.argmax(np.fft.irfft(cross, N)))
         lo = (j - 1) * L / N
         hi = (j + 1) * L / N
         # Golden-section refinement; dist_sq is smooth and unimodal near the
@@ -287,7 +261,9 @@ def orbit_distance(state: FieldState, wave: WaveParameters) -> float:
     """min over shifts s of ||(phi(.+s), phi_t(.+s)) - (h, c h')|| in Y."""
     if abs(state.phi.L - wave.L) > 1e-12 * wave.L:
         raise ValueError("state and wave periods differ")
-    return _OrbitDistance(wave, state.phi.N)(state.phi.values, state.phidot.values)
+    ph = np.fft.rfft(state.phi.values)
+    pt = np.fft.rfft(state.phidot.values)
+    return _OrbitDistance(wave, state.phi.N)(ph, pt)
 
 
 def perturbation_mode(L: float, N: int, mode: int = 1) -> tuple[GridField, GridField]:
@@ -379,20 +355,20 @@ def run_experiment(
     stepper = SplitStepper(wave.L, N, dt, projected, ceiling)
     distance = _OrbitDistance(wave, N)
 
-    def sample_row(t, phi_vals, phidot_vals):
+    def sample_row(t, phi_vals, phidot_vals, ph, pt):
         st = FieldState(GridField(wave.L, phi_vals), GridField(wave.L, phidot_vals), t)
         q = conserved(st)
-        return (t, q.E, q.F, q.mean_phi, q.mean_phidot, distance(phi_vals, phidot_vals))
+        return (t, q.E, q.F, q.mean_phi, q.mean_phidot, distance(ph, pt))
 
-    rows = [sample_row(0.0, phi, phidot)]
     ph = np.fft.rfft(phi)
     pt = np.fft.rfft(phidot)
+    rows = [sample_row(0.0, phi, phidot, ph, pt)]
     done = 0
     while done < nsteps:
         block = min(sample_every, nsteps - done)
         ph, pt = stepper.advance(ph, pt, block, done * dt)
         done += block
         rows.append(
-            sample_row(done * dt, np.fft.irfft(ph, N), np.fft.irfft(pt, N))
+            sample_row(done * dt, np.fft.irfft(ph, N), np.fft.irfft(pt, N), ph, pt)
         )
     return EvolutionTrace(np.array(rows))

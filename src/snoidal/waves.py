@@ -27,6 +27,7 @@ __all__ = [
     "GridField",
     "WaveParameters",
     "grid_points",
+    "wavenumbers",
     "admissible_omega_window",
     "solve_modulus",
     "profile_eval",
@@ -51,6 +52,11 @@ class ModulusBoundaryError(RuntimeError):
 def grid_points(L: float, N: int) -> np.ndarray:
     """The uniform grid x_j = j (L / N), j = 0..N-1, that every GridField samples."""
     return np.arange(N) * (L / N)
+
+
+def wavenumbers(L: float, N: int) -> np.ndarray:
+    """The rfft wavenumbers xi_n = 2 pi n / L, n = 0..N/2, of that grid."""
+    return 2.0 * math.pi / L * np.fft.rfftfreq(N, d=1.0 / N)
 
 
 @dataclass(frozen=True)
@@ -85,11 +91,9 @@ class GridField:
 
     def derivative(self) -> "GridField":
         """Spectral first derivative (Nyquist mode mapped to zero)."""
-        n = self.N
-        xi = 2.0 * np.pi / self.L * np.fft.rfftfreq(n, d=1.0 / n)
-        coeff = 1j * xi * np.fft.rfft(self.values)
+        coeff = 1j * wavenumbers(self.L, self.N) * np.fft.rfft(self.values)
         coeff[-1] = 0.0
-        return GridField(self.L, np.fft.irfft(coeff, n))
+        return GridField(self.L, np.fft.irfft(coeff, self.N))
 
 
 @dataclass(frozen=True)

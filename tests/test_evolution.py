@@ -15,7 +15,6 @@ from snoidal.evolution import (
     perturbation_mode,
     perturbation_random,
     run_experiment,
-    step,
     ynorm_sq,
 )
 from snoidal.evolution import _h1_semi_sq
@@ -36,6 +35,15 @@ def wave_state(wave):
     return FieldState(h, GridField(L, wave.c * h1.values), 0.0)
 
 
+def advance_state(stepper, state, nsteps=1):
+    """nsteps steps of a grid state through SplitStepper.advance."""
+    ph, pt = stepper.advance(np.fft.rfft(state.phi.values),
+                             np.fft.rfft(state.phidot.values), nsteps, state.t)
+    return FieldState(GridField(stepper.L, np.fft.irfft(ph, stepper.N)),
+                      GridField(stepper.L, np.fft.irfft(pt, stepper.N)),
+                      state.t + nsteps * stepper.dt)
+
+
 def translate_state(wave, n, shift):
     h, h1, _ = profile_eval(wave, grid_points(wave.L, n) - shift)
     return FieldState(GridField(wave.L, h), GridField(wave.L, wave.c * h1), 0.0)
@@ -44,7 +52,7 @@ def translate_state(wave, n, shift):
 class TestStep:
     def test_zero_state_is_fixed_point(self):
         z = GridField(L, np.zeros(N))
-        out = step(FieldState(z, z, 0.0), 1e-3)
+        out = advance_state(SplitStepper(L, N, 1e-3), FieldState(z, z, 0.0))
         assert np.all(out.phi.values == 0.0)
         assert np.all(out.phidot.values == 0.0)
 
@@ -53,7 +61,7 @@ class TestStep:
         # within O(dt^3) of the exact translate
         errs = []
         for dt in (2e-3, 1e-3):
-            out = step(wave_state, dt)
+            out = advance_state(SplitStepper(L, N, dt), wave_state)
             ref = translate_state(wave, N, -wave.c * dt)
             errs.append(max(
                 np.max(np.abs(out.phi.values - ref.phi.values)),
@@ -77,9 +85,9 @@ class TestStep:
         bwd = SplitStepper(L, N, -1e-3)
         st = wave_state
         for _ in range(500):
-            st = fwd.step_state(st)
+            st = advance_state(fwd, st)
         for _ in range(500):
-            st = bwd.step_state(st)
+            st = advance_state(bwd, st)
         assert np.max(np.abs(st.phi.values - wave_state.phi.values)) <= 1e-9
         assert np.max(np.abs(st.phidot.values - wave_state.phidot.values)) <= 1e-9
 
@@ -102,11 +110,25 @@ class TestStep:
             GridField(L, np.zeros(N)), 0.0,
         )
         ceiling = 10.0 * float(np.max(np.abs(wave_state.phi.values)))
+        stepper = SplitStepper(L, N, 1e-3, ceiling=ceiling)
         with pytest.raises(BlowUpError) as info:
             st = big
             for _ in range(10):
-                st = step(st, 1e-3, ceiling=ceiling)
+                st = advance_state(stepper, st)
         assert info.value.time >= 0.0
+
+    @pytest.mark.parametrize("projected", [False, True])
+    def test_mode_zero_flow(self, projected):
+        # phi_tt = phi for the mean: cosh/sinh growth unprojected, pinned
+        # to zero under projection
+        delta = 1e-8
+        st = FieldState(GridField(L, np.full(N, delta)), GridField(L, np.zeros(N)), 0.0)
+        out = advance_state(SplitStepper(L, N, 1e-2, projected=projected), st, 100)
+        if projected:
+            assert out.phi.mean() == 0.0 and out.phidot.mean() == 0.0
+        else:
+            assert abs(out.phi.mean() / (delta * math.cosh(1.0)) - 1.0) <= 1e-12
+            assert abs(out.phidot.mean() / (delta * math.sinh(1.0)) - 1.0) <= 1e-12
 
     def test_bad_dt_rejected(self):
         with pytest.raises(ValueError):
@@ -164,6 +186,35 @@ class TestOrbitDistance:
         d = orbit_distance(st, wave)
         assert 0.0 < d <= 2.0 * eps * math.sqrt(ynorm_sq(p, q))
 
+    @pytest.mark.parametrize("L_, c_, n, seed", [
+        (math.pi, 0.95, 128, 4), (2.0, 0.97, 128, 5), (5.0, 0.7, 256, 6),
+    ])
+    def test_matches_grid_shift_oracle(self, L_, c_, n, seed):
+        # independent of the Fourier shift: translate the exact profile on
+        # the grid and minimize ynorm_sq of the difference over s
+        from scipy.optimize import minimize_scalar
+
+        w = solve_modulus(L_, c_)
+        eps = 1e-3
+        p, q = perturbation_random(L_, n, seed=seed)
+        h, h1, _ = sample_wave(w, n)
+        phi = h.values + eps * p.values
+        phidot = w.c * h1.values + eps * q.values
+        x = grid_points(L_, n)
+
+        def dist_sq(s):
+            g, g1, _ = profile_eval(w, x - s)
+            return ynorm_sq(GridField(L_, phi - g), GridField(L_, phidot - w.c * g1))
+
+        shifts = np.linspace(0.0, L_, 2000, endpoint=False)
+        s0 = shifts[int(np.argmin([dist_sq(s) for s in shifts]))]
+        step_s = L_ / 2000
+        res = minimize_scalar(dist_sq, bounds=(s0 - step_s, s0 + step_s),
+                              method="bounded", options={"xatol": 1e-12})
+        oracle = math.sqrt(res.fun)
+        st = FieldState(GridField(L_, phi), GridField(L_, phidot), 0.0)
+        assert abs(orbit_distance(st, w) - oracle) <= 1e-10 * oracle
+
     def test_period_mismatch_rejected(self, wave):
         other = GridField(1.0, np.zeros(N))
         with pytest.raises(ValueError):
@@ -218,7 +269,7 @@ class TestRunExperiment:
         e0 = conserved(st).E
         stepper = SplitStepper(L, N, 1e-3)
         for i in range(1000):
-            st = stepper.step_state(st)
+            st = advance_state(stepper, st)
             if i % 100 == 0:
                 v = st.phi.values
                 l2 = L / N * float(np.sum(v * v))
@@ -226,6 +277,19 @@ class TestRunExperiment:
                 assert l2 <= (L / (2.0 * math.pi)) ** 2 * h1s + 1e-15
                 kin = h1s + L / N * float(np.sum(st.phidot.values ** 2))
                 assert kin <= 2.0 * e0 + L / 2.0
+
+    def test_no_complex_fft(self, wave, monkeypatch):
+        # the stepper's rfft coefficients are the only Fourier representation
+        def forbidden(*args, **kwargs):
+            raise AssertionError("complex FFT called")
+
+        for name in ("fft", "ifft", "fftfreq"):
+            monkeypatch.setattr(np.fft, name, forbidden)
+        p, q = perturbation_random(L, N, seed=2)
+        trace = run_experiment(wave, (p, q), 1e-3, 0.5, 1e-3, 50, N=N)
+        assert np.all(np.isfinite(trace.column("orbit_distance")))
+        st = FieldState(GridField(L, np.ones(N)), GridField(L, np.zeros(N)), 0.0)
+        assert orbit_distance(st, wave) > 0.0
 
     def test_blowup_propagates(self, wave):
         with pytest.raises(BlowUpError):
