@@ -10,16 +10,18 @@ evolve     run the (projected) flow, write the trace CSV
            `t,E,F,mean_phi,mean_phidot,orbit_distance` plus a metadata JSON
 stability  evolve + record the measured ratio max orbit distance / eps
 sweep      fan a key=value config file (comma lists expand to a cartesian
-           product) over a worker pool; one output file set per job
+           product) over a worker pool of at most one process per job; one
+           output file set per job
 
 Exit codes: 0 success, 2 invalid parameters, 3 internal consistency
 violation, 4 blow-up (blow-up time goes to stderr).  Flags are checked
 before any compute runs or any file is written: the directory of the
 --out prefix must exist, N must be even and at least 16 (64 for
 spectrum), T a positive whole number of dt steps, eps nonnegative
-(positive for stability).  A sweep job that fails, even on its flags, is
-reported with its exit code and the other jobs still run.  Only `wave`
-takes --format; the other commands write the one format they have.
+(positive for stability), sweep --workers at least 1.  A sweep job that
+fails, even on its flags, is reported with its exit code and the other
+jobs still run.  Only `wave` takes --format; the other commands write the
+one format they have.
 
 All floating-point output uses shortest round-trip decimal strings, so a
 repeated run with the same flags and seed is byte-identical.
@@ -187,8 +189,9 @@ def _run_sweep_job(payload: tuple[int, dict, str]) -> tuple[int, int, str]:
 def cmd_sweep(args) -> int:
     jobs = _parse_sweep_config(args.config)
     payloads = [(i, job, args.out) for i, job in enumerate(jobs)]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    workers = min(args.workers, len(jobs))  # a pool starts all its workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_sweep_job, payloads))
     else:
         results = [_run_sweep_job(p) for p in payloads]
@@ -237,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="fan a config file over a worker pool")
     p_sweep.add_argument("config", type=str, help="key = value file; comma lists sweep")
     p_sweep.add_argument("--out", type=str, default=None, help="output path prefix")
-    p_sweep.add_argument("--workers", type=int, default=1, help="worker pool size")
+    p_sweep.add_argument("--workers", type=int, default=1,
+                         help="worker pool size (>= 1, capped at the job count)")
     return parser
 
 
@@ -247,6 +251,8 @@ def _check_args(args) -> None:
     if not os.path.isdir(out_dir):
         raise ValueError(f"--out directory {out_dir!r} does not exist")
     if args.command == "sweep":
+        if args.workers < 1:
+            raise ValueError(f"--workers must be at least 1, got {args.workers}")
         return  # each job is checked when it runs
     min_N = 64 if args.command == "spectrum" else 16
     if args.N < min_N or args.N % 2 != 0:

@@ -17,11 +17,14 @@ CFL restriction from phi_xx.
 state as the rfft coefficients (ph, pt) of (phi, phi_t), with wavenumbers
 xi_n = 2 pi n / L, n = 0..N/2, from `waves.wavenumbers`.
 
-Distances to the traveling-wave orbit use the energy-space norm
-||(p, q)||^2 = integral(p^2 + p_x^2) + integral(q^2), evaluated on those
-same rfft coefficients with the Parseval weights that `ynorm_sq` uses;
-spatial shifts are realized by phase multiplication and minimized by a
-coarse grid pass plus golden-section refinement.
+Each trace row is one pass over those coefficients.  `conserved` reads
+them with Parseval sums and one irfft for integral(phi^4).  The orbit
+distance uses the energy-space norm ||(p, q)||^2 = integral(p^2 + p_x^2) +
+integral(q^2) with the Parseval weights w_n of `ynorm_sq`.  A shift s
+multiplies mode n by exp(i xi_n s) and keeps |ph_n| and |pt_n|, so dist_sq(s)
+= const - 2 G(s) with G(s) = sum_n w_n Re(cross_n exp(i xi_n s)), where cross
+pairs the state with (h, c h').  One irfft of cross gives G at the grid
+shifts, and Newton steps on G'(s) = 0 refine the best of them.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ __all__ = [
 
 TRACE_COLUMNS = ("t", "E", "F", "mean_phi", "mean_phidot", "orbit_distance")
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_NEWTON_STEPS = 8  # per orbit-distance sample; about three suffice
 
 
 class BlowUpError(RuntimeError):
@@ -146,7 +149,7 @@ class SplitStepper:
     def _kick(self, ph, pt, t):
         phi = np.fft.irfft(ph, self.N)
         sup = float(np.max(np.abs(phi)))
-        if sup > self.ceiling:
+        if not sup <= self.ceiling:  # NaN trips it too
             raise BlowUpError(
                 f"||phi||_inf = {sup:.6g} exceeded ceiling {self.ceiling:.6g} at t = {t:.6g}",
                 time=t,
@@ -180,18 +183,23 @@ def _h1_semi_sq(values: np.ndarray, L: float) -> float:
     return float(np.sum(w * (xi * np.abs(np.fft.rfft(values))) ** 2))
 
 
-def conserved(state: FieldState) -> ConservedQuantities:
-    """Energy, momentum, and component means by spectral quadrature."""
-    L, N = state.phi.L, state.phi.N
-    phi = state.phi.values
-    pt = state.phidot.values
-    quad = L / N
-    energy = 0.5 * (
-        _h1_semi_sq(phi, L)
-        + quad * float(np.sum(pt * pt - phi * phi + 0.5 * phi**4))
-    )
-    momentum = quad * float(np.sum(state.phi.derivative().values * pt))
-    return ConservedQuantities(energy, momentum, state.phi.mean(), state.phidot.mean())
+def conserved(ph: np.ndarray, pt: np.ndarray, L: float) -> ConservedQuantities:
+    """Energy, momentum and means of the state with rfft coefficients (ph, pt).
+
+    E = 1/2 integral(phi_x^2 + phi_t^2 - phi^2 + phi^4 / 2), F = integral(phi_x
+    phi_t) on N = 2 (len(ph) - 1) points.  Quadratic terms are Parseval sums;
+    phi_x keeps the Nyquist mode in E, as `ynorm_sq` does, and drops it in F,
+    as `GridField.derivative` does.  integral(phi^4) takes one irfft.
+    """
+    N = 2 * (ph.size - 1)
+    xi = wavenumbers(L, N)
+    w = _parseval_weights(L, N)
+    phi_sq = np.fft.irfft(ph, N) ** 2  # squared twice: phi**4 is a slow pow
+    quadratic = (xi * xi - 1.0) * (ph.real**2 + ph.imag**2) + pt.real**2 + pt.imag**2
+    energy = 0.5 * (float(np.sum(w * quadratic)) + 0.5 * L / N * float(np.sum(phi_sq * phi_sq)))
+    flux = w * xi * (ph.real * pt.imag - ph.imag * pt.real)
+    momentum = float(np.sum(flux[:-1]))
+    return ConservedQuantities(energy, momentum, float(ph[0].real) / N, float(pt[0].real) / N)
 
 
 def ynorm_sq(p: GridField, q: GridField) -> float:
@@ -230,31 +238,26 @@ class _OrbitDistance:
                 self.sobolev * (dp.real**2 + dp.imag**2) + dq.real**2 + dq.imag**2
             )))
 
-        # Coarse pass: the shift-correlation gain at every grid shift via one
-        # inverse transform locates the basin (irfft supplies the conjugate
-        # modes, so the cross spectrum carries no Parseval weights); exact
-        # grid shifts (phase exactly representable) stay in the candidate set.
+        # Coarse pass: one irfft gives G at every grid shift (it supplies the
+        # conjugate modes, so no Parseval weights); the exact grid shift, whose
+        # phase is exactly representable, stays in the candidate set.
         cross = self.sobolev * ph * np.conj(self.hhat) + pt * np.conj(self.hthat)
         j = int(np.argmax(np.fft.irfft(cross, N)))
-        lo = (j - 1) * L / N
-        hi = (j + 1) * L / N
-        # Golden-section refinement; dist_sq is smooth and unimodal near the
-        # optimum, and 1e-12 in s keeps the shift-resolution error below the
-        # 1e-10 distance floor promised for exact translates.
-        x1 = hi - _GOLDEN * (hi - lo)
-        x2 = lo + _GOLDEN * (hi - lo)
-        d1, d2 = dist_sq(x1), dist_sq(x2)
-        while hi - lo > 1e-12:
-            if d1 > d2:
-                lo, x1, d1 = x1, x2, d2
-                x2 = lo + _GOLDEN * (hi - lo)
-                d2 = dist_sq(x2)
-            else:
-                hi, x2, d2 = x2, x1, d1
-                x1 = hi - _GOLDEN * (hi - lo)
-                d1 = dist_sq(x1)
-        best = min(d1, d2, dist_sq(j * L / N))
-        return math.sqrt(max(best, 0.0))
+        lo, hi = (j - 1) * L / N, (j + 1) * L / N
+        # Newton on G'(s) = 0 inside the grid bracket; z holds the terms of G(s).
+        wcross = self.weight * cross
+        s = grid_shift = j * L / N
+        for _ in range(_NEWTON_STEPS):
+            z = wcross * np.exp(1j * self.xi * s)
+            slope = -float(np.sum(self.xi * z.imag))
+            curvature = -float(np.sum(self.xi * self.xi * z.real))
+            if not curvature < 0.0:
+                break  # no maximum of G to step toward
+            step = min(max(s - slope / curvature, lo), hi) - s
+            s += step
+            if abs(step) <= 1e-15 * L:
+                break
+        return math.sqrt(min(dist_sq(s), dist_sq(grid_shift)))
 
 
 def orbit_distance(state: FieldState, wave: WaveParameters) -> float:
@@ -336,13 +339,13 @@ def run_experiment(
     number of dt steps (see :func:`horizon_steps`).  Blow-up during the
     run propagates as BlowUpError.
     """
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise ValueError(f"perturbation amplitude must be nonnegative, got {eps}")
     nsteps = horizon_steps(T, dt)
     if sample_every < 1:
         raise ValueError(f"sample_every must be at least 1, got {sample_every}")
     h, h1, _ = sample_wave(wave, N)
-    phi = h.values.copy()
+    phi = h.values
     phidot = wave.c * h1.values
     if perturbation is not None and eps != 0.0:
         p, q = perturbation
@@ -355,20 +358,17 @@ def run_experiment(
     stepper = SplitStepper(wave.L, N, dt, projected, ceiling)
     distance = _OrbitDistance(wave, N)
 
-    def sample_row(t, phi_vals, phidot_vals, ph, pt):
-        st = FieldState(GridField(wave.L, phi_vals), GridField(wave.L, phidot_vals), t)
-        q = conserved(st)
+    def sample_row(t, ph, pt):
+        q = conserved(ph, pt, wave.L)
         return (t, q.E, q.F, q.mean_phi, q.mean_phidot, distance(ph, pt))
 
     ph = np.fft.rfft(phi)
     pt = np.fft.rfft(phidot)
-    rows = [sample_row(0.0, phi, phidot, ph, pt)]
+    rows = [sample_row(0.0, ph, pt)]
     done = 0
     while done < nsteps:
         block = min(sample_every, nsteps - done)
         ph, pt = stepper.advance(ph, pt, block, done * dt)
         done += block
-        rows.append(
-            sample_row(done * dt, np.fft.irfft(ph, N), np.fft.irfft(pt, N), ph, pt)
-        )
+        rows.append(sample_row(done * dt, ph, pt))
     return EvolutionTrace(np.array(rows))

@@ -266,3 +266,43 @@ class TestSweepRobustness:
         err = capsys.readouterr().err
         assert "sweep job 1 failed with exit 2" in err and "--N sixty" in err
         assert "sweep job 0" not in err
+
+    def test_pool_capped_at_job_count(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            """Records the pool size and maps serially, so no process starts."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text("command = wave\nL = 3.14159\nc = 0.95,0.9\nN = 64\n")
+        code = cli.main(["sweep", str(cfg), "--out", str(tmp_path / "pl"), "--workers", "64"])
+        assert code == 0
+        assert sizes == [2]
+        assert (tmp_path / "pl_0001.csv").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_2(self, workers, tmp_path, monkeypatch, capsys):
+        def no_compute(*a, **k):
+            raise AssertionError("a sweep job ran before the flags were checked")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_compute)
+        monkeypatch.setattr(cli, "_run_sweep_job", no_compute)
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text("command = wave\nL = 3.14159\nc = 0.95,0.9\nN = 64\n")
+        code = cli.main(["sweep", str(cfg), "--out", str(tmp_path / "wk"), "--workers", workers])
+        assert code == 2
+        assert "--workers must be at least 1" in capsys.readouterr().err
+        assert list(tmp_path.glob("wk*")) == []

@@ -130,6 +130,12 @@ class TestStep:
             assert abs(out.phi.mean() / (delta * math.cosh(1.0)) - 1.0) <= 1e-12
             assert abs(out.phidot.mean() / (delta * math.sinh(1.0)) - 1.0) <= 1e-12
 
+    def test_nan_state_trips_blowup(self):
+        # a NaN sup-norm compares false against any ceiling; it must still trip
+        ph = np.full(N // 2 + 1, np.nan, dtype=complex)
+        with pytest.raises(BlowUpError):
+            SplitStepper(L, N, 1e-3).advance(ph, np.zeros_like(ph), 1, 0.0)
+
     def test_bad_dt_rejected(self):
         with pytest.raises(ValueError):
             SplitStepper(L, N, 0.0)
@@ -140,18 +146,20 @@ class TestStep:
 class TestConserved:
     def test_zero_state(self):
         z = GridField(L, np.zeros(N))
-        q = conserved(FieldState(z, z, 0.0))
+        q = conserved(np.fft.rfft(z.values), np.fft.rfft(z.values), L)
         assert q.E == 0.0 and q.F == 0.0
 
     def test_wave_momentum_sign_and_value(self, wave, wave_state):
-        q = conserved(wave_state)
+        q = conserved(np.fft.rfft(wave_state.phi.values),
+                      np.fft.rfft(wave_state.phidot.values), L)
         _, h1, _ = sample_wave(wave, N)
         expected_f = wave.c * (L / N) * float(np.sum(h1.values**2))
         assert q.F > 0.0
         assert abs(q.F - expected_f) <= 1e-10 * abs(expected_f)
 
     def test_energy_matches_direct_quadrature(self, wave_state):
-        q = conserved(wave_state)
+        q = conserved(np.fft.rfft(wave_state.phi.values),
+                      np.fft.rfft(wave_state.phidot.values), L)
         phi, pt = wave_state.phi, wave_state.phidot
         direct = 0.5 * (L / N) * float(np.sum(
             phi.derivative().values ** 2 + pt.values**2
@@ -215,6 +223,26 @@ class TestOrbitDistance:
         st = FieldState(GridField(L_, phi), GridField(L_, phidot), 0.0)
         assert abs(orbit_distance(st, w) - oracle) <= 1e-10 * oracle
 
+    def test_one_sample_makes_at_most_ten_exp_calls(self, wave, monkeypatch):
+        # Newton refinement: at most 8 steps plus the two final dist_sq calls
+        from snoidal.evolution import _OrbitDistance
+
+        p, q = perturbation_random(L, N, seed=4)
+        h, h1, _ = sample_wave(wave, N)
+        ph = np.fft.rfft(h.values + 1e-3 * p.values)
+        pt = np.fft.rfft(wave.c * h1.values + 1e-3 * q.values)
+        distance = _OrbitDistance(wave, N)
+        calls = []
+        exp = np.exp
+
+        def counting_exp(*args, **kwargs):
+            calls.append(1)
+            return exp(*args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        assert distance(ph, pt) > 0.0
+        assert len(calls) <= 10
+
     def test_period_mismatch_rejected(self, wave):
         other = GridField(1.0, np.zeros(N))
         with pytest.raises(ValueError):
@@ -256,6 +284,39 @@ class TestRunExperiment:
         assert np.max(np.abs(trace.column("mean_phi"))) <= 1e-10
         assert np.max(np.abs(trace.column("mean_phidot"))) <= 1e-10
 
+    def test_projected_means_exactly_zero_after_start(self, wave):
+        # the projected flow zeroes mode 0, and the means read mode 0 directly
+        ones = GridField(L, np.ones(N))
+        trace = run_experiment(wave, (ones, ones), 1e-6, 1.0, 1e-3, 100, N=N)
+        assert trace.column("mean_phi")[0] != 0.0
+        assert np.all(trace.column("mean_phi")[1:] == 0.0)
+        assert np.all(trace.column("mean_phidot")[1:] == 0.0)
+
+    def test_trace_matches_grid_quadrature_of_stepper_state(self, wave):
+        # the row's Parseval sums agree with a grid quadrature of the same state
+        eps, dt, every, blocks = 1e-3, 1e-3, 100, 3
+        p, q = perturbation_random(L, N, seed=3)
+        trace = run_experiment(wave, (p, q), eps, blocks * every * dt, dt, every, N=N)
+        h, h1, _ = sample_wave(wave, N)
+        ph = np.fft.rfft(h.values + eps * p.values)
+        pt = np.fft.rfft(wave.c * h1.values + eps * q.values)
+        stepper = SplitStepper(L, N, dt)
+        for b in range(blocks):
+            ph, pt = stepper.advance(ph, pt, every, b * every * dt)
+        phi = GridField(L, np.fft.irfft(ph, N))
+        phidot = np.fft.irfft(pt, N)
+        energy = 0.5 * (L / N) * float(np.sum(
+            phi.derivative().values ** 2 + phidot**2
+            - phi.values**2 + 0.5 * phi.values**4
+        ))
+        momentum = (L / N) * float(np.sum(phi.derivative().values * phidot))
+        assert abs(trace.column("E")[-1] - energy) <= 1e-13 * abs(energy)
+        assert abs(trace.column("F")[-1] - momentum) <= 1e-13 * abs(momentum)
+
+    def test_nan_eps_rejected(self, wave):
+        with pytest.raises(ValueError):
+            run_experiment(wave, None, float("nan"), 1.0, 1e-3, 10, N=N)
+
     def test_pure_wave_rides_the_orbit(self, wave):
         trace = run_experiment(wave, None, 0.0, 5.0, 1e-3, 250, N=N)
         assert np.max(trace.column("orbit_distance")) <= 1e-6
@@ -266,7 +327,7 @@ class TestRunExperiment:
         phi = h.values + 1e-3 * p.values
         pdot = wave.c * h1.values + 1e-3 * q.values
         st = FieldState(GridField(L, phi), GridField(L, pdot), 0.0)
-        e0 = conserved(st).E
+        e0 = conserved(np.fft.rfft(phi), np.fft.rfft(pdot), L).E
         stepper = SplitStepper(L, N, 1e-3)
         for i in range(1000):
             st = advance_state(stepper, st)
@@ -298,7 +359,7 @@ class TestRunExperiment:
     def test_unprojected_mean_contrast_demo(self, wave):
         # contrast mode, demonstrative only: without projection a
         # mean-carrying perturbation keeps an O(eps) wandering mean, while
-        # the projected flow pins both means at roundoff
+        # the projected flow pins both means at zero
         eps = 1e-6
         ones = GridField(L, np.ones(N))
         zero = GridField(L, np.zeros(N))
