@@ -215,14 +215,13 @@ def ynorm_sq(p: GridField, q: GridField) -> float:
 class _OrbitDistance:
     """Shift-minimized energy-space distance to a fixed wave pair (h, c h')."""
 
-    def __init__(self, wave: WaveParameters, N: int):
-        self.L, self.N = wave.L, N
-        h, h1, _ = sample_wave(wave, N)
+    def __init__(self, wave: WaveParameters, h: GridField, h1: GridField):
+        self.L, self.N = wave.L, h.N
         self.hhat = np.fft.rfft(h.values)
         self.hthat = wave.c * np.fft.rfft(h1.values)
-        self.xi = wavenumbers(wave.L, N)
+        self.xi = wavenumbers(wave.L, h.N)
         self.sobolev = 1.0 + self.xi * self.xi
-        self.weight = _parseval_weights(wave.L, N)
+        self.weight = _parseval_weights(wave.L, h.N)
 
     def __call__(self, ph: np.ndarray, pt: np.ndarray) -> float:
         """Distance of the state with rfft coefficients (ph, pt) to the orbit."""
@@ -266,7 +265,8 @@ def orbit_distance(state: FieldState, wave: WaveParameters) -> float:
         raise ValueError("state and wave periods differ")
     ph = np.fft.rfft(state.phi.values)
     pt = np.fft.rfft(state.phidot.values)
-    return _OrbitDistance(wave, state.phi.N)(ph, pt)
+    h, h1, _ = sample_wave(wave, state.phi.N)
+    return _OrbitDistance(wave, h, h1)(ph, pt)
 
 
 def perturbation_mode(L: float, N: int, mode: int = 1) -> tuple[GridField, GridField]:
@@ -356,7 +356,7 @@ def run_experiment(
 
     ceiling = ceiling_factor * float(np.max(np.abs(h.values)))
     stepper = SplitStepper(wave.L, N, dt, projected, ceiling)
-    distance = _OrbitDistance(wave, N)
+    distance = _OrbitDistance(wave, h, h1)
 
     def sample_row(t, ph, pt):
         q = conserved(ph, pt, wave.L)

@@ -10,11 +10,12 @@ Operators handled here (all dense, symmetric):
   L1      = -omega d2/dx2 - 1 + 3 h^2                       (scalar, N x N)
   Lblock  = [[-d2/dx2 - 1 + 3 h^2,  c d/dx], [-c d/dx, 1]]  (pair, 2N x 2N)
 
-plus their zero-mean-constrained companions, obtained by compressing onto
-an orthonormal basis of mean-free grid vectors.  The constrained operator of
-the paper also subtracts the rank-one mean coupling (3/L) (h^2, .) from the
-first component; its range is the constant vector, which the compression
-annihilates, so the compression alone yields the constrained operator.
+plus their zero-mean-constrained companions: one Householder reflector per
+component maps e_0 to the constant, and deleting index 0 after it compresses
+onto the mean-free vectors.  The constrained operator of the paper also
+subtracts the rank-one mean coupling (3/L) (h^2, .) from the first component;
+its range is the constant vector, which the compression annihilates, so the
+compression alone yields the constrained operator.
 
 Each operator is diagonalized exactly once, by `eigen_report`, which is the
 only eigensolve in this module and the only place eigenvalues are
@@ -75,6 +76,8 @@ KIND_LBLOCK_CONSTRAINED = "Lblock_constrained"
 # genuine small eigenvalues scale like omega = 1 - c^2 and can reach
 # 1.6e-8 * radius; 1e-12 splits the two regimes by >= 4 decades either way.
 ZERO_TOL_FACTOR = 1e-12
+
+D2_SPEED_STEP = 1e-4  # speed step of the central difference behind full_report's d2
 
 
 class EigenSolveError(RuntimeError):
@@ -222,51 +225,45 @@ def _assemble_Lblock_raw(
     return OperatorMatrix(KIND_LBLOCK, L, m, kernel)
 
 
-def zero_mean_basis(N: int) -> np.ndarray:
-    """Orthonormal N x (N-1) basis of the mean-free subspace (Householder)."""
-    e = np.zeros(N)
-    e[0] = 1.0
-    w = np.full(N, 1.0 / math.sqrt(N)) - e
-    H = np.eye(N) - 2.0 * np.outer(w, w) / np.dot(w, w)
-    return H[:, 1:]
+# Operator kind -> (constrained kind, number of N-point components).
+_CONSTRAINED = {KIND_L1: (KIND_L1_CONSTRAINED, 1), KIND_LBLOCK: (KIND_LBLOCK_CONSTRAINED, 2)}
 
 
 def constrain_zero_mean(M: OperatorMatrix) -> OperatorMatrix:
-    """Zero-mean companion: compress onto the orthonormal mean-free basis.
+    """Zero-mean companion: B M B with each component's index 0 deleted.
 
-    The result is an (N-1) x (N-1) (scalar) or 2(N-1) x 2(N-1) (pair)
-    symmetric matrix.  The constrained operator also carries the rank-one
-    mean coupling p -> (3/L) (h^2, p) in its first component, on samples the
-    outer product ones * (3 h^2 / N)^T; its range is the constant vector and
-    basis^T ones = 0, so the compression cancels it identically and it is
-    not formed.  The same fact is why quadratic forms of the constrained and
-    plain operators agree on mean-free vectors.
+    B = I - V V^T has one column v = sqrt(2) (1/sqrt(N) - e_0) / |1/sqrt(N) - e_0|
+    per component: it is symmetric, orthogonal and maps e_0 to the constant, so
+    its other columns are an orthonormal mean-free basis.  With P = M V and
+    W = P - V (V^T P) / 2, B M B = M - (V W^T + W V^T), exactly symmetric.  The
+    rank-one mean coupling p -> (3/L) (h^2, p) of the constrained operator has
+    the constant as its range, which B maps to a deleted index, so it is not
+    formed, and quadratic forms of the two operators agree on mean-free vectors.
     """
-    if M.kind == KIND_L1:
-        basis = zero_mean_basis(M.dim)
-        kind = KIND_L1_CONSTRAINED
-    elif M.kind == KIND_LBLOCK:
-        N = M.dim // 2
-        b = zero_mean_basis(N)
-        basis = np.zeros((2 * N, 2 * (N - 1)))
-        basis[:N, : N - 1] = b
-        basis[N:, N - 1 :] = b
-        kind = KIND_LBLOCK_CONSTRAINED
-    else:
+    if M.kind not in _CONSTRAINED:
         raise ValueError(f"cannot constrain operator of kind {M.kind}")
-    compressed = basis.T @ M.entries @ basis
-    compressed = 0.5 * (compressed + compressed.T)  # scrub compression roundoff
-    return OperatorMatrix(kind, M.L, compressed, basis.T @ M.kernel_vector)
+    kind, parts = _CONSTRAINED[M.kind]
+    N = M.dim // parts
+    v = np.full(N, 1.0 / math.sqrt(N))
+    v[0] -= 1.0
+    v *= math.sqrt(2.0) / np.linalg.norm(v)
+    V = np.kron(np.eye(parts), v[:, None])
+    keep = np.arange(M.dim) % N != 0
+    P = M.entries @ V
+    W = (P - 0.5 * V @ (V.T @ P))[keep]
+    X = V[keep] @ W.T
+    entries = M.entries[np.ix_(keep, keep)] - (X + X.T)
+    kernel = (M.kernel_vector - V @ (V.T @ M.kernel_vector))[keep]
+    return OperatorMatrix(kind, M.L, entries, kernel)
 
 
-def eigen_report(M: OperatorMatrix, tau_zero: float | None = None) -> SpectralReport:
+def eigen_report(M: OperatorMatrix) -> SpectralReport:
     """Full sorted eigenpairs with counts n (< -tau) and z (within tau) of zero."""
     try:
         vals, vecs = np.linalg.eigh(M.entries)
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(f"eigensolve failed for kind {M.kind}: {exc}") from exc
-    if tau_zero is None:
-        tau_zero = ZERO_TOL_FACTOR * float(np.max(np.abs(vals)))
+    tau_zero = ZERO_TOL_FACTOR * float(np.max(np.abs(vals)))
     n = int(np.sum(vals < -tau_zero))
     z = int(np.sum(np.abs(vals) <= tau_zero))
     kres = float(np.max(np.abs(M.entries @ M.kernel_vector)))
@@ -281,19 +278,19 @@ def closed_form_eigenpairs(
     With r = sqrt(1 - k^2 + k^4):
       lam = (1 + k^2 -/+ 2r) / (1 + k^2),  f = 1 - (1 + k^2 -/+ r) sn^2(bx;k).
     The first is the (negative) ground state; the second sits at the top of
-    the second band gap.
+    the second band gap.  The first lam is computed as -3 k'^4 / ((1 + k^2)
+    (1 + k^2 + 2r)), k'^2 = (1 - k)(1 + k), free of cancellation as k -> 1.
     """
     k = wave.k.value
     k2 = k * k
+    kp2 = (1.0 - k) * (1.0 + k)
     r = math.sqrt(1.0 - k2 + k2 * k2)
     h, _, _ = sample_wave(wave, N)
     sn2 = (h.values / wave.a) ** 2
-    pairs = []
-    for sgn, which in ((-1.0, "first"), (1.0, "fifth")):
-        lam = (1.0 + k2 + 2.0 * sgn * r) / (1.0 + k2)
-        bracket = 1.0 + k2 + sgn * r
-        f = GridField(wave.L, 1.0 - bracket * sn2)
-        pairs.append(ClosedFormEigenpair(lam, bracket, f, which))
+    lam0 = -3.0 * kp2 * kp2 / ((1.0 + k2) * (1.0 + k2 + 2.0 * r))
+    lam4 = (1.0 + k2 + 2.0 * r) / (1.0 + k2)
+    pairs = [ClosedFormEigenpair(lam, b, GridField(wave.L, 1.0 - b * sn2), which)
+             for lam, b, which in ((lam0, 1.0 + k2 - r, "first"), (lam4, 1.0 + k2 + r, "fifth"))]
     return pairs[0], pairs[1]
 
 
@@ -451,7 +448,7 @@ def d_second_derivative(L: float, c: float, dc: float, N: int = 256) -> float:
     return -(momentum(c + dc) - momentum(c - dc)) / (2.0 * dc)
 
 
-def full_report(L: float, c: float, N: int, dc: float = 1e-4) -> dict:
+def full_report(L: float, c: float, N: int) -> dict:
     """Everything the spectrum pipeline knows, as one JSON-ready record.
 
     Field names are stable: parameters, counts, eigenvalues (full sorted
@@ -471,7 +468,7 @@ def full_report(L: float, c: float, N: int, dc: float = 1e-4) -> dict:
     d1_closed = D1_closed(wave)
     d1_numeric = D1_numeric(r1, wave.L)
     pair0, _ = closed_form_eigenpairs(wave, N)
-    d2 = d_second_derivative(L, c, dc, N)
+    d2 = d_second_derivative(L, c, D2_SPEED_STEP, N)
     return {
         "parameters": {
             "L": wave.L,
@@ -481,7 +478,7 @@ def full_report(L: float, c: float, N: int, dc: float = 1e-4) -> dict:
             "a": wave.a,
             "b": wave.b,
             "N": N,
-            "dc": dc,
+            "dc": D2_SPEED_STEP,
         },
         "counts": {
             "L1": [r1.n, r1.z],

@@ -1,11 +1,14 @@
 """CLI contract: exit codes, file outputs, determinism, sweep fan-out."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import snoidal.cli as cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 class TestWaveCommand:
@@ -90,6 +93,22 @@ class TestSpectrumCommand:
         assert cli.main(args + ["--out", str(tmp_path / "a")]) == 0
         assert cli.main(args + ["--out", str(tmp_path / "b")]) == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("L,c,N", [("2.777464166478283", "0.9947955763339402", "256"),
+                                       ("2.903435269870336", "0.9874725020262703", "512")])
+    def test_small_omega_corner_fails_cleanly_or_passes(self, tmp_path, monkeypatch, L, c, N):
+        # two small-omega benchmark inputs: exit 3 with no report written, or
+        # a report that passes the benchmark's own output check
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        from run import check_spectrum
+
+        out = tmp_path / "sp"
+        code = cli.main(["spectrum", "--L", L, "--c", c, "--N", N, "--out", str(out)])
+        if code == 3:
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert code == 0
+            check_spectrum(out)
 
     def test_index_mismatch_maps_to_3(self, tmp_path, monkeypatch):
         from snoidal.spectral import IndexMismatchError

@@ -231,7 +231,7 @@ class TestOrbitDistance:
         h, h1, _ = sample_wave(wave, N)
         ph = np.fft.rfft(h.values + 1e-3 * p.values)
         pt = np.fft.rfft(wave.c * h1.values + 1e-3 * q.values)
-        distance = _OrbitDistance(wave, N)
+        distance = _OrbitDistance(wave, h, h1)
         calls = []
         exp = np.exp
 
@@ -277,6 +277,22 @@ class TestRunExperiment:
         trace = run_experiment(wave, None, 0.0, 0.5, 1e-3, 50, N=N)
         assert trace.samples.shape == (11, 6)
         assert np.all(np.diff(trace.column("t")) > 0.0)
+
+    def test_wave_sampled_once(self, wave, monkeypatch):
+        # the orbit distance reuses run_experiment's samples of (h, h')
+        import snoidal.evolution as evolution
+
+        calls = []
+        real = evolution.sample_wave
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, "sample_wave", counting)
+        p, q = perturbation_random(L, N, seed=2)
+        run_experiment(wave, (p, q), 1e-3, 0.1, 1e-3, 50, N=N)
+        assert len(calls) == 1
 
     def test_means_stay_zero(self, wave):
         p, q = perturbation_random(L, N, seed=1)

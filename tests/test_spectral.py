@@ -1,6 +1,7 @@
 """Linearized-operator spectra, constrained index bookkeeping, and d''(c)."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from snoidal.spectral import (
     solve_in_kernel_complement,
     unit_source_solution_closed,
     verify_index_counts,
-    zero_mean_basis,
 )
 from snoidal.spectral import _assemble_L1_raw, _assemble_Lblock_raw
 from snoidal.waves import OutOfRangeError, sample_wave, solve_modulus
@@ -144,7 +144,7 @@ class TestEigenReport:
 
     def test_signature_matrix(self):
         m = OperatorMatrix(KIND_L1, 1.0, np.diag([-1.0, 0.0, 2.0]), np.zeros(3))
-        report = eigen_report(m, tau_zero=1e-8)
+        report = eigen_report(m)
         assert (report.n, report.z) == (1, 1)
 
     def test_ground_state_grid_refinement(self, wave):
@@ -166,6 +166,18 @@ class TestClosedForms:
         pair0, pair4 = closed_form_eigenpairs(w, 64)
         assert abs(pair0.lam - LAM0_HALF) <= 1e-12
         assert abs(pair4.lam - LAM4_HALF) <= 1e-12
+
+    @pytest.mark.parametrize("fraction", [0.03, 0.05])
+    def test_ground_state_without_cancellation(self, fraction):
+        # 50-digit (1 + k^2 - 2r) / (1 + k^2) at the same double k
+        w = solve_modulus(L_CANON, math.sqrt(1.0 - 0.25 * fraction))
+        pair0, _ = closed_form_eigenpairs(w, 64)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            k2 = Decimal(w.k.value) ** 2
+            r = (1 - k2 + k2 * k2).sqrt()
+            exact = float((1 + k2 - 2 * r) / (1 + k2))
+        assert abs(pair0.lam - exact) <= 1e-13 * abs(exact)
 
     def test_pairs_are_matrix_eigenpairs(self, wave, op_L1):
         pair0, pair4 = closed_form_eigenpairs(wave, 256)
@@ -313,14 +325,13 @@ class TestConstrainedOperators:
         # rank-one mean coupling drops out, so constrain_zero_mean omits it
         rng = np.random.default_rng(3)
         n = op_Lblock.dim // 2
-        basis = zero_mean_basis(n)
         h, _, _ = sample_wave(wave, n)
         rank_one = np.zeros_like(op_Lblock.entries)
         rank_one[:n, :n] = np.outer(np.ones(n), 3.0 * h.values**2 / n)
         modified = op_Lblock.entries - rank_one
         for _ in range(5):
-            u = np.concatenate([basis @ rng.standard_normal(n - 1),
-                                basis @ rng.standard_normal(n - 1)])
+            p, q = rng.standard_normal((2, n))
+            u = np.concatenate([p - np.mean(p), q - np.mean(q)])
             plain = u @ (op_Lblock.entries @ u)
             constrained = u @ (modified @ u)
             assert abs(plain - constrained) <= 1e-9 * max(1.0, abs(plain))
@@ -338,10 +349,19 @@ class TestConstrainedOperators:
         assert constrain_zero_mean(op_L1).dim == op_L1.dim - 1
         assert constrain_zero_mean(op_Lblock).dim == op_Lblock.dim - 2
 
-    def test_basis_orthonormal_and_mean_free(self):
-        basis = zero_mean_basis(40)
-        assert np.max(np.abs(basis.T @ basis - np.eye(39))) <= 1e-13
-        assert np.max(np.abs(basis.T @ np.ones(40))) <= 1e-13
+    @pytest.mark.parametrize("assemble", [assemble_L1, assemble_Lblock], ids=["L1", "Lblock"])
+    def test_matches_independent_mean_free_basis(self, wave, assemble):
+        # oracle: compress onto the QR basis of the first N - 1 columns of
+        # I - 1 1^T / N, one copy per component
+        n = 128
+        m = assemble(wave, n)
+        constrained = constrain_zero_mean(m)
+        assert np.array_equal(constrained.entries, constrained.entries.T)
+        q, _ = np.linalg.qr((np.eye(n) - 1.0 / n)[:, : n - 1])
+        basis = np.kron(np.eye(m.dim // n), q)
+        want = np.linalg.eigvalsh(basis.T @ m.entries @ basis)
+        got = np.linalg.eigvalsh(constrained.entries)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_coercivity_constant(self, op_Lblock):
         report = eigen_report(constrain_zero_mean(op_Lblock))
