@@ -16,12 +16,12 @@ sweep      fan a key=value config file (comma lists expand to a cartesian
 Exit codes: 0 success, 2 invalid parameters, 3 internal consistency
 violation, 4 blow-up (blow-up time goes to stderr).  Flags are checked
 before any compute runs or any file is written: the directory of the
---out prefix must exist, N must be even and at least 16 (64 for
-spectrum), T a positive whole number of dt steps, eps nonnegative
-(positive for stability), sweep --workers at least 1.  A sweep job that
-fails, even on its flags, is reported with its exit code and the other
-jobs still run.  Only `wave` takes --format; the other commands write the
-one format they have.
+--out prefix must exist and the prefix must end in a file name, N must be
+even and at least 16 (64 for spectrum), T a positive whole number of dt
+steps, seed and eps nonnegative (eps positive for stability), sweep
+--workers at least 1.  A sweep job that fails, even on its flags, is
+reported with its exit code and the other jobs still run.  Only `wave`
+takes --format; the other commands write the one format they have.
 
 All floating-point output uses shortest round-trip decimal strings, so a
 repeated run with the same flags and seed is byte-identical.
@@ -250,6 +250,8 @@ def _check_args(args) -> None:
     out_dir = os.path.dirname(args.out) or "."
     if not os.path.isdir(out_dir):
         raise ValueError(f"--out directory {out_dir!r} does not exist")
+    if not os.path.basename(args.out):
+        raise ValueError(f"--out {args.out!r} names a directory, not a file prefix")
     if args.command == "sweep":
         if args.workers < 1:
             raise ValueError(f"--workers must be at least 1, got {args.workers}")
@@ -260,6 +262,8 @@ def _check_args(args) -> None:
     if args.command not in ("evolve", "stability"):
         return
     horizon_steps(args.T, args.dt)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     if not args.eps >= 0.0:
         raise ValueError(f"--eps must be nonnegative, got {args.eps}")
     if args.command == "stability" and args.eps == 0.0:

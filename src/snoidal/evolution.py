@@ -29,6 +29,7 @@ shifts, and Newton steps on G'(s) = 0 refine the best of them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -104,12 +105,19 @@ class EvolutionTrace:
         return self.samples[:, TRACE_COLUMNS.index(name)]
 
 
-def _parseval_weights(L: float, N: int) -> np.ndarray:
-    """Weights turning |rfft|^2 sums into integrals over one period."""
+@functools.lru_cache(maxsize=16)
+def _modes(L: float, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only rfft wavenumbers and Parseval weights of the N-point grid.
+
+    Built once per (L, N); the weights turn |rfft|^2 sums into integrals over
+    one period.
+    """
+    xi = wavenumbers(L, N)
     w = np.full(N // 2 + 1, 2.0 * L / (N * N))
-    w[0] = L / (N * N)
-    w[-1] = L / (N * N)
-    return w
+    w[0] = w[-1] = L / (N * N)
+    xi.setflags(write=False)
+    w.setflags(write=False)
+    return xi, w
 
 
 class SplitStepper:
@@ -177,9 +185,7 @@ class SplitStepper:
 
 def _h1_semi_sq(values: np.ndarray, L: float) -> float:
     """integral of (d/dx)^2 via Parseval, Nyquist included."""
-    N = values.size
-    xi = wavenumbers(L, N)
-    w = _parseval_weights(L, N)
+    xi, w = _modes(L, values.size)
     return float(np.sum(w * (xi * np.abs(np.fft.rfft(values))) ** 2))
 
 
@@ -192,8 +198,7 @@ def conserved(ph: np.ndarray, pt: np.ndarray, L: float) -> ConservedQuantities:
     as `GridField.derivative` does.  integral(phi^4) takes one irfft.
     """
     N = 2 * (ph.size - 1)
-    xi = wavenumbers(L, N)
-    w = _parseval_weights(L, N)
+    xi, w = _modes(L, N)
     phi_sq = np.fft.irfft(ph, N) ** 2  # squared twice: phi**4 is a slow pow
     quadratic = (xi * xi - 1.0) * (ph.real**2 + ph.imag**2) + pt.real**2 + pt.imag**2
     energy = 0.5 * (float(np.sum(w * quadratic)) + 0.5 * L / N * float(np.sum(phi_sq * phi_sq)))
@@ -219,9 +224,8 @@ class _OrbitDistance:
         self.L, self.N = wave.L, h.N
         self.hhat = np.fft.rfft(h.values)
         self.hthat = wave.c * np.fft.rfft(h1.values)
-        self.xi = wavenumbers(wave.L, h.N)
+        self.xi, self.weight = _modes(wave.L, h.N)
         self.sobolev = 1.0 + self.xi * self.xi
-        self.weight = _parseval_weights(wave.L, h.N)
 
     def __call__(self, ph: np.ndarray, pt: np.ndarray) -> float:
         """Distance of the state with rfft coefficients (ph, pt) to the orbit."""

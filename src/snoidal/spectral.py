@@ -17,11 +17,12 @@ subtracts the rank-one mean coupling (3/L) (h^2, .) from the first component;
 its range is the constant vector, which the compression annihilates, so the
 compression alone yields the constrained operator.
 
-Each operator is diagonalized exactly once, by `eigen_report`, which is the
-only eigensolve in this module and the only place eigenvalues are
-classified as negative or zero.  Its SpectralReport keeps the eigenvectors,
-and every consumer (the kernel-deflated solves behind D1 and the matrix D,
-the coercivity constant) reads them from the report.
+Each operator is diagonalized exactly once, for its eigenvalues only, by
+`eigen_report`, which is the only eigensolve in this module and the only
+place eigenvalues are classified as negative or zero.  The counts and the
+coercivity constant read those eigenvalues.  The solves behind D1 and the
+matrix D need no eigenvectors: they border the operator with its known
+kernel direction and call one dense linear solve.
 
 The constrained Morse index is cross-checked two ways: directly from the
 compressed spectra, and through the index bookkeeping driven by the scalar
@@ -85,7 +86,7 @@ class EigenSolveError(RuntimeError):
 
 
 class SingularSystemError(RuntimeError):
-    """Kernel-deflated linear solve is ill-posed (wrong kernel handling)."""
+    """Kernel-bordered linear solve is ill-posed (wrong kernel handling)."""
 
 
 class IndexMismatchError(RuntimeError):
@@ -98,8 +99,9 @@ class OperatorMatrix:
 
     kernel_vector holds the expected discrete kernel direction (h' for L1,
     (h', c h'') for the block operator, their compressions for constrained
-    kinds).  Constraining needs nothing beyond the entries: the rank-one mean
-    coupling vanishes under the compression.
+    kinds); the kernel-bordered solves border with it.  Constraining needs
+    nothing beyond the entries: the rank-one mean coupling vanishes under the
+    compression.
     """
 
     kind: str
@@ -110,8 +112,8 @@ class OperatorMatrix:
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
         object.__setattr__(self, "entries", m)
-        skew = np.max(np.abs(m - m.T))
-        if skew > 1e-12 * max(1.0, np.max(np.abs(m))):
+        if not np.array_equal(m, m.T):
+            skew = np.max(np.abs(m - m.T))
             raise ValueError(f"operator matrix of kind {self.kind} not symmetric: skew {skew:.3e}")
 
     @property
@@ -121,10 +123,10 @@ class OperatorMatrix:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Sorted eigenpairs with negative/zero counts at tolerance tau_zero.
+    """Sorted eigenvalues with negative/zero counts at tolerance tau_zero.
 
-    eigenvectors holds the orthonormal eigenvectors as columns, in the order
-    of eigenvalues; kind names the operator they belong to.
+    operator is the matrix they belong to; the kernel-bordered solves read
+    its entries and kernel direction.
     """
 
     eigenvalues: np.ndarray
@@ -132,8 +134,7 @@ class SpectralReport:
     z: int
     tau_zero: float
     kernel_residual: float
-    eigenvectors: np.ndarray | None = None
-    kind: str = ""
+    operator: OperatorMatrix | None = None
 
 
 @dataclass(frozen=True)
@@ -258,16 +259,16 @@ def constrain_zero_mean(M: OperatorMatrix) -> OperatorMatrix:
 
 
 def eigen_report(M: OperatorMatrix) -> SpectralReport:
-    """Full sorted eigenpairs with counts n (< -tau) and z (within tau) of zero."""
+    """Sorted eigenvalues with counts n (< -tau) and z (within tau) of zero."""
     try:
-        vals, vecs = np.linalg.eigh(M.entries)
+        vals = np.linalg.eigvalsh(M.entries)
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(f"eigensolve failed for kind {M.kind}: {exc}") from exc
     tau_zero = ZERO_TOL_FACTOR * float(np.max(np.abs(vals)))
     n = int(np.sum(vals < -tau_zero))
     z = int(np.sum(np.abs(vals) <= tau_zero))
     kres = float(np.max(np.abs(M.entries @ M.kernel_vector)))
-    return SpectralReport(vals, n, z, tau_zero, kres, vecs, M.kind)
+    return SpectralReport(vals, n, z, tau_zero, kres, M)
 
 
 def closed_form_eigenpairs(
@@ -324,31 +325,38 @@ def D1_closed(wave: WaveParameters) -> float:
 
 
 def solve_in_kernel_complement(report: SpectralReport, rhs: np.ndarray) -> np.ndarray:
-    """Solve M x = rhs orthogonally to the numerically computed kernel of M.
+    """Solve M x + mu k = rhs with x orthogonal to the kernel direction k of M.
 
-    Reads the eigenpairs of M from its report, deflates the zero-classified
-    eigenpair, and inverts on the rest.  The deflated direction is the
-    discrete kernel, not the analytic one, so the projected system is
-    consistent to solver precision.
+    k is the operator's unit kernel_vector, so the bordered system
+    [[M, k], [k^T, 0]] (x, mu) = (rhs, 0) is nonsingular whenever M has a
+    one-dimensional kernel not orthogonal to k; mu absorbs the part of rhs
+    along the kernel.  The report's eigenvalues guard the solve: exactly one
+    must be classified zero, and the rest must clear 1e3 tau_zero.  rhs may
+    be one vector (dim,) or several columns (dim, m).
     """
-    vals, vecs, tau_zero = report.eigenvalues, report.eigenvectors, report.tau_zero
+    vals, tau_zero, op = report.eigenvalues, report.tau_zero, report.operator
     if report.z != 1:
         raise SingularSystemError(
-            f"expected a one-dimensional discrete kernel for kind {report.kind}, "
+            f"expected a one-dimensional discrete kernel for kind {op.kind}, "
             f"classified {report.z} eigenvalues within {tau_zero:.3e} of zero"
         )
-    keep = np.abs(vals) > tau_zero
-    if np.min(np.abs(vals[keep])) < 1e3 * tau_zero:
+    retained = np.abs(vals[np.abs(vals) > tau_zero])
+    if np.min(retained) < 1e3 * tau_zero:
         raise SingularSystemError(
-            f"retained spectrum of kind {report.kind} nearly singular: "
-            f"min |eigenvalue| {np.min(np.abs(vals[keep])):.3e} at tau_zero {tau_zero:.3e}"
+            f"retained spectrum of kind {op.kind} nearly singular: "
+            f"min |eigenvalue| {np.min(retained):.3e} at tau_zero {tau_zero:.3e}"
         )
-    coeff = vecs[:, keep].T @ rhs / vals[keep]
-    return vecs[:, keep] @ coeff
+    norm = np.linalg.norm(op.kernel_vector)
+    if norm == 0.0:
+        raise SingularSystemError(f"kind {op.kind} carries no kernel direction to border with")
+    k = op.kernel_vector[:, None] / norm
+    bordered = np.block([[op.entries, k], [k.T, np.zeros((1, 1))]])
+    padded = np.concatenate([rhs, np.zeros((1,) + np.shape(rhs)[1:])])
+    return np.linalg.solve(bordered, padded)[:-1]
 
 
 def D1_numeric(report: SpectralReport, L: float) -> float:
-    """D1 from the grid: solve L1 f = 1 against the deflated kernel, L * mean f.
+    """D1 from the grid: solve L1 f = 1 orthogonally to the kernel, L * mean f.
 
     report is the eigen_report of L1 on an N-point grid of period L.
     """
@@ -370,23 +378,14 @@ def D_matrix(report: SpectralReport, L: float) -> ConstrainedIndexData:
     """Numerical 2x2 constraint matrix from the pair operator.
 
     report is the eigen_report of Lblock on an N-point grid of period L.
-    Solves Lblock u = e for the two constant directions e = (1,0), (0,1)
+    Solves Lblock U = E for the two constant directions E = [(1,0) (0,1)]
     (both orthogonal to the kernel by periodicity) and assembles
-    D_ij = (u_i, e_j) with the L/N quadrature weight.  Verifies the expected
-    structure diag(D1, L) before deriving (n0, z0) from the D1 sign.
+    D = (L/N) U^T E.  Verifies the expected structure diag(D1, L) before
+    deriving (n0, z0) from the D1 sign.
     """
     N = report.eigenvalues.size // 2
-    e1 = np.concatenate([np.ones(N), np.zeros(N)])
-    e2 = np.concatenate([np.zeros(N), np.ones(N)])
-    u1 = solve_in_kernel_complement(report, e1)
-    u2 = solve_in_kernel_complement(report, e2)
-    w = L / N
-    d = np.array(
-        [
-            [w * float(u1 @ e1), w * float(u1 @ e2)],
-            [w * float(u2 @ e1), w * float(u2 @ e2)],
-        ]
-    )
+    E = np.kron(np.eye(2), np.ones((N, 1)))
+    d = (L / N) * (solve_in_kernel_complement(report, E).T @ E)
     if max(abs(d[0, 1]), abs(d[1, 0])) > 1e-8 * L:
         raise SingularSystemError(
             f"constraint matrix off-diagonal {d[0, 1]:.3e}, {d[1, 0]:.3e} "
@@ -458,10 +457,8 @@ def full_report(L: float, c: float, N: int) -> dict:
     wave = solve_modulus(L, c)
     m1 = assemble_L1(wave, N)
     mb = assemble_Lblock(wave, N)
-    r1 = eigen_report(m1)
-    rb = eigen_report(mb)
-    r1c = eigen_report(constrain_zero_mean(m1))
-    rbc = eigen_report(constrain_zero_mean(mb))
+    reports = [eigen_report(m) for m in (m1, mb, constrain_zero_mean(m1), constrain_zero_mean(mb))]
+    r1, rb, r1c, rbc = reports
     idx = D_matrix(rb, wave.L)
     verify_index_counts(r1, idx, r1c)
     verify_index_counts(rb, idx, rbc)
@@ -469,6 +466,14 @@ def full_report(L: float, c: float, N: int) -> dict:
     d1_numeric = D1_numeric(r1, wave.L)
     pair0, _ = closed_form_eigenpairs(wave, N)
     d2 = d_second_derivative(L, c, D2_SPEED_STEP, N)
+    counts, eigenvalues, residuals = {}, {}, {}
+    for r in reports:
+        kind = r.operator.kind
+        counts[kind] = [r.n, r.z]
+        eigenvalues[kind] = r.eigenvalues.tolist()
+        residuals["kernel_" + kind] = r.kernel_residual
+    residuals["D1_relative_gap"] = abs(d1_numeric - d1_closed) / abs(d1_closed)
+    residuals["ground_state_gap"] = abs(float(r1.eigenvalues[0]) - pair0.lam)
     return {
         "parameters": {
             "L": wave.L,
@@ -480,31 +485,14 @@ def full_report(L: float, c: float, N: int) -> dict:
             "N": N,
             "dc": D2_SPEED_STEP,
         },
-        "counts": {
-            "L1": [r1.n, r1.z],
-            "Lblock": [rb.n, rb.z],
-            "L1_constrained": [r1c.n, r1c.z],
-            "Lblock_constrained": [rbc.n, rbc.z],
-        },
-        "eigenvalues": {
-            "L1": r1.eigenvalues.tolist(),
-            "Lblock": rb.eigenvalues.tolist(),
-            "L1_constrained": r1c.eigenvalues.tolist(),
-            "Lblock_constrained": rbc.eigenvalues.tolist(),
-        },
+        "counts": counts,
+        "eigenvalues": eigenvalues,
         "D1_closed": d1_closed,
         "D1_numeric": d1_numeric,
         "Dmatrix": idx.Dmatrix.tolist(),
         "n0": idx.n0,
         "z0": idx.z0,
         "d2": d2,
-        "residuals": {
-            "kernel_L1": r1.kernel_residual,
-            "kernel_Lblock": rb.kernel_residual,
-            "kernel_L1_constrained": r1c.kernel_residual,
-            "kernel_Lblock_constrained": rbc.kernel_residual,
-            "D1_relative_gap": abs(d1_numeric - d1_closed) / abs(d1_closed),
-            "ground_state_gap": abs(float(r1.eigenvalues[0]) - pair0.lam),
-        },
+        "residuals": residuals,
         "coercivity": coercivity_constant(rbc),
     }

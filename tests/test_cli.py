@@ -227,15 +227,21 @@ class TestInputValidation:
         ["wave", *WAVE, "--N", "0"],
         ["wave", *WAVE, "--N", "15"],
         ["spectrum", *WAVE, "--N", "32"],
+        ["wave", *WAVE, "--N", "64", "--out", "{tmp}/"],
+        ["stability", *WAVE, "--N", "64", "--T", "0.1", "--eps", "1e-3", "--seed", "-1"],
     ], ids=["stability-eps-0", "evolve-negative-T", "evolve-T-not-whole-steps",
-            "wave-N-0", "wave-N-odd", "spectrum-N-below-64"])
+            "wave-N-0", "wave-N-odd", "spectrum-N-below-64", "wave-out-empty-basename",
+            "stability-negative-seed"])
     def test_exits_2_without_compute_or_output(self, argv, tmp_path, monkeypatch, capsys):
         def no_compute(*a, **k):
             raise AssertionError("compute ran before the flags were checked")
 
         monkeypatch.setattr(cli, "solve_modulus", no_compute)
         monkeypatch.setattr(cli, "full_report", no_compute)
-        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
         assert "invalid parameters" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 

@@ -294,6 +294,24 @@ class TestRunExperiment:
         run_experiment(wave, (p, q), 1e-3, 0.1, 1e-3, 50, N=N)
         assert len(calls) == 1
 
+    def test_modes_built_once_per_run(self, wave, monkeypatch):
+        # the stepper and the cached (xi, w) of the trace rows: one build each
+        import snoidal.evolution as evolution
+
+        calls = []
+        real = evolution.wavenumbers
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, "wavenumbers", counting)
+        evolution._modes.cache_clear()
+        p, q = perturbation_random(L, N, seed=4)
+        trace = run_experiment(wave, (p, q), 1e-3, 0.06, 1e-3, 1, N=N)
+        assert trace.samples.shape[0] >= 50
+        assert len(calls) <= 2
+
     def test_means_stay_zero(self, wave):
         p, q = perturbation_random(L, N, seed=1)
         trace = run_experiment(wave, (p, q), 1e-3, 2.0, 1e-3, 100, N=N)

@@ -8,6 +8,7 @@ import pytest
 
 from snoidal.spectral import (
     KIND_L1,
+    ZERO_TOL_FACTOR,
     ConstrainedIndexData,
     D1_closed,
     D1_numeric,
@@ -133,6 +134,9 @@ class TestAssembly:
     def test_symmetry_enforced(self):
         with pytest.raises(ValueError):
             OperatorMatrix(KIND_L1, 1.0, np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2))
+        # every assembled operator is bit-symmetric, so a roundoff skew is rejected too
+        with pytest.raises(ValueError):
+            OperatorMatrix(KIND_L1, 1.0, np.array([[2.0, 1.0], [1.0 + 1e-15, 2.0]]), np.zeros(2))
 
 
 class TestEigenReport:
@@ -248,6 +252,30 @@ class TestD1:
     def test_grid_size_guard(self, wave):
         with pytest.raises(ValueError):
             D1_numeric(eigen_report(assemble_L1(wave, 32)), wave.L)
+
+    def test_zero_kernel_vector_rejected(self):
+        # one zero eigenvalue, but no kernel direction to border the solve with
+        m = OperatorMatrix(KIND_L1, 1.0, np.diag([0.0, 1.0, 2.0]), np.zeros(3))
+        with pytest.raises(SingularSystemError):
+            solve_in_kernel_complement(eigen_report(m), np.ones(3))
+
+    @pytest.mark.parametrize("L,c", [(math.pi, 0.95), (2.0, 0.96), (5.0, 0.8)])
+    @pytest.mark.parametrize("assemble", [assemble_L1, assemble_Lblock], ids=["L1", "Lblock"])
+    def test_bordered_solve_matches_eigen_deflation(self, L, c, assemble):
+        # oracle: invert on the eigenpairs of eigh with the zero-classified
+        # one deflated; the constant right-hand sides have no kernel component
+        n = 128
+        m = assemble(solve_modulus(L, c), n)
+        E = np.kron(np.eye(m.dim // n), np.ones((n, 1)))
+        U = solve_in_kernel_complement(eigen_report(m), E)
+        vals, vecs = np.linalg.eigh(m.entries)
+        keep = np.abs(vals) > ZERO_TOL_FACTOR * np.max(np.abs(vals))
+        assert np.sum(~keep) == 1
+        want = (vecs[:, keep] @ ((vecs[:, keep].T @ E) / vals[keep, None])).T @ E
+        got = U.T @ E
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+        k = m.kernel_vector / np.linalg.norm(m.kernel_vector)
+        assert np.max(np.abs(k @ U) / np.linalg.norm(U, axis=0)) <= 1e-10
 
     def test_singular_detection(self):
         # two zero-classified eigenvalues -> kernel handling must refuse
@@ -418,8 +446,8 @@ class TestFullReport:
         assert (rec["n0"], rec["z0"]) == (1, 0)
 
     def test_each_operator_assembled_and_diagonalized_once(self, monkeypatch):
-        # L1, Lblock and their two constrained companions: one eigensolve
-        # each, and every consumer reads the eigenpairs from its report
+        # L1, Lblock and their two constrained companions: one values-only
+        # eigensolve each; the solves behind D1 and D need no eigenvectors
         import snoidal.spectral as spectral
 
         calls = dict.fromkeys(("eigh", "eigvalsh", "assemble_L1", "assemble_Lblock"), 0)
@@ -438,5 +466,6 @@ class TestFullReport:
         for name in ("assemble_L1", "assemble_Lblock"):
             counted(spectral, name)
         full_report(L_CANON, C_CANON, 128)
-        assert calls["eigh"] + calls["eigvalsh"] == 4
+        assert calls["eigh"] == 0
+        assert calls["eigvalsh"] == 4
         assert calls["assemble_L1"] == calls["assemble_Lblock"] == 1
