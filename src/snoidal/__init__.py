@@ -10,7 +10,6 @@ Submodules:
 
 from .elliptic import EllipticModulus, complete_E, complete_K, jacobi_sn_cn_dn
 from .waves import (
-    GridField,
     ModulusBoundaryError,
     OutOfRangeError,
     WaveParameters,
@@ -25,7 +24,6 @@ __all__ = [
     "complete_K",
     "complete_E",
     "jacobi_sn_cn_dn",
-    "GridField",
     "WaveParameters",
     "OutOfRangeError",
     "ModulusBoundaryError",

@@ -18,10 +18,11 @@ violation, 4 blow-up (blow-up time goes to stderr).  Flags are checked
 before any compute runs or any file is written: the directory of the
 --out prefix must exist and the prefix must end in a file name, N must be
 even and at least 16 (64 for spectrum), T a positive whole number of dt
-steps, seed and eps nonnegative (eps positive for stability), sweep
---workers at least 1.  A sweep job that fails, even on its flags, is
-reported with its exit code and the other jobs still run.  Only `wave`
-takes --format; the other commands write the one format they have.
+steps, seed nonnegative, eps nonnegative and finite (positive for
+stability), sweep --workers at least 1.  A sweep job that fails, even on
+its flags, is reported with its exit code and the other jobs still run.
+Only `wave` takes --format; the other commands write the one format they
+have.
 
 All floating-point output uses shortest round-trip decimal strings, so a
 repeated run with the same flags and seed is byte-identical.
@@ -32,6 +33,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -54,6 +56,7 @@ from .spectral import (
 from .waves import (
     ModulusBoundaryError,
     OutOfRangeError,
+    grid_points,
     ode_residual,
     sample_wave,
     solve_modulus,
@@ -100,7 +103,7 @@ def _metadata(args, wave, **extra) -> dict:
 def cmd_wave(args) -> int:
     wave = solve_modulus(args.L, args.c)
     h, h1, h2 = sample_wave(wave, args.N)
-    rows = np.column_stack([h.x, h.values, h1.values, h2.values])
+    rows = np.column_stack([grid_points(wave.L, args.N), h, h1, h2])
     residual = ode_residual(wave, args.N)
     if args.format == "csv":
         _write_csv(args.out + ".csv", ("x", "h", "h1", "h2"), rows)
@@ -264,8 +267,8 @@ def _check_args(args) -> None:
     horizon_steps(args.T, args.dt)
     if args.seed < 0:
         raise ValueError(f"--seed must be nonnegative, got {args.seed}")
-    if not args.eps >= 0.0:
-        raise ValueError(f"--eps must be nonnegative, got {args.eps}")
+    if not 0.0 <= args.eps < math.inf:
+        raise ValueError(f"--eps must be nonnegative and finite, got {args.eps}")
     if args.command == "stability" and args.eps == 0.0:
         raise OutOfRangeError("stability runs need a positive --eps")
 

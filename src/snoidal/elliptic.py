@@ -45,11 +45,6 @@ class EllipticModulus:
                 f"elliptic modulus must lie in ({MODULUS_MARGIN}, {1 - MODULUS_MARGIN}), got {k}"
             )
 
-    @property
-    def complement(self) -> float:
-        """Complementary modulus k' = sqrt(1 - k^2)."""
-        return math.sqrt((1.0 - self.value) * (1.0 + self.value))
-
 
 def _as_modulus(k) -> EllipticModulus:
     return k if isinstance(k, EllipticModulus) else EllipticModulus(float(k))

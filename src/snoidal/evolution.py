@@ -35,18 +35,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .waves import GridField, WaveParameters, grid_points, sample_wave, wavenumbers
+from .waves import WaveParameters, grid_points, sample_wave, wavenumbers
 
 __all__ = [
     "BlowUpError",
-    "FieldState",
     "ConservedQuantities",
     "EvolutionTrace",
     "TRACE_COLUMNS",
     "SplitStepper",
     "conserved",
     "orbit_distance",
-    "perturbation_mode",
     "perturbation_random",
     "ynorm_sq",
     "horizon_steps",
@@ -56,6 +54,7 @@ __all__ = [
 TRACE_COLUMNS = ("t", "E", "F", "mean_phi", "mean_phidot", "orbit_distance")
 
 _NEWTON_STEPS = 8  # per orbit-distance sample; about three suffice
+_CEILING_FACTOR = 10.0  # run_experiment's blow-up ceiling, in units of max |h|
 
 
 class BlowUpError(RuntimeError):
@@ -64,19 +63,6 @@ class BlowUpError(RuntimeError):
     def __init__(self, message: str, time: float):
         super().__init__(message)
         self.time = time
-
-
-@dataclass(frozen=True)
-class FieldState:
-    """Field samples (phi, phi_t) at time t on a shared grid."""
-
-    phi: GridField
-    phidot: GridField
-    t: float
-
-    def __post_init__(self):
-        if self.phi.L != self.phidot.L or self.phi.N != self.phidot.N:
-            raise ValueError("phi and phidot must share period and grid size")
 
 
 @dataclass(frozen=True)
@@ -195,7 +181,8 @@ def conserved(ph: np.ndarray, pt: np.ndarray, L: float) -> ConservedQuantities:
     E = 1/2 integral(phi_x^2 + phi_t^2 - phi^2 + phi^4 / 2), F = integral(phi_x
     phi_t) on N = 2 (len(ph) - 1) points.  Quadratic terms are Parseval sums;
     phi_x keeps the Nyquist mode in E, as `ynorm_sq` does, and drops it in F,
-    as `GridField.derivative` does.  integral(phi^4) takes one irfft.
+    as the spectral derivative of `spectral.fourier_diff_matrices` does.
+    integral(phi^4) takes one irfft.
     """
     N = 2 * (ph.size - 1)
     xi, w = _modes(L, N)
@@ -207,24 +194,20 @@ def conserved(ph: np.ndarray, pt: np.ndarray, L: float) -> ConservedQuantities:
     return ConservedQuantities(energy, momentum, float(ph[0].real) / N, float(pt[0].real) / N)
 
 
-def ynorm_sq(p: GridField, q: GridField) -> float:
+def ynorm_sq(p: np.ndarray, q: np.ndarray, L: float) -> float:
     """Squared energy-space norm: integral(p^2 + p_x^2) + integral(q^2)."""
-    quad = p.L / p.N
-    return (
-        quad * float(np.sum(p.values**2))
-        + _h1_semi_sq(p.values, p.L)
-        + quad * float(np.sum(q.values**2))
-    )
+    quad = L / p.size
+    return quad * float(np.sum(p**2)) + _h1_semi_sq(p, L) + quad * float(np.sum(q**2))
 
 
 class _OrbitDistance:
     """Shift-minimized energy-space distance to a fixed wave pair (h, c h')."""
 
-    def __init__(self, wave: WaveParameters, h: GridField, h1: GridField):
-        self.L, self.N = wave.L, h.N
-        self.hhat = np.fft.rfft(h.values)
-        self.hthat = wave.c * np.fft.rfft(h1.values)
-        self.xi, self.weight = _modes(wave.L, h.N)
+    def __init__(self, wave: WaveParameters, h: np.ndarray, h1: np.ndarray):
+        self.L, self.N = wave.L, h.size
+        self.hhat = np.fft.rfft(h)
+        self.hthat = wave.c * np.fft.rfft(h1)
+        self.xi, self.weight = _modes(wave.L, h.size)
         self.sobolev = 1.0 + self.xi * self.xi
 
     def __call__(self, ph: np.ndarray, pt: np.ndarray) -> float:
@@ -263,29 +246,19 @@ class _OrbitDistance:
         return math.sqrt(min(dist_sq(s), dist_sq(grid_shift)))
 
 
-def orbit_distance(state: FieldState, wave: WaveParameters) -> float:
-    """min over shifts s of ||(phi(.+s), phi_t(.+s)) - (h, c h')|| in Y."""
-    if abs(state.phi.L - wave.L) > 1e-12 * wave.L:
-        raise ValueError("state and wave periods differ")
-    ph = np.fft.rfft(state.phi.values)
-    pt = np.fft.rfft(state.phidot.values)
-    h, h1, _ = sample_wave(wave, state.phi.N)
-    return _OrbitDistance(wave, h, h1)(ph, pt)
+def orbit_distance(phi: np.ndarray, phidot: np.ndarray, wave: WaveParameters) -> float:
+    """min over shifts s of ||(phi(.+s), phi_t(.+s)) - (h, c h')|| in Y.
+
+    phi and phidot are samples on the grid_points(wave.L, N) of one N.
+    """
+    if np.ndim(phi) != 1 or np.shape(phi) != np.shape(phidot):
+        raise ValueError(f"phi and phidot must be 1-D of one shape, got "
+                         f"{np.shape(phi)} and {np.shape(phidot)}")
+    h, h1, _ = sample_wave(wave, len(phi))
+    return _OrbitDistance(wave, h, h1)(np.fft.rfft(phi), np.fft.rfft(phidot))
 
 
-def perturbation_mode(L: float, N: int, mode: int = 1) -> tuple[GridField, GridField]:
-    """Unit-Y-norm trigonometric perturbation (cos mode in phi, sin mode in phi_t)."""
-    if not (1 <= mode < N // 2):
-        raise ValueError(f"mode must lie in [1, N/2), got {mode}")
-    x = grid_points(L, N)
-    xi = 2.0 * math.pi * mode / L
-    p = GridField(L, np.cos(xi * x))
-    q = GridField(L, np.sin(xi * x))
-    scale = 1.0 / math.sqrt(ynorm_sq(p, q))
-    return GridField(L, scale * p.values), GridField(L, scale * q.values)
-
-
-def perturbation_random(L: float, N: int, seed: int) -> tuple[GridField, GridField]:
+def perturbation_random(L: float, N: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Unit-Y-norm random zero-mean pair, band-limited to modes 1..N/8.
 
     Reproducible by construction: amplitudes and phases are uniform doubles
@@ -302,10 +275,9 @@ def perturbation_random(L: float, N: int, seed: int) -> tuple[GridField, GridFie
             phase = 2.0 * math.pi * rng.random()
             vals += amp * np.cos(2.0 * math.pi * m / L * x + phase)
         fields.append(vals)
-    p = GridField(L, fields[0])
-    q = GridField(L, fields[1])
-    scale = 1.0 / math.sqrt(ynorm_sq(p, q))
-    return GridField(L, scale * p.values), GridField(L, scale * q.values)
+    p, q = fields
+    scale = 1.0 / math.sqrt(ynorm_sq(p, q, L))
+    return scale * p, scale * q
 
 
 def horizon_steps(T: float, dt: float) -> int:
@@ -327,38 +299,39 @@ def horizon_steps(T: float, dt: float) -> int:
 
 def run_experiment(
     wave: WaveParameters,
-    perturbation: tuple[GridField, GridField] | None,
+    perturbation: tuple[np.ndarray, np.ndarray] | None,
     eps: float,
     T: float,
     dt: float,
     sample_every: int,
     N: int = 256,
     projected: bool = True,
-    ceiling_factor: float = 10.0,
 ) -> EvolutionTrace:
     """Evolve (h, c h') + eps * perturbation and record the orbit diagnostics.
 
     Samples at t = 0 and every `sample_every` steps; each row holds
     (t, E, F, mean phi, mean phi_t, orbit distance).  T must be a whole
-    number of dt steps (see :func:`horizon_steps`).  Blow-up during the
-    run propagates as BlowUpError.
+    number of dt steps (see :func:`horizon_steps`), and the perturbation a
+    pair of (N,) arrays on the wave's grid.  Blow-up, ||phi||_inf above
+    _CEILING_FACTOR max |h| during the run, propagates as BlowUpError.
     """
-    if not eps >= 0.0:
-        raise ValueError(f"perturbation amplitude must be nonnegative, got {eps}")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"perturbation amplitude must be nonnegative and finite, got {eps}")
     nsteps = horizon_steps(T, dt)
     if sample_every < 1:
         raise ValueError(f"sample_every must be at least 1, got {sample_every}")
     h, h1, _ = sample_wave(wave, N)
-    phi = h.values
-    phidot = wave.c * h1.values
+    phi = h
+    phidot = wave.c * h1
     if perturbation is not None and eps != 0.0:
         p, q = perturbation
-        if p.N != N or q.N != N or abs(p.L - wave.L) > 1e-12 * wave.L:
-            raise ValueError("perturbation grid does not match the wave grid")
-        phi = phi + eps * p.values
-        phidot = phidot + eps * q.values
+        if np.shape(p) != (N,) or np.shape(q) != (N,):
+            raise ValueError(f"perturbation shapes {np.shape(p)}, {np.shape(q)} "
+                             f"do not match the wave grid ({N},)")
+        phi = phi + eps * p
+        phidot = phidot + eps * q
 
-    ceiling = ceiling_factor * float(np.max(np.abs(h.values)))
+    ceiling = _CEILING_FACTOR * float(np.max(np.abs(h)))
     stepper = SplitStepper(wave.L, N, dt, projected, ceiling)
     distance = _OrbitDistance(wave, h, h1)
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import complete_E, complete_K
-from .waves import GridField, WaveParameters, sample_wave, solve_modulus
+from .waves import WaveParameters, sample_wave, solve_modulus
 
 __all__ = [
     "EigenSolveError",
@@ -153,8 +153,7 @@ class ClosedFormEigenpair:
 
     lam: float
     bracket: float
-    f: GridField
-    which: str
+    f: np.ndarray
 
 
 def fourier_diff_matrices(N: int, L: float) -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +188,7 @@ def fourier_diff_matrices(N: int, L: float) -> tuple[np.ndarray, np.ndarray]:
 def assemble_L1(wave: WaveParameters, N: int) -> OperatorMatrix:
     """Dense matrix of -omega d2/dx2 - 1 + 3 h^2 with h' as expected kernel."""
     h, h1, _ = sample_wave(wave, N)
-    return _assemble_L1_raw(h.values, wave.omega, wave.L, kernel=h1.values)
+    return _assemble_L1_raw(h, wave.omega, wave.L, kernel=h1)
 
 
 def _assemble_L1_raw(
@@ -208,8 +207,8 @@ def _assemble_L1_raw(
 def assemble_Lblock(wave: WaveParameters, N: int) -> OperatorMatrix:
     """Dense 2N x 2N matrix of the pair operator with kernel (h', c h'')."""
     h, h1, h2 = sample_wave(wave, N)
-    kernel = np.concatenate([h1.values, wave.c * h2.values])
-    return _assemble_Lblock_raw(h.values, wave.c, wave.L, kernel=kernel)
+    kernel = np.concatenate([h1, wave.c * h2])
+    return _assemble_Lblock_raw(h, wave.c, wave.L, kernel=kernel)
 
 
 def _assemble_Lblock_raw(
@@ -287,15 +286,15 @@ def closed_form_eigenpairs(
     kp2 = (1.0 - k) * (1.0 + k)
     r = math.sqrt(1.0 - k2 + k2 * k2)
     h, _, _ = sample_wave(wave, N)
-    sn2 = (h.values / wave.a) ** 2
+    sn2 = (h / wave.a) ** 2
     lam0 = -3.0 * kp2 * kp2 / ((1.0 + k2) * (1.0 + k2 + 2.0 * r))
     lam4 = (1.0 + k2 + 2.0 * r) / (1.0 + k2)
-    pairs = [ClosedFormEigenpair(lam, b, GridField(wave.L, 1.0 - b * sn2), which)
-             for lam, b, which in ((lam0, 1.0 + k2 - r, "first"), (lam4, 1.0 + k2 + r, "fifth"))]
-    return pairs[0], pairs[1]
+    b0, b4 = 1.0 + k2 - r, 1.0 + k2 + r
+    return (ClosedFormEigenpair(lam0, b0, 1.0 - b0 * sn2),
+            ClosedFormEigenpair(lam4, b4, 1.0 - b4 * sn2))
 
 
-def unit_source_solution_closed(wave: WaveParameters, N: int) -> GridField:
+def unit_source_solution_closed(wave: WaveParameters, N: int) -> np.ndarray:
     """Closed-form solution f of L1 f = 1, combined from the two exact pairs.
 
     f = (lam4 B1 f0 + lam0 B2 f4) / (2 lam0 lam4 r) with B1 = bracket of the
@@ -305,10 +304,7 @@ def unit_source_solution_closed(wave: WaveParameters, N: int) -> GridField:
     k = wave.k.value
     r = math.sqrt(1.0 - k * k + k**4)
     b1, b2 = p4.bracket, -p0.bracket
-    vals = (p4.lam * b1 * p0.f.values + p0.lam * b2 * p4.f.values) / (
-        2.0 * p0.lam * p4.lam * r
-    )
-    return GridField(wave.L, vals)
+    return (p4.lam * b1 * p0.f + p0.lam * b2 * p4.f) / (2.0 * p0.lam * p4.lam * r)
 
 
 def D1_closed(wave: WaveParameters) -> float:
@@ -355,16 +351,16 @@ def solve_in_kernel_complement(report: SpectralReport, rhs: np.ndarray) -> np.nd
     return np.linalg.solve(bordered, padded)[:-1]
 
 
-def D1_numeric(report: SpectralReport, L: float) -> float:
+def D1_numeric(report: SpectralReport) -> float:
     """D1 from the grid: solve L1 f = 1 orthogonally to the kernel, L * mean f.
 
-    report is the eigen_report of L1 on an N-point grid of period L.
+    report is the eigen_report of L1 on an N-point grid; L is its operator's period.
     """
     N = report.eigenvalues.size
     if N < 64 or N % 2 != 0:
         raise ValueError(f"D1_numeric needs an even grid of at least 64 points, got {N}")
     f = solve_in_kernel_complement(report, np.ones(N))
-    return L * float(np.mean(f))
+    return report.operator.L * float(np.mean(f))
 
 
 def n0_z0_from_D1(D1: float, tol: float) -> tuple[int, int]:
@@ -374,16 +370,17 @@ def n0_z0_from_D1(D1: float, tol: float) -> tuple[int, int]:
     return (1, 0) if D1 < 0.0 else (0, 0)
 
 
-def D_matrix(report: SpectralReport, L: float) -> ConstrainedIndexData:
+def D_matrix(report: SpectralReport) -> ConstrainedIndexData:
     """Numerical 2x2 constraint matrix from the pair operator.
 
-    report is the eigen_report of Lblock on an N-point grid of period L.
+    report is the eigen_report of Lblock on an N-point grid; L is its
+    operator's period.
     Solves Lblock U = E for the two constant directions E = [(1,0) (0,1)]
     (both orthogonal to the kernel by periodicity) and assembles
     D = (L/N) U^T E.  Verifies the expected structure diag(D1, L) before
     deriving (n0, z0) from the D1 sign.
     """
-    N = report.eigenvalues.size // 2
+    N, L = report.eigenvalues.size // 2, report.operator.L
     E = np.kron(np.eye(2), np.ones((N, 1)))
     d = (L / N) * (solve_in_kernel_complement(report, E).T @ E)
     if max(abs(d[0, 1]), abs(d[1, 0])) > 1e-8 * L:
@@ -441,7 +438,7 @@ def d_second_derivative(L: float, c: float, dc: float, N: int = 256) -> float:
     def momentum(speed: float) -> float:
         wave = solve_modulus(L, speed)
         _, h1, _ = sample_wave(wave, N)
-        return speed * L * float(np.mean(h1.values**2))
+        return speed * L * float(np.mean(h1**2))
 
     solve_modulus(L, c)  # validate the center point too
     return -(momentum(c + dc) - momentum(c - dc)) / (2.0 * dc)
@@ -459,11 +456,11 @@ def full_report(L: float, c: float, N: int) -> dict:
     mb = assemble_Lblock(wave, N)
     reports = [eigen_report(m) for m in (m1, mb, constrain_zero_mean(m1), constrain_zero_mean(mb))]
     r1, rb, r1c, rbc = reports
-    idx = D_matrix(rb, wave.L)
+    idx = D_matrix(rb)
     verify_index_counts(r1, idx, r1c)
     verify_index_counts(rb, idx, rbc)
     d1_closed = D1_closed(wave)
-    d1_numeric = D1_numeric(r1, wave.L)
+    d1_numeric = D1_numeric(r1)
     pair0, _ = closed_form_eigenpairs(wave, N)
     d2 = d_second_derivative(L, c, D2_SPEED_STEP, N)
     counts, eigenvalues, residuals = {}, {}, {}

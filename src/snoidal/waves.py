@@ -24,7 +24,6 @@ from .elliptic import EllipticModulus, complete_E, complete_K, jacobi_sn_cn_dn
 __all__ = [
     "OutOfRangeError",
     "ModulusBoundaryError",
-    "GridField",
     "WaveParameters",
     "grid_points",
     "wavenumbers",
@@ -50,50 +49,20 @@ class ModulusBoundaryError(RuntimeError):
 
 
 def grid_points(L: float, N: int) -> np.ndarray:
-    """The uniform grid x_j = j (L / N), j = 0..N-1, that every GridField samples."""
+    """The uniform grid x_j = j (L / N), j = 0..N-1, that every sampled field lives on.
+
+    Raises ValueError unless N is even and at least 16 and L is positive.
+    """
+    if N < 16 or N % 2 != 0:
+        raise ValueError(f"sample count must be even and >= 16, got {N}")
+    if not L > 0.0:
+        raise ValueError(f"period must be positive, got {L}")
     return np.arange(N) * (L / N)
 
 
 def wavenumbers(L: float, N: int) -> np.ndarray:
     """The rfft wavenumbers xi_n = 2 pi n / L, n = 0..N/2, of that grid."""
     return 2.0 * math.pi / L * np.fft.rfftfreq(N, d=1.0 / N)
-
-
-@dataclass(frozen=True)
-class GridField:
-    """Samples of a real L-periodic function on the grid of :func:`grid_points`."""
-
-    L: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.ndim != 1:
-            raise ValueError("GridField values must be one-dimensional")
-        n = vals.size
-        if n < 16 or n % 2 != 0:
-            raise ValueError(f"GridField needs an even sample count >= 16, got {n}")
-        if not (self.L > 0.0):
-            raise ValueError(f"GridField period must be positive, got {self.L}")
-
-    @property
-    def N(self) -> int:
-        return self.values.size
-
-    @property
-    def x(self) -> np.ndarray:
-        return grid_points(self.L, self.N)
-
-    def mean(self) -> float:
-        """Discrete mean; equals the periodic trapezoid mean (1/L) integral."""
-        return float(np.mean(self.values))
-
-    def derivative(self) -> "GridField":
-        """Spectral first derivative (Nyquist mode mapped to zero)."""
-        coeff = 1j * wavenumbers(self.L, self.N) * np.fft.rfft(self.values)
-        coeff[-1] = 0.0
-        return GridField(self.L, np.fft.irfft(coeff, self.N))
 
 
 @dataclass(frozen=True)
@@ -226,11 +195,9 @@ def profile_eval(p: WaveParameters, x) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return _profile_raw(p.a, p.b, p.k.value, x)
 
 
-def sample_wave(p: WaveParameters, N: int) -> tuple[GridField, GridField, GridField]:
-    """Sample (h, h', h'') at the N points of :func:`grid_points` in one call."""
-    if N < 16 or N % 2 != 0:
-        raise ValueError(f"sample count must be even and >= 16, got {N}")
-    return tuple(GridField(p.L, f) for f in profile_eval(p, grid_points(p.L, N)))
+def sample_wave(p: WaveParameters, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrays of (h, h', h'') at the N points of :func:`grid_points`, in one call."""
+    return profile_eval(p, grid_points(p.L, N))
 
 
 def _ode_residual_raw(L: float, omega: float, a: float, b: float, k: float, N: int) -> float:

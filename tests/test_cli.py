@@ -37,7 +37,7 @@ class TestWaveCommand:
 
         wave = solve_modulus(3.14159, 0.95)
         h, h1, h2 = sample_wave(wave, 64)
-        expected = np.column_stack([grid_points(wave.L, 64), h.values, h1.values, h2.values])
+        expected = np.column_stack([grid_points(wave.L, 64), h, h1, h2])
         flags = ["wave", "--L", "3.14159", "--c", "0.95", "--N", "64"]
         assert cli.main(flags + ["--out", str(tmp_path / "c")]) == 0
         assert cli.main(flags + ["--format", "json", "--out", str(tmp_path / "j")]) == 0
@@ -229,9 +229,10 @@ class TestInputValidation:
         ["spectrum", *WAVE, "--N", "32"],
         ["wave", *WAVE, "--N", "64", "--out", "{tmp}/"],
         ["stability", *WAVE, "--N", "64", "--T", "0.1", "--eps", "1e-3", "--seed", "-1"],
+        ["stability", *WAVE, "--N", "64", "--T", "0.1", "--eps", "inf"],
     ], ids=["stability-eps-0", "evolve-negative-T", "evolve-T-not-whole-steps",
             "wave-N-0", "wave-N-odd", "spectrum-N-below-64", "wave-out-empty-basename",
-            "stability-negative-seed"])
+            "stability-negative-seed", "stability-infinite-eps"])
     def test_exits_2_without_compute_or_output(self, argv, tmp_path, monkeypatch, capsys):
         def no_compute(*a, **k):
             raise AssertionError("compute ran before the flags were checked")

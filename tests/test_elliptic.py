@@ -50,10 +50,6 @@ class TestModulus:
         with pytest.raises(ValueError):
             EllipticModulus(float("nan"))
 
-    def test_complement(self):
-        m = EllipticModulus(0.6)
-        assert math.isclose(m.complement, 0.8, rel_tol=1e-15)
-
 
 class TestCompleteIntegrals:
     def test_frozen_values(self):

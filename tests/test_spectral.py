@@ -124,7 +124,7 @@ class TestAssembly:
         # an identity block, so the spectrum is their union
         N = 64
         h, _, _ = sample_wave(wave, N)
-        m = _assemble_Lblock_raw(h.values, 0.0, wave.L)
+        m = _assemble_Lblock_raw(h, 0.0, wave.L)
         upper = m.entries[:N, :N]
         assert np.max(np.abs(m.entries[:N, N:])) == 0.0
         got = np.sort(np.linalg.eigvalsh(m.entries))
@@ -186,7 +186,7 @@ class TestClosedForms:
     def test_pairs_are_matrix_eigenpairs(self, wave, op_L1):
         pair0, pair4 = closed_form_eigenpairs(wave, 256)
         for pair in (pair0, pair4):
-            res = np.max(np.abs(op_L1.entries @ pair.f.values - pair.lam * pair.f.values))
+            res = np.max(np.abs(op_L1.entries @ pair.f - pair.lam * pair.f))
             assert res <= 1e-8
 
     def test_ordering_and_signs(self):
@@ -202,12 +202,12 @@ class TestClosedForms:
         pair0, pair4 = closed_form_eigenpairs(wave, 128)
         k = wave.k.value
         r = math.sqrt(1.0 - k * k + k**4)
-        combo = pair4.bracket * pair0.f.values - pair0.bracket * pair4.f.values
+        combo = pair4.bracket * pair0.f - pair0.bracket * pair4.f
         assert np.max(np.abs(combo - 2.0 * r)) <= 1e-12
 
     def test_unit_source_solution(self, wave, op_L1):
         f = unit_source_solution_closed(wave, 256)
-        assert np.max(np.abs(op_L1.entries @ f.values - 1.0)) <= 1e-8
+        assert np.max(np.abs(op_L1.entries @ f - 1.0)) <= 1e-8
 
     def test_fifth_eigenvalue_is_in_spectrum(self, wave, op_L1):
         _, pair4 = closed_form_eigenpairs(wave, 256)
@@ -234,14 +234,14 @@ class TestD1:
     def test_numeric_matches_closed(self, wave):
         d_closed = D1_closed(wave)
         for n_grid in (128, 256):
-            d_num = D1_numeric(eigen_report(assemble_L1(wave, n_grid)), wave.L)
+            d_num = D1_numeric(eigen_report(assemble_L1(wave, n_grid)))
             assert abs(d_num - d_closed) / abs(d_closed) <= 1e-6
 
     def test_numeric_converged_on_steep_wave(self):
         w = solve_modulus(L_CANON, math.sqrt(1.0 - 0.1 * 0.25))
         d_closed = D1_closed(w)
         for n_grid in (64, 256):
-            d_num = D1_numeric(eigen_report(assemble_L1(w, n_grid)), w.L)
+            d_num = D1_numeric(eigen_report(assemble_L1(w, n_grid)))
             assert abs(d_num - d_closed) / abs(d_closed) <= 1e-6
 
     def test_solution_orthogonal_to_kernel(self, wave, op_L1):
@@ -251,7 +251,7 @@ class TestD1:
 
     def test_grid_size_guard(self, wave):
         with pytest.raises(ValueError):
-            D1_numeric(eigen_report(assemble_L1(wave, 32)), wave.L)
+            D1_numeric(eigen_report(assemble_L1(wave, 32)))
 
     def test_zero_kernel_vector_rejected(self):
         # one zero eigenvalue, but no kernel direction to border the solve with
@@ -286,14 +286,14 @@ class TestD1:
 
 class TestDMatrix:
     def test_structure(self, wave, op_Lblock):
-        idx = D_matrix(eigen_report(op_Lblock), wave.L)
+        idx = D_matrix(eigen_report(op_Lblock))
         assert abs(idx.Dmatrix[0, 1]) <= 1e-8 * wave.L
         assert abs(idx.Dmatrix[1, 0]) <= 1e-8 * wave.L
         assert abs(idx.Dmatrix[1, 1] - wave.L) <= 1e-8 * wave.L
         assert (idx.n0, idx.z0) == (1, 0)
 
     def test_upper_left_matches_D1(self, wave, op_Lblock):
-        idx = D_matrix(eigen_report(op_Lblock), wave.L)
+        idx = D_matrix(eigen_report(op_Lblock))
         d_closed = D1_closed(wave)
         assert abs(idx.D1 - d_closed) / abs(d_closed) <= 1e-6
 
@@ -340,7 +340,7 @@ class TestIndexBookkeeping:
         m1 = assemble_L1(w, n_grid)
         mb = assemble_Lblock(w, n_grid)
         rb = eigen_report(mb)
-        idx = D_matrix(rb, w.L)
+        idx = D_matrix(rb)
         r1c = eigen_report(constrain_zero_mean(m1))
         rbc = eigen_report(constrain_zero_mean(mb))
         assert verify_index_counts(eigen_report(m1), idx, r1c) == (0, 1)
@@ -355,7 +355,7 @@ class TestConstrainedOperators:
         n = op_Lblock.dim // 2
         h, _, _ = sample_wave(wave, n)
         rank_one = np.zeros_like(op_Lblock.entries)
-        rank_one[:n, :n] = np.outer(np.ones(n), 3.0 * h.values**2 / n)
+        rank_one[:n, :n] = np.outer(np.ones(n), 3.0 * h**2 / n)
         modified = op_Lblock.entries - rank_one
         for _ in range(5):
             p, q = rng.standard_normal((2, n))
