@@ -123,6 +123,7 @@ class SplitStepper:
         # forward step to roundoff (Strang symmetry).
         if not (0.0 < L < 2.0 * math.pi):
             raise ValueError(f"period must lie in (0, 2*pi), got {L}")
+        grid_points(L, N)  # the grid rule: N even and >= 16
         self.L, self.N, self.dt = L, N, dt
         self.projected = projected
         self.ceiling = ceiling
@@ -267,14 +268,13 @@ def perturbation_random(L: float, N: int, seed: int) -> tuple[np.ndarray, np.nda
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     x = grid_points(L, N)
+    m = np.arange(1, max(2, N // 8) + 1)[:, None]
     fields = []
     for _ in range(2):
-        vals = np.zeros(N)
-        for m in range(1, max(2, N // 8) + 1):
-            amp = (2.0 * rng.random() - 1.0) / (m * m)
-            phase = 2.0 * math.pi * rng.random()
-            vals += amp * np.cos(2.0 * math.pi * m / L * x + phase)
-        fields.append(vals)
+        draws = rng.random((m.size, 2))  # (amplitude, phase) per mode, in mode order
+        amp = (2.0 * draws[:, :1] - 1.0) / (m * m)
+        phase = 2.0 * math.pi * draws[:, 1:]
+        fields.append(np.sum(amp * np.cos(2.0 * math.pi * m / L * x + phase), axis=0))
     p, q = fields
     scale = 1.0 / math.sqrt(ynorm_sq(p, q, L))
     return scale * p, scale * q

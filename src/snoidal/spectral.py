@@ -25,8 +25,10 @@ matrix D need no eigenvectors: they border the operator with its known
 kernel direction and call one dense linear solve.
 
 The constrained Morse index is cross-checked two ways: directly from the
-compressed spectra, and through the index bookkeeping driven by the scalar
-D1 = (L1^{-1} 1, 1) and the 2x2 matrix D = diag(D1, L).
+compressed spectra, and through the count n(L_c) = n(L) - n(D) - z(D),
+z(L_c) = z(L) + z(D), where D[i, j] = (L^{-1} e_i, e_j) over the constants
+e_i of the operator's components: the 1x1 D1 = (L1^{-1} 1, 1) for L1 and
+the 2x2 D = diag(D1, L) for Lblock.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import complete_E, complete_K
-from .waves import WaveParameters, sample_wave, solve_modulus
+from .waves import WaveParameters, grid_points, sample_wave, solve_modulus
 
 __all__ = [
     "EigenSolveError",
@@ -45,7 +47,6 @@ __all__ = [
     "IndexMismatchError",
     "OperatorMatrix",
     "SpectralReport",
-    "ConstrainedIndexData",
     "ClosedFormEigenpair",
     "fourier_diff_matrices",
     "assemble_L1",
@@ -57,7 +58,6 @@ __all__ = [
     "D1_closed",
     "D1_numeric",
     "D_matrix",
-    "n0_z0_from_D1",
     "index_counts",
     "verify_index_counts",
     "coercivity_constant",
@@ -138,16 +138,6 @@ class SpectralReport:
 
 
 @dataclass(frozen=True)
-class ConstrainedIndexData:
-    """D1, the 2x2 constraint matrix D = diag(D1, L), and the counts n0, z0."""
-
-    D1: float
-    Dmatrix: np.ndarray
-    n0: int
-    z0: int
-
-
-@dataclass(frozen=True)
 class ClosedFormEigenpair:
     """Exact eigenpair of L1: lam with eigenfunction 1 - bracket * sn^2(bx;k)."""
 
@@ -165,8 +155,7 @@ def fourier_diff_matrices(N: int, L: float) -> tuple[np.ndarray, np.ndarray]:
     D1 maps the unresolved sawtooth (Nyquist) mode to zero; D2 keeps it
     with its cosine eigenvalue -(pi N / L)^2.
     """
-    if N < 16 or N % 2 != 0:
-        raise ValueError(f"grid size must be even and >= 16, got {N}")
+    grid_points(L, N)  # the grid rule: N even and >= 16, L > 0
     half = N // 2
     c1 = np.zeros(N)
     c2 = np.zeros(N)
@@ -351,38 +340,40 @@ def solve_in_kernel_complement(report: SpectralReport, rhs: np.ndarray) -> np.nd
     return np.linalg.solve(bordered, padded)[:-1]
 
 
+def _constraint_matrix(report: SpectralReport) -> np.ndarray:
+    """D[i, j] = (M^{-1} e_i, e_j): L * (per-component mean of U) with M U = E.
+
+    E holds the constant of each N-point component of M (one for L1, two for Lblock).
+    """
+    parts = _CONSTRAINED[report.operator.kind][1]
+    N = report.eigenvalues.size // parts
+    U = solve_in_kernel_complement(report, np.kron(np.eye(parts), np.ones((N, 1))))
+    return report.operator.L * U.reshape(parts, N, parts).mean(axis=1).T
+
+
 def D1_numeric(report: SpectralReport) -> float:
-    """D1 from the grid: solve L1 f = 1 orthogonally to the kernel, L * mean f.
+    """D1 from the grid: the 1x1 D of L1, L * mean f with L1 f = 1 orthogonal to the kernel.
 
     report is the eigen_report of L1 on an N-point grid; L is its operator's period.
     """
     N = report.eigenvalues.size
     if N < 64 or N % 2 != 0:
         raise ValueError(f"D1_numeric needs an even grid of at least 64 points, got {N}")
-    f = solve_in_kernel_complement(report, np.ones(N))
-    return report.operator.L * float(np.mean(f))
+    return float(_constraint_matrix(report)[0, 0])
 
 
-def n0_z0_from_D1(D1: float, tol: float) -> tuple[int, int]:
-    """Counts contributed by the constraint: n0 = [D1 < 0], z0 = [D1 = 0]."""
-    if abs(D1) <= tol:
-        return 0, 1
-    return (1, 0) if D1 < 0.0 else (0, 0)
-
-
-def D_matrix(report: SpectralReport) -> ConstrainedIndexData:
-    """Numerical 2x2 constraint matrix from the pair operator.
+def D_matrix(report: SpectralReport) -> np.ndarray:
+    """Numerical 2x2 constraint matrix D of the pair operator, checked to be diag(D1, L).
 
     report is the eigen_report of Lblock on an N-point grid; L is its
-    operator's period.
-    Solves Lblock U = E for the two constant directions E = [(1,0) (0,1)]
-    (both orthogonal to the kernel by periodicity) and assembles
-    D = (L/N) U^T E.  Verifies the expected structure diag(D1, L) before
-    deriving (n0, z0) from the D1 sign.
+    operator's period.  Solves Lblock U = E for the two constant directions
+    E = [(1,0) (0,1)] (both orthogonal to the kernel by periodicity); the
+    constrained counts are then n(Lblock) - n(D) - z(D) and z(Lblock) + z(D).
     """
-    N, L = report.eigenvalues.size // 2, report.operator.L
-    E = np.kron(np.eye(2), np.ones((N, 1)))
-    d = (L / N) * (solve_in_kernel_complement(report, E).T @ E)
+    if report.operator.kind != KIND_LBLOCK:
+        raise ValueError(f"D_matrix needs a report of kind Lblock, got {report.operator.kind}")
+    L = report.operator.L
+    d = _constraint_matrix(report)
     if max(abs(d[0, 1]), abs(d[1, 0])) > 1e-8 * L:
         raise SingularSystemError(
             f"constraint matrix off-diagonal {d[0, 1]:.3e}, {d[1, 0]:.3e} "
@@ -392,20 +383,26 @@ def D_matrix(report: SpectralReport) -> ConstrainedIndexData:
         raise SingularSystemError(
             f"constraint matrix lower-right {d[1, 1]:.12g} differs from L = {L:.12g}"
         )
-    n0, z0 = n0_z0_from_D1(d[0, 0], tol=1e-8 * L)
-    return ConstrainedIndexData(D1=float(d[0, 0]), Dmatrix=d, n0=n0, z0=z0)
+    return d
 
 
-def index_counts(report: SpectralReport, idx: ConstrainedIndexData) -> tuple[int, int]:
-    """Predicted constrained counts: n_c = n - n0 - z0, z_c = z + z0."""
-    return report.n - idx.n0 - idx.z0, report.z + idx.z0
+def _constraint_counts(D: np.ndarray, L: float) -> tuple[int, int]:
+    """n(D) and z(D) read off D's diagonal (D_matrix checks the rest) at tolerance 1e-8 L."""
+    diag, tol = np.diag(D), 1e-8 * L
+    return int(np.sum(diag < -tol)), int(np.sum(np.abs(diag) <= tol))
+
+
+def index_counts(report: SpectralReport, D: np.ndarray) -> tuple[int, int]:
+    """Predicted constrained counts n - n(D) - z(D) and z + z(D) from the operator's D."""
+    nD, zD = _constraint_counts(D, report.operator.L)
+    return report.n - nD - zD, report.z + zD
 
 
 def verify_index_counts(
-    report: SpectralReport, idx: ConstrainedIndexData, constrained: SpectralReport
+    report: SpectralReport, D: np.ndarray, constrained: SpectralReport
 ) -> tuple[int, int]:
     """Cross-check the index prediction against the compressed spectrum."""
-    n_pred, z_pred = index_counts(report, idx)
+    n_pred, z_pred = index_counts(report, D)
     if (n_pred, z_pred) != (constrained.n, constrained.z):
         raise IndexMismatchError(
             f"index formulas predict (n, z) = ({n_pred}, {z_pred}) but the "
@@ -456,11 +453,12 @@ def full_report(L: float, c: float, N: int) -> dict:
     mb = assemble_Lblock(wave, N)
     reports = [eigen_report(m) for m in (m1, mb, constrain_zero_mean(m1), constrain_zero_mean(mb))]
     r1, rb, r1c, rbc = reports
-    idx = D_matrix(rb)
-    verify_index_counts(r1, idx, r1c)
-    verify_index_counts(rb, idx, rbc)
-    d1_closed = D1_closed(wave)
+    D = D_matrix(rb)
     d1_numeric = D1_numeric(r1)
+    verify_index_counts(r1, np.array([[d1_numeric]]), r1c)
+    verify_index_counts(rb, D, rbc)
+    n0, z0 = _constraint_counts(D, wave.L)
+    d1_closed = D1_closed(wave)
     pair0, _ = closed_form_eigenpairs(wave, N)
     d2 = d_second_derivative(L, c, D2_SPEED_STEP, N)
     counts, eigenvalues, residuals = {}, {}, {}
@@ -486,9 +484,9 @@ def full_report(L: float, c: float, N: int) -> dict:
         "eigenvalues": eigenvalues,
         "D1_closed": d1_closed,
         "D1_numeric": d1_numeric,
-        "Dmatrix": idx.Dmatrix.tolist(),
-        "n0": idx.n0,
-        "z0": idx.z0,
+        "Dmatrix": D.tolist(),
+        "n0": n0,
+        "z0": z0,
         "d2": d2,
         "residuals": residuals,
         "coercivity": coercivity_constant(rbc),

@@ -71,7 +71,7 @@ def spectral_suite():
             "rb": rb,
             "m1c": constrain_zero_mean(m1),
             "mbc": constrain_zero_mean(mb),
-            "idx": D_matrix(rb),
+            "D": D_matrix(rb),
         })
     return out
 
@@ -157,10 +157,9 @@ def test_criterion_05_D1_agreement(spectral_suite):
 def test_criterion_06_D_matrix_structure(spectral_suite):
     worst_off = worst_lr = 0.0
     for entry in spectral_suite:
-        idx, L = entry["idx"], entry["wave"].L
-        worst_off = max(worst_off,
-                        max(abs(idx.Dmatrix[0, 1]), abs(idx.Dmatrix[1, 0])) / L)
-        worst_lr = max(worst_lr, abs(idx.Dmatrix[1, 1] - L) / L)
+        D, L = entry["D"], entry["wave"].L
+        worst_off = max(worst_off, max(abs(D[0, 1]), abs(D[1, 0])) / L)
+        worst_lr = max(worst_lr, abs(D[1, 1] - L) / L)
     ok = worst_off <= 1e-8 and worst_lr <= 1e-8
     report(6, "constraint-matrix-structure", ok,
            f"off-diagonal/L {worst_off:.1e}, lower-right rel gap {worst_lr:.1e}")
@@ -171,8 +170,9 @@ def test_criterion_07_index_theorem(spectral_suite):
     for entry in spectral_suite:
         r1c = eigen_report(entry["m1c"])
         rbc = eigen_report(entry["mbc"])
-        ok &= verify_index_counts(entry["r1"], entry["idx"], r1c) == (0, 1)
-        ok &= verify_index_counts(entry["rb"], entry["idx"], rbc) == (0, 1)
+        D1 = np.array([[D1_numeric(entry["r1"])]])
+        ok &= verify_index_counts(entry["r1"], D1, r1c) == (0, 1)
+        ok &= verify_index_counts(entry["rb"], entry["D"], rbc) == (0, 1)
         ok &= (r1c.n, r1c.z) == (0, 1) and (rbc.n, rbc.z) == (0, 1)
     report(7, "index-theorem-cross-check", ok,
            f"predicted = direct = (0,1) for both constrained operators at "

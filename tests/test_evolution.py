@@ -138,6 +138,12 @@ class TestStep:
         with pytest.raises(ValueError):
             SplitStepper(2.0 * math.pi + 0.1, N, 1e-3)
 
+    @pytest.mark.parametrize("n", [15, 8])
+    def test_grid_rule_enforced(self, n):
+        # the rule of grid_points: N even and >= 16
+        with pytest.raises(ValueError):
+            SplitStepper(L, n, 1e-3)
+
 
 class TestConserved:
     def test_zero_state(self):
@@ -246,6 +252,26 @@ class TestPerturbations:
         assert np.array_equal(a[1], b[1])
         c = perturbation_random(L, N, seed=124)
         assert not np.array_equal(a[0], c[0])
+
+    @pytest.mark.parametrize("L_", [0.7, math.pi, 6.0])
+    @pytest.mark.parametrize("n", [16, 128, 2048])
+    @pytest.mark.parametrize("seed", [0, 90001])
+    def test_random_matches_per_mode_loop(self, L_, n, seed):
+        # oracle: one mode at a time, amplitude then phase draw per mode
+        rng = np.random.Generator(np.random.PCG64(seed))
+        x = grid_points(L_, n)
+        fields = []
+        for _ in range(2):
+            vals = np.zeros(n)
+            for m in range(1, max(2, n // 8) + 1):
+                amp = (2.0 * rng.random() - 1.0) / (m * m)
+                phase = 2.0 * math.pi * rng.random()
+                vals += amp * np.cos(2.0 * math.pi * m / L_ * x + phase)
+            fields.append(vals)
+        scale = 1.0 / math.sqrt(ynorm_sq(*fields, L_))
+        p, q = perturbation_random(L_, n, seed)
+        assert np.array_equal(p, scale * fields[0])
+        assert np.array_equal(q, scale * fields[1])
 
 
 class TestRunExperiment:

@@ -9,14 +9,12 @@ import pytest
 from snoidal.spectral import (
     KIND_L1,
     ZERO_TOL_FACTOR,
-    ConstrainedIndexData,
     D1_closed,
     D1_numeric,
     D_matrix,
     IndexMismatchError,
     OperatorMatrix,
     SingularSystemError,
-    SpectralReport,
     assemble_L1,
     assemble_Lblock,
     closed_form_eigenpairs,
@@ -27,7 +25,6 @@ from snoidal.spectral import (
     fourier_diff_matrices,
     full_report,
     index_counts,
-    n0_z0_from_D1,
     solve_in_kernel_complement,
     unit_source_solution_closed,
     verify_index_counts,
@@ -80,6 +77,12 @@ class TestDiffMatrices:
         ones = np.ones(48)
         assert np.max(np.abs(d1 @ ones)) <= 1e-11
         assert np.max(np.abs(d2 @ ones)) <= 1e-9
+
+    def test_grid_rule(self):
+        # the rule of grid_points: N even and >= 16, L > 0
+        for n, length in ((15, 1.0), (8, 1.0), (32, 0.0), (32, -1.0)):
+            with pytest.raises(ValueError):
+                fourier_diff_matrices(n, length)
 
     def test_d2_spectrum(self):
         N, L = 32, math.pi
@@ -286,16 +289,33 @@ class TestD1:
 
 class TestDMatrix:
     def test_structure(self, wave, op_Lblock):
-        idx = D_matrix(eigen_report(op_Lblock))
-        assert abs(idx.Dmatrix[0, 1]) <= 1e-8 * wave.L
-        assert abs(idx.Dmatrix[1, 0]) <= 1e-8 * wave.L
-        assert abs(idx.Dmatrix[1, 1] - wave.L) <= 1e-8 * wave.L
-        assert (idx.n0, idx.z0) == (1, 0)
+        rb = eigen_report(op_Lblock)
+        D = D_matrix(rb)
+        assert D.shape == (2, 2)
+        assert abs(D[0, 1]) <= 1e-8 * wave.L
+        assert abs(D[1, 0]) <= 1e-8 * wave.L
+        assert abs(D[1, 1] - wave.L) <= 1e-8 * wave.L
+        # D1 < 0 and L > 0: n(D) = 1, z(D) = 0
+        assert index_counts(rb, D) == (rb.n - 1, rb.z)
 
     def test_upper_left_matches_D1(self, wave, op_Lblock):
-        idx = D_matrix(eigen_report(op_Lblock))
+        D = D_matrix(eigen_report(op_Lblock))
         d_closed = D1_closed(wave)
-        assert abs(idx.D1 - d_closed) / abs(d_closed) <= 1e-6
+        assert abs(D[0, 0] - d_closed) / abs(d_closed) <= 1e-6
+
+    def test_rejects_scalar_operator(self, wave):
+        with pytest.raises(ValueError):
+            D_matrix(eigen_report(assemble_L1(wave, 64)))
+
+    @pytest.mark.parametrize("assemble", [assemble_L1, assemble_Lblock], ids=["L1", "Lblock"])
+    def test_entries_are_inner_products(self, wave, assemble):
+        # D[i, j] = (M^{-1} e_i, e_j) with the grid inner product (L/N) sum
+        n = 128
+        report = eigen_report(assemble(wave, n))
+        E = np.kron(np.eye(report.eigenvalues.size // n), np.ones((n, 1)))
+        want = (wave.L / n) * (solve_in_kernel_complement(report, E).T @ E)
+        got = D_matrix(report) if assemble is assemble_Lblock else D1_numeric(report)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_identity_block_row(self, wave):
         # Lblock (0, 1) = (0, 1), so the lower-right entry is the plain
@@ -306,31 +326,37 @@ class TestDMatrix:
         assert np.max(np.abs(u2 - e2)) <= 1e-8
 
 
+def synthetic_report(vals):
+    """eigen_report of diag(vals) as an operator of period 1: D is counted at 1e-8."""
+    m = OperatorMatrix(KIND_L1, 1.0, np.diag(vals), np.zeros(len(vals)))
+    return eigen_report(m)
+
+
 class TestIndexBookkeeping:
     def test_n0_z0_cases(self):
-        assert n0_z0_from_D1(-5.0, 1e-8) == (1, 0)
-        assert n0_z0_from_D1(3.0, 1e-8) == (0, 0)
-        assert n0_z0_from_D1(0.0, 1e-8) == (0, 1)
+        # n(D) and z(D) on a 1x1 D: a negative, a positive and a zero entry
+        report = synthetic_report([-1.0, 0.0, 2.0])
+        assert index_counts(report, np.array([[-5.0]])) == (0, 1)
+        assert index_counts(report, np.array([[3.0]])) == (1, 1)
+        assert index_counts(report, np.array([[0.0]])) == (0, 2)
+        assert index_counts(report, np.array([[-5e-9]])) == (0, 2)
 
     def test_formula_values(self):
-        report = SpectralReport(np.array([-1.0, 0.0, 2.0]), 1, 1, 1e-8, 0.0)
-        idx = ConstrainedIndexData(-2.0, np.diag([-2.0, 1.0]), 1, 0)
-        assert index_counts(report, idx) == (0, 1)
+        report = synthetic_report([-1.0, 0.0, 2.0])
+        assert index_counts(report, np.diag([-2.0, 1.0])) == (0, 1)
 
     def test_degenerate_z0_path_with_synthetic_matrices(self):
         # D1 = 0 moves one unit from n-removal to z-growth
-        report = SpectralReport(np.array([-1.0, 0.0, 2.0]), 1, 1, 1e-8, 0.0)
-        idx = ConstrainedIndexData(0.0, np.diag([0.0, 1.0]), *n0_z0_from_D1(0.0, 1e-8))
-        assert index_counts(report, idx) == (0, 2)
-        constrained = SpectralReport(np.array([0.0, 0.0, 5.0]), 0, 2, 1e-8, 0.0)
-        assert verify_index_counts(report, idx, constrained) == (0, 2)
+        report = synthetic_report([-1.0, 0.0, 2.0])
+        D = np.diag([0.0, 1.0])
+        assert index_counts(report, D) == (0, 2)
+        constrained = synthetic_report([0.0, 0.0, 5.0])
+        assert verify_index_counts(report, D, constrained) == (0, 2)
 
     def test_mismatch_raises(self):
-        report = SpectralReport(np.array([-1.0, 0.0, 2.0]), 1, 1, 1e-8, 0.0)
-        idx = ConstrainedIndexData(-2.0, np.diag([-2.0, 1.0]), 1, 0)
-        bad = SpectralReport(np.array([-1.0, 0.0, 2.0]), 1, 1, 1e-8, 0.0)
+        report = synthetic_report([-1.0, 0.0, 2.0])
         with pytest.raises(IndexMismatchError):
-            verify_index_counts(report, idx, bad)
+            verify_index_counts(report, np.diag([-2.0, 1.0]), report)
 
     @pytest.mark.parametrize("L,c", [(math.pi, 0.95), (math.pi, 0.90),
                                      (2.0, 0.96), (5.0, 0.80), (2.5, 0.93)])
@@ -339,12 +365,12 @@ class TestIndexBookkeeping:
         n_grid = 192
         m1 = assemble_L1(w, n_grid)
         mb = assemble_Lblock(w, n_grid)
+        r1 = eigen_report(m1)
         rb = eigen_report(mb)
-        idx = D_matrix(rb)
         r1c = eigen_report(constrain_zero_mean(m1))
         rbc = eigen_report(constrain_zero_mean(mb))
-        assert verify_index_counts(eigen_report(m1), idx, r1c) == (0, 1)
-        assert verify_index_counts(rb, idx, rbc) == (0, 1)
+        assert verify_index_counts(r1, np.array([[D1_numeric(r1)]]), r1c) == (0, 1)
+        assert verify_index_counts(rb, D_matrix(rb), rbc) == (0, 1)
 
 
 class TestConstrainedOperators:
@@ -414,6 +440,14 @@ class TestActionSecondDerivative:
         a = d_second_derivative(L_CANON, C_CANON, 1e-4)
         b = d_second_derivative(L_CANON, C_CANON, 5e-5)
         assert abs(a - b) / abs(a) <= 5e-4  # 3 significant digits
+
+    @pytest.mark.parametrize("L,fraction", [(L_CANON, 0.06), (2.0, 0.06), (L_CANON, 0.5)])
+    def test_truncation_error_halves_quadratically(self, L, fraction):
+        # a second-order central difference: successive differences at
+        # dc = 2e-4, 1e-4, 5e-5 shrink by 4
+        c = math.sqrt(1.0 - fraction * L * L / (4.0 * math.pi**2))
+        d = [d_second_derivative(L, c, dc) for dc in (2e-4, 1e-4, 5e-5)]
+        assert 3.9 <= (d[0] - d[1]) / (d[1] - d[2]) <= 4.1
 
     def test_speed_sign_symmetry(self):
         assert d_second_derivative(L_CANON, 0.95, 1e-4) == d_second_derivative(
