@@ -20,7 +20,8 @@ before any compute runs or any file is written: the directory of the
 even and at least 16 (64 for spectrum), T a positive whole number of dt
 steps, seed nonnegative, eps nonnegative and finite (positive for
 stability), sweep --workers at least 1.  A sweep job that fails, even on
-its flags, is reported with its exit code and the other jobs still run.
+its flags, is reported with its exit code and the other jobs still run; a
+job that raises an exception counts as exit 1.
 Only `wave` takes --format; the other commands write the one format they
 have.
 
@@ -186,6 +187,9 @@ def _run_sweep_job(payload: tuple[int, dict, str]) -> tuple[int, int, str]:
         code = main(argv)
     except SystemExit:  # argparse rejected the job's keys and printed why
         code = 2
+    except Exception as exc:  # one job's failure must not stop the others
+        print(f"sweep job {idx} raised {type(exc).__name__}: {exc}", file=sys.stderr)
+        code = 1
     return idx, code, " ".join(argv)
 
 

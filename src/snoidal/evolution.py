@@ -39,7 +39,6 @@ from .waves import WaveParameters, grid_points, sample_wave, wavenumbers
 
 __all__ = [
     "BlowUpError",
-    "ConservedQuantities",
     "EvolutionTrace",
     "TRACE_COLUMNS",
     "SplitStepper",
@@ -63,14 +62,6 @@ class BlowUpError(RuntimeError):
     def __init__(self, message: str, time: float):
         super().__init__(message)
         self.time = time
-
-
-@dataclass(frozen=True)
-class ConservedQuantities:
-    E: float
-    F: float
-    mean_phi: float
-    mean_phidot: float
 
 
 @dataclass(frozen=True)
@@ -176,8 +167,8 @@ def _h1_semi_sq(values: np.ndarray, L: float) -> float:
     return float(np.sum(w * (xi * np.abs(np.fft.rfft(values))) ** 2))
 
 
-def conserved(ph: np.ndarray, pt: np.ndarray, L: float) -> ConservedQuantities:
-    """Energy, momentum and means of the state with rfft coefficients (ph, pt).
+def conserved(ph: np.ndarray, pt: np.ndarray, L: float) -> tuple[float, float, float, float]:
+    """(E, F, mean phi, mean phi_t) of the state with rfft coefficients (ph, pt).
 
     E = 1/2 integral(phi_x^2 + phi_t^2 - phi^2 + phi^4 / 2), F = integral(phi_x
     phi_t) on N = 2 (len(ph) - 1) points.  Quadratic terms are Parseval sums;
@@ -192,7 +183,7 @@ def conserved(ph: np.ndarray, pt: np.ndarray, L: float) -> ConservedQuantities:
     energy = 0.5 * (float(np.sum(w * quadratic)) + 0.5 * L / N * float(np.sum(phi_sq * phi_sq)))
     flux = w * xi * (ph.real * pt.imag - ph.imag * pt.real)
     momentum = float(np.sum(flux[:-1]))
-    return ConservedQuantities(energy, momentum, float(ph[0].real) / N, float(pt[0].real) / N)
+    return energy, momentum, float(ph[0].real) / N, float(pt[0].real) / N
 
 
 def ynorm_sq(p: np.ndarray, q: np.ndarray, L: float) -> float:
@@ -336,8 +327,7 @@ def run_experiment(
     distance = _OrbitDistance(wave, h, h1)
 
     def sample_row(t, ph, pt):
-        q = conserved(ph, pt, wave.L)
-        return (t, q.E, q.F, q.mean_phi, q.mean_phidot, distance(ph, pt))
+        return (t, *conserved(ph, pt, wave.L), distance(ph, pt))
 
     ph = np.fft.rfft(phi)
     pt = np.fft.rfft(phidot)

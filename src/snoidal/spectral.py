@@ -54,7 +54,6 @@ __all__ = [
     "constrain_zero_mean",
     "eigen_report",
     "closed_form_eigenpairs",
-    "unit_source_solution_closed",
     "D1_closed",
     "D1_numeric",
     "D_matrix",
@@ -134,7 +133,7 @@ class SpectralReport:
     z: int
     tau_zero: float
     kernel_residual: float
-    operator: OperatorMatrix | None = None
+    operator: OperatorMatrix
 
 
 @dataclass(frozen=True)
@@ -177,41 +176,17 @@ def fourier_diff_matrices(N: int, L: float) -> tuple[np.ndarray, np.ndarray]:
 def assemble_L1(wave: WaveParameters, N: int) -> OperatorMatrix:
     """Dense matrix of -omega d2/dx2 - 1 + 3 h^2 with h' as expected kernel."""
     h, h1, _ = sample_wave(wave, N)
-    return _assemble_L1_raw(h, wave.omega, wave.L, kernel=h1)
-
-
-def _assemble_L1_raw(
-    h_values: np.ndarray, omega: float, L: float, kernel: np.ndarray | None = None
-) -> OperatorMatrix:
-    """Assembly from raw samples; also serves the constant-potential debug mode."""
-    h_values = np.asarray(h_values, dtype=float)
-    N = h_values.size
-    _, d2 = fourier_diff_matrices(N, L)
-    m = -omega * d2 + np.diag(3.0 * h_values * h_values - 1.0)
-    if kernel is None:
-        kernel = np.zeros(N)
-    return OperatorMatrix(KIND_L1, L, m, kernel)
+    _, d2 = fourier_diff_matrices(N, wave.L)
+    return OperatorMatrix(KIND_L1, wave.L, -wave.omega * d2 + np.diag(3.0 * h * h - 1.0), h1)
 
 
 def assemble_Lblock(wave: WaveParameters, N: int) -> OperatorMatrix:
     """Dense 2N x 2N matrix of the pair operator with kernel (h', c h'')."""
     h, h1, h2 = sample_wave(wave, N)
-    kernel = np.concatenate([h1, wave.c * h2])
-    return _assemble_Lblock_raw(h, wave.c, wave.L, kernel=kernel)
-
-
-def _assemble_Lblock_raw(
-    h_values: np.ndarray, c: float, L: float, kernel: np.ndarray | None = None
-) -> OperatorMatrix:
-    h_values = np.asarray(h_values, dtype=float)
-    N = h_values.size
-    d1, d2 = fourier_diff_matrices(N, L)
-    upper_left = -d2 + np.diag(3.0 * h_values * h_values - 1.0)
-    cd1 = c * d1
-    m = np.block([[upper_left, cd1], [cd1.T, np.eye(N)]])
-    if kernel is None:
-        kernel = np.zeros(2 * N)
-    return OperatorMatrix(KIND_LBLOCK, L, m, kernel)
+    d1, d2 = fourier_diff_matrices(N, wave.L)
+    cd1 = wave.c * d1
+    m = np.block([[-d2 + np.diag(3.0 * h * h - 1.0), cd1], [cd1.T, np.eye(N)]])
+    return OperatorMatrix(KIND_LBLOCK, wave.L, m, np.concatenate([h1, wave.c * h2]))
 
 
 # Operator kind -> (constrained kind, number of N-point components).
@@ -283,19 +258,6 @@ def closed_form_eigenpairs(
             ClosedFormEigenpair(lam4, b4, 1.0 - b4 * sn2))
 
 
-def unit_source_solution_closed(wave: WaveParameters, N: int) -> np.ndarray:
-    """Closed-form solution f of L1 f = 1, combined from the two exact pairs.
-
-    f = (lam4 B1 f0 + lam0 B2 f4) / (2 lam0 lam4 r) with B1 = bracket of the
-    fifth pair and B2 = -bracket of the first.
-    """
-    p0, p4 = closed_form_eigenpairs(wave, N)
-    k = wave.k.value
-    r = math.sqrt(1.0 - k * k + k**4)
-    b1, b2 = p4.bracket, -p0.bracket
-    return (p4.lam * b1 * p0.f + p0.lam * b2 * p4.f) / (2.0 * p0.lam * p4.lam * r)
-
-
 def D1_closed(wave: WaveParameters) -> float:
     """Closed form of D1 = (L1^{-1} 1, 1): strictly negative for all k.
 
@@ -337,7 +299,10 @@ def solve_in_kernel_complement(report: SpectralReport, rhs: np.ndarray) -> np.nd
     k = op.kernel_vector[:, None] / norm
     bordered = np.block([[op.entries, k], [k.T, np.zeros((1, 1))]])
     padded = np.concatenate([rhs, np.zeros((1,) + np.shape(rhs)[1:])])
-    return np.linalg.solve(bordered, padded)[:-1]
+    try:
+        return np.linalg.solve(bordered, padded)[:-1]
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"bordered solve failed for kind {op.kind}: {exc}") from exc
 
 
 def _constraint_matrix(report: SpectralReport) -> np.ndarray:

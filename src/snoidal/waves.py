@@ -177,14 +177,6 @@ def solve_modulus(L: float, c: float) -> WaveParameters:
     return WaveParameters(L=L, c=c, omega=omega, k=EllipticModulus(k), a=a, b=b)
 
 
-def _profile_raw(a: float, b: float, k: float, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    sn, cn, dn = jacobi_sn_cn_dn(b * x, k)
-    h = a * sn
-    h1 = a * b * cn * dn
-    h2 = -a * b * b * sn * (1.0 + k * k - 2.0 * k * k * sn * sn)
-    return h, h1, h2
-
-
 def profile_eval(p: WaveParameters, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(h, h', h'') at position x, a float or an array of positions.
 
@@ -192,7 +184,9 @@ def profile_eval(p: WaveParameters, x) -> tuple[np.ndarray, np.ndarray, np.ndarr
     h'' = -a b^2 sn (1 + k^2 - 2 k^2 sn^2) from the sn/cn/dn identities.
     An array x costs one sn/cn/dn call for all of its entries.
     """
-    return _profile_raw(p.a, p.b, p.k.value, x)
+    a, b, k = p.a, p.b, p.k.value
+    sn, cn, dn = jacobi_sn_cn_dn(b * x, k)
+    return a * sn, a * b * cn * dn, -a * b * b * sn * (1.0 + k * k - 2.0 * k * k * sn * sn)
 
 
 def sample_wave(p: WaveParameters, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -200,11 +194,7 @@ def sample_wave(p: WaveParameters, N: int) -> tuple[np.ndarray, np.ndarray, np.n
     return profile_eval(p, grid_points(p.L, N))
 
 
-def _ode_residual_raw(L: float, omega: float, a: float, b: float, k: float, N: int) -> float:
-    h, _, h2 = _profile_raw(a, b, k, grid_points(L, N))
-    return float(np.max(np.abs(-omega * h2 - h + h * h * h)))
-
-
 def ode_residual(p: WaveParameters, N: int) -> float:
     """sup_j | -omega h''(x_j) - h(x_j) + h(x_j)^3 | on the N-point grid."""
-    return _ode_residual_raw(p.L, p.omega, p.a, p.b, p.k.value, N)
+    h, _, h2 = sample_wave(p, N)
+    return float(np.max(np.abs(-p.omega * h2 - h + h * h * h)))

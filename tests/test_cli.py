@@ -120,6 +120,17 @@ class TestSpectrumCommand:
         assert cli.main(["spectrum", "--L", "3.14159", "--c", "0.95",
                          "--out", str(tmp_path / "x")]) == 3
 
+    def test_singular_bordered_solve_maps_to_3(self, tmp_path, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError, which would otherwise read as exit 2
+        def singular(*a, **k):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        assert cli.main(["spectrum", "--L", "3.14159", "--c", "0.95", "--N", "64",
+                         "--out", str(tmp_path / "x")]) == 3
+        assert "bordered solve failed for kind" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEvolveCommands:
     def test_trace_and_metadata(self, tmp_path):
@@ -318,6 +329,25 @@ class TestSweepRobustness:
         assert code == 0
         assert sizes == [2]
         assert (tmp_path / "pl_0001.csv").exists()
+
+    def test_job_that_raises_does_not_stop_the_sweep(self, tmp_path, monkeypatch, capsys):
+        exact = cli.full_report
+
+        def out_of_memory(L, c, N):
+            if N == 96:
+                raise MemoryError("cannot allocate the operator")
+            return exact(L, c, N)
+
+        monkeypatch.setattr(cli, "full_report", out_of_memory)
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text("command = spectrum\nL = 3.14159\nc = 0.95\nN = 96,64\n")
+        code = cli.main(["sweep", str(cfg), "--out", str(tmp_path / "om"), "--workers", "1"])
+        assert code == 1
+        assert (tmp_path / "om_0001.json").exists()
+        assert not (tmp_path / "om_0000.json").exists()
+        err = capsys.readouterr().err
+        assert "sweep job 0 raised MemoryError: cannot allocate the operator" in err
+        assert "sweep job 0 failed with exit 1" in err and "sweep job 1" not in err
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exits_2(self, workers, tmp_path, monkeypatch, capsys):

@@ -26,10 +26,8 @@ from snoidal.spectral import (
     full_report,
     index_counts,
     solve_in_kernel_complement,
-    unit_source_solution_closed,
     verify_index_counts,
 )
-from snoidal.spectral import _assemble_L1_raw, _assemble_Lblock_raw
 from snoidal.waves import OutOfRangeError, sample_wave, solve_modulus
 
 L_CANON, C_CANON = math.pi, 0.95
@@ -39,6 +37,19 @@ C_HALF_MODULUS = 0.909036096236226
 LAM0_HALF = -0.4422205101855954
 LAM4_HALF = 2.4422205101855954
 D1_OVER_L_HALF = -2.202265791280728
+
+
+def unit_source_solution_closed(wave, N):
+    """Closed-form solution f of L1 f = 1, combined from the two exact pairs.
+
+    f = (lam4 B1 f0 + lam0 B2 f4) / (2 lam0 lam4 r) with B1 = bracket of the
+    fifth pair and B2 = -bracket of the first.
+    """
+    p0, p4 = closed_form_eigenpairs(wave, N)
+    k = wave.k.value
+    r = math.sqrt(1.0 - k * k + k**4)
+    b1, b2 = p4.bracket, -p0.bracket
+    return (p4.lam * b1 * p0.f + p0.lam * b2 * p4.f) / (2.0 * p0.lam * p4.lam * r)
 
 
 @pytest.fixture(scope="module")
@@ -97,14 +108,14 @@ class TestAssembly:
     def test_L1_kernel_residual(self, op_L1):
         assert eigen_report(op_L1).kernel_residual <= 1e-8
 
-    def test_L1_constant_potential_debug_mode(self):
-        # h = 0 diagonalizes on Fourier modes: eigenvalues omega xi^2 - 1
-        N, L, omega = 64, 2.0, 0.37
-        m = _assemble_L1_raw(np.zeros(N), omega, L)
-        got = np.sort(np.linalg.eigvalsh(m.entries))
-        modes = list(range(-N // 2 + 1, N // 2 + 1))
-        want = np.sort([omega * (2.0 * math.pi * n / L) ** 2 - 1.0 for n in modes])
-        assert np.max(np.abs(got - want)) <= 1e-9
+    def test_L1_entries_bit_for_bit(self, wave):
+        # exactly -omega d2 + diag(3 h^2 - 1) on the sampled wave, kernel h'
+        N = 64
+        h, h1, _ = sample_wave(wave, N)
+        _, d2 = fourier_diff_matrices(N, wave.L)
+        m = assemble_L1(wave, N)
+        assert np.array_equal(m.entries, -wave.omega * d2 + np.diag(3.0 * h * h - 1.0))
+        assert np.array_equal(m.kernel_vector, h1)
 
     def test_L1_counts(self, op_L1):
         report = eigen_report(op_L1)
@@ -122,17 +133,17 @@ class TestAssembly:
         report = eigen_report(op_Lblock)
         assert (report.n, report.z) == (1, 1)
 
-    def test_Lblock_decouples_at_zero_speed(self, wave):
-        # c = 0 in the assembly splits the matrix into the scalar block and
-        # an identity block, so the spectrum is their union
+    def test_Lblock_blocks_bit_for_bit(self, wave):
+        # exactly [[-d2 + diag(3 h^2 - 1), c d1], [-c d1, I]], kernel (h', c h'')
         N = 64
-        h, _, _ = sample_wave(wave, N)
-        m = _assemble_Lblock_raw(h, 0.0, wave.L)
-        upper = m.entries[:N, :N]
-        assert np.max(np.abs(m.entries[:N, N:])) == 0.0
-        got = np.sort(np.linalg.eigvalsh(m.entries))
-        want = np.sort(np.concatenate([np.linalg.eigvalsh(upper), np.ones(N)]))
-        assert np.max(np.abs(got - want)) <= 1e-10
+        h, h1, h2 = sample_wave(wave, N)
+        d1, d2 = fourier_diff_matrices(N, wave.L)
+        m = assemble_Lblock(wave, N)
+        assert np.array_equal(m.entries[:N, :N], -d2 + np.diag(3.0 * h * h - 1.0))
+        assert np.array_equal(m.entries[:N, N:], wave.c * d1)
+        assert np.array_equal(m.entries[N:, :N], -wave.c * d1)
+        assert np.array_equal(m.entries[N:, N:], np.eye(N))
+        assert np.array_equal(m.kernel_vector, np.concatenate([h1, wave.c * h2]))
 
     def test_symmetry_enforced(self):
         with pytest.raises(ValueError):

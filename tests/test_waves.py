@@ -19,7 +19,6 @@ from snoidal.waves import (
     sample_wave,
     solve_modulus,
     wavenumbers,
-    _ode_residual_raw,
 )
 
 CANONICAL = (math.pi, 0.95)
@@ -180,10 +179,11 @@ class TestOdeResidual:
         w = solve_modulus(1.0, 0.99)
         assert ode_residual(w, 512) <= 1e-10
 
-    def test_corrupted_amplitude_detected(self, wave):
-        res = _ode_residual_raw(wave.L, wave.omega, wave.a * (1.0 + 1e-3),
-                                wave.b, wave.k.value, 256)
-        assert res > 1e-4
+    def test_corrupted_amplitude_detected(self, wave, monkeypatch):
+        exact = waves.profile_eval
+        monkeypatch.setattr(waves, "profile_eval",
+                            lambda p, x: tuple((1.0 + 1e-3) * v for v in exact(p, x)))
+        assert ode_residual(wave, 256) > 1e-4
 
 
 class TestGridPoints:
