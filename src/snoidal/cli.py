@@ -103,9 +103,9 @@ def _metadata(args, wave, **extra) -> dict:
 
 def cmd_wave(args) -> int:
     wave = solve_modulus(args.L, args.c)
-    h, h1, h2 = sample_wave(wave, args.N)
-    rows = np.column_stack([grid_points(wave.L, args.N), h, h1, h2])
-    residual = ode_residual(wave, args.N)
+    samples = sample_wave(wave, args.N)
+    rows = np.column_stack([grid_points(wave.L, args.N), *samples])
+    residual = ode_residual(wave, samples)
     if args.format == "csv":
         _write_csv(args.out + ".csv", ("x", "h", "h1", "h2"), rows)
     else:

@@ -194,7 +194,11 @@ def sample_wave(p: WaveParameters, N: int) -> tuple[np.ndarray, np.ndarray, np.n
     return profile_eval(p, grid_points(p.L, N))
 
 
-def ode_residual(p: WaveParameters, N: int) -> float:
-    """sup_j | -omega h''(x_j) - h(x_j) + h(x_j)^3 | on the N-point grid."""
-    h, _, h2 = sample_wave(p, N)
+def ode_residual(p: WaveParameters, samples: tuple) -> float:
+    """sup_j | -omega h''(x_j) - h(x_j) + h(x_j)^3 | over samples = (h, h', h'') of the wave p.
+
+    samples is what `sample_wave` or `profile_eval` returned for p, so the
+    profile is not evaluated again.
+    """
+    h, _, h2 = samples
     return float(np.max(np.abs(-p.omega * h2 - h + h * h * h)))

@@ -83,7 +83,7 @@ def test_criterion_01_wave_construction():
         _, hi = admissible_omega_window(L)
         for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
             wave = solve_modulus(L, math.sqrt(1.0 - frac * hi))
-            worst_ode = max(worst_ode, ode_residual(wave, N_GRID))
+            worst_ode = max(worst_ode, ode_residual(wave, sample_wave(wave, N_GRID)))
             big_k = complete_K(wave.k)
             disp = abs(16.0 * big_k**2 * (1.0 + wave.k.value**2) * wave.omega
                        - L * L) / (L * L)

@@ -48,7 +48,8 @@ class TestWaveCommand:
         assert from_csv.tobytes() == expected.tobytes()
         assert from_json.tobytes() == expected.tobytes()
 
-    def test_at_most_two_sn_calls(self, tmp_path, monkeypatch):
+    def test_one_sn_call(self, tmp_path, monkeypatch):
+        # the rows and the ODE residual read one evaluation of the profile
         import snoidal.waves as waves
 
         sizes = []
@@ -61,7 +62,7 @@ class TestWaveCommand:
         monkeypatch.setattr(waves, "jacobi_sn_cn_dn", counting)
         assert cli.main(["wave", "--L", "3.14159", "--c", "0.95", "--N", "1024",
                          "--out", str(tmp_path / "wv")]) == 0
-        assert 1 <= len(sizes) <= 2
+        assert sizes == [1024]
         assert len((tmp_path / "wv.csv").read_text().splitlines()) == 1025
 
     def test_inadmissible_speed_exits_2(self, tmp_path, capsys):

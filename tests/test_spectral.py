@@ -5,7 +5,11 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
+from snoidal.elliptic import jacobi_sn_cn_dn
 from snoidal.spectral import (
     KIND_L1,
     ZERO_TOL_FACTOR,
@@ -28,7 +32,7 @@ from snoidal.spectral import (
     solve_in_kernel_complement,
     verify_index_counts,
 )
-from snoidal.waves import OutOfRangeError, sample_wave, solve_modulus
+from snoidal.waves import OutOfRangeError, grid_points, sample_wave, solve_modulus
 
 L_CANON, C_CANON = math.pi, 0.95
 # Speed at L = pi whose modulus is exactly 1/2 (from the period relation).
@@ -50,6 +54,86 @@ def unit_source_solution_closed(wave, N):
     r = math.sqrt(1.0 - k * k + k**4)
     b1, b2 = p4.bracket, -p0.bracket
     return (p4.lam * b1 * p0.f + p0.lam * b2 * p4.f) / (2.0 * p0.lam * p4.lam * r)
+
+
+# The dense grid oracle.  Reflection sectors are written out here
+# independently of the library: parity of each N-point component per sector
+# (sector 0 holds the kernel), and each sector's dense orthonormal basis.
+SECTOR_LAYOUT = {"L1": ((1,), (-1,)), "Lblock": ((1, -1), (-1, 1))}
+
+
+def mirror_even(f):
+    """(f + R f) / 2 with (R f)_j = f_{-j}."""
+    return 0.5 * (f + np.roll(f[::-1], 1))
+
+
+def dense_L1(wave, N, potential=lambda v: v):
+    """-omega D2 + diag(3 h^2 - 1) on the grid; potential maps 3 h^2 - 1 first."""
+    h, _, _ = sample_wave(wave, N)
+    _, d2 = fourier_diff_matrices(N, wave.L)
+    return -wave.omega * d2 + np.diag(potential(3.0 * h * h - 1.0))
+
+
+def dense_Lblock(wave, N, potential=lambda v: v):
+    """[[-D2 + diag(3 h^2 - 1), c D1], [-c D1, I]] on the grid."""
+    h, _, _ = sample_wave(wave, N)
+    d1, d2 = fourier_diff_matrices(N, wave.L)
+    cd1 = wave.c * d1
+    return np.block([[-d2 + np.diag(potential(3.0 * h * h - 1.0)), cd1], [cd1.T, np.eye(N)]])
+
+
+def grid_kernel(wave, N, kind):
+    _, h1, h2 = sample_wave(wave, N)
+    return h1 if kind == "L1" else np.concatenate([h1, wave.c * h2])
+
+
+def parity_columns(N, sign):
+    """Dense orthonormal basis of the even (sign 1) or odd (sign -1) grid fields."""
+    half = N // 2
+    cols = []
+    for a in range(half + 1) if sign > 0 else range(1, half):
+        q = np.zeros(N)
+        if a in (0, half):
+            q[a] = 1.0
+        else:
+            q[a], q[N - a] = math.sqrt(0.5), sign * math.sqrt(0.5)
+        cols.append(q)
+    return np.column_stack(cols)
+
+
+def sector_bases(kind, N):
+    """Per sector, its basis of the operator's stacked-component grid fields."""
+    return [block_diag(*(parity_columns(N, s) for s in parities))
+            for parities in SECTOR_LAYOUT[kind]]
+
+
+def grid_matrix(op, N):
+    """The grid matrix of an assembled operator: the sum of Q B Q^T over its sectors."""
+    return sum(q @ b @ q.T for q, b in zip(sector_bases(op.kind, N), op.blocks))
+
+
+def sector_fold(M, N, parities):
+    """Sector block of a reflection-invariant grid matrix M, read entry by entry.
+
+    With I the grid index of each basis vector, J its mirror image and s
+    the sign of its component, entry (i, j) is w_ij (M[I_i, I_j] + s_j
+    M[I_i, J_j]), where w_ij is 1/sqrt 2 per fixed point (0 or N/2) of i and j.
+    """
+    I, J, s, w2 = [], [], [], []
+    for comp, sign in enumerate(parities):
+        for a in range(N // 2 + 1) if sign > 0 else range(1, N // 2):
+            I.append(comp * N + a)
+            J.append(comp * N + (N - a) % N)
+            s.append(sign)
+            w2.append(0.5 if a in (0, N // 2) else 1.0)
+    return np.sqrt(np.outer(w2, w2)) * (M[np.ix_(I, I)] + np.array(s) * M[np.ix_(I, J)])
+
+
+def mean_free_basis(n, parts):
+    """QR basis of the first n - 1 columns of I - 1 1^T / n, one copy per component."""
+    q, _ = np.linalg.qr((np.eye(n) - 1.0 / n)[:, : n - 1])
+    return np.kron(np.eye(parts), q)
+
 
 
 @pytest.fixture(scope="module")
@@ -109,13 +193,18 @@ class TestAssembly:
         assert eigen_report(op_L1).kernel_residual <= 1e-8
 
     def test_L1_entries_bit_for_bit(self, wave):
-        # exactly -omega d2 + diag(3 h^2 - 1) on the sampled wave, kernel h'
+        # exactly the sector blocks of -omega d2 + diag(3 h^2 - 1) with the
+        # potential made even, read entry by entry; kernel h' in the even sector
         N = 64
-        h, h1, _ = sample_wave(wave, N)
-        _, d2 = fourier_diff_matrices(N, wave.L)
+        _, h1, _ = sample_wave(wave, N)
+        dense = dense_L1(wave, N, mirror_even)
         m = assemble_L1(wave, N)
-        assert np.array_equal(m.entries, -wave.omega * d2 + np.diag(3.0 * h * h - 1.0))
-        assert np.array_equal(m.kernel_vector, h1)
+        assert [b.shape for b in m.blocks] == [(N // 2 + 1,) * 2, (N // 2 - 1,) * 2]
+        for block, parities in zip(m.blocks, SECTOR_LAYOUT["L1"]):
+            assert np.array_equal(block, sector_fold(dense, N, parities))
+        half = N // 2
+        even = np.concatenate([[h1[0]], math.sqrt(0.5) * (h1[1:half] + h1[:half:-1]), [h1[half]]])
+        assert np.array_equal(m.kernel_vector, even)
 
     def test_L1_counts(self, op_L1):
         report = eigen_report(op_L1)
@@ -134,34 +223,41 @@ class TestAssembly:
         assert (report.n, report.z) == (1, 1)
 
     def test_Lblock_blocks_bit_for_bit(self, wave):
-        # exactly [[-d2 + diag(3 h^2 - 1), c d1], [-c d1, I]], kernel (h', c h'')
+        # exactly the sector blocks S+ = (phi even, psi odd) and S- = (phi odd,
+        # psi even) of [[-d2 + diag(3 h^2 - 1), c d1], [-c d1, I]] with the
+        # potential made even; kernel (h', c h'') in S+
         N = 64
-        h, h1, h2 = sample_wave(wave, N)
-        d1, d2 = fourier_diff_matrices(N, wave.L)
+        _, h1, h2 = sample_wave(wave, N)
+        dense = dense_Lblock(wave, N, mirror_even)
         m = assemble_Lblock(wave, N)
-        assert np.array_equal(m.entries[:N, :N], -d2 + np.diag(3.0 * h * h - 1.0))
-        assert np.array_equal(m.entries[:N, N:], wave.c * d1)
-        assert np.array_equal(m.entries[N:, :N], -wave.c * d1)
-        assert np.array_equal(m.entries[N:, N:], np.eye(N))
-        assert np.array_equal(m.kernel_vector, np.concatenate([h1, wave.c * h2]))
+        for block, parities in zip(m.blocks, SECTOR_LAYOUT["Lblock"]):
+            assert block.shape == (N, N)
+            assert np.array_equal(block, sector_fold(dense, N, parities))
+        half = N // 2
+        phi = np.concatenate([[h1[0]], math.sqrt(0.5) * (h1[1:half] + h1[:half:-1]), [h1[half]]])
+        psi = math.sqrt(0.5) * (wave.c * h2[1:half] - wave.c * h2[:half:-1])
+        assert np.array_equal(m.kernel_vector, np.concatenate([phi, psi]))
 
     def test_symmetry_enforced(self):
         with pytest.raises(ValueError):
-            OperatorMatrix(KIND_L1, 1.0, np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2))
-        # every assembled operator is bit-symmetric, so a roundoff skew is rejected too
+            OperatorMatrix(KIND_L1, 1.0, (np.array([[0.0, 1.0], [0.0, 0.0]]),), np.zeros(2))
+        # every assembled block is bit-symmetric, so a roundoff skew is rejected too
         with pytest.raises(ValueError):
-            OperatorMatrix(KIND_L1, 1.0, np.array([[2.0, 1.0], [1.0 + 1e-15, 2.0]]), np.zeros(2))
+            OperatorMatrix(KIND_L1, 1.0, (np.eye(2), np.array([[2.0, 1.0], [1.0 + 1e-15, 2.0]])),
+                           np.zeros(2))
+        with pytest.raises(ValueError):
+            OperatorMatrix(KIND_L1, 1.0, (np.ones(3),), np.zeros(3))  # not a square block
 
 
 class TestEigenReport:
     def test_identity_matrix(self):
-        m = OperatorMatrix(KIND_L1, 1.0, np.eye(3), np.zeros(3))
+        m = OperatorMatrix(KIND_L1, 1.0, (np.eye(3),), np.zeros(3))
         report = eigen_report(m)
         assert (report.n, report.z) == (0, 0)
         assert np.allclose(report.eigenvalues, 1.0)
 
     def test_signature_matrix(self):
-        m = OperatorMatrix(KIND_L1, 1.0, np.diag([-1.0, 0.0, 2.0]), np.zeros(3))
+        m = OperatorMatrix(KIND_L1, 1.0, (np.diag([-1.0, 2.0]), np.diag([0.0])), np.zeros(2))
         report = eigen_report(m)
         assert (report.n, report.z) == (1, 1)
 
@@ -199,8 +295,9 @@ class TestClosedForms:
 
     def test_pairs_are_matrix_eigenpairs(self, wave, op_L1):
         pair0, pair4 = closed_form_eigenpairs(wave, 256)
+        grid = grid_matrix(op_L1, 256)
         for pair in (pair0, pair4):
-            res = np.max(np.abs(op_L1.entries @ pair.f - pair.lam * pair.f))
+            res = np.max(np.abs(grid @ pair.f - pair.lam * pair.f))
             assert res <= 1e-8
 
     def test_ordering_and_signs(self):
@@ -221,7 +318,7 @@ class TestClosedForms:
 
     def test_unit_source_solution(self, wave, op_L1):
         f = unit_source_solution_closed(wave, 256)
-        assert np.max(np.abs(op_L1.entries @ f - 1.0)) <= 1e-8
+        assert np.max(np.abs(grid_matrix(op_L1, 256) @ f - 1.0)) <= 1e-8
 
     def test_fifth_eigenvalue_is_in_spectrum(self, wave, op_L1):
         _, pair4 = closed_form_eigenpairs(wave, 256)
@@ -260,8 +357,14 @@ class TestD1:
 
     def test_solution_orthogonal_to_kernel(self, wave, op_L1):
         f = solve_in_kernel_complement(eigen_report(op_L1), np.ones(256))
-        h1 = op_L1.kernel_vector
+        h1 = grid_kernel(wave, 256, "L1")
         assert abs(float(f @ h1)) / (np.linalg.norm(f) * np.linalg.norm(h1)) <= 1e-10
+
+    def test_solve_needs_a_grid_operator(self, op_L1):
+        # a constrained operator's coordinates are not grid fields
+        report = eigen_report(constrain_zero_mean(op_L1))
+        with pytest.raises(ValueError):
+            solve_in_kernel_complement(report, np.ones(report.eigenvalues.size))
 
     def test_grid_size_guard(self, wave):
         with pytest.raises(ValueError):
@@ -269,7 +372,7 @@ class TestD1:
 
     def test_zero_kernel_vector_rejected(self):
         # one zero eigenvalue, but no kernel direction to border the solve with
-        m = OperatorMatrix(KIND_L1, 1.0, np.diag([0.0, 1.0, 2.0]), np.zeros(3))
+        m = OperatorMatrix(KIND_L1, 1.0, (np.diag([0.0, 1.0, 2.0]),), np.zeros(3))
         with pytest.raises(SingularSystemError):
             solve_in_kernel_complement(eigen_report(m), np.ones(3))
 
@@ -279,21 +382,24 @@ class TestD1:
         # oracle: invert on the eigenpairs of eigh with the zero-classified
         # one deflated; the constant right-hand sides have no kernel component
         n = 128
-        m = assemble(solve_modulus(L, c), n)
+        wave = solve_modulus(L, c)
+        m = assemble(wave, n)
         E = np.kron(np.eye(m.dim // n), np.ones((n, 1)))
         U = solve_in_kernel_complement(eigen_report(m), E)
-        vals, vecs = np.linalg.eigh(m.entries)
+        dense = dense_L1 if m.kind == "L1" else dense_Lblock
+        vals, vecs = np.linalg.eigh(dense(wave, n))
         keep = np.abs(vals) > ZERO_TOL_FACTOR * np.max(np.abs(vals))
         assert np.sum(~keep) == 1
         want = (vecs[:, keep] @ ((vecs[:, keep].T @ E) / vals[keep, None])).T @ E
         got = U.T @ E
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
-        k = m.kernel_vector / np.linalg.norm(m.kernel_vector)
+        kernel = grid_kernel(wave, n, m.kind)
+        k = kernel / np.linalg.norm(kernel)
         assert np.max(np.abs(k @ U) / np.linalg.norm(U, axis=0)) <= 1e-10
 
     def test_singular_detection(self):
         # two zero-classified eigenvalues -> kernel handling must refuse
-        m = OperatorMatrix(KIND_L1, 1.0, np.diag([0.0, 0.0, 3.0]), np.zeros(3))
+        m = OperatorMatrix(KIND_L1, 1.0, (np.diag([0.0, 3.0]), np.diag([0.0])), np.zeros(2))
         with pytest.raises(SingularSystemError):
             solve_in_kernel_complement(eigen_report(m), np.ones(3))
 
@@ -339,7 +445,7 @@ class TestDMatrix:
 
 def synthetic_report(vals):
     """eigen_report of diag(vals) as an operator of period 1: D is counted at 1e-8."""
-    m = OperatorMatrix(KIND_L1, 1.0, np.diag(vals), np.zeros(len(vals)))
+    m = OperatorMatrix(KIND_L1, 1.0, (np.diag(vals),), np.zeros(len(vals)))
     return eigen_report(m)
 
 
@@ -391,13 +497,14 @@ class TestConstrainedOperators:
         rng = np.random.default_rng(3)
         n = op_Lblock.dim // 2
         h, _, _ = sample_wave(wave, n)
-        rank_one = np.zeros_like(op_Lblock.entries)
+        grid = grid_matrix(op_Lblock, n)
+        rank_one = np.zeros_like(grid)
         rank_one[:n, :n] = np.outer(np.ones(n), 3.0 * h**2 / n)
-        modified = op_Lblock.entries - rank_one
+        modified = grid - rank_one
         for _ in range(5):
             p, q = rng.standard_normal((2, n))
             u = np.concatenate([p - np.mean(p), q - np.mean(q)])
-            plain = u @ (op_Lblock.entries @ u)
+            plain = u @ (grid @ u)
             constrained = u @ (modified @ u)
             assert abs(plain - constrained) <= 1e-9 * max(1.0, abs(plain))
 
@@ -416,17 +523,25 @@ class TestConstrainedOperators:
 
     @pytest.mark.parametrize("assemble", [assemble_L1, assemble_Lblock], ids=["L1", "Lblock"])
     def test_matches_independent_mean_free_basis(self, wave, assemble):
-        # oracle: compress onto the QR basis of the first N - 1 columns of
-        # I - 1 1^T / N, one copy per component
+        # oracle: compress the dense grid matrix onto the QR basis of the
+        # first N - 1 columns of I - 1 1^T / N, one copy per component
         n = 128
         m = assemble(wave, n)
         constrained = constrain_zero_mean(m)
-        assert np.array_equal(constrained.entries, constrained.entries.T)
-        q, _ = np.linalg.qr((np.eye(n) - 1.0 / n)[:, : n - 1])
-        basis = np.kron(np.eye(m.dim // n), q)
-        want = np.linalg.eigvalsh(basis.T @ m.entries @ basis)
-        got = np.linalg.eigvalsh(constrained.entries)
+        assert all(np.array_equal(b, b.T) for b in constrained.blocks)
+        basis = mean_free_basis(n, m.dim // n)
+        dense = dense_L1 if m.kind == "L1" else dense_Lblock
+        want = np.linalg.eigvalsh(basis.T @ dense(wave, n) @ basis)
+        got = eigen_report(constrained).eigenvalues
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_reflector_only_where_a_constant_lives(self, op_L1, op_Lblock):
+        # L1's odd sector has no constant and passes through; every other
+        # sector loses one dimension
+        c1, cb = constrain_zero_mean(op_L1), constrain_zero_mean(op_Lblock)
+        assert c1.blocks[1] is op_L1.blocks[1]
+        assert c1.blocks[0].shape[0] == op_L1.blocks[0].shape[0] - 1
+        assert [b.shape[0] for b in cb.blocks] == [b.shape[0] - 1 for b in op_Lblock.blocks]
 
     def test_coercivity_constant(self, op_Lblock):
         report = eigen_report(constrain_zero_mean(op_Lblock))
@@ -492,7 +607,8 @@ class TestFullReport:
 
     def test_each_operator_assembled_and_diagonalized_once(self, monkeypatch):
         # L1, Lblock and their two constrained companions: one values-only
-        # eigensolve each; the solves behind D1 and D need no eigenvectors
+        # eigensolve per parity sector, two per operator; the solves behind
+        # D1 and D need no eigenvectors
         import snoidal.spectral as spectral
 
         calls = dict.fromkeys(("eigh", "eigvalsh", "assemble_L1", "assemble_Lblock"), 0)
@@ -512,5 +628,122 @@ class TestFullReport:
             counted(spectral, name)
         full_report(L_CANON, C_CANON, 128)
         assert calls["eigh"] == 0
-        assert calls["eigvalsh"] == 4
+        assert calls["eigvalsh"] == 8
         assert calls["assemble_L1"] == calls["assemble_Lblock"] == 1
+
+
+SECTOR_POINTS = [(math.pi, 0.95), (2.0, 0.96), (5.0, 0.80)]
+
+
+def assert_sector_spectra_match_dense(wave, N, tol):
+    """Merged sector eigenvalues of all four operators against eigvalsh of the dense grid matrix."""
+    for assemble, dense in ((assemble_L1, dense_L1), (assemble_Lblock, dense_Lblock)):
+        m = assemble(wave, N)
+        grid = dense(wave, N)
+        basis = mean_free_basis(N, m.dim // N)
+        for op, matrix in ((m, grid), (constrain_zero_mean(m), basis.T @ grid @ basis)):
+            want = np.linalg.eigvalsh(matrix)
+            got = eigen_report(op).eigenvalues
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), op.kind
+
+
+class TestParitySectors:
+    """The sector pipeline against the dense grid collocation oracle."""
+
+    @pytest.mark.parametrize("N", [128, 256, 512])
+    @pytest.mark.parametrize("L,c", SECTOR_POINTS)
+    def test_eigenvalues_match_dense_grid_matrix(self, L, c, N):
+        assert_sector_spectra_match_dense(solve_modulus(L, c), N, 1e-14)
+
+    @pytest.mark.parametrize("N", [128, 256, 512])
+    @pytest.mark.parametrize("L,c", SECTOR_POINTS)
+    def test_constraint_matrices_match_dense_bordered_solve(self, L, c, N):
+        # D[i, j] = L * mean of component j of U, with [[M, k], [k^T, 0]]
+        # (U, mu) = (E, 0) on the dense 2N (or N) grid matrix
+        wave = solve_modulus(L, c)
+        for assemble, dense in ((assemble_L1, dense_L1), (assemble_Lblock, dense_Lblock)):
+            m = assemble(wave, N)
+            parts = m.dim // N
+            kernel = grid_kernel(wave, N, m.kind)
+            k = kernel[:, None] / np.linalg.norm(kernel)
+            bordered = np.block([[dense(wave, N), k], [k.T, np.zeros((1, 1))]])
+            E = np.kron(np.eye(parts), np.ones((N, 1)))
+            U = np.linalg.solve(bordered, np.vstack([E, np.zeros((1, parts))]))[:-1]
+            want = L * U.reshape(parts, N, parts).mean(axis=1).T
+            report = eigen_report(m)
+            got = D_matrix(report) if parts == 2 else np.array([[D1_numeric(report)]])
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(L=st.floats(1.0, 6.0), fraction=st.floats(0.1, 0.9))
+    def test_sectors_match_dense_across_window(self, L, fraction):
+        c = math.sqrt(1.0 - fraction * L * L / (4.0 * math.pi**2))
+        assert_sector_spectra_match_dense(solve_modulus(L, c), 128, 1e-14)
+
+    def test_kernel_and_constants_in_their_sectors(self, wave):
+        # (h', c h'') and e1 lie in S+, e2 in S-: the off-diagonal entries of
+        # D vanish by parity, to roundoff on the grid
+        N = 128
+        D = D_matrix(eigen_report(assemble_Lblock(wave, N)))
+        assert max(abs(D[0, 1]), abs(D[1, 0])) <= 1e-13 * wave.L
+        for kind, op in (("L1", assemble_L1(wave, N)), ("Lblock", assemble_Lblock(wave, N))):
+            q = sector_bases(kind, N)[0]
+            kernel = grid_kernel(wave, N, kind)
+            assert np.max(np.abs(q @ op.kernel_vector - kernel)) <= 1e-12 * np.max(np.abs(kernel))
+
+
+def lame_edges(wave, N):
+    """The five band edges of L1 as (eigenvalue, eigenfunction, parity) on the grid.
+
+    With y = bx, (1 + k^2) L1 = -d^2/dy^2 + 6 k^2 sn^2 - (1 + k^2) is the
+    n = 2 Lame operator (Arscott, 1964): its simple edges are lam0 and the
+    top edge (the two quadratic-in-sn^2 pairs), 0 with cn dn, 3 k^2/(1 + k^2)
+    with sn dn and 3/(1 + k^2) with sn cn.  sn is odd and cn, dn are even.
+    """
+    k2 = wave.k.value ** 2
+    sn, cn, dn = jacobi_sn_cn_dn(wave.b * grid_points(wave.L, N), wave.k.value)
+    pair0, pair4 = closed_form_eigenpairs(wave, N)
+    return [
+        (pair0.lam, pair0.f, 1),
+        (0.0, cn * dn, 1),
+        (3.0 * k2 / (1.0 + k2), sn * dn, -1),
+        (3.0 / (1.0 + k2), sn * cn, -1),
+        (pair4.lam, pair4.f, 1),
+    ]
+
+
+class TestLameEdges:
+    """All five Lame edges of L1, each in the parity sector its eigenfunction predicts."""
+
+    @pytest.mark.parametrize("L,c", SECTOR_POINTS)
+    def test_edges_are_grid_eigenpairs_of_their_parity(self, L, c):
+        wave = solve_modulus(L, c)
+        grid = dense_L1(wave, 256)
+        for lam, f, parity in lame_edges(wave, 256):
+            scale = np.max(np.abs(f))
+            assert np.max(np.abs(np.roll(f[::-1], 1) - parity * f)) <= 1e-12 * scale
+            assert np.max(np.abs(grid @ f - lam * f)) <= 1e-8 * scale
+
+    @pytest.mark.parametrize("L,c", SECTOR_POINTS)
+    def test_each_edge_found_in_its_sector(self, L, c):
+        wave = solve_modulus(L, c)
+        even, odd = (np.linalg.eigvalsh(b) for b in assemble_L1(wave, 256).blocks)
+        for lam, _, parity in lame_edges(wave, 256):
+            mine, other = (even, odd) if parity > 0 else (odd, even)
+            assert np.min(np.abs(mine - lam)) <= 1e-10
+            assert np.min(np.abs(other - lam)) >= 1e-3  # a simple edge: absent there
+
+    def test_edges_converge_under_grid_doubling(self):
+        # a steep wave (fraction 0.06 of the window): the distance of each
+        # edge to its sector's nearest eigenvalue drops by 50x or more per
+        # doubling of N (spectral convergence) until it reaches roundoff
+        wave = solve_modulus(L_CANON, math.sqrt(1.0 - 0.06 * 0.25))
+        errors = []
+        for N in (16, 32, 64, 128):
+            sectors = dict(zip((1, -1), map(np.linalg.eigvalsh, assemble_L1(wave, N).blocks)))
+            errors.append([np.min(np.abs(sectors[p] - lam)) for lam, _, p in lame_edges(wave, N)])
+        errors = np.array(errors)
+        assert np.all(errors[0] >= 1e-2)
+        assert np.all(errors[1:] <= np.maximum(errors[:-1] / 50.0, 1e-12))
+        assert np.all(errors[-1] <= 1e-12)
