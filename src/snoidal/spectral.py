@@ -10,38 +10,51 @@ Operators handled here (symmetric):
   L1      = -omega d2/dx2 - 1 + 3 h^2                       (scalar, N x N)
   Lblock  = [[-d2/dx2 - 1 + 3 h^2,  c d/dx], [-c d/dx, 1]]  (pair, 2N x 2N)
 
-The wave h is odd, so L1 commutes with the grid reflection (R f)_j = f_{-j}
-and Lblock with diag(R, -R).  Every operator is therefore held as its two
-reflection-parity sectors, never as the unsplit matrix.  A sector's
-orthonormal basis is e_a at the fixed points a = 0, N/2 of R (even parity
-only) and (e_a +/- e_{-a}) / sqrt 2 for 0 < a < N/2:
+The wave h is odd and half-period antiperiodic (h(x + L/2) = -h(x), since
+sn(u + 2K) = -sn(u)), so 3 h^2 has period L/2.  L1 therefore commutes with
+the grid reflection (R f)_j = f_{-j} and with the half-period shift
+(T f)_j = f_{j + N/2}, and Lblock with diag(R, -R) and diag(T, T).  Every
+operator is held as its four (R, T) character sectors, never as the unsplit
+matrix.  The group {e, R, T, RT} splits the grid indices into orbits
+O = {a, -a, a + N/2, -a + N/2} with representatives 0 <= a <= N/4: {0, N/2}
+and, when 4 | N, {N/4, 3N/4} have two points, every other orbit has four.  A
+character chi = (r, t) (R f = r f, T f = t f) has one orthonormal basis
+vector per orbit on which it is trivial where the orbit is fixed,
+q_a = sqrt(|O_a|) / 4 * sum_g chi(g) e_{g a}:
 
-  L1      even sector (N/2 + 1) and odd sector (N/2 - 1);
-  Lblock  S+ = (phi even, psi odd) and S- = (phi odd, psi even), N each.
+  L1      four sectors of about N/4 each; at N = 128 (even, T-even) has
+          33, (even, T-odd) 32, (odd, T-even) 31 and (odd, T-odd) 32;
+  Lblock  four sectors of N/2, each phi with character (r, t) and psi
+          with (-r, t).
 
-Sector 0 (L1's even sector, S+) holds the kernel direction, h' for L1 and
-(h', c h'') for Lblock, and the constant of the first component; S- holds
-the constant of Lblock's second component.  The blocks are gathered from the
-circulant stencils by index arithmetic: the block of a circulant with first
-column col between sectors is col[a - b] +/- col[a + b], weighted
-1/sqrt 2 per fixed point.  h is odd on the grid only to roundoff, so the
-potential 3 h^2 - 1 is averaged with its mirror image first.
+The sectors are held in the order (even, T-odd), (even, T-even),
+(odd, T-even), (odd, T-odd) of L1 and of Lblock's phi.  Sector 0 holds the
+kernel direction, h' for L1 and (h', c h'') for Lblock, and no constant.  The
+constants are T-even: L1's and the constant of Lblock's phi lie in the
+(even, T-even) sector, the constant of Lblock's psi in the sector whose psi
+is (even, T-even).  The blocks are gathered from the circulant stencils by
+index arithmetic: the entry between basis vectors a and b is
+sqrt(|O_a| |O_b|) / 4 * sum_g chi(g) M[a, g b], chi the column sector's
+character.  h is odd and antiperiodic on the grid only to roundoff, so the
+potential 3 h^2 - 1 is averaged over R and T first.
 
 Zero-mean companions: in each sector that holds a constant, one Householder
 reflector maps the sector's first basis vector to the constant, and deleting
-that index compresses onto the mean-free vectors; the other sector passes
-through.  The constrained operator of the paper also subtracts the
-rank-one mean coupling (3/L) (h^2, .) from the first component; its range is
-the constant vector, which the compression annihilates, so the compression
-alone yields the constrained operator.
+that index compresses onto the mean-free vectors; the other sectors pass
+through, the very blocks of the operator.  The constrained operator of the
+paper also subtracts the rank-one mean coupling (3/L) (h^2, .) from the
+first component; its range is the constant vector, which the compression
+annihilates, so the compression alone yields the constrained operator.
 
 `eigen_report` is the only eigensolve in this module and the only place
 eigenvalues are classified as negative or zero: one values-only eigensolve
-per sector, merged into the operator's sorted spectrum.  The counts and the
-coercivity constant read those eigenvalues.  The solves behind D1 and the
-matrix D need no eigenvectors: sector 0 is bordered with its known kernel
-direction, the other sector is solved plainly, and the solution is mapped
-back to the grid.
+per distinct sector block, merged into the operator's sorted spectrum (a
+constrained operator's pass-through sectors reuse its parent's
+eigenvalues).  The counts and the coercivity constant read those
+eigenvalues.  The solves behind D1 and the matrix D need no eigenvectors
+and no bordering: the constants have no part in the kernel sector, so only
+the T-even sectors that hold them are solved, plainly.  A general
+right-hand side borders sector 0 with its known kernel direction.
 
 The constrained Morse index is cross-checked two ways: directly from the
 compressed spectra, and through the count n(L_c) = n(L) - n(D) - z(D),
@@ -113,12 +126,12 @@ class IndexMismatchError(RuntimeError):
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """One of the linearized operators as symmetric blocks, one per parity sector.
+    """One of the linearized operators as symmetric blocks, one per (R, T) sector.
 
     kernel_vector holds the expected discrete kernel direction in the
-    coordinates of blocks[0] (h' for L1, (h', c h'') for the block operator,
-    their compressions for constrained kinds); the kernel-bordered solves
-    border with it.  Constraining needs nothing beyond the blocks: the
+    coordinates of blocks[0] (h' for L1, (h', c h'') for the block operator;
+    the constraint passes sector 0 through, so constrained kinds keep it);
+    the kernel-bordered solves border with it.  Constraining needs nothing beyond the blocks: the
     rank-one mean coupling vanishes under the compression.
     """
 
@@ -148,7 +161,8 @@ class SpectralReport:
     """Sorted eigenvalues with negative/zero counts at tolerance tau_zero.
 
     operator is the operator they belong to; the kernel-bordered solves read
-    its sector blocks and kernel direction.
+    its sector blocks and kernel direction.  sector_eigenvalues holds the
+    ascending eigenvalues of each of its blocks.
     """
 
     eigenvalues: np.ndarray
@@ -157,6 +171,7 @@ class SpectralReport:
     tau_zero: float
     kernel_residual: float
     operator: OperatorMatrix
+    sector_eigenvalues: tuple
 
 
 @dataclass(frozen=True)
@@ -199,117 +214,131 @@ def fourier_diff_matrices(N: int, L: float) -> tuple[np.ndarray, np.ndarray]:
 
     The circulants of `_stencils`: entry (i, j) is the stencil at i - j mod
     N.  The spectral pipeline never forms them; they are the dense grid
-    oracle that the parity-sector assembly is checked against.
+    oracle that the sector assembly is checked against.
     """
     s1, s2 = _stencils(N, L)
     idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
     return s1[idx], s2[idx]
 
 
-EVEN, ODD = 1, -1  # parity signs s of the reflection sectors: R f = s f
+EVEN, ODD = 1, -1  # signs of a character (r, t): R f = r f and T f = t f
 
-# Operator kind -> parity of each N-point component, per sector.  Sector 0
-# holds the kernel direction.
-_LAYOUT = {KIND_L1: ((EVEN,), (ODD,)), KIND_LBLOCK: ((EVEN, ODD), (ODD, EVEN))}
+# The group {e, R, T, RT} as index maps j -> s j + h N/2 (mod N), in this order.
+_GROUP = ((1, 0), (-1, 0), (1, 1), (-1, 1))
+
+# Character of the first component in each sector; sector 0 holds the kernel
+# direction.  Lblock's psi carries (-r, t).
+_SECTORS = ((EVEN, ODD), (EVEN, EVEN), (ODD, EVEN), (ODD, ODD))
+
+# Operator kind -> character of each N-point component, per sector.
+_LAYOUT = {KIND_L1: tuple(((r, t),) for r, t in _SECTORS),
+           KIND_LBLOCK: tuple(((r, t), (-r, t)) for r, t in _SECTORS)}
 _CONSTRAINED = {KIND_L1: KIND_L1_CONSTRAINED, KIND_LBLOCK: KIND_LBLOCK_CONSTRAINED}
 
 
-def _parity_basis(N: int, sign: int) -> tuple[np.ndarray, int, np.ndarray]:
-    """(a, sign, fixed): grid index a of each basis vector of one parity sector.
+def _sector_basis(N: int, char: tuple) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(a, size, chi): orbit representative and orbit size of each basis vector of one sector.
 
-    The basis vector of index a is e_a at the fixed points a = 0, N/2 of the
-    reflection (even sector only; fixed is 1 there, else 0) and
-    (e_a + sign e_{-a}) / sqrt 2 for 0 < a < N/2.
+    chi lists the character (r, t) over `_GROUP`.  R fixes the orbit
+    {0, N/2}, RT fixes {N/4, 3N/4} when 4 | N; these have size 2, the others
+    size 4.  An orbit carries a basis vector only if chi is 1 on the group
+    elements that fix it.
     """
-    half = N // 2
-    a = np.arange(half + 1) if sign == EVEN else np.arange(1, half)
-    return a, sign, ((a == 0) | (a == half)).astype(int)
+    r, t = char
+    a = np.arange(N // 4 + 1)
+    by_r, by_rt = a == 0, 2 * a == N // 2
+    keep = ~(by_r & (r == ODD)) & ~(by_rt & (r * t == ODD))
+    return a[keep], np.where(by_r | by_rt, 2, 4)[keep], (1, r, t, r * t)
 
 
-# Weight of a block entry by its number of fixed-point indices: 1/sqrt 2 each.
-_FOLD_WEIGHT = np.array([1.0, math.sqrt(0.5), 0.5])
+def _images(a: np.ndarray, N: int) -> list[np.ndarray]:
+    """g a mod N for each g of `_GROUP`."""
+    return [(s * a + h * (N // 2)) % N for s, h in _GROUP]
 
 
 def _fold(col: np.ndarray, diag, rows: tuple, cols: tuple) -> np.ndarray:
-    """Block between two parity sectors of M[i, j] = col[i - j] (+ diag[i] where i = j).
+    """Block between two sectors of M[i, j] = col[i - j] (+ diag[i] where i = j).
 
-    rows and cols are `_parity_basis` triples.  For M commuting with the
-    reflection the block is w (M[a, b] + s M[a, -b]), s the sign of the
-    column sector, indices mod N and w from `_FOLD_WEIGHT`, so only those
-    entries of M are gathered.
+    rows and cols are `_sector_basis` triples.  For M commuting with the
+    group, entry (a, b) is sqrt(|O_a| |O_b|) / 4 * sum_g chi(g) M[a, g b],
+    chi the column sector's character, indices mod N, so only those entries
+    of M are gathered.
     """
-    (a, _, fa), (b, s, fb) = rows, cols
+    (a, size_a, _), (b, size_b, chi) = rows, cols
     N = col.size
     a = a[:, None]
-
-    def gather(j):
+    total = 0.0
+    for sign, j in zip(chi, _images(b, N)):
         m = col[(a - j) % N]
-        return m if diag is None else m + np.where(a == j % N, diag[a], 0.0)
-
-    return _FOLD_WEIGHT[fa[:, None] + fb] * (gather(b) + s * gather(-b))
-
-
-def _mirror_average(f: np.ndarray) -> np.ndarray:
-    """(f + R f) / 2: the even part of a grid field."""
-    return 0.5 * (f + np.roll(f[::-1], 1))
+        if diag is not None:
+            m = m + np.where(a == j, diag[a], 0.0)
+        total = total + sign * m
+    return np.sqrt(np.outer(size_a, size_b)) / 4.0 * total
 
 
-def _basis_value(fixed: np.ndarray, ndim: int) -> np.ndarray:
-    """Entry q_a[a] of each basis vector, shaped to broadcast over ndim axes.
+def _group_average(f: np.ndarray) -> np.ndarray:
+    """The average of a grid field over R and T: bitwise invariant under both."""
+    even = 0.5 * (f + np.roll(f[::-1], 1))
+    return 0.5 * (even + np.roll(even, f.size // 2))
 
-    It is 1/sqrt 2, except 1/2 at a fixed point: there a and -a coincide,
-    so `_to_sector` and `_to_grid` meet the entry twice.
+
+def _basis_scale(size: np.ndarray, ndim: int) -> np.ndarray:
+    """sqrt(|O|) / 4 per basis vector, shaped to broadcast over ndim axes.
+
+    q_a = sqrt(|O_a|) / 4 * sum_g chi(g) e_{g a} meets each point of an orbit
+    of size 2 twice, which the smaller scale makes up for.
     """
-    return np.where(fixed, 0.5, math.sqrt(0.5)).reshape((-1,) + (1,) * (ndim - 1))
+    return (np.sqrt(size) / 4.0).reshape((-1,) + (1,) * (ndim - 1))
 
 
-def _to_sector(f: np.ndarray, parities: tuple) -> np.ndarray:
+def _to_sector(f: np.ndarray, chars: tuple) -> np.ndarray:
     """Coordinates in one sector of the grid field f (its components stacked, columns kept)."""
-    parts = np.split(f, len(parities))
+    parts = np.split(f, len(chars))
     N = parts[0].shape[0]
     out = []
-    for g, sign in zip(parts, parities):
-        a, _, fixed = _parity_basis(N, sign)
-        q = _basis_value(fixed, g.ndim)
-        out.append(q * (g[a] + sign * g[-a % N]))
+    for g, char in zip(parts, chars):
+        a, size, chi = _sector_basis(N, char)
+        total = 0.0
+        for sign, j in zip(chi, _images(a, N)):
+            total = total + sign * g[j]
+        out.append(_basis_scale(size, g.ndim) * total)
     return np.concatenate(out)
 
 
-def _to_grid(u: np.ndarray, parities: tuple, N: int) -> np.ndarray:
+def _to_grid(u: np.ndarray, chars: tuple, N: int) -> np.ndarray:
     """The grid field of sector coordinates u: the inverse of `_to_sector` on that sector."""
     out, start = [], 0
-    for sign in parities:
-        a, _, fixed = _parity_basis(N, sign)
-        q = _basis_value(fixed, u.ndim)
-        g = q * u[start:start + a.size]
+    for char in chars:
+        a, size, chi = _sector_basis(N, char)
+        g = _basis_scale(size, u.ndim) * u[start:start + a.size]
         f = np.zeros((N,) + u.shape[1:])
-        f[a] = g
-        f[-a % N] += sign * g  # a fixed point receives g twice, and q = 1/2 there
+        for sign, j in zip(chi, _images(a, N)):
+            f[j] += sign * g  # each g maps the representatives to distinct points
         out.append(f)
         start += a.size
     return np.concatenate(out)
 
 
 def assemble_L1(wave: WaveParameters, N: int) -> OperatorMatrix:
-    """Parity sectors of -omega d2/dx2 - 1 + 3 h^2, with h' as expected kernel."""
+    """(R, T) sectors of -omega d2/dx2 - 1 + 3 h^2, with h' as expected kernel."""
     h, h1, _ = sample_wave(wave, N)
     _, s2 = _stencils(N, wave.L)
-    col, v = -wave.omega * s2, _mirror_average(3.0 * h * h - 1.0)
+    col, v = -wave.omega * s2, _group_average(3.0 * h * h - 1.0)
     blocks = []
-    for (sign,) in _LAYOUT[KIND_L1]:
-        basis = _parity_basis(N, sign)
+    for (char,) in _LAYOUT[KIND_L1]:
+        basis = _sector_basis(N, char)
         blocks.append(_fold(col, v, basis, basis))
     return OperatorMatrix(KIND_L1, wave.L, tuple(blocks), _to_sector(h1, _LAYOUT[KIND_L1][0]))
 
 
 def assemble_Lblock(wave: WaveParameters, N: int) -> OperatorMatrix:
-    """Parity sectors S+ and S- of the pair operator, with kernel (h', c h'')."""
+    """(R, T) sectors of the pair operator, with kernel (h', c h'')."""
     h, h1, h2 = sample_wave(wave, N)
     s1, s2 = _stencils(N, wave.L)
-    v, cd1 = _mirror_average(3.0 * h * h - 1.0), wave.c * s1
+    v, cd1 = _group_average(3.0 * h * h - 1.0), wave.c * s1
     blocks = []
     for phi, psi in _LAYOUT[KIND_LBLOCK]:
-        bphi, bpsi = _parity_basis(N, phi), _parity_basis(N, psi)
+        bphi, bpsi = _sector_basis(N, phi), _sector_basis(N, psi)
         top = _fold(cd1, None, bphi, bpsi)
         blocks.append(np.block([[_fold(-s2, v, bphi, bphi), top],
                                 [top.T, np.eye(top.shape[1])]]))
@@ -324,19 +353,21 @@ def constrain_zero_mean(M: OperatorMatrix) -> OperatorMatrix:
     and u the sector's unit constant: B is symmetric, orthogonal and maps
     e_0 to u, so its other columns are an orthonormal mean-free basis.
     With P = M v and W = P - v (v^T P) / 2, B M B = M - (v W^T + W v^T),
-    exactly symmetric.  A sector without a constant (L1's odd one) passes
-    through.  The rank-one mean coupling p -> (3/L) (h^2, p) of the
-    constrained operator has the constant as its range, which B maps to
-    the deleted index, so it is not formed, and quadratic forms of the two
-    operators agree on mean-free vectors.
+    exactly symmetric.  A sector without a constant (every T-odd one, and
+    L1's odd T-even one) passes through as the very block of M; sector 0
+    is one of them, so the kernel direction is kept.  The rank-one mean
+    coupling p -> (3/L) (h^2, p) of the constrained operator has the
+    constant as its range, which B maps to the deleted index, so it is not
+    formed, and quadratic forms of the two operators agree on mean-free
+    vectors.
     """
     if M.kind not in _CONSTRAINED:
         raise ValueError(f"cannot constrain operator of kind {M.kind}")
     layout = _LAYOUT[M.kind]
     N = M.dim // len(layout[0])
-    blocks, kernel = [], M.kernel_vector
-    for sector, (m, parities) in enumerate(zip(M.blocks, layout)):
-        u = _to_sector(np.ones(N * len(parities)), parities)  # zero in an odd component
+    blocks = []
+    for m, chars in zip(M.blocks, layout):
+        u = _to_sector(np.ones(N * len(chars)), chars)  # exactly zero off the trivial character
         if not u.any():
             blocks.append(m)
             continue
@@ -347,27 +378,31 @@ def constrain_zero_mean(M: OperatorMatrix) -> OperatorMatrix:
         W = (P - 0.5 * v * (v @ P))[1:]
         X = np.outer(v[1:], W)
         blocks.append(m[1:, 1:] - (X + X.T))
-        if sector == 0:
-            kernel = (kernel - v * (v @ kernel))[1:]
-    return OperatorMatrix(_CONSTRAINED[M.kind], M.L, tuple(blocks), kernel)
+    return OperatorMatrix(_CONSTRAINED[M.kind], M.L, tuple(blocks), M.kernel_vector)
 
 
-def eigen_report(M: OperatorMatrix) -> SpectralReport:
+def eigen_report(M: OperatorMatrix, *, _parent: SpectralReport | None = None) -> SpectralReport:
     """Sorted eigenvalues with counts n (< -tau) and z (within tau) of zero.
 
     One values-only eigensolve per sector; tau, n and z are taken over the
-    merged spectrum.  The kernel residual is measured in sector 0's
-    orthonormal coordinates.
+    merged spectrum.  _parent is the report of the operator M was
+    constrained from: a sector M passes through is that operator's very
+    block, and its eigenvalues are taken from there.  The kernel residual
+    is measured in sector 0's orthonormal coordinates.
     """
+    known = {} if _parent is None else dict(zip(map(id, _parent.operator.blocks),
+                                                _parent.sector_eigenvalues))
     try:
-        vals = np.sort(np.concatenate([np.linalg.eigvalsh(m) for m in M.blocks]))
+        sectors = tuple(known[id(m)] if id(m) in known else np.linalg.eigvalsh(m)
+                        for m in M.blocks)
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(f"eigensolve failed for kind {M.kind}: {exc}") from exc
+    vals = np.sort(np.concatenate(sectors))
     tau_zero = ZERO_TOL_FACTOR * float(np.max(np.abs(vals)))
     n = int(np.sum(vals < -tau_zero))
     z = int(np.sum(np.abs(vals) <= tau_zero))
     kres = float(np.max(np.abs(M.blocks[0] @ M.kernel_vector)))
-    return SpectralReport(vals, n, z, tau_zero, kres, M)
+    return SpectralReport(vals, n, z, tau_zero, kres, M, sectors)
 
 
 def closed_form_eigenpairs(
@@ -412,13 +447,14 @@ def solve_in_kernel_complement(report: SpectralReport, rhs: np.ndarray) -> np.nd
 
     rhs and x are grid fields (components stacked), one vector (dim,) or
     several columns (dim, m); M is L1 or Lblock.  Each sector solves for its
-    part of rhs.  Sector 0 holds k, the operator's unit kernel_vector, so
-    its bordered system [[M0, k], [k^T, 0]] (x0, mu) = (rhs0, 0) is
-    nonsingular whenever M0 has a one-dimensional kernel not orthogonal to
-    k; mu absorbs the part of rhs along the kernel.  The other sector is
-    nonsingular and takes a plain solve.  The report's eigenvalues guard the
-    solve: exactly one must be classified zero, and the rest must clear
-    1e3 tau_zero.
+    part of rhs, and a sector whose part is exactly zero (the constants'
+    part in every T-odd sector) is skipped.  Sector 0 holds k, the
+    operator's unit kernel_vector, so its bordered system
+    [[M0, k], [k^T, 0]] (x0, mu) = (rhs0, 0) is nonsingular whenever M0 has
+    a one-dimensional kernel not orthogonal to k; mu absorbs the part of rhs
+    along the kernel.  The other sectors are nonsingular and take a plain
+    solve.  The report's eigenvalues guard the solve: exactly one must be
+    classified zero, and the rest must clear 1e3 tau_zero.
     """
     vals, tau_zero, op = report.eigenvalues, report.tau_zero, report.operator
     if op.kind not in _LAYOUT:
@@ -442,15 +478,17 @@ def solve_in_kernel_complement(report: SpectralReport, rhs: np.ndarray) -> np.nd
     N = op.dim // len(layout[0])
     x = np.zeros(np.shape(rhs))
     try:
-        for sector, (m, parities) in enumerate(zip(op.blocks, layout)):
-            r = _to_sector(rhs, parities)
+        for sector, (m, chars) in enumerate(zip(op.blocks, layout)):
+            r = _to_sector(rhs, chars)
+            if not r.any():
+                continue
             if sector == 0:
                 bordered = np.block([[m, k], [k.T, np.zeros((1, 1))]])
                 u = np.linalg.solve(bordered, np.concatenate([r, np.zeros((1,) + r.shape[1:])]))
                 u = u[:-1]
             else:
                 u = np.linalg.solve(m, r)
-            x += _to_grid(u, parities, N)
+            x += _to_grid(u, chars, N)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"bordered solve failed for kind {op.kind}: {exc}") from exc
     return x
@@ -569,8 +607,10 @@ def full_report(L: float, c: float, N: int) -> dict:
     wave = solve_modulus(L, c)
     m1 = assemble_L1(wave, N)
     mb = assemble_Lblock(wave, N)
-    reports = [eigen_report(m) for m in (m1, mb, constrain_zero_mean(m1), constrain_zero_mean(mb))]
-    r1, rb, r1c, rbc = reports
+    r1, rb = eigen_report(m1), eigen_report(mb)
+    r1c = eigen_report(constrain_zero_mean(m1), _parent=r1)
+    rbc = eigen_report(constrain_zero_mean(mb), _parent=rb)
+    reports = [r1, rb, r1c, rbc]
     D = D_matrix(rb)
     d1_numeric = D1_numeric(r1)
     verify_index_counts(r1, np.array([[d1_numeric]]), r1c)

@@ -56,15 +56,34 @@ def unit_source_solution_closed(wave, N):
     return (p4.lam * b1 * p0.f + p0.lam * b2 * p4.f) / (2.0 * p0.lam * p4.lam * r)
 
 
-# The dense grid oracle.  Reflection sectors are written out here
-# independently of the library: parity of each N-point component per sector
-# (sector 0 holds the kernel), and each sector's dense orthonormal basis.
-SECTOR_LAYOUT = {"L1": ((1,), (-1,)), "Lblock": ((1, -1), (-1, 1))}
+# The dense grid oracle.  The (R, T) sectors are written out here
+# independently of the library: the character (r, t) of each N-point
+# component per sector (R f = r f with (R f)_j = f_{-j}, T f = t f with
+# (T f)_j = f_{j + N/2}; sector 0 holds the kernel), and each sector's dense
+# orthonormal basis, one vector per orbit {a, -a, a + N/2, -a + N/2} of the
+# grid indices, led by its smallest index a.
+SECTOR_LAYOUT = {
+    "L1": (((1, -1),), ((1, 1),), ((-1, 1),), ((-1, -1),)),
+    "Lblock": (((1, -1), (-1, -1)), ((1, 1), (-1, 1)), ((-1, 1), (1, 1)), ((-1, -1), (1, -1))),
+}
 
 
-def mirror_even(f):
-    """(f + R f) / 2 with (R f)_j = f_{-j}."""
-    return 0.5 * (f + np.roll(f[::-1], 1))
+def sector_size(N, char):
+    """Dimension of the grid fields of character char, counted by hand.
+
+    4 | N: the two-point orbits {0, N/2} (fixed by R) and {N/4, 3N/4} (fixed
+    by RT) carry the characters trivial there.  N = 2 (mod 4): only {0, N/2}.
+    """
+    r, t = char
+    if N % 4 == 0:
+        return N // 4 - 1 + (r > 0) + (r * t > 0)
+    return (N - 2) // 4 + (r > 0)
+
+
+def group_even(f):
+    """The average of f over R and T."""
+    even = 0.5 * (f + np.roll(f[::-1], 1))
+    return 0.5 * (even + np.roll(even, f.size // 2))
 
 
 def dense_L1(wave, N, potential=lambda v: v):
@@ -87,24 +106,54 @@ def grid_kernel(wave, N, kind):
     return h1 if kind == "L1" else np.concatenate([h1, wave.c * h2])
 
 
-def parity_columns(N, sign):
-    """Dense orthonormal basis of the even (sign 1) or odd (sign -1) grid fields."""
-    half = N // 2
+def character_orbits(N, char):
+    """(a, images, signs) per basis vector of character (r, t).
+
+    images are g a for g = e, R, T, RT and signs the character there; an
+    orbit is kept when the signed sum of its unit vectors is not zero.
+    """
+    r, t = char
+    out = []
+    for a in range(N):
+        images = [a, (-a) % N, (a + N // 2) % N, (N // 2 - a) % N]
+        if a != min(images):
+            continue
+        signs = [1, r, t, r * t]
+        v = np.zeros(N)
+        for i, s in zip(images, signs):
+            v[i] += s
+        if v.any():
+            out.append((a, images, signs))
+    return out
+
+
+def sector_coordinates(f, char):
+    """Coordinates of the grid field f on the basis of character char.
+
+    Each is summed over g = e, R, T, RT in that order, as the library sums.
+    """
+    coords = []
+    for _, images, signs in character_orbits(f.size, char):
+        total = sum(s * f[i] for i, s in zip(images, signs))
+        coords.append(math.sqrt(len(set(images))) / 4.0 * total)
+    return np.array(coords)
+
+
+def parity_columns(N, char):
+    """Dense orthonormal basis of the grid fields of character char = (r, t)."""
     cols = []
-    for a in range(half + 1) if sign > 0 else range(1, half):
+    for _, images, signs in character_orbits(N, char):
         q = np.zeros(N)
-        if a in (0, half):
-            q[a] = 1.0
-        else:
-            q[a], q[N - a] = math.sqrt(0.5), sign * math.sqrt(0.5)
-        cols.append(q)
+        for i, s in zip(images, signs):
+            q[i] += s
+        cols.append(q / np.linalg.norm(q))
     return np.column_stack(cols)
 
 
 def sector_bases(kind, N):
     """Per sector, its basis of the operator's stacked-component grid fields."""
-    return [block_diag(*(parity_columns(N, s) for s in parities))
-            for parities in SECTOR_LAYOUT[kind]]
+    return [block_diag(*(parity_columns(N, c) for c in chars))
+            for chars in SECTOR_LAYOUT[kind]]
 
 
 def grid_matrix(op, N):
@@ -112,21 +161,24 @@ def grid_matrix(op, N):
     return sum(q @ b @ q.T for q, b in zip(sector_bases(op.kind, N), op.blocks))
 
 
-def sector_fold(M, N, parities):
-    """Sector block of a reflection-invariant grid matrix M, read entry by entry.
+def sector_fold(M, N, chars):
+    """Sector block of a grid matrix M commuting with R and T, read entry by entry.
 
-    With I the grid index of each basis vector, J its mirror image and s
-    the sign of its component, entry (i, j) is w_ij (M[I_i, I_j] + s_j
-    M[I_i, J_j]), where w_ij is 1/sqrt 2 per fixed point (0 or N/2) of i and j.
+    With I the grid index of each basis vector, G_g its image under
+    g = e, R, T, RT, chi_g the character of its component at g and |O| its
+    orbit size, entry (i, j) is sqrt(|O_i| |O_j|) / 4 times the sum over g,
+    in that order, of chi_g[j] M[I_i, G_g[j]].
     """
-    I, J, s, w2 = [], [], [], []
-    for comp, sign in enumerate(parities):
-        for a in range(N // 2 + 1) if sign > 0 else range(1, N // 2):
+    I, images, signs, sizes = [], [], [], []
+    for comp, char in enumerate(chars):
+        for a, imgs, sgn in character_orbits(N, char):
             I.append(comp * N + a)
-            J.append(comp * N + (N - a) % N)
-            s.append(sign)
-            w2.append(0.5 if a in (0, N // 2) else 1.0)
-    return np.sqrt(np.outer(w2, w2)) * (M[np.ix_(I, I)] + np.array(s) * M[np.ix_(I, J)])
+            images.append([comp * N + i for i in imgs])
+            signs.append(sgn)
+            sizes.append(len(set(imgs)))
+    images, signs = np.array(images), np.array(signs)
+    total = sum(signs[:, g] * M[np.ix_(I, images[:, g])] for g in range(4))
+    return np.sqrt(np.outer(sizes, sizes)) / 4.0 * total
 
 
 def mean_free_basis(n, parts):
@@ -192,19 +244,19 @@ class TestAssembly:
     def test_L1_kernel_residual(self, op_L1):
         assert eigen_report(op_L1).kernel_residual <= 1e-8
 
-    def test_L1_entries_bit_for_bit(self, wave):
+    @pytest.mark.parametrize("N", [64, 66, 128, 130])
+    def test_L1_entries_bit_for_bit(self, wave, N):
         # exactly the sector blocks of -omega d2 + diag(3 h^2 - 1) with the
-        # potential made even, read entry by entry; kernel h' in the even sector
-        N = 64
+        # potential averaged over R and T, read entry by entry; kernel h' in
+        # the (even, T-odd) sector
         _, h1, _ = sample_wave(wave, N)
-        dense = dense_L1(wave, N, mirror_even)
+        dense = dense_L1(wave, N, group_even)
         m = assemble_L1(wave, N)
-        assert [b.shape for b in m.blocks] == [(N // 2 + 1,) * 2, (N // 2 - 1,) * 2]
-        for block, parities in zip(m.blocks, SECTOR_LAYOUT["L1"]):
-            assert np.array_equal(block, sector_fold(dense, N, parities))
-        half = N // 2
-        even = np.concatenate([[h1[0]], math.sqrt(0.5) * (h1[1:half] + h1[:half:-1]), [h1[half]]])
-        assert np.array_equal(m.kernel_vector, even)
+        layout = SECTOR_LAYOUT["L1"]
+        assert [b.shape for b in m.blocks] == [(sector_size(N, c),) * 2 for (c,) in layout]
+        for block, chars in zip(m.blocks, layout):
+            assert np.array_equal(block, sector_fold(dense, N, chars))
+        assert np.array_equal(m.kernel_vector, sector_coordinates(h1, (1, -1)))
 
     def test_L1_counts(self, op_L1):
         report = eigen_report(op_L1)
@@ -222,21 +274,21 @@ class TestAssembly:
         report = eigen_report(op_Lblock)
         assert (report.n, report.z) == (1, 1)
 
-    def test_Lblock_blocks_bit_for_bit(self, wave):
-        # exactly the sector blocks S+ = (phi even, psi odd) and S- = (phi odd,
-        # psi even) of [[-d2 + diag(3 h^2 - 1), c d1], [-c d1, I]] with the
-        # potential made even; kernel (h', c h'') in S+
-        N = 64
+    @pytest.mark.parametrize("N", [64, 66, 128, 130])
+    def test_Lblock_blocks_bit_for_bit(self, wave, N):
+        # exactly the sector blocks (phi with (r, t), psi with (-r, t)) of
+        # [[-d2 + diag(3 h^2 - 1), c d1], [-c d1, I]] with the potential
+        # averaged over R and T; kernel (h', c h'') in the sector of phi
+        # (even, T-odd)
         _, h1, h2 = sample_wave(wave, N)
-        dense = dense_Lblock(wave, N, mirror_even)
+        dense = dense_Lblock(wave, N, group_even)
         m = assemble_Lblock(wave, N)
-        for block, parities in zip(m.blocks, SECTOR_LAYOUT["Lblock"]):
-            assert block.shape == (N, N)
-            assert np.array_equal(block, sector_fold(dense, N, parities))
-        half = N // 2
-        phi = np.concatenate([[h1[0]], math.sqrt(0.5) * (h1[1:half] + h1[:half:-1]), [h1[half]]])
-        psi = math.sqrt(0.5) * (wave.c * h2[1:half] - wave.c * h2[:half:-1])
-        assert np.array_equal(m.kernel_vector, np.concatenate([phi, psi]))
+        for block, chars in zip(m.blocks, SECTOR_LAYOUT["Lblock"]):
+            assert block.shape == (N // 2, N // 2)
+            assert np.array_equal(block, sector_fold(dense, N, chars))
+        kernel = np.concatenate([sector_coordinates(h1, (1, -1)),
+                                 sector_coordinates(wave.c * h2, (-1, -1))])
+        assert np.array_equal(m.kernel_vector, kernel)
 
     def test_symmetry_enforced(self):
         with pytest.raises(ValueError):
@@ -536,12 +588,18 @@ class TestConstrainedOperators:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_reflector_only_where_a_constant_lives(self, op_L1, op_Lblock):
-        # L1's odd sector has no constant and passes through; every other
-        # sector loses one dimension
-        c1, cb = constrain_zero_mean(op_L1), constrain_zero_mean(op_Lblock)
-        assert c1.blocks[1] is op_L1.blocks[1]
-        assert c1.blocks[0].shape[0] == op_L1.blocks[0].shape[0] - 1
-        assert [b.shape[0] for b in cb.blocks] == [b.shape[0] - 1 for b in op_Lblock.blocks]
+        # the constants live in the T-even sectors: L1's in (even, T-even),
+        # Lblock's in (phi even, T-even) and (psi even, T-even); those lose
+        # one dimension and every other sector, the kernel's included,
+        # passes through as the very block of the operator
+        for op, constant_sectors in ((op_L1, {1}), (op_Lblock, {1, 2})):
+            constrained = constrain_zero_mean(op)
+            for i, (b, parent) in enumerate(zip(constrained.blocks, op.blocks)):
+                if i in constant_sectors:
+                    assert b.shape[0] == parent.shape[0] - 1
+                else:
+                    assert b is parent
+            assert constrained.kernel_vector is op.kernel_vector
 
     def test_coercivity_constant(self, op_Lblock):
         report = eigen_report(constrain_zero_mean(op_Lblock))
@@ -607,8 +665,10 @@ class TestFullReport:
 
     def test_each_operator_assembled_and_diagonalized_once(self, monkeypatch):
         # L1, Lblock and their two constrained companions: one values-only
-        # eigensolve per parity sector, two per operator; the solves behind
-        # D1 and D need no eigenvectors
+        # eigensolve per distinct sector block, four for each of L1 and
+        # Lblock, and only the sectors the constraint changes (one of L1_c,
+        # two of Lblock_c), 11 for 16 blocks; the solves behind D1 and D
+        # need no eigenvectors
         import snoidal.spectral as spectral
 
         calls = dict.fromkeys(("eigh", "eigvalsh", "assemble_L1", "assemble_Lblock"), 0)
@@ -628,7 +688,7 @@ class TestFullReport:
             counted(spectral, name)
         full_report(L_CANON, C_CANON, 128)
         assert calls["eigh"] == 0
-        assert calls["eigvalsh"] == 8
+        assert calls["eigvalsh"] == 11
         assert calls["assemble_L1"] == calls["assemble_Lblock"] == 1
 
 
@@ -648,32 +708,52 @@ def assert_sector_spectra_match_dense(wave, N, tol):
             assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), op.kind
 
 
+def dense_bordered_solve(wave, N, kind, rhs):
+    """x with [[M, k], [k^T, 0]] (x, mu) = (rhs, 0), M the dense grid matrix, k the unit kernel."""
+    dense = dense_L1 if kind == "L1" else dense_Lblock
+    kernel = grid_kernel(wave, N, kind)
+    k = kernel[:, None] / np.linalg.norm(kernel)
+    bordered = np.block([[dense(wave, N), k], [k.T, np.zeros((1, 1))]])
+    return np.linalg.solve(bordered, np.concatenate([rhs, np.zeros((1,) + rhs.shape[1:])]))[:-1]
+
+
 class TestParitySectors:
     """The sector pipeline against the dense grid collocation oracle."""
 
-    @pytest.mark.parametrize("N", [128, 256, 512])
+    @pytest.mark.parametrize("N", [66, 128, 130, 256, 512])
     @pytest.mark.parametrize("L,c", SECTOR_POINTS)
     def test_eigenvalues_match_dense_grid_matrix(self, L, c, N):
         assert_sector_spectra_match_dense(solve_modulus(L, c), N, 1e-14)
 
-    @pytest.mark.parametrize("N", [128, 256, 512])
+    @pytest.mark.parametrize("N", [66, 128, 130, 256, 512])
     @pytest.mark.parametrize("L,c", SECTOR_POINTS)
     def test_constraint_matrices_match_dense_bordered_solve(self, L, c, N):
         # D[i, j] = L * mean of component j of U, with [[M, k], [k^T, 0]]
-        # (U, mu) = (E, 0) on the dense 2N (or N) grid matrix
+        # (U, mu) = (E, 0) on the dense 2N (or N) grid matrix; the pipeline
+        # solves only the T-even sectors that hold the constants
         wave = solve_modulus(L, c)
-        for assemble, dense in ((assemble_L1, dense_L1), (assemble_Lblock, dense_Lblock)):
+        for assemble in (assemble_L1, assemble_Lblock):
             m = assemble(wave, N)
             parts = m.dim // N
-            kernel = grid_kernel(wave, N, m.kind)
-            k = kernel[:, None] / np.linalg.norm(kernel)
-            bordered = np.block([[dense(wave, N), k], [k.T, np.zeros((1, 1))]])
             E = np.kron(np.eye(parts), np.ones((N, 1)))
-            U = np.linalg.solve(bordered, np.vstack([E, np.zeros((1, parts))]))[:-1]
+            U = dense_bordered_solve(wave, N, m.kind, E)
             want = L * U.reshape(parts, N, parts).mean(axis=1).T
             report = eigen_report(m)
             got = D_matrix(report) if parts == 2 else np.array([[D1_numeric(report)]])
-            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("N", [128, 130])
+    @pytest.mark.parametrize("assemble", [assemble_L1, assemble_Lblock], ids=["L1", "Lblock"])
+    def test_general_right_hand_side_matches_dense_bordered_solve(self, wave, assemble, N):
+        # a right-hand side with a part in every sector, the kernel's
+        # included (a multiple of the kernel itself), still borders sector 0
+        m = assemble(wave, N)
+        rng = np.random.default_rng(7)
+        rhs = rng.standard_normal((m.dim, 2))
+        rhs[:, 1] += grid_kernel(wave, N, m.kind)
+        got = solve_in_kernel_complement(eigen_report(m), rhs)
+        want = dense_bordered_solve(wave, N, m.kind, rhs)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(L=st.floats(1.0, 6.0), fraction=st.floats(0.1, 0.9))
@@ -681,58 +761,84 @@ class TestParitySectors:
         c = math.sqrt(1.0 - fraction * L * L / (4.0 * math.pi**2))
         assert_sector_spectra_match_dense(solve_modulus(L, c), 128, 1e-14)
 
+    @pytest.mark.parametrize("N", [64, 66, 128, 130, 256])
+    @pytest.mark.parametrize("L,c", SECTOR_POINTS)
+    def test_half_period_shift_symmetry(self, L, c, N):
+        # the fold rests on h(x + L/2) = -h(x): h' is antiperiodic on the
+        # grid, and the constants have no part, exactly, in a T-odd sector
+        _, h1, _ = sample_wave(solve_modulus(L, c), N)
+        assert np.max(np.abs(np.roll(h1, -(N // 2)) + h1)) <= 1e-12 * np.max(np.abs(h1))
+        for char in ((1, -1), (-1, -1)):
+            assert not np.any(parity_columns(N, char).T @ np.ones(N))
+
     def test_kernel_and_constants_in_their_sectors(self, wave):
-        # (h', c h'') and e1 lie in S+, e2 in S-: the off-diagonal entries of
-        # D vanish by parity, to roundoff on the grid
+        # (h', c h'') lies in the sector of phi (even, T-odd), e1 in that of
+        # phi (even, T-even) and e2 in that of phi (odd, T-even): the
+        # off-diagonal entries of D vanish by parity, to roundoff on the grid
         N = 128
         D = D_matrix(eigen_report(assemble_Lblock(wave, N)))
         assert max(abs(D[0, 1]), abs(D[1, 0])) <= 1e-13 * wave.L
-        for kind, op in (("L1", assemble_L1(wave, N)), ("Lblock", assemble_Lblock(wave, N))):
-            q = sector_bases(kind, N)[0]
-            kernel = grid_kernel(wave, N, kind)
-            assert np.max(np.abs(q @ op.kernel_vector - kernel)) <= 1e-12 * np.max(np.abs(kernel))
+        for op, holds in ((assemble_L1(wave, N), [[0], [1], [0], [0]]),
+                          (assemble_Lblock(wave, N), [[0, 0], [1, 0], [0, 1], [0, 0]])):
+            bases = sector_bases(op.kind, N)
+            kernel = grid_kernel(wave, N, op.kind)
+            scale = np.max(np.abs(kernel))
+            assert np.max(np.abs(bases[0] @ op.kernel_vector - kernel)) <= 1e-12 * scale
+            E = np.kron(np.eye(op.dim // N), np.ones((N, 1)))
+            assert [np.any(q.T @ E != 0.0, axis=0).astype(int).tolist() for q in bases] == holds
 
 
 def lame_edges(wave, N):
-    """The five band edges of L1 as (eigenvalue, eigenfunction, parity) on the grid.
+    """The five band edges of L1 as (eigenvalue, eigenfunction, (r, t)) on the grid.
 
     With y = bx, (1 + k^2) L1 = -d^2/dy^2 + 6 k^2 sn^2 - (1 + k^2) is the
     n = 2 Lame operator (Arscott, 1964): its simple edges are lam0 and the
     top edge (the two quadratic-in-sn^2 pairs), 0 with cn dn, 3 k^2/(1 + k^2)
-    with sn dn and 3/(1 + k^2) with sn cn.  sn is odd and cn, dn are even.
+    with sn dn and 3/(1 + k^2) with sn cn.  sn is odd and cn, dn are even;
+    sn and cn change sign under the half-period shift (u -> u + 2K) and dn
+    does not.
     """
     k2 = wave.k.value ** 2
     sn, cn, dn = jacobi_sn_cn_dn(wave.b * grid_points(wave.L, N), wave.k.value)
     pair0, pair4 = closed_form_eigenpairs(wave, N)
     return [
-        (pair0.lam, pair0.f, 1),
-        (0.0, cn * dn, 1),
-        (3.0 * k2 / (1.0 + k2), sn * dn, -1),
-        (3.0 / (1.0 + k2), sn * cn, -1),
-        (pair4.lam, pair4.f, 1),
+        (pair0.lam, pair0.f, (1, 1)),
+        (0.0, cn * dn, (1, -1)),
+        (3.0 * k2 / (1.0 + k2), sn * dn, (-1, -1)),
+        (3.0 / (1.0 + k2), sn * cn, (-1, 1)),
+        (pair4.lam, pair4.f, (1, 1)),
     ]
 
 
+def sector_spectra(wave, N):
+    """Eigenvalues of each (R, T) sector block of L1, keyed by the sector's character."""
+    op = assemble_L1(wave, N)
+    return {chars[0]: np.linalg.eigvalsh(b) for chars, b in zip(SECTOR_LAYOUT["L1"], op.blocks)}
+
+
 class TestLameEdges:
-    """All five Lame edges of L1, each in the parity sector its eigenfunction predicts."""
+    """All five Lame edges of L1, each in the (R, T) sector its eigenfunction predicts."""
 
     @pytest.mark.parametrize("L,c", SECTOR_POINTS)
     def test_edges_are_grid_eigenpairs_of_their_parity(self, L, c):
         wave = solve_modulus(L, c)
         grid = dense_L1(wave, 256)
-        for lam, f, parity in lame_edges(wave, 256):
+        for lam, f, (r, t) in lame_edges(wave, 256):
             scale = np.max(np.abs(f))
-            assert np.max(np.abs(np.roll(f[::-1], 1) - parity * f)) <= 1e-12 * scale
+            assert np.max(np.abs(np.roll(f[::-1], 1) - r * f)) <= 1e-12 * scale
+            assert np.max(np.abs(np.roll(f, -128) - t * f)) <= 1e-12 * scale
             assert np.max(np.abs(grid @ f - lam * f)) <= 1e-8 * scale
 
     @pytest.mark.parametrize("L,c", SECTOR_POINTS)
     def test_each_edge_found_in_its_sector(self, L, c):
         wave = solve_modulus(L, c)
-        even, odd = (np.linalg.eigvalsh(b) for b in assemble_L1(wave, 256).blocks)
-        for lam, _, parity in lame_edges(wave, 256):
-            mine, other = (even, odd) if parity > 0 else (odd, even)
-            assert np.min(np.abs(mine - lam)) <= 1e-10
-            assert np.min(np.abs(other - lam)) >= 1e-3  # a simple edge: absent there
+        sectors = sector_spectra(wave, 256)
+        for lam, _, char in lame_edges(wave, 256):
+            for other, vals in sectors.items():
+                if other == char:
+                    assert np.min(np.abs(vals - lam)) <= 1e-10
+                else:
+                    assert np.min(np.abs(vals - lam)) >= 1e-3  # a simple edge: absent there
 
     def test_edges_converge_under_grid_doubling(self):
         # a steep wave (fraction 0.06 of the window): the distance of each
@@ -741,8 +847,8 @@ class TestLameEdges:
         wave = solve_modulus(L_CANON, math.sqrt(1.0 - 0.06 * 0.25))
         errors = []
         for N in (16, 32, 64, 128):
-            sectors = dict(zip((1, -1), map(np.linalg.eigvalsh, assemble_L1(wave, N).blocks)))
-            errors.append([np.min(np.abs(sectors[p] - lam)) for lam, _, p in lame_edges(wave, N)])
+            sectors = sector_spectra(wave, N)
+            errors.append([np.min(np.abs(sectors[c] - lam)) for lam, _, c in lame_edges(wave, N)])
         errors = np.array(errors)
         assert np.all(errors[0] >= 1e-2)
         assert np.all(errors[1:] <= np.maximum(errors[:-1] / 50.0, 1e-12))
