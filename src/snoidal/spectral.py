@@ -1,9 +1,9 @@
 """Linearized operators around a snoidal wave and their spectral bookkeeping.
 
 Discretization is Fourier collocation on the uniform N-point grid: the
-spectral differentiation matrices are exact on the resolved trigonometric
-modes, so kernel residuals and eigenvalue matches at the 1e-8 level are
-reachable with N = 256.
+spectral derivatives are exact on the resolved trigonometric modes, so
+kernel residuals and eigenvalue matches at the 1e-8 level are reachable
+with N = 256.
 
 Operators handled here (symmetric):
 
@@ -15,12 +15,15 @@ sn(u + 2K) = -sn(u)), so 3 h^2 has period L/2.  L1 therefore commutes with
 the grid reflection (R f)_j = f_{-j} and with the half-period shift
 (T f)_j = f_{j + N/2}, and Lblock with diag(R, -R) and diag(T, T).  Every
 operator is held as its four (R, T) character sectors, never as the unsplit
-matrix.  The group {e, R, T, RT} splits the grid indices into orbits
-O = {a, -a, a + N/2, -a + N/2} with representatives 0 <= a <= N/4: {0, N/2}
-and, when 4 | N, {N/4, 3N/4} have two points, every other orbit has four.  A
-character chi = (r, t) (R f = r f, T f = t f) has one orthonormal basis
-vector per orbit on which it is trivial where the orbit is fixed,
-q_a = sqrt(|O_a|) / 4 * sum_g chi(g) e_{g a}:
+matrix, in the orthonormal trig modes of the grid,
+
+  cos_n = w_n cos(2 pi n j / N),  n = 0..N/2,
+  sin_n = w_n sin(2 pi n j / N),  n = 1..N/2 - 1,
+
+with w_n = sqrt(1/N) at n = 0 and N/2 and sqrt(2/N) elsewhere.  cos_n is
+R-even and sin_n R-odd, and both have T-character (-1)^n, so a character
+chi = (r, t) (R f = r f, T f = t f) holds the cosines (r even) or the sines
+(r odd) of the wavenumbers of parity t:
 
   L1      four sectors of about N/4 each; at N = 128 (even, T-even) has
           33, (even, T-odd) 32, (odd, T-even) 31 and (odd, T-odd) 32;
@@ -28,23 +31,29 @@ q_a = sqrt(|O_a|) / 4 * sum_g chi(g) e_{g a}:
           with (-r, t).
 
 The sectors are held in the order (even, T-odd), (even, T-even),
-(odd, T-even), (odd, T-odd) of L1 and of Lblock's phi.  Sector 0 holds the
-kernel direction, h' for L1 and (h', c h'') for Lblock, and no constant.  The
-constants are T-even: L1's and the constant of Lblock's phi lie in the
-(even, T-even) sector, the constant of Lblock's psi in the sector whose psi
-is (even, T-even).  The blocks are gathered from the circulant stencils by
-index arithmetic: the entry between basis vectors a and b is
-sqrt(|O_a| |O_b|) / 4 * sum_g chi(g) M[a, g b], chi the column sector's
-character.  h is odd and antiperiodic on the grid only to roundoff, so the
-potential 3 h^2 - 1 is averaged over R and T first.
+(odd, T-even), (odd, T-odd) of L1 and of Lblock's phi, each component's modes
+in ascending n.  Sector 0 holds the kernel direction, h' for L1 (odd-n
+cosines) and (h', c h'') for Lblock (c h'' in the odd-n sines), and no
+constant.  A component's constant is its n = 0 cosine: L1's and the
+constant of Lblock's phi lie in the (even, T-even) sector, the constant of
+Lblock's psi in the sector whose psi is (even, T-even).
 
-Zero-mean companions: in each sector that holds a constant, one Householder
-reflector maps the sector's first basis vector to the constant, and deleting
-that index compresses onto the mean-free vectors; the other sectors pass
-through, the very blocks of the operator.  The constrained operator of the
-paper also subtracts the rank-one mean coupling (3/L) (h^2, .) from the
-first component; its range is the constant vector, which the compression
-annihilates, so the compression alone yields the constrained operator.
+In these modes the derivatives are diagonal: -d2/dx2 is xi_n^2 with xi from
+`waves.wavenumbers`, and d/dx maps cos_n to -xi_n sin_n and sin_n to
+xi_n cos_n (the Nyquist cosine to zero, as the grid D1 does).  The
+potential v = 3 h^2 - 1 couples modes n and m by
+(1/2) w_n w_m (V[|n - m|] +/- V[min(n + m, N - n - m)]), V = Re rfft(v), +
+between cosines and - between sines.  Only the cosine sums of v enter, so
+its R-odd roundoff drops out, and only even n +/- m, so its T-odd roundoff
+does too.
+
+Zero-mean companions: the mean-free fields are the span of every mode but
+the n = 0 cosines, so constraining deletes that row and column in each
+sector that holds a constant; the other sectors pass through, the very
+blocks of the operator.  The constrained operator of the paper also
+subtracts the rank-one mean coupling (3/L) (h^2, .) from the first
+component; its range is the constant vector, which the deletion
+annihilates, so the deletion alone yields the constrained operator.
 
 `eigen_report` is the only eigensolve in this module and the only place
 eigenvalues are classified as negative or zero: one values-only eigensolve
@@ -53,7 +62,8 @@ constrained operator's pass-through sectors reuse its parent's
 eigenvalues).  The counts and the coercivity constant read those
 eigenvalues.  The solves behind D1 and the matrix D need no eigenvectors
 and no bordering: the constants have no part in the kernel sector, so only
-the T-even sectors that hold them are solved, plainly.  A general
+the T-even sectors that hold them are solved, plainly, for right-hand
+sides of sqrt(N) at the n = 0 cosines.  A general
 right-hand side borders sector 0 with its known kernel direction.
 
 The constrained Morse index is cross-checked two ways: directly from the
@@ -71,7 +81,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import complete_E, complete_K
-from .waves import WaveParameters, grid_points, sample_wave, solve_modulus
+from .waves import WaveParameters, grid_points, sample_wave, solve_modulus, wavenumbers
 
 __all__ = [
     "EigenSolveError",
@@ -183,14 +193,15 @@ class ClosedFormEigenpair:
     f: np.ndarray
 
 
-def _stencils(N: int, L: float) -> tuple[np.ndarray, np.ndarray]:
-    """First columns of the circulant spectral D1 and D2 on the N-point grid.
+def fourier_diff_matrices(N: int, L: float) -> tuple[np.ndarray, np.ndarray]:
+    """Dense spectral differentiation matrices (D1, D2) on the N-point grid.
 
-    Entries are the classic cot / csc^2 stencils for period 2*pi, rescaled
+    Circulants of the classic cot / csc^2 stencils for period 2*pi, rescaled
     to period L, and mirrored explicitly so that D1 is exactly antisymmetric
     and D2 exactly symmetric in floating point.  D1 maps the unresolved
     sawtooth (Nyquist) mode to zero; D2 keeps it with its cosine eigenvalue
-    -(pi N / L)^2.
+    -(pi N / L)^2.  The spectral pipeline never forms them; they are the
+    dense grid oracle that the sector assembly is checked against.
     """
     grid_points(L, N)  # the grid rule: N even and >= 16, L > 0
     half = N // 2
@@ -206,25 +217,11 @@ def _stencils(N: int, L: float) -> tuple[np.ndarray, np.ndarray]:
     c2[half + 1:] = c2[half - 1:0:-1]
     c1[half] = 0.0  # cot(pi/2) = 0; keeps the sawtooth annihilated
     scale = 2.0 * math.pi / L
-    return c1 * scale, c2 * (scale * scale)
-
-
-def fourier_diff_matrices(N: int, L: float) -> tuple[np.ndarray, np.ndarray]:
-    """Dense spectral differentiation matrices (D1, D2) on the N-point grid.
-
-    The circulants of `_stencils`: entry (i, j) is the stencil at i - j mod
-    N.  The spectral pipeline never forms them; they are the dense grid
-    oracle that the sector assembly is checked against.
-    """
-    s1, s2 = _stencils(N, L)
     idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
-    return s1[idx], s2[idx]
+    return (c1 * scale)[idx], (c2 * (scale * scale))[idx]
 
 
 EVEN, ODD = 1, -1  # signs of a character (r, t): R f = r f and T f = t f
-
-# The group {e, R, T, RT} as index maps j -> s j + h N/2 (mod N), in this order.
-_GROUP = ((1, 0), (-1, 0), (1, 1), (-1, 1))
 
 # Character of the first component in each sector; sector 0 holds the kernel
 # direction.  Lblock's psi carries (-r, t).
@@ -236,72 +233,51 @@ _LAYOUT = {KIND_L1: tuple(((r, t),) for r, t in _SECTORS),
 _CONSTRAINED = {KIND_L1: KIND_L1_CONSTRAINED, KIND_LBLOCK: KIND_LBLOCK_CONSTRAINED}
 
 
-def _sector_basis(N: int, char: tuple) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """(a, size, chi): orbit representative and orbit size of each basis vector of one sector.
+def _modes(N: int, char: tuple) -> tuple[np.ndarray, bool, np.ndarray]:
+    """(n, sine, w): the trig modes of character (r, t) on the N-point grid.
 
-    chi lists the character (r, t) over `_GROUP`.  R fixes the orbit
-    {0, N/2}, RT fixes {N/4, 3N/4} when 4 | N; these have size 2, the others
-    size 4.  An orbit carries a basis vector only if chi is 1 on the group
-    elements that fix it.
+    n lists their wavenumbers, those of parity t in 0..N/2, sine tells
+    whether they are sines (r odd; no sine at n = 0 or N/2) or cosines, and
+    w holds their unit-norm weights, sqrt(1/N) at n = 0 and N/2 and
+    sqrt(2/N) elsewhere.
     """
     r, t = char
-    a = np.arange(N // 4 + 1)
-    by_r, by_rt = a == 0, 2 * a == N // 2
-    keep = ~(by_r & (r == ODD)) & ~(by_rt & (r * t == ODD))
-    return a[keep], np.where(by_r | by_rt, 2, 4)[keep], (1, r, t, r * t)
+    n = np.arange(int(t == ODD), N // 2 + 1, 2)
+    sine = r == ODD
+    if sine:
+        n = n[(n > 0) & (n < N // 2)]
+    w = np.where((n == 0) | (n == N // 2), math.sqrt(1.0 / N), math.sqrt(2.0 / N))
+    return n, sine, w
 
 
-def _images(a: np.ndarray, N: int) -> list[np.ndarray]:
-    """g a mod N for each g of `_GROUP`."""
-    return [(s * a + h * (N // 2)) % N for s, h in _GROUP]
+def _constants(N: int, chars: tuple) -> list[tuple[int, int]]:
+    """(component, row) in one sector of each component's unit constant.
 
-
-def _fold(col: np.ndarray, diag, rows: tuple, cols: tuple) -> np.ndarray:
-    """Block between two sectors of M[i, j] = col[i - j] (+ diag[i] where i = j).
-
-    rows and cols are `_sector_basis` triples.  For M commuting with the
-    group, entry (a, b) is sqrt(|O_a| |O_b|) / 4 * sum_g chi(g) M[a, g b],
-    chi the column sector's character, indices mod N, so only those entries
-    of M are gathered.
+    The constant is the n = 0 cosine, the first mode of character
+    (even, T-even); the other characters hold none.
     """
-    (a, size_a, _), (b, size_b, chi) = rows, cols
-    N = col.size
-    a = a[:, None]
-    total = 0.0
-    for sign, j in zip(chi, _images(b, N)):
-        m = col[(a - j) % N]
-        if diag is not None:
-            m = m + np.where(a == j, diag[a], 0.0)
-        total = total + sign * m
-    return np.sqrt(np.outer(size_a, size_b)) / 4.0 * total
+    sizes = [_modes(N, char)[0].size for char in chars]
+    return [(i, sum(sizes[:i])) for i, char in enumerate(chars) if char == (EVEN, EVEN)]
 
 
-def _group_average(f: np.ndarray) -> np.ndarray:
-    """The average of a grid field over R and T: bitwise invariant under both."""
-    even = 0.5 * (f + np.roll(f[::-1], 1))
-    return 0.5 * (even + np.roll(even, f.size // 2))
-
-
-def _basis_scale(size: np.ndarray, ndim: int) -> np.ndarray:
-    """sqrt(|O|) / 4 per basis vector, shaped to broadcast over ndim axes.
-
-    q_a = sqrt(|O_a|) / 4 * sum_g chi(g) e_{g a} meets each point of an orbit
-    of size 2 twice, which the smaller scale makes up for.
-    """
-    return (np.sqrt(size) / 4.0).reshape((-1,) + (1,) * (ndim - 1))
+def _columns(w: np.ndarray, ndim: int) -> np.ndarray:
+    """w shaped to scale the rows of an array of ndim axes."""
+    return w.reshape((-1,) + (1,) * (ndim - 1))
 
 
 def _to_sector(f: np.ndarray, chars: tuple) -> np.ndarray:
-    """Coordinates in one sector of the grid field f (its components stacked, columns kept)."""
+    """Coordinates in one sector of the grid field f (its components stacked, columns kept).
+
+    The coordinate of a mode is w (Re, -Im) of f's rfft at its wavenumber,
+    Re for a cosine and -Im for a sine.
+    """
     parts = np.split(f, len(chars))
     N = parts[0].shape[0]
     out = []
     for g, char in zip(parts, chars):
-        a, size, chi = _sector_basis(N, char)
-        total = 0.0
-        for sign, j in zip(chi, _images(a, N)):
-            total = total + sign * g[j]
-        out.append(_basis_scale(size, g.ndim) * total)
+        n, sine, w = _modes(N, char)
+        F = np.fft.rfft(g, axis=0)[n]
+        out.append(_columns(w, g.ndim) * (-F.imag if sine else F.real))
     return np.concatenate(out)
 
 
@@ -309,57 +285,72 @@ def _to_grid(u: np.ndarray, chars: tuple, N: int) -> np.ndarray:
     """The grid field of sector coordinates u: the inverse of `_to_sector` on that sector."""
     out, start = [], 0
     for char in chars:
-        a, size, chi = _sector_basis(N, char)
-        g = _basis_scale(size, u.ndim) * u[start:start + a.size]
-        f = np.zeros((N,) + u.shape[1:])
-        for sign, j in zip(chi, _images(a, N)):
-            f[j] += sign * g  # each g maps the representatives to distinct points
-        out.append(f)
-        start += a.size
+        n, sine, w = _modes(N, char)
+        coef = u[start:start + n.size] / _columns(w, u.ndim)
+        F = np.zeros((N // 2 + 1,) + u.shape[1:], dtype=complex)
+        F[n] = -1j * coef if sine else coef
+        out.append(np.fft.irfft(F, n=N, axis=0))
+        start += n.size
     return np.concatenate(out)
+
+
+def _potential(V: np.ndarray, n: np.ndarray, sine: bool, w: np.ndarray) -> np.ndarray:
+    """Block of the multiplication by v between the modes (n, sine, w), V = Re rfft(v).
+
+    Entry (n, m) is (1/2) w_n w_m (V[|n - m|] +/- V[min(n + m, N - n - m)]),
+    + between cosines and - between sines: bit-symmetric by construction.
+    """
+    N = 2 * (V.size - 1)
+    total = n[:, None] + n[None, :]
+    wrapped = V[np.minimum(total, N - total)]
+    diff = V[np.abs(n[:, None] - n[None, :])]
+    return 0.5 * np.outer(w, w) * (diff - wrapped if sine else diff + wrapped)
 
 
 def assemble_L1(wave: WaveParameters, N: int) -> OperatorMatrix:
     """(R, T) sectors of -omega d2/dx2 - 1 + 3 h^2, with h' as expected kernel."""
     h, h1, _ = sample_wave(wave, N)
-    _, s2 = _stencils(N, wave.L)
-    col, v = -wave.omega * s2, _group_average(3.0 * h * h - 1.0)
+    xi = wavenumbers(wave.L, N)
+    V = np.fft.rfft(3.0 * h * h - 1.0).real
     blocks = []
     for (char,) in _LAYOUT[KIND_L1]:
-        basis = _sector_basis(N, char)
-        blocks.append(_fold(col, v, basis, basis))
+        n, sine, w = _modes(N, char)
+        blocks.append(np.diag(wave.omega * xi[n] ** 2) + _potential(V, n, sine, w))
     return OperatorMatrix(KIND_L1, wave.L, tuple(blocks), _to_sector(h1, _LAYOUT[KIND_L1][0]))
 
 
 def assemble_Lblock(wave: WaveParameters, N: int) -> OperatorMatrix:
-    """(R, T) sectors of the pair operator, with kernel (h', c h'')."""
+    """(R, T) sectors of the pair operator, with kernel (h', c h'').
+
+    The coupling c d/dx joins phi's mode to psi's of the same wavenumber,
+    +c xi_n from a psi sine to a phi cosine and -c xi_n from a psi cosine
+    to a phi sine; psi's block is the identity.
+    """
     h, h1, h2 = sample_wave(wave, N)
-    s1, s2 = _stencils(N, wave.L)
-    v, cd1 = _group_average(3.0 * h * h - 1.0), wave.c * s1
+    xi = wavenumbers(wave.L, N)
+    V = np.fft.rfft(3.0 * h * h - 1.0).real
     blocks = []
     for phi, psi in _LAYOUT[KIND_LBLOCK]:
-        bphi, bpsi = _sector_basis(N, phi), _sector_basis(N, psi)
-        top = _fold(cd1, None, bphi, bpsi)
-        blocks.append(np.block([[_fold(-s2, v, bphi, bphi), top],
-                                [top.T, np.eye(top.shape[1])]]))
+        n, sine, w = _modes(N, phi)
+        n_psi = _modes(N, psi)[0]
+        coupling = (-wave.c if sine else wave.c) * xi[n]
+        top = np.where(n[:, None] == n_psi[None, :], coupling[:, None], 0.0)
+        blocks.append(np.block([[np.diag(xi[n] ** 2) + _potential(V, n, sine, w), top],
+                                [top.T, np.eye(n_psi.size)]]))
     kernel = _to_sector(np.concatenate([h1, wave.c * h2]), _LAYOUT[KIND_LBLOCK][0])
     return OperatorMatrix(KIND_LBLOCK, wave.L, tuple(blocks), kernel)
 
 
 def constrain_zero_mean(M: OperatorMatrix) -> OperatorMatrix:
-    """Zero-mean companion: B M B with index 0 deleted, in each sector that holds a constant.
+    """Zero-mean companion: each n = 0 cosine's row and column deleted from its sector.
 
-    In such a sector B = I - v v^T with v = sqrt(2) (u - e_0) / |u - e_0|
-    and u the sector's unit constant: B is symmetric, orthogonal and maps
-    e_0 to u, so its other columns are an orthonormal mean-free basis.
-    With P = M v and W = P - v (v^T P) / 2, B M B = M - (v W^T + W v^T),
-    exactly symmetric.  A sector without a constant (every T-odd one, and
+    The remaining modes of such a sector are an orthonormal basis of its
+    mean-free fields.  A sector without a constant (every T-odd one, and
     L1's odd T-even one) passes through as the very block of M; sector 0
     is one of them, so the kernel direction is kept.  The rank-one mean
     coupling p -> (3/L) (h^2, p) of the constrained operator has the
-    constant as its range, which B maps to the deleted index, so it is not
-    formed, and quadratic forms of the two operators agree on mean-free
-    vectors.
+    constant as its range, which the deletion removes, so it is not formed,
+    and quadratic forms of the two operators agree on mean-free vectors.
     """
     if M.kind not in _CONSTRAINED:
         raise ValueError(f"cannot constrain operator of kind {M.kind}")
@@ -367,17 +358,8 @@ def constrain_zero_mean(M: OperatorMatrix) -> OperatorMatrix:
     N = M.dim // len(layout[0])
     blocks = []
     for m, chars in zip(M.blocks, layout):
-        u = _to_sector(np.ones(N * len(chars)), chars)  # exactly zero off the trivial character
-        if not u.any():
-            blocks.append(m)
-            continue
-        v = u / np.linalg.norm(u)
-        v[0] -= 1.0
-        v *= math.sqrt(2.0) / np.linalg.norm(v)
-        P = m @ v
-        W = (P - 0.5 * v * (v @ P))[1:]
-        X = np.outer(v[1:], W)
-        blocks.append(m[1:, 1:] - (X + X.T))
+        rows = [row for _, row in _constants(N, chars)]
+        blocks.append(np.delete(np.delete(m, rows, axis=0), rows, axis=1) if rows else m)
     return OperatorMatrix(_CONSTRAINED[M.kind], M.L, tuple(blocks), M.kernel_vector)
 
 
@@ -442,19 +424,12 @@ def D1_closed(wave: WaveParameters) -> float:
     return -wave.L * (1.0 + k2) / (1.0 - k2) ** 2 * bracket
 
 
-def solve_in_kernel_complement(report: SpectralReport, rhs: np.ndarray) -> np.ndarray:
-    """Solve M x + mu k = rhs on the grid with x orthogonal to the kernel direction k of M.
+def _kernel_column(report: SpectralReport) -> np.ndarray:
+    """The unit kernel direction that borders sector 0, once the report passes every solve guard.
 
-    rhs and x are grid fields (components stacked), one vector (dim,) or
-    several columns (dim, m); M is L1 or Lblock.  Each sector solves for its
-    part of rhs, and a sector whose part is exactly zero (the constants'
-    part in every T-odd sector) is skipped.  Sector 0 holds k, the
-    operator's unit kernel_vector, so its bordered system
-    [[M0, k], [k^T, 0]] (x0, mu) = (rhs0, 0) is nonsingular whenever M0 has
-    a one-dimensional kernel not orthogonal to k; mu absorbs the part of rhs
-    along the kernel.  The other sectors are nonsingular and take a plain
-    solve.  The report's eigenvalues guard the solve: exactly one must be
-    classified zero, and the rest must clear 1e3 tau_zero.
+    The operator must be L1 or Lblock; exactly one eigenvalue must be
+    classified zero, the rest must clear 1e3 tau_zero, and the kernel
+    direction must not vanish.
     """
     vals, tau_zero, op = report.eigenvalues, report.tau_zero, report.operator
     if op.kind not in _LAYOUT:
@@ -473,38 +448,67 @@ def solve_in_kernel_complement(report: SpectralReport, rhs: np.ndarray) -> np.nd
     norm = np.linalg.norm(op.kernel_vector)
     if norm == 0.0:
         raise SingularSystemError(f"kind {op.kind} carries no kernel direction to border with")
-    k = op.kernel_vector[:, None] / norm
-    layout = _LAYOUT[op.kind]
-    N = op.dim // len(layout[0])
-    x = np.zeros(np.shape(rhs))
+    return op.kernel_vector[:, None] / norm
+
+
+def _solve_sector(op: OperatorMatrix, sector: int, rhs: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Solve one sector block of op for rhs (sector coordinates), bordering sector 0 with k.
+
+    Sector 0 holds the unit kernel direction k, so its bordered system
+    [[M0, k], [k^T, 0]] (x0, mu) = (rhs0, 0) is nonsingular whenever M0 has
+    a one-dimensional kernel not orthogonal to k; mu absorbs the part of rhs
+    along the kernel.  The other sectors are nonsingular and take a plain
+    solve.
+    """
+    m = op.blocks[sector]
     try:
-        for sector, (m, chars) in enumerate(zip(op.blocks, layout)):
-            r = _to_sector(rhs, chars)
-            if not r.any():
-                continue
-            if sector == 0:
-                bordered = np.block([[m, k], [k.T, np.zeros((1, 1))]])
-                u = np.linalg.solve(bordered, np.concatenate([r, np.zeros((1,) + r.shape[1:])]))
-                u = u[:-1]
-            else:
-                u = np.linalg.solve(m, r)
-            x += _to_grid(u, chars, N)
+        if sector == 0:
+            bordered = np.block([[m, k], [k.T, np.zeros((1, 1))]])
+            pad = np.zeros((1,) + rhs.shape[1:])
+            return np.linalg.solve(bordered, np.concatenate([rhs, pad]))[:-1]
+        return np.linalg.solve(m, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"bordered solve failed for kind {op.kind}: {exc}") from exc
-    return x
+
+
+def solve_in_kernel_complement(report: SpectralReport, rhs: np.ndarray) -> np.ndarray:
+    """Solve M x + mu k = rhs on the grid with x orthogonal to the kernel direction k of M.
+
+    rhs and x are grid fields (components stacked), one vector (dim,) or
+    several columns (dim, m); M is L1 or Lblock.  Each sector solves for its
+    part of rhs, sector 0 bordered with k (see `_solve_sector`).  The
+    report's eigenvalues guard the solve: exactly one must be classified
+    zero, and the rest must clear 1e3 tau_zero.
+    """
+    k = _kernel_column(report)
+    op = report.operator
+    layout = _LAYOUT[op.kind]
+    N = op.dim // len(layout[0])
+    return sum(_to_grid(_solve_sector(op, sector, _to_sector(rhs, chars), k), chars, N)
+               for sector, chars in enumerate(layout))
 
 
 def _constraint_matrix(report: SpectralReport) -> np.ndarray:
-    """D[i, j] = (M^{-1} e_i, e_j): L * (per-component mean of U) with M U = E.
+    """D[i, j] = (M^{-1} e_i, e_j) over the constants e_i of M's N-point components.
 
-    E holds the constant of each N-point component of M (one for L1, two for
-    Lblock), and U is the grid solution, so the entries that vanish by
-    parity are measured rather than assumed.
+    e_i is sqrt(N) times its component's n = 0 cosine, and each sector
+    holds at most one constant, so only the sectors that hold one are
+    solved, and D[i, i] is the grid inner product (L/N) (u_i, e_i) there.
+    Constants in different sectors are orthogonal under M^{-1}, so the
+    other entries are zero.
     """
-    parts = len(_LAYOUT[report.operator.kind][0])
-    N = report.eigenvalues.size // parts
-    U = solve_in_kernel_complement(report, np.kron(np.eye(parts), np.ones((N, 1))))
-    return report.operator.L * U.reshape(parts, N, parts).mean(axis=1).T
+    k = _kernel_column(report)
+    op = report.operator
+    layout = _LAYOUT[op.kind]
+    parts = len(layout[0])
+    N = op.dim // parts
+    D = np.zeros((parts, parts))
+    for sector, chars in enumerate(layout):
+        for comp, row in _constants(N, chars):
+            e = np.zeros(op.blocks[sector].shape[0])
+            e[row] = math.sqrt(N)
+            D[comp, comp] = op.L / N * (_solve_sector(op, sector, e, k) @ e)
+    return D
 
 
 def D1_numeric(report: SpectralReport) -> float:

@@ -60,45 +60,40 @@ def unit_source_solution_closed(wave, N):
 # independently of the library: the character (r, t) of each N-point
 # component per sector (R f = r f with (R f)_j = f_{-j}, T f = t f with
 # (T f)_j = f_{j + N/2}; sector 0 holds the kernel), and each sector's dense
-# orthonormal basis, one vector per orbit {a, -a, a + N/2, -a + N/2} of the
-# grid indices, led by its smallest index a.
+# orthonormal basis of trig modes: cos(2 pi n j / N) is R-even, sin is
+# R-odd, and both have T-character (-1)^n.
 SECTOR_LAYOUT = {
     "L1": (((1, -1),), ((1, 1),), ((-1, 1),), ((-1, -1),)),
     "Lblock": (((1, -1), (-1, -1)), ((1, 1), (-1, 1)), ((-1, 1), (1, 1)), ((-1, -1), (1, -1))),
 }
 
 
-def sector_size(N, char):
-    """Dimension of the grid fields of character char, counted by hand.
+def trig_columns(N, char):
+    """(n, Q): wavenumbers and dense orthonormal basis of the grid fields of character char.
 
-    4 | N: the two-point orbits {0, N/2} (fixed by R) and {N/4, 3N/4} (fixed
-    by RT) carry the characters trivial there.  N = 2 (mod 4): only {0, N/2}.
+    The columns are the cosines (r even) or sines (r odd) of the wavenumbers
+    n of parity t in 0..N/2, ascending; a sine vanishes at n = 0 and N/2.
     """
     r, t = char
-    if N % 4 == 0:
-        return N // 4 - 1 + (r > 0) + (r * t > 0)
-    return (N - 2) // 4 + (r > 0)
+    n = np.array([m for m in range(N // 2 + 1) if (-1) ** m == t and (r > 0 or 0 < m < N // 2)])
+    angle = 2.0 * math.pi * np.outer(np.arange(N), n) / N
+    q = np.cos(angle) if r > 0 else np.sin(angle)
+    return n, q / np.linalg.norm(q, axis=0)
 
 
-def group_even(f):
-    """The average of f over R and T."""
-    even = 0.5 * (f + np.roll(f[::-1], 1))
-    return 0.5 * (even + np.roll(even, f.size // 2))
-
-
-def dense_L1(wave, N, potential=lambda v: v):
-    """-omega D2 + diag(3 h^2 - 1) on the grid; potential maps 3 h^2 - 1 first."""
+def dense_L1(wave, N):
+    """-omega D2 + diag(3 h^2 - 1) on the grid."""
     h, _, _ = sample_wave(wave, N)
     _, d2 = fourier_diff_matrices(N, wave.L)
-    return -wave.omega * d2 + np.diag(potential(3.0 * h * h - 1.0))
+    return -wave.omega * d2 + np.diag(3.0 * h * h - 1.0)
 
 
-def dense_Lblock(wave, N, potential=lambda v: v):
+def dense_Lblock(wave, N):
     """[[-D2 + diag(3 h^2 - 1), c D1], [-c D1, I]] on the grid."""
     h, _, _ = sample_wave(wave, N)
     d1, d2 = fourier_diff_matrices(N, wave.L)
     cd1 = wave.c * d1
-    return np.block([[-d2 + np.diag(potential(3.0 * h * h - 1.0)), cd1], [cd1.T, np.eye(N)]])
+    return np.block([[-d2 + np.diag(3.0 * h * h - 1.0), cd1], [cd1.T, np.eye(N)]])
 
 
 def grid_kernel(wave, N, kind):
@@ -106,53 +101,9 @@ def grid_kernel(wave, N, kind):
     return h1 if kind == "L1" else np.concatenate([h1, wave.c * h2])
 
 
-def character_orbits(N, char):
-    """(a, images, signs) per basis vector of character (r, t).
-
-    images are g a for g = e, R, T, RT and signs the character there; an
-    orbit is kept when the signed sum of its unit vectors is not zero.
-    """
-    r, t = char
-    out = []
-    for a in range(N):
-        images = [a, (-a) % N, (a + N // 2) % N, (N // 2 - a) % N]
-        if a != min(images):
-            continue
-        signs = [1, r, t, r * t]
-        v = np.zeros(N)
-        for i, s in zip(images, signs):
-            v[i] += s
-        if v.any():
-            out.append((a, images, signs))
-    return out
-
-
-def sector_coordinates(f, char):
-    """Coordinates of the grid field f on the basis of character char.
-
-    Each is summed over g = e, R, T, RT in that order, as the library sums.
-    """
-    coords = []
-    for _, images, signs in character_orbits(f.size, char):
-        total = sum(s * f[i] for i, s in zip(images, signs))
-        coords.append(math.sqrt(len(set(images))) / 4.0 * total)
-    return np.array(coords)
-
-
-def parity_columns(N, char):
-    """Dense orthonormal basis of the grid fields of character char = (r, t)."""
-    cols = []
-    for _, images, signs in character_orbits(N, char):
-        q = np.zeros(N)
-        for i, s in zip(images, signs):
-            q[i] += s
-        cols.append(q / np.linalg.norm(q))
-    return np.column_stack(cols)
-
-
 def sector_bases(kind, N):
     """Per sector, its basis of the operator's stacked-component grid fields."""
-    return [block_diag(*(parity_columns(N, c) for c in chars))
+    return [block_diag(*(trig_columns(N, c)[1] for c in chars))
             for chars in SECTOR_LAYOUT[kind]]
 
 
@@ -161,24 +112,15 @@ def grid_matrix(op, N):
     return sum(q @ b @ q.T for q, b in zip(sector_bases(op.kind, N), op.blocks))
 
 
-def sector_fold(M, N, chars):
-    """Sector block of a grid matrix M commuting with R and T, read entry by entry.
-
-    With I the grid index of each basis vector, G_g its image under
-    g = e, R, T, RT, chi_g the character of its component at g and |O| its
-    orbit size, entry (i, j) is sqrt(|O_i| |O_j|) / 4 times the sum over g,
-    in that order, of chi_g[j] M[I_i, G_g[j]].
-    """
-    I, images, signs, sizes = [], [], [], []
-    for comp, char in enumerate(chars):
-        for a, imgs, sgn in character_orbits(N, char):
-            I.append(comp * N + a)
-            images.append([comp * N + i for i in imgs])
-            signs.append(sgn)
-            sizes.append(len(set(imgs)))
-    images, signs = np.array(images), np.array(signs)
-    total = sum(signs[:, g] * M[np.ix_(I, images[:, g])] for g in range(4))
-    return np.sqrt(np.outer(sizes, sizes)) / 4.0 * total
+def constant_row(N, chars):
+    """Row of the n = 0 cosine, the unit constant, in one sector; None where it holds none."""
+    offset = 0
+    for char in chars:
+        n, _ = trig_columns(N, char)
+        if char == (1, 1):
+            return offset + int(np.flatnonzero(n == 0)[0])
+        offset += n.size
+    return None
 
 
 def mean_free_basis(n, parts):
@@ -245,18 +187,22 @@ class TestAssembly:
         assert eigen_report(op_L1).kernel_residual <= 1e-8
 
     @pytest.mark.parametrize("N", [64, 66, 128, 130])
-    def test_L1_entries_bit_for_bit(self, wave, N):
-        # exactly the sector blocks of -omega d2 + diag(3 h^2 - 1) with the
-        # potential averaged over R and T, read entry by entry; kernel h' in
-        # the (even, T-odd) sector
+    def test_L1_blocks_match_trig_projection(self, wave, N):
+        # the sector blocks are Q^T M Q of M = -omega d2 + diag(3 h^2 - 1)
+        # on each sector's trig modes Q, to roundoff; kernel h' in the
+        # (even, T-odd) sector
         _, h1, _ = sample_wave(wave, N)
-        dense = dense_L1(wave, N, group_even)
+        dense = dense_L1(wave, N)
         m = assemble_L1(wave, N)
-        layout = SECTOR_LAYOUT["L1"]
-        assert [b.shape for b in m.blocks] == [(sector_size(N, c),) * 2 for (c,) in layout]
-        for block, chars in zip(m.blocks, layout):
-            assert np.array_equal(block, sector_fold(dense, N, chars))
-        assert np.array_equal(m.kernel_vector, sector_coordinates(h1, (1, -1)))
+        bases = sector_bases("L1", N)
+        assert [b.shape[0] for b in m.blocks] == [q.shape[1] for q in bases]
+        assert sum(b.shape[0] for b in m.blocks) == N
+        if N == 128:
+            assert [b.shape[0] for b in m.blocks] == [32, 33, 31, 32]
+        for block, q in zip(m.blocks, bases):
+            assert np.max(np.abs(block - q.T @ dense @ q)) <= 1e-13 * np.max(np.abs(dense))
+        kernel = bases[0].T @ h1
+        assert np.max(np.abs(m.kernel_vector - kernel)) <= 1e-13 * np.max(np.abs(h1))
 
     def test_L1_counts(self, op_L1):
         report = eigen_report(op_L1)
@@ -275,20 +221,32 @@ class TestAssembly:
         assert (report.n, report.z) == (1, 1)
 
     @pytest.mark.parametrize("N", [64, 66, 128, 130])
-    def test_Lblock_blocks_bit_for_bit(self, wave, N):
-        # exactly the sector blocks (phi with (r, t), psi with (-r, t)) of
-        # [[-d2 + diag(3 h^2 - 1), c d1], [-c d1, I]] with the potential
-        # averaged over R and T; kernel (h', c h'') in the sector of phi
-        # (even, T-odd)
+    def test_Lblock_blocks_match_trig_projection(self, wave, N):
+        # the sector blocks (phi with (r, t), psi with (-r, t)) are Q^T M Q of
+        # M = [[-d2 + diag(3 h^2 - 1), c d1], [-c d1, I]], to roundoff; kernel
+        # (h', c h'') in the sector of phi (even, T-odd)
         _, h1, h2 = sample_wave(wave, N)
-        dense = dense_Lblock(wave, N, group_even)
+        dense = dense_Lblock(wave, N)
         m = assemble_Lblock(wave, N)
-        for block, chars in zip(m.blocks, SECTOR_LAYOUT["Lblock"]):
+        bases = sector_bases("Lblock", N)
+        for block, q in zip(m.blocks, bases):
             assert block.shape == (N // 2, N // 2)
-            assert np.array_equal(block, sector_fold(dense, N, chars))
-        kernel = np.concatenate([sector_coordinates(h1, (1, -1)),
-                                 sector_coordinates(wave.c * h2, (-1, -1))])
-        assert np.array_equal(m.kernel_vector, kernel)
+            assert np.max(np.abs(block - q.T @ dense @ q)) <= 1e-13 * np.max(np.abs(dense))
+        kernel = bases[0].T @ np.concatenate([h1, wave.c * h2])
+        assert np.max(np.abs(m.kernel_vector - kernel)) <= 1e-13 * np.max(np.abs(kernel))
+
+    @pytest.mark.parametrize("N", [64, 66, 128, 130])
+    def test_Lblock_exact_parts(self, wave, N):
+        # psi's block is exactly I, and c d/dx couples phi and psi only on
+        # matched wavenumbers: exactly zero elsewhere, the n = 0 and Nyquist
+        # cosines included
+        m = assemble_Lblock(wave, N)
+        for block, (phi, psi) in zip(m.blocks, SECTOR_LAYOUT["Lblock"]):
+            (n_phi, _), (n_psi, _) = trig_columns(N, phi), trig_columns(N, psi)
+            top = block[:n_phi.size, n_phi.size:]
+            assert np.array_equal(block[n_phi.size:, n_phi.size:], np.eye(n_psi.size))
+            assert not np.any(top[n_phi[:, None] != n_psi[None, :]])
+            assert np.all(top[n_phi[:, None] == n_psi[None, :]] != 0.0)
 
     def test_symmetry_enforced(self):
         with pytest.raises(ValueError):
@@ -407,6 +365,17 @@ class TestD1:
             d_num = D1_numeric(eigen_report(assemble_L1(w, n_grid)))
             assert abs(d_num - d_closed) / abs(d_closed) <= 1e-6
 
+    @pytest.mark.parametrize("N", [256, 512])
+    @pytest.mark.parametrize("L,fraction", [(2.0, 0.1), (5.0, 0.15), (1.2, 0.15)])
+    def test_numeric_matches_closed_to_roundoff(self, L, fraction, N):
+        # steep waves on fine grids: D1 agrees with its closed form to
+        # roundoff, well inside the 1e-6 of the tests above
+        c = math.sqrt(1.0 - fraction * L * L / (4.0 * math.pi**2))
+        w = solve_modulus(L, c)
+        d_closed = D1_closed(w)
+        d_num = D1_numeric(eigen_report(assemble_L1(w, N)))
+        assert abs(d_num - d_closed) / abs(d_closed) <= 1e-10
+
     def test_solution_orthogonal_to_kernel(self, wave, op_L1):
         f = solve_in_kernel_complement(eigen_report(op_L1), np.ones(256))
         h1 = grid_kernel(wave, 256, "L1")
@@ -485,6 +454,24 @@ class TestDMatrix:
         want = (wave.L / n) * (solve_in_kernel_complement(report, E).T @ E)
         got = D_matrix(report) if assemble is assemble_Lblock else D1_numeric(report)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("N", [128, 130])
+    def test_one_solve_per_sector_holding_a_constant(self, wave, monkeypatch, N):
+        # D solves only the sectors of phi (even, T-even) and psi
+        # (even, T-even), D1 only L1's (even, T-even), whether 4 divides N
+        # or not
+        reports = [eigen_report(assemble(wave, N)) for assemble in (assemble_Lblock, assemble_L1)]
+        solve, calls = np.linalg.solve, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        D_matrix(reports[0])
+        assert len(calls) == 2
+        D1_numeric(reports[1])
+        assert len(calls) == 3
 
     def test_identity_block_row(self, wave):
         # Lblock (0, 1) = (0, 1), so the lower-right entry is the plain
@@ -587,18 +574,22 @@ class TestConstrainedOperators:
         got = eigen_report(constrained).eigenvalues
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_reflector_only_where_a_constant_lives(self, op_L1, op_Lblock):
-        # the constants live in the T-even sectors: L1's in (even, T-even),
-        # Lblock's in (phi even, T-even) and (psi even, T-even); those lose
-        # one dimension and every other sector, the kernel's included,
-        # passes through as the very block of the operator
+    def test_constant_mode_deleted_only_where_it_lives(self, op_L1, op_Lblock):
+        # the constants are the n = 0 cosines of the T-even sectors: L1's in
+        # (even, T-even), Lblock's in (phi even, T-even) and (psi even,
+        # T-even); those lose exactly that row and column, and every other
+        # sector, the kernel's included, passes through as the very block
+        # of the operator
+        N = 256
         for op, constant_sectors in ((op_L1, {1}), (op_Lblock, {1, 2})):
             constrained = constrain_zero_mean(op)
             for i, (b, parent) in enumerate(zip(constrained.blocks, op.blocks)):
-                if i in constant_sectors:
-                    assert b.shape[0] == parent.shape[0] - 1
-                else:
+                row = constant_row(N, SECTOR_LAYOUT[op.kind][i])
+                assert (row is not None) == (i in constant_sectors)
+                if row is None:
                     assert b is parent
+                else:
+                    assert np.array_equal(b, np.delete(np.delete(parent, row, 0), row, 1))
             assert constrained.kernel_vector is op.kernel_vector
 
     def test_coercivity_constant(self, op_Lblock):
@@ -765,16 +756,18 @@ class TestParitySectors:
     @pytest.mark.parametrize("L,c", SECTOR_POINTS)
     def test_half_period_shift_symmetry(self, L, c, N):
         # the fold rests on h(x + L/2) = -h(x): h' is antiperiodic on the
-        # grid, and the constants have no part, exactly, in a T-odd sector
+        # grid, and the constants have no part, to roundoff, in a T-odd
+        # sector, whose modes are the odd-n cosines and sines
         _, h1, _ = sample_wave(solve_modulus(L, c), N)
         assert np.max(np.abs(np.roll(h1, -(N // 2)) + h1)) <= 1e-12 * np.max(np.abs(h1))
         for char in ((1, -1), (-1, -1)):
-            assert not np.any(parity_columns(N, char).T @ np.ones(N))
+            assert np.max(np.abs(trig_columns(N, char)[1].T @ np.ones(N))) <= 1e-13 * math.sqrt(N)
 
     def test_kernel_and_constants_in_their_sectors(self, wave):
         # (h', c h'') lies in the sector of phi (even, T-odd), e1 in that of
         # phi (even, T-even) and e2 in that of phi (odd, T-even): the
-        # off-diagonal entries of D vanish by parity, to roundoff on the grid
+        # off-diagonal entries of D vanish by parity.  A constant has the
+        # part sqrt(N) in its sector and only roundoff in the others.
         N = 128
         D = D_matrix(eigen_report(assemble_Lblock(wave, N)))
         assert max(abs(D[0, 1]), abs(D[1, 0])) <= 1e-13 * wave.L
@@ -785,7 +778,8 @@ class TestParitySectors:
             scale = np.max(np.abs(kernel))
             assert np.max(np.abs(bases[0] @ op.kernel_vector - kernel)) <= 1e-12 * scale
             E = np.kron(np.eye(op.dim // N), np.ones((N, 1)))
-            assert [np.any(q.T @ E != 0.0, axis=0).astype(int).tolist() for q in bases] == holds
+            held = [np.any(np.abs(q.T @ E) > 1e-12 * math.sqrt(N), axis=0) for q in bases]
+            assert [h.astype(int).tolist() for h in held] == holds
 
 
 def lame_edges(wave, N):
