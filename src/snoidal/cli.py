@@ -10,8 +10,8 @@ evolve     run the (projected) flow, write the trace CSV
            `t,E,F,mean_phi,mean_phidot,orbit_distance` plus a metadata JSON
 stability  evolve + record the measured ratio max orbit distance / eps
 sweep      fan a key=value config file (comma lists expand to a cartesian
-           product) over a worker pool of at most one process per job; one
-           output file set per job
+           product) over a worker pool of at most one process per batch;
+           one output file set per job
 
 Exit codes: 0 success, 2 invalid parameters, 3 internal consistency
 violation, 4 blow-up (blow-up time goes to stderr).  Flags are checked
@@ -22,6 +22,14 @@ steps, seed nonnegative, eps nonnegative and finite (positive for
 stability), sweep --workers at least 1.  A sweep job that fails, even on
 its flags, is reported with its exit code and the other jobs still run; a
 job that raises an exception counts as exit 1.
+
+A sweep checks every job's flags before any job runs.  evolve/stability
+jobs that differ only in eps, seed and --out form a group, run through
+`run_experiment` as one trajectory batch (the members on a leading array
+axis), and each job still writes the bytes of its solo run; a member that
+blows up exits 4 alone.  With W workers a group of J jobs splits into
+min(W, J) batches; a batch that raises anything else reruns its jobs one by
+one, so that a failure stays with its own job.
 Only `wave` takes --format; the other commands write the one format they
 have.
 
@@ -123,17 +131,30 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def cmd_evolve(args) -> int:
-    wave = solve_modulus(args.L, args.c)
-    perturbation = None
-    if args.eps > 0.0:
-        perturbation = perturbation_random(wave.L, args.N, args.seed)
-    nsteps = horizon_steps(args.T, args.dt)
-    sample_every = max(1, nsteps // 500)
-    trace = run_experiment(
-        wave, perturbation, args.eps, args.T, args.dt, sample_every,
-        N=args.N, projected=args.projected,
+def _evolve_batch(group: list) -> list:
+    """Evolve jobs that differ only in eps, seed and --out as one trajectory batch.
+
+    Returns (wave, sample_every, trace or BlowUpError) per job, in order; each
+    trace is bit for bit the one the job gets alone.
+    """
+    lead = group[0]
+    wave = solve_modulus(lead.L, lead.c)
+    sample_every = max(1, horizon_steps(lead.T, lead.dt) // 500)
+    perturbations = [perturbation_random(wave.L, job.N, job.seed) if job.eps > 0.0 else None
+                     for job in group]
+    outcomes = run_experiment(
+        wave, perturbations, [job.eps for job in group], lead.T, lead.dt, sample_every,
+        N=lead.N, projected=lead.projected,
     )
+    return [(wave, sample_every, outcome) for outcome in outcomes]
+
+
+def cmd_evolve(args, run=None) -> int:
+    """Write one job's trace and metadata; `run` is its entry of an
+    `_evolve_batch`, and None evolves the job alone."""
+    wave, sample_every, trace = run or _evolve_batch([args])[0]
+    if isinstance(trace, BlowUpError):
+        raise trace
     _write_csv(args.out + ".csv", TRACE_COLUMNS, trace.samples)
     extra = {"sample_every": sample_every}
     if args.command == "stability":
@@ -172,8 +193,8 @@ def _parse_sweep_config(path: str) -> list[dict]:
     return jobs
 
 
-def _run_sweep_job(payload: tuple[int, dict, str]) -> tuple[int, int, str]:
-    idx, job, out_prefix = payload
+def _check_sweep_job(parser, idx: int, job: dict, out_prefix: str):
+    """Parse and check one job's flags: (args or None, exit code, argv text)."""
     argv = [job["command"]]
     for key, value in job.items():
         if key == "command":
@@ -183,27 +204,78 @@ def _run_sweep_job(payload: tuple[int, dict, str]) -> tuple[int, int, str]:
         else:
             argv.extend([f"--{key}", value])
     argv.extend(["--out", f"{out_prefix}_{idx:04d}"])
+    text = " ".join(argv)
     try:
-        code = main(argv)
+        args = parser.parse_args(argv)
+        _check_args(args)
     except SystemExit:  # argparse rejected the job's keys and printed why
-        code = 2
-    except Exception as exc:  # one job's failure must not stop the others
-        print(f"sweep job {idx} raised {type(exc).__name__}: {exc}", file=sys.stderr)
-        code = 1
-    return idx, code, " ".join(argv)
+        return None, 2, text
+    except _DOCUMENTED as exc:
+        return None, _report(exc), text
+    return args, 0, text
+
+
+def _work_units(checked: list, workers: int) -> list:
+    """Split the checked (idx, args, argv text) jobs into batches.
+
+    evolve/stability jobs that differ only in eps, seed and --out form a
+    group, and a group of J jobs splits into min(workers, J) contiguous
+    batches, so that grouping never idles a worker; every other job runs
+    alone.
+    """
+    groups: dict = {}
+    for idx, args, text in checked:
+        key = (idx,)
+        if args.command in ("evolve", "stability"):
+            key = tuple(sorted((k, v) for k, v in vars(args).items()
+                               if k not in ("eps", "seed", "out")))
+        groups.setdefault(key, []).append((idx, args, text))
+    units = []
+    for group in groups.values():
+        parts = min(workers, len(group))
+        units.extend(group[i * len(group) // parts:(i + 1) * len(group) // parts]
+                     for i in range(parts))
+    return units
+
+
+def _run_sweep_job(unit: list) -> list[tuple[int, int, str]]:
+    """Run one batch of checked (idx, args, argv text) jobs: (idx, exit code, argv text) each."""
+    runs = [None] * len(unit)
+    if len(unit) > 1:
+        try:
+            runs = _evolve_batch([args for _, args, _ in unit])
+        except Exception:  # each job reruns alone, so that a failure stays its own
+            pass
+    results = []
+    for (idx, args, text), run in zip(unit, runs):
+        try:
+            code = _dispatch(args, run)
+        except Exception as exc:  # one job's failure must not stop the others
+            print(f"sweep job {idx} raised {type(exc).__name__}: {exc}", file=sys.stderr)
+            code = 1
+        results.append((idx, code, text))
+    return results
 
 
 def cmd_sweep(args) -> int:
-    jobs = _parse_sweep_config(args.config)
-    payloads = [(i, job, args.out) for i, job in enumerate(jobs)]
-    workers = min(args.workers, len(jobs))  # a pool starts all its workers at once
+    parser = build_parser()
+    results, checked = [], []
+    for idx, job in enumerate(_parse_sweep_config(args.config)):
+        job_args, code, text = _check_sweep_job(parser, idx, job, args.out)
+        if job_args is None:
+            results.append((idx, code, text))
+        else:
+            checked.append((idx, job_args, text))
+    units = _work_units(checked, args.workers)
+    workers = min(args.workers, len(units))  # a pool starts all its workers at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_sweep_job, payloads))
+            done = list(pool.map(_run_sweep_job, units))
     else:
-        results = [_run_sweep_job(p) for p in payloads]
+        done = [_run_sweep_job(unit) for unit in units]
+    results.extend(result for unit in done for result in unit)
     worst = 0
-    for idx, code, argv in results:
+    for idx, code, argv in sorted(results):
         if code != 0:
             print(f"sweep job {idx} failed with exit {code}: {argv}", file=sys.stderr)
             worst = max(worst, code)
@@ -248,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("config", type=str, help="key = value file; comma lists sweep")
     p_sweep.add_argument("--out", type=str, default=None, help="output path prefix")
     p_sweep.add_argument("--workers", type=int, default=1,
-                         help="worker pool size (>= 1, capped at the job count)")
+                         help="worker pool size (>= 1, capped at the batch count)")
     return parser
 
 
@@ -262,7 +334,7 @@ def _check_args(args) -> None:
     if args.command == "sweep":
         if args.workers < 1:
             raise ValueError(f"--workers must be at least 1, got {args.workers}")
-        return  # each job is checked when it runs
+        return  # cmd_sweep checks each job's flags before any job runs
     min_N = 64 if args.command == "spectrum" else 16
     if args.N < min_N or args.N % 2 != 0:
         raise ValueError(f"--N must be even and at least {min_N}, got {args.N}")
@@ -286,6 +358,30 @@ _DISPATCH = {
 }
 
 
+_DOCUMENTED = (BlowUpError, IndexMismatchError, SingularSystemError, EigenSolveError,
+               OutOfRangeError, ModulusBoundaryError, ValueError)
+
+
+def _report(exc: Exception) -> int:
+    """Print the stderr line of a documented failure; returns its exit code."""
+    if isinstance(exc, BlowUpError):
+        print(f"blow-up at t = {_fmt(exc.time)}: {exc}", file=sys.stderr)
+        return 4
+    if isinstance(exc, (IndexMismatchError, SingularSystemError, EigenSolveError)):
+        print(f"internal consistency violation: {exc}", file=sys.stderr)
+        return 3
+    print(f"invalid parameters: {exc}", file=sys.stderr)
+    return 2
+
+
+def _dispatch(args, run=None) -> int:
+    """Run checked flags; `run` is the job's entry of an `_evolve_batch`, if any."""
+    try:
+        return _DISPATCH[args.command](args) if run is None else cmd_evolve(args, run)
+    except _DOCUMENTED as exc:
+        return _report(exc)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -293,16 +389,9 @@ def main(argv=None) -> int:
         args.out = f"snoidal_{args.command}"
     try:
         _check_args(args)
-        return _DISPATCH[args.command](args)
-    except BlowUpError as exc:
-        print(f"blow-up at t = {_fmt(exc.time)}: {exc}", file=sys.stderr)
-        return 4
-    except (IndexMismatchError, SingularSystemError, EigenSolveError) as exc:
-        print(f"internal consistency violation: {exc}", file=sys.stderr)
-        return 3
-    except (OutOfRangeError, ModulusBoundaryError, ValueError) as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return 2
+    except _DOCUMENTED as exc:
+        return _report(exc)
+    return _dispatch(args)
 
 
 if __name__ == "__main__":

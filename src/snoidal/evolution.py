@@ -17,6 +17,15 @@ CFL restriction from phi_xx.
 state as the rfft coefficients (ph, pt) of (phi, phi_t), with wavenumbers
 xi_n = 2 pi n / L, n = 0..N/2, from `waves.wavenumbers`.
 
+The state may carry a leading batch axis: (B, N/2 + 1) coefficients hold B
+trajectories on one grid, one per row, and (N/2 + 1,) ones are the B = 1
+case of the same code.  `advance`, `conserved` and the orbit distance work
+row by row -- FFTs and sums run over the last axis -- so each row gets the
+same bits it would get alone, and a batch pays numpy's call overhead once
+for all its rows.  `run_experiment` evolves several (eps, perturbation)
+members of one wave as such a batch; a member that leaves the sup-norm
+ceiling drops out at its own blow-up time and the others go on.
+
 Each trace row is one pass over those coefficients.  `conserved` reads
 them with Parseval sums and one irfft for integral(phi^4).  The orbit
 distance uses the energy-space norm ||(p, q)||^2 = integral(p^2 + p_x^2) +
@@ -57,11 +66,12 @@ _CEILING_FACTOR = 10.0  # run_experiment's blow-up ceiling, in units of max |h|
 
 
 class BlowUpError(RuntimeError):
-    """Sup-norm ceiling exceeded; carries the blow-up time."""
+    """Sup-norm ceiling exceeded; carries the blow-up time and the batch row."""
 
-    def __init__(self, message: str, time: float):
+    def __init__(self, message: str, time: float, member: int = 0):
         super().__init__(message)
         self.time = time
+        self.member = member
 
 
 @dataclass(frozen=True)
@@ -101,7 +111,8 @@ class SplitStepper:
     """Strang splitting with precomputed per-mode linear rotations.
 
     One instance is bound to (L, N, dt, projected); `ceiling` bounds
-    ||phi||_inf and trips BlowUpError when exceeded during a kick.  The
+    ||phi||_inf of every batch row and trips BlowUpError, naming the first
+    row over it, when exceeded during a kick.  The
     rotation of mode 0 is cosh/sinh unprojected and zero when projected,
     so one linear flow serves every mode.
     """
@@ -126,7 +137,11 @@ class SplitStepper:
             cos = np.cos(om * tau)
             sin = np.sin(om * tau)
             ch, sh = (0.0, 0.0) if projected else (math.cosh(tau), math.sinh(tau))
-            self._rot[tag] = (np.r_[ch, cos], np.r_[sh, sin / om], np.r_[sh, -sin * om])
+            # stored complex: numpy multiplies a real array into a complex one
+            # by casting it to complex first, so the bits are the same, but
+            # the cast costs a buffered pass per product
+            self._rot[tag] = tuple(np.asarray(np.r_[a, b], dtype=complex) for a, b in
+                                   ((ch, cos), (sh, sin / om), (sh, -sin * om)))
 
     def _linear(self, ph, pt, tag):
         cos, sin_over, neg_sin_times = self._rot[tag]
@@ -134,22 +149,31 @@ class SplitStepper:
 
     def _kick(self, ph, pt, t):
         phi = np.fft.irfft(ph, self.N)
-        sup = float(np.max(np.abs(phi)))
-        if not sup <= self.ceiling:  # NaN trips it too
-            raise BlowUpError(
-                f"||phi||_inf = {sup:.6g} exceeded ceiling {self.ceiling:.6g} at t = {t:.6g}",
-                time=t,
-            )
-        force = np.fft.rfft(phi * phi * phi)
+        phi_sq = phi * phi
+        # sqrt(fl(x^2)) = |x| in binary64 away from under- and overflow, so
+        # this is max |phi| over the batch, read off the square the cube needs
+        if not math.sqrt(phi_sq.max()) <= self.ceiling:  # NaN trips it too
+            self._trip(phi, t)
+        force = np.fft.rfft(phi_sq * phi)
         if self.projected:
-            force[0] = 0.0  # subtracting the mean of phi^3, exactly
+            force[..., 0] = 0.0  # subtracting the mean of phi^3, exactly
         return ph, pt - self.dt * force
+
+    def _trip(self, phi, t):
+        """Raise BlowUpError for the first row whose exact max |phi| is over the ceiling."""
+        for member, sup in enumerate(np.max(np.abs(phi), axis=-1).reshape(-1).tolist()):
+            if not sup <= self.ceiling:
+                raise BlowUpError(
+                    f"||phi||_inf = {sup:.6g} exceeded ceiling {self.ceiling:.6g} at t = {t:.6g}",
+                    time=t, member=member,
+                )
 
     def advance(self, ph, pt, nsteps: int, t0: float):
         """nsteps Strang steps from time t0, fusing interior half flows.
 
-        ph, pt are the rfft coefficients of (phi, phi_t); new arrays are
-        returned and the inputs are left untouched.
+        ph, pt are the rfft coefficients of (phi, phi_t), of shape
+        (N/2 + 1,) or (B, N/2 + 1); new arrays are returned and the inputs
+        are left untouched.  BlowUpError.member names the tripping row.
         """
         if nsteps < 1:
             return ph, pt
@@ -167,23 +191,25 @@ def _h1_semi_sq(values: np.ndarray, L: float) -> float:
     return float(np.sum(w * (xi * np.abs(np.fft.rfft(values))) ** 2))
 
 
-def conserved(ph: np.ndarray, pt: np.ndarray, L: float) -> tuple[float, float, float, float]:
+def conserved(ph: np.ndarray, pt: np.ndarray, L: float) -> tuple:
     """(E, F, mean phi, mean phi_t) of the state with rfft coefficients (ph, pt).
 
     E = 1/2 integral(phi_x^2 + phi_t^2 - phi^2 + phi^4 / 2), F = integral(phi_x
-    phi_t) on N = 2 (len(ph) - 1) points.  Quadratic terms are Parseval sums;
-    phi_x keeps the Nyquist mode in E, as `ynorm_sq` does, and drops it in F,
-    as the spectral derivative of `spectral.fourier_diff_matrices` does.
-    integral(phi^4) takes one irfft.
+    phi_t) on N = 2 (ph.shape[-1] - 1) points.  Quadratic terms are Parseval
+    sums; phi_x keeps the Nyquist mode in E, as `ynorm_sq` does, and drops it
+    in F, as the spectral derivative of `spectral.fourier_diff_matrices`
+    does.  integral(phi^4) takes one irfft.  A (B, N/2 + 1) batch gives four
+    arrays of B values, a single state four floats.
     """
-    N = 2 * (ph.size - 1)
+    N = 2 * (ph.shape[-1] - 1)
     xi, w = _modes(L, N)
     phi_sq = np.fft.irfft(ph, N) ** 2  # squared twice: phi**4 is a slow pow
     quadratic = (xi * xi - 1.0) * (ph.real**2 + ph.imag**2) + pt.real**2 + pt.imag**2
-    energy = 0.5 * (float(np.sum(w * quadratic)) + 0.5 * L / N * float(np.sum(phi_sq * phi_sq)))
+    energy = 0.5 * (np.sum(w * quadratic, axis=-1)
+                    + 0.5 * L / N * np.sum(phi_sq * phi_sq, axis=-1))
     flux = w * xi * (ph.real * pt.imag - ph.imag * pt.real)
-    momentum = float(np.sum(flux[:-1]))
-    return energy, momentum, float(ph[0].real) / N, float(pt[0].real) / N
+    values = (energy, np.sum(flux[..., :-1], axis=-1), ph[..., 0].real / N, pt[..., 0].real / N)
+    return tuple(map(float, values)) if ph.ndim == 1 else values
 
 
 def ynorm_sq(p: np.ndarray, q: np.ndarray, L: float) -> float:
@@ -201,41 +227,63 @@ class _OrbitDistance:
         self.hthat = wave.c * np.fft.rfft(h1)
         self.xi, self.weight = _modes(wave.L, h.size)
         self.sobolev = 1.0 + self.xi * self.xi
+        # Complex factors of the complex products.  numpy multiplies a real
+        # array into a complex one by casting it to complex first, so these
+        # give the same bits without the cast's extra pass.
+        self.ixi = 1j * self.xi
+        self.cross_factors = (self.sobolev.astype(complex), np.conj(self.hhat),
+                              np.conj(self.hthat), self.weight.astype(complex))
 
-    def __call__(self, ph: np.ndarray, pt: np.ndarray) -> float:
-        """Distance of the state with rfft coefficients (ph, pt) to the orbit."""
-        N, L = self.N, self.L
+    def __call__(self, ph: np.ndarray, pt: np.ndarray):
+        """Distance of the state with rfft coefficients (ph, pt) to the orbit.
 
-        def dist_sq(s: float) -> float:
-            # Stable form: difference per mode first, then square, so the
-            # result has no cancellation floor near the orbit.
-            phase = np.exp(1j * self.xi * s)
-            dp = ph * phase - self.hhat
-            dq = pt * phase - self.hthat
-            return float(np.sum(self.weight * (
-                self.sobolev * (dp.real**2 + dp.imag**2) + dq.real**2 + dq.imag**2
-            )))
-
+        A (B, N/2 + 1) batch gives an array of B distances, a single state a
+        float.  Each Newton iteration takes one exp and two row sums for the
+        whole batch; the per-row stop and bracket bookkeeping is scalar.
+        """
+        N, L, xi, ixi = self.N, self.L, self.xi, self.ixi
+        sobolev, hhat_conj, hthat_conj, weight = self.cross_factors
+        single = ph.ndim == 1
+        ph, pt = np.atleast_2d(ph), np.atleast_2d(pt)
         # Coarse pass: one irfft gives G at every grid shift (it supplies the
         # conjugate modes, so no Parseval weights); the exact grid shift, whose
         # phase is exactly representable, stays in the candidate set.
-        cross = self.sobolev * ph * np.conj(self.hhat) + pt * np.conj(self.hthat)
-        j = int(np.argmax(np.fft.irfft(cross, N)))
-        lo, hi = (j - 1) * L / N, (j + 1) * L / N
-        # Newton on G'(s) = 0 inside the grid bracket; z holds the terms of G(s).
-        wcross = self.weight * cross
-        s = grid_shift = j * L / N
+        cross = sobolev * ph * hhat_conj + pt * hthat_conj
+        best = np.argmax(np.fft.irfft(cross, N), axis=-1).tolist()
+        grid = [j * L / N for j in best]
+        bracket = [((j - 1) * L / N, (j + 1) * L / N) for j in best]
+        # Newton on G'(s) = 0 inside each row's grid bracket; z holds the
+        # terms of G(s).
+        wcross = weight * cross
+        s = list(grid)
+        live = list(range(len(s)))
         for _ in range(_NEWTON_STEPS):
-            z = wcross * np.exp(1j * self.xi * s)
-            slope = -float(np.sum(self.xi * z.imag))
-            curvature = -float(np.sum(self.xi * self.xi * z.real))
-            if not curvature < 0.0:
-                break  # no maximum of G to step toward
-            step = min(max(s - slope / curvature, lo), hi) - s
-            s += step
-            if abs(step) <= 1e-15 * L:
+            z = wcross * np.exp(ixi * np.array(s)[:, None])
+            slopes = (xi * z.imag).sum(axis=-1).tolist()
+            curvatures = (xi * xi * z.real).sum(axis=-1).tolist()
+            for b in list(live):
+                slope, curvature = -slopes[b], -curvatures[b]
+                if not curvature < 0.0:
+                    live.remove(b)  # no maximum of G to step toward
+                    continue
+                lo, hi = bracket[b]
+                step = min(max(s[b] - slope / curvature, lo), hi) - s[b]
+                s[b] += step
+                if abs(step) <= 1e-15 * L:
+                    live.remove(b)
+            if not live:
                 break
-        return math.sqrt(min(dist_sq(s), dist_sq(grid_shift)))
+        # dist_sq at the Newton shift and at the grid shift, in the stable
+        # form: difference per mode first, then square, so the result has no
+        # cancellation floor near the orbit.
+        phase = np.exp(ixi * np.array([s, grid])[..., None])
+        dp = ph * phase - self.hhat
+        dq = pt * phase - self.hthat
+        dist_sq = np.sum(self.weight * (
+            self.sobolev * (dp.real**2 + dp.imag**2) + dq.real**2 + dq.imag**2
+        ), axis=-1).tolist()
+        dist = [math.sqrt(min(a, b)) for a, b in zip(*dist_sq)]
+        return dist[0] if single else np.array(dist)
 
 
 def orbit_distance(phi: np.ndarray, phidot: np.ndarray, wave: WaveParameters) -> float:
@@ -288,54 +336,100 @@ def horizon_steps(T: float, dt: float) -> int:
     return int(round(steps))
 
 
+def _lone_row_1d(rows: np.ndarray) -> np.ndarray:
+    """A batch of one row as a 1-D array: numpy broadcasts (1, n) arrays more slowly."""
+    return rows[0] if len(rows) == 1 else rows
+
+
 def run_experiment(
     wave: WaveParameters,
-    perturbation: tuple[np.ndarray, np.ndarray] | None,
-    eps: float,
+    perturbation,
+    eps,
     T: float,
     dt: float,
     sample_every: int,
     N: int = 256,
     projected: bool = True,
-) -> EvolutionTrace:
+):
     """Evolve (h, c h') + eps * perturbation and record the orbit diagnostics.
 
     Samples at t = 0 and every `sample_every` steps; each row holds
     (t, E, F, mean phi, mean phi_t, orbit distance).  T must be a whole
     number of dt steps (see :func:`horizon_steps`), and the perturbation a
-    pair of (N,) arrays on the wave's grid.  Blow-up, ||phi||_inf above
-    _CEILING_FACTOR max |h| during the run, propagates as BlowUpError.
+    pair of (N,) arrays on the wave's grid or None.  Blow-up, ||phi||_inf
+    above _CEILING_FACTOR max |h| during the run, propagates as BlowUpError.
+
+    A sequence of amplitudes for `eps`, with one perturbation (or None) per
+    amplitude in `perturbation`, evolves those members as one batch and
+    returns a list holding each member's EvolutionTrace, or the BlowUpError
+    it would have raised alone: a member that trips leaves the batch at its
+    own time, and the others redo the current sample block from its start.
+    Every member's trace is bit for bit the one it gets alone.
     """
-    if not 0.0 <= eps < math.inf:
-        raise ValueError(f"perturbation amplitude must be nonnegative and finite, got {eps}")
+    batched = np.ndim(eps) == 1
+    if not batched:
+        members = [(eps, perturbation)]
+    elif len(eps) == len(perturbation) > 0:
+        members = list(zip(eps, perturbation))
+    else:
+        raise ValueError(f"a batch needs one perturbation per amplitude and at least one "
+                         f"member, got {len(eps)} and {len(perturbation)}")
+    for amplitude, _ in members:
+        if not 0.0 <= amplitude < math.inf:
+            raise ValueError(f"perturbation amplitude must be nonnegative and finite, "
+                             f"got {amplitude}")
     nsteps = horizon_steps(T, dt)
     if sample_every < 1:
         raise ValueError(f"sample_every must be at least 1, got {sample_every}")
     h, h1, _ = sample_wave(wave, N)
-    phi = h
-    phidot = wave.c * h1
-    if perturbation is not None and eps != 0.0:
-        p, q = perturbation
-        if np.shape(p) != (N,) or np.shape(q) != (N,):
-            raise ValueError(f"perturbation shapes {np.shape(p)}, {np.shape(q)} "
-                             f"do not match the wave grid ({N},)")
-        phi = phi + eps * p
-        phidot = phidot + eps * q
+    phis, phidots = [], []
+    for amplitude, pair in members:
+        phi = h
+        phidot = wave.c * h1
+        if pair is not None and amplitude != 0.0:
+            p, q = pair
+            if np.shape(p) != (N,) or np.shape(q) != (N,):
+                raise ValueError(f"perturbation shapes {np.shape(p)}, {np.shape(q)} "
+                                 f"do not match the wave grid ({N},)")
+            phi = phi + amplitude * p
+            phidot = phidot + amplitude * q
+        phis.append(phi)
+        phidots.append(phidot)
 
     ceiling = _CEILING_FACTOR * float(np.max(np.abs(h)))
     stepper = SplitStepper(wave.L, N, dt, projected, ceiling)
     distance = _OrbitDistance(wave, h, h1)
+    rows = [[] for _ in members]
+    outcomes = [None] * len(members)
+    live = list(range(len(members)))  # the member held in each batch row
 
-    def sample_row(t, ph, pt):
-        return (t, *conserved(ph, pt, wave.L), distance(ph, pt))
+    def sample(t, ph, pt):
+        values = np.array([*conserved(ph, pt, wave.L), distance(ph, pt)])
+        for member, row in zip(live, values.reshape(len(TRACE_COLUMNS) - 1, -1).T.tolist()):
+            rows[member].append((t, *row))
 
-    ph = np.fft.rfft(phi)
-    pt = np.fft.rfft(phidot)
-    rows = [sample_row(0.0, ph, pt)]
+    ph = _lone_row_1d(np.fft.rfft(np.array(phis)))
+    pt = _lone_row_1d(np.fft.rfft(np.array(phidots)))
+    sample(0.0, ph, pt)
     done = 0
     while done < nsteps:
         block = min(sample_every, nsteps - done)
-        ph, pt = stepper.advance(ph, pt, block, done * dt)
+        try:
+            ph_next, pt_next = stepper.advance(ph, pt, block, done * dt)
+        except BlowUpError as exc:
+            outcomes[live.pop(exc.member)] = exc
+            if not live:
+                break
+            ph = _lone_row_1d(np.delete(ph, exc.member, axis=0))
+            pt = _lone_row_1d(np.delete(pt, exc.member, axis=0))
+            continue
+        ph, pt = ph_next, pt_next
         done += block
-        rows.append(sample_row(done * dt, ph, pt))
-    return EvolutionTrace(np.array(rows))
+        sample(done * dt, ph, pt)
+    for member in live:
+        outcomes[member] = EvolutionTrace(np.array(rows[member]))
+    if batched:
+        return outcomes
+    if isinstance(outcomes[0], BlowUpError):
+        raise outcomes[0]
+    return outcomes[0]

@@ -221,10 +221,10 @@ def test_criterion_10_conservation():
 def test_criterion_11_orbital_stability():
     wave = solve_modulus(math.pi, 0.95)
     perturbation = perturbation_random(wave.L, N_GRID, seed=2026)
-    ratios = []
-    for eps in (1e-3, 5e-4):
-        trace = run_experiment(wave, perturbation, eps, 100.0, 1e-3, 500, N=N_GRID)
-        ratios.append(float(np.max(trace.column("orbit_distance"))) / eps)
+    amplitudes = (1e-3, 5e-4)
+    traces = run_experiment(wave, [perturbation] * 2, amplitudes, 100.0, 1e-3, 500, N=N_GRID)
+    ratios = [float(np.max(trace.column("orbit_distance"))) / eps
+              for trace, eps in zip(traces, amplitudes)]
     bounded = ratios[0] <= 50.0
     linear = max(ratios) / min(ratios) < 2.0
     ok = bounded and linear

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, file outputs, determinism, sweep fan-out."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -363,3 +364,143 @@ class TestSweepRobustness:
         assert code == 2
         assert "--workers must be at least 1" in capsys.readouterr().err
         assert list(tmp_path.glob("wk*")) == []
+
+
+class TestSweepBatching:
+    """evolve/stability jobs that differ only in eps, seed and --out run as one batch."""
+
+    BASE = "L = 3.14159\nc = 0.95\nN = 64\nT = 0.2\ndt = 1e-3\n"
+
+    @staticmethod
+    def record_units(monkeypatch):
+        units = []
+        real = cli._run_sweep_job
+
+        def recording(unit):
+            units.append([idx for idx, _, _ in unit])
+            return real(unit)
+
+        monkeypatch.setattr(cli, "_run_sweep_job", recording)
+        return units
+
+    @staticmethod
+    def solo(argv_text, out):
+        """Run one sweep job's flags alone, writing to `out`."""
+        argv = argv_text.split()
+        argv[argv.index("--out") + 1] = str(out)
+        return cli.main(argv)
+
+    @staticmethod
+    def failures(err):
+        """{job index: (exit code, argv text)} of a sweep's failure lines."""
+        return {int(i): (int(code), text) for i, code, text in
+                re.findall(r"^sweep job (\d+) failed with exit (\d+): (.*)$", err, re.M)}
+
+    @pytest.mark.parametrize("command, eps", [("stability", "1e-3,5e-4"), ("evolve", "0,1e-3")])
+    def test_files_byte_identical_to_solo_runs(self, command, eps, tmp_path, monkeypatch):
+        units = self.record_units(monkeypatch)
+        cfg = tmp_path / "b.cfg"
+        cfg.write_text(f"command = {command}\n{self.BASE}eps = {eps}\nseed = 1,2\n"
+                       "projected = true,false\n")
+        assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "b")]) == 0
+        jobs = cli._parse_sweep_config(str(cfg))
+        assert len(jobs) == 8 and sorted(len(u) for u in units) == [4, 4]
+        parser = cli.build_parser()
+        for idx, job in enumerate(jobs):
+            _, _, text = cli._check_sweep_job(parser, idx, job, str(tmp_path / "b"))
+            assert self.solo(text, tmp_path / "solo") == 0
+            for ext in (".csv", ".json"):
+                batched = (tmp_path / f"b_{idx:04d}{ext}").read_bytes()
+                assert batched == (tmp_path / f"solo{ext}").read_bytes(), (idx, ext)
+
+    def test_blowup_member_exits_4_alone(self, tmp_path, capsys):
+        cfg = tmp_path / "u.cfg"
+        cfg.write_text(f"command = stability\n{self.BASE}eps = 1e-3,100\nseed = 1\n")
+        assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "u")]) == 4
+        err = capsys.readouterr().err
+        assert not (tmp_path / "u_0001.csv").exists() and not (tmp_path / "u_0001.json").exists()
+        [(code, text)] = self.failures(err).values()
+        assert code == 4 and "--eps 100" in text and "_0001" in text
+        assert self.solo(text, tmp_path / "alone") == 4
+        solo_line = capsys.readouterr().err
+        assert solo_line.startswith("blow-up at t = 0.0005: ")
+        assert err.startswith(solo_line)
+        sibling = text.replace("--eps 100", "--eps 1e-3")
+        assert self.solo(sibling, tmp_path / "sib") == 0
+        for ext in (".csv", ".json"):
+            assert (tmp_path / f"u_0000{ext}").read_bytes() == (tmp_path / f"sib{ext}").read_bytes()
+
+    def test_bad_flag_and_raising_jobs_fail_alone(self, tmp_path, monkeypatch, capsys):
+        exact = cli.perturbation_random
+
+        def out_of_memory(L, N, seed):
+            if seed == 2:
+                raise MemoryError("cannot allocate the perturbation")
+            return exact(L, N, seed)
+
+        monkeypatch.setattr(cli, "perturbation_random", out_of_memory)
+        cfg = tmp_path / "f.cfg"
+        # jobs (eps, seed): 0 (1e-3, 1), 1 (1e-3, -1), 2 (1e-3, 2), 3 (5e-4, 1), ...
+        cfg.write_text(f"command = stability\n{self.BASE}eps = 1e-3,5e-4\nseed = 1,-1,2\n")
+        assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "f")]) == 2
+        err = capsys.readouterr().err
+        assert "sweep job 2 raised MemoryError: cannot allocate the perturbation" in err
+        assert "sweep job 5 raised MemoryError" in err
+        failures = self.failures(err)
+        assert {idx: code for idx, (code, _) in failures.items()} == {1: 2, 2: 1, 4: 2, 5: 1}
+        monkeypatch.setattr(cli, "perturbation_random", exact)
+        for idx, bad in ((0, 1), (3, 4)):
+            text = failures[bad][1].replace("--seed -1", "--seed 1")
+            assert self.solo(text, tmp_path / "s") == 0
+            for ext in (".csv", ".json"):
+                assert (tmp_path / f"f_{idx:04d}{ext}").read_bytes() == \
+                    (tmp_path / f"s{ext}").read_bytes()
+
+    def test_flags_checked_before_any_job_runs(self, tmp_path, monkeypatch, capsys):
+        seen = []
+        real = cli._run_sweep_job
+
+        def first_look(unit):
+            seen.append(capsys.readouterr().err)
+            return real(unit)
+
+        monkeypatch.setattr(cli, "_run_sweep_job", first_look)
+        cfg = tmp_path / "o.cfg"
+        cfg.write_text(f"command = evolve\n{self.BASE}eps = 1e-3\nseed = 1,2,-3\n")
+        assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert len(seen) == 1 and "--seed must be nonnegative, got -3" in seen[0]
+
+    @pytest.mark.parametrize("workers, pool, units", [
+        (1, None, [[0, 1, 2], [3, 4, 5]]),
+        (2, 2, [[0], [1, 2], [3], [4, 5]]),
+        (3, 3, [[0], [1], [2], [3], [4], [5]]),
+        (64, 6, [[0], [1], [2], [3], [4], [5]]),
+    ])
+    def test_pool_split_rule(self, workers, pool, units, tmp_path, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            """Records the pool size and maps serially, so no process starts."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        seen = self.record_units(monkeypatch)
+        cfg = tmp_path / "p.cfg"
+        # two groups of three (one per speed): min(workers, 3) batches each
+        cfg.write_text("command = stability\nL = 3.14159\nc = 0.95,0.94\nN = 16\n"
+                       "T = 0.01\ndt = 1e-3\neps = 1e-3,5e-4,2e-4\nseed = 1\n")
+        assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "p"),
+                         "--workers", str(workers)]) == 0
+        assert sizes == ([] if pool is None else [pool])
+        assert seen == units

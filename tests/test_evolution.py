@@ -433,6 +433,124 @@ class TestRunExperiment:
         assert horizon_steps(0.7, 1e-3) == 700
 
 
+class TestBatch:
+    """A (B, N/2 + 1) batch gives each row the bits it gets alone."""
+
+    @staticmethod
+    def states(wave, n, amplitudes):
+        """rfft coefficients of (h, c h') + eps (p, q), one row per amplitude."""
+        h, h1, _ = sample_wave(wave, n)
+        rows = []
+        for seed, eps in enumerate(amplitudes):
+            p, q = perturbation_random(wave.L, n, seed)
+            rows.append((np.fft.rfft(h + eps * p), np.fft.rfft(wave.c * h1 + eps * q)))
+        return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+
+    @staticmethod
+    def same_bits(a, b):
+        return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    @pytest.mark.parametrize("projected", [True, False])
+    @pytest.mark.parametrize("B", [1, 2, 3])
+    def test_advance_rows_match_single_calls(self, wave, projected, B):
+        ph, pt = self.states(wave, N, [0.0, 1e-3, 0.3][:B])
+        stepper = SplitStepper(L, N, 1e-3, projected, ceiling=20.0)
+        bph, bpt = stepper.advance(ph, pt, 25, 0.0)
+        assert bph.shape == ph.shape
+        for b in range(B):
+            rph, rpt = stepper.advance(ph[b], pt[b], 25, 0.0)
+            assert self.same_bits(bph[b], rph) and self.same_bits(bpt[b], rpt)
+
+    @pytest.mark.parametrize("B", [1, 2, 3])
+    def test_conserved_and_distance_rows_match_single_calls(self, wave, B):
+        from snoidal.evolution import _OrbitDistance
+
+        ph, pt = self.states(wave, N, [0.0, 1e-3, 0.3][:B])
+        h, h1, _ = sample_wave(wave, N)
+        distance = _OrbitDistance(wave, h, h1)
+        batch = (*conserved(ph, pt, L), distance(ph, pt))
+        assert all(isinstance(v, np.ndarray) and v.shape == (B,) for v in batch)
+        for b in range(B):
+            alone = (*conserved(ph[b], pt[b], L), distance(ph[b], pt[b]))
+            assert all(isinstance(v, float) for v in alone)
+            assert self.same_bits([v[b] for v in batch], alone)
+
+    @pytest.mark.parametrize("projected", [True, False])
+    @pytest.mark.parametrize("B", [1, 2, 3])
+    def test_run_experiment_members_match_solo_runs(self, wave, projected, B):
+        amplitudes = [1e-3, 0.0, 4e-4][:B]
+        perturbations = [perturbation_random(L, N, seed) for seed in (5, 6, 7)][:B]
+        traces = run_experiment(wave, perturbations, amplitudes, 0.3, 1e-3, 20,
+                                N=N, projected=projected)
+        assert isinstance(traces, list) and len(traces) == B
+        for trace, eps, pair in zip(traces, amplitudes, perturbations):
+            solo = run_experiment(wave, pair, eps, 0.3, 1e-3, 20, N=N, projected=projected)
+            assert self.same_bits(trace.samples, solo.samples)
+
+    def test_eps_zero_member_is_the_wave(self, wave):
+        # an eps = 0 member evolves (h, c h') whatever its perturbation
+        p, q = perturbation_random(L, N, 3)
+        with_pair, without = run_experiment(wave, [(p, q), None], [0.0, 0.0], 0.1, 1e-3, 10, N=N)
+        solo = run_experiment(wave, None, 0.0, 0.1, 1e-3, 10, N=N)
+        assert self.same_bits(with_pair.samples, solo.samples)
+        assert self.same_bits(without.samples, solo.samples)
+
+    def test_blowup_is_per_member(self, wave):
+        # at dt = 0.1, eps = 35 leaves the ceiling at t = 1.95, ten sample
+        # blocks in, and eps = 60 at the first kick; the members beside them
+        # run on and match their solo runs
+        amplitudes = [1e-3, 35.0, 60.0, 20.0]
+        pair = perturbation_random(L, N, 1)
+        outcomes = run_experiment(wave, [pair] * 4, amplitudes, 3.0, 0.1, 2, N=N)
+        for outcome, eps in zip(outcomes, amplitudes):
+            try:
+                solo = run_experiment(wave, pair, eps, 3.0, 0.1, 2, N=N)
+            except BlowUpError as exc:
+                assert isinstance(outcome, BlowUpError)
+                assert (str(outcome), outcome.time) == (str(exc), exc.time)
+            else:
+                assert self.same_bits(outcome.samples, solo.samples)
+        assert [type(o).__name__ for o in outcomes] == [
+            "EvolutionTrace", "BlowUpError", "BlowUpError", "EvolutionTrace"]
+        assert math.isclose(outcomes[1].time, 1.95) and outcomes[2].time == 0.05
+
+    def test_single_member_batch_returns_its_blowup(self, wave):
+        pair = perturbation_random(L, N, 1)
+        [outcome] = run_experiment(wave, [pair], [100.0], 1.0, 1e-3, 10, N=N)
+        assert isinstance(outcome, BlowUpError) and outcome.time == 0.0005
+
+    def test_stepper_names_the_tripping_row(self, wave):
+        ph, pt = self.states(wave, N, [1e-3, 100.0, 200.0])
+        with pytest.raises(BlowUpError) as info:
+            SplitStepper(L, N, 1e-3, ceiling=10.0).advance(ph, pt, 5, 0.0)
+        assert info.value.member == 1
+        with pytest.raises(BlowUpError) as alone:
+            SplitStepper(L, N, 1e-3, ceiling=10.0).advance(ph[1], pt[1], 5, 0.0)
+        assert str(info.value) == str(alone.value) and alone.value.member == 0
+
+    def test_ceiling_compares_the_exact_sup(self, wave):
+        # the kick reads max |phi| as sqrt(max phi^2); a ceiling at the exact
+        # sup passes, one ulp below it trips with the exact sup in the message
+        ph, pt = self.states(wave, N, [1e-3, 0.2])
+        half, _ = SplitStepper(L, N, 1e-3)._linear(ph, pt, "half")
+        sups = np.max(np.abs(np.fft.irfft(half, N)), axis=-1)
+        top = float(np.max(sups))
+        SplitStepper(L, N, 1e-3, ceiling=top).advance(ph, pt, 1, 0.0)
+        with pytest.raises(BlowUpError) as info:
+            SplitStepper(L, N, 1e-3, ceiling=math.nextafter(top, 0.0)).advance(ph, pt, 1, 0.0)
+        assert info.value.member == int(np.argmax(sups))
+        assert f"||phi||_inf = {top:.6g} exceeded" in str(info.value)
+
+    def test_batch_input_validation(self, wave):
+        pair = perturbation_random(L, N, 1)
+        with pytest.raises(ValueError):
+            run_experiment(wave, [pair], [1e-3, 2e-3], 0.1, 1e-3, 10, N=N)
+        with pytest.raises(ValueError):
+            run_experiment(wave, [], [], 0.1, 1e-3, 10, N=N)
+        with pytest.raises(ValueError):
+            run_experiment(wave, [pair, pair], [1e-3, -1.0], 0.1, 1e-3, 10, N=N)
+
+
 class TestStateInvariants:
     def test_mismatched_grids_rejected(self, wave):
         # orbit_distance takes phi and phi_t on one grid
