@@ -15,7 +15,16 @@ CFL restriction from phi_xx.
 
 `SplitStepper.advance` is the only stepping entry point; it carries the
 state as the rfft coefficients (ph, pt) of (phi, phi_t), with wavenumbers
-xi_n = 2 pi n / L, n = 0..N/2, from `waves.wavenumbers`.
+xi_n = 2 pi n / L, n = 0..N/2, from `waves.wavenumbers`.  A call allocates
+its buffers once -- two pairs of state buffers, one complex scratch, and
+real ones for phi and phi^2 (then phi^3) -- and no step allocates: the
+FFTs and every product write into those buffers (`out=`), and each full
+rotation writes the other state pair.  The rotation tables are broadcast
+to the state's shape once and cached on the stepper per shape.  The
+caller's ph and pt are only read, by the first half flow, so a block can be
+redone from them after a blow-up.  The arithmetic and its order are those
+of the plain expressions cos ph + sin/om pt and pt - dt rfft(phi^3), so the
+bits are too.
 
 The state may carry a leading batch axis: (B, N/2 + 1) coefficients hold B
 trajectories on one grid, one per row, and (N/2 + 1,) ones are the B = 1
@@ -41,6 +50,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,7 +62,6 @@ __all__ = [
     "TRACE_COLUMNS",
     "SplitStepper",
     "conserved",
-    "orbit_distance",
     "perturbation_random",
     "ynorm_sq",
     "horizon_steps",
@@ -92,19 +101,30 @@ class EvolutionTrace:
         return self.samples[:, TRACE_COLUMNS.index(name)]
 
 
+class _Modes(NamedTuple):
+    xi: np.ndarray       # rfft wavenumbers xi_n
+    w: np.ndarray        # Parseval weights
+    xi_sq: np.ndarray    # xi_n^2
+    omega2: np.ndarray   # xi_n^2 - 1, the linear part's squared frequency
+    w_xi: np.ndarray     # w_n xi_n, the momentum's weights
+
+
 @functools.lru_cache(maxsize=16)
-def _modes(L: float, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only rfft wavenumbers and Parseval weights of the N-point grid.
+def _modes(L: float, N: int) -> _Modes:
+    """Read-only rfft wavenumbers, Parseval weights and their products on the N-point grid.
 
     Built once per (L, N); the weights turn |rfft|^2 sums into integrals over
-    one period.
+    one period, and the products are the loop-invariant factors of
+    `conserved` and the orbit distance.
     """
     xi = wavenumbers(L, N)
     w = np.full(N // 2 + 1, 2.0 * L / (N * N))
     w[0] = w[-1] = L / (N * N)
-    xi.setflags(write=False)
-    w.setflags(write=False)
-    return xi, w
+    xi_sq = xi * xi
+    modes = _Modes(xi, w, xi_sq, xi_sq - 1.0, w * xi)
+    for a in modes:
+        a.setflags(write=False)
+    return modes
 
 
 class SplitStepper:
@@ -112,9 +132,16 @@ class SplitStepper:
 
     One instance is bound to (L, N, dt, projected); `ceiling` bounds
     ||phi||_inf of every batch row and trips BlowUpError, naming the first
-    row over it, when exceeded during a kick.  The
-    rotation of mode 0 is cosh/sinh unprojected and zero when projected,
-    so one linear flow serves every mode.
+    row over it, when exceeded during a kick.  The rotation of mode 0 is
+    cosh/sinh unprojected and zero when projected, so one linear flow serves
+    every mode.
+
+    The rotation tables are kept per mode, shape (N/2 + 1,), and are
+    broadcast to the shape of the state once: the copies for the last shape
+    `advance` saw are cached, so a batch pays for them once per run and again
+    only when a blown-up member leaves it.  A 1-D state uses the per-mode
+    tables themselves.  Multiplying by a contiguous table of the state's own
+    shape is faster than broadcasting an (N/2 + 1,) one over its rows.
     """
 
     def __init__(self, L: float, N: int, dt: float, projected: bool = True,
@@ -129,35 +156,38 @@ class SplitStepper:
         self.L, self.N, self.dt = L, N, dt
         self.projected = projected
         self.ceiling = ceiling
-        xi = wavenumbers(L, N)
-        omega2 = xi * xi - 1.0  # > 0 for every nonzero mode when L < 2 pi
-        om = np.sqrt(omega2[1:])
-        self._rot = {}
-        for tag, tau in (("half", 0.5 * dt), ("full", dt)):
+        om = np.sqrt(_modes(L, N).omega2[1:])  # > 0 for every nonzero mode when L < 2 pi
+        rotations = []  # the half flow's and the full flow's
+        for tau in (0.5 * dt, dt):
             cos = np.cos(om * tau)
             sin = np.sin(om * tau)
             ch, sh = (0.0, 0.0) if projected else (math.cosh(tau), math.sinh(tau))
             # stored complex: numpy multiplies a real array into a complex one
             # by casting it to complex first, so the bits are the same, but
             # the cast costs a buffered pass per product
-            self._rot[tag] = tuple(np.asarray(np.r_[a, b], dtype=complex) for a, b in
-                                   ((ch, cos), (sh, sin / om), (sh, -sin * om)))
+            rotations.append(tuple(np.asarray(np.r_[a, b], dtype=complex) for a, b in
+                                   ((ch, cos), (sh, sin / om), (sh, -sin * om))))
+        self._rotations = tuple(rotations)
+        self._shape, self._shaped = (N // 2 + 1,), self._rotations
 
-    def _linear(self, ph, pt, tag):
-        cos, sin_over, neg_sin_times = self._rot[tag]
-        return cos * ph + sin_over * pt, neg_sin_times * ph + cos * pt
+    def _tables(self, shape):
+        """The half and full flows' rotation tables broadcast to `shape`, cached per shape."""
+        if shape != self._shape:
+            self._shape = shape
+            self._shaped = tuple(tuple(np.ascontiguousarray(np.broadcast_to(a, shape))
+                                       for a in table) for table in self._rotations)
+        return self._shaped
 
-    def _kick(self, ph, pt, t):
-        phi = np.fft.irfft(ph, self.N)
-        phi_sq = phi * phi
-        # sqrt(fl(x^2)) = |x| in binary64 away from under- and overflow, so
-        # this is max |phi| over the batch, read off the square the cube needs
-        if not math.sqrt(phi_sq.max()) <= self.ceiling:  # NaN trips it too
-            self._trip(phi, t)
-        force = np.fft.rfft(phi_sq * phi)
-        if self.projected:
-            force[..., 0] = 0.0  # subtracting the mean of phi^3, exactly
-        return ph, pt - self.dt * force
+    @staticmethod
+    def _rotate(table, ph, pt, ph_out, pt_out, work):
+        """(ph_out, pt_out) = (cos ph + sin/om pt, -sin om ph + cos pt), through `work`."""
+        cos, sin_over, neg_sin_times = table
+        np.multiply(cos, ph, out=ph_out)
+        np.multiply(sin_over, pt, out=work)
+        np.add(ph_out, work, out=ph_out)
+        np.multiply(neg_sin_times, ph, out=pt_out)
+        np.multiply(cos, pt, out=work)
+        np.add(pt_out, work, out=pt_out)
 
     def _trip(self, phi, t):
         """Raise BlowUpError for the first row whose exact max |phi| is over the ceiling."""
@@ -172,23 +202,51 @@ class SplitStepper:
         """nsteps Strang steps from time t0, fusing interior half flows.
 
         ph, pt are the rfft coefficients of (phi, phi_t), of shape
-        (N/2 + 1,) or (B, N/2 + 1); new arrays are returned and the inputs
-        are left untouched.  BlowUpError.member names the tripping row.
+        (N/2 + 1,) or (B, N/2 + 1).  The call allocates its buffers once and
+        no step allocates: the FFTs and products write into them, and each
+        full rotation writes the other pair of state buffers.  The first half
+        flow reads ph and pt into those buffers, so the inputs are never
+        written -- `run_experiment` redoes a block from them after a blow-up
+        -- and the arrays returned share no memory with them (nsteps < 1
+        returns the inputs as they are).  BlowUpError.member names the
+        tripping row.
         """
         if nsteps < 1:
             return ph, pt
-        ph, pt = self._linear(ph, pt, "half")
-        for j in range(nsteps - 1):
-            ph, pt = self._kick(ph, pt, t0 + (j + 0.5) * self.dt)
-            ph, pt = self._linear(ph, pt, "full")
-        ph, pt = self._kick(ph, pt, t0 + (nsteps - 0.5) * self.dt)
-        return self._linear(ph, pt, "half")
+        half, full = self._tables(ph.shape)
+        N, dt, ceiling = self.N, self.dt, self.ceiling
+        cur = np.empty(ph.shape, complex), np.empty(ph.shape, complex)
+        nxt = np.empty(ph.shape, complex), np.empty(ph.shape, complex)
+        work = np.empty(ph.shape, complex)  # the force in a kick, a product in a rotation
+        phi = np.empty(ph.shape[:-1] + (N,))
+        cube = np.empty_like(phi)  # phi^2 until the ceiling test, then phi^3
+        self._rotate(half, ph, pt, *cur, work)
+        for j in range(nsteps):
+            if j:
+                self._rotate(full, *cur, *nxt, work)
+                cur, nxt = nxt, cur
+            # the kick: pt -= dt (phi^3 - mean phi^3)
+            np.fft.irfft(cur[0], N, out=phi)
+            np.multiply(phi, phi, out=cube)
+            # sqrt(fl(x^2)) = |x| in binary64 away from under- and overflow,
+            # so this is max |phi| over the batch, read off the square the
+            # cube needs
+            if not math.sqrt(np.maximum.reduce(cube, axis=None)) <= ceiling:  # NaN trips it too
+                self._trip(phi, t0 + (j + 0.5) * dt)
+            np.multiply(cube, phi, out=cube)
+            np.fft.rfft(cube, out=work)
+            if self.projected:
+                work[..., 0] = 0.0  # subtracting the mean of phi^3, exactly
+            np.multiply(dt, work, out=work)
+            np.subtract(cur[1], work, out=cur[1])
+        self._rotate(half, *cur, *nxt, work)
+        return nxt
 
 
 def _h1_semi_sq(values: np.ndarray, L: float) -> float:
     """integral of (d/dx)^2 via Parseval, Nyquist included."""
-    xi, w = _modes(L, values.size)
-    return float(np.sum(w * (xi * np.abs(np.fft.rfft(values))) ** 2))
+    modes = _modes(L, values.size)
+    return float(np.sum(modes.w * (modes.xi * np.abs(np.fft.rfft(values))) ** 2))
 
 
 def conserved(ph: np.ndarray, pt: np.ndarray, L: float) -> tuple:
@@ -202,12 +260,12 @@ def conserved(ph: np.ndarray, pt: np.ndarray, L: float) -> tuple:
     arrays of B values, a single state four floats.
     """
     N = 2 * (ph.shape[-1] - 1)
-    xi, w = _modes(L, N)
+    modes = _modes(L, N)
     phi_sq = np.fft.irfft(ph, N) ** 2  # squared twice: phi**4 is a slow pow
-    quadratic = (xi * xi - 1.0) * (ph.real**2 + ph.imag**2) + pt.real**2 + pt.imag**2
-    energy = 0.5 * (np.sum(w * quadratic, axis=-1)
+    quadratic = modes.omega2 * (ph.real**2 + ph.imag**2) + pt.real**2 + pt.imag**2
+    energy = 0.5 * (np.sum(modes.w * quadratic, axis=-1)
                     + 0.5 * L / N * np.sum(phi_sq * phi_sq, axis=-1))
-    flux = w * xi * (ph.real * pt.imag - ph.imag * pt.real)
+    flux = modes.w_xi * (ph.real * pt.imag - ph.imag * pt.real)
     values = (energy, np.sum(flux[..., :-1], axis=-1), ph[..., 0].real / N, pt[..., 0].real / N)
     return tuple(map(float, values)) if ph.ndim == 1 else values
 
@@ -225,8 +283,9 @@ class _OrbitDistance:
         self.L, self.N = wave.L, h.size
         self.hhat = np.fft.rfft(h)
         self.hthat = wave.c * np.fft.rfft(h1)
-        self.xi, self.weight = _modes(wave.L, h.size)
-        self.sobolev = 1.0 + self.xi * self.xi
+        modes = _modes(wave.L, h.size)
+        self.xi, self.weight, self.xi_sq = modes.xi, modes.w, modes.xi_sq
+        self.sobolev = 1.0 + self.xi_sq
         # Complex factors of the complex products.  numpy multiplies a real
         # array into a complex one by casting it to complex first, so these
         # give the same bits without the cast's extra pass.
@@ -241,7 +300,7 @@ class _OrbitDistance:
         float.  Each Newton iteration takes one exp and two row sums for the
         whole batch; the per-row stop and bracket bookkeeping is scalar.
         """
-        N, L, xi, ixi = self.N, self.L, self.xi, self.ixi
+        N, L, xi, xi_sq, ixi = self.N, self.L, self.xi, self.xi_sq, self.ixi
         sobolev, hhat_conj, hthat_conj, weight = self.cross_factors
         single = ph.ndim == 1
         ph, pt = np.atleast_2d(ph), np.atleast_2d(pt)
@@ -260,7 +319,7 @@ class _OrbitDistance:
         for _ in range(_NEWTON_STEPS):
             z = wcross * np.exp(ixi * np.array(s)[:, None])
             slopes = (xi * z.imag).sum(axis=-1).tolist()
-            curvatures = (xi * xi * z.real).sum(axis=-1).tolist()
+            curvatures = (xi_sq * z.real).sum(axis=-1).tolist()
             for b in list(live):
                 slope, curvature = -slopes[b], -curvatures[b]
                 if not curvature < 0.0:
@@ -284,18 +343,6 @@ class _OrbitDistance:
         ), axis=-1).tolist()
         dist = [math.sqrt(min(a, b)) for a, b in zip(*dist_sq)]
         return dist[0] if single else np.array(dist)
-
-
-def orbit_distance(phi: np.ndarray, phidot: np.ndarray, wave: WaveParameters) -> float:
-    """min over shifts s of ||(phi(.+s), phi_t(.+s)) - (h, c h')|| in Y.
-
-    phi and phidot are samples on the grid_points(wave.L, N) of one N.
-    """
-    if np.ndim(phi) != 1 or np.shape(phi) != np.shape(phidot):
-        raise ValueError(f"phi and phidot must be 1-D of one shape, got "
-                         f"{np.shape(phi)} and {np.shape(phidot)}")
-    h, h1, _ = sample_wave(wave, len(phi))
-    return _OrbitDistance(wave, h, h1)(np.fft.rfft(phi), np.fft.rfft(phidot))
 
 
 def perturbation_random(L: float, N: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

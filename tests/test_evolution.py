@@ -10,12 +10,11 @@ from snoidal.evolution import (
     SplitStepper,
     conserved,
     horizon_steps,
-    orbit_distance,
     perturbation_random,
     run_experiment,
     ynorm_sq,
 )
-from snoidal.evolution import _h1_semi_sq
+from snoidal.evolution import _h1_semi_sq, _OrbitDistance
 from snoidal.waves import grid_points, profile_eval, sample_wave, solve_modulus, wavenumbers
 
 L, C = math.pi, 0.95
@@ -41,6 +40,12 @@ def advance_state(stepper, state, nsteps=1):
     return np.fft.irfft(ph, stepper.N), np.fft.irfft(pt, stepper.N)
 
 
+def orbit_distance(phi, phidot, wave):
+    """Orbit distance of one state given as grid samples (phi, phi_t)."""
+    h, h1, _ = sample_wave(wave, len(phi))
+    return _OrbitDistance(wave, h, h1)(np.fft.rfft(phi), np.fft.rfft(phidot))
+
+
 def translate_state(wave, n, shift):
     h, h1, _ = profile_eval(wave, grid_points(wave.L, n) - shift)
     return h, wave.c * h1
@@ -51,6 +56,48 @@ def spectral_derivative(values, L_):
     coeff = 1j * wavenumbers(L_, values.size) * np.fft.rfft(values)
     coeff[-1] = 0.0
     return np.fft.irfft(coeff, values.size)
+
+
+def rotation_tables(L_, n, tau, projected=True):
+    """Per-mode (cos, sin/om, -sin om) of the exact linear flow over a time tau."""
+    xi = wavenumbers(L_, n)
+    om = np.sqrt((xi * xi - 1.0)[1:])
+    cos, sin = np.cos(om * tau), np.sin(om * tau)
+    ch, sh = (0.0, 0.0) if projected else (math.cosh(tau), math.sinh(tau))
+    return np.r_[ch, cos], np.r_[sh, sin / om], np.r_[sh, -sin * om]
+
+
+def linear_flow(ph, pt, table):
+    cos, sin_over, neg_sin_times = table
+    return cos * ph + sin_over * pt, neg_sin_times * ph + cos * pt
+
+
+def reference_advance(stepper, ph, pt, nsteps, t0):
+    """The allocating Strang loop whose arithmetic SplitStepper.advance runs in buffers.
+
+    Real tables, a fresh array per product and the exact per-row max |phi|
+    for the ceiling; a row over it raises BlowUpError with its member and time.
+    """
+    n, dt = stepper.N, stepper.dt
+    half = rotation_tables(stepper.L, n, 0.5 * dt, stepper.projected)
+    full = rotation_tables(stepper.L, n, dt, stepper.projected)
+
+    def kick(ph, pt, t):
+        phi = np.fft.irfft(ph, n)
+        for member, sup in enumerate(np.max(np.abs(phi), axis=-1).reshape(-1)):
+            if not sup <= stepper.ceiling:
+                raise BlowUpError("reference", time=t, member=member)
+        force = np.fft.rfft(phi * phi * phi)
+        if stepper.projected:
+            force[..., 0] = 0.0
+        return ph, pt - dt * force
+
+    ph, pt = linear_flow(ph, pt, half)
+    for j in range(nsteps - 1):
+        ph, pt = kick(ph, pt, t0 + (j + 0.5) * dt)
+        ph, pt = linear_flow(ph, pt, full)
+    ph, pt = kick(ph, pt, t0 + (nsteps - 0.5) * dt)
+    return linear_flow(ph, pt, half)
 
 
 class TestStep:
@@ -218,8 +265,6 @@ class TestOrbitDistance:
 
     def test_one_sample_makes_at_most_ten_exp_calls(self, wave, monkeypatch):
         # Newton refinement: at most 8 steps plus the two final dist_sq calls
-        from snoidal.evolution import _OrbitDistance
-
         p, q = perturbation_random(L, N, seed=4)
         h, h1, _ = sample_wave(wave, N)
         ph = np.fft.rfft(h + 1e-3 * p)
@@ -463,8 +508,6 @@ class TestBatch:
 
     @pytest.mark.parametrize("B", [1, 2, 3])
     def test_conserved_and_distance_rows_match_single_calls(self, wave, B):
-        from snoidal.evolution import _OrbitDistance
-
         ph, pt = self.states(wave, N, [0.0, 1e-3, 0.3][:B])
         h, h1, _ = sample_wave(wave, N)
         distance = _OrbitDistance(wave, h, h1)
@@ -532,7 +575,7 @@ class TestBatch:
         # the kick reads max |phi| as sqrt(max phi^2); a ceiling at the exact
         # sup passes, one ulp below it trips with the exact sup in the message
         ph, pt = self.states(wave, N, [1e-3, 0.2])
-        half, _ = SplitStepper(L, N, 1e-3)._linear(ph, pt, "half")
+        half, _ = linear_flow(ph, pt, rotation_tables(L, N, 0.5e-3))
         sups = np.max(np.abs(np.fft.irfft(half, N)), axis=-1)
         top = float(np.max(sups))
         SplitStepper(L, N, 1e-3, ceiling=top).advance(ph, pt, 1, 0.0)
@@ -551,14 +594,87 @@ class TestBatch:
             run_experiment(wave, [pair, pair], [1e-3, -1.0], 0.1, 1e-3, 10, N=N)
 
 
-class TestStateInvariants:
-    def test_mismatched_grids_rejected(self, wave):
-        # orbit_distance takes phi and phi_t on one grid
-        with pytest.raises(ValueError):
-            orbit_distance(np.zeros(64), np.zeros(32), wave)
-        with pytest.raises(ValueError):
-            orbit_distance(np.zeros((2, 64)), np.zeros((2, 64)), wave)
+class TestBufferedAdvance:
+    """advance runs the reference loop's arithmetic in its own buffers, bit for bit."""
 
+    @staticmethod
+    def states(wave, rows):
+        """Three rows of TestBatch.states, or the middle one as a 1-D state (rows=None)."""
+        ph, pt = TestBatch.states(wave, N, [1e-3, 0.3, 0.0])
+        return (ph[1], pt[1]) if rows is None else (ph[:rows].copy(), pt[:rows].copy())
+
+    @staticmethod
+    def same_bits(got, want):
+        return all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("nsteps", [1, 2, 7])
+    @pytest.mark.parametrize("dt", [1e-3, -1e-3])
+    @pytest.mark.parametrize("projected", [True, False])
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_matches_reference_loop(self, wave, rows, projected, dt, nsteps):
+        ph, pt = self.states(wave, rows)
+        stepper = SplitStepper(L, N, dt, projected, ceiling=20.0)
+        got = stepper.advance(ph, pt, nsteps, 0.125)
+        assert got[0].shape == got[1].shape == ph.shape
+        assert self.same_bits(got, reference_advance(stepper, ph, pt, nsteps, 0.125))
+
+    def test_tables_follow_the_state_shape(self, wave):
+        # one stepper on a (3, n) batch, then (2, n) -- a member has left --
+        # then a lone 1-D row, then (3, n) again
+        stepper = SplitStepper(L, N, 1e-3, ceiling=20.0)
+        for rows in (3, 2, None, 3):
+            ph, pt = self.states(wave, rows)
+            got = stepper.advance(ph, pt, 7, 0.0)
+            assert self.same_bits(got, reference_advance(stepper, ph, pt, 7, 0.0))
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_inputs_untouched_and_unshared(self, wave, rows):
+        ph, pt = self.states(wave, rows)
+        before = ph.copy(), pt.copy()
+        ph.setflags(write=False)  # a write into the inputs raises
+        pt.setflags(write=False)
+        stepper = SplitStepper(L, N, 1e-3)
+        first = stepper.advance(ph, pt, 7, 0.0)
+        second = stepper.advance(ph, pt, 7, 0.0)
+        assert self.same_bits((ph, pt), before)
+        assert self.same_bits(first, second)
+        arrays = (ph, pt, *first, *second)
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert a is ph and b is pt or not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_nan_row_trips_with_its_member_and_time(self, wave, row):
+        ph, pt = self.states(wave, 3)
+        ph[row] = np.nan
+        stepper = SplitStepper(L, N, 1e-3, ceiling=20.0)
+        with pytest.raises(BlowUpError) as info:
+            stepper.advance(ph, pt, 7, 0.25)
+        with pytest.raises(BlowUpError) as ref:
+            reference_advance(stepper, ph, pt, 7, 0.25)
+        assert info.value.member == ref.value.member == row
+        assert info.value.time == ref.value.time == 0.25 + 0.5e-3
+        assert str(info.value).startswith("||phi||_inf = nan exceeded ceiling 20 at t = 0.2505")
+
+    def test_ffts_are_looked_up_at_call_time(self, wave, monkeypatch):
+        # two FFTs per step, each found through np.fft when it is called
+        ph, pt = self.states(wave, 3)
+        stepper = SplitStepper(L, N, 1e-3)
+        plain = stepper.advance(ph, pt, 7, 0.0)
+        calls = []
+        for name in ("rfft", "irfft"):
+            real = getattr(np.fft, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counting)
+        assert self.same_bits(stepper.advance(ph, pt, 7, 0.0), plain)
+        assert calls == ["irfft", "rfft"] * 7
+
+
+class TestStateInvariants:
     def test_trace_requires_increasing_time(self):
         from snoidal.evolution import EvolutionTrace
 
