@@ -34,12 +34,18 @@ Only `wave` takes --format; the other commands write the one format they
 have.
 
 All floating-point output uses shortest round-trip decimal strings, so a
-repeated run with the same flags and seed is byte-identical.
+repeated run with the same flags and seed is byte-identical.  Every JSON
+file holds the bytes `json.dump(obj, fh, sort_keys=True, indent=2)` writes,
+plus a newline, built as one string and written in one call; its flat lists
+of numbers go through the standard library's C encoder.  `main` and `sweep`
+parse with one parser per process, built on first use, so importing the
+module builds none; `build_parser()` returns a new one on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -79,10 +85,32 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _json_text(obj, indent: str = "\n") -> str:
+    """The text of `json.dumps(obj, sort_keys=True, indent=2)`, nested at `indent`.
+
+    Dicts recurse.  A list of scalars goes through the C encoder, which the
+    standard library uses only without `indent`, with the newline and indent
+    as its item separator; a list whose first item is a list or dict skips
+    that try, which would encode it twice.  Anything else goes through the
+    indenting encoder, re-indented after each newline (JSON text has no raw
+    newlines of its own).
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
+        items = (f"{json.dumps(key)}: {_json_text(value, inner)}"
+                 for key, value in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, list) and obj and not isinstance(obj[0], (dict, list)):
+        text = json.dumps(obj, separators=("," + inner, ": "))
+        if text.find("[", 1) < 0 and text.find("{", 1) < 0:  # no list or dict in any item
+            return "[" + inner + text[1:-1] + indent + "]"
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", indent)
+
+
 def _write_json(path: str, obj) -> None:
+    text = _json_text(obj) + "\n"
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
@@ -258,7 +286,7 @@ def _run_sweep_job(unit: list) -> list[tuple[int, int, str]]:
 
 
 def cmd_sweep(args) -> int:
-    parser = build_parser()
+    parser = _parser()
     results, checked = [], []
     for idx, job in enumerate(_parse_sweep_config(args.config)):
         job_args, code, text = _check_sweep_job(parser, idx, job, args.out)
@@ -324,6 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` and `cmd_sweep` share, built on first use, not at import."""
+    return build_parser()
+
+
 def _check_args(args) -> None:
     """Reject invalid flags before any compute runs or any file is written."""
     out_dir = os.path.dirname(args.out) or "."
@@ -383,8 +417,7 @@ def _dispatch(args, run=None) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "out", None) is None:
         args.out = f"snoidal_{args.command}"
     try:

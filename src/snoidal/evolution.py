@@ -255,8 +255,8 @@ def conserved(ph: np.ndarray, pt: np.ndarray, L: float) -> tuple:
     E = 1/2 integral(phi_x^2 + phi_t^2 - phi^2 + phi^4 / 2), F = integral(phi_x
     phi_t) on N = 2 (ph.shape[-1] - 1) points.  Quadratic terms are Parseval
     sums; phi_x keeps the Nyquist mode in E, as `ynorm_sq` does, and drops it
-    in F, as the spectral derivative of `spectral.fourier_diff_matrices`
-    does.  integral(phi^4) takes one irfft.  A (B, N/2 + 1) batch gives four
+    in F, since the grid's spectral first derivative maps the sawtooth mode
+    to zero.  integral(phi^4) takes one irfft.  A (B, N/2 + 1) batch gives four
     arrays of B values, a single state four floats.
     """
     N = 2 * (ph.shape[-1] - 1)

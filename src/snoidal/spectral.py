@@ -81,7 +81,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import complete_E, complete_K
-from .waves import WaveParameters, grid_points, sample_wave, solve_modulus, wavenumbers
+from .waves import WaveParameters, sample_wave, solve_modulus, wavenumbers
 
 __all__ = [
     "EigenSolveError",
@@ -90,7 +90,6 @@ __all__ = [
     "OperatorMatrix",
     "SpectralReport",
     "ClosedFormEigenpair",
-    "fourier_diff_matrices",
     "assemble_L1",
     "assemble_Lblock",
     "constrain_zero_mean",
@@ -191,34 +190,6 @@ class ClosedFormEigenpair:
     lam: float
     bracket: float
     f: np.ndarray
-
-
-def fourier_diff_matrices(N: int, L: float) -> tuple[np.ndarray, np.ndarray]:
-    """Dense spectral differentiation matrices (D1, D2) on the N-point grid.
-
-    Circulants of the classic cot / csc^2 stencils for period 2*pi, rescaled
-    to period L, and mirrored explicitly so that D1 is exactly antisymmetric
-    and D2 exactly symmetric in floating point.  D1 maps the unresolved
-    sawtooth (Nyquist) mode to zero; D2 keeps it with its cosine eigenvalue
-    -(pi N / L)^2.  The spectral pipeline never forms them; they are the
-    dense grid oracle that the sector assembly is checked against.
-    """
-    grid_points(L, N)  # the grid rule: N even and >= 16, L > 0
-    half = N // 2
-    c1 = np.zeros(N)
-    c2 = np.zeros(N)
-    c2[0] = -(N * N) / 12.0 - 1.0 / 6.0
-    m = np.arange(1, half + 1)
-    s = np.sin(m * math.pi / N)
-    sign = np.where(m % 2, -1.0, 1.0)
-    c1[1:half + 1] = 0.5 * sign * (np.cos(m * math.pi / N) / s)
-    c2[1:half + 1] = -sign / (2.0 * s * s)
-    c1[half + 1:] = -c1[half - 1:0:-1]
-    c2[half + 1:] = c2[half - 1:0:-1]
-    c1[half] = 0.0  # cot(pi/2) = 0; keeps the sawtooth annihilated
-    scale = 2.0 * math.pi / L
-    idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
-    return (c1 * scale)[idx], (c2 * (scale * scale))[idx]
 
 
 EVEN, ODD = 1, -1  # signs of a character (r, t): R f = r f and T f = t f

@@ -1,11 +1,17 @@
 """CLI contract: exit codes, file outputs, determinism, sweep fan-out."""
 
 import json
+import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import snoidal.cli as cli
 
@@ -225,6 +231,65 @@ class TestFormatting:
         for x in (0.1, 1.0 / 3.0, 2.202412709683325, 1e-300):
             assert float(cli._fmt(x)) == x
         assert cli._fmt(0.1) == "0.1"
+
+
+# JSON trees with the values the indenting encoder and the C encoder could
+# spell differently: non-finite, signed-zero and subnormal floats, bools (an
+# int subclass), and strings holding brackets, quotes, escapes and non-ASCII;
+# tuples and int keys, which json encodes as lists and strings, ride along.
+_TEXT = st.text(alphabet=st.sampled_from('[]{}",:\\ \n\tab\u00e9\u2603\U0001d54a'), max_size=6)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.5e-310]),
+    _TEXT, st.text(max_size=4),
+)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda kids: st.one_of(st.lists(kids, max_size=5),
+                           st.lists(kids, max_size=5).map(tuple),  # encoded as lists
+                           st.dictionaries(_TEXT, kids, max_size=5),
+                           st.dictionaries(st.integers(), kids, max_size=3)),
+    max_leaves=24,
+)
+
+
+class TestJsonWriter:
+    """`_write_json` writes the bytes of json.dump(sort_keys=True, indent=2) plus a newline."""
+
+    @staticmethod
+    def expected(obj) -> bytes:
+        return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", *"--L 3.14159 --c 0.95 --N 64".split()],
+        ["spectrum", *"--L 3.14159 --c 0.95 --N 130".split()],
+        ["wave", *"--L 3.14159 --c 0.95 --N 64 --format json".split()],
+        ["stability", *"--L 3.14159 --c 0.95 --N 16 --T 0.01 --eps 1e-3 --seed 1".split()],
+    ], ids=["spectrum64", "spectrum130", "wave_json", "stability"])
+    def test_command_outputs(self, argv, tmp_path, monkeypatch):
+        written = []
+        real = cli._write_json
+
+        def recording(path, obj):
+            written.append((path, obj))
+            real(path, obj)
+
+        monkeypatch.setattr(cli, "_write_json", recording)
+        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 0
+        assert written
+        for path, obj in written:
+            assert Path(path).read_bytes() == self.expected(obj), path
+        if argv[0] == "wave":  # the samples are numpy float64 scalars
+            samples = written[0][1]
+            assert len(samples) == 64 and type(samples[0]["h"]) is np.float64
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(obj=_TREES)
+    def test_json_trees(self, obj, tmp_path):
+        path = tmp_path / "tree.json"
+        cli._write_json(str(path), obj)
+        assert path.read_bytes() == self.expected(obj)
 
 
 WAVE = ["--L", "3.14159", "--c", "0.95"]
@@ -504,3 +569,62 @@ class TestSweepBatching:
                          "--workers", str(workers)]) == 0
         assert sizes == ([] if pool is None else [pool])
         assert seen == units
+
+
+class TestParserReuse:
+    """`main` and `cmd_sweep` share one parser, built on first use."""
+
+    SWEEP = ("command = stability\nL = 3.14159\nc = 0.95\nN = 16\nT = 0.05\n"
+             "dt = 1e-3\neps = 1e-3,5e-4\nseed = 1\n")
+
+    def run_sequence(self, out, capsys):
+        """spectrum, evolve at its default --T, an argparse rejection, a sweep and
+        stability, in one process; returns the rejection's stderr."""
+        (out / "s.cfg").write_text(self.SWEEP)
+        assert cli.main(["spectrum", *WAVE, "--N", "64", "--out", str(out / "sp")]) == 0
+        assert cli.main(["evolve", *WAVE, "--N", "16", "--dt", "0.05",
+                         "--out", str(out / "ev")]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as rejected:
+            cli.main(["evolve", *WAVE, "--N", "sixteen", "--out", str(out / "bad")])
+        assert rejected.value.code == 2
+        err = capsys.readouterr().err
+        assert cli.main(["sweep", str(out / "s.cfg"), "--out", str(out / "sw")]) == 0
+        assert cli.main(["stability", *WAVE, "--N", "16", "--T", "0.05", "--eps", "1e-3",
+                         "--seed", "2", "--out", str(out / "st")]) == 0
+        return err
+
+    def test_one_parser_same_bytes_as_fresh_parsers(self, tmp_path, monkeypatch, capsys):
+        built = []
+        real = cli.build_parser
+
+        def counting():
+            built.append(real())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        shared.mkdir()
+        fresh.mkdir()
+        shared_err = self.run_sequence(shared, capsys)
+        assert len(built) == 1
+        monkeypatch.setattr(cli, "_parser", real)  # a new parser on every call
+        fresh_err = self.run_sequence(fresh, capsys)
+        assert shared_err == fresh_err and "invalid int value: 'sixteen'" in shared_err
+        names = sorted(p.name for p in shared.iterdir())
+        assert names == sorted(p.name for p in fresh.iterdir())
+        assert len([n for n in names if n.endswith(".json")]) == 5
+        for name in names:
+            assert (shared / name).read_bytes() == (fresh / name).read_bytes(), name
+        assert json.loads((shared / "ev.json").read_text())["T"] == 100.0
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_import_builds_no_parser(self):
+        code = ("import snoidal.cli as cli; "
+                "assert cli._parser.cache_info().currsize == 0")
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})

@@ -26,7 +26,6 @@ from snoidal.spectral import (
     constrain_zero_mean,
     d_second_derivative,
     eigen_report,
-    fourier_diff_matrices,
     full_report,
     index_counts,
     solve_in_kernel_complement,
@@ -54,6 +53,34 @@ def unit_source_solution_closed(wave, N):
     r = math.sqrt(1.0 - k * k + k**4)
     b1, b2 = p4.bracket, -p0.bracket
     return (p4.lam * b1 * p0.f + p0.lam * b2 * p4.f) / (2.0 * p0.lam * p4.lam * r)
+
+
+def fourier_diff_matrices(N: int, L: float) -> tuple[np.ndarray, np.ndarray]:
+    """Dense spectral differentiation matrices (D1, D2) on the N-point grid.
+
+    Circulants of the classic cot / csc^2 stencils for period 2*pi, rescaled
+    to period L, and mirrored explicitly so that D1 is exactly antisymmetric
+    and D2 exactly symmetric in floating point.  D1 maps the unresolved
+    sawtooth (Nyquist) mode to zero; D2 keeps it with its cosine eigenvalue
+    -(pi N / L)^2.  The library never forms them: they are the dense grid
+    oracle the sector assembly is checked against.
+    """
+    grid_points(L, N)  # the grid rule: N even and >= 16, L > 0
+    half = N // 2
+    c1 = np.zeros(N)
+    c2 = np.zeros(N)
+    c2[0] = -(N * N) / 12.0 - 1.0 / 6.0
+    m = np.arange(1, half + 1)
+    s = np.sin(m * math.pi / N)
+    sign = np.where(m % 2, -1.0, 1.0)
+    c1[1:half + 1] = 0.5 * sign * (np.cos(m * math.pi / N) / s)
+    c2[1:half + 1] = -sign / (2.0 * s * s)
+    c1[half + 1:] = -c1[half - 1:0:-1]
+    c2[half + 1:] = c2[half - 1:0:-1]
+    c1[half] = 0.0  # cot(pi/2) = 0; keeps the sawtooth annihilated
+    scale = 2.0 * math.pi / L
+    idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
+    return (c1 * scale)[idx], (c2 * (scale * scale))[idx]
 
 
 # The dense grid oracle.  The (R, T) sectors are written out here
