@@ -36,10 +36,11 @@ have.
 All floating-point output uses shortest round-trip decimal strings, so a
 repeated run with the same flags and seed is byte-identical.  Every JSON
 file holds the bytes `json.dump(obj, fh, sort_keys=True, indent=2)` writes,
-plus a newline, built as one string and written in one call; its flat lists
-of numbers go through the standard library's C encoder.  `main` and `sweep`
-parse with one parser per process, built on first use, so importing the
-module builds none; `build_parser()` returns a new one on every call.
+plus a newline, built as one string and written in one call; its lists and
+dicts of scalars, and lists of such dicts, go through the standard library's
+C encoder.  `main` and `sweep` parse with one parser per process, built on
+first use, so importing the module builds none; `build_parser()` returns a
+new one on every call.
 """
 
 from __future__ import annotations
@@ -88,23 +89,52 @@ def _fmt(x: float) -> str:
 def _json_text(obj, indent: str = "\n") -> str:
     """The text of `json.dumps(obj, sort_keys=True, indent=2)`, nested at `indent`.
 
-    Dicts recurse.  A list of scalars goes through the C encoder, which the
+    A dict with str keys and no list or dict value, a list whose first item
+    is neither, and a list of dicts go through the C encoder, which the
     standard library uses only without `indent`, with the newline and indent
-    as its item separator; a list whose first item is a list or dict skips
-    that try, which would encode it twice.  Anything else goes through the
-    indenting encoder, re-indented after each newline (JSON text has no raw
-    newlines of its own).
+    as its item separator; the text is kept when no item held a list or dict
+    after all (for a list of dicts: no value did), and a list of dicts then
+    gets its braces on lines of their own.  Other dicts with str keys and
+    other lists recurse.  Anything else goes through the indenting encoder,
+    re-indented after each newline (JSON text has no raw newlines of its
+    own, so every newline is a separator's).
     """
     inner = indent + "  "
     if isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
+        if not any(isinstance(value, (dict, list)) for value in obj.values()):
+            text = _encoder(inner)(obj)
+            if _flat(text):
+                return "{" + inner + text[1:-1] + indent + "}"
         items = (f"{json.dumps(key)}: {_json_text(value, inner)}"
                  for key, value in sorted(obj.items()))
         return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(obj, list) and obj and not isinstance(obj[0], (dict, list)):
-        text = json.dumps(obj, separators=("," + inner, ": "))
-        if text.find("[", 1) < 0 and text.find("{", 1) < 0:  # no list or dict in any item
-            return "[" + inner + text[1:-1] + indent + "]"
+    if isinstance(obj, list) and obj:
+        if not isinstance(obj[0], (dict, list)):
+            text = _encoder(inner)(obj)
+            if _flat(text):
+                return "[" + inner + text[1:-1] + indent + "]"
+        elif all(isinstance(item, dict) for item in obj):
+            # dicts of scalars in one call: with one "{" per item, no "[" and
+            # no "{}", a "{" opens an item and a "}" before a separator closes one
+            deeper = inner + "  "
+            text = _encoder(deeper)(obj)
+            if text.count("{") == len(obj) and text.find("[", 1) < 0 and "{}" not in text:
+                rows = text[2:-2].replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
+                return "[" + inner + "{" + deeper + rows + inner + "}" + indent + "]"
+        items = (_json_text(item, inner) for item in obj)
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", indent)
+
+
+@functools.cache
+def _encoder(inner: str):
+    """The C encoder's `encode`, sorting keys, with `inner` after each item's comma."""
+    return json.JSONEncoder(sort_keys=True, separators=("," + inner, ": ")).encode
+
+
+def _flat(text: str) -> bool:
+    """Whether no item of the encoded list or dict `text` is a list or dict."""
+    return text.find("[", 1) < 0 and text.find("{", 1) < 0
 
 
 def _write_json(path: str, obj) -> None:

@@ -35,14 +35,18 @@ for all its rows.  `run_experiment` evolves several (eps, perturbation)
 members of one wave as such a batch; a member that leaves the sup-norm
 ceiling drops out at its own blow-up time and the others go on.
 
-Each trace row is one pass over those coefficients.  `conserved` reads
-them with Parseval sums and one irfft for integral(phi^4).  The orbit
-distance uses the energy-space norm ||(p, q)||^2 = integral(p^2 + p_x^2) +
-integral(q^2) with the Parseval weights w_n of `ynorm_sq`.  A shift s
-multiplies mode n by exp(i xi_n s) and keeps |ph_n| and |pt_n|, so dist_sq(s)
-= const - 2 G(s) with G(s) = sum_n w_n Re(cross_n exp(i xi_n s)), where cross
-pairs the state with (h, c h').  One irfft of cross gives G at the grid
-shifts, and Newton steps on G'(s) = 0 refine the best of them.
+Each trace row is one pass over those coefficients, and `run_experiment`
+makes them in blocks: it buffers its samples, and one `conserved` and one
+orbit-distance call read the stacked (rows, N/2 + 1) coefficients of
+_SAMPLE_BLOCK_ROWS or more rows, from several samples and members.
+`conserved` reads each row with Parseval sums and one irfft for
+integral(phi^4).  The orbit distance uses the energy-space norm
+||(p, q)||^2 = integral(p^2 + p_x^2) + integral(q^2) with the Parseval
+weights w_n of `ynorm_sq`.  A shift s multiplies mode n by exp(i xi_n s)
+and keeps |ph_n| and |pt_n|, so dist_sq(s) = const - 2 G(s) with
+G(s) = sum_n w_n Re(cross_n exp(i xi_n s)), where cross pairs the state
+with (h, c h').  One irfft of cross gives G at the grid shifts, and
+Newton steps on G'(s) = 0 refine the best of them.
 """
 
 from __future__ import annotations
@@ -70,8 +74,9 @@ __all__ = [
 
 TRACE_COLUMNS = ("t", "E", "F", "mean_phi", "mean_phidot", "orbit_distance")
 
-_NEWTON_STEPS = 8  # per orbit-distance sample; about three suffice
+_NEWTON_STEPS = 8  # per orbit-distance row; about three suffice
 _CEILING_FACTOR = 10.0  # run_experiment's blow-up ceiling, in units of max |h|
+_SAMPLE_BLOCK_ROWS = 16  # trace rows per conserved and orbit-distance call
 
 
 class BlowUpError(RuntimeError):
@@ -412,6 +417,11 @@ def run_experiment(
     it would have raised alone: a member that trips leaves the batch at its
     own time, and the others redo the current sample block from its start.
     Every member's trace is bit for bit the one it gets alone.
+
+    A sample only records its time, the members in the batch and their
+    state; once _SAMPLE_BLOCK_ROWS trace rows are pending, and once more at
+    the end, one `conserved` and one orbit-distance call evaluate them all.
+    The rows of a member that blows up leave with its trace.
     """
     batched = np.ndim(eps) == 1
     if not batched:
@@ -450,10 +460,22 @@ def run_experiment(
     outcomes = [None] * len(members)
     live = list(range(len(members)))  # the member held in each batch row
 
+    pending, phs, pts = [], [], []  # (t, member) per pending trace row; their states
+
     def sample(t, ph, pt):
+        pending.extend((t, member) for member in live)
+        phs.append(ph)  # advance returns new arrays, so no copy
+        pts.append(pt)
+        if len(pending) >= _SAMPLE_BLOCK_ROWS:
+            evaluate()
+
+    def evaluate():
+        ph, pt = np.vstack(phs), np.vstack(pts)
         values = np.array([*conserved(ph, pt, wave.L), distance(ph, pt)])
-        for member, row in zip(live, values.reshape(len(TRACE_COLUMNS) - 1, -1).T.tolist()):
+        for (t, member), row in zip(pending, values.T.tolist()):
             rows[member].append((t, *row))
+        for buffer in (pending, phs, pts):
+            buffer.clear()
 
     ph = _lone_row_1d(np.fft.rfft(np.array(phis)))
     pt = _lone_row_1d(np.fft.rfft(np.array(phidots)))
@@ -473,6 +495,8 @@ def run_experiment(
         ph, pt = ph_next, pt_next
         done += block
         sample(done * dt, ph, pt)
+    if pending:
+        evaluate()
     for member in live:
         outcomes[member] = EvolutionTrace(np.array(rows[member]))
     if batched:

@@ -101,7 +101,6 @@ __all__ = [
     "index_counts",
     "verify_index_counts",
     "coercivity_constant",
-    "solve_in_kernel_complement",
     "d_second_derivative",
     "full_report",
 ]
@@ -249,19 +248,6 @@ def _to_sector(f: np.ndarray, chars: tuple) -> np.ndarray:
         n, sine, w = _modes(N, char)
         F = np.fft.rfft(g, axis=0)[n]
         out.append(_columns(w, g.ndim) * (-F.imag if sine else F.real))
-    return np.concatenate(out)
-
-
-def _to_grid(u: np.ndarray, chars: tuple, N: int) -> np.ndarray:
-    """The grid field of sector coordinates u: the inverse of `_to_sector` on that sector."""
-    out, start = [], 0
-    for char in chars:
-        n, sine, w = _modes(N, char)
-        coef = u[start:start + n.size] / _columns(w, u.ndim)
-        F = np.zeros((N // 2 + 1,) + u.shape[1:], dtype=complex)
-        F[n] = -1j * coef if sine else coef
-        out.append(np.fft.irfft(F, n=N, axis=0))
-        start += n.size
     return np.concatenate(out)
 
 
@@ -440,23 +426,6 @@ def _solve_sector(op: OperatorMatrix, sector: int, rhs: np.ndarray, k: np.ndarra
         return np.linalg.solve(m, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"bordered solve failed for kind {op.kind}: {exc}") from exc
-
-
-def solve_in_kernel_complement(report: SpectralReport, rhs: np.ndarray) -> np.ndarray:
-    """Solve M x + mu k = rhs on the grid with x orthogonal to the kernel direction k of M.
-
-    rhs and x are grid fields (components stacked), one vector (dim,) or
-    several columns (dim, m); M is L1 or Lblock.  Each sector solves for its
-    part of rhs, sector 0 bordered with k (see `_solve_sector`).  The
-    report's eigenvalues guard the solve: exactly one must be classified
-    zero, and the rest must clear 1e3 tau_zero.
-    """
-    k = _kernel_column(report)
-    op = report.operator
-    layout = _LAYOUT[op.kind]
-    N = op.dim // len(layout[0])
-    return sum(_to_grid(_solve_sector(op, sector, _to_sector(rhs, chars), k), chars, N)
-               for sector, chars in enumerate(layout))
 
 
 def _constraint_matrix(report: SpectralReport) -> np.ndarray:

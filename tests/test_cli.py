@@ -243,12 +243,17 @@ _SCALARS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.5e-310]),
     _TEXT, st.text(max_size=4),
 )
+# Lists of flat dicts, like the rows of `wave --format json`, mostly with
+# plain keys, so that most of them keep the C encoder's text.
+_FLAT_DICTS = st.dictionaries(st.one_of(st.text(alphabet="xh12", max_size=3), _TEXT), _SCALARS,
+                              max_size=4)
 _TREES = st.recursive(
     _SCALARS,
     lambda kids: st.one_of(st.lists(kids, max_size=5),
                            st.lists(kids, max_size=5).map(tuple),  # encoded as lists
                            st.dictionaries(_TEXT, kids, max_size=5),
-                           st.dictionaries(st.integers(), kids, max_size=3)),
+                           st.dictionaries(st.integers(), kids, max_size=3),
+                           st.lists(_FLAT_DICTS, max_size=5)),
     max_leaves=24,
 )
 
@@ -282,6 +287,28 @@ class TestJsonWriter:
         if argv[0] == "wave":  # the samples are numpy float64 scalars
             samples = written[0][1]
             assert len(samples) == 64 and type(samples[0]["h"]) is np.float64
+
+    @pytest.mark.parametrize("obj", [
+        [{"x": np.float64(0.1), "h": -2.5e-310}, {"x": 1, "h": None}],
+        [{"a": 1}, {}],
+        [{}, {"a": 1}],
+        [{"a": "{}"}, {"b": "},\n      {"}],
+        [{"a": "}"}, {"b": "{"}],
+        [{"a": [1, 2]}, {"b": 2}],
+        [{"a": (1,)}],
+        [{"a": {"b": 1}}],
+        [{"a": 1}, [2]],
+        [{"b": 1, "a": 2}, 3],
+        [{"a": 1}, "{"],
+        {"a": (1, 2), "b": 1},
+        [{2: "x", 1: "y"}, {"z": math.nan}],
+        {"rows": [{"x": 1.5, "h": -0.0}], "n": 1},
+        {"b": 1, "a": "[", "c": True},
+    ])
+    def test_lists_and_dicts_of_scalars(self, obj, tmp_path):
+        path = tmp_path / "flat.json"
+        cli._write_json(str(path), obj)
+        assert path.read_bytes() == self.expected(obj)
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

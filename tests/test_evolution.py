@@ -14,7 +14,7 @@ from snoidal.evolution import (
     run_experiment,
     ynorm_sq,
 )
-from snoidal.evolution import _h1_semi_sq, _OrbitDistance
+from snoidal.evolution import _CEILING_FACTOR, _h1_semi_sq, _OrbitDistance
 from snoidal.waves import grid_points, profile_eval, sample_wave, solve_modulus, wavenumbers
 
 L, C = math.pi, 0.95
@@ -98,6 +98,50 @@ def reference_advance(stepper, ph, pt, nsteps, t0):
         ph, pt = linear_flow(ph, pt, full)
     ph, pt = kick(ph, pt, t0 + (nsteps - 0.5) * dt)
     return linear_flow(ph, pt, half)
+
+
+def reference_run(wave, perturbations, amplitudes, T, dt, every, n, projected=True):
+    """Per member, its trace rows or BlowUpError, each sample evaluated on its own.
+
+    The stepping is run_experiment's: one batch from t = 0, a sample every
+    `every` steps, and a member over the ceiling leaves while the others redo
+    the block.  The diagnostics are those of the per-sample loop: one
+    `conserved` and one orbit-distance call per member and sample, on its
+    1-D row, at the moment it is sampled.
+    """
+    h, h1, _ = sample_wave(wave, n)
+    distance = _OrbitDistance(wave, h, h1)
+    stepper = SplitStepper(wave.L, n, dt, projected, _CEILING_FACTOR * float(np.max(np.abs(h))))
+    phi = [h if eps == 0.0 else h + eps * p for eps, (p, _) in zip(amplitudes, perturbations)]
+    phidot = [wave.c * h1 if eps == 0.0 else wave.c * h1 + eps * q
+              for eps, (_, q) in zip(amplitudes, perturbations)]
+    ph, pt = np.fft.rfft(np.array(phi)), np.fft.rfft(np.array(phidot))
+    live = list(range(len(amplitudes)))
+    rows = [[] for _ in live]
+    outcomes = [None] * len(live)
+
+    def sample(t):
+        for b, member in enumerate(live):
+            rows[member].append((t, *conserved(ph[b], pt[b], wave.L), distance(ph[b], pt[b])))
+
+    nsteps, done = horizon_steps(T, dt), 0
+    sample(0.0)
+    while done < nsteps:
+        block = min(every, nsteps - done)
+        try:
+            ph_next, pt_next = stepper.advance(ph, pt, block, done * dt)
+        except BlowUpError as exc:
+            outcomes[live.pop(exc.member)] = exc
+            if not live:
+                break
+            ph, pt = np.delete(ph, exc.member, axis=0), np.delete(pt, exc.member, axis=0)
+            continue
+        ph, pt = ph_next, pt_next
+        done += block
+        sample(done * dt)
+    for member in live:
+        outcomes[member] = np.array(rows[member])
+    return outcomes
 
 
 class TestStep:
@@ -672,6 +716,77 @@ class TestBufferedAdvance:
             monkeypatch.setattr(np.fft, name, counting)
         assert self.same_bits(stepper.advance(ph, pt, 7, 0.0), plain)
         assert calls == ["irfft", "rfft"] * 7
+
+
+class TestSampleBlocks:
+    """Trace rows evaluated in blocks are the rows evaluated one sample at a time, bit for bit."""
+
+    @staticmethod
+    def assert_matches_reference(outcomes, reference):
+        assert len(outcomes) == len(reference)
+        for got, want in zip(outcomes, reference):
+            if isinstance(want, BlowUpError):
+                assert isinstance(got, BlowUpError)
+                assert (str(got), got.time) == (str(want), want.time)
+            else:
+                assert got.samples.tobytes() == want.tobytes()
+
+    # 1 + intervals rows per member: blocks of 16 rows end inside, at and
+    # just past the last sample for B = 1, and after every sixth for B = 3
+    @pytest.mark.parametrize("intervals", [1, 14, 15, 16, 17, 36, 37])
+    @pytest.mark.parametrize("projected", [True, False])
+    @pytest.mark.parametrize("B", [1, 3])
+    def test_matches_per_sample_reference(self, wave, B, projected, intervals):
+        amplitudes = [1e-3, 4e-4, 0.0][:B]
+        pairs = [perturbation_random(L, N, seed) for seed in (3, 4, 5)][:B]
+        every, dt = 3, 1e-3
+        T = intervals * every * dt
+        outcomes = run_experiment(wave, pairs, amplitudes, T, dt, every, N=N, projected=projected)
+        assert all(o.samples.shape[0] == intervals + 1 for o in outcomes)
+        self.assert_matches_reference(
+            outcomes, reference_run(wave, pairs, amplitudes, T, dt, every, N, projected))
+
+    def test_single_member_call_matches_reference(self, wave):
+        pair = perturbation_random(L, N, 2)
+        trace = run_experiment(wave, pair, 1e-3, 0.052, 1e-3, 3, N=N)
+        self.assert_matches_reference([trace], reference_run(wave, [pair], [1e-3], 0.052,
+                                                             1e-3, 3, N))
+
+    @pytest.mark.parametrize("amplitudes,T,dt,every", [
+        # eps = 100 trips at the first kick, with its t = 0 row still pending
+        ([1e-3, 100.0, 4e-4], 0.05, 1e-3, 1),
+        # the batch of test_blowup_is_per_member: eps = 60 trips at the first
+        # kick and eps = 35 at t = 1.95, each with rows pending
+        ([1e-3, 35.0, 60.0, 20.0], 3.0, 0.1, 2),
+    ], ids=["eps100", "eps35_eps60"])
+    def test_blowup_while_rows_are_pending(self, wave, amplitudes, T, dt, every):
+        pairs = [perturbation_random(L, N, 1)] * len(amplitudes)
+        outcomes = run_experiment(wave, pairs, amplitudes, T, dt, every, N=N)
+        reference = reference_run(wave, pairs, amplitudes, T, dt, every, N)
+        assert any(isinstance(o, BlowUpError) for o in reference)
+        assert any(not isinstance(o, BlowUpError) for o in reference)
+        self.assert_matches_reference(outcomes, reference)
+
+    def test_501_samples_take_at_most_32_calls(self, wave, monkeypatch):
+        import snoidal.evolution as evolution
+
+        calls = {"conserved": 0, "distance": 0}
+        real_conserved, real_distance = evolution.conserved, _OrbitDistance.__call__
+
+        def counting_conserved(*args, **kwargs):
+            calls["conserved"] += 1
+            return real_conserved(*args, **kwargs)
+
+        def counting_distance(self, *args, **kwargs):
+            calls["distance"] += 1
+            return real_distance(self, *args, **kwargs)
+
+        monkeypatch.setattr(evolution, "conserved", counting_conserved)
+        monkeypatch.setattr(_OrbitDistance, "__call__", counting_distance)
+        p, q = perturbation_random(L, N, 1)
+        trace = run_experiment(wave, (p, q), 1e-3, 0.5, 1e-3, 1, N=N)
+        assert trace.samples.shape[0] == 501
+        assert 0 < calls["conserved"] <= 32 and 0 < calls["distance"] <= 32
 
 
 class TestStateInvariants:

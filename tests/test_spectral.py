@@ -28,8 +28,15 @@ from snoidal.spectral import (
     eigen_report,
     full_report,
     index_counts,
-    solve_in_kernel_complement,
     verify_index_counts,
+)
+from snoidal.spectral import (
+    _LAYOUT,
+    _columns,
+    _kernel_column,
+    _modes,
+    _solve_sector,
+    _to_sector,
 )
 from snoidal.waves import OutOfRangeError, grid_points, sample_wave, solve_modulus
 
@@ -148,6 +155,36 @@ def constant_row(N, chars):
             return offset + int(np.flatnonzero(n == 0)[0])
         offset += n.size
     return None
+
+
+def to_grid(u, chars, N):
+    """The grid field of sector coordinates u: the inverse of `_to_sector` on that sector."""
+    out, start = [], 0
+    for char in chars:
+        n, sine, w = _modes(N, char)
+        coef = u[start:start + n.size] / _columns(w, u.ndim)
+        F = np.zeros((N // 2 + 1,) + u.shape[1:], dtype=complex)
+        F[n] = -1j * coef if sine else coef
+        out.append(np.fft.irfft(F, n=N, axis=0))
+        start += n.size
+    return np.concatenate(out)
+
+
+def solve_in_kernel_complement(report, rhs):
+    """Solve M x + mu k = rhs on the grid with x orthogonal to the kernel direction k of M.
+
+    rhs and x are grid fields (components stacked), one vector (dim,) or
+    several columns (dim, m); M is L1 or Lblock.  Each sector solves for its
+    part of rhs through the library's guarded sector solve, sector 0
+    bordered with k.  The report's eigenvalues guard the solve: exactly one
+    must be classified zero, and the rest must clear 1e3 tau_zero.
+    """
+    k = _kernel_column(report)
+    op = report.operator
+    layout = _LAYOUT[op.kind]
+    N = op.dim // len(layout[0])
+    return sum(to_grid(_solve_sector(op, sector, _to_sector(rhs, chars), k), chars, N)
+               for sector, chars in enumerate(layout))
 
 
 def mean_free_basis(n, parts):
