@@ -24,7 +24,11 @@ to the state's shape once and cached on the stepper per shape.  The
 caller's ph and pt are only read, by the first half flow, so a block can be
 redone from them after a blow-up.  The arithmetic and its order are those
 of the plain expressions cos ph + sin/om pt and pt - dt rfft(phi^3), so the
-bits are too.
+bits are too.  The step's two transforms call numpy's pocketfft ufuncs
+(`numpy.fft._pocketfft_umath`, numpy >= 2.0) directly, with the scale
+factors np.fft.irfft and np.fft.rfft pass for the default norm, 1/N and 1:
+at N = 256 the np.fft wrapper's per-call checks cost about as much as the
+transform, and the buffers already have the shapes those checks verify.
 
 The state may carry a leading batch axis: (B, N/2 + 1) coefficients hold B
 trajectories on one grid, one per row, and (N/2 + 1,) ones are the B = 1
@@ -57,6 +61,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.fft import _pocketfft_umath
 
 from .waves import WaveParameters, grid_points, sample_wave, wavenumbers
 
@@ -146,7 +151,10 @@ class SplitStepper:
     `advance` saw are cached, so a batch pays for them once per run and again
     only when a blown-up member leaves it.  A 1-D state uses the per-mode
     tables themselves.  Multiplying by a contiguous table of the state's own
-    shape is faster than broadcasting an (N/2 + 1,) one over its rows.
+    shape is faster than broadcasting an (N/2 + 1,) one over its rows.  The
+    kick transforms through pocketfft's irfft and rfft_n_even ufuncs with
+    numpy's own scale factors, so it gets np.fft's bits without the
+    wrapper's per-call cost; rfft_n_even needs the grid rule's even N.
     """
 
     def __init__(self, L: float, N: int, dt: float, projected: bool = True,
@@ -209,12 +217,15 @@ class SplitStepper:
         ph, pt are the rfft coefficients of (phi, phi_t), of shape
         (N/2 + 1,) or (B, N/2 + 1).  The call allocates its buffers once and
         no step allocates: the FFTs and products write into them, and each
-        full rotation writes the other pair of state buffers.  The first half
-        flow reads ph and pt into those buffers, so the inputs are never
-        written -- `run_experiment` redoes a block from them after a blow-up
-        -- and the arrays returned share no memory with them (nsteps < 1
-        returns the inputs as they are).  BlowUpError.member names the
-        tripping row.
+        full rotation writes the other pair of state buffers.  The FFTs call
+        the pocketfft ufuncs behind np.fft.irfft and np.fft.rfft with the
+        scale factors those pass (1/N and 1): the same bits, without the
+        wrapper's norm, dtype, axis and shape handling, which the buffers
+        make redundant.  The first half flow reads ph and pt into those
+        buffers, so the inputs are never written -- `run_experiment` redoes
+        a block from them after a blow-up -- and the arrays returned share
+        no memory with them (nsteps < 1 returns the inputs as they are).
+        BlowUpError.member names the tripping row.
         """
         if nsteps < 1:
             return ph, pt
@@ -231,7 +242,7 @@ class SplitStepper:
                 self._rotate(full, *cur, *nxt, work)
                 cur, nxt = nxt, cur
             # the kick: pt -= dt (phi^3 - mean phi^3)
-            np.fft.irfft(cur[0], N, out=phi)
+            _pocketfft_umath.irfft(cur[0], 1.0 / N, out=phi)
             np.multiply(phi, phi, out=cube)
             # sqrt(fl(x^2)) = |x| in binary64 away from under- and overflow,
             # so this is max |phi| over the batch, read off the square the
@@ -239,9 +250,11 @@ class SplitStepper:
             if not math.sqrt(np.maximum.reduce(cube, axis=None)) <= ceiling:  # NaN trips it too
                 self._trip(phi, t0 + (j + 0.5) * dt)
             np.multiply(cube, phi, out=cube)
-            np.fft.rfft(cube, out=work)
+            _pocketfft_umath.rfft_n_even(cube, 1.0, out=work)
             if self.projected:
                 work[..., 0] = 0.0  # subtracting the mean of phi^3, exactly
+            # dt stays out of rfft's scale factor: for dt < 0 that would keep
+            # mode 0's projected zero +0.0 where dt * 0.0 gives -0.0
             np.multiply(dt, work, out=work)
             np.subtract(cur[1], work, out=cur[1])
         self._rotate(half, *cur, *nxt, work)

@@ -1,6 +1,7 @@
 """Projected splitting integrator: conservation, reversibility, orbit distance."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -642,22 +643,26 @@ class TestBufferedAdvance:
     """advance runs the reference loop's arithmetic in its own buffers, bit for bit."""
 
     @staticmethod
-    def states(wave, rows):
+    def states(wave, rows, n=N):
         """Three rows of TestBatch.states, or the middle one as a 1-D state (rows=None)."""
-        ph, pt = TestBatch.states(wave, N, [1e-3, 0.3, 0.0])
+        ph, pt = TestBatch.states(wave, n, [1e-3, 0.3, 0.0])
         return (ph[1], pt[1]) if rows is None else (ph[:rows].copy(), pt[:rows].copy())
 
     @staticmethod
     def same_bits(got, want):
         return all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(got, want))
 
+    # the reference loop transforms through np.fft, advance through the
+    # pocketfft ufuncs it binds: N = 16 is the grid floor, and N = 130 has an
+    # odd N/2
     @pytest.mark.parametrize("nsteps", [1, 2, 7])
     @pytest.mark.parametrize("dt", [1e-3, -1e-3])
     @pytest.mark.parametrize("projected", [True, False])
     @pytest.mark.parametrize("rows", [None, 3])
-    def test_matches_reference_loop(self, wave, rows, projected, dt, nsteps):
-        ph, pt = self.states(wave, rows)
-        stepper = SplitStepper(L, N, dt, projected, ceiling=20.0)
+    @pytest.mark.parametrize("n", [16, N, 130])
+    def test_matches_reference_loop(self, wave, n, rows, projected, dt, nsteps):
+        ph, pt = self.states(wave, rows, n)
+        stepper = SplitStepper(L, n, dt, projected, ceiling=20.0)
         got = stepper.advance(ph, pt, nsteps, 0.125)
         assert got[0].shape == got[1].shape == ph.shape
         assert self.same_bits(got, reference_advance(stepper, ph, pt, nsteps, 0.125))
@@ -688,10 +693,11 @@ class TestBufferedAdvance:
                 assert a is ph and b is pt or not np.shares_memory(a, b)
 
     @pytest.mark.parametrize("row", [0, 2])
-    def test_nan_row_trips_with_its_member_and_time(self, wave, row):
-        ph, pt = self.states(wave, 3)
+    @pytest.mark.parametrize("n", [16, N, 130])
+    def test_nan_row_trips_with_its_member_and_time(self, wave, n, row):
+        ph, pt = self.states(wave, 3, n)
         ph[row] = np.nan
-        stepper = SplitStepper(L, N, 1e-3, ceiling=20.0)
+        stepper = SplitStepper(L, n, 1e-3, ceiling=20.0)
         with pytest.raises(BlowUpError) as info:
             stepper.advance(ph, pt, 7, 0.25)
         with pytest.raises(BlowUpError) as ref:
@@ -700,20 +706,26 @@ class TestBufferedAdvance:
         assert info.value.time == ref.value.time == 0.25 + 0.5e-3
         assert str(info.value).startswith("||phi||_inf = nan exceeded ceiling 20 at t = 0.2505")
 
-    def test_ffts_are_looked_up_at_call_time(self, wave, monkeypatch):
-        # two FFTs per step, each found through np.fft when it is called
+    def test_ffts_call_the_bound_pocketfft_ufuncs(self, wave, monkeypatch):
+        # two transforms per step, each a call of the pocketfft ufunc that
+        # evolution binds, not of the np.fft wrapper
+        import snoidal.evolution as evolution
+
         ph, pt = self.states(wave, 3)
         stepper = SplitStepper(L, N, 1e-3)
         plain = stepper.advance(ph, pt, 7, 0.0)
         calls = []
-        for name in ("rfft", "irfft"):
-            real = getattr(np.fft, name)
 
-            def counting(*args, _real=real, _name=name, **kwargs):
-                calls.append(_name)
-                return _real(*args, **kwargs)
+        def counting(ufunc, transform):
+            def call(*args, **kwargs):
+                calls.append(transform)
+                return ufunc(*args, **kwargs)
 
-            monkeypatch.setattr(np.fft, name, counting)
+            return call
+
+        bound = evolution._pocketfft_umath
+        monkeypatch.setattr(evolution, "_pocketfft_umath", SimpleNamespace(
+            irfft=counting(bound.irfft, "irfft"), rfft_n_even=counting(bound.rfft_n_even, "rfft")))
         assert self.same_bits(stepper.advance(ph, pt, 7, 0.0), plain)
         assert calls == ["irfft", "rfft"] * 7
 
