@@ -19,9 +19,10 @@ before any compute runs or any file is written: the directory of the
 --out prefix must exist and the prefix must end in a file name, N must be
 even and at least 16 (64 for spectrum), T a positive whole number of dt
 steps, seed nonnegative, eps nonnegative and finite (positive for
-stability), sweep --workers at least 1.  A sweep job that fails, even on
-its flags, is reported with its exit code and the other jobs still run; a
-job that raises an exception counts as exit 1.
+stability), sweep --workers at least 1, and a sweep's `projected` key true,
+1 or yes (--projected) or false, 0 or no (--unprojected), in any case.  A
+sweep job that fails, even on its flags, is reported with its exit code and
+the other jobs still run; a job that raises an exception counts as exit 1.
 
 A sweep checks every job's flags before any job runs.  evolve/stability
 jobs that differ only in eps, seed and --out form a group, run through
@@ -251,6 +252,11 @@ def _parse_sweep_config(path: str) -> list[dict]:
     return jobs
 
 
+# A sweep job's `projected` value, case-insensitively, -> its flag.
+_PROJECTED_FLAGS = {"true": "--projected", "1": "--projected", "yes": "--projected",
+                    "false": "--unprojected", "0": "--unprojected", "no": "--unprojected"}
+
+
 def _check_sweep_job(parser, idx: int, job: dict, out_prefix: str):
     """Parse and check one job's flags: (args or None, exit code, argv text)."""
     argv = [job["command"]]
@@ -258,12 +264,16 @@ def _check_sweep_job(parser, idx: int, job: dict, out_prefix: str):
         if key == "command":
             continue
         if key == "projected":
-            argv.append("--projected" if value.lower() in ("1", "true", "yes") else "--unprojected")
+            argv.append(_PROJECTED_FLAGS.get(value.lower(), f"--projected={value}"))
         else:
             argv.extend([f"--{key}", value])
     argv.extend(["--out", f"{out_prefix}_{idx:04d}"])
     text = " ".join(argv)
     try:
+        projected = job.get("projected")
+        if projected is not None and projected.lower() not in _PROJECTED_FLAGS:
+            raise ValueError(f"projected must be one of {', '.join(_PROJECTED_FLAGS)} "
+                             f"(any case), got {projected!r}")
         args = parser.parse_args(argv)
         _check_args(args)
     except SystemExit:  # argparse rejected the job's keys and printed why

@@ -63,8 +63,7 @@ eigenvalues).  The counts and the coercivity constant read those
 eigenvalues.  The solves behind D1 and the matrix D need no eigenvectors
 and no bordering: the constants have no part in the kernel sector, so only
 the T-even sectors that hold them are solved, plainly, for right-hand
-sides of sqrt(N) at the n = 0 cosines.  A general
-right-hand side borders sector 0 with its known kernel direction.
+sides of sqrt(N) at the n = 0 cosines.
 
 The constrained Morse index is cross-checked two ways: directly from the
 compressed spectra, and through the count n(L_c) = n(L) - n(D) - z(D),
@@ -125,7 +124,7 @@ class EigenSolveError(RuntimeError):
 
 
 class SingularSystemError(RuntimeError):
-    """Kernel-bordered linear solve is ill-posed (wrong kernel handling)."""
+    """Constraint solve is ill-posed: the kernel is not one-dimensional, or a solve fails."""
 
 
 class IndexMismatchError(RuntimeError):
@@ -139,8 +138,9 @@ class OperatorMatrix:
     kernel_vector holds the expected discrete kernel direction in the
     coordinates of blocks[0] (h' for L1, (h', c h'') for the block operator;
     the constraint passes sector 0 through, so constrained kinds keep it);
-    the kernel-bordered solves border with it.  Constraining needs nothing beyond the blocks: the
-    rank-one mean coupling vanishes under the compression.
+    eigen_report measures the kernel residual with it.  Constraining needs
+    nothing beyond the blocks: the rank-one mean coupling vanishes under the
+    compression.
     """
 
     kind: str
@@ -168,9 +168,9 @@ class OperatorMatrix:
 class SpectralReport:
     """Sorted eigenvalues with negative/zero counts at tolerance tau_zero.
 
-    operator is the operator they belong to; the kernel-bordered solves read
-    its sector blocks and kernel direction.  sector_eigenvalues holds the
-    ascending eigenvalues of each of its blocks.
+    operator is the operator they belong to; the constraint solves read its
+    sector blocks.  sector_eigenvalues holds the ascending eigenvalues of
+    each of its blocks.
     """
 
     eigenvalues: np.ndarray
@@ -230,24 +230,19 @@ def _constants(N: int, chars: tuple) -> list[tuple[int, int]]:
     return [(i, sum(sizes[:i])) for i, char in enumerate(chars) if char == (EVEN, EVEN)]
 
 
-def _columns(w: np.ndarray, ndim: int) -> np.ndarray:
-    """w shaped to scale the rows of an array of ndim axes."""
-    return w.reshape((-1,) + (1,) * (ndim - 1))
-
-
 def _to_sector(f: np.ndarray, chars: tuple) -> np.ndarray:
-    """Coordinates in one sector of the grid field f (its components stacked, columns kept).
+    """Coordinates in one sector of the grid field f (its components stacked).
 
     The coordinate of a mode is w (Re, -Im) of f's rfft at its wavenumber,
     Re for a cosine and -Im for a sine.
     """
     parts = np.split(f, len(chars))
-    N = parts[0].shape[0]
+    N = parts[0].size
     out = []
     for g, char in zip(parts, chars):
         n, sine, w = _modes(N, char)
-        F = np.fft.rfft(g, axis=0)[n]
-        out.append(_columns(w, g.ndim) * (-F.imag if sine else F.real))
+        F = np.fft.rfft(g)[n]
+        out.append(w * (-F.imag if sine else F.real))
     return np.concatenate(out)
 
 
@@ -381,12 +376,11 @@ def D1_closed(wave: WaveParameters) -> float:
     return -wave.L * (1.0 + k2) / (1.0 - k2) ** 2 * bracket
 
 
-def _kernel_column(report: SpectralReport) -> np.ndarray:
-    """The unit kernel direction that borders sector 0, once the report passes every solve guard.
+def _check_solvable(report: SpectralReport) -> None:
+    """Guards of the constraint solves, raised before any solve runs.
 
-    The operator must be L1 or Lblock; exactly one eigenvalue must be
-    classified zero, the rest must clear 1e3 tau_zero, and the kernel
-    direction must not vanish.
+    The operator must be L1 or Lblock, exactly one eigenvalue must be
+    classified zero, and the rest must clear 1e3 tau_zero.
     """
     vals, tau_zero, op = report.eigenvalues, report.tau_zero, report.operator
     if op.kind not in _LAYOUT:
@@ -402,42 +396,18 @@ def _kernel_column(report: SpectralReport) -> np.ndarray:
             f"retained spectrum of kind {op.kind} nearly singular: "
             f"min |eigenvalue| {np.min(retained):.3e} at tau_zero {tau_zero:.3e}"
         )
-    norm = np.linalg.norm(op.kernel_vector)
-    if norm == 0.0:
-        raise SingularSystemError(f"kind {op.kind} carries no kernel direction to border with")
-    return op.kernel_vector[:, None] / norm
-
-
-def _solve_sector(op: OperatorMatrix, sector: int, rhs: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Solve one sector block of op for rhs (sector coordinates), bordering sector 0 with k.
-
-    Sector 0 holds the unit kernel direction k, so its bordered system
-    [[M0, k], [k^T, 0]] (x0, mu) = (rhs0, 0) is nonsingular whenever M0 has
-    a one-dimensional kernel not orthogonal to k; mu absorbs the part of rhs
-    along the kernel.  The other sectors are nonsingular and take a plain
-    solve.
-    """
-    m = op.blocks[sector]
-    try:
-        if sector == 0:
-            bordered = np.block([[m, k], [k.T, np.zeros((1, 1))]])
-            pad = np.zeros((1,) + rhs.shape[1:])
-            return np.linalg.solve(bordered, np.concatenate([rhs, pad]))[:-1]
-        return np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"bordered solve failed for kind {op.kind}: {exc}") from exc
 
 
 def _constraint_matrix(report: SpectralReport) -> np.ndarray:
     """D[i, j] = (M^{-1} e_i, e_j) over the constants e_i of M's N-point components.
 
-    e_i is sqrt(N) times its component's n = 0 cosine, and each sector
-    holds at most one constant, so only the sectors that hold one are
-    solved, and D[i, i] is the grid inner product (L/N) (u_i, e_i) there.
-    Constants in different sectors are orthogonal under M^{-1}, so the
-    other entries are zero.
+    e_i is sqrt(N) times its component's n = 0 cosine.  Each sector holds at
+    most one constant, and those that hold one are T-even, clear of the
+    kernel's sector 0, so each takes one plain solve, and D[i, i] is the
+    grid inner product (L/N) (u_i, e_i) there.  Constants in different
+    sectors are orthogonal under M^{-1}, so the other entries are zero.
     """
-    k = _kernel_column(report)
+    _check_solvable(report)
     op = report.operator
     layout = _LAYOUT[op.kind]
     parts = len(layout[0])
@@ -447,7 +417,11 @@ def _constraint_matrix(report: SpectralReport) -> np.ndarray:
         for comp, row in _constants(N, chars):
             e = np.zeros(op.blocks[sector].shape[0])
             e[row] = math.sqrt(N)
-            D[comp, comp] = op.L / N * (_solve_sector(op, sector, e, k) @ e)
+            try:
+                u = np.linalg.solve(op.blocks[sector], e)
+            except np.linalg.LinAlgError as exc:
+                raise SingularSystemError(f"solve failed for kind {op.kind}: {exc}") from exc
+            D[comp, comp] = op.L / N * (u @ e)
     return D
 
 
@@ -463,22 +437,18 @@ def D1_numeric(report: SpectralReport) -> float:
 
 
 def D_matrix(report: SpectralReport) -> np.ndarray:
-    """Numerical 2x2 constraint matrix D of the pair operator, checked to be diag(D1, L).
+    """Numerical 2x2 constraint matrix D = diag(D1, L) of the pair operator.
 
     report is the eigen_report of Lblock on an N-point grid; L is its
     operator's period.  Solves Lblock U = E for the two constant directions
-    E = [(1,0) (0,1)] (both orthogonal to the kernel by periodicity); the
-    constrained counts are then n(Lblock) - n(D) - z(D) and z(Lblock) + z(D).
+    E = [(1,0) (0,1)], which lie in different sectors, so D is diagonal; the
+    lower-right entry is checked against L.  The constrained counts are
+    then n(Lblock) - n(D) - z(D) and z(Lblock) + z(D).
     """
     if report.operator.kind != KIND_LBLOCK:
         raise ValueError(f"D_matrix needs a report of kind Lblock, got {report.operator.kind}")
     L = report.operator.L
     d = _constraint_matrix(report)
-    if max(abs(d[0, 1]), abs(d[1, 0])) > 1e-8 * L:
-        raise SingularSystemError(
-            f"constraint matrix off-diagonal {d[0, 1]:.3e}, {d[1, 0]:.3e} "
-            f"exceeds 1e-8 * L = {1e-8 * L:.3e}"
-        )
     if abs(d[1, 1] - L) > 1e-8 * L:
         raise SingularSystemError(
             f"constraint matrix lower-right {d[1, 1]:.12g} differs from L = {L:.12g}"

@@ -128,7 +128,7 @@ class TestSpectrumCommand:
         assert cli.main(["spectrum", "--L", "3.14159", "--c", "0.95",
                          "--out", str(tmp_path / "x")]) == 3
 
-    def test_singular_bordered_solve_maps_to_3(self, tmp_path, monkeypatch, capsys):
+    def test_singular_solve_maps_to_3(self, tmp_path, monkeypatch, capsys):
         # LinAlgError subclasses ValueError, which would otherwise read as exit 2
         def singular(*a, **k):
             raise np.linalg.LinAlgError("Singular matrix")
@@ -136,7 +136,8 @@ class TestSpectrumCommand:
         monkeypatch.setattr(np.linalg, "solve", singular)
         assert cli.main(["spectrum", "--L", "3.14159", "--c", "0.95", "--N", "64",
                          "--out", str(tmp_path / "x")]) == 3
-        assert "bordered solve failed for kind" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "internal consistency violation: solve failed for kind Lblock: Singular matrix"]
         assert list(tmp_path.iterdir()) == []
 
 
@@ -442,6 +443,28 @@ class TestSweepRobustness:
         err = capsys.readouterr().err
         assert "sweep job 0 raised MemoryError: cannot allocate the operator" in err
         assert "sweep job 0 failed with exit 1" in err and "sweep job 1" not in err
+
+    def test_projected_value_outside_its_spellings_exits_2(self, tmp_path, capsys):
+        # a typo must not fall through to the plain flow
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("command = evolve\nL = 3.14159\nc = 0.95\nN = 64\nT = 0.01\n"
+                       "projected = ture\n")
+        assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "ty")]) == 2
+        assert list(tmp_path.glob("ty*")) == []
+        err = capsys.readouterr().err
+        assert err.startswith("invalid parameters: projected must be one of "
+                              "true, 1, yes, false, 0, no (any case), got 'ture'\n")
+        assert "sweep job 0 failed with exit 2: evolve " in err and "--projected=ture" in err
+
+    def test_projected_spellings_any_case(self, tmp_path):
+        spellings = ["no", "0", "FALSE", "yes", "1", "True"]
+        cfg = tmp_path / "pj.cfg"
+        cfg.write_text("command = evolve\nL = 3.14159\nc = 0.95\nN = 64\nT = 0.01\n"
+                       f"projected = {','.join(spellings)}\n")
+        assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "pj")]) == 0
+        got = [json.loads((tmp_path / f"pj_{i:04d}.json").read_text())["projected"]
+               for i in range(len(spellings))]
+        assert got == [False, False, False, True, True, True]
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exits_2(self, workers, tmp_path, monkeypatch, capsys):

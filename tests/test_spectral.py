@@ -1,5 +1,6 @@
 """Linearized-operator spectra, constrained index bookkeeping, and d''(c)."""
 
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 
@@ -32,10 +33,8 @@ from snoidal.spectral import (
 )
 from snoidal.spectral import (
     _LAYOUT,
-    _columns,
-    _kernel_column,
+    _check_solvable,
     _modes,
-    _solve_sector,
     _to_sector,
 )
 from snoidal.waves import OutOfRangeError, grid_points, sample_wave, solve_modulus
@@ -158,12 +157,12 @@ def constant_row(N, chars):
 
 
 def to_grid(u, chars, N):
-    """The grid field of sector coordinates u: the inverse of `_to_sector` on that sector."""
+    """Grid fields of the sector coordinate columns u: the inverse of `_to_sector`, per column."""
     out, start = [], 0
     for char in chars:
         n, sine, w = _modes(N, char)
-        coef = u[start:start + n.size] / _columns(w, u.ndim)
-        F = np.zeros((N // 2 + 1,) + u.shape[1:], dtype=complex)
+        coef = u[start:start + n.size] / w[:, None]
+        F = np.zeros((N // 2 + 1, u.shape[1]), dtype=complex)
         F[n] = -1j * coef if sine else coef
         out.append(np.fft.irfft(F, n=N, axis=0))
         start += n.size
@@ -174,17 +173,33 @@ def solve_in_kernel_complement(report, rhs):
     """Solve M x + mu k = rhs on the grid with x orthogonal to the kernel direction k of M.
 
     rhs and x are grid fields (components stacked), one vector (dim,) or
-    several columns (dim, m); M is L1 or Lblock.  Each sector solves for its
-    part of rhs through the library's guarded sector solve, sector 0
-    bordered with k.  The report's eigenvalues guard the solve: exactly one
-    must be classified zero, and the rest must clear 1e3 tau_zero.
+    several columns (dim, m); M is L1 or Lblock.  The library's solve guards
+    run first: exactly one eigenvalue must be classified zero, and the rest
+    must clear 1e3 tau_zero.  Each sector solves for its part of rhs; sector
+    0 holds the unit kernel direction k, so it is bordered with k, and
+    [[M0, k], [k^T, 0]] (x0, mu) = (rhs0, 0) is nonsingular whenever M0 has a
+    one-dimensional kernel not orthogonal to k.  The other sectors are
+    nonsingular and take a plain solve.
     """
-    k = _kernel_column(report)
+    _check_solvable(report)
     op = report.operator
+    norm = np.linalg.norm(op.kernel_vector)
+    if norm == 0.0:
+        raise SingularSystemError(f"kind {op.kind} carries no kernel direction to border with")
+    k = op.kernel_vector[:, None] / norm
     layout = _LAYOUT[op.kind]
     N = op.dim // len(layout[0])
-    return sum(to_grid(_solve_sector(op, sector, _to_sector(rhs, chars), k), chars, N)
-               for sector, chars in enumerate(layout))
+    cols = rhs.reshape(op.dim, -1)
+    x = 0.0
+    for sector, (m, chars) in enumerate(zip(op.blocks, layout)):
+        b = np.stack([_to_sector(col, chars) for col in cols.T], axis=1)
+        if sector == 0:
+            bordered = np.block([[m, k], [k.T, np.zeros((1, 1))]])
+            u = np.linalg.solve(bordered, np.concatenate([b, np.zeros((1, b.shape[1]))]))[:-1]
+        else:
+            u = np.linalg.solve(m, b)
+        x = x + to_grid(u, chars, N)
+    return x.reshape(rhs.shape)
 
 
 def mean_free_basis(n, parts):
@@ -490,12 +505,15 @@ class TestD1:
 
 
 class TestDMatrix:
-    def test_structure(self, wave, op_Lblock):
-        rb = eigen_report(op_Lblock)
+    @pytest.mark.parametrize("N", [128, 130])
+    def test_structure(self, wave, N):
+        # the constants lie in different sectors, so the off-diagonal
+        # entries are never written, whether 4 divides N or not
+        rb = eigen_report(assemble_Lblock(wave, N))
         D = D_matrix(rb)
         assert D.shape == (2, 2)
-        assert abs(D[0, 1]) <= 1e-8 * wave.L
-        assert abs(D[1, 0]) <= 1e-8 * wave.L
+        assert D[0, 1] == 0.0
+        assert D[1, 0] == 0.0
         assert abs(D[1, 1] - wave.L) <= 1e-8 * wave.L
         # D1 < 0 and L > 0: n(D) = 1, z(D) = 0
         assert index_counts(rb, D) == (rb.n - 1, rb.z)
@@ -544,6 +562,38 @@ class TestDMatrix:
         e2 = np.concatenate([np.zeros(128), np.ones(128)])
         u2 = solve_in_kernel_complement(eigen_report(m), e2)
         assert np.max(np.abs(u2 - e2)) <= 1e-8
+
+
+class TestSolveGuards:
+    """The pipeline's constraint solves refuse a report they cannot trust."""
+
+    constraints = pytest.mark.parametrize(
+        "assemble, constraint", [(assemble_L1, D1_numeric), (assemble_Lblock, D_matrix)],
+        ids=["D1_numeric", "D_matrix"])
+
+    @constraints
+    def test_two_zero_eigenvalues(self, wave, assemble, constraint):
+        report = dataclasses.replace(eigen_report(assemble(wave, 128)), z=2)
+        kind = report.operator.kind
+        with pytest.raises(SingularSystemError,
+                           match=f"^expected a one-dimensional discrete kernel for kind {kind}, "
+                                 r"classified 2 eigenvalues within \S+ of zero$"):
+            constraint(report)
+
+    @constraints
+    def test_nearly_singular_retained_spectrum(self, wave, assemble, constraint):
+        # the smallest retained eigenvalue sits 100 tau_zero from zero,
+        # with the kernel eigenvalue still classified zero
+        report = eigen_report(assemble(wave, 128))
+        vals = report.eigenvalues
+        smallest = np.min(np.abs(vals[np.abs(vals) > report.tau_zero]))
+        report = dataclasses.replace(report, tau_zero=smallest / 100.0)
+        assert np.sum(np.abs(vals) <= report.tau_zero) == 1
+        kind = report.operator.kind
+        with pytest.raises(SingularSystemError,
+                           match=f"^retained spectrum of kind {kind} nearly singular: "
+                                 r"min \|eigenvalue\| \S+ at tau_zero \S+$"):
+            constraint(report)
 
 
 def synthetic_report(vals):
