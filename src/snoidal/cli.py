@@ -19,9 +19,10 @@ before any compute runs or any file is written: the directory of the
 --out prefix must exist and the prefix must end in a file name, N must be
 even and at least 16 (64 for spectrum), T a positive whole number of dt
 steps, seed nonnegative, eps nonnegative and finite (positive for
-stability), sweep --workers at least 1, and a sweep's `projected` key true,
-1 or yes (--projected) or false, 0 or no (--unprojected), in any case.  A
-sweep job that fails, even on its flags, is reported with its exit code and
+stability), sweep --workers at least 1, each key of a sweep config given
+on one line only, and a sweep's `projected` key true, 1 or yes
+(--projected) or false, 0 or no (--unprojected), in any case.  A sweep
+job that fails, even on its flags, is reported with its exit code and
 the other jobs still run; a job that raises an exception counts as exit 1.
 
 A sweep checks every job's flags before any job runs.  evolve/stability
@@ -225,8 +226,12 @@ def cmd_evolve(args, run=None) -> int:
 
 
 def _parse_sweep_config(path: str) -> list[dict]:
-    """key = value lines; comma-separated values expand to a cartesian product."""
+    """key = value lines; comma-separated values expand to a cartesian product.
+
+    A key given on two lines is an error, not an override.
+    """
     scalars: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     try:
         with open(path) as fh:
             raw_lines = fh.readlines()
@@ -239,6 +244,10 @@ def _parse_sweep_config(path: str) -> list[dict]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise ValueError(f"{path}:{lineno}: key {key!r} given twice, "
+                             f"on lines {first_line[key]} and {lineno}")
+        first_line[key] = lineno
         scalars[key] = value
     if "command" not in scalars:
         raise ValueError(f"{path}: sweep config needs a 'command' entry")

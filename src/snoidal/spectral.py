@@ -70,17 +70,27 @@ compressed spectra, and through the count n(L_c) = n(L) - n(D) - z(D),
 z(L_c) = z(L) + z(D), where D[i, j] = (L^{-1} e_i, e_j) over the constants
 e_i of the operator's components: the 1x1 D1 = (L1^{-1} 1, 1) for L1 and
 the 2x2 D = diag(D1, L) for Lblock.
+
+The wave's samples, xi and the potential block of each character are
+built once per (wave, N) and shared, read-only, by both assemblies and the
+closed-form eigenpairs, so one report samples the wave once and forms four
+potential blocks.  The slope condition d''(c) of Grillakis, Shatah &
+Strauss is taken in closed form from K, E and dK/dk through the period
+relation; `d_second_derivative`'s central difference is its independent
+check.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .elliptic import complete_E, complete_K
-from .waves import WaveParameters, sample_wave, solve_modulus, wavenumbers
+from .waves import WaveParameters, _dK_dk, sample_wave, solve_modulus, wavenumbers
 
 __all__ = [
     "EigenSolveError",
@@ -116,7 +126,8 @@ KIND_LBLOCK_CONSTRAINED = "Lblock_constrained"
 # 1.6e-8 * radius; 1e-12 splits the two regimes by >= 4 decades either way.
 ZERO_TOL_FACTOR = 1e-12
 
-D2_SPEED_STEP = 1e-4  # speed step of the central difference behind full_report's d2
+# Speed step of d_second_derivative's cross-check of d2, reported as parameters.dc.
+D2_SPEED_STEP = 1e-4
 
 
 class EigenSolveError(RuntimeError):
@@ -203,13 +214,14 @@ _LAYOUT = {KIND_L1: tuple(((r, t),) for r, t in _SECTORS),
 _CONSTRAINED = {KIND_L1: KIND_L1_CONSTRAINED, KIND_LBLOCK: KIND_LBLOCK_CONSTRAINED}
 
 
+@functools.lru_cache(maxsize=16)
 def _modes(N: int, char: tuple) -> tuple[np.ndarray, bool, np.ndarray]:
     """(n, sine, w): the trig modes of character (r, t) on the N-point grid.
 
     n lists their wavenumbers, those of parity t in 0..N/2, sine tells
     whether they are sines (r odd; no sine at n = 0 or N/2) or cosines, and
     w holds their unit-norm weights, sqrt(1/N) at n = 0 and N/2 and
-    sqrt(2/N) elsewhere.
+    sqrt(2/N) elsewhere.  Built once per (N, char); n and w are read-only.
     """
     r, t = char
     n = np.arange(int(t == ODD), N // 2 + 1, 2)
@@ -217,6 +229,8 @@ def _modes(N: int, char: tuple) -> tuple[np.ndarray, bool, np.ndarray]:
     if sine:
         n = n[(n > 0) & (n < N // 2)]
     w = np.where((n == 0) | (n == N // 2), math.sqrt(1.0 / N), math.sqrt(2.0 / N))
+    n.setflags(write=False)
+    w.setflags(write=False)
     return n, sine, w
 
 
@@ -259,16 +273,41 @@ def _potential(V: np.ndarray, n: np.ndarray, sine: bool, w: np.ndarray) -> np.nd
     return 0.5 * np.outer(w, w) * (diff - wrapped if sine else diff + wrapped)
 
 
+class _SectorParts(NamedTuple):
+    samples: tuple          # (h, h', h'') on the grid
+    xi: np.ndarray          # rfft wavenumbers xi_n
+    potentials: tuple       # the block of v = 3 h^2 - 1 per character of _SECTORS
+
+
+@functools.lru_cache(maxsize=1)
+def _sector_parts(wave: WaveParameters, N: int) -> _SectorParts:
+    """The wave's samples, xi and potential blocks, built once per (wave, N).
+
+    L1's sectors and Lblock's phi run over the same four characters, so both
+    assemblies and the closed-form eigenpairs read one sampling and one
+    potential block per character.  Every array is read-only.
+    """
+    samples = sample_wave(wave, N)
+    h = samples[0]
+    V = np.fft.rfft(3.0 * h * h - 1.0).real
+    parts = _SectorParts(samples, wavenumbers(wave.L, N),
+                         tuple(_potential(V, *_modes(N, char)) for char in _SECTORS))
+    for a in (*parts.samples, parts.xi, *parts.potentials):
+        a.setflags(write=False)
+    return parts
+
+
 def assemble_L1(wave: WaveParameters, N: int) -> OperatorMatrix:
     """(R, T) sectors of -omega d2/dx2 - 1 + 3 h^2, with h' as expected kernel."""
-    h, h1, _ = sample_wave(wave, N)
-    xi = wavenumbers(wave.L, N)
-    V = np.fft.rfft(3.0 * h * h - 1.0).real
+    parts = _sector_parts(wave, N)
     blocks = []
-    for (char,) in _LAYOUT[KIND_L1]:
-        n, sine, w = _modes(N, char)
-        blocks.append(np.diag(wave.omega * xi[n] ** 2) + _potential(V, n, sine, w))
-    return OperatorMatrix(KIND_L1, wave.L, tuple(blocks), _to_sector(h1, _LAYOUT[KIND_L1][0]))
+    for (char,), potential in zip(_LAYOUT[KIND_L1], parts.potentials):
+        n = _modes(N, char)[0]
+        block = potential.copy()
+        block.flat[::n.size + 1] += wave.omega * parts.xi[n] ** 2
+        blocks.append(block)
+    kernel = _to_sector(parts.samples[1], _LAYOUT[KIND_L1][0])
+    return OperatorMatrix(KIND_L1, wave.L, tuple(blocks), kernel)
 
 
 def assemble_Lblock(wave: WaveParameters, N: int) -> OperatorMatrix:
@@ -276,19 +315,25 @@ def assemble_Lblock(wave: WaveParameters, N: int) -> OperatorMatrix:
 
     The coupling c d/dx joins phi's mode to psi's of the same wavenumber,
     +c xi_n from a psi sine to a phi cosine and -c xi_n from a psi cosine
-    to a phi sine; psi's block is the identity.
+    to a phi sine; psi's block is the identity.  Each sector is written
+    into one zeroed array.
     """
-    h, h1, h2 = sample_wave(wave, N)
-    xi = wavenumbers(wave.L, N)
-    V = np.fft.rfft(3.0 * h * h - 1.0).real
+    parts = _sector_parts(wave, N)
+    xi = parts.xi
     blocks = []
-    for phi, psi in _LAYOUT[KIND_LBLOCK]:
-        n, sine, w = _modes(N, phi)
+    for (phi, psi), potential in zip(_LAYOUT[KIND_LBLOCK], parts.potentials):
+        n, sine, _ = _modes(N, phi)
         n_psi = _modes(N, psi)[0]
-        coupling = (-wave.c if sine else wave.c) * xi[n]
-        top = np.where(n[:, None] == n_psi[None, :], coupling[:, None], 0.0)
-        blocks.append(np.block([[np.diag(xi[n] ** 2) + _potential(V, n, sine, w), top],
-                                [top.T, np.eye(n_psi.size)]]))
+        p, size = n.size, n.size + n_psi.size
+        block = np.zeros((size, size))
+        block[:p, :p] = potential
+        block.flat[::size + 1] += np.concatenate([xi[n] ** 2, np.ones(n_psi.size)])
+        _, rows, cols = np.intersect1d(n, n_psi, assume_unique=True, return_indices=True)
+        coupling = (-wave.c if sine else wave.c) * xi[n[rows]]
+        block[rows, p + cols] = coupling
+        block[p + cols, rows] = coupling
+        blocks.append(block)
+    h1, h2 = parts.samples[1:]
     kernel = _to_sector(np.concatenate([h1, wave.c * h2]), _LAYOUT[KIND_LBLOCK][0])
     return OperatorMatrix(KIND_LBLOCK, wave.L, tuple(blocks), kernel)
 
@@ -311,7 +356,10 @@ def constrain_zero_mean(M: OperatorMatrix) -> OperatorMatrix:
     blocks = []
     for m, chars in zip(M.blocks, layout):
         rows = [row for _, row in _constants(N, chars)]
-        blocks.append(np.delete(np.delete(m, rows, axis=0), rows, axis=1) if rows else m)
+        if rows:
+            keep = np.delete(np.arange(m.shape[0]), rows)
+            m = m[np.ix_(keep, keep)]
+        blocks.append(m)
     return OperatorMatrix(_CONSTRAINED[M.kind], M.L, tuple(blocks), M.kernel_vector)
 
 
@@ -354,7 +402,7 @@ def closed_form_eigenpairs(
     k2 = k * k
     kp2 = (1.0 - k) * (1.0 + k)
     r = math.sqrt(1.0 - k2 + k2 * k2)
-    h, _, _ = sample_wave(wave, N)
+    h = _sector_parts(wave, N).samples[0]
     sn2 = (h / wave.a) ** 2
     lam0 = -3.0 * kp2 * kp2 / ((1.0 + k2) * (1.0 + k2 + 2.0 * r))
     lam4 = (1.0 + k2 + 2.0 * r) / (1.0 + k2)
@@ -492,12 +540,38 @@ def coercivity_constant(report: SpectralReport) -> float:
     return float(np.min(nonzero))
 
 
+def _d2_closed(wave: WaveParameters) -> float:
+    """d''(c) = -dP/dc in closed form, P(c) = c * integral of h'^2 over one period.
+
+    P = c G(k) with G = 32 K Q / (3 L (1 + k^2)) and Q = (1 + k^2) E - k'^2 K.
+    With dE/dk = (E - K)/k and K' = dK/dk, the K terms of dQ/dk =
+    2 k E + (1 + k^2)(E - K)/k + 2 k K - k'^2 K' cancel exactly, leaving
+    dQ/dk = 3 k E.  The period relation gives
+    d omega/dk = -omega (2 K'/K + 2 k/(1 + k^2)), and d omega/dc = -2 c, so
+    dk/dc = c / (omega (K'/K + k/(1 + k^2))) and
+
+      d'' = -G [1 + c^2 (K'/K + 3 k E/Q - 2 k/(1 + k^2)) / (omega (K'/K + k/(1 + k^2)))].
+    """
+    k = wave.k.value
+    k2 = k * k
+    big_k = complete_K(wave.k)
+    big_e = complete_E(wave.k)
+    q = (1.0 + k2) * big_e - (1.0 - k) * (1.0 + k) * big_k
+    g = 32.0 * big_k * q / (3.0 * wave.L * (1.0 + k2))
+    dlog_k = _dK_dk(k) / big_k  # K'/K
+    s = k / (1.0 + k2)
+    slope = (dlog_k + 3.0 * k * big_e / q - 2.0 * s) / (wave.omega * (dlog_k + s))
+    return -g * (1.0 + wave.c * wave.c * slope)
+
+
 def d_second_derivative(L: float, c: float, dc: float, N: int = 256) -> float:
     """Central difference of -d/dc [ c * integral of h'^2 ] at speed c.
 
-    The sign of the result is the stability-criterion quantity; it must be
-    negative throughout the admissible speed window.  Raises the wave
-    construction errors if c or c +/- dc leaves the window.
+    The independent check of full_report's closed-form d2: O(dc^2) off it,
+    with N-point quadrature of h'^2.  The sign of the result is the
+    stability-criterion quantity; it must be negative throughout the
+    admissible speed window.  Raises the wave construction errors if c or
+    c +/- dc leaves the window.
     """
     if dc <= 0.0:
         raise ValueError(f"speed step must be positive, got {dc}")
@@ -516,7 +590,10 @@ def full_report(L: float, c: float, N: int) -> dict:
 
     Field names are stable: parameters, counts, eigenvalues (full sorted
     arrays keyed by operator kind), D1_closed, D1_numeric, Dmatrix, n0, z0,
-    d2, residuals, coercivity.
+    d2, residuals, coercivity.  d2 is d''(c) in closed form, independent
+    of N; parameters.dc is the speed step at which d_second_derivative
+    cross-checks it.  The wave is solved and sampled once, and each
+    potential block is formed once for both assemblies.
     """
     wave = solve_modulus(L, c)
     m1 = assemble_L1(wave, N)
@@ -532,7 +609,6 @@ def full_report(L: float, c: float, N: int) -> dict:
     n0, z0 = _constraint_counts(D, wave.L)
     d1_closed = D1_closed(wave)
     pair0, _ = closed_form_eigenpairs(wave, N)
-    d2 = d_second_derivative(L, c, D2_SPEED_STEP, N)
     counts, eigenvalues, residuals = {}, {}, {}
     for r in reports:
         kind = r.operator.kind
@@ -559,7 +635,7 @@ def full_report(L: float, c: float, N: int) -> dict:
         "Dmatrix": D.tolist(),
         "n0": n0,
         "z0": z0,
-        "d2": d2,
+        "d2": _d2_closed(wave),
         "residuals": residuals,
         "coercivity": coercivity_constant(rbc),
     }

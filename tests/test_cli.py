@@ -456,6 +456,15 @@ class TestSweepRobustness:
                               "true, 1, yes, false, 0, no (any case), got 'ture'\n")
         assert "sweep job 0 failed with exit 2: evolve " in err and "--projected=ture" in err
 
+    def test_repeated_key_fails_the_sweep_before_any_job(self, tmp_path, capsys):
+        # the second N used to override the first silently
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("command = spectrum\nL = 3.14159\nc = 0.95\nN = 64\n# again\nN = 128\n")
+        assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "tw")]) == 2
+        assert list(tmp_path.glob("tw_0000*")) == []
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid parameters: {cfg}:6: key 'N' given twice, on lines 4 and 6"]
+
     def test_projected_spellings_any_case(self, tmp_path):
         spellings = ["no", "0", "FALSE", "yes", "1", "True"]
         cfg = tmp_path / "pj.cfg"

@@ -33,8 +33,11 @@ from snoidal.spectral import (
 )
 from snoidal.spectral import (
     _LAYOUT,
+    _SECTORS,
     _check_solvable,
+    _d2_closed,
     _modes,
+    _sector_parts,
     _to_sector,
 )
 from snoidal.waves import OutOfRangeError, grid_points, sample_wave, solve_modulus
@@ -738,6 +741,27 @@ class TestActionSecondDerivative:
         d = [d_second_derivative(L, c, dc) for dc in (2e-4, 1e-4, 5e-5)]
         assert 3.9 <= (d[0] - d[1]) / (d[1] - d[2]) <= 4.1
 
+    @pytest.mark.parametrize("fraction", [0.05, 0.5, 0.85])
+    @pytest.mark.parametrize("L", [2.0, math.pi, 5.0])
+    def test_report_d2_is_the_richardson_limit(self, L, fraction):
+        # full_report's closed form against the two-level Richardson limit of
+        # the central difference at dc = (2, 1, 0.5) 1e-3 (1 - c), N = 1024
+        c = math.sqrt(1.0 - fraction * L * L / (4.0 * math.pi**2))
+        d = [d_second_derivative(L, c, s * 1e-3 * (1.0 - c), 1024) for s in (2.0, 1.0, 0.5)]
+        r1, r2 = d[1] + (d[1] - d[0]) / 3.0, d[2] + (d[2] - d[1]) / 3.0
+        limit = r2 + (r2 - r1) / 15.0
+        if fraction == 0.05:
+            # full_report exits 3 here (the small-omega classification
+            # defect), before d2; its d2 is this function of the wave
+            d2 = _d2_closed(solve_modulus(L, c))
+        else:
+            d2 = full_report(L, c, 128)["d2"]
+        assert abs(d2 - limit) <= 1e-8 * abs(limit)
+
+    def test_report_d2_independent_of_N(self):
+        values = {full_report(L_CANON, C_CANON, N)["d2"] for N in (64, 130, 256)}
+        assert len(values) == 1
+
     def test_speed_sign_symmetry(self):
         assert d_second_derivative(L_CANON, 0.95, 1e-4) == d_second_derivative(
             L_CANON, -0.95, 1e-4
@@ -773,10 +797,13 @@ class TestFullReport:
         # eigensolve per distinct sector block, four for each of L1 and
         # Lblock, and only the sectors the constraint changes (one of L1_c,
         # two of Lblock_c), 11 for 16 blocks; the solves behind D1 and D
-        # need no eigenvectors
+        # need no eigenvectors.  The wave is solved and sampled once, and
+        # the two assemblies share one potential block per character.
         import snoidal.spectral as spectral
 
-        calls = dict.fromkeys(("eigh", "eigvalsh", "assemble_L1", "assemble_Lblock"), 0)
+        names = ("eigh", "eigvalsh", "assemble_L1", "assemble_Lblock", "sample_wave",
+                 "solve_modulus", "_potential")
+        calls = dict.fromkeys(names, 0)
 
         def counted(owner, name):
             fn = getattr(owner, name)
@@ -789,12 +816,42 @@ class TestFullReport:
 
         for name in ("eigh", "eigvalsh"):
             counted(np.linalg, name)
-        for name in ("assemble_L1", "assemble_Lblock"):
+        for name in names[2:]:
             counted(spectral, name)
+        spectral._sector_parts.cache_clear()
         full_report(L_CANON, C_CANON, 128)
-        assert calls["eigh"] == 0
-        assert calls["eigvalsh"] == 11
-        assert calls["assemble_L1"] == calls["assemble_Lblock"] == 1
+        assert calls == {"eigh": 0, "eigvalsh": 11, "assemble_L1": 1, "assemble_Lblock": 1,
+                         "sample_wave": 1, "solve_modulus": 1, "_potential": 4}
+
+    def test_shared_arrays_are_read_only(self):
+        # the memoized samples, wavenumbers, potential blocks and modes are
+        # shared by every report at their (wave, N): none can be written
+        wave = solve_modulus(L_CANON, C_CANON)
+        parts = _sector_parts(wave, 128)
+        shared = [*parts.samples, parts.xi, *parts.potentials]
+        for char in _SECTORS:
+            n, _, w = _modes(128, char)
+            shared += [n, w]
+        assert len(shared) == 16
+        for a in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                a += 1
+
+    def test_assemblies_leave_the_shared_blocks_unchanged(self):
+        wave = solve_modulus(L_CANON, C_CANON)
+        _sector_parts.cache_clear()
+        parts = _sector_parts(wave, 130)
+        before = [p.copy() for p in parts.potentials]
+        first = [assemble(wave, 130) for assemble in (assemble_L1, assemble_Lblock)]
+        clean = [op.blocks[0].copy() for op in first]
+        for op in first:
+            op.blocks[0][...] = 7.0  # assembled blocks are the caller's own
+        again = [assemble(wave, 130) for assemble in (assemble_L1, assemble_Lblock)]
+        assert _sector_parts(wave, 130) is parts
+        assert all(np.array_equal(a, b) for a, b in zip(parts.potentials, before))
+        assert all(np.array_equal(op.blocks[0], b) for op, b in zip(again, clean))
 
 
 SECTOR_POINTS = [(math.pi, 0.95), (2.0, 0.96), (5.0, 0.80)]
