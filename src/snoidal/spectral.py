@@ -59,7 +59,13 @@ annihilates, so the deletion alone yields the constrained operator.
 eigenvalues are classified as negative or zero: one values-only eigensolve
 per distinct sector block, merged into the operator's sorted spectrum (a
 constrained operator's pass-through sectors reuse its parent's
-eigenvalues).  The counts and the coercivity constant read those
+eigenvalues).  Lblock's psi constant is an exact eigenvector of eigenvalue
+1, since psi's block is the identity and c d/dx annihilates constants, so
+its row in its sector is exactly the unit row; the report checks that row,
+solves the sector's zero-mean minor and inserts 1, and the constrained
+report reuses the minor's values.  A full report thus makes 10 eigensolves:
+the four sectors of L1 and of Lblock, and the phi-constant sector of each
+constrained operator.  The counts and the coercivity constant read those
 eigenvalues.  The solves behind D1 and the matrix D need no eigenvectors
 and no bordering: the constants have no part in the kernel sector, so only
 the T-even sectors that hold them are solved, plainly, for right-hand
@@ -74,7 +80,9 @@ the 2x2 D = diag(D1, L) for Lblock.
 The wave's samples, xi and the potential block of each character are
 built once per (wave, N) and shared, read-only, by both assemblies and the
 closed-form eigenpairs, so one report samples the wave once and forms four
-potential blocks.  The slope condition d''(c) of Grillakis, Shatah &
+potential blocks.  The wave-independent tables, the potential's index
+arrays and Lblock's coupling rows and columns, are built once per
+(N, character), read-only.  The slope condition d''(c) of Grillakis, Shatah &
 Strauss is taken in closed form from K, E and dK/dk through the period
 relation; `d_second_derivative`'s central difference is its independent
 check.
@@ -260,16 +268,33 @@ def _to_sector(f: np.ndarray, chars: tuple) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _potential(V: np.ndarray, n: np.ndarray, sine: bool, w: np.ndarray) -> np.ndarray:
-    """Block of the multiplication by v between the modes (n, sine, w), V = Re rfft(v).
+def _index_tables(N: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Read-only copies of the N-point grid's wavenumber or row arrays in the
+    smallest integer dtype that holds N/2 + 1, so the memos stay small."""
+    tables = tuple(a.astype(np.min_scalar_type(N // 2 + 1)) for a in arrays)
+    for a in tables:
+        a.setflags(write=False)
+    return tables
+
+
+@functools.lru_cache(maxsize=16)
+def _potential_indices(N: int, char: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(|n - m|, min(n + m, N - n - m)) over the modes n, m of character char,
+    built once per (N, char) by _index_tables."""
+    n = _modes(N, char)[0]
+    total = n[:, None] + n[None, :]
+    return _index_tables(N, np.abs(n[:, None] - n[None, :]), np.minimum(total, N - total))
+
+
+def _potential(V: np.ndarray, N: int, char: tuple) -> np.ndarray:
+    """Block of the multiplication by v between the modes of character char, V = Re rfft(v).
 
     Entry (n, m) is (1/2) w_n w_m (V[|n - m|] +/- V[min(n + m, N - n - m)]),
     + between cosines and - between sines: bit-symmetric by construction.
     """
-    N = 2 * (V.size - 1)
-    total = n[:, None] + n[None, :]
-    wrapped = V[np.minimum(total, N - total)]
-    diff = V[np.abs(n[:, None] - n[None, :])]
+    _, sine, w = _modes(N, char)
+    # np.take casts the narrow indices faster than V[i] does
+    diff, wrapped = (np.take(V, i) for i in _potential_indices(N, char))
     return 0.5 * np.outer(w, w) * (diff - wrapped if sine else diff + wrapped)
 
 
@@ -291,7 +316,7 @@ def _sector_parts(wave: WaveParameters, N: int) -> _SectorParts:
     h = samples[0]
     V = np.fft.rfft(3.0 * h * h - 1.0).real
     parts = _SectorParts(samples, wavenumbers(wave.L, N),
-                         tuple(_potential(V, *_modes(N, char)) for char in _SECTORS))
+                         tuple(_potential(V, N, char) for char in _SECTORS))
     for a in (*parts.samples, parts.xi, *parts.potentials):
         a.setflags(write=False)
     return parts
@@ -304,10 +329,20 @@ def assemble_L1(wave: WaveParameters, N: int) -> OperatorMatrix:
     for (char,), potential in zip(_LAYOUT[KIND_L1], parts.potentials):
         n = _modes(N, char)[0]
         block = potential.copy()
-        block.flat[::n.size + 1] += wave.omega * parts.xi[n] ** 2
+        block.reshape(-1)[::n.size + 1] += wave.omega * parts.xi[n] ** 2
         blocks.append(block)
     kernel = _to_sector(parts.samples[1], _LAYOUT[KIND_L1][0])
     return OperatorMatrix(KIND_L1, wave.L, tuple(blocks), kernel)
+
+
+@functools.lru_cache(maxsize=16)
+def _coupling(N: int, chars: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, n): Lblock's sector of characters chars = (phi, psi) joins
+    phi's mode at row rows[i] to psi's at column cols[i], both of wavenumber
+    n[i]; built once per (N, chars) by _index_tables."""
+    n_phi, n_psi = (_modes(N, char)[0] for char in chars)
+    n, rows, cols = np.intersect1d(n_phi, n_psi, assume_unique=True, return_indices=True)
+    return _index_tables(N, rows, n_phi.size + cols, n)
 
 
 def assemble_Lblock(wave: WaveParameters, N: int) -> OperatorMatrix:
@@ -321,17 +356,18 @@ def assemble_Lblock(wave: WaveParameters, N: int) -> OperatorMatrix:
     parts = _sector_parts(wave, N)
     xi = parts.xi
     blocks = []
-    for (phi, psi), potential in zip(_LAYOUT[KIND_LBLOCK], parts.potentials):
-        n, sine, _ = _modes(N, phi)
-        n_psi = _modes(N, psi)[0]
-        p, size = n.size, n.size + n_psi.size
+    for chars, potential in zip(_LAYOUT[KIND_LBLOCK], parts.potentials):
+        n, sine, _ = _modes(N, chars[0])
+        p, size = n.size, N // 2
         block = np.zeros((size, size))
         block[:p, :p] = potential
-        block.flat[::size + 1] += np.concatenate([xi[n] ** 2, np.ones(n_psi.size)])
-        _, rows, cols = np.intersect1d(n, n_psi, assume_unique=True, return_indices=True)
-        coupling = (-wave.c if sine else wave.c) * xi[n[rows]]
-        block[rows, p + cols] = coupling
-        block[p + cols, rows] = coupling
+        diagonal = block.reshape(-1)[::size + 1]
+        diagonal[:p] += xi[n] ** 2
+        diagonal[p:] = 1.0
+        rows, cols, n_shared = _coupling(N, chars)
+        coupling = (-wave.c if sine else wave.c) * xi[n_shared]
+        block[rows, cols] = coupling
+        block[cols, rows] = coupling
         blocks.append(block)
     h1, h2 = parts.samples[1:]
     kernel = _to_sector(np.concatenate([h1, wave.c * h2]), _LAYOUT[KIND_LBLOCK][0])
@@ -348,6 +384,7 @@ def constrain_zero_mean(M: OperatorMatrix) -> OperatorMatrix:
     coupling p -> (3/L) (h^2, p) of the constrained operator has the
     constant as its range, which the deletion removes, so it is not formed,
     and quadratic forms of the two operators agree on mean-free vectors.
+    A sector whose constant is its first mode becomes a view of M's block.
     """
     if M.kind not in _CONSTRAINED:
         raise ValueError(f"cannot constrain operator of kind {M.kind}")
@@ -355,30 +392,79 @@ def constrain_zero_mean(M: OperatorMatrix) -> OperatorMatrix:
     N = M.dim // len(layout[0])
     blocks = []
     for m, chars in zip(M.blocks, layout):
-        rows = [row for _, row in _constants(N, chars)]
-        if rows:
-            keep = np.delete(np.arange(m.shape[0]), rows)
-            m = m[np.ix_(keep, keep)]
+        for _, row in _constants(N, chars):  # at most one per sector
+            m = _delete_mode(m, row)
         blocks.append(m)
     return OperatorMatrix(_CONSTRAINED[M.kind], M.L, tuple(blocks), M.kernel_vector)
+
+
+def _delete_mode(m: np.ndarray, row: int) -> np.ndarray:
+    """m without its row and column `row`: a view of m at row 0, one copy elsewhere."""
+    if row == 0:
+        return m[1:, 1:]
+    size = m.shape[0] - 1
+    out = np.empty((size, size))
+    out[:row, :row] = m[:row, :row]
+    out[:row, row:] = m[:row, row + 1:]
+    out[row:, :row] = m[row + 1:, :row]
+    out[row:, row:] = m[row + 1:, row + 1:]
+    return out
+
+
+def _psi_constant(N: int) -> tuple[int, int]:
+    """(sector, row) of the constant of Lblock's psi on the N-point grid."""
+    return next((sector, row) for sector, chars in enumerate(_LAYOUT[KIND_LBLOCK])
+                for comp, row in _constants(N, chars) if comp == 1)
+
+
+def _deflate_psi_constant(M: OperatorMatrix) -> tuple[int, np.ndarray]:
+    """(sector, minor): the sector of Lblock M holding psi's constant, and that
+    sector without the constant's row and column.
+
+    psi's block is the identity and c d/dx annihilates the constant, so the
+    constant is an exact eigenvector of eigenvalue 1 and its row is the unit
+    row; any other row is an assembly bug, raised before a solve runs.
+    """
+    sector, row = _psi_constant(M.dim // 2)
+    m = M.blocks[sector]
+    unit = np.zeros(m.shape[0])
+    unit[row] = 1.0
+    if not np.array_equal(m[row], unit):
+        raise EigenSolveError(f"row {row} of sector {sector} of kind {M.kind}, the constant "
+                              f"of psi, is not the unit row")
+    return sector, _delete_mode(m, row)
 
 
 def eigen_report(M: OperatorMatrix, *, _parent: SpectralReport | None = None) -> SpectralReport:
     """Sorted eigenvalues with counts n (< -tau) and z (within tau) of zero.
 
     One values-only eigensolve per sector; tau, n and z are taken over the
-    merged spectrum.  _parent is the report of the operator M was
-    constrained from: a sector M passes through is that operator's very
-    block, and its eigenvalues are taken from there.  The kernel residual
-    is measured in sector 0's orthonormal coordinates.
+    merged spectrum.  Lblock's sector holding psi's constant is solved
+    without the constant's row and column, the minor of the zero-mean
+    companion, and 1, the constant's exact eigenvalue, is inserted into its
+    values.  _parent is the report of the operator M was constrained from:
+    a sector M passes through is that operator's very block, and its
+    eigenvalues are taken from there, as are the minor's of an Lblock
+    parent.  The kernel residual is measured in sector 0's orthonormal
+    coordinates.
     """
     known = {} if _parent is None else dict(zip(map(id, _parent.operator.blocks),
                                                 _parent.sector_eigenvalues))
+    blocks = list(M.blocks)
+    if M.kind == KIND_LBLOCK:
+        psi, blocks[psi] = _deflate_psi_constant(M)
+    elif _parent is not None and _parent.operator.kind == KIND_LBLOCK:
+        # M's psi-constant sector is the minor the parent's report solved
+        psi, _ = _psi_constant(_parent.operator.dim // 2)
+        full = _parent.sector_eigenvalues[psi]
+        known[id(M.blocks[psi])] = np.delete(full, np.searchsorted(full, 1.0))
     try:
-        sectors = tuple(known[id(m)] if id(m) in known else np.linalg.eigvalsh(m)
-                        for m in M.blocks)
+        sectors = [known[id(m)] if id(m) in known else np.linalg.eigvalsh(m) for m in blocks]
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(f"eigensolve failed for kind {M.kind}: {exc}") from exc
+    if M.kind == KIND_LBLOCK:
+        sectors[psi] = np.insert(sectors[psi], np.searchsorted(sectors[psi], 1.0), 1.0)
+    sectors = tuple(sectors)
     vals = np.sort(np.concatenate(sectors))
     tau_zero = ZERO_TOL_FACTOR * float(np.max(np.abs(vals)))
     n = int(np.sum(vals < -tau_zero))

@@ -13,10 +13,12 @@ from scipy.linalg import block_diag
 from snoidal.elliptic import jacobi_sn_cn_dn
 from snoidal.spectral import (
     KIND_L1,
+    KIND_LBLOCK,
     ZERO_TOL_FACTOR,
     D1_closed,
     D1_numeric,
     D_matrix,
+    EigenSolveError,
     IndexMismatchError,
     OperatorMatrix,
     SingularSystemError,
@@ -35,8 +37,10 @@ from snoidal.spectral import (
     _LAYOUT,
     _SECTORS,
     _check_solvable,
+    _coupling,
     _d2_closed,
     _modes,
+    _potential_indices,
     _sector_parts,
     _to_sector,
 )
@@ -722,6 +726,75 @@ class TestConstrainedOperators:
             constrain_zero_mean(constrain_zero_mean(op_L1))
 
 
+def psi_constant(N):
+    """(sector, row) of the constant of Lblock's psi: psi is (even, T-even) there."""
+    sector = next(i for i, chars in enumerate(SECTOR_LAYOUT["Lblock"]) if chars[1] == (1, 1))
+    return sector, constant_row(N, SECTOR_LAYOUT["Lblock"][sector])
+
+
+def plain_spectrum(op):
+    """Sorted eigenvalues of op from one np.linalg.eigvalsh per block, no deflation."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in op.blocks]))
+
+
+DEFLATION_POINTS = [(2.0, 0.96), (math.pi, 0.95), (5.0, 0.80), (math.pi, -0.95)]
+
+
+class TestPsiConstantDeflation:
+    """Lblock's psi constant is an exact eigenvector of eigenvalue 1: its sector
+    is solved as the zero-mean minor, and 1 is inserted."""
+
+    @pytest.mark.parametrize("N", [128, 130, 256])
+    def test_sector_is_minor_spectrum_and_one(self, wave, N):
+        op = assemble_Lblock(wave, N)
+        sector, row = psi_constant(N)
+        block = op.blocks[sector]
+        unit = np.zeros(block.shape[0])
+        unit[row] = 1.0
+        assert np.array_equal(block[row], unit)
+        minor = np.delete(np.delete(block, row, 0), row, 1)
+        want = np.sort(np.append(np.linalg.eigvalsh(minor), 1.0))
+        assert np.array_equal(eigen_report(op).sector_eigenvalues[sector], want)
+
+    @pytest.mark.parametrize("N", [128, 130])
+    def test_constrained_spectra_are_plain_solves(self, N):
+        # through the report's reuse of its parent's values, bit for bit
+        rec = full_report(L_CANON, C_CANON, N)
+        wave = solve_modulus(L_CANON, C_CANON)
+        for kind, assemble in ((KIND_LBLOCK, assemble_Lblock), (KIND_L1, assemble_L1)):
+            want = plain_spectrum(constrain_zero_mean(assemble(wave, N)))
+            assert np.array_equal(rec["eigenvalues"][kind + "_constrained"], want), kind
+
+    @pytest.mark.parametrize("N", [128, 130, 256, 512])
+    @pytest.mark.parametrize("L, c", DEFLATION_POINTS)
+    def test_spectrum_matches_plain_solve(self, L, c, N):
+        op = assemble_Lblock(solve_modulus(L, c), N)
+        want = plain_spectrum(op)
+        got = eigen_report(op).eigenvalues
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("entry", ["off_diagonal", "diagonal"])
+    def test_broken_constant_row_raises_before_any_solve(self, wave, monkeypatch, entry):
+        op = assemble_Lblock(wave, 128)
+        sector, row = psi_constant(128)
+        blocks = [b.copy() for b in op.blocks]
+        col = 0 if entry == "off_diagonal" else row
+        blocks[sector][row, col] = blocks[sector][col, row] = 0.5
+        broken = OperatorMatrix(KIND_LBLOCK, op.L, tuple(blocks), op.kernel_vector)
+        eigvalsh, calls = np.linalg.eigvalsh, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        with pytest.raises(EigenSolveError,
+                           match=f"^row {row} of sector {sector} of kind Lblock, the constant "
+                                 "of psi, is not the unit row$"):
+            eigen_report(broken)
+        assert calls == []
+
+
 class TestActionSecondDerivative:
     def test_negative_across_speeds(self):
         for frac in np.linspace(0.06, 0.94, 10):
@@ -796,9 +869,11 @@ class TestFullReport:
         # L1, Lblock and their two constrained companions: one values-only
         # eigensolve per distinct sector block, four for each of L1 and
         # Lblock, and only the sectors the constraint changes (one of L1_c,
-        # two of Lblock_c), 11 for 16 blocks; the solves behind D1 and D
-        # need no eigenvectors.  The wave is solved and sampled once, and
-        # the two assemblies share one potential block per character.
+        # two of Lblock_c), less Lblock_c's psi-constant sector, whose minor
+        # Lblock's own solve already diagonalized: 10 for 16 blocks; the
+        # solves behind D1 and D need no eigenvectors.  The wave is solved
+        # and sampled once, and the two assemblies share one potential
+        # block per character.
         import snoidal.spectral as spectral
 
         names = ("eigh", "eigvalsh", "assemble_L1", "assemble_Lblock", "sample_wave",
@@ -820,24 +895,36 @@ class TestFullReport:
             counted(spectral, name)
         spectral._sector_parts.cache_clear()
         full_report(L_CANON, C_CANON, 128)
-        assert calls == {"eigh": 0, "eigvalsh": 11, "assemble_L1": 1, "assemble_Lblock": 1,
+        assert calls == {"eigh": 0, "eigvalsh": 10, "assemble_L1": 1, "assemble_Lblock": 1,
                          "sample_wave": 1, "solve_modulus": 1, "_potential": 4}
 
     def test_shared_arrays_are_read_only(self):
-        # the memoized samples, wavenumbers, potential blocks and modes are
-        # shared by every report at their (wave, N): none can be written
+        # the memoized samples, wavenumbers, potential blocks, modes,
+        # potential index tables and coupling rows and columns are shared by
+        # every report at their (wave, N) or N: none can be written
         wave = solve_modulus(L_CANON, C_CANON)
         parts = _sector_parts(wave, 128)
         shared = [*parts.samples, parts.xi, *parts.potentials]
         for char in _SECTORS:
             n, _, w = _modes(128, char)
             shared += [n, w]
-        assert len(shared) == 16
-        for a in shared:
+        tables = []
+        for chars in _LAYOUT[KIND_LBLOCK]:
+            tables += [*_potential_indices(128, chars[0]), *_coupling(128, chars)]
+        assert len(shared) == 16 and len(tables) == 20
+        for a in shared + tables:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
             with pytest.raises(ValueError, match="read-only"):
                 a += 1
+
+    @pytest.mark.parametrize("N, dtype", [(128, np.uint8), (508, np.uint8), (512, np.uint16)])
+    def test_index_tables_take_the_smallest_dtype(self, N, dtype):
+        # wavenumbers and sector rows stay below N/2 + 1
+        for chars in _LAYOUT[KIND_LBLOCK]:
+            for a in (*_potential_indices(N, chars[0]), *_coupling(N, chars)):
+                assert a.dtype == dtype
+                assert int(a.max()) <= N // 2
 
     def test_assemblies_leave_the_shared_blocks_unchanged(self):
         wave = solve_modulus(L_CANON, C_CANON)
