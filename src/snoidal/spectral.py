@@ -34,9 +34,10 @@ The sectors are held in the order (even, T-odd), (even, T-even),
 (odd, T-even), (odd, T-odd) of L1 and of Lblock's phi, each component's modes
 in ascending n.  Sector 0 holds the kernel direction, h' for L1 (odd-n
 cosines) and (h', c h'') for Lblock (c h'' in the odd-n sines), and no
-constant.  A component's constant is its n = 0 cosine: L1's and the
-constant of Lblock's phi lie in the (even, T-even) sector, the constant of
-Lblock's psi in the sector whose psi is (even, T-even).
+constant.  A component's constant is its n = 0 cosine, and its place is
+named once: the constant of L1 and of Lblock's phi is row 0 of sector
+_PHI_CONSTANT, the (even, T-even) one, and that of Lblock's psi sits in
+sector _PSI_CONSTANT, whose phi is (odd, T-even), right after phi's sines.
 
 In these modes the derivatives are diagonal: -d2/dx2 is xi_n^2 with xi from
 `waves.wavenumbers`, and d/dx maps cos_n to -xi_n sin_n and sin_n to
@@ -48,28 +49,32 @@ its R-odd roundoff drops out, and only even n +/- m, so its T-odd roundoff
 does too.
 
 Zero-mean companions: the mean-free fields are the span of every mode but
-the n = 0 cosines, so constraining deletes that row and column in each
-sector that holds a constant; the other sectors pass through, the very
-blocks of the operator.  The constrained operator of the paper also
-subtracts the rank-one mean coupling (3/L) (h^2, .) from the first
-component; its range is the constant vector, which the deletion
-annihilates, so the deletion alone yields the constrained operator.
+the n = 0 cosines, so constraining deletes the constants' rows and columns,
+row 0 of sector _PHI_CONSTANT and, for Lblock, psi's row of sector
+_PSI_CONSTANT; the other sectors pass through, the very blocks of the
+operator.  The constrained operator of the paper also subtracts the
+rank-one mean coupling (3/L) (h^2, .) from the first component; its range
+is the constant vector, which the deletion annihilates, so the deletion
+alone yields the constrained operator.
 
 `eigen_report` is the only eigensolve in this module and the only place
 eigenvalues are classified as negative or zero: one values-only eigensolve
-per distinct sector block, merged into the operator's sorted spectrum (a
-constrained operator's pass-through sectors reuse its parent's
-eigenvalues).  Lblock's psi constant is an exact eigenvector of eigenvalue
-1, since psi's block is the identity and c d/dx annihilates constants, so
-its row in its sector is exactly the unit row; the report checks that row,
-solves the sector's zero-mean minor and inserts 1, and the constrained
-report reuses the minor's values.  A full report thus makes 10 eigensolves:
-the four sectors of L1 and of Lblock, and the phi-constant sector of each
-constrained operator.  The counts and the coercivity constant read those
-eigenvalues.  The solves behind D1 and the matrix D need no eigenvectors
-and no bordering: the constants have no part in the kernel sector, so only
-the T-even sectors that hold them are solved, plainly, for right-hand
-sides of sqrt(N) at the n = 0 cosines.
+per sector block, merged into the operator's sorted spectrum.  Lblock's psi
+constant is an exact eigenvector of eigenvalue 1, since psi's block is the
+identity and c d/dx annihilates constants, so its row in its sector is
+exactly the unit row; the report checks that row, solves the sector's
+zero-mean minor, keeps the minor's values as the sector's, and merges 1
+into the spectrum.  A constrained operator's report solves only sector
+_PHI_CONSTANT and takes every other sector's values from its parent's by
+index.  A full report thus makes 10 eigensolves: the four sectors of L1 and
+of Lblock, and the phi-constant sector of each constrained operator.  The
+counts and the coercivity constant read those eigenvalues.
+
+D1 and the matrix D take one plain solve each, of sector _PHI_CONSTANT for
+sqrt(N) at row 0: the constants have no part in the kernel's sector 0, so
+no eigenvectors and no bordering are needed.  D[1, 1] takes no solve: psi's
+constant is an exact eigenvector of eigenvalue 1, so it is the grid inner
+product (L/N) (e, e) of psi's constant e = sqrt(N) with itself.
 
 The constrained Morse index is cross-checked two ways: directly from the
 compressed spectra, and through the count n(L_c) = n(L) - n(D) - z(D),
@@ -188,8 +193,10 @@ class SpectralReport:
     """Sorted eigenvalues with negative/zero counts at tolerance tau_zero.
 
     operator is the operator they belong to; the constraint solves read its
-    sector blocks.  sector_eigenvalues holds the ascending eigenvalues of
-    each of its blocks.
+    sector blocks.  sector_eigenvalues holds, per sector, the ascending
+    eigenvalues of the block actually solved: for Lblock, sector
+    _PSI_CONSTANT holds its minor's, and psi's constant's exact 1 is in
+    eigenvalues only.
     """
 
     eigenvalues: np.ndarray
@@ -221,6 +228,12 @@ _LAYOUT = {KIND_L1: tuple(((r, t),) for r, t in _SECTORS),
            KIND_LBLOCK: tuple(((r, t), (-r, t)) for r, t in _SECTORS)}
 _CONSTRAINED = {KIND_L1: KIND_L1_CONSTRAINED, KIND_LBLOCK: KIND_LBLOCK_CONSTRAINED}
 
+# Sectors of the constants, the n = 0 cosines.  The constant of L1 and of
+# Lblock's phi is row 0 of the (even, T-even) sector; that of Lblock's psi
+# follows phi's (odd, T-even) sines, at row _psi_row(N).
+_PHI_CONSTANT = _SECTORS.index((EVEN, EVEN))
+_PSI_CONSTANT = _SECTORS.index((ODD, EVEN))
+
 
 @functools.lru_cache(maxsize=16)
 def _modes(N: int, char: tuple) -> tuple[np.ndarray, bool, np.ndarray]:
@@ -242,14 +255,9 @@ def _modes(N: int, char: tuple) -> tuple[np.ndarray, bool, np.ndarray]:
     return n, sine, w
 
 
-def _constants(N: int, chars: tuple) -> list[tuple[int, int]]:
-    """(component, row) in one sector of each component's unit constant.
-
-    The constant is the n = 0 cosine, the first mode of character
-    (even, T-even); the other characters hold none.
-    """
-    sizes = [_modes(N, char)[0].size for char in chars]
-    return [(i, sum(sizes[:i])) for i, char in enumerate(chars) if char == (EVEN, EVEN)]
+def _psi_row(N: int) -> int:
+    """Row of Lblock's psi constant in sector _PSI_CONSTANT on the N-point grid."""
+    return _modes(N, _SECTORS[_PSI_CONSTANT])[0].size
 
 
 def _to_sector(f: np.ndarray, chars: tuple) -> np.ndarray:
@@ -375,33 +383,28 @@ def assemble_Lblock(wave: WaveParameters, N: int) -> OperatorMatrix:
 
 
 def constrain_zero_mean(M: OperatorMatrix) -> OperatorMatrix:
-    """Zero-mean companion: each n = 0 cosine's row and column deleted from its sector.
+    """Zero-mean companion: each constant's row and column deleted from its sector.
 
-    The remaining modes of such a sector are an orthonormal basis of its
-    mean-free fields.  A sector without a constant (every T-odd one, and
-    L1's odd T-even one) passes through as the very block of M; sector 0
-    is one of them, so the kernel direction is kept.  The rank-one mean
-    coupling p -> (3/L) (h^2, p) of the constrained operator has the
-    constant as its range, which the deletion removes, so it is not formed,
-    and quadratic forms of the two operators agree on mean-free vectors.
-    A sector whose constant is its first mode becomes a view of M's block.
+    Sector _PHI_CONSTANT becomes a view of M's block without its row 0, and
+    for Lblock sector _PSI_CONSTANT a copy without psi's constant row.  The
+    remaining modes of such a sector are an orthonormal basis of its
+    mean-free fields.  Every other sector, the kernel's sector 0 among them,
+    passes through as the very block of M.  The rank-one mean coupling
+    p -> (3/L) (h^2, p) of the constrained operator has the constant as its
+    range, which the deletion removes, so it is not formed, and quadratic
+    forms of the two operators agree on mean-free vectors.
     """
     if M.kind not in _CONSTRAINED:
         raise ValueError(f"cannot constrain operator of kind {M.kind}")
-    layout = _LAYOUT[M.kind]
-    N = M.dim // len(layout[0])
-    blocks = []
-    for m, chars in zip(M.blocks, layout):
-        for _, row in _constants(N, chars):  # at most one per sector
-            m = _delete_mode(m, row)
-        blocks.append(m)
+    blocks = list(M.blocks)
+    blocks[_PHI_CONSTANT] = blocks[_PHI_CONSTANT][1:, 1:]
+    if M.kind == KIND_LBLOCK:
+        blocks[_PSI_CONSTANT] = _delete_mode(blocks[_PSI_CONSTANT], _psi_row(M.dim // 2))
     return OperatorMatrix(_CONSTRAINED[M.kind], M.L, tuple(blocks), M.kernel_vector)
 
 
 def _delete_mode(m: np.ndarray, row: int) -> np.ndarray:
-    """m without its row and column `row`: a view of m at row 0, one copy elsewhere."""
-    if row == 0:
-        return m[1:, 1:]
+    """A copy of m without its row and column `row`."""
     size = m.shape[0] - 1
     out = np.empty((size, size))
     out[:row, :row] = m[:row, :row]
@@ -411,61 +414,45 @@ def _delete_mode(m: np.ndarray, row: int) -> np.ndarray:
     return out
 
 
-def _psi_constant(N: int) -> tuple[int, int]:
-    """(sector, row) of the constant of Lblock's psi on the N-point grid."""
-    return next((sector, row) for sector, chars in enumerate(_LAYOUT[KIND_LBLOCK])
-                for comp, row in _constants(N, chars) if comp == 1)
-
-
-def _deflate_psi_constant(M: OperatorMatrix) -> tuple[int, np.ndarray]:
-    """(sector, minor): the sector of Lblock M holding psi's constant, and that
-    sector without the constant's row and column.
+def _psi_minor(M: OperatorMatrix) -> np.ndarray:
+    """Sector _PSI_CONSTANT of Lblock M without psi's constant row and column.
 
     psi's block is the identity and c d/dx annihilates the constant, so the
     constant is an exact eigenvector of eigenvalue 1 and its row is the unit
     row; any other row is an assembly bug, raised before a solve runs.
     """
-    sector, row = _psi_constant(M.dim // 2)
-    m = M.blocks[sector]
+    row = _psi_row(M.dim // 2)
+    m = M.blocks[_PSI_CONSTANT]
     unit = np.zeros(m.shape[0])
     unit[row] = 1.0
     if not np.array_equal(m[row], unit):
-        raise EigenSolveError(f"row {row} of sector {sector} of kind {M.kind}, the constant "
-                              f"of psi, is not the unit row")
-    return sector, _delete_mode(m, row)
+        raise EigenSolveError(f"row {row} of sector {_PSI_CONSTANT} of kind {M.kind}, the "
+                              f"constant of psi, is not the unit row")
+    return _delete_mode(m, row)
 
 
 def eigen_report(M: OperatorMatrix, *, _parent: SpectralReport | None = None) -> SpectralReport:
     """Sorted eigenvalues with counts n (< -tau) and z (within tau) of zero.
 
     One values-only eigensolve per sector; tau, n and z are taken over the
-    merged spectrum.  Lblock's sector holding psi's constant is solved
-    without the constant's row and column, the minor of the zero-mean
-    companion, and 1, the constant's exact eigenvalue, is inserted into its
-    values.  _parent is the report of the operator M was constrained from:
-    a sector M passes through is that operator's very block, and its
-    eigenvalues are taken from there, as are the minor's of an Lblock
-    parent.  The kernel residual is measured in sector 0's orthonormal
-    coordinates.
+    merged spectrum.  Lblock's sector _PSI_CONSTANT is solved as its minor
+    without psi's constant, and 1, the constant's exact eigenvalue, is
+    merged into the eigenvalues only.  _parent is the report of the operator
+    M was constrained from: only sector _PHI_CONSTANT is solved, and every
+    other sector's eigenvalues are the parent's, since M holds the parent's
+    very block there or, for Lblock, the minor the parent solved.  The
+    kernel residual is measured in sector 0's orthonormal coordinates.
     """
-    known = {} if _parent is None else dict(zip(map(id, _parent.operator.blocks),
-                                                _parent.sector_eigenvalues))
     blocks = list(M.blocks)
     if M.kind == KIND_LBLOCK:
-        psi, blocks[psi] = _deflate_psi_constant(M)
-    elif _parent is not None and _parent.operator.kind == KIND_LBLOCK:
-        # M's psi-constant sector is the minor the parent's report solved
-        psi, _ = _psi_constant(_parent.operator.dim // 2)
-        full = _parent.sector_eigenvalues[psi]
-        known[id(M.blocks[psi])] = np.delete(full, np.searchsorted(full, 1.0))
+        blocks[_PSI_CONSTANT] = _psi_minor(M)
     try:
-        sectors = [known[id(m)] if id(m) in known else np.linalg.eigvalsh(m) for m in blocks]
+        sectors = tuple(np.linalg.eigvalsh(m) if _parent is None or i == _PHI_CONSTANT
+                        else _parent.sector_eigenvalues[i] for i, m in enumerate(blocks))
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(f"eigensolve failed for kind {M.kind}: {exc}") from exc
-    if M.kind == KIND_LBLOCK:
-        sectors[psi] = np.insert(sectors[psi], np.searchsorted(sectors[psi], 1.0), 1.0)
-    sectors = tuple(sectors)
-    vals = np.sort(np.concatenate(sectors))
+    psi_constant = ((1.0,),) if M.kind == KIND_LBLOCK else ()
+    vals = np.sort(np.concatenate(sectors + psi_constant))
     tau_zero = ZERO_TOL_FACTOR * float(np.max(np.abs(vals)))
     n = int(np.sum(vals < -tau_zero))
     z = int(np.sum(np.abs(vals) <= tau_zero))
@@ -511,14 +498,12 @@ def D1_closed(wave: WaveParameters) -> float:
 
 
 def _check_solvable(report: SpectralReport) -> None:
-    """Guards of the constraint solves, raised before any solve runs.
+    """Kernel guards of the constraint solve, raised before it runs.
 
-    The operator must be L1 or Lblock, exactly one eigenvalue must be
-    classified zero, and the rest must clear 1e3 tau_zero.
+    Exactly one eigenvalue must be classified zero, and the rest must clear
+    1e3 tau_zero.
     """
     vals, tau_zero, op = report.eigenvalues, report.tau_zero, report.operator
-    if op.kind not in _LAYOUT:
-        raise ValueError(f"grid solves need an operator of kind L1 or Lblock, got {op.kind}")
     if report.z != 1:
         raise SingularSystemError(
             f"expected a one-dimensional discrete kernel for kind {op.kind}, "
@@ -532,31 +517,21 @@ def _check_solvable(report: SpectralReport) -> None:
         )
 
 
-def _constraint_matrix(report: SpectralReport) -> np.ndarray:
-    """D[i, j] = (M^{-1} e_i, e_j) over the constants e_i of M's N-point components.
+def _phi_constant_solve(report: SpectralReport, N: int) -> float:
+    """(M^{-1} e, e) in the grid inner product (L/N) (., .), e the constant of M's phi.
 
-    e_i is sqrt(N) times its component's n = 0 cosine.  Each sector holds at
-    most one constant, and those that hold one are T-even, clear of the
-    kernel's sector 0, so each takes one plain solve, and D[i, i] is the
-    grid inner product (L/N) (u_i, e_i) there.  Constants in different
-    sectors are orthogonal under M^{-1}, so the other entries are zero.
+    e is sqrt(N) at row 0 of sector _PHI_CONSTANT, a T-even sector clear of
+    the kernel's sector 0, so one plain solve of that sector gives it.
     """
     _check_solvable(report)
     op = report.operator
-    layout = _LAYOUT[op.kind]
-    parts = len(layout[0])
-    N = op.dim // parts
-    D = np.zeros((parts, parts))
-    for sector, chars in enumerate(layout):
-        for comp, row in _constants(N, chars):
-            e = np.zeros(op.blocks[sector].shape[0])
-            e[row] = math.sqrt(N)
-            try:
-                u = np.linalg.solve(op.blocks[sector], e)
-            except np.linalg.LinAlgError as exc:
-                raise SingularSystemError(f"solve failed for kind {op.kind}: {exc}") from exc
-            D[comp, comp] = op.L / N * (u @ e)
-    return D
+    e = np.zeros(op.blocks[_PHI_CONSTANT].shape[0])
+    e[0] = math.sqrt(N)
+    try:
+        u = np.linalg.solve(op.blocks[_PHI_CONSTANT], e)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"solve failed for kind {op.kind}: {exc}") from exc
+    return op.L / N * (u @ e)
 
 
 def D1_numeric(report: SpectralReport) -> float:
@@ -564,34 +539,36 @@ def D1_numeric(report: SpectralReport) -> float:
 
     report is the eigen_report of L1 on an N-point grid; L is its operator's period.
     """
+    if report.operator.kind != KIND_L1:
+        raise ValueError(f"D1_numeric needs a report of kind L1, got {report.operator.kind}")
     N = report.eigenvalues.size
     if N < 64 or N % 2 != 0:
         raise ValueError(f"D1_numeric needs an even grid of at least 64 points, got {N}")
-    return float(_constraint_matrix(report)[0, 0])
+    return float(_phi_constant_solve(report, N))
 
 
 def D_matrix(report: SpectralReport) -> np.ndarray:
     """Numerical 2x2 constraint matrix D = diag(D1, L) of the pair operator.
 
     report is the eigen_report of Lblock on an N-point grid; L is its
-    operator's period.  Solves Lblock U = E for the two constant directions
-    E = [(1,0) (0,1)], which lie in different sectors, so D is diagonal; the
-    lower-right entry is checked against L.  The constrained counts are
-    then n(Lblock) - n(D) - z(D) and z(Lblock) + z(D).
+    operator's period.  The constants of phi and psi lie in different
+    sectors, so D is diagonal.  D[0, 0] is one solve of phi's constant.
+    psi's constant e = sqrt(N) at its row is an exact eigenvector of
+    eigenvalue 1 (the unit row eigen_report checks), so D[1, 1] is the grid
+    inner product (L/N) (e, e), which a solve would return bit for bit.
+    The constrained counts are then n(Lblock) - n(D) - z(D) and
+    z(Lblock) + z(D).
     """
-    if report.operator.kind != KIND_LBLOCK:
-        raise ValueError(f"D_matrix needs a report of kind Lblock, got {report.operator.kind}")
-    L = report.operator.L
-    d = _constraint_matrix(report)
-    if abs(d[1, 1] - L) > 1e-8 * L:
-        raise SingularSystemError(
-            f"constraint matrix lower-right {d[1, 1]:.12g} differs from L = {L:.12g}"
-        )
-    return d
+    op = report.operator
+    if op.kind != KIND_LBLOCK:
+        raise ValueError(f"D_matrix needs a report of kind Lblock, got {op.kind}")
+    N = op.dim // 2
+    root = math.sqrt(N)
+    return np.diag([_phi_constant_solve(report, N), op.L / N * (root * root)])
 
 
 def _constraint_counts(D: np.ndarray, L: float) -> tuple[int, int]:
-    """n(D) and z(D) read off D's diagonal (D_matrix checks the rest) at tolerance 1e-8 L."""
+    """n(D) and z(D) read off the diagonal D at tolerance 1e-8 L."""
     diag, tol = np.diag(D), 1e-8 * L
     return int(np.sum(diag < -tol)), int(np.sum(np.abs(diag) <= tol))
 

@@ -35,12 +35,15 @@ from snoidal.spectral import (
 )
 from snoidal.spectral import (
     _LAYOUT,
+    _PHI_CONSTANT,
+    _PSI_CONSTANT,
     _SECTORS,
     _check_solvable,
     _coupling,
     _d2_closed,
     _modes,
     _potential_indices,
+    _psi_row,
     _sector_parts,
     _to_sector,
 )
@@ -180,16 +183,18 @@ def solve_in_kernel_complement(report, rhs):
     """Solve M x + mu k = rhs on the grid with x orthogonal to the kernel direction k of M.
 
     rhs and x are grid fields (components stacked), one vector (dim,) or
-    several columns (dim, m); M is L1 or Lblock.  The library's solve guards
-    run first: exactly one eigenvalue must be classified zero, and the rest
-    must clear 1e3 tau_zero.  Each sector solves for its part of rhs; sector
-    0 holds the unit kernel direction k, so it is bordered with k, and
+    several columns (dim, m); M must be L1 or Lblock.  The library's kernel
+    guards run next: exactly one eigenvalue must be classified zero, and the
+    rest must clear 1e3 tau_zero.  Each sector solves for its part of rhs;
+    sector 0 holds the unit kernel direction k, so it is bordered with k, and
     [[M0, k], [k^T, 0]] (x0, mu) = (rhs0, 0) is nonsingular whenever M0 has a
     one-dimensional kernel not orthogonal to k.  The other sectors are
     nonsingular and take a plain solve.
     """
-    _check_solvable(report)
     op = report.operator
+    if op.kind not in _LAYOUT:
+        raise ValueError(f"grid solves need an operator of kind L1 or Lblock, got {op.kind}")
+    _check_solvable(report)
     norm = np.linalg.norm(op.kernel_vector)
     if norm == 0.0:
         raise SingularSystemError(f"kind {op.kind} carries no kernel direction to border with")
@@ -477,6 +482,17 @@ class TestD1:
         with pytest.raises(ValueError):
             D1_numeric(eigen_report(assemble_L1(wave, 32)))
 
+    @pytest.mark.parametrize("assemble, kind", [
+        (assemble_Lblock, "Lblock"),
+        (lambda wave, N: constrain_zero_mean(assemble_L1(wave, N)), "L1_constrained")],
+        ids=["Lblock", "L1_constrained"])
+    def test_needs_an_L1_report(self, wave, assemble, kind):
+        # an Lblock report holds D[0, 0] in the same sector, and its 2N
+        # eigenvalues would pass the grid guard: the kind is refused first
+        with pytest.raises(ValueError,
+                           match=f"^D1_numeric needs a report of kind L1, got {kind}$"):
+            D1_numeric(eigen_report(assemble(wave, 128)))
+
     def test_zero_kernel_vector_rejected(self):
         # one zero eigenvalue, but no kernel direction to border the solve with
         m = OperatorMatrix(KIND_L1, 1.0, (np.diag([0.0, 1.0, 2.0]),), np.zeros(3))
@@ -546,9 +562,9 @@ class TestDMatrix:
 
     @pytest.mark.parametrize("N", [128, 130])
     def test_one_solve_per_sector_holding_a_constant(self, wave, monkeypatch, N):
-        # D solves only the sectors of phi (even, T-even) and psi
-        # (even, T-even), D1 only L1's (even, T-even), whether 4 divides N
-        # or not
+        # D solves only the sector of phi (even, T-even), and D1 only L1's
+        # (even, T-even), whether 4 divides N or not; psi's constant is an
+        # exact eigenvector, so D[1, 1] needs no solve
         reports = [eigen_report(assemble(wave, N)) for assemble in (assemble_Lblock, assemble_L1)]
         solve, calls = np.linalg.solve, []
 
@@ -558,9 +574,22 @@ class TestDMatrix:
 
         monkeypatch.setattr(np.linalg, "solve", counted)
         D_matrix(reports[0])
-        assert len(calls) == 2
+        assert len(calls) == 1
         D1_numeric(reports[1])
-        assert len(calls) == 3
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("N", [64, 128, 130, 256, 512])
+    def test_lower_right_is_the_plain_psi_solve(self, wave, N):
+        # oracle: a plain solve of Lblock's psi-constant sector for sqrt(N)
+        # at psi's constant row, read in the grid inner product (L/N) (u, e)
+        op = assemble_Lblock(wave, N)
+        sector, row = psi_constant(N)
+        e = np.zeros(op.blocks[sector].shape[0])
+        e[row] = math.sqrt(N)
+        u = np.linalg.solve(op.blocks[sector], e)
+        D = D_matrix(eigen_report(op))
+        assert D[1, 1] == wave.L / N * (u @ e)
+        assert D[0, 1] == 0.0 and D[1, 0] == 0.0
 
     def test_identity_block_row(self, wave):
         # Lblock (0, 1) = (0, 1), so the lower-right entry is the plain
@@ -742,19 +771,34 @@ DEFLATION_POINTS = [(2.0, 0.96), (math.pi, 0.95), (5.0, 0.80), (math.pi, -0.95)]
 
 class TestPsiConstantDeflation:
     """Lblock's psi constant is an exact eigenvector of eigenvalue 1: its sector
-    is solved as the zero-mean minor, and 1 is inserted."""
+    is solved as the zero-mean minor, and 1 is merged into the spectrum."""
 
     @pytest.mark.parametrize("N", [128, 130, 256])
     def test_sector_is_minor_spectrum_and_one(self, wave, N):
+        # the sector holds the values of the block solved, the minor's; the
+        # merged eigenvalues hold the other sectors', the minor's and 1.0
         op = assemble_Lblock(wave, N)
         sector, row = psi_constant(N)
         block = op.blocks[sector]
         unit = np.zeros(block.shape[0])
         unit[row] = 1.0
         assert np.array_equal(block[row], unit)
-        minor = np.delete(np.delete(block, row, 0), row, 1)
-        want = np.sort(np.append(np.linalg.eigvalsh(minor), 1.0))
-        assert np.array_equal(eigen_report(op).sector_eigenvalues[sector], want)
+        minor = np.linalg.eigvalsh(np.delete(np.delete(block, row, 0), row, 1))
+        report = eigen_report(op)
+        assert np.array_equal(report.sector_eigenvalues[sector], minor)
+        others = [np.linalg.eigvalsh(b) for i, b in enumerate(op.blocks) if i != sector]
+        want = np.sort(np.concatenate(others + [minor, [1.0]]))
+        assert np.array_equal(report.eigenvalues, want)
+
+    @pytest.mark.parametrize("N", [64, 128, 130, 512])
+    def test_constant_positions_match_the_layout(self, N):
+        # the library's two constant positions against this file's own
+        # reading of the sector layout
+        for kind, sectors in (("L1", [_PHI_CONSTANT]), ("Lblock", [_PHI_CONSTANT, _PSI_CONSTANT])):
+            rows = [constant_row(N, chars) for chars in SECTOR_LAYOUT[kind]]
+            assert [i for i, row in enumerate(rows) if row is not None] == sectors
+            assert rows[_PHI_CONSTANT] == 0
+        assert psi_constant(N) == (_PSI_CONSTANT, _psi_row(N))
 
     @pytest.mark.parametrize("N", [128, 130])
     def test_constrained_spectra_are_plain_solves(self, N):
@@ -870,13 +914,13 @@ class TestFullReport:
         # eigensolve per distinct sector block, four for each of L1 and
         # Lblock, and only the sectors the constraint changes (one of L1_c,
         # two of Lblock_c), less Lblock_c's psi-constant sector, whose minor
-        # Lblock's own solve already diagonalized: 10 for 16 blocks; the
-        # solves behind D1 and D need no eigenvectors.  The wave is solved
-        # and sampled once, and the two assemblies share one potential
-        # block per character.
+        # Lblock's own solve already diagonalized: 10 for 16 blocks.  D and
+        # D1 make one plain solve each, of the phi-constant sector.  The wave
+        # is solved and sampled once, and the two assemblies share one
+        # potential block per character.
         import snoidal.spectral as spectral
 
-        names = ("eigh", "eigvalsh", "assemble_L1", "assemble_Lblock", "sample_wave",
+        names = ("eigh", "eigvalsh", "solve", "assemble_L1", "assemble_Lblock", "sample_wave",
                  "solve_modulus", "_potential")
         calls = dict.fromkeys(names, 0)
 
@@ -889,14 +933,15 @@ class TestFullReport:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        for name in ("eigh", "eigvalsh"):
+        for name in ("eigh", "eigvalsh", "solve"):
             counted(np.linalg, name)
-        for name in names[2:]:
+        for name in names[3:]:
             counted(spectral, name)
         spectral._sector_parts.cache_clear()
         full_report(L_CANON, C_CANON, 128)
-        assert calls == {"eigh": 0, "eigvalsh": 10, "assemble_L1": 1, "assemble_Lblock": 1,
-                         "sample_wave": 1, "solve_modulus": 1, "_potential": 4}
+        assert calls == {"eigh": 0, "eigvalsh": 10, "solve": 2, "assemble_L1": 1,
+                         "assemble_Lblock": 1, "sample_wave": 1, "solve_modulus": 1,
+                         "_potential": 4}
 
     def test_shared_arrays_are_read_only(self):
         # the memoized samples, wavenumbers, potential blocks, modes,
