@@ -145,11 +145,27 @@ def _write_json(path: str, obj) -> None:
         fh.write(text)
 
 
+_CSV_BLOCK_ROWS = 1024
+
+
 def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
+    """Write the 2-D array `rows` under `header`: one line per row, each value's `repr`.
+
+    After the header line the table goes out in blocks of `_CSV_BLOCK_ROWS`
+    rows, one `write` each.  A block's cells are grouped into lines by
+    `zip`ping one iterator once per column, so no Python code runs per row or
+    per value; the bytes are those of a row-by-row `",".join(map(repr, row))`
+    loop.  A table that is not 2-D, an empty header, or a width other than
+    the header's raises `ValueError` before the file is opened.
+    """
+    if rows.ndim != 2 or rows.shape[1] != len(header) or not header:
+        raise ValueError(f"a CSV table under {len(header)} column names must be "
+                         f"2-D with {len(header)} columns, got shape {rows.shape}")
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows.tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
+        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+            cells = map(repr, rows[start:start + _CSV_BLOCK_ROWS].ravel().tolist())
+            fh.write("\n".join(map(",".join, zip(*[cells] * len(header)))) + "\n")
 
 
 def _metadata(args, wave, **extra) -> dict:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import snoidal.cli as cli
 
@@ -318,6 +319,109 @@ class TestJsonWriter:
         path = tmp_path / "tree.json"
         cli._write_json(str(path), obj)
         assert path.read_bytes() == self.expected(obj)
+
+
+def reference_csv(header, rows) -> bytes:
+    """The bytes of a row-by-row CSV writer: the header, then `repr` of each value."""
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows.tolist()]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+def _table(nrows, ncols, seed=0):
+    """Values of many magnitudes and both signs, so that the reprs differ in length."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((nrows, ncols)) * 10.0 ** rng.integers(-20, 21, (nrows, ncols))
+
+
+_SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5, 1e-4, 2.0**53, math.nan, math.inf, -math.inf]
+
+
+class TestCsvWriter:
+    """`_write_csv` writes in blocks the bytes of a row-by-row writer."""
+
+    @staticmethod
+    def written(table, tmp_path):
+        header = tuple(f"c{j}" for j in range(table.shape[1]))
+        path = tmp_path / "t.csv"
+        cli._write_csv(str(path), header, table)
+        return path.read_bytes(), reference_csv(header, table)
+
+    @pytest.mark.parametrize("ncols", [1, 4, 6])
+    @pytest.mark.parametrize("nrows", [0, 1, 1023, 1024, 1025, 2049])
+    def test_block_boundaries(self, nrows, ncols, tmp_path):
+        got, expected = self.written(_table(nrows, ncols, seed=nrows + ncols), tmp_path)
+        assert got == expected
+        assert got.count(b"\n") == nrows + 1
+
+    def test_special_values(self, tmp_path):
+        values = np.array(_SPECIAL * 6).reshape(-1, 6)  # each value in every column
+        got, expected = self.written(values, tmp_path)
+        assert got == expected
+        assert got.splitlines()[1] == b"-0.0,0.0,5e-324,-5e-324,1e+16,1e-05"
+        assert got.splitlines()[2] == b"0.0001,9007199254740992.0,nan,inf,-inf,-0.0"
+
+    def test_column_views(self, tmp_path):
+        # trace samples and stacked columns need not be C-contiguous
+        table = _table(1030, 8)[:, ::2]
+        got, expected = self.written(table, tmp_path)
+        assert got == expected
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table=hnp.arrays(np.float64, st.tuples(st.integers(0, 9), st.integers(1, 6)),
+                            elements=st.one_of(st.floats(), st.sampled_from(_SPECIAL))),
+           block=st.integers(1, 4))
+    def test_float64_tables(self, table, block, tmp_path, monkeypatch):
+        # small blocks put boundaries inside these small tables
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block)
+        got, expected = self.written(table, tmp_path)
+        assert got == expected
+
+    @pytest.mark.parametrize("nrows", [0, 1, 1024, 1025, 2050, 8192])
+    def test_one_write_per_block(self, nrows, tmp_path, monkeypatch):
+        writes = []
+
+        class Counting:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+            def write(self, text):
+                writes.append(len(text))
+                return self.fh.write(text)
+
+        monkeypatch.setattr(cli, "open", lambda *a, **k: Counting(open(*a, **k)), raising=False)
+        got, expected = self.written(_table(nrows, 4), tmp_path)
+        assert got == expected
+        assert len(writes) == math.ceil(nrows / 1024) + 1
+
+    @pytest.mark.parametrize("shape, header", [
+        ((3, 6), ("x", "h", "h1", "h2")),
+        ((6, 3), ("x", "h", "h1", "h2")),
+        ((4,), ("x", "h", "h1", "h2")),
+        ((2, 2, 2), ("a", "b")),
+        ((3, 0), ()),
+    ], ids=["wider", "narrower", "1-D", "3-D", "no-columns"])
+    def test_width_must_match_header(self, shape, header, tmp_path):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match="column names"):
+            cli._write_csv(str(path), header, np.zeros(shape))
+        assert not path.exists()
+
+    def test_wave_across_blocks(self, tmp_path):
+        # N = 2050 is two full blocks and 2 rows
+        from snoidal.waves import grid_points, sample_wave, solve_modulus
+
+        wave = solve_modulus(3.14159, 0.95)
+        rows = np.column_stack([grid_points(wave.L, 2050), *sample_wave(wave, 2050)])
+        assert cli.main(["wave", "--L", "3.14159", "--c", "0.95", "--N", "2050",
+                         "--out", str(tmp_path / "w")]) == 0
+        assert (tmp_path / "w.csv").read_bytes() == reference_csv(("x", "h", "h1", "h2"), rows)
 
 
 WAVE = ["--L", "3.14159", "--c", "0.95"]
