@@ -18,17 +18,22 @@ state as the rfft coefficients (ph, pt) of (phi, phi_t), with wavenumbers
 xi_n = 2 pi n / L, n = 0..N/2, from `waves.wavenumbers`.  A call allocates
 its buffers once -- two pairs of state buffers, one complex scratch, and
 real ones for phi and phi^2 (then phi^3) -- and no step allocates: the
-FFTs and every product write into those buffers (`out=`), and each full
-rotation writes the other state pair.  The rotation tables are broadcast
-to the state's shape once and cached on the stepper per shape.  The
-caller's ph and pt are only read, by the first half flow, so a block can be
-redone from them after a blow-up.  The arithmetic and its order are those
-of the plain expressions cos ph + sin/om pt and pt - dt rfft(phi^3), so the
-bits are too.  The step's two transforms call numpy's pocketfft ufuncs
+FFTs and every product write into those buffers, and each full rotation
+writes the other state pair, which one tuple assignment then swaps in.
+The rotation tables are broadcast to the state's shape once and cached on
+the stepper per shape.  The caller's ph and pt are only read, by the first
+half flow, so a block can be redone from them after a blow-up.  The
+arithmetic and its order are those of the plain expressions
+cos ph + sin/om pt and pt - dt rfft(phi^3), so the bits are too.  The
+step's two transforms call numpy's pocketfft ufuncs
 (`numpy.fft._pocketfft_umath`, numpy >= 2.0) directly, with the scale
 factors np.fft.irfft and np.fft.rfft pass for the default norm, 1/N and 1:
 at N = 256 the np.fft wrapper's per-call checks cost about as much as the
 transform, and the buffers already have the shapes those checks verify.
+A step is 14 numpy calls on 129 modes at N = 256, so the Python between
+them counts too: the loop is written out with every flow inline, the
+ufuncs and constants it uses are bound to locals once per call, and
+outputs are passed positionally.
 
 The state may carry a leading batch axis: (B, N/2 + 1) coefficients hold B
 trajectories on one grid, one per row, and (N/2 + 1,) ones are the B = 1
@@ -155,6 +160,8 @@ class SplitStepper:
     kick transforms through pocketfft's irfft and rfft_n_even ufuncs with
     numpy's own scale factors, so it gets np.fft's bits without the
     wrapper's per-call cost; rfft_n_even needs the grid rule's even N.
+    `advance` runs each flow as six ufunc calls written out in its loop,
+    two products and a sum per component, through one complex scratch.
     """
 
     def __init__(self, L: float, N: int, dt: float, projected: bool = True,
@@ -191,17 +198,6 @@ class SplitStepper:
                                        for a in table) for table in self._rotations)
         return self._shaped
 
-    @staticmethod
-    def _rotate(table, ph, pt, ph_out, pt_out, work):
-        """(ph_out, pt_out) = (cos ph + sin/om pt, -sin om ph + cos pt), through `work`."""
-        cos, sin_over, neg_sin_times = table
-        np.multiply(cos, ph, out=ph_out)
-        np.multiply(sin_over, pt, out=work)
-        np.add(ph_out, work, out=ph_out)
-        np.multiply(neg_sin_times, ph, out=pt_out)
-        np.multiply(cos, pt, out=work)
-        np.add(pt_out, work, out=pt_out)
-
     def _trip(self, phi, t):
         """Raise BlowUpError for the first row whose exact max |phi| is over the ceiling."""
         for member, sup in enumerate(np.max(np.abs(phi), axis=-1).reshape(-1).tolist()):
@@ -217,48 +213,77 @@ class SplitStepper:
         ph, pt are the rfft coefficients of (phi, phi_t), of shape
         (N/2 + 1,) or (B, N/2 + 1).  The call allocates its buffers once and
         no step allocates: the FFTs and products write into them, and each
-        full rotation writes the other pair of state buffers.  The FFTs call
-        the pocketfft ufuncs behind np.fft.irfft and np.fft.rfft with the
-        scale factors those pass (1/N and 1): the same bits, without the
-        wrapper's norm, dtype, axis and shape handling, which the buffers
-        make redundant.  The first half flow reads ph and pt into those
-        buffers, so the inputs are never written -- `run_experiment` redoes
-        a block from them after a blow-up -- and the arrays returned share
-        no memory with them (nsteps < 1 returns the inputs as they are).
+        full rotation writes the other pair of state buffers, which then
+        swaps with the state pair.  Mode 0 of the force is zeroed through a
+        view taken once, and dt multiplies as the complex128 numpy would
+        cast it to in each kick.  The FFTs call the pocketfft ufuncs behind
+        np.fft.irfft and np.fft.rfft with the scale factors those pass (1/N
+        and 1): the same bits, without the wrapper's norm, dtype, axis and
+        shape handling, which the buffers make redundant.  The first half
+        flow reads ph and pt into those buffers, so the inputs are never
+        written -- `run_experiment` redoes a block from them after a
+        blow-up -- and the arrays returned share no memory with them
+        (nsteps < 1 returns the inputs as they are).
         BlowUpError.member names the tripping row.
         """
         if nsteps < 1:
             return ph, pt
         half, full = self._tables(ph.shape)
-        N, dt, ceiling = self.N, self.dt, self.ceiling
-        cur = np.empty(ph.shape, complex), np.empty(ph.shape, complex)
-        nxt = np.empty(ph.shape, complex), np.empty(ph.shape, complex)
-        work = np.empty(ph.shape, complex)  # the force in a kick, a product in a rotation
+        hcos, hsin_over, hneg_sin_times = half
+        cos, sin_over, neg_sin_times = full
+        N, dt, ceiling, projected = self.N, self.dt, self.ceiling, self.projected
+        inv_n = 1.0 / N
+        # the complex128 that numpy would cast dt to in every kick's product
+        dt_c = np.array(dt, complex)
+        # bound here, not at import, so a patched _pocketfft_umath is seen
+        irfft, rfft = _pocketfft_umath.irfft, _pocketfft_umath.rfft_n_even
+        multiply, add, subtract = np.multiply, np.add, np.subtract
+        peak, sqrt = np.maximum.reduce, math.sqrt
+        # (p, q) holds the state and (p_next, q_next) receives each full rotation
+        p, q, p_next, q_next, work = (np.empty(ph.shape, complex) for _ in range(5))
+        force0 = work[..., 0]  # mode 0 of the force in a kick; work is a product in a rotation
         phi = np.empty(ph.shape[:-1] + (N,))
         cube = np.empty_like(phi)  # phi^2 until the ceiling test, then phi^3
-        self._rotate(half, ph, pt, *cur, work)
+        # the half flow (p, q) = (cos ph + sin/om pt, -sin om ph + cos pt)
+        multiply(hcos, ph, p)
+        multiply(hsin_over, pt, work)
+        add(p, work, p)
+        multiply(hneg_sin_times, ph, q)
+        multiply(hcos, pt, work)
+        add(q, work, q)
         for j in range(nsteps):
-            if j:
-                self._rotate(full, *cur, *nxt, work)
-                cur, nxt = nxt, cur
-            # the kick: pt -= dt (phi^3 - mean phi^3)
-            _pocketfft_umath.irfft(cur[0], 1.0 / N, out=phi)
-            np.multiply(phi, phi, out=cube)
+            if j:  # the full flow, written into the other pair
+                multiply(cos, p, p_next)
+                multiply(sin_over, q, work)
+                add(p_next, work, p_next)
+                multiply(neg_sin_times, p, q_next)
+                multiply(cos, q, work)
+                add(q_next, work, q_next)
+                p, q, p_next, q_next = p_next, q_next, p, q
+            # the kick: q -= dt (phi^3 - mean phi^3)
+            irfft(p, inv_n, phi)
+            multiply(phi, phi, cube)
             # sqrt(fl(x^2)) = |x| in binary64 away from under- and overflow,
             # so this is max |phi| over the batch, read off the square the
             # cube needs
-            if not math.sqrt(np.maximum.reduce(cube, axis=None)) <= ceiling:  # NaN trips it too
+            if not sqrt(peak(cube, None)) <= ceiling:  # NaN trips it too
                 self._trip(phi, t0 + (j + 0.5) * dt)
-            np.multiply(cube, phi, out=cube)
-            _pocketfft_umath.rfft_n_even(cube, 1.0, out=work)
-            if self.projected:
-                work[..., 0] = 0.0  # subtracting the mean of phi^3, exactly
+            multiply(cube, phi, cube)
+            rfft(cube, 1.0, work)
+            if projected:
+                force0.fill(0.0)  # subtracting the mean of phi^3, exactly
             # dt stays out of rfft's scale factor: for dt < 0 that would keep
             # mode 0's projected zero +0.0 where dt * 0.0 gives -0.0
-            np.multiply(dt, work, out=work)
-            np.subtract(cur[1], work, out=cur[1])
-        self._rotate(half, *cur, *nxt, work)
-        return nxt
+            multiply(dt_c, work, work)
+            subtract(q, work, q)
+        # the closing half flow, into the other pair
+        multiply(hcos, p, p_next)
+        multiply(hsin_over, q, work)
+        add(p_next, work, p_next)
+        multiply(hneg_sin_times, p, q_next)
+        multiply(hcos, q, work)
+        add(q_next, work, q_next)
+        return p_next, q_next
 
 
 def _h1_semi_sq(values: np.ndarray, L: float) -> float:

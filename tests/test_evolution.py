@@ -658,7 +658,7 @@ class TestBufferedAdvance:
     @pytest.mark.parametrize("nsteps", [1, 2, 7])
     @pytest.mark.parametrize("dt", [1e-3, -1e-3])
     @pytest.mark.parametrize("projected", [True, False])
-    @pytest.mark.parametrize("rows", [None, 3])
+    @pytest.mark.parametrize("rows", [None, 1, 3])
     @pytest.mark.parametrize("n", [16, N, 130])
     def test_matches_reference_loop(self, wave, n, rows, projected, dt, nsteps):
         ph, pt = self.states(wave, rows, n)
@@ -666,6 +666,14 @@ class TestBufferedAdvance:
         got = stepper.advance(ph, pt, nsteps, 0.125)
         assert got[0].shape == got[1].shape == ph.shape
         assert self.same_bits(got, reference_advance(stepper, ph, pt, nsteps, 0.125))
+
+    @pytest.mark.parametrize("projected", [True, False])
+    def test_matches_reference_loop_at_benchmark_shape(self, wave, projected):
+        # the stability workload's grid and step, over one 500-step block
+        ph, pt = self.states(wave, None, 256)
+        stepper = SplitStepper(L, 256, 1e-3, projected, ceiling=20.0)
+        got = stepper.advance(ph, pt, 500, 0.0)
+        assert self.same_bits(got, reference_advance(stepper, ph, pt, 500, 0.0))
 
     def test_tables_follow_the_state_shape(self, wave):
         # one stepper on a (3, n) batch, then (2, n) -- a member has left --
@@ -705,6 +713,42 @@ class TestBufferedAdvance:
         assert info.value.member == ref.value.member == row
         assert info.value.time == ref.value.time == 0.25 + 0.5e-3
         assert str(info.value).startswith("||phi||_inf = nan exceeded ceiling 20 at t = 0.2505")
+
+    # the first new sup comes at kick 18 for dt = 0.03 and kick 11 for
+    # dt = 0.05, after an even and an odd number of buffer swaps; rolling the
+    # rows puts the tripping one first, in the middle and last
+    @pytest.mark.parametrize("projected", [True, False])
+    @pytest.mark.parametrize("roll", [0, 1, 2])
+    @pytest.mark.parametrize("dt", [0.03, 0.05])
+    @pytest.mark.parametrize("n", [N, 130])
+    def test_trip_after_the_buffers_swap(self, wave, monkeypatch, n, dt, roll, projected):
+        # the ceiling is the largest sup of the kicks before the first kick
+        # j >= 3 that exceeds it, so the trip comes after full rotations have
+        # swapped the state buffers
+        ph, pt = (np.roll(a, roll, axis=0) for a in self.states(wave, 3, n))
+        t0, sups, irfft = 0.25, [], np.fft.irfft
+
+        def recording(a, n_):
+            phi = irfft(a, n_)
+            sups.append(np.max(np.abs(phi), axis=-1))
+            return phi
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.fft, "irfft", recording)
+            reference_advance(SplitStepper(L, n, dt, projected), ph, pt, 40, t0)
+        sups = np.array(sups)  # (kick, row)
+        top = np.maximum.accumulate(sups.max(axis=1))
+        j = next(k for k in range(3, len(top)) if top[k] > top[k - 1])
+        ceiling = float(top[j - 1])
+        stepper = SplitStepper(L, n, dt, projected, ceiling)
+        with pytest.raises(BlowUpError) as info:
+            stepper.advance(ph, pt, 40, t0)
+        with pytest.raises(BlowUpError) as ref:
+            reference_advance(stepper, ph, pt, 40, t0)
+        member = int(np.argmax(sups[j] > ceiling))
+        assert info.value.member == ref.value.member == member
+        assert info.value.time == ref.value.time == t0 + (j + 0.5) * dt
+        assert str(info.value).startswith(f"||phi||_inf = {sups[j, member]:.6g} exceeded")
 
     def test_ffts_call_the_bound_pocketfft_ufuncs(self, wave, monkeypatch):
         # two transforms per step, each a call of the pocketfft ufunc that
