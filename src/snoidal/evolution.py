@@ -15,25 +15,34 @@ CFL restriction from phi_xx.
 
 `SplitStepper.advance` is the only stepping entry point; it carries the
 state as the rfft coefficients (ph, pt) of (phi, phi_t), with wavenumbers
-xi_n = 2 pi n / L, n = 0..N/2, from `waves.wavenumbers`.  A call allocates
-its buffers once -- two pairs of state buffers, one complex scratch, and
-real ones for phi and phi^2 (then phi^3) -- and no step allocates: the
-FFTs and every product write into those buffers, and each full rotation
-writes the other state pair, which one tuple assignment then swaps in.
-The rotation tables are broadcast to the state's shape once and cached on
-the stepper per shape.  The caller's ph and pt are only read, by the first
-half flow, so a block can be redone from them after a blow-up.  The
-arithmetic and its order are those of the plain expressions
-cos ph + sin/om pt and pt - dt rfft(phi^3), so the bits are too.  The
-step's two transforms call numpy's pocketfft ufuncs
-(`numpy.fft._pocketfft_umath`, numpy >= 2.0) directly, with the scale
-factors np.fft.irfft and np.fft.rfft pass for the default norm, 1/N and 1:
-at N = 256 the np.fft wrapper's per-call checks cost about as much as the
-transform, and the buffers already have the shapes those checks verify.
-A step is 14 numpy calls on 129 modes at N = 256, so the Python between
-them counts too: the loop is written out with every flow inline, the
-ufuncs and constants it uses are bound to locals once per call, and
-outputs are passed positionally.
+xi_n = 2 pi n / L, n = 0..N/2, from `waves.wavenumbers`.  A step is 10
+numpy calls on 129 modes at N = 256, so their per-call overhead is most of
+what a step costs beyond its two transforms, and the loop is written to
+make few of them:
+
+  - the state is one (2,) + shape buffer [p, q], so a rotation is two
+    products with the tables [cos, cos] and [-sin om, sin/om] and two sums;
+  - the force comes out of rfft already scaled by dt;
+  - each kick stores phi^2 in a row of a chunk buffer, and one max over it
+    per _CHECK_KICKS kicks tests the sup-norm ceiling; a trip is traced
+    back to its first kick and row, and the up to _CHECK_KICKS - 1 kicks
+    run past it have their floating-point warnings silenced.
+
+A call allocates its buffers once and no step allocates: the FFTs and
+every product write into them, and a rotation's sums overwrite the state
+its two products have read.  The rotation tables are broadcast to the
+state's shape once and cached on the stepper per shape.  The caller's ph
+and pt are only read, by the first half flow, so a block can be redone
+from them after a blow-up.  The arithmetic and its
+order are those of the plain expressions cos ph + sin/om pt and
+pt - dt rfft(phi^3), so every nonzero coefficient has their bits (an exact
+zero may differ in its sign; see `SplitStepper.advance`).  The step's two
+transforms call numpy's pocketfft ufuncs (`numpy.fft._pocketfft_umath`,
+numpy >= 2.0) directly, with the scale factors 1/N and dt: at N = 256 the
+np.fft wrapper's per-call checks cost about as much as the transform, and
+the buffers already have the shapes those checks verify.  The ufuncs and
+constants the loop uses are bound to locals once per call, and outputs are
+passed positionally.
 
 The state may carry a leading batch axis: (B, N/2 + 1) coefficients hold B
 trajectories on one grid, one per row, and (N/2 + 1,) ones are the B = 1
@@ -55,7 +64,8 @@ weights w_n of `ynorm_sq`.  A shift s multiplies mode n by exp(i xi_n s)
 and keeps |ph_n| and |pt_n|, so dist_sq(s) = const - 2 G(s) with
 G(s) = sum_n w_n Re(cross_n exp(i xi_n s)), where cross pairs the state
 with (h, c h').  One irfft of cross gives G at the grid shifts, and
-Newton steps on G'(s) = 0 refine the best of them.
+Newton steps on G'(s) = 0 refine the best of them; Newton's first phase
+exp(i xi s) is that grid shift's, which the final dist_sq reuses.
 """
 
 from __future__ import annotations
@@ -87,6 +97,7 @@ TRACE_COLUMNS = ("t", "E", "F", "mean_phi", "mean_phidot", "orbit_distance")
 _NEWTON_STEPS = 8  # per orbit-distance row; about three suffice
 _CEILING_FACTOR = 10.0  # run_experiment's blow-up ceiling, in units of max |h|
 _SAMPLE_BLOCK_ROWS = 16  # trace rows per conserved and orbit-distance call
+_CHECK_KICKS = 64  # kicks per ceiling test in SplitStepper.advance
 
 
 class BlowUpError(RuntimeError):
@@ -147,21 +158,23 @@ class SplitStepper:
 
     One instance is bound to (L, N, dt, projected); `ceiling` bounds
     ||phi||_inf of every batch row and trips BlowUpError, naming the first
-    row over it, when exceeded during a kick.  The rotation of mode 0 is
-    cosh/sinh unprojected and zero when projected, so one linear flow serves
-    every mode.
+    kick and the first row over it.  The rotation of mode 0 is cosh/sinh
+    unprojected and zero when projected, so one linear flow serves every
+    mode.
 
-    The rotation tables are kept per mode, shape (N/2 + 1,), and are
-    broadcast to the shape of the state once: the copies for the last shape
-    `advance` saw are cached, so a batch pays for them once per run and again
-    only when a blown-up member leaves it.  A 1-D state uses the per-mode
-    tables themselves.  Multiplying by a contiguous table of the state's own
-    shape is faster than broadcasting an (N/2 + 1,) one over its rows.  The
+    `advance` holds the state as one (2,) + shape buffer [p, q], so a
+    rotation is four ufunc calls: y = [cos, cos] [p, q] and
+    z = [-sin om, sin/om] [p, q] in two products, then p' = y[0] + z[1] and
+    q' = y[1] + z[0].  Those are the sums cos p + sin/om q and
+    -sin om p + cos q, the second with its terms swapped, which IEEE
+    addition does not see.  The two tables of each flow are kept for the
+    (N/2 + 1,) state and broadcast to the last batch shape `advance` saw,
+    so a batch pays for them once per run and again only when a blown-up
+    member leaves it; multiplying by a contiguous table of the state's own
+    shape is faster than broadcasting a per-mode one over its rows.  The
     kick transforms through pocketfft's irfft and rfft_n_even ufuncs with
-    numpy's own scale factors, so it gets np.fft's bits without the
+    the scale factors 1/N and dt, so it gets np.fft's bits without the
     wrapper's per-call cost; rfft_n_even needs the grid rule's even N.
-    `advance` runs each flow as six ufunc calls written out in its loop,
-    two products and a sum per component, through one complex scratch.
     """
 
     def __init__(self, L: float, N: int, dt: float, projected: bool = True,
@@ -179,111 +192,128 @@ class SplitStepper:
         om = np.sqrt(_modes(L, N).omega2[1:])  # > 0 for every nonzero mode when L < 2 pi
         rotations = []  # the half flow's and the full flow's
         for tau in (0.5 * dt, dt):
-            cos = np.cos(om * tau)
-            sin = np.sin(om * tau)
             ch, sh = (0.0, 0.0) if projected else (math.cosh(tau), math.sinh(tau))
-            # stored complex: numpy multiplies a real array into a complex one
-            # by casting it to complex first, so the bits are the same, but
-            # the cast costs a buffered pass per product
-            rotations.append(tuple(np.asarray(np.r_[a, b], dtype=complex) for a, b in
-                                   ((ch, cos), (sh, sin / om), (sh, -sin * om))))
+            cos = np.r_[ch, np.cos(om * tau)]
+            sin = np.sin(om * tau)
+            # [cos, cos] and [-sin om, sin/om], stored complex: numpy
+            # multiplies a real array into a complex one by casting it to
+            # complex first, so the bits are the same, but the cast costs a
+            # buffered pass per product
+            rotations.append((np.array([cos, cos], complex),
+                              np.array([np.r_[sh, -sin * om], np.r_[sh, sin / om]], complex)))
         self._rotations = tuple(rotations)
         self._shape, self._shaped = (N // 2 + 1,), self._rotations
 
     def _tables(self, shape):
-        """The half and full flows' rotation tables broadcast to `shape`, cached per shape."""
+        """The half and full flows' rotation tables broadcast to (2,) + `shape`, cached per shape."""
         if shape != self._shape:
             self._shape = shape
-            self._shaped = tuple(tuple(np.ascontiguousarray(np.broadcast_to(a, shape))
-                                       for a in table) for table in self._rotations)
+            self._shaped = tuple(tuple(np.array([np.broadcast_to(row, shape) for row in table])
+                                       for table in flow) for flow in self._rotations)
         return self._shaped
 
-    def _trip(self, phi, t):
-        """Raise BlowUpError for the first row whose exact max |phi| is over the ceiling."""
-        for member, sup in enumerate(np.max(np.abs(phi), axis=-1).reshape(-1).tolist()):
-            if not sup <= self.ceiling:
-                raise BlowUpError(
-                    f"||phi||_inf = {sup:.6g} exceeded ceiling {self.ceiling:.6g} at t = {t:.6g}",
-                    time=t, member=member,
-                )
+    def _trip(self, squares, start, t0):
+        """Raise BlowUpError for the first kick and row of `squares` over the ceiling.
+
+        squares holds phi^2 of kicks start, start + 1, ... one per leading
+        index; max |phi| is read off it as sqrt(max phi^2), exact away from
+        under- and overflow.
+        """
+        sups = np.sqrt(np.max(squares, axis=-1)).reshape(len(squares), -1)  # (kick, row)
+        over = ~(sups <= self.ceiling)  # NaN trips it too
+        kick = int(np.argmax(over.any(axis=1)))
+        member = int(np.argmax(over[kick]))
+        sup, t = float(sups[kick, member]), t0 + (start + kick + 0.5) * self.dt
+        raise BlowUpError(
+            f"||phi||_inf = {sup:.6g} exceeded ceiling {self.ceiling:.6g} at t = {t:.6g}",
+            time=t, member=member,
+        )
 
     def advance(self, ph, pt, nsteps: int, t0: float):
         """nsteps Strang steps from time t0, fusing interior half flows.
 
         ph, pt are the rfft coefficients of (phi, phi_t), of shape
-        (N/2 + 1,) or (B, N/2 + 1).  The call allocates its buffers once and
-        no step allocates: the FFTs and products write into them, and each
-        full rotation writes the other pair of state buffers, which then
-        swaps with the state pair.  Mode 0 of the force is zeroed through a
-        view taken once, and dt multiplies as the complex128 numpy would
-        cast it to in each kick.  The FFTs call the pocketfft ufuncs behind
-        np.fft.irfft and np.fft.rfft with the scale factors those pass (1/N
-        and 1): the same bits, without the wrapper's norm, dtype, axis and
-        shape handling, which the buffers make redundant.  The first half
-        flow reads ph and pt into those buffers, so the inputs are never
-        written -- `run_experiment` redoes a block from them after a
-        blow-up -- and the arrays returned share no memory with them
+        (N/2 + 1,) or (B, N/2 + 1).  A step is ten ufunc calls, nine
+        unprojected: the four of the rotation, then the kick's irfft,
+        phi^2, phi^3 = phi^2 phi, the rfft scaled by dt, mode 0 of the force
+        set to dt's (signed) zero in projected mode, and q -= force.  The
+        call allocates its buffers once and no step allocates; a rotation's
+        sums overwrite the state its products have read.  The FFTs call the
+        pocketfft ufuncs behind np.fft.irfft and np.fft.rfft, with 1/N and
+        dt as scale factors.  pocketfft scales each real component by dt,
+        which gives the values of the complex128 product dt * force; only a
+        component that is exactly zero can take the other sign of zero (the
+        zero state at dt = -0.05 does), and no sum with a nonzero value sees
+        it.  Mode 0 gets copysign(0, dt) + 0j, the product's dt * 0j.
+
+        Each kick writes phi^2 into the next row of a
+        (min(nsteps, _CHECK_KICKS),) + phi.shape buffer, and one max over
+        it per chunk of _CHECK_KICKS kicks tests the ceiling; a trip names
+        the first kick and row over it, with that kick's time.  Up to
+        _CHECK_KICKS - 1 kicks run past a trip, so the loop runs with
+        overflow and invalid-value warnings off, and a trip whose phi^2
+        overflowed reports ||phi||_inf = inf.  The first half flow reads ph
+        and pt into the buffers, so the inputs are never written --
+        `run_experiment` redoes a block from them after a blow-up -- and the
+        arrays returned, two rows of one buffer, share no memory with them
         (nsteps < 1 returns the inputs as they are).
         BlowUpError.member names the tripping row.
         """
         if nsteps < 1:
             return ph, pt
-        half, full = self._tables(ph.shape)
-        hcos, hsin_over, hneg_sin_times = half
-        cos, sin_over, neg_sin_times = full
+        (hcos, hsin), full = self._tables(ph.shape)
         N, dt, ceiling, projected = self.N, self.dt, self.ceiling, self.projected
         inv_n = 1.0 / N
-        # the complex128 that numpy would cast dt to in every kick's product
-        dt_c = np.array(dt, complex)
+        zero = complex(math.copysign(0.0, dt), 0.0)  # mode 0 of dt * rfft(phi^3 - mean)
         # bound here, not at import, so a patched _pocketfft_umath is seen
         irfft, rfft = _pocketfft_umath.irfft, _pocketfft_umath.rfft_n_even
         multiply, add, subtract = np.multiply, np.add, np.subtract
-        peak, sqrt = np.maximum.reduce, math.sqrt
-        # (p, q) holds the state and (p_next, q_next) receives each full rotation
-        p, q, p_next, q_next, work = (np.empty(ph.shape, complex) for _ in range(5))
-        force0 = work[..., 0]  # mode 0 of the force in a kick; work is a product in a rotation
+        shape = (2,) + ph.shape
+        # s = [p, q] holds the state and y, z a rotation's two products,
+        # whose sums go back into s; the kick's force goes into y[0]
+        s, y, z = (np.empty(shape, complex) for _ in range(3))
+        (p, q), (y0, y1), (z0, z1) = s, y, z
+        force0 = y0[..., 0]
         phi = np.empty(ph.shape[:-1] + (N,))
-        cube = np.empty_like(phi)  # phi^2 until the ceiling test, then phi^3
+        cube = np.empty_like(phi)
+        squares = np.empty((min(nsteps, _CHECK_KICKS),) + phi.shape)  # phi^2 per kick of a chunk
+        rows = list(squares)
         # the half flow (p, q) = (cos ph + sin/om pt, -sin om ph + cos pt)
-        multiply(hcos, ph, p)
-        multiply(hsin_over, pt, work)
-        add(p, work, p)
-        multiply(hneg_sin_times, ph, q)
-        multiply(hcos, pt, work)
-        add(q, work, q)
-        for j in range(nsteps):
-            if j:  # the full flow, written into the other pair
-                multiply(cos, p, p_next)
-                multiply(sin_over, q, work)
-                add(p_next, work, p_next)
-                multiply(neg_sin_times, p, q_next)
-                multiply(cos, q, work)
-                add(q_next, work, q_next)
-                p, q, p_next, q_next = p_next, q_next, p, q
-            # the kick: q -= dt (phi^3 - mean phi^3)
-            irfft(p, inv_n, phi)
-            multiply(phi, phi, cube)
-            # sqrt(fl(x^2)) = |x| in binary64 away from under- and overflow,
-            # so this is max |phi| over the batch, read off the square the
-            # cube needs
-            if not sqrt(peak(cube, None)) <= ceiling:  # NaN trips it too
-                self._trip(phi, t0 + (j + 0.5) * dt)
-            multiply(cube, phi, cube)
-            rfft(cube, 1.0, work)
-            if projected:
-                force0.fill(0.0)  # subtracting the mean of phi^3, exactly
-            # dt stays out of rfft's scale factor: for dt < 0 that would keep
-            # mode 0's projected zero +0.0 where dt * 0.0 gives -0.0
-            multiply(dt_c, work, work)
-            subtract(q, work, q)
-        # the closing half flow, into the other pair
-        multiply(hcos, p, p_next)
-        multiply(hsin_over, q, work)
-        add(p_next, work, p_next)
-        multiply(hneg_sin_times, p, q_next)
-        multiply(hcos, q, work)
-        add(q_next, work, q_next)
-        return p_next, q_next
+        multiply(hcos[0], ph, p)
+        multiply(hsin[1], pt, y0)
+        add(p, y0, p)
+        multiply(hsin[0], ph, q)
+        multiply(hcos[1], pt, y0)
+        add(q, y0, q)
+        cos, sin = full
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, nsteps, _CHECK_KICKS):
+                kicks = min(nsteps - start, _CHECK_KICKS)
+                for j, square in enumerate(rows[:kicks], start):
+                    if j:  # the full flow
+                        multiply(cos, s, y)
+                        multiply(sin, s, z)
+                        add(y0, z1, p)
+                        add(y1, z0, q)
+                    # the kick: q -= dt (phi^3 - mean phi^3)
+                    irfft(p, inv_n, phi)
+                    multiply(phi, phi, square)
+                    multiply(square, phi, cube)
+                    rfft(cube, dt, y0)
+                    if projected:
+                        force0.fill(zero)  # subtracting the mean of phi^3, exactly
+                    subtract(q, y0, q)
+                # sqrt(fl(x^2)) = |x| in binary64 away from under- and
+                # overflow, so this is max |phi| over the chunk and batch;
+                # NaN trips it too
+                if not math.sqrt(np.maximum.reduce(squares[:kicks], None)) <= ceiling:
+                    self._trip(squares[:kicks], start, t0)
+        # the closing half flow
+        multiply(hcos, s, y)
+        multiply(hsin, s, z)
+        add(y0, z1, p)
+        add(y1, z0, q)
+        return p, q
 
 
 def _h1_semi_sq(values: np.ndarray, L: float) -> float:
@@ -341,7 +371,9 @@ class _OrbitDistance:
 
         A (B, N/2 + 1) batch gives an array of B distances, a single state a
         float.  Each Newton iteration takes one exp and two row sums for the
-        whole batch; the per-row stop and bracket bookkeeping is scalar.
+        whole batch, and the first reuses the grid shift's phase, so n
+        iterations make n + 1 exp passes; the per-row stop and bracket
+        bookkeeping is scalar.
         """
         N, L, xi, xi_sq, ixi = self.N, self.L, self.xi, self.xi_sq, self.ixi
         sobolev, hhat_conj, hthat_conj, weight = self.cross_factors
@@ -355,12 +387,15 @@ class _OrbitDistance:
         grid = [j * L / N for j in best]
         bracket = [((j - 1) * L / N, (j + 1) * L / N) for j in best]
         # Newton on G'(s) = 0 inside each row's grid bracket; z holds the
-        # terms of G(s).
+        # terms of G(s).  Newton starts at the grid shift, whose phase the
+        # final dist_sq needs too.
+        phase = np.empty((2,) + ph.shape, complex)  # at the Newton shift and the grid shift
+        np.exp(ixi * np.array(grid)[:, None], out=phase[1])
         wcross = weight * cross
         s = list(grid)
         live = list(range(len(s)))
-        for _ in range(_NEWTON_STEPS):
-            z = wcross * np.exp(ixi * np.array(s)[:, None])
+        for k in range(_NEWTON_STEPS):
+            z = wcross * (np.exp(ixi * np.array(s)[:, None]) if k else phase[1])
             slopes = (xi * z.imag).sum(axis=-1).tolist()
             curvatures = (xi_sq * z.real).sum(axis=-1).tolist()
             for b in list(live):
@@ -378,7 +413,7 @@ class _OrbitDistance:
         # dist_sq at the Newton shift and at the grid shift, in the stable
         # form: difference per mode first, then square, so the result has no
         # cancellation floor near the orbit.
-        phase = np.exp(ixi * np.array([s, grid])[..., None])
+        np.exp(ixi * np.array(s)[:, None], out=phase[0])
         dp = ph * phase - self.hhat
         dq = pt * phase - self.hthat
         dist_sq = np.sum(self.weight * (

@@ -1,6 +1,7 @@
 """Projected splitting integrator: conservation, reversibility, orbit distance."""
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,13 @@ from snoidal.evolution import (
     run_experiment,
     ynorm_sq,
 )
-from snoidal.evolution import _CEILING_FACTOR, _h1_semi_sq, _OrbitDistance
+from snoidal.evolution import (
+    _CEILING_FACTOR,
+    _CHECK_KICKS,
+    _NEWTON_STEPS,
+    _h1_semi_sq,
+    _OrbitDistance,
+)
 from snoidal.waves import grid_points, profile_eval, sample_wave, solve_modulus, wavenumbers
 
 L, C = math.pi, 0.95
@@ -77,7 +84,8 @@ def reference_advance(stepper, ph, pt, nsteps, t0):
     """The allocating Strang loop whose arithmetic SplitStepper.advance runs in buffers.
 
     Real tables, a fresh array per product and the exact per-row max |phi|
-    for the ceiling; a row over it raises BlowUpError with its member and time.
+    for the ceiling; a row over it raises BlowUpError with its member, time
+    and message.
     """
     n, dt = stepper.N, stepper.dt
     half = rotation_tables(stepper.L, n, 0.5 * dt, stepper.projected)
@@ -87,7 +95,8 @@ def reference_advance(stepper, ph, pt, nsteps, t0):
         phi = np.fft.irfft(ph, n)
         for member, sup in enumerate(np.max(np.abs(phi), axis=-1).reshape(-1)):
             if not sup <= stepper.ceiling:
-                raise BlowUpError("reference", time=t, member=member)
+                raise BlowUpError(f"||phi||_inf = {sup:.6g} exceeded ceiling "
+                                  f"{stepper.ceiling:.6g} at t = {t:.6g}", time=t, member=member)
         force = np.fft.rfft(phi * phi * phi)
         if stepper.projected:
             force[..., 0] = 0.0
@@ -99,6 +108,49 @@ def reference_advance(stepper, ph, pt, nsteps, t0):
         ph, pt = linear_flow(ph, pt, full)
     ph, pt = kick(ph, pt, t0 + (nsteps - 0.5) * dt)
     return linear_flow(ph, pt, half)
+
+
+def reference_orbit_distance(distance, ph, pt):
+    """_OrbitDistance.__call__ with each phase computed where it is used.
+
+    Newton's first iteration takes the exp of the grid shifts, and the final
+    dist_sq one exp over the Newton and the grid shifts together.
+    """
+    N, L, xi, xi_sq, ixi = distance.N, distance.L, distance.xi, distance.xi_sq, distance.ixi
+    sobolev, hhat_conj, hthat_conj, weight = distance.cross_factors
+    single = ph.ndim == 1
+    ph, pt = np.atleast_2d(ph), np.atleast_2d(pt)
+    cross = sobolev * ph * hhat_conj + pt * hthat_conj
+    best = np.argmax(np.fft.irfft(cross, N), axis=-1).tolist()
+    grid = [j * L / N for j in best]
+    bracket = [((j - 1) * L / N, (j + 1) * L / N) for j in best]
+    wcross = weight * cross
+    s = list(grid)
+    live = list(range(len(s)))
+    for _ in range(_NEWTON_STEPS):
+        z = wcross * np.exp(ixi * np.array(s)[:, None])
+        slopes = (xi * z.imag).sum(axis=-1).tolist()
+        curvatures = (xi_sq * z.real).sum(axis=-1).tolist()
+        for b in list(live):
+            slope, curvature = -slopes[b], -curvatures[b]
+            if not curvature < 0.0:
+                live.remove(b)
+                continue
+            lo, hi = bracket[b]
+            step = min(max(s[b] - slope / curvature, lo), hi) - s[b]
+            s[b] += step
+            if abs(step) <= 1e-15 * L:
+                live.remove(b)
+        if not live:
+            break
+    phase = np.exp(ixi * np.array([s, grid])[..., None])
+    dp = ph * phase - distance.hhat
+    dq = pt * phase - distance.hthat
+    dist_sq = np.sum(distance.weight * (
+        distance.sobolev * (dp.real**2 + dp.imag**2) + dq.real**2 + dq.imag**2
+    ), axis=-1).tolist()
+    dist = [math.sqrt(min(a, b)) for a, b in zip(*dist_sq)]
+    return dist[0] if single else np.array(dist)
 
 
 def reference_run(wave, perturbations, amplitudes, T, dt, every, n, projected=True):
@@ -309,7 +361,8 @@ class TestOrbitDistance:
         assert abs(orbit_distance(phi, phidot, w) - oracle) <= 1e-10 * oracle
 
     def test_one_sample_makes_at_most_ten_exp_calls(self, wave, monkeypatch):
-        # Newton refinement: at most 8 steps plus the two final dist_sq calls
+        # Newton refinement: the grid shift's phase, at most 7 more Newton
+        # steps and the final dist_sq's phase at the Newton shift
         p, q = perturbation_random(L, N, seed=4)
         h, h1, _ = sample_wave(wave, N)
         ph = np.fft.rfft(h + 1e-3 * p)
@@ -326,6 +379,21 @@ class TestOrbitDistance:
         assert distance(ph, pt) > 0.0
         assert len(calls) <= 10
 
+    @pytest.mark.parametrize("rows", [None, 4, 16])
+    def test_matches_the_formula_with_the_grid_phase_recomputed(self, wave, rows):
+        # Newton's first phase is the grid shift's, reused by the final
+        # dist_sq; 3 to 12 steps in, some rows' minimum is at the grid shift
+        h, h1, _ = sample_wave(wave, N)
+        distance = _OrbitDistance(wave, h, h1)
+        ph, pt = TestBatch.states(wave, N, [1e-3, 0.0, 0.3, 4e-4])
+        stepper = SplitStepper(L, N, 1e-3)
+        states = [stepper.advance(ph, pt, 3 * k, 0.0) for k in range(1, 5)]
+        ph, pt = (np.vstack(a)[:rows] for a in zip(*states))
+        if rows is None:
+            ph, pt = ph[0], pt[0]
+        got, want = distance(ph, pt), reference_orbit_distance(distance, ph, pt)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestPerturbations:
@@ -655,7 +723,7 @@ class TestBufferedAdvance:
     # the reference loop transforms through np.fft, advance through the
     # pocketfft ufuncs it binds: N = 16 is the grid floor, and N = 130 has an
     # odd N/2
-    @pytest.mark.parametrize("nsteps", [1, 2, 7])
+    @pytest.mark.parametrize("nsteps", [1, 2, 7, 2 * _CHECK_KICKS + 5])
     @pytest.mark.parametrize("dt", [1e-3, -1e-3])
     @pytest.mark.parametrize("projected", [True, False])
     @pytest.mark.parametrize("rows", [None, 1, 3])
@@ -749,6 +817,62 @@ class TestBufferedAdvance:
         assert info.value.member == ref.value.member == member
         assert info.value.time == ref.value.time == t0 + (j + 0.5) * dt
         assert str(info.value).startswith(f"||phi||_inf = {sups[j, member]:.6g} exceeded")
+
+    # rows 0 and 1, 1 and 2, or 2 alone have the largest amplitude; the
+    # kicks are the last of the first chunk, the first of the second and one
+    # inside the final partial chunk of 150 kicks
+    @pytest.mark.parametrize("kick, amplitudes, member", [
+        (_CHECK_KICKS - 1, [3.0, 3.0, 1.0], 0),
+        (_CHECK_KICKS, [1.0, 3.0, 3.0], 1),
+        (140, [1.0, 2.0, 3.0], 2),
+    ])
+    def test_trip_across_chunk_boundaries(self, wave, monkeypatch, kick, amplitudes, member):
+        # phi = 0 and phi_t = A cos(2 pi x / L): every row's sup grows as
+        # (A / om) sin(om t) for the 150 kicks of dt = 5e-3, so a ceiling at
+        # the largest sup of kick j - 1 first trips at kick j
+        n, dt, t0, nsteps = 130, 5e-3, 0.25, 150
+        x = grid_points(L, n)
+        pt = np.fft.rfft(1e-3 * np.array(amplitudes)[:, None] * np.cos(2.0 * math.pi * x / L))
+        ph = np.zeros_like(pt)
+        sups, irfft = [], np.fft.irfft
+
+        def recording(a, n_):
+            phi = irfft(a, n_)
+            sups.append(np.max(np.abs(phi), axis=-1))
+            return phi
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.fft, "irfft", recording)
+            reference_advance(SplitStepper(L, n, dt), ph, pt, nsteps, t0)
+        sups = np.array(sups)  # (kick, row)
+        assert np.all(np.diff(sups, axis=0) > 0.0)
+        stepper = SplitStepper(L, n, dt, ceiling=float(sups[kick - 1].max()))
+        with pytest.raises(BlowUpError) as info:
+            stepper.advance(ph, pt, nsteps, t0)
+        with pytest.raises(BlowUpError) as ref:
+            reference_advance(stepper, ph, pt, nsteps, t0)
+        assert info.value.member == ref.value.member == member
+        assert info.value.time == ref.value.time == t0 + (kick + 0.5) * dt
+        assert str(info.value) == str(ref.value)
+
+    def test_overflow_past_a_trip_stays_silent(self, wave):
+        # at dt = 0.1 the eps = 100 row leaves the ceiling at the first kick,
+        # and the kicks after it, which run to the end of the chunk, overflow:
+        # with no finite ceiling the same call trips only on NaN at kick 7
+        ph, pt = TestBatch.states(wave, N, [1e-3, 100.0, 0.3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError) as unbounded:
+                SplitStepper(L, N, 0.1).advance(ph, pt, _CHECK_KICKS, 0.0)
+            stepper = SplitStepper(L, N, 0.1, ceiling=20.0)
+            with pytest.raises(BlowUpError) as info:
+                stepper.advance(ph, pt, _CHECK_KICKS, 0.0)
+        assert str(unbounded.value).startswith("||phi||_inf = nan exceeded ceiling inf")
+        assert unbounded.value.time == 0.75
+        with pytest.raises(BlowUpError) as ref:
+            reference_advance(stepper, ph, pt, _CHECK_KICKS, 0.0)
+        assert (info.value.member, info.value.time) == (ref.value.member, ref.value.time) == (1, 0.05)
+        assert str(info.value) == str(ref.value)
 
     def test_ffts_call_the_bound_pocketfft_ufuncs(self, wave, monkeypatch):
         # two transforms per step, each a call of the pocketfft ufunc that

@@ -1137,6 +1137,17 @@ class TestLameEdges:
                 else:
                     assert np.min(np.abs(vals - lam)) >= 1e-3  # a simple edge: absent there
 
+    @pytest.mark.parametrize("N", [128, 256])
+    @pytest.mark.parametrize("L,c", SECTOR_POINTS)
+    def test_odd_edges_in_the_reported_sector_spectra(self, L, c, N):
+        # sn dn and sn cn, the two R-odd edges, to roundoff among the sector
+        # eigenvalues that eigen_report keeps, on both grids
+        wave = solve_modulus(L, c)
+        sectors = eigen_report(assemble_L1(wave, N)).sector_eigenvalues
+        for lam, _, char in lame_edges(wave, N)[2:4]:
+            assert char[0] == -1
+            assert np.min(np.abs(sectors[_SECTORS.index(char)] - lam)) <= 1e-12
+
     def test_edges_converge_under_grid_doubling(self):
         # a steep wave (fraction 0.06 of the window): the distance of each
         # edge to its sector's nearest eigenvalue drops by 50x or more per
