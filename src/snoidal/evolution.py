@@ -32,9 +32,9 @@ A call allocates its buffers once and no step allocates: the FFTs and
 every product write into them, and a rotation's sums overwrite the state
 its two products have read.  The rotation tables are broadcast to the
 state's shape once and cached on the stepper per shape.  The caller's ph
-and pt are only read, by the first half flow, so a block can be redone
-from them after a blow-up.  The arithmetic and its
-order are those of the plain expressions cos ph + sin/om pt and
+and pt are only read, copied into [p, q] before the first flow, so a block
+can be redone from them after a blow-up.  The arithmetic and its order are
+those of the plain expressions cos ph + sin/om pt and
 pt - dt rfft(phi^3), so every nonzero coefficient has their bits (an exact
 zero may differ in its sign; see `SplitStepper.advance`).  The step's two
 transforms call numpy's pocketfft ufuncs (`numpy.fft._pocketfft_umath`,
@@ -167,14 +167,16 @@ class SplitStepper:
     z = [-sin om, sin/om] [p, q] in two products, then p' = y[0] + z[1] and
     q' = y[1] + z[0].  Those are the sums cos p + sin/om q and
     -sin om p + cos q, the second with its terms swapped, which IEEE
-    addition does not see.  The two tables of each flow are kept for the
-    (N/2 + 1,) state and broadcast to the last batch shape `advance` saw,
-    so a batch pays for them once per run and again only when a blown-up
-    member leaves it; multiplying by a contiguous table of the state's own
-    shape is faster than broadcasting a per-mode one over its rows.  The
-    kick transforms through pocketfft's irfft and rfft_n_even ufuncs with
-    the scale factors 1/N and dt, so it gets np.fft's bits without the
-    wrapper's per-call cost; rfft_n_even needs the grid rule's even N.
+    addition does not see.  All three flows, the opening half, the fused
+    full and the closing half, take this form.  The two tables of each flow
+    are kept for the (N/2 + 1,) state and broadcast to the last batch shape
+    `advance` saw, so a batch pays for them once per run and again only
+    when a blown-up member leaves it; multiplying by a contiguous table of
+    the state's own shape is faster than broadcasting a per-mode one over
+    its rows.  The kick transforms through pocketfft's irfft and
+    rfft_n_even ufuncs with the scale factors 1/N and dt, so it gets
+    np.fft's bits without the wrapper's per-call cost; rfft_n_even needs
+    the grid rule's even N.
     """
 
     def __init__(self, L: float, N: int, dt: float, projected: bool = True,
@@ -252,16 +254,16 @@ class SplitStepper:
         the first kick and row over it, with that kick's time.  Up to
         _CHECK_KICKS - 1 kicks run past a trip, so the loop runs with
         overflow and invalid-value warnings off, and a trip whose phi^2
-        overflowed reports ||phi||_inf = inf.  The first half flow reads ph
-        and pt into the buffers, so the inputs are never written --
-        `run_experiment` redoes a block from them after a blow-up -- and the
-        arrays returned, two rows of one buffer, share no memory with them
-        (nsteps < 1 returns the inputs as they are).
+        overflowed reports ||phi||_inf = inf.  ph and pt are copied into
+        [p, q], which every flow rotates with the same four calls, so the
+        inputs are never written -- `run_experiment` redoes a block from
+        them after a blow-up -- and the arrays returned, two rows of one
+        buffer, share no memory with them (nsteps < 1 returns them as is).
         BlowUpError.member names the tripping row.
         """
         if nsteps < 1:
             return ph, pt
-        (hcos, hsin), full = self._tables(ph.shape)
+        half, full = self._tables(ph.shape)
         N, dt, ceiling, projected = self.N, self.dt, self.ceiling, self.projected
         inv_n = 1.0 / N
         zero = complex(math.copysign(0.0, dt), 0.0)  # mode 0 of dt * rfft(phi^3 - mean)
@@ -278,23 +280,17 @@ class SplitStepper:
         cube = np.empty_like(phi)
         squares = np.empty((min(nsteps, _CHECK_KICKS),) + phi.shape)  # phi^2 per kick of a chunk
         rows = list(squares)
-        # the half flow (p, q) = (cos ph + sin/om pt, -sin om ph + cos pt)
-        multiply(hcos[0], ph, p)
-        multiply(hsin[1], pt, y0)
-        add(p, y0, p)
-        multiply(hsin[0], ph, q)
-        multiply(hcos[1], pt, y0)
-        add(q, y0, q)
-        cos, sin = full
+        p[...] = ph
+        q[...] = pt
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, nsteps, _CHECK_KICKS):
                 kicks = min(nsteps - start, _CHECK_KICKS)
                 for j, square in enumerate(rows[:kicks], start):
-                    if j:  # the full flow
-                        multiply(cos, s, y)
-                        multiply(sin, s, z)
-                        add(y0, z1, p)
-                        add(y1, z0, q)
+                    cos, sin = full if j else half  # the opening half flow at j = 0
+                    multiply(cos, s, y)
+                    multiply(sin, s, z)
+                    add(y0, z1, p)
+                    add(y1, z0, q)
                     # the kick: q -= dt (phi^3 - mean phi^3)
                     irfft(p, inv_n, phi)
                     multiply(phi, phi, square)
@@ -308,9 +304,9 @@ class SplitStepper:
                 # NaN trips it too
                 if not math.sqrt(np.maximum.reduce(squares[:kicks], None)) <= ceiling:
                     self._trip(squares[:kicks], start, t0)
-        # the closing half flow
-        multiply(hcos, s, y)
-        multiply(hsin, s, z)
+        cos, sin = half  # the closing half flow
+        multiply(cos, s, y)
+        multiply(sin, s, z)
         add(y0, z1, p)
         add(y1, z0, q)
         return p, q
@@ -370,57 +366,51 @@ class _OrbitDistance:
         """Distance of the state with rfft coefficients (ph, pt) to the orbit.
 
         A (B, N/2 + 1) batch gives an array of B distances, a single state a
-        float.  Each Newton iteration takes one exp and two row sums for the
-        whole batch, and the first reuses the grid shift's phase, so n
-        iterations make n + 1 exp passes; the per-row stop and bracket
-        bookkeeping is scalar.
+        float.  The grid shifts, their brackets, the Newton shifts and the
+        mask of rows still stepping are arrays over the batch; each Newton
+        iteration takes one exp and two row sums, and the first reuses the
+        grid shift's phase, so n iterations make n + 1 exp passes.
         """
         N, L, xi, xi_sq, ixi = self.N, self.L, self.xi, self.xi_sq, self.ixi
-        sobolev, hhat_conj, hthat_conj, weight = self.cross_factors
+        sobolev_c, hhat_conj, hthat_conj, weight_c = self.cross_factors
         single = ph.ndim == 1
         ph, pt = np.atleast_2d(ph), np.atleast_2d(pt)
         # Coarse pass: one irfft gives G at every grid shift (it supplies the
         # conjugate modes, so no Parseval weights); the exact grid shift, whose
         # phase is exactly representable, stays in the candidate set.
-        cross = sobolev * ph * hhat_conj + pt * hthat_conj
-        best = np.argmax(np.fft.irfft(cross, N), axis=-1).tolist()
-        grid = [j * L / N for j in best]
-        bracket = [((j - 1) * L / N, (j + 1) * L / N) for j in best]
-        # Newton on G'(s) = 0 inside each row's grid bracket; z holds the
-        # terms of G(s).  Newton starts at the grid shift, whose phase the
-        # final dist_sq needs too.
+        cross = sobolev_c * ph * hhat_conj + pt * hthat_conj
+        best = np.argmax(np.fft.irfft(cross, N), axis=-1)
+        lo, s, hi = ((best + k) * L / N for k in (-1, 0, 1))  # the grid shift and its bracket
+        # Newton on G'(s) = 0 inside each row's bracket; z holds the terms of
+        # G(s).  Newton starts at the grid shift, whose phase the final
+        # dist_sq needs too.
         phase = np.empty((2,) + ph.shape, complex)  # at the Newton shift and the grid shift
-        np.exp(ixi * np.array(grid)[:, None], out=phase[1])
-        wcross = weight * cross
-        s = list(grid)
-        live = list(range(len(s)))
-        for k in range(_NEWTON_STEPS):
-            z = wcross * (np.exp(ixi * np.array(s)[:, None]) if k else phase[1])
-            slopes = (xi * z.imag).sum(axis=-1).tolist()
-            curvatures = (xi_sq * z.real).sum(axis=-1).tolist()
-            for b in list(live):
-                slope, curvature = -slopes[b], -curvatures[b]
-                if not curvature < 0.0:
-                    live.remove(b)  # no maximum of G to step toward
-                    continue
-                lo, hi = bracket[b]
-                step = min(max(s[b] - slope / curvature, lo), hi) - s[b]
-                s[b] += step
-                if abs(step) <= 1e-15 * L:
-                    live.remove(b)
-            if not live:
-                break
+        np.exp(ixi * s[:, None], out=phase[1])
+        wcross = weight_c * cross
+        live = np.ones(len(s), bool)
+        # a dead row may divide 0 by 0; an overflowed quotient is clipped to the bracket
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for k in range(_NEWTON_STEPS):
+                z = wcross * (np.exp(ixi * s[:, None]) if k else phase[1])
+                slope = -(xi * z.imag).sum(axis=-1)
+                curvature = -(xi_sq * z.real).sum(axis=-1)
+                live &= curvature < 0.0  # otherwise G has no maximum to step toward
+                step = np.minimum(np.maximum(s - slope / curvature, lo), hi) - s
+                s = np.where(live, s + step, s)
+                live &= ~(np.abs(step) <= 1e-15 * L)
+                if not live.any():
+                    break
         # dist_sq at the Newton shift and at the grid shift, in the stable
         # form: difference per mode first, then square, so the result has no
         # cancellation floor near the orbit.
-        np.exp(ixi * np.array(s)[:, None], out=phase[0])
+        np.exp(ixi * s[:, None], out=phase[0])
         dp = ph * phase - self.hhat
         dq = pt * phase - self.hthat
         dist_sq = np.sum(self.weight * (
             self.sobolev * (dp.real**2 + dp.imag**2) + dq.real**2 + dq.imag**2
-        ), axis=-1).tolist()
-        dist = [math.sqrt(min(a, b)) for a, b in zip(*dist_sq)]
-        return dist[0] if single else np.array(dist)
+        ), axis=-1)
+        dist = np.sqrt(np.minimum(*dist_sq))
+        return float(dist[0]) if single else dist
 
 
 def perturbation_random(L: float, N: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

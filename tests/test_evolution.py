@@ -379,21 +379,35 @@ class TestOrbitDistance:
         assert distance(ph, pt) > 0.0
         assert len(calls) <= 10
 
-    @pytest.mark.parametrize("rows", [None, 4, 16])
+    @pytest.mark.parametrize("rows", [None, 4, 16, "dead row"])
     def test_matches_the_formula_with_the_grid_phase_recomputed(self, wave, rows):
         # Newton's first phase is the grid shift's, reused by the final
-        # dist_sq; 3 to 12 steps in, some rows' minimum is at the grid shift
+        # dist_sq; 3 to 12 steps in, some rows' minimum is at the grid shift.
+        # The dead row, phi = 0.3 and phi_t = 0, meets the wave only at
+        # xi = 0, so its curvature is exactly 0 from the first iteration:
+        # it must stay at its grid shift among live rows, and its 0/0 must
+        # not warn (warnings are errors here).
         h, h1, _ = sample_wave(wave, N)
         distance = _OrbitDistance(wave, h, h1)
         ph, pt = TestBatch.states(wave, N, [1e-3, 0.0, 0.3, 4e-4])
         stepper = SplitStepper(L, N, 1e-3)
         states = [stepper.advance(ph, pt, 3 * k, 0.0) for k in range(1, 5)]
-        ph, pt = (np.vstack(a)[:rows] for a in zip(*states))
-        if rows is None:
+        ph, pt = (np.vstack(a) for a in zip(*states))
+        if rows == "dead row":
+            constant = np.zeros(N // 2 + 1, complex)
+            constant[0] = 0.3 * N
+            ph = np.insert(ph[:4], 2, constant, axis=0)
+            pt = np.insert(pt[:4], 2, 0.0, axis=0)
+        elif rows is None:
             ph, pt = ph[0], pt[0]
+        else:
+            ph, pt = ph[:rows], pt[:rows]
         got, want = distance(ph, pt), reference_orbit_distance(distance, ph, pt)
         assert type(got) is type(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        if ph.ndim == 2:
+            solo = [distance(a, b) for a, b in zip(ph, pt)]
+            assert got.tobytes() == np.array(solo).tobytes()
 
 
 class TestPerturbations:
