@@ -246,8 +246,7 @@ def _parse_sweep_config(path: str) -> list[dict]:
 
     A key given on two lines is an error, not an override.
     """
-    scalars: dict[str, str] = {}
-    first_line: dict[str, int] = {}
+    entries: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
     try:
         with open(path) as fh:
             raw_lines = fh.readlines()
@@ -260,21 +259,17 @@ def _parse_sweep_config(path: str) -> list[dict]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in first_line:
+        if key in entries:
             raise ValueError(f"{path}:{lineno}: key {key!r} given twice, "
-                             f"on lines {first_line[key]} and {lineno}")
-        first_line[key] = lineno
-        scalars[key] = value
-    if "command" not in scalars:
+                             f"on lines {entries[key][0]} and {lineno}")
+        entries[key] = (lineno, value)
+    if "command" not in entries:
         raise ValueError(f"{path}: sweep config needs a 'command' entry")
-    if scalars["command"] not in ("wave", "spectrum", "evolve", "stability"):
-        raise ValueError(f"{path}: cannot sweep command {scalars['command']!r}")
-    lists = {k: [v.strip() for v in val.split(",")] for k, val in scalars.items()}
-    keys = sorted(lists)
-    jobs = []
-    for combo in itertools.product(*(lists[k] for k in keys)):
-        jobs.append(dict(zip(keys, combo)))
-    return jobs
+    if entries["command"][1] not in ("wave", "spectrum", "evolve", "stability"):
+        raise ValueError(f"{path}: cannot sweep command {entries['command'][1]!r}")
+    keys = sorted(entries)
+    values = ([v.strip() for v in entries[k][1].split(",")] for k in keys)
+    return [dict(zip(keys, combo)) for combo in itertools.product(*values)]
 
 
 # A sweep job's `projected` value, case-insensitively, -> its flag.

@@ -54,10 +54,13 @@ members of one wave as such a batch; a member that leaves the sup-norm
 ceiling drops out at its own blow-up time and the others go on.
 
 Each trace row is one pass over those coefficients, and `run_experiment`
-makes them in blocks: it buffers its samples, and one `conserved` and one
-orbit-distance call read the stacked (rows, N/2 + 1) coefficients of
-_SAMPLE_BLOCK_ROWS or more rows, from several samples and members.
-`conserved` reads each row with Parseval sums and one irfft for
+makes them in blocks: a sample appends one (t, member, ph row, pt row)
+record per batch row to a single pending list, and once a stepped block
+leaves _SAMPLE_BLOCK_ROWS or more records pending, and after the last block,
+one `conserved` and one orbit-distance call read their stacked
+(rows, N/2 + 1) coefficients, from several samples and members.  A member
+that blows up drops its pending records, so no row of a departed member is
+evaluated.  `conserved` reads each row with Parseval sums and one irfft for
 integral(phi^4).  The orbit distance uses the energy-space norm
 ||(p, q)||^2 = integral(p^2 + p_x^2) + integral(q^2) with the Parseval
 weights w_n of `ynorm_sq`.  A shift s multiplies mode n by exp(i xi_n s)
@@ -471,8 +474,10 @@ def run_experiment(
     Samples at t = 0 and every `sample_every` steps; each row holds
     (t, E, F, mean phi, mean phi_t, orbit distance).  T must be a whole
     number of dt steps (see :func:`horizon_steps`), and the perturbation a
-    pair of (N,) arrays on the wave's grid or None.  Blow-up, ||phi||_inf
-    above _CEILING_FACTOR max |h| during the run, propagates as BlowUpError.
+    pair of (N,) arrays on the wave's grid or None; a member with eps = 0
+    ignores its pair.  Every amplitude and pair is checked before the wave
+    is sampled.  Blow-up, ||phi||_inf above _CEILING_FACTOR max |h| during
+    the run, propagates as BlowUpError.
 
     A sequence of amplitudes for `eps`, with one perturbation (or None) per
     amplitude in `perturbation`, evolves those members as one batch and
@@ -481,10 +486,13 @@ def run_experiment(
     own time, and the others redo the current sample block from its start.
     Every member's trace is bit for bit the one it gets alone.
 
-    A sample only records its time, the members in the batch and their
-    state; once _SAMPLE_BLOCK_ROWS trace rows are pending, and once more at
-    the end, one `conserved` and one orbit-distance call evaluate them all.
-    The rows of a member that blows up leave with its trace.
+    A sample only appends one (t, member, ph row, pt row) record per member
+    in the batch to a single pending list; the rows are views of the batch
+    state, which `advance` never writes, so nothing is copied.  After a stepped block, once
+    _SAMPLE_BLOCK_ROWS records are pending, and once more at the end, one
+    `conserved` and one orbit-distance call evaluate them all; nothing is
+    evaluated before the first stepped block.  A member that blows up takes
+    its pending records with it, so its unevaluated rows never are.
     """
     batched = np.ndim(eps) == 1
     if not batched:
@@ -494,27 +502,27 @@ def run_experiment(
     else:
         raise ValueError(f"a batch needs one perturbation per amplitude and at least one "
                          f"member, got {len(eps)} and {len(perturbation)}")
-    for amplitude, _ in members:
+    shifts = []  # per member, the (eps, p, q) added to the wave, or None
+    for amplitude, pair in members:
         if not 0.0 <= amplitude < math.inf:
             raise ValueError(f"perturbation amplitude must be nonnegative and finite, "
                              f"got {amplitude}")
+        if pair is None or amplitude == 0.0:
+            shifts.append(None)
+            continue
+        p, q = pair
+        if np.shape(p) != (N,) or np.shape(q) != (N,):
+            raise ValueError(f"perturbation shapes {np.shape(p)}, {np.shape(q)} "
+                             f"do not match the wave grid ({N},)")
+        shifts.append((amplitude, p, q))
     nsteps = horizon_steps(T, dt)
     if sample_every < 1:
         raise ValueError(f"sample_every must be at least 1, got {sample_every}")
     h, h1, _ = sample_wave(wave, N)
-    phis, phidots = [], []
-    for amplitude, pair in members:
-        phi = h
-        phidot = wave.c * h1
-        if pair is not None and amplitude != 0.0:
-            p, q = pair
-            if np.shape(p) != (N,) or np.shape(q) != (N,):
-                raise ValueError(f"perturbation shapes {np.shape(p)}, {np.shape(q)} "
-                                 f"do not match the wave grid ({N},)")
-            phi = phi + amplitude * p
-            phidot = phidot + amplitude * q
-        phis.append(phi)
-        phidots.append(phidot)
+    phidot = wave.c * h1
+    starts = [(h, phidot) if s is None else (h + s[0] * s[1], phidot + s[0] * s[2])
+              for s in shifts]
+    ph, pt = (_lone_row_1d(np.fft.rfft(np.array(part))) for part in zip(*starts))
 
     ceiling = _CEILING_FACTOR * float(np.max(np.abs(h)))
     stepper = SplitStepper(wave.L, N, dt, projected, ceiling)
@@ -522,44 +530,36 @@ def run_experiment(
     rows = [[] for _ in members]
     outcomes = [None] * len(members)
     live = list(range(len(members)))  # the member held in each batch row
-
-    pending, phs, pts = [], [], []  # (t, member) per pending trace row; their states
+    pending = []  # (t, member, ph row, pt row) per trace row not yet evaluated
 
     def sample(t, ph, pt):
-        pending.extend((t, member) for member in live)
-        phs.append(ph)  # advance returns new arrays, so no copy
-        pts.append(pt)
-        if len(pending) >= _SAMPLE_BLOCK_ROWS:
-            evaluate()
+        pending.extend(zip([t] * len(live), live, np.atleast_2d(ph), np.atleast_2d(pt)))
 
     def evaluate():
-        ph, pt = np.vstack(phs), np.vstack(pts)
-        values = np.array([*conserved(ph, pt, wave.L), distance(ph, pt)])
-        for (t, member), row in zip(pending, values.T.tolist()):
-            rows[member].append((t, *row))
-        for buffer in (pending, phs, pts):
-            buffer.clear()
+        t, member, ph, pt = map(np.array, zip(*pending))
+        values = np.array([t, *conserved(ph, pt, wave.L), distance(ph, pt)])
+        for m, row in zip(member, values.T.tolist()):
+            rows[m].append(row)
+        pending.clear()
 
-    ph = _lone_row_1d(np.fft.rfft(np.array(phis)))
-    pt = _lone_row_1d(np.fft.rfft(np.array(phidots)))
     sample(0.0, ph, pt)
     done = 0
     while done < nsteps:
         block = min(sample_every, nsteps - done)
         try:
-            ph_next, pt_next = stepper.advance(ph, pt, block, done * dt)
+            ph, pt = stepper.advance(ph, pt, block, done * dt)  # left as they were if it raises
         except BlowUpError as exc:
             outcomes[live.pop(exc.member)] = exc
+            pending[:] = [record for record in pending if record[1] in live]
             if not live:
                 break
             ph = _lone_row_1d(np.delete(ph, exc.member, axis=0))
             pt = _lone_row_1d(np.delete(pt, exc.member, axis=0))
             continue
-        ph, pt = ph_next, pt_next
         done += block
         sample(done * dt, ph, pt)
-    if pending:
-        evaluate()
+        if len(pending) >= _SAMPLE_BLOCK_ROWS or done == nsteps:
+            evaluate()
     for member in live:
         outcomes[member] = EvolutionTrace(np.array(rows[member]))
     if batched:

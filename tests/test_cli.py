@@ -179,13 +179,17 @@ class TestEvolveCommands:
                          "--N", "64", "--T", "0.1",
                          "--out", str(tmp_path / "s0")]) == 2
 
-    def test_blowup_exits_4_with_time_on_stderr(self, tmp_path, capsys):
-        # eps far outside the basin trips the sup-norm ceiling immediately
+    @pytest.mark.parametrize("eps", ["50", "1e200"])
+    def test_blowup_exits_4_with_time_on_stderr(self, tmp_path, capsys, eps):
+        # eps far outside the basin trips the sup-norm ceiling immediately;
+        # at 1e200 phi^4 of the t = 0 state overflows, but that row leaves
+        # with the member unevaluated, so the blow-up line is all of stderr
         code = cli.main(["evolve", "--L", "3.14159", "--c", "0.95", "--N", "64",
-                         "--T", "1.0", "--dt", "1e-3", "--eps", "50", "--seed", "1",
+                         "--T", "1.0", "--dt", "1e-3", "--eps", eps, "--seed", "1",
                          "--out", str(tmp_path / "bl")])
         assert code == 4
-        assert "blow-up at t = " in capsys.readouterr().err
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("blow-up at t = ")
 
     def test_unprojected_flag(self, tmp_path):
         out = str(tmp_path / "up")

@@ -580,7 +580,14 @@ class TestRunExperiment:
         # row 0 records the raw mean-carrying data; projection acts from step 1
         assert np.max(np.abs(pinned.column("mean_phi")[1:])) <= 1e-10
 
-    def test_input_validation(self, wave):
+    def test_input_validation(self, wave, monkeypatch):
+        # every case fails before the wave is sampled
+        import snoidal.evolution as evolution
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sample_wave ran before the inputs were checked")
+
+        monkeypatch.setattr(evolution, "sample_wave", unreachable)
         with pytest.raises(ValueError):
             run_experiment(wave, None, -1.0, 1.0, 1e-3, 10, N=N)
         with pytest.raises(ValueError):
@@ -683,6 +690,27 @@ class TestBatch:
         assert [type(o).__name__ for o in outcomes] == [
             "EvolutionTrace", "BlowUpError", "BlowUpError", "EvolutionTrace"]
         assert math.isclose(outcomes[1].time, 1.95) and outcomes[2].time == 0.05
+
+    @pytest.mark.parametrize("amplitudes", [[1e-3] * 15 + [1e200], [1e200, 1e-3]],
+                             ids=["last_of_16", "first_of_2"])
+    def test_overflowing_member_leaves_without_a_warning(self, amplitudes):
+        # phi^4 of an eps = 1e200 state overflows; its t = 0 row leaves the
+        # batch with it at the first kick, unevaluated, so nothing warns even
+        # where the t = 0 rows alone fill a sample block
+        wave = solve_modulus(3.14159, 0.95)
+        pair = perturbation_random(wave.L, 64, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcomes = run_experiment(wave, [pair] * len(amplitudes), amplitudes,
+                                      0.05, 1e-3, 10, N=64)
+            solo = run_experiment(wave, pair, 1e-3, 0.05, 1e-3, 10, N=64)
+            with pytest.raises(BlowUpError):
+                run_experiment(wave, pair, 1e200, 0.05, 1e-3, 10, N=64)
+        for outcome, eps in zip(outcomes, amplitudes):
+            if eps == 1e200:
+                assert isinstance(outcome, BlowUpError) and outcome.time == 0.0005
+            else:
+                assert self.same_bits(outcome.samples, solo.samples)
 
     def test_single_member_batch_returns_its_blowup(self, wave):
         pair = perturbation_random(L, N, 1)
@@ -960,6 +988,26 @@ class TestSampleBlocks:
         assert any(isinstance(o, BlowUpError) for o in reference)
         assert any(not isinstance(o, BlowUpError) for o in reference)
         self.assert_matches_reference(outcomes, reference)
+
+    def test_departed_member_rows_are_not_evaluated(self, monkeypatch):
+        # eps = 100 trips at the first kick, and its pending t = 0 row leaves
+        # with it: conserved sees only the survivor's 101 rows
+        import snoidal.evolution as evolution
+
+        rows = []
+        real_conserved = evolution.conserved
+
+        def counting_conserved(ph, pt, L_):
+            rows.append(len(np.atleast_2d(ph)))
+            return real_conserved(ph, pt, L_)
+
+        monkeypatch.setattr(evolution, "conserved", counting_conserved)
+        wave = solve_modulus(3.14159, 0.95)
+        pair = perturbation_random(wave.L, 64, 1)
+        blowup, trace = run_experiment(wave, [pair, pair], [100.0, 1e-3], 1.0, 1e-3, 10, N=64)
+        assert isinstance(blowup, BlowUpError) and blowup.time == 0.0005
+        assert trace.samples.shape == (101, 6)
+        assert sum(rows) == 101
 
     def test_501_samples_take_at_most_32_calls(self, wave, monkeypatch):
         import snoidal.evolution as evolution
