@@ -20,18 +20,21 @@ before any compute runs or any file is written: the directory of the
 even and at least 16 (64 for spectrum), T a positive whole number of dt
 steps, seed nonnegative, eps nonnegative and finite (positive for
 stability), sweep --workers at least 1, each key of a sweep config given
-on one line only, and a sweep's `projected` key true, 1 or yes
-(--projected) or false, 0 or no (--unprojected), in any case.  A sweep
-job that fails, even on its flags, is reported with its exit code and
-the other jobs still run; a job that raises an exception counts as exit 1.
+on one line only and none of them `out`, and a sweep's `projected` key
+true, 1 or yes (--projected) or false, 0 or no (--unprojected), in any
+case.  A sweep job that fails, even on its flags, is reported with its
+exit code and the other jobs still run; a job that raises an exception
+counts as exit 1.
 
 A sweep checks every job's flags before any job runs.  evolve/stability
 jobs that differ only in eps, seed and --out form a group, run through
-`run_experiment` as one trajectory batch (the members on a leading array
-axis), and each job still writes the bytes of its solo run; a member that
-blows up exits 4 alone.  With W workers a group of J jobs splits into
-min(W, J) batches; a batch that raises anything else reruns its jobs one by
-one, so that a failure stays with its own job.
+`run_experiment` as one trajectory batch: the members share the stepper on
+a leading array axis, but each member's trace rows are evaluated on their
+own, by the calls of its solo run, so each job writes the bytes of that
+run whatever the batch's size; a member that blows up exits 4 alone.
+With W workers a group of J jobs splits into min(W, J) batches; a batch
+that raises anything else reruns its jobs one by one, so that a failure
+stays with its own job.
 Only `wave` takes --format; the other commands write the one format they
 have.
 
@@ -244,7 +247,8 @@ def cmd_evolve(args, run=None) -> int:
 def _parse_sweep_config(path: str) -> list[dict]:
     """key = value lines; comma-separated values expand to a cartesian product.
 
-    A key given on two lines is an error, not an override.
+    A key given on two lines is an error, not an override, and so is an
+    `out` key, which `sweep --out` would override.
     """
     entries: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
     try:
@@ -267,6 +271,9 @@ def _parse_sweep_config(path: str) -> list[dict]:
         raise ValueError(f"{path}: sweep config needs a 'command' entry")
     if entries["command"][1] not in ("wave", "spectrum", "evolve", "stability"):
         raise ValueError(f"{path}: cannot sweep command {entries['command'][1]!r}")
+    if "out" in entries:  # each job's --out is sweep --out's prefix and its index
+        raise ValueError(f"{path}:{entries['out'][0]}: key 'out' cannot be swept; "
+                         f"sweep --out sets every job's output prefix")
     keys = sorted(entries)
     values = ([v.strip() for v in entries[k][1].split(",")] for k in keys)
     return [dict(zip(keys, combo)) for combo in itertools.product(*values)]

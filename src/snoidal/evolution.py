@@ -46,21 +46,29 @@ passed positionally.
 
 The state may carry a leading batch axis: (B, N/2 + 1) coefficients hold B
 trajectories on one grid, one per row, and (N/2 + 1,) ones are the B = 1
-case of the same code.  `advance`, `conserved` and the orbit distance work
-row by row -- FFTs and sums run over the last axis -- so each row gets the
-same bits it would get alone, and a batch pays numpy's call overhead once
-for all its rows.  `run_experiment` evolves several (eps, perturbation)
-members of one wave as such a batch; a member that leaves the sup-norm
-ceiling drops out at its own blow-up time and the others go on.
+case of the same code.  `advance` gives each row the bits it gets alone,
+and a batch pays numpy's call overhead once for all its rows: its FFTs run
+over the last axis, and its rotation tables are real values stored
+complex, so each product scales both components of a coefficient exactly.
+`conserved` and the orbit distance take a batch too, and work row by row
+as well, but `run_experiment`, which evolves several (eps, perturbation)
+members of one wave as a batch, batches only the stepping and evaluates
+each member's trace rows on their own.  A member's trace is then its solo
+trace by construction, not because every numpy call of the diagnostics
+gives a row the same bits in any block (numpy's elision of temporaries
+can break that; see the orbit distance's Newton loop).  A member that
+leaves the sup-norm ceiling drops out at its own blow-up time and the
+others go on.
 
 Each trace row is one pass over those coefficients, and `run_experiment`
-makes them in blocks: a sample appends one (t, member, ph row, pt row)
-record per batch row to a single pending list, and once a stepped block
-leaves _SAMPLE_BLOCK_ROWS or more records pending, and after the last block,
-one `conserved` and one orbit-distance call read their stacked
-(rows, N/2 + 1) coefficients, from several samples and members.  A member
-that blows up drops its pending records, so no row of a departed member is
-evaluated.  `conserved` reads each row with Parseval sums and one irfft for
+makes them in blocks: a sample appends one (t, ph row, pt row) record to
+the pending list of each batch row, so the members' lists fill together.
+Once a stepped block leaves _SAMPLE_BLOCK_ROWS records in each, and after
+the last block, each member's records go through one `conserved` and one
+orbit-distance call on their stacked (rows, N/2 + 1) coefficients: the
+calls, on the same arrays, that its solo run makes.  A member that blows
+up drops its list, so no row of a departed member is evaluated.
+`conserved` reads each row with Parseval sums and one irfft for
 integral(phi^4).  The orbit distance uses the energy-space norm
 ||(p, q)||^2 = integral(p^2 + p_x^2) + integral(q^2) with the Parseval
 weights w_n of `ynorm_sq`.  A shift s multiplies mode n by exp(i xi_n s)
@@ -394,7 +402,11 @@ class _OrbitDistance:
         # a dead row may divide 0 by 0; an overflowed quotient is clipped to the bracket
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for k in range(_NEWTON_STEPS):
-                z = wcross * (np.exp(ixi * s[:, None]) if k else phase[1])
+                # not wcross * exp(...): numpy computes a product with a
+                # temporary of 256 KiB or more in that temporary, with the
+                # operands swapped, and a complex product's bits depend on
+                # their order, so the rows' bits would depend on their number
+                z = np.multiply(wcross, np.exp(ixi * s[:, None]) if k else phase[1])
                 slope = -(xi * z.imag).sum(axis=-1)
                 curvature = -(xi_sq * z.real).sum(axis=-1)
                 live &= curvature < 0.0  # otherwise G has no maximum to step toward
@@ -484,15 +496,18 @@ def run_experiment(
     returns a list holding each member's EvolutionTrace, or the BlowUpError
     it would have raised alone: a member that trips leaves the batch at its
     own time, and the others redo the current sample block from its start.
-    Every member's trace is bit for bit the one it gets alone.
+    Every member's trace is bit for bit the one it gets alone, because only
+    the stepping is batched.
 
-    A sample only appends one (t, member, ph row, pt row) record per member
-    in the batch to a single pending list; the rows are views of the batch
-    state, which `advance` never writes, so nothing is copied.  After a stepped block, once
-    _SAMPLE_BLOCK_ROWS records are pending, and once more at the end, one
-    `conserved` and one orbit-distance call evaluate them all; nothing is
-    evaluated before the first stepped block.  A member that blows up takes
-    its pending records with it, so its unevaluated rows never are.
+    A sample only appends one (t, ph row, pt row) record to each batch
+    row's pending list; the rows are views of the batch state, which
+    `advance` never writes, so nothing is copied.  After a stepped block
+    that leaves _SAMPLE_BLOCK_ROWS records in each list, and once more at
+    the end, each member's records are stacked and evaluated by their own
+    `conserved` and orbit-distance calls, which are exactly the calls of
+    its solo run; nothing is evaluated before the first stepped block.  A
+    member that blows up takes its list with it, so its unevaluated rows
+    never are.
     """
     batched = np.ndim(eps) == 1
     if not batched:
@@ -530,17 +545,18 @@ def run_experiment(
     rows = [[] for _ in members]
     outcomes = [None] * len(members)
     live = list(range(len(members)))  # the member held in each batch row
-    pending = []  # (t, member, ph row, pt row) per trace row not yet evaluated
+    pending = [[] for _ in members]  # per batch row, (t, ph row, pt row) of its unevaluated rows
 
     def sample(t, ph, pt):
-        pending.extend(zip([t] * len(live), live, np.atleast_2d(ph), np.atleast_2d(pt)))
+        for records, ph_row, pt_row in zip(pending, np.atleast_2d(ph), np.atleast_2d(pt)):
+            records.append((t, ph_row, pt_row))
 
-    def evaluate():
-        t, member, ph, pt = map(np.array, zip(*pending))
-        values = np.array([t, *conserved(ph, pt, wave.L), distance(ph, pt)])
-        for m, row in zip(member, values.T.tolist()):
-            rows[m].append(row)
-        pending.clear()
+    def evaluate():  # each member's rows alone, as its solo run stacks them
+        for member, records in zip(live, pending):
+            t, ph, pt = map(np.array, zip(*records))
+            values = np.array([t, *conserved(ph, pt, wave.L), distance(ph, pt)])
+            rows[member].extend(values.T.tolist())
+            records.clear()
 
     sample(0.0, ph, pt)
     done = 0
@@ -550,15 +566,14 @@ def run_experiment(
             ph, pt = stepper.advance(ph, pt, block, done * dt)  # left as they were if it raises
         except BlowUpError as exc:
             outcomes[live.pop(exc.member)] = exc
-            pending[:] = [record for record in pending if record[1] in live]
+            del pending[exc.member]  # its unevaluated rows leave with it
             if not live:
                 break
-            ph = _lone_row_1d(np.delete(ph, exc.member, axis=0))
-            pt = _lone_row_1d(np.delete(pt, exc.member, axis=0))
+            ph, pt = (_lone_row_1d(np.delete(a, exc.member, axis=0)) for a in (ph, pt))
             continue
         done += block
         sample(done * dt, ph, pt)
-        if len(pending) >= _SAMPLE_BLOCK_ROWS or done == nsteps:
+        if len(pending[0]) >= _SAMPLE_BLOCK_ROWS or done == nsteps:  # the members fill together
             evaluate()
     for member in live:
         outcomes[member] = EvolutionTrace(np.array(rows[member]))

@@ -573,6 +573,17 @@ class TestSweepRobustness:
         assert capsys.readouterr().err.splitlines() == [
             f"invalid parameters: {cfg}:6: key 'N' given twice, on lines 4 and 6"]
 
+    def test_out_key_fails_the_sweep_before_any_job(self, tmp_path, capsys):
+        # the --out that sweep appends to each job used to win silently
+        cfg = tmp_path / "out.cfg"
+        cfg.write_text(f"command = wave\nL = 3.14159\nc = 0.95\nN = 64\n"
+                       f"out = {tmp_path / 'elsewhere'}\n")
+        assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert list(tmp_path.glob("run*")) == list(tmp_path.glob("elsewhere*")) == []
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid parameters: {cfg}:5: key 'out' cannot be swept; "
+            f"sweep --out sets every job's output prefix"]
+
     def test_projected_spellings_any_case(self, tmp_path):
         spellings = ["no", "0", "FALSE", "yes", "1", "True"]
         cfg = tmp_path / "pj.cfg"

@@ -664,6 +664,56 @@ class TestBatch:
             solo = run_experiment(wave, pair, eps, 0.3, 1e-3, 20, N=N, projected=projected)
             assert self.same_bits(trace.samples, solo.samples)
 
+    @staticmethod
+    def sweep_members(wave, B, n=256):
+        """B members eps_i = 1e-4 (1 + 0.37 i) with perturbation_random seeds 1, 2, 3, 4, 1, ..."""
+        pairs = [perturbation_random(wave.L, n, seed) for seed in (1, 2, 3, 4)]
+        return [1e-4 * (1 + 0.37 * i) for i in range(B)], [pairs[i % 4] for i in range(B)]
+
+    @classmethod
+    def sweep_states(cls, wave, B, n=256):
+        """rfft coefficients of the sweep_members' initial states, one row per member."""
+        h, h1, _ = sample_wave(wave, n)
+        members = list(zip(*cls.sweep_members(wave, B, n)))
+        ph = np.fft.rfft(np.array([h + eps * p for eps, (p, _) in members]))
+        pt = np.fft.rfft(np.array([wave.c * h1 + eps * q for eps, (_, q) in members]))
+        return ph, pt
+
+    @pytest.mark.parametrize("B", [64, 128])
+    def test_large_batch_members_match_solo_runs(self, B):
+        # the members fill a sample block together, but each member's rows are
+        # evaluated on their own; evaluated in blocks of every member's rows,
+        # 4 of these 16 members (B = 64) and 14 (B = 128) got other last
+        # digits than their solo runs
+        wave = solve_modulus(3.7, 0.9)
+        amplitudes, pairs = self.sweep_members(wave, B)
+        traces = run_experiment(wave, pairs, amplitudes, 0.1, 1e-3, 1, N=256)
+        for m in range(0, B, B // 16):
+            solo = run_experiment(wave, pairs[m], amplitudes[m], 0.1, 1e-3, 1, N=256)
+            assert self.same_bits(traces[m].samples, solo.samples), m
+
+    def test_large_advance_batch_rows_match_single_calls(self):
+        # the stepper's rotation tables are real values stored complex, so its
+        # products scale each component exactly, and every call names its output
+        wave = solve_modulus(3.7, 0.9)
+        ph, pt = self.sweep_states(wave, 128)
+        stepper = SplitStepper(wave.L, 256, 1e-3, ceiling=20.0)
+        bph, bpt = stepper.advance(ph, pt, 50, 0.0)
+        for b in range(0, 128, 7):
+            rph, rpt = stepper.advance(ph[b], pt[b], 50, 0.0)
+            assert self.same_bits(bph[b], rph) and self.same_bits(bpt[b], rpt), b
+
+    def test_large_distance_block_rows_match_single_calls(self):
+        # 128 rows at N = 256 make Newton's complex products 264 KiB, where
+        # numpy would compute wcross * exp(...) in the exp's temporary with
+        # the operands swapped; that gave 25 of these rows other bits
+        wave = solve_modulus(3.7, 0.9)
+        ph, pt = SplitStepper(wave.L, 256, 1e-3, ceiling=20.0).advance(
+            *self.sweep_states(wave, 128), 5, 0.0)
+        h, h1, _ = sample_wave(wave, 256)
+        distance = _OrbitDistance(wave, h, h1)
+        assert self.same_bits(distance(ph, pt), [distance(a, b) for a, b in zip(ph, pt)])
+
     def test_eps_zero_member_is_the_wave(self, wave):
         # an eps = 0 member evolves (h, c h') whatever its perturbation
         p, q = perturbation_random(L, N, 3)
