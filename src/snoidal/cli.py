@@ -34,7 +34,10 @@ own, by the calls of its solo run, so each job writes the bytes of that
 run whatever the batch's size; a member that blows up exits 4 alone.
 With W workers a group of J jobs splits into min(W, J) batches; a batch
 that raises anything else reruns its jobs one by one, so that a failure
-stays with its own job.
+stays with its own job.  Only a sweep with at least 2 workers and 2
+batches loads the process pool (`concurrent.futures`, `multiprocessing`)
+and starts it; every other run stays in the calling process and imports
+neither.
 Only `wave` takes --format; the other commands write the one format they
 have.
 
@@ -57,7 +60,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -364,6 +366,8 @@ def cmd_sweep(args) -> int:
     units = _work_units(checked, args.workers)
     workers = min(args.workers, len(units))  # a pool starts all its workers at once
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_run_sweep_job, units))
     else:

@@ -219,6 +219,25 @@ class TestSweepCommand:
         signatures = {json.dumps(r["counts"], sort_keys=True) for r in recs}
         assert len(signatures) == 1
 
+    def test_one_worker_loads_no_pool(self, tmp_path):
+        # only --workers >= 2 imports the pool, which loads multiprocessing
+        (tmp_path / "s.cfg").write_text("command = stability\nL = 3.14159\nc = 0.95\nN = 16\n"
+                                        "T = 0.05\ndt = 1e-3\neps = 1e-3,5e-4\nseed = 1\n")
+        wave = "'--L', '3.14159', '--c', '0.95'"
+        code = (
+            "import sys; import snoidal.cli as cli; "
+            f"assert cli.main(['wave', {wave}, '--N', '64', '--out', 'w']) == 0; "
+            f"assert cli.main(['spectrum', {wave}, '--N', '64', '--out', 'sp']) == 0; "
+            f"assert cli.main(['stability', {wave}, '--N', '16', '--T', '0.05', "
+            "'--eps', '1e-3', '--seed', '1', '--out', 'st']) == 0; "
+            "assert cli.main(['sweep', 's.cfg', '--out', 'sw', '--workers', '1']) == 0; "
+            "loaded = {'concurrent.futures', 'multiprocessing'} & set(sys.modules); "
+            "assert not loaded, loaded"
+        )
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        subprocess.run([sys.executable, "-c", code], check=True, cwd=tmp_path,
+                       env={**os.environ, "PYTHONPATH": src})
+
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("L = 1.0\n")  # no command
@@ -525,7 +544,7 @@ class TestSweepRobustness:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         cfg = tmp_path / "two.cfg"
         cfg.write_text("command = wave\nL = 3.14159\nc = 0.95,0.9\nN = 64\n")
         code = cli.main(["sweep", str(cfg), "--out", str(tmp_path / "pl"), "--workers", "64"])
@@ -599,7 +618,7 @@ class TestSweepRobustness:
         def no_compute(*a, **k):
             raise AssertionError("a sweep job ran before the flags were checked")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_compute)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_compute)
         monkeypatch.setattr(cli, "_run_sweep_job", no_compute)
         cfg = tmp_path / "two.cfg"
         cfg.write_text("command = wave\nL = 3.14159\nc = 0.95,0.9\nN = 64\n")
@@ -656,19 +675,22 @@ class TestSweepBatching:
                 batched = (tmp_path / f"b_{idx:04d}{ext}").read_bytes()
                 assert batched == (tmp_path / f"solo{ext}").read_bytes(), (idx, ext)
 
-    def test_blowup_member_exits_4_alone(self, tmp_path, capsys):
+    # at 3e307 and 1e308 the t = 0 state or its rfft overflows, and the
+    # suite's RuntimeWarnings-as-errors would fail the job with exit 1
+    @pytest.mark.parametrize("eps", ["100", "3e307", "1e308"])
+    def test_blowup_member_exits_4_alone(self, eps, tmp_path, capsys):
         cfg = tmp_path / "u.cfg"
-        cfg.write_text(f"command = stability\n{self.BASE}eps = 1e-3,100\nseed = 1\n")
+        cfg.write_text(f"command = stability\n{self.BASE}eps = 1e-3,{eps}\nseed = 1\n")
         assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "u")]) == 4
         err = capsys.readouterr().err
         assert not (tmp_path / "u_0001.csv").exists() and not (tmp_path / "u_0001.json").exists()
         [(code, text)] = self.failures(err).values()
-        assert code == 4 and "--eps 100" in text and "_0001" in text
+        assert code == 4 and f"--eps {eps}" in text and "_0001" in text
         assert self.solo(text, tmp_path / "alone") == 4
-        solo_line = capsys.readouterr().err
+        [solo_line] = capsys.readouterr().err.splitlines()
         assert solo_line.startswith("blow-up at t = 0.0005: ")
-        assert err.startswith(solo_line)
-        sibling = text.replace("--eps 100", "--eps 1e-3")
+        assert err == f"{solo_line}\nsweep job 1 failed with exit 4: {text}\n"
+        sibling = text.replace(f"--eps {eps}", "--eps 1e-3")
         assert self.solo(sibling, tmp_path / "sib") == 0
         for ext in (".csv", ".json"):
             assert (tmp_path / f"u_0000{ext}").read_bytes() == (tmp_path / f"sib{ext}").read_bytes()
@@ -737,7 +759,7 @@ class TestSweepBatching:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         seen = self.record_units(monkeypatch)
         cfg = tmp_path / "p.cfg"
         # two groups of three (one per speed): min(workers, 3) batches each
