@@ -27,17 +27,23 @@ chi = (r, t) (R f = r f, T f = t f) holds the cosines (r even) or the sines
 
   L1      four sectors of about N/4 each; at N = 128 (even, T-even) has
           33, (even, T-odd) 32, (odd, T-even) 31 and (odd, T-odd) 32;
-  Lblock  four sectors of N/2, each phi with character (r, t) and psi
-          with (-r, t).
+  Lblock  four sectors, each phi with character (r, t) and psi with
+          (-r, t) but without psi's n = 0 cosine, N/2 modes each and
+          N/2 - 1 in (odd, T-even); and a fifth block [[1.0]] of psi's
+          constant alone.
+
+psi's constant is an exact eigenvector of Lblock with eigenvalue 1: psi's
+block is the identity and c d/dx annihilates constants.  It is therefore an
+invariant line of its own, not a row of the (odd, T-even) sector that its
+character (even, T-even) would put it in.  Every mode is in exactly one
+block, so Lblock still has dimension 2N.
 
 The sectors are held in the order (even, T-odd), (even, T-even),
 (odd, T-even), (odd, T-odd) of L1 and of Lblock's phi, each component's modes
 in ascending n.  Sector 0 holds the kernel direction, h' for L1 (odd-n
 cosines) and (h', c h'') for Lblock (c h'' in the odd-n sines), and no
-constant.  A component's constant is its n = 0 cosine, and its place is
-named once: the constant of L1 and of Lblock's phi is row 0 of sector
-_PHI_CONSTANT, the (even, T-even) one, and that of Lblock's psi sits in
-sector _PSI_CONSTANT, whose phi is (odd, T-even), right after phi's sines.
+constant.  The constant of L1 and of Lblock's phi, the n = 0 cosine, is row
+0 of sector _PHI_CONSTANT, the (even, T-even) one.
 
 In these modes the derivatives are diagonal: -d2/dx2 is xi_n^2 with xi from
 `waves.wavenumbers`, and d/dx maps cos_n to -xi_n sin_n and sin_n to
@@ -49,32 +55,31 @@ its R-odd roundoff drops out, and only even n +/- m, so its T-odd roundoff
 does too.
 
 Zero-mean companions: the mean-free fields are the span of every mode but
-the n = 0 cosines, so constraining deletes the constants' rows and columns,
-row 0 of sector _PHI_CONSTANT and, for Lblock, psi's row of sector
-_PSI_CONSTANT; the other sectors pass through, the very blocks of the
-operator.  The constrained operator of the paper also subtracts the
-rank-one mean coupling (3/L) (h^2, .) from the first component; its range
-is the constant vector, which the deletion annihilates, so the deletion
-alone yields the constrained operator.
+the n = 0 cosines, so one rule serves both operators: keep the four
+sectors, and slice row and column 0, phi's constant, off sector
+_PHI_CONSTANT.  Lblock's fifth block, psi's constant, is left out; the
+other three sectors pass through, the very blocks of the operator.  The
+constrained operator of the paper also subtracts the rank-one mean
+coupling (3/L) (h^2, .) from the first component; its range is the
+constant vector, which the deletion annihilates, so the deletion alone
+yields the constrained operator.
 
 `eigen_report` is the only eigensolve in this module and the only place
 eigenvalues are classified as negative or zero: one values-only eigensolve
-per sector block, merged into the operator's sorted spectrum.  Lblock's psi
-constant is an exact eigenvector of eigenvalue 1, since psi's block is the
-identity and c d/dx annihilates constants, so its row in its sector is
-exactly the unit row; the report checks that row, solves the sector's
-zero-mean minor, keeps the minor's values as the sector's, and merges 1
-into the spectrum.  A constrained operator's report solves only sector
-_PHI_CONSTANT and takes every other sector's values from its parent's by
-index.  A full report thus makes 10 eigensolves: the four sectors of L1 and
-of Lblock, and the phi-constant sector of each constrained operator.  The
-counts and the coercivity constant read those eigenvalues.
+per block, merged into the operator's sorted spectrum, every block alike.
+A constrained operator's report solves only sector _PHI_CONSTANT and takes
+every other sector's values from its parent's by index.  A full report
+thus makes 11 eigensolves: the four sectors of L1, the five blocks of
+Lblock (the 1 x 1 one returns its entry 1.0 exactly), and the
+phi-constant sector of each constrained operator.  The counts and the
+coercivity constant read those eigenvalues.
 
 D1 and the matrix D take one plain solve each, of sector _PHI_CONSTANT for
 sqrt(N) at row 0: the constants have no part in the kernel's sector 0, so
 no eigenvectors and no bordering are needed.  D[1, 1] takes no solve: psi's
-constant is an exact eigenvector of eigenvalue 1, so it is the grid inner
-product (L/N) (e, e) of psi's constant e = sqrt(N) with itself.
+constant, the fifth block, is an exact eigenvector of eigenvalue 1, so it
+is the grid inner product (L/N) (e, e) of psi's constant e = sqrt(N) with
+itself.
 
 The constrained Morse index is cross-checked two ways: directly from the
 compressed spectra, and through the count n(L_c) = n(L) - n(D) - z(D),
@@ -159,6 +164,8 @@ class IndexMismatchError(RuntimeError):
 class OperatorMatrix:
     """One of the linearized operators as symmetric blocks, one per (R, T) sector.
 
+    Lblock holds a fifth block, [[1.0]], the invariant line of psi's
+    constant; the constrained kinds hold the four sectors only.
     kernel_vector holds the expected discrete kernel direction in the
     coordinates of blocks[0] (h' for L1, (h', c h'') for the block operator;
     the constraint passes sector 0 through, so constrained kinds keep it);
@@ -193,10 +200,8 @@ class SpectralReport:
     """Sorted eigenvalues with negative/zero counts at tolerance tau_zero.
 
     operator is the operator they belong to; the constraint solves read its
-    sector blocks.  sector_eigenvalues holds, per sector, the ascending
-    eigenvalues of the block actually solved: for Lblock, sector
-    _PSI_CONSTANT holds its minor's, and psi's constant's exact 1 is in
-    eigenvalues only.
+    sector blocks.  sector_eigenvalues holds the ascending eigenvalues of
+    each of its blocks, for Lblock (1.0,) of the fifth among them.
     """
 
     eigenvalues: np.ndarray
@@ -223,29 +228,30 @@ EVEN, ODD = 1, -1  # signs of a character (r, t): R f = r f and T f = t f
 # direction.  Lblock's psi carries (-r, t).
 _SECTORS = ((EVEN, ODD), (EVEN, EVEN), (ODD, EVEN), (ODD, ODD))
 
-# Operator kind -> character of each N-point component, per sector.
+# Operator kind -> character of each N-point component, per sector; Lblock's
+# psi, the second component, takes its modes from _modes(N, char, psi=True).
 _LAYOUT = {KIND_L1: tuple(((r, t),) for r, t in _SECTORS),
            KIND_LBLOCK: tuple(((r, t), (-r, t)) for r, t in _SECTORS)}
 _CONSTRAINED = {KIND_L1: KIND_L1_CONSTRAINED, KIND_LBLOCK: KIND_LBLOCK_CONSTRAINED}
 
-# Sectors of the constants, the n = 0 cosines.  The constant of L1 and of
-# Lblock's phi is row 0 of the (even, T-even) sector; that of Lblock's psi
-# follows phi's (odd, T-even) sines, at row _psi_row(N).
+# Sector of the constant of L1 and of Lblock's phi, the n = 0 cosine, at row
+# 0: the (even, T-even) one.  Lblock's psi constant is its fifth block.
 _PHI_CONSTANT = _SECTORS.index((EVEN, EVEN))
-_PSI_CONSTANT = _SECTORS.index((ODD, EVEN))
 
 
-@functools.lru_cache(maxsize=16)
-def _modes(N: int, char: tuple) -> tuple[np.ndarray, bool, np.ndarray]:
+@functools.lru_cache(maxsize=32)
+def _modes(N: int, char: tuple, psi: bool = False) -> tuple[np.ndarray, bool, np.ndarray]:
     """(n, sine, w): the trig modes of character (r, t) on the N-point grid.
 
     n lists their wavenumbers, those of parity t in 0..N/2, sine tells
     whether they are sines (r odd; no sine at n = 0 or N/2) or cosines, and
     w holds their unit-norm weights, sqrt(1/N) at n = 0 and N/2 and
-    sqrt(2/N) elsewhere.  Built once per (N, char); n and w are read-only.
+    sqrt(2/N) elsewhere.  Lblock's psi (psi true) skips n = 0: its constant
+    is Lblock's fifth block.  Built once per (N, char, psi); n and w are
+    read-only.
     """
     r, t = char
-    n = np.arange(int(t == ODD), N // 2 + 1, 2)
+    n = np.arange(1 if t == ODD else 2 * psi, N // 2 + 1, 2)
     sine = r == ODD
     if sine:
         n = n[(n > 0) & (n < N // 2)]
@@ -255,22 +261,17 @@ def _modes(N: int, char: tuple) -> tuple[np.ndarray, bool, np.ndarray]:
     return n, sine, w
 
 
-def _psi_row(N: int) -> int:
-    """Row of Lblock's psi constant in sector _PSI_CONSTANT on the N-point grid."""
-    return _modes(N, _SECTORS[_PSI_CONSTANT])[0].size
-
-
 def _to_sector(f: np.ndarray, chars: tuple) -> np.ndarray:
     """Coordinates in one sector of the grid field f (its components stacked).
 
     The coordinate of a mode is w (Re, -Im) of f's rfft at its wavenumber,
-    Re for a cosine and -Im for a sine.
+    Re for a cosine and -Im for a sine; the second component is Lblock's psi.
     """
     parts = np.split(f, len(chars))
     N = parts[0].size
     out = []
-    for g, char in zip(parts, chars):
-        n, sine, w = _modes(N, char)
+    for g, char, psi in zip(parts, chars, (False, True)):
+        n, sine, w = _modes(N, char, psi)
         F = np.fft.rfft(g)[n]
         out.append(w * (-F.imag if sine else F.real))
     return np.concatenate(out)
@@ -348,25 +349,27 @@ def _coupling(N: int, chars: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """(rows, cols, n): Lblock's sector of characters chars = (phi, psi) joins
     phi's mode at row rows[i] to psi's at column cols[i], both of wavenumber
     n[i]; built once per (N, chars) by _index_tables."""
-    n_phi, n_psi = (_modes(N, char)[0] for char in chars)
+    n_phi, n_psi = _modes(N, chars[0])[0], _modes(N, chars[1], True)[0]
     n, rows, cols = np.intersect1d(n_phi, n_psi, assume_unique=True, return_indices=True)
     return _index_tables(N, rows, n_phi.size + cols, n)
 
 
 def assemble_Lblock(wave: WaveParameters, N: int) -> OperatorMatrix:
-    """(R, T) sectors of the pair operator, with kernel (h', c h'').
+    """(R, T) sectors of the pair operator, with kernel (h', c h''), and psi's constant.
 
     The coupling c d/dx joins phi's mode to psi's of the same wavenumber,
     +c xi_n from a psi sine to a phi cosine and -c xi_n from a psi cosine
     to a phi sine; psi's block is the identity.  Each sector is written
-    into one zeroed array.
+    into one zeroed array.  c d/dx annihilates psi's constant, so it is an
+    exact eigenvector of eigenvalue 1, the fifth block [[1.0]].
     """
     parts = _sector_parts(wave, N)
     xi = parts.xi
     blocks = []
     for chars, potential in zip(_LAYOUT[KIND_LBLOCK], parts.potentials):
         n, sine, _ = _modes(N, chars[0])
-        p, size = n.size, N // 2
+        p = n.size
+        size = p + _modes(N, chars[1], True)[0].size
         block = np.zeros((size, size))
         block[:p, :p] = potential
         diagonal = block.reshape(-1)[::size + 1]
@@ -377,82 +380,47 @@ def assemble_Lblock(wave: WaveParameters, N: int) -> OperatorMatrix:
         block[rows, cols] = coupling
         block[cols, rows] = coupling
         blocks.append(block)
+    blocks.append(np.ones((1, 1)))
     h1, h2 = parts.samples[1:]
     kernel = _to_sector(np.concatenate([h1, wave.c * h2]), _LAYOUT[KIND_LBLOCK][0])
     return OperatorMatrix(KIND_LBLOCK, wave.L, tuple(blocks), kernel)
 
 
 def constrain_zero_mean(M: OperatorMatrix) -> OperatorMatrix:
-    """Zero-mean companion: each constant's row and column deleted from its sector.
+    """Zero-mean companion: M's four sectors without the row and column of phi's constant.
 
-    Sector _PHI_CONSTANT becomes a view of M's block without its row 0, and
-    for Lblock sector _PSI_CONSTANT a copy without psi's constant row.  The
-    remaining modes of such a sector are an orthonormal basis of its
-    mean-free fields.  Every other sector, the kernel's sector 0 among them,
-    passes through as the very block of M.  The rank-one mean coupling
-    p -> (3/L) (h^2, p) of the constrained operator has the constant as its
-    range, which the deletion removes, so it is not formed, and quadratic
-    forms of the two operators agree on mean-free vectors.
+    Sector _PHI_CONSTANT becomes a view of M's block without its row 0,
+    whose remaining modes are an orthonormal basis of its mean-free fields.
+    The other three sectors, the kernel's sector 0 among them, pass through
+    as the very blocks of M, and Lblock's fifth block, psi's constant, is
+    left out.  The rank-one mean coupling p -> (3/L) (h^2, p) of the
+    constrained operator has the constant as its range, which the deletion
+    removes, so it is not formed, and quadratic forms of the two operators
+    agree on mean-free vectors.
     """
     if M.kind not in _CONSTRAINED:
         raise ValueError(f"cannot constrain operator of kind {M.kind}")
-    blocks = list(M.blocks)
+    blocks = list(M.blocks[:len(_SECTORS)])
     blocks[_PHI_CONSTANT] = blocks[_PHI_CONSTANT][1:, 1:]
-    if M.kind == KIND_LBLOCK:
-        blocks[_PSI_CONSTANT] = _delete_mode(blocks[_PSI_CONSTANT], _psi_row(M.dim // 2))
     return OperatorMatrix(_CONSTRAINED[M.kind], M.L, tuple(blocks), M.kernel_vector)
-
-
-def _delete_mode(m: np.ndarray, row: int) -> np.ndarray:
-    """A copy of m without its row and column `row`."""
-    size = m.shape[0] - 1
-    out = np.empty((size, size))
-    out[:row, :row] = m[:row, :row]
-    out[:row, row:] = m[:row, row + 1:]
-    out[row:, :row] = m[row + 1:, :row]
-    out[row:, row:] = m[row + 1:, row + 1:]
-    return out
-
-
-def _psi_minor(M: OperatorMatrix) -> np.ndarray:
-    """Sector _PSI_CONSTANT of Lblock M without psi's constant row and column.
-
-    psi's block is the identity and c d/dx annihilates the constant, so the
-    constant is an exact eigenvector of eigenvalue 1 and its row is the unit
-    row; any other row is an assembly bug, raised before a solve runs.
-    """
-    row = _psi_row(M.dim // 2)
-    m = M.blocks[_PSI_CONSTANT]
-    unit = np.zeros(m.shape[0])
-    unit[row] = 1.0
-    if not np.array_equal(m[row], unit):
-        raise EigenSolveError(f"row {row} of sector {_PSI_CONSTANT} of kind {M.kind}, the "
-                              f"constant of psi, is not the unit row")
-    return _delete_mode(m, row)
 
 
 def eigen_report(M: OperatorMatrix, *, _parent: SpectralReport | None = None) -> SpectralReport:
     """Sorted eigenvalues with counts n (< -tau) and z (within tau) of zero.
 
-    One values-only eigensolve per sector; tau, n and z are taken over the
-    merged spectrum.  Lblock's sector _PSI_CONSTANT is solved as its minor
-    without psi's constant, and 1, the constant's exact eigenvalue, is
-    merged into the eigenvalues only.  _parent is the report of the operator
-    M was constrained from: only sector _PHI_CONSTANT is solved, and every
-    other sector's eigenvalues are the parent's, since M holds the parent's
-    very block there or, for Lblock, the minor the parent solved.  The
-    kernel residual is measured in sector 0's orthonormal coordinates.
+    One values-only eigensolve per block, Lblock's fifth among them; tau, n
+    and z are taken over the merged spectrum.  _parent is the report of the
+    operator M was constrained from: only sector _PHI_CONSTANT is solved,
+    and every other sector's eigenvalues are the parent's, since M holds
+    the parent's very block there.  The kernel residual is measured in
+    sector 0's orthonormal coordinates.
     """
-    blocks = list(M.blocks)
-    if M.kind == KIND_LBLOCK:
-        blocks[_PSI_CONSTANT] = _psi_minor(M)
     try:
         sectors = tuple(np.linalg.eigvalsh(m) if _parent is None or i == _PHI_CONSTANT
-                        else _parent.sector_eigenvalues[i] for i, m in enumerate(blocks))
+                        else _parent.sector_eigenvalues[i] for i, m in enumerate(M.blocks))
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(f"eigensolve failed for kind {M.kind}: {exc}") from exc
-    psi_constant = ((1.0,),) if M.kind == KIND_LBLOCK else ()
-    vals = np.sort(np.concatenate(sectors + psi_constant))
+    vals = np.sort(np.concatenate(sectors))
     tau_zero = ZERO_TOL_FACTOR * float(np.max(np.abs(vals)))
     n = int(np.sum(vals < -tau_zero))
     z = int(np.sum(np.abs(vals) <= tau_zero))
@@ -552,10 +520,10 @@ def D_matrix(report: SpectralReport) -> np.ndarray:
 
     report is the eigen_report of Lblock on an N-point grid; L is its
     operator's period.  The constants of phi and psi lie in different
-    sectors, so D is diagonal.  D[0, 0] is one solve of phi's constant.
-    psi's constant e = sqrt(N) at its row is an exact eigenvector of
-    eigenvalue 1 (the unit row eigen_report checks), so D[1, 1] is the grid
-    inner product (L/N) (e, e), which a solve would return bit for bit.
+    blocks, so D is diagonal.  D[0, 0] is one solve of phi's constant.
+    psi's constant e = sqrt(N) is the fifth block, [[1.0]], an exact
+    eigenvector of eigenvalue 1, so D[1, 1] is the grid inner product
+    (L/N) (e, e), which a solve would return bit for bit.
     The constrained counts are then n(Lblock) - n(D) - z(D) and
     z(Lblock) + z(D).
     """

@@ -18,7 +18,6 @@ from snoidal.spectral import (
     D1_closed,
     D1_numeric,
     D_matrix,
-    EigenSolveError,
     IndexMismatchError,
     OperatorMatrix,
     SingularSystemError,
@@ -36,14 +35,12 @@ from snoidal.spectral import (
 from snoidal.spectral import (
     _LAYOUT,
     _PHI_CONSTANT,
-    _PSI_CONSTANT,
     _SECTORS,
     _check_solvable,
     _coupling,
     _d2_closed,
     _modes,
     _potential_indices,
-    _psi_row,
     _sector_parts,
     _to_sector,
 )
@@ -104,7 +101,9 @@ def fourier_diff_matrices(N: int, L: float) -> tuple[np.ndarray, np.ndarray]:
 # component per sector (R f = r f with (R f)_j = f_{-j}, T f = t f with
 # (T f)_j = f_{j + N/2}; sector 0 holds the kernel), and each sector's dense
 # orthonormal basis of trig modes: cos(2 pi n j / N) is R-even, sin is
-# R-odd, and both have T-character (-1)^n.
+# R-odd, and both have T-character (-1)^n.  Lblock's psi constant is an
+# exact eigenvector, so Lblock's psi leaves its n = 0 cosine to a fifth block
+# of its own (see block_columns).
 SECTOR_LAYOUT = {
     "L1": (((1, -1),), ((1, 1),), ((-1, 1),), ((-1, -1),)),
     "Lblock": (((1, -1), (-1, -1)), ((1, 1), (-1, 1)), ((-1, 1), (1, 1)), ((-1, -1), (1, -1))),
@@ -144,10 +143,25 @@ def grid_kernel(wave, N, kind):
     return h1 if kind == "L1" else np.concatenate([h1, wave.c * h2])
 
 
+def block_columns(kind, N):
+    """Per block, the (n, Q) of trig_columns of each component of its sector.
+
+    Lblock's psi skips its n = 0 cosine there, and a fifth block holds that
+    cosine alone, with no column of phi.
+    """
+    blocks = [[trig_columns(N, c) for c in chars] for chars in SECTOR_LAYOUT[kind]]
+    if kind == "Lblock":
+        for parts in blocks:
+            n, q = parts[1]
+            parts[1] = (n[n > 0], q[:, n > 0])
+        constant = (np.array([0]), np.full((N, 1), 1.0 / math.sqrt(N)))
+        blocks.append([(np.array([], dtype=int), np.zeros((N, 0))), constant])
+    return blocks
+
+
 def sector_bases(kind, N):
-    """Per sector, its basis of the operator's stacked-component grid fields."""
-    return [block_diag(*(trig_columns(N, c)[1] for c in chars))
-            for chars in SECTOR_LAYOUT[kind]]
+    """Per block, its basis of the operator's stacked-component grid fields."""
+    return [block_diag(*(q for _, q in parts)) for parts in block_columns(kind, N)]
 
 
 def grid_matrix(op, N):
@@ -155,22 +169,24 @@ def grid_matrix(op, N):
     return sum(q @ b @ q.T for q, b in zip(sector_bases(op.kind, N), op.blocks))
 
 
-def constant_row(N, chars):
-    """Row of the n = 0 cosine, the unit constant, in one sector; None where it holds none."""
-    offset = 0
-    for char in chars:
-        n, _ = trig_columns(N, char)
-        if char == (1, 1):
-            return offset + int(np.flatnonzero(n == 0)[0])
-        offset += n.size
-    return None
+def constant_rows(kind, N):
+    """Per block, the row of its n = 0 cosine, a unit constant; None where it holds none."""
+    rows = []
+    for parts in block_columns(kind, N):
+        offset, row = 0, None
+        for n, _ in parts:
+            if 0 in n:
+                row = offset + int(np.flatnonzero(n == 0)[0])
+            offset += n.size
+        rows.append(row)
+    return rows
 
 
 def to_grid(u, chars, N):
     """Grid fields of the sector coordinate columns u: the inverse of `_to_sector`, per column."""
     out, start = [], 0
-    for char in chars:
-        n, sine, w = _modes(N, char)
+    for char, psi in zip(chars, (False, True)):
+        n, sine, w = _modes(N, char, psi)
         coef = u[start:start + n.size] / w[:, None]
         F = np.zeros((N // 2 + 1, u.shape[1]), dtype=complex)
         F[n] = -1j * coef if sine else coef
@@ -189,7 +205,8 @@ def solve_in_kernel_complement(report, rhs):
     sector 0 holds the unit kernel direction k, so it is bordered with k, and
     [[M0, k], [k^T, 0]] (x0, mu) = (rhs0, 0) is nonsingular whenever M0 has a
     one-dimensional kernel not orthogonal to k.  The other sectors are
-    nonsingular and take a plain solve.
+    nonsingular and take a plain solve, and so does Lblock's fifth block,
+    psi's constant e.
     """
     op = report.operator
     if op.kind not in _LAYOUT:
@@ -211,6 +228,9 @@ def solve_in_kernel_complement(report, rhs):
         else:
             u = np.linalg.solve(m, b)
         x = x + to_grid(u, chars, N)
+    if op.kind == KIND_LBLOCK:
+        e = np.concatenate([np.zeros(N), np.full(N, 1.0 / math.sqrt(N))])[None, :]
+        x = x + e.T @ np.linalg.solve(op.blocks[4], e @ cols)
     return x.reshape(rhs.shape)
 
 
@@ -313,15 +333,18 @@ class TestAssembly:
 
     @pytest.mark.parametrize("N", [64, 66, 128, 130])
     def test_Lblock_blocks_match_trig_projection(self, wave, N):
-        # the sector blocks (phi with (r, t), psi with (-r, t)) are Q^T M Q of
-        # M = [[-d2 + diag(3 h^2 - 1), c d1], [-c d1, I]], to roundoff; kernel
-        # (h', c h'') in the sector of phi (even, T-odd)
+        # the sector blocks (phi with (r, t), psi with (-r, t)) and psi's
+        # constant are Q^T M Q of M = [[-d2 + diag(3 h^2 - 1), c d1],
+        # [-c d1, I]], to roundoff; kernel (h', c h'') in the sector of phi
+        # (even, T-odd).  psi's constant leaves the (odd, T-even) sector one
+        # row short of N/2.
         _, h1, h2 = sample_wave(wave, N)
         dense = dense_Lblock(wave, N)
         m = assemble_Lblock(wave, N)
         bases = sector_bases("Lblock", N)
+        assert [b.shape for b in m.blocks] == [(q.shape[1],) * 2 for q in bases]
+        assert [b.shape[0] for b in m.blocks] == [N // 2, N // 2, N // 2 - 1, N // 2, 1]
         for block, q in zip(m.blocks, bases):
-            assert block.shape == (N // 2, N // 2)
             assert np.max(np.abs(block - q.T @ dense @ q)) <= 1e-13 * np.max(np.abs(dense))
         kernel = bases[0].T @ np.concatenate([h1, wave.c * h2])
         assert np.max(np.abs(m.kernel_vector - kernel)) <= 1e-13 * np.max(np.abs(kernel))
@@ -330,10 +353,10 @@ class TestAssembly:
     def test_Lblock_exact_parts(self, wave, N):
         # psi's block is exactly I, and c d/dx couples phi and psi only on
         # matched wavenumbers: exactly zero elsewhere, the n = 0 and Nyquist
-        # cosines included
+        # cosines included; the fifth block is psi's constant alone
         m = assemble_Lblock(wave, N)
-        for block, (phi, psi) in zip(m.blocks, SECTOR_LAYOUT["Lblock"]):
-            (n_phi, _), (n_psi, _) = trig_columns(N, phi), trig_columns(N, psi)
+        assert len(m.blocks) == 5
+        for block, ((n_phi, _), (n_psi, _)) in zip(m.blocks, block_columns("Lblock", N)):
             top = block[:n_phi.size, n_phi.size:]
             assert np.array_equal(block[n_phi.size:, n_phi.size:], np.eye(n_psi.size))
             assert not np.any(top[n_phi[:, None] != n_psi[None, :]])
@@ -725,21 +748,25 @@ class TestConstrainedOperators:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_constant_mode_deleted_only_where_it_lives(self, op_L1, op_Lblock):
-        # the constants are the n = 0 cosines of the T-even sectors: L1's in
-        # (even, T-even), Lblock's in (phi even, T-even) and (psi even,
-        # T-even); those lose exactly that row and column, and every other
-        # sector, the kernel's included, passes through as the very block
-        # of the operator
+        # the constants are the n = 0 cosines: L1's and Lblock's phi's at row
+        # 0 of (even, T-even), Lblock's psi's alone in the fifth block.  The
+        # constrained operator keeps the four sectors: (even, T-even) loses
+        # row and column 0 as a view of the operator's block, every other
+        # sector, the kernel's included, passes through as the very block of
+        # the operator, and Lblock's fifth block is left out
         N = 256
-        for op, constant_sectors in ((op_L1, {1}), (op_Lblock, {1, 2})):
+        for op, constant_blocks in ((op_L1, [1]), (op_Lblock, [1, 4])):
+            rows = constant_rows(op.kind, N)
+            assert [i for i, row in enumerate(rows) if row is not None] == constant_blocks
+            assert [rows[i] for i in constant_blocks] == [0] * len(constant_blocks)
             constrained = constrain_zero_mean(op)
+            assert len(constrained.blocks) == 4
             for i, (b, parent) in enumerate(zip(constrained.blocks, op.blocks)):
-                row = constant_row(N, SECTOR_LAYOUT[op.kind][i])
-                assert (row is not None) == (i in constant_sectors)
-                if row is None:
-                    assert b is parent
+                if i == _PHI_CONSTANT:
+                    assert np.shares_memory(b, parent)
+                    assert np.array_equal(b, np.delete(np.delete(parent, 0, 0), 0, 1))
                 else:
-                    assert np.array_equal(b, np.delete(np.delete(parent, row, 0), row, 1))
+                    assert b is parent
             assert constrained.kernel_vector is op.kernel_vector
 
     def test_coercivity_constant(self, op_Lblock):
@@ -756,13 +783,15 @@ class TestConstrainedOperators:
 
 
 def psi_constant(N):
-    """(sector, row) of the constant of Lblock's psi: psi is (even, T-even) there."""
-    sector = next(i for i, chars in enumerate(SECTOR_LAYOUT["Lblock"]) if chars[1] == (1, 1))
-    return sector, constant_row(N, SECTOR_LAYOUT["Lblock"][sector])
+    """(block, row) of the constant of Lblock's psi: its n = 0 cosine, after phi's modes."""
+    for block, ((n_phi, _), (n_psi, _)) in enumerate(block_columns("Lblock", N)):
+        if 0 in n_psi:
+            return block, n_phi.size + int(np.flatnonzero(n_psi == 0)[0])
+    raise AssertionError("no block holds psi's constant")
 
 
 def plain_spectrum(op):
-    """Sorted eigenvalues of op from one np.linalg.eigvalsh per block, no deflation."""
+    """Sorted eigenvalues of op from one np.linalg.eigvalsh per block."""
     return np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in op.blocks]))
 
 
@@ -770,35 +799,53 @@ DEFLATION_POINTS = [(2.0, 0.96), (math.pi, 0.95), (5.0, 0.80), (math.pi, -0.95)]
 
 
 class TestPsiConstantDeflation:
-    """Lblock's psi constant is an exact eigenvector of eigenvalue 1: its sector
-    is solved as the zero-mean minor, and 1 is merged into the spectrum."""
+    """Lblock's psi constant is an exact eigenvector of eigenvalue 1: it is
+    Lblock's fifth block, [[1.0]], and its (odd, T-even) sector is the zero-mean
+    minor, solved like every other block."""
 
     @pytest.mark.parametrize("N", [128, 130, 256])
     def test_sector_is_minor_spectrum_and_one(self, wave, N):
-        # the sector holds the values of the block solved, the minor's; the
-        # merged eigenvalues hold the other sectors', the minor's and 1.0
+        # every block's values are its own eigvalsh, the fifth block's exactly
+        # 1.0, and the merged eigenvalues are all of them, sorted; that the
+        # (odd, T-even) sector is the zero-mean minor of psi's even cosines
+        # is test_Lblock_blocks_match_trig_projection's
         op = assemble_Lblock(wave, N)
-        sector, row = psi_constant(N)
-        block = op.blocks[sector]
-        unit = np.zeros(block.shape[0])
-        unit[row] = 1.0
-        assert np.array_equal(block[row], unit)
-        minor = np.linalg.eigvalsh(np.delete(np.delete(block, row, 0), row, 1))
         report = eigen_report(op)
-        assert np.array_equal(report.sector_eigenvalues[sector], minor)
-        others = [np.linalg.eigvalsh(b) for i, b in enumerate(op.blocks) if i != sector]
-        want = np.sort(np.concatenate(others + [minor, [1.0]]))
-        assert np.array_equal(report.eigenvalues, want)
+        assert len(report.sector_eigenvalues) == 5
+        for vals, block in zip(report.sector_eigenvalues, op.blocks):
+            assert np.array_equal(vals, np.linalg.eigvalsh(block))
+        assert report.sector_eigenvalues[4].tolist() == [1.0]
+        assert np.array_equal(report.eigenvalues, plain_spectrum(op))
+
+    @pytest.mark.parametrize("N", [64, 128, 130, 256])
+    @pytest.mark.parametrize("L, c", DEFLATION_POINTS)
+    def test_psi_constant_is_an_invariant_line(self, L, c, N):
+        # the dense oracle maps psi's constant e = (0, 1) to itself exactly:
+        # each row of c d1 holds each value with its negation, and psi's
+        # block is I, so every exactly rounded row sum (math.fsum) is the
+        # entry of e; the fifth block is [[1.0]], the Rayleigh quotient of e
+        wave = solve_modulus(L, c)
+        e = np.concatenate([np.zeros(N), np.ones(N)])
+        image = np.array([math.fsum(row) for row in dense_Lblock(wave, N) * e])
+        assert np.array_equal(image, e)
+        assert math.fsum(image * e) / math.fsum(e * e) == 1.0
+        block = assemble_Lblock(wave, N).blocks[4]
+        assert block.shape == (1, 1) and block[0, 0] == 1.0
 
     @pytest.mark.parametrize("N", [64, 128, 130, 512])
     def test_constant_positions_match_the_layout(self, N):
-        # the library's two constant positions against this file's own
-        # reading of the sector layout
-        for kind, sectors in (("L1", [_PHI_CONSTANT]), ("Lblock", [_PHI_CONSTANT, _PSI_CONSTANT])):
-            rows = [constant_row(N, chars) for chars in SECTOR_LAYOUT[kind]]
-            assert [i for i, row in enumerate(rows) if row is not None] == sectors
+        # the library's constant positions against this file's own reading
+        # of the sector layout: phi's at row 0 of _PHI_CONSTANT, psi's the
+        # fifth block, whose character (even, T-even) modes skip n = 0 in
+        # every sector of psi
+        for kind, blocks in (("L1", [_PHI_CONSTANT]), ("Lblock", [_PHI_CONSTANT, 4])):
+            rows = constant_rows(kind, N)
+            assert [i for i, row in enumerate(rows) if row is not None] == blocks
             assert rows[_PHI_CONSTANT] == 0
-        assert psi_constant(N) == (_PSI_CONSTANT, _psi_row(N))
+        assert psi_constant(N) == (4, 0)
+        for phi, psi in _LAYOUT[KIND_LBLOCK]:
+            assert 0 not in _modes(N, psi, True)[0]
+        assert 0 in _modes(N, _SECTORS[_PHI_CONSTANT])[0]
 
     @pytest.mark.parametrize("N", [128, 130])
     def test_constrained_spectra_are_plain_solves(self, N):
@@ -816,27 +863,6 @@ class TestPsiConstantDeflation:
         want = plain_spectrum(op)
         got = eigen_report(op).eigenvalues
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-
-    @pytest.mark.parametrize("entry", ["off_diagonal", "diagonal"])
-    def test_broken_constant_row_raises_before_any_solve(self, wave, monkeypatch, entry):
-        op = assemble_Lblock(wave, 128)
-        sector, row = psi_constant(128)
-        blocks = [b.copy() for b in op.blocks]
-        col = 0 if entry == "off_diagonal" else row
-        blocks[sector][row, col] = blocks[sector][col, row] = 0.5
-        broken = OperatorMatrix(KIND_LBLOCK, op.L, tuple(blocks), op.kernel_vector)
-        eigvalsh, calls = np.linalg.eigvalsh, []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return eigvalsh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        with pytest.raises(EigenSolveError,
-                           match=f"^row {row} of sector {sector} of kind Lblock, the constant "
-                                 "of psi, is not the unit row$"):
-            eigen_report(broken)
-        assert calls == []
 
 
 class TestActionSecondDerivative:
@@ -911,11 +937,11 @@ class TestFullReport:
 
     def test_each_operator_assembled_and_diagonalized_once(self, monkeypatch):
         # L1, Lblock and their two constrained companions: one values-only
-        # eigensolve per distinct sector block, four for each of L1 and
-        # Lblock, and only the sectors the constraint changes (one of L1_c,
-        # two of Lblock_c), less Lblock_c's psi-constant sector, whose minor
-        # Lblock's own solve already diagonalized: 10 for 16 blocks.  D and
-        # D1 make one plain solve each, of the phi-constant sector.  The wave
+        # eigensolve per distinct block, four for L1 and five for Lblock
+        # (its fifth, psi's constant, is 1 x 1 and returns its entry 1.0),
+        # and only the sector the constraint changes of each of L1_c and
+        # Lblock_c: 11 for 17 blocks.  D and D1 make one plain solve each,
+        # of the phi-constant sector.  The wave
         # is solved and sampled once, and the two assemblies share one
         # potential block per character.
         import snoidal.spectral as spectral
@@ -939,24 +965,25 @@ class TestFullReport:
             counted(spectral, name)
         spectral._sector_parts.cache_clear()
         full_report(L_CANON, C_CANON, 128)
-        assert calls == {"eigh": 0, "eigvalsh": 10, "solve": 2, "assemble_L1": 1,
+        assert calls == {"eigh": 0, "eigvalsh": 11, "solve": 2, "assemble_L1": 1,
                          "assemble_Lblock": 1, "sample_wave": 1, "solve_modulus": 1,
                          "_potential": 4}
 
     def test_shared_arrays_are_read_only(self):
-        # the memoized samples, wavenumbers, potential blocks, modes,
-        # potential index tables and coupling rows and columns are shared by
-        # every report at their (wave, N) or N: none can be written
+        # the memoized samples, wavenumbers, potential blocks, modes (psi's
+        # too), potential index tables and coupling rows and columns are
+        # shared by every report at their (wave, N) or N: none can be written
         wave = solve_modulus(L_CANON, C_CANON)
         parts = _sector_parts(wave, 128)
         shared = [*parts.samples, parts.xi, *parts.potentials]
         for char in _SECTORS:
-            n, _, w = _modes(128, char)
-            shared += [n, w]
+            for psi in (False, True):
+                n, _, w = _modes(128, char, psi)
+                shared += [n, w]
         tables = []
         for chars in _LAYOUT[KIND_LBLOCK]:
             tables += [*_potential_indices(128, chars[0]), *_coupling(128, chars)]
-        assert len(shared) == 16 and len(tables) == 20
+        assert len(shared) == 24 and len(tables) == 20
         for a in shared + tables:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
@@ -1068,14 +1095,14 @@ class TestParitySectors:
 
     def test_kernel_and_constants_in_their_sectors(self, wave):
         # (h', c h'') lies in the sector of phi (even, T-odd), e1 in that of
-        # phi (even, T-even) and e2 in that of phi (odd, T-even): the
-        # off-diagonal entries of D vanish by parity.  A constant has the
+        # phi (even, T-even) and e2 in the fifth block: the off-diagonal
+        # entries of D vanish by parity.  A constant has the
         # part sqrt(N) in its sector and only roundoff in the others.
         N = 128
         D = D_matrix(eigen_report(assemble_Lblock(wave, N)))
         assert max(abs(D[0, 1]), abs(D[1, 0])) <= 1e-13 * wave.L
         for op, holds in ((assemble_L1(wave, N), [[0], [1], [0], [0]]),
-                          (assemble_Lblock(wave, N), [[0, 0], [1, 0], [0, 1], [0, 0]])):
+                          (assemble_Lblock(wave, N), [[0, 0], [1, 0], [0, 0], [0, 0], [0, 1]])):
             bases = sector_bases(op.kind, N)
             kernel = grid_kernel(wave, N, op.kind)
             scale = np.max(np.abs(kernel))
@@ -1161,3 +1188,31 @@ class TestLameEdges:
         assert np.all(errors[0] >= 1e-2)
         assert np.all(errors[1:] <= np.maximum(errors[:-1] / 50.0, 1e-12))
         assert np.all(errors[-1] <= 1e-12)
+
+
+FINITE_GAP_POINTS = [(math.pi, 0.95), (3.0, 0.9), (5.0, 0.8)]
+
+
+class TestFiniteGap:
+    """By Ince's theorem the n = 2 Lame potential has exactly two open gaps
+    (Arscott, 1964; Magnus & Winkler, Hill's Equation, 1966), so every L1
+    eigenvalue above the top edge lam4 is double: a cosine-like and a
+    sine-like eigenfunction of one T-character, in the R-even and the R-odd
+    sector of that character."""
+
+    @pytest.mark.parametrize("N", [128, 256])
+    @pytest.mark.parametrize("L,c", FINITE_GAP_POINTS)
+    def test_eigenvalues_above_the_top_edge_pair_across_reflection(self, L, c, N):
+        # (even, T-even) with (odd, T-even) and (even, T-odd) with
+        # (odd, T-odd), over the lowest quarter above lam4 of the reported
+        # sector eigenvalues; higher up the grid stops resolving the pairs,
+        # and the Nyquist cosine has no sine partner at all
+        wave = solve_modulus(L, c)
+        _, pair4 = closed_form_eigenpairs(wave, N)
+        sectors = eigen_report(assemble_L1(wave, N)).sector_eigenvalues
+        for t in (1, -1):
+            even, odd = (sectors[_SECTORS.index((r, t))] for r in (1, -1))
+            even, odd = (vals[vals > pair4.lam + 1e-6] for vals in (even, odd))
+            m = min(even.size, odd.size) // 4
+            assert m >= N // 32 - 1
+            assert np.max(np.abs(even[:m] - odd[:m]) / odd[:m]) <= 1e-11
