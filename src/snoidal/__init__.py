@@ -5,6 +5,7 @@ Submodules:
   waves      - snoidal profile construction and the period-speed relation
   spectral   - linearized operators, spectra, constrained-index data, d''(c)
   evolution  - zero-mean projected splitting integrator and orbit distance
+  errors     - the exception classes the command line maps to exit codes
   cli        - command-line front end (wave / spectrum / evolve / stability / sweep)
 """
 

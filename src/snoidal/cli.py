@@ -37,7 +37,10 @@ that raises anything else reruns its jobs one by one, so that a failure
 stays with its own job.  Only a sweep with at least 2 workers and 2
 batches loads the process pool (`concurrent.futures`, `multiprocessing`)
 and starts it; every other run stays in the calling process and imports
-neither.
+neither.  Likewise each command loads only the layers it runs.  The module
+imports `errors`, the exception classes behind the exit codes, and
+`waves`; `spectrum` loads `spectral`, and `evolve`, `stability` and
+sweeps of them load `evolution`, so `wave` loads neither.
 Only `wave` takes --format; the other commands write the one format they
 have.
 
@@ -63,27 +66,15 @@ import sys
 
 import numpy as np
 
-from .evolution import (
+from .errors import (
     BlowUpError,
-    horizon_steps,
-    perturbation_random,
-    run_experiment,
-    TRACE_COLUMNS,
-)
-from .spectral import (
     EigenSolveError,
     IndexMismatchError,
-    SingularSystemError,
-    full_report,
-)
-from .waves import (
     ModulusBoundaryError,
     OutOfRangeError,
-    grid_points,
-    ode_residual,
-    sample_wave,
-    solve_modulus,
+    SingularSystemError,
 )
+from .waves import grid_points, ode_residual, sample_wave, solve_modulus
 
 __all__ = ["main", "build_parser"]
 
@@ -207,6 +198,8 @@ def cmd_wave(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from .spectral import full_report  # only `spectrum` loads the spectral layer
+
     report = full_report(args.L, args.c, args.N)
     _write_json(args.out + ".json", report)
     return 0
@@ -218,6 +211,8 @@ def _evolve_batch(group: list) -> list:
     Returns (wave, sample_every, trace or BlowUpError) per job, in order; each
     trace is bit for bit the one the job gets alone.
     """
+    from .evolution import horizon_steps, perturbation_random, run_experiment
+
     lead = group[0]
     wave = solve_modulus(lead.L, lead.c)
     sample_every = max(1, horizon_steps(lead.T, lead.dt) // 500)
@@ -233,6 +228,8 @@ def _evolve_batch(group: list) -> list:
 def cmd_evolve(args, run=None) -> int:
     """Write one job's trace and metadata; `run` is its entry of an
     `_evolve_batch`, and None evolves the job alone."""
+    from .evolution import TRACE_COLUMNS
+
     wave, sample_every, trace = run or _evolve_batch([args])[0]
     if isinstance(trace, BlowUpError):
         raise trace
@@ -445,6 +442,8 @@ def _check_args(args) -> None:
         raise ValueError(f"--N must be even and at least {min_N}, got {args.N}")
     if args.command not in ("evolve", "stability"):
         return
+    from .evolution import horizon_steps  # only evolve/stability load the evolution layer
+
     horizon_steps(args.T, args.dt)
     if args.seed < 0:
         raise ValueError(f"--seed must be nonnegative, got {args.seed}")

@@ -89,6 +89,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.fft import _pocketfft_umath
 
+from .errors import BlowUpError
 from .waves import WaveParameters, grid_points, sample_wave, wavenumbers
 
 __all__ = [
@@ -109,15 +110,6 @@ _NEWTON_STEPS = 8  # per orbit-distance row; about three suffice
 _CEILING_FACTOR = 10.0  # run_experiment's blow-up ceiling, in units of max |h|
 _SAMPLE_BLOCK_ROWS = 16  # trace rows per conserved and orbit-distance call
 _CHECK_KICKS = 64  # kicks per ceiling test in SplitStepper.advance
-
-
-class BlowUpError(RuntimeError):
-    """Sup-norm ceiling exceeded; carries the blow-up time and the batch row."""
-
-    def __init__(self, message: str, time: float, member: int = 0):
-        super().__init__(message)
-        self.time = time
-        self.member = member
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .elliptic import complete_E, complete_K
+from .errors import EigenSolveError, IndexMismatchError, SingularSystemError
 from .waves import WaveParameters, _dK_dk, sample_wave, solve_modulus, wavenumbers
 
 __all__ = [
@@ -146,18 +147,6 @@ ZERO_TOL_FACTOR = 1e-12
 
 # Speed step of d_second_derivative's cross-check of d2, reported as parameters.dc.
 D2_SPEED_STEP = 1e-4
-
-
-class EigenSolveError(RuntimeError):
-    """Dense symmetric eigensolver failed to converge (assembly bug)."""
-
-
-class SingularSystemError(RuntimeError):
-    """Constraint solve is ill-posed: the kernel is not one-dimensional, or a solve fails."""
-
-
-class IndexMismatchError(RuntimeError):
-    """Index-formula prediction disagrees with directly computed counts."""
 
 
 @dataclass(frozen=True)

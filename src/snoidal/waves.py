@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import EllipticModulus, complete_E, complete_K, jacobi_sn_cn_dn
+from .errors import ModulusBoundaryError, OutOfRangeError
 
 __all__ = [
     "OutOfRangeError",
@@ -38,14 +39,6 @@ _BRACKET_EPS = 1e-10
 _BISECT_MAX_ITER = 200
 _NEWTON_STEPS = 3
 _DISPERSION_RTOL = 1e-12
-
-
-class OutOfRangeError(ValueError):
-    """No L-periodic snoidal wave exists for the requested (L, c)."""
-
-
-class ModulusBoundaryError(RuntimeError):
-    """Root bracketing for the modulus hit the (0, 1) boundary guard."""
 
 
 def grid_points(L: float, N: int) -> np.ndarray:
@@ -121,7 +114,9 @@ def solve_modulus(L: float, c: float) -> WaveParameters:
 
     omega -> k is strictly decreasing, so a bisection bracketed on
     (1e-10, 1-1e-10) always converges; three Newton polishing steps push
-    the dispersion residual to machine precision.
+    the dispersion residual to its rounding floor.  Near k = 1 that floor
+    exceeds 1e-12, and ModulusBoundaryError rejects every speed with
+    omega below about 0.0289 of the window, at every L.
     """
     lo_om, hi_om = admissible_omega_window(L)
     omega = (1.0 - c) * (1.0 + c)
@@ -163,15 +158,21 @@ def solve_modulus(L: float, c: float) -> WaveParameters:
             raise ModulusBoundaryError(f"Newton polishing left the modulus bracket at k={k_next}")
         k = k_next
 
-    big_k = complete_K(k)
-    residual = abs(omega * 16.0 * big_k * big_k * (1.0 + k * k) / (L * L) - 1.0)
-    if residual > _DISPERSION_RTOL:
-        # Near k = 1 the residual jumps by ~1/(K k'^2) * ulp between adjacent
-        # doubles, so the 1e-12 contract is unrepresentable: treat as boundary.
+    # One ulp of k moves the relative dispersion residual by ulp(k) times
+    # d/dk log(16 omega K^2 (1+k^2)) = df / (f + L^2), read off the last
+    # Newton step; it grows like 1/(K k'^2) as k -> 1.  This rounding floor
+    # rises monotonically as omega falls, so the speeds it rejects form one
+    # interval at the small-omega end of the window, whatever the last bits
+    # of c.  An accepted solve lands within about half the floor, and
+    # WaveParameters re-checks the 1e-12 residual.
+    floor = math.ulp(k) * df / (f + L * L)
+    if floor > _DISPERSION_RTOL:
         raise ModulusBoundaryError(
             f"modulus k={k:.15g} too close to 1 for a double-precision solve: "
-            f"dispersion residual {residual:.3e} > {_DISPERSION_RTOL} (L={L}, c={c})"
+            f"one ulp of k moves the dispersion residual by {floor:.3e} > "
+            f"{_DISPERSION_RTOL} (L={L}, c={c})"
         )
+    big_k = complete_K(k)
     a = math.sqrt(2.0) * k / math.sqrt(1.0 + k * k)
     b = 4.0 * big_k / L
     return WaveParameters(L=L, c=c, omega=omega, k=EllipticModulus(k), a=a, b=b)

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import snoidal.cli as cli
+import snoidal.evolution as evolution
+import snoidal.spectral as spectral
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -125,7 +127,7 @@ class TestSpectrumCommand:
         def boom(*a, **k):
             raise IndexMismatchError("synthetic")
 
-        monkeypatch.setattr(cli, "full_report", boom)
+        monkeypatch.setattr(spectral, "full_report", boom)
         assert cli.main(["spectrum", "--L", "3.14159", "--c", "0.95",
                          "--out", str(tmp_path / "x")]) == 3
 
@@ -232,6 +234,30 @@ class TestSweepCommand:
             "'--eps', '1e-3', '--seed', '1', '--out', 'st']) == 0; "
             "assert cli.main(['sweep', 's.cfg', '--out', 'sw', '--workers', '1']) == 0; "
             "loaded = {'concurrent.futures', 'multiprocessing'} & set(sys.modules); "
+            "assert not loaded, loaded"
+        )
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        subprocess.run([sys.executable, "-c", code], check=True, cwd=tmp_path,
+                       env={**os.environ, "PYTHONPATH": src})
+
+    @pytest.mark.parametrize("argv, unloaded", [
+        ("['wave', {wave}, '--N', '64', '--out', 'w']", ["spectral", "evolution"]),
+        ("['spectrum', {wave}, '--N', '64', '--out', 'sp']", ["evolution"]),
+        ("['stability', {wave}, '--N', '16', '--T', '0.05', '--eps', '1e-3', '--seed', '1', "
+         "'--out', 'st']", ["spectral"]),
+        ("['sweep', 's.cfg', '--out', 'sw', '--workers', '1']", ["spectral"]),
+    ], ids=["wave", "spectrum", "stability", "sweep"])
+    def test_command_loads_only_its_layers(self, argv, unloaded, tmp_path):
+        # cli imports errors and waves at the top, spectral only in spectrum
+        # and evolution only in evolve/stability
+        (tmp_path / "s.cfg").write_text("command = stability\nL = 3.14159\nc = 0.95\nN = 16\n"
+                                        "T = 0.05\ndt = 1e-3\neps = 1e-3,5e-4\nseed = 1\n")
+        argv = argv.format(wave="'--L', '3.14159', '--c', '0.95'")
+        modules = {f"snoidal.{name}" for name in unloaded}
+        code = (
+            "import sys; import snoidal.cli as cli; "
+            f"assert cli.main({argv}) == 0; "
+            f"loaded = {modules!r} & set(sys.modules); "
             "assert not loaded, loaded"
         )
         src = str(Path(cli.__file__).resolve().parent.parent)
@@ -471,7 +497,7 @@ class TestInputValidation:
             raise AssertionError("compute ran before the flags were checked")
 
         monkeypatch.setattr(cli, "solve_modulus", no_compute)
-        monkeypatch.setattr(cli, "full_report", no_compute)
+        monkeypatch.setattr(spectral, "full_report", no_compute)
         argv = [a.format(tmp=tmp_path) for a in argv]
         if "--out" not in argv:
             argv += ["--out", str(tmp_path / "o")]
@@ -553,14 +579,14 @@ class TestSweepRobustness:
         assert (tmp_path / "pl_0001.csv").exists()
 
     def test_job_that_raises_does_not_stop_the_sweep(self, tmp_path, monkeypatch, capsys):
-        exact = cli.full_report
+        exact = spectral.full_report
 
         def out_of_memory(L, c, N):
             if N == 96:
                 raise MemoryError("cannot allocate the operator")
             return exact(L, c, N)
 
-        monkeypatch.setattr(cli, "full_report", out_of_memory)
+        monkeypatch.setattr(spectral, "full_report", out_of_memory)
         cfg = tmp_path / "two.cfg"
         cfg.write_text("command = spectrum\nL = 3.14159\nc = 0.95\nN = 96,64\n")
         code = cli.main(["sweep", str(cfg), "--out", str(tmp_path / "om"), "--workers", "1"])
@@ -696,14 +722,14 @@ class TestSweepBatching:
             assert (tmp_path / f"u_0000{ext}").read_bytes() == (tmp_path / f"sib{ext}").read_bytes()
 
     def test_bad_flag_and_raising_jobs_fail_alone(self, tmp_path, monkeypatch, capsys):
-        exact = cli.perturbation_random
+        exact = evolution.perturbation_random
 
         def out_of_memory(L, N, seed):
             if seed == 2:
                 raise MemoryError("cannot allocate the perturbation")
             return exact(L, N, seed)
 
-        monkeypatch.setattr(cli, "perturbation_random", out_of_memory)
+        monkeypatch.setattr(evolution, "perturbation_random", out_of_memory)
         cfg = tmp_path / "f.cfg"
         # jobs (eps, seed): 0 (1e-3, 1), 1 (1e-3, -1), 2 (1e-3, 2), 3 (5e-4, 1), ...
         cfg.write_text(f"command = stability\n{self.BASE}eps = 1e-3,5e-4\nseed = 1,-1,2\n")
@@ -713,7 +739,7 @@ class TestSweepBatching:
         assert "sweep job 5 raised MemoryError" in err
         failures = self.failures(err)
         assert {idx: code for idx, (code, _) in failures.items()} == {1: 2, 2: 1, 4: 2, 5: 1}
-        monkeypatch.setattr(cli, "perturbation_random", exact)
+        monkeypatch.setattr(evolution, "perturbation_random", exact)
         for idx, bad in ((0, 1), (3, 4)):
             text = failures[bad][1].replace("--seed -1", "--seed 1")
             assert self.solo(text, tmp_path / "s") == 0

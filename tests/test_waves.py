@@ -73,6 +73,26 @@ class TestSolveModulus:
         with pytest.raises(ModulusBoundaryError):
             solve_modulus(math.pi, math.sqrt(1.0 - 0.02 * hi))
 
+    @pytest.mark.parametrize("L", [0.5, 1.0, 2.0, math.pi, 5.0, 6.2])
+    def test_small_omega_rejection_is_one_interval(self, L):
+        # the residual's rounding floor rises monotonically as omega falls,
+        # so one edge splits refused from accepted speeds, whatever the last
+        # bits of c; k depends on the fraction of the window alone, so the
+        # edge (measured: 0.0289246) is the same at every L
+        _, hi = admissible_omega_window(L)
+        fractions = np.linspace(0.005, 0.06, 221)
+        accepted = []
+        for fraction in fractions:
+            try:
+                solve_modulus(L, math.sqrt(1.0 - fraction * hi))
+            except ModulusBoundaryError:
+                accepted.append(False)
+            else:
+                accepted.append(True)
+        edge = accepted.index(True)
+        assert accepted == [False] * edge + [True] * (len(fractions) - edge)
+        assert 0.0285 < fractions[edge] <= 0.0295
+
     def test_speed_sign_irrelevant(self):
         plus = solve_modulus(math.pi, 0.95)
         minus = solve_modulus(math.pi, -0.95)
