@@ -437,7 +437,9 @@ def _check_args(args) -> None:
         if args.workers < 1:
             raise ValueError(f"--workers must be at least 1, got {args.workers}")
         return  # cmd_sweep checks each job's flags before any job runs
-    min_N = 64 if args.command == "spectrum" else 16
+    min_N = 16
+    if args.command == "spectrum":  # the grid floor of the layer it loads anyway
+        from .spectral import MIN_SPECTRUM_N as min_N
     if args.N < min_N or args.N % 2 != 0:
         raise ValueError(f"--N must be even and at least {min_N}, got {args.N}")
     if args.command not in ("evolve", "stability"):

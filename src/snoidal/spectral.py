@@ -141,9 +141,17 @@ KIND_LBLOCK_CONSTRAINED = "Lblock_constrained"
 # Zero-eigenvalue classification: tau_zero = ZERO_TOL_FACTOR * spectral radius.
 # The computed kernel eigenvalue scales like eps * spectral radius (observed
 # <= 1e-16 * radius across the admissible range), while the pair operator's
-# genuine small eigenvalues scale like omega = 1 - c^2 and can reach
-# 1.6e-8 * radius; 1e-12 splits the two regimes by >= 4 decades either way.
+# genuine small eigenvalues scale like omega = 1 - c^2.  They do not stay
+# clear of tau_zero, which grows like (N/L)^2: at L = pi and omega = 0.05 of
+# its window, Lblock's negative eigenvalue -6.92e-9 lies within 0.42, 0.11
+# and 0.03 tau_zero at N = 128, 256 and 512, so it is classified as zero,
+# z = 2, and `_check_solvable` raises (exit 3).  The value stays; the fix is
+# to classify on kinetically scaled blocks (ROADMAP, direction 1).
 ZERO_TOL_FACTOR = 1e-12
+
+# The smallest grid the spectrum pipeline accepts: full_report and
+# D1_numeric reject an N below it, and so does the CLI's `spectrum`.
+MIN_SPECTRUM_N = 64
 
 # Speed step of d_second_derivative's cross-check of d2, reported as parameters.dc.
 D2_SPEED_STEP = 1e-4
@@ -499,8 +507,8 @@ def D1_numeric(report: SpectralReport) -> float:
     if report.operator.kind != KIND_L1:
         raise ValueError(f"D1_numeric needs a report of kind L1, got {report.operator.kind}")
     N = report.eigenvalues.size
-    if N < 64 or N % 2 != 0:
-        raise ValueError(f"D1_numeric needs an even grid of at least 64 points, got {N}")
+    if N < MIN_SPECTRUM_N or N % 2 != 0:
+        raise ValueError(f"D1_numeric needs an even N of at least {MIN_SPECTRUM_N}, got {N}")
     return float(_phi_constant_solve(report, N))
 
 
@@ -613,8 +621,11 @@ def full_report(L: float, c: float, N: int) -> dict:
     d2, residuals, coercivity.  d2 is d''(c) in closed form, independent
     of N; parameters.dc is the speed step at which d_second_derivative
     cross-checks it.  The wave is solved and sampled once, and each
-    potential block is formed once for both assemblies.
+    potential block is formed once for both assemblies.  An N that is odd
+    or below MIN_SPECTRUM_N raises ValueError before any compute runs.
     """
+    if N < MIN_SPECTRUM_N or N % 2 != 0:
+        raise ValueError(f"full_report needs an even N of at least {MIN_SPECTRUM_N}, got {N}")
     wave = solve_modulus(L, c)
     m1 = assemble_L1(wave, N)
     mb = assemble_Lblock(wave, N)

@@ -121,6 +121,58 @@ class TestSpectrumCommand:
             assert code == 0
             check_spectrum(out)
 
+    def test_reports_at_both_nyquist_parities(self, tmp_path):
+        # N = 512 = 0 (mod 4) has an even Nyquist wavenumber N/2; at N = 130
+        # it is odd, and its cosine sits in a T-odd sector
+        recs = {}
+        for n in (512, 130):
+            assert cli.main(["spectrum", *WAVE, "--N", str(n), "--out", str(tmp_path / "s")]) == 0
+            text = (tmp_path / "s.json").read_text()
+            rec = recs[n] = json.loads(text)
+            assert text == json.dumps(rec, sort_keys=True, indent=2) + "\n"
+            counts = rec["counts"]
+            assert counts["L1"] == counts["Lblock"] == [1, 1]
+            assert counts["L1_constrained"] == counts["Lblock_constrained"] == [0, 1]
+            assert rec["n0"] == 1
+            sizes = {kind: len(values) for kind, values in rec["eigenvalues"].items()}
+            assert sizes == {"L1": n, "Lblock": 2 * n, "L1_constrained": n - 1,
+                             "Lblock_constrained": 2 * n - 2}
+            assert rec["residuals"]["D1_relative_gap"] <= 1e-13
+            # psi's constant is an exact eigenvector of Lblock, its own 1 x 1
+            # block [[1.0]], so D is diagonal and D[1][1] is the grid inner
+            # product (L/N) (sqrt(N))^2
+            assert 1.0 in rec["eigenvalues"]["Lblock"]
+            D, L_ = rec["Dmatrix"], rec["parameters"]["L"]
+            assert D[0][1] == D[1][0] == 0.0
+            assert abs(D[1][1] - L_) <= 1e-15 * L_
+        # d2 is d''(c) in closed form, so it does not depend on the grid
+        assert recs[512]["d2"] == recs[130]["d2"] < 0.0
+
+    def test_failed_eigensolve_maps_to_3(self, tmp_path, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError, which would otherwise read as exit 2
+        def unconverged(*a, **k):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", unconverged)
+        assert cli.main(["spectrum", *WAVE, "--N", "64", "--out", str(tmp_path / "x")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "internal consistency violation: eigensolve failed for kind L1: "
+            "Eigenvalues did not converge"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_grid_floor_is_the_spectral_layers(self, tmp_path, monkeypatch, capsys):
+        # the CLI's spectrum floor, full_report's and D1_numeric's are one constant
+        monkeypatch.setattr(spectral, "MIN_SPECTRUM_N", 96)
+        assert cli.main(["spectrum", *WAVE, "--N", "64", "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            "invalid parameters: --N must be even and at least 96, got 64\n")
+        with pytest.raises(ValueError, match="^full_report needs an even N of at least 96"):
+            spectral.full_report(3.14159, 0.95, 64)
+        wave = spectral.solve_modulus(3.14159, 0.95)
+        with pytest.raises(ValueError, match="^D1_numeric needs an even N of at least 96"):
+            spectral.D1_numeric(spectral.eigen_report(spectral.assemble_L1(wave, 64)))
+        assert list(tmp_path.iterdir()) == []
+
     def test_index_mismatch_maps_to_3(self, tmp_path, monkeypatch):
         from snoidal.spectral import IndexMismatchError
 
@@ -192,6 +244,31 @@ class TestEvolveCommands:
         assert code == 4
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("blow-up at t = ")
+
+    # eps = 100 leaves the sup-norm ceiling at the first kick; at 1e200 phi^2
+    # overflows to inf, and at 1e308 the t = 0 state itself overflows, so
+    # the first kick's phi is nan
+    @pytest.mark.parametrize("eps, sup", [("100", "24.0178"), ("1e200", "inf"),
+                                          ("1e308", "nan")])
+    def test_blowup_line_names_the_kick_and_the_ceiling(self, tmp_path, capsys, eps, sup):
+        code = cli.main(["stability", *WAVE, "--N", "128", "--T", "1", "--dt", "1e-3",
+                         "--eps", eps, "--seed", "1", "--out", str(tmp_path / "blow")])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            f"blow-up at t = 0.0005: ||phi||_inf = {sup} exceeded ceiling 8.75982 "
+            "at t = 0.0005\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_odd_nyquist_grid_conserves_E_and_F(self, tmp_path):
+        # N = 130: N/2 = 65 is odd, and the Strang step's transforms are
+        # numpy's pocketfft ufuncs
+        assert cli.main(["stability", *WAVE, "--N", "130", "--T", "0.2", "--dt", "1e-3",
+                         "--eps", "1e-3", "--seed", "1", "--out", str(tmp_path / "st")]) == 0
+        trace = np.loadtxt(tmp_path / "st.csv", delimiter=",", skiprows=1)
+        assert trace.shape == (201, 6)
+        for col in (1, 2):  # E, F
+            drift = np.max(np.abs(trace[:, col] - trace[0, col])) / abs(trace[0, col])
+            assert drift <= 1e-6, col
 
     def test_unprojected_flag(self, tmp_path):
         out = str(tmp_path / "up")
@@ -268,6 +345,23 @@ class TestSweepCommand:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("L = 1.0\n")  # no command
         assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("command = wave\nL 3.14159\n", "{cfg}:2: expected 'key = value', got 'L 3.14159\\n'"),
+        ("command = sweep\nL = 3.14159\n", "{cfg}: cannot sweep command 'sweep'"),
+    ], ids=["no-equals-sign", "sweep-of-sweeps"])
+    def test_malformed_config_exits_2_before_any_job(self, text, message, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"invalid parameters: {message.format(cfg=cfg)}\n"
+        assert list(tmp_path.glob("x*")) == []
+
+    def test_default_out_prefix_names_the_command(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["wave", "--L", "3.14159", "--c", "0.95", "--N", "64"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["snoidal_wave.csv",
+                                                              "snoidal_wave.json"]
 
     def test_failing_job_propagates_worst_code(self, tmp_path, capsys):
         cfg = tmp_path / "mix.cfg"
@@ -703,7 +797,7 @@ class TestSweepBatching:
 
     # at 3e307 and 1e308 the t = 0 state or its rfft overflows, and the
     # suite's RuntimeWarnings-as-errors would fail the job with exit 1
-    @pytest.mark.parametrize("eps", ["100", "3e307", "1e308"])
+    @pytest.mark.parametrize("eps", ["100", "1e200", "3e307", "1e308"])
     def test_blowup_member_exits_4_alone(self, eps, tmp_path, capsys):
         cfg = tmp_path / "u.cfg"
         cfg.write_text(f"command = stability\n{self.BASE}eps = 1e-3,{eps}\nseed = 1\n")
@@ -720,6 +814,29 @@ class TestSweepBatching:
         assert self.solo(sibling, tmp_path / "sib") == 0
         for ext in (".csv", ".json"):
             assert (tmp_path / f"u_0000{ext}").read_bytes() == (tmp_path / f"sib{ext}").read_bytes()
+
+    # the member that blows up sits in the middle of three, or overflows at
+    # t = 0 first of two; the batch goes on without it
+    @pytest.mark.parametrize("eps, bad", [("1e-3,100,2e-4", 1), ("1e308,1e-3", 0)],
+                             ids=["middle_of_3", "first_of_2"])
+    def test_blowup_member_leaves_the_batch_at_any_row(self, eps, bad, tmp_path, capsys):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(f"command = stability\n{self.BASE}eps = {eps}\nseed = 1\n")
+        assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "m")]) == 4
+        err = capsys.readouterr().err
+        [(idx, (code, text))] = self.failures(err).items()
+        assert (idx, code) == (bad, 4) and list(tmp_path.glob(f"m_{bad:04d}*")) == []
+        assert self.solo(text, tmp_path / "alone") == 4
+        [solo_line] = capsys.readouterr().err.splitlines()
+        assert err == f"{solo_line}\nsweep job {bad} failed with exit 4: {text}\n"
+        amplitudes = eps.split(",")
+        for idx, amplitude in enumerate(amplitudes):
+            if idx != bad:
+                sibling = text.replace(f"--eps {amplitudes[bad]}", f"--eps {amplitude}")
+                assert self.solo(sibling, tmp_path / "sib") == 0
+                for ext in (".csv", ".json"):
+                    assert (tmp_path / f"m_{idx:04d}{ext}").read_bytes() == \
+                        (tmp_path / f"sib{ext}").read_bytes()
 
     def test_bad_flag_and_raising_jobs_fail_alone(self, tmp_path, monkeypatch, capsys):
         exact = evolution.perturbation_random
@@ -760,6 +877,31 @@ class TestSweepBatching:
         cfg.write_text(f"command = evolve\n{self.BASE}eps = 1e-3\nseed = 1,2,-3\n")
         assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert len(seen) == 1 and "--seed must be nonnegative, got -3" in seen[0]
+
+    def test_batches_in_a_real_pool_match_one_worker(self, tmp_path, monkeypatch):
+        # 2 eps x 2 seeds form one group, which 2 workers split into two
+        # batches, each run in a process of a real pool
+        from concurrent.futures import ProcessPoolExecutor
+
+        started = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text("command = stability\nL = 3.14159\nc = 0.95\nN = 64\nT = 0.01\n"
+                       "dt = 1e-3\neps = 1e-3,5e-4\nseed = 1,2\n")
+        for workers in ("2", "1"):
+            assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / f"w{workers}"),
+                             "--workers", workers]) == 0
+        assert started == [2]
+        for idx in range(4):
+            for ext in (".csv", ".json"):
+                pooled = (tmp_path / f"w2_{idx:04d}{ext}").read_bytes()
+                assert pooled == (tmp_path / f"w1_{idx:04d}{ext}").read_bytes(), (idx, ext)
 
     @pytest.mark.parametrize("workers, pool, units", [
         (1, None, [[0, 1, 2], [3, 4, 5]]),

@@ -600,6 +600,16 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(wave, (p, q), math.inf, 1.0, 1e-3, 10, N=64)
 
+    def test_sample_every_below_one_rejected(self, wave, monkeypatch):
+        import snoidal.evolution as evolution
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sample_wave ran before the inputs were checked")
+
+        monkeypatch.setattr(evolution, "sample_wave", unreachable)
+        with pytest.raises(ValueError, match="^sample_every must be at least 1, got 0$"):
+            run_experiment(wave, None, 0.0, 1.0, 1e-3, 0, N=N)
+
     @pytest.mark.parametrize("T", [-5.0, 0.0105])
     def test_horizon_not_a_whole_number_of_steps_rejected(self, wave, T):
         with pytest.raises(ValueError):
@@ -691,6 +701,22 @@ class TestBatch:
         for m in range(0, B, B // 16):
             solo = run_experiment(wave, pairs[m], amplitudes[m], 0.1, 1e-3, 1, N=256)
             assert self.same_bits(traces[m].samples, solo.samples), m
+
+    @pytest.mark.parametrize("projected", [True, False])
+    def test_members_match_solo_runs_when_a_sample_spans_check_chunks(self, projected):
+        # 80 steps per sample: every advance call runs a full chunk of
+        # _CHECK_KICKS kicks and a partial one, three blocks in a row
+        every = 80
+        assert every > _CHECK_KICKS
+        wave = solve_modulus(3.14159, 0.95)
+        amplitudes = [1e-3, 5e-4, 2e-4]
+        pairs = [perturbation_random(wave.L, 64, 1)] * 3
+        traces = run_experiment(wave, pairs, amplitudes, 0.24, 1e-3, every, N=64,
+                                projected=projected)
+        for trace, eps, pair in zip(traces, amplitudes, pairs):
+            assert trace.samples.shape == (4, 6)
+            solo = run_experiment(wave, pair, eps, 0.24, 1e-3, every, N=64, projected=projected)
+            assert self.same_bits(trace.samples, solo.samples)
 
     def test_large_advance_batch_rows_match_single_calls(self):
         # the stepper's rotation tables are real values stored complex, so its
@@ -843,6 +869,12 @@ class TestBufferedAdvance:
             ph, pt = self.states(wave, rows)
             got = stepper.advance(ph, pt, 7, 0.0)
             assert self.same_bits(got, reference_advance(stepper, ph, pt, 7, 0.0))
+
+    @pytest.mark.parametrize("nsteps", [0, -1])
+    def test_no_steps_return_the_inputs(self, wave, nsteps):
+        ph, pt = self.states(wave, 3)
+        got = SplitStepper(L, N, 1e-3, ceiling=20.0).advance(ph, pt, nsteps, 0.25)
+        assert got[0] is ph and got[1] is pt
 
     @pytest.mark.parametrize("rows", [None, 3])
     def test_inputs_untouched_and_unshared(self, wave, rows):
@@ -1089,3 +1121,10 @@ class TestStateInvariants:
         rows[:, 0] = [0.0, 1.0, 1.0]
         with pytest.raises(ValueError):
             EvolutionTrace(rows)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (3, 7), (6,)])
+    def test_trace_requires_six_columns(self, shape):
+        from snoidal.evolution import EvolutionTrace
+
+        with pytest.raises(ValueError, match="^trace rows must have 6 columns$"):
+            EvolutionTrace(np.zeros(shape))

@@ -14,6 +14,7 @@ from snoidal.elliptic import jacobi_sn_cn_dn
 from snoidal.spectral import (
     KIND_L1,
     KIND_LBLOCK,
+    MIN_SPECTRUM_N,
     ZERO_TOL_FACTOR,
     D1_closed,
     D1_numeric,
@@ -777,6 +778,13 @@ class TestConstrainedOperators:
         vals = report.eigenvalues
         assert abs(c_val - vals[1]) <= 1e-12
 
+    def test_coercivity_needs_a_one_dimensional_kernel(self, op_Lblock):
+        report = dataclasses.replace(eigen_report(constrain_zero_mean(op_Lblock)), z=2)
+        with pytest.raises(SingularSystemError,
+                           match="^coercivity constant needs a one-dimensional kernel, "
+                                 "found z = 2$"):
+            coercivity_constant(report)
+
     def test_unknown_kind_rejected(self, op_L1):
         with pytest.raises(ValueError):
             constrain_zero_mean(constrain_zero_mean(op_L1))
@@ -968,6 +976,23 @@ class TestFullReport:
         assert calls == {"eigh": 0, "eigvalsh": 11, "solve": 2, "assemble_L1": 1,
                          "assemble_Lblock": 1, "sample_wave": 1, "solve_modulus": 1,
                          "_potential": 4}
+
+    @pytest.mark.parametrize("N", [16, 32, 62, 65])
+    def test_grid_checked_before_any_compute(self, monkeypatch, N):
+        # a grid that is only too small is invalid input, refused before the
+        # wave is solved: left to the pipeline, N = 16 fails the kernel
+        # classification (exit 3's class) and 32 or 62 fail D1_numeric after
+        # all 11 eigensolves
+        import snoidal.spectral as spectral
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("compute ran before the grid was checked")
+
+        monkeypatch.setattr(spectral, "solve_modulus", no_compute)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_compute)
+        with pytest.raises(ValueError, match=f"^full_report needs an even N of at least "
+                                             f"{MIN_SPECTRUM_N}, got {N}$"):
+            full_report(L_CANON, C_CANON, N)
 
     def test_shared_arrays_are_read_only(self):
         # the memoized samples, wavenumbers, potential blocks, modes (psi's

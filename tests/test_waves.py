@@ -117,6 +117,12 @@ class TestSolveModulus:
         with pytest.raises(ValueError):
             replace(wave, omega=wave.omega * (1.0 + 1e-6))
 
+    def test_period_speed_relation_checked_at_its_own_tolerance(self, wave):
+        # L off by 1e-11 passes b L = 4 K(k) at 1e-10, but not the period-speed
+        # relation at 1e-12
+        with pytest.raises(ValueError, match="period-speed relation violated"):
+            replace(wave, L=wave.L * (1.0 + 1e-11))
+
 
 class TestProfile:
     def test_origin_values(self, wave):
