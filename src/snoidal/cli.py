@@ -45,7 +45,11 @@ Only `wave` takes --format; the other commands write the one format they
 have.
 
 All floating-point output uses shortest round-trip decimal strings, so a
-repeated run with the same flags and seed is byte-identical.  Every JSON
+repeated run with the same flags and seed is byte-identical.  `wave`'s CSV
+formats h, h1 and h2 on the quarter period only: `sample_wave` fills the
+rest of the grid by the wave's symmetries, and the CSV takes those cells'
+strings in reverse order or negated as text, the bytes `repr` would give
+them.  Every JSON
 file holds the bytes `json.dump(obj, fh, sort_keys=True, indent=2)` writes,
 plus a newline, built as one string and written in one call; its lists and
 dicts of scalars, and lists of such dicts, go through the standard library's
@@ -74,7 +78,7 @@ from .errors import (
     OutOfRangeError,
     SingularSystemError,
 )
-from .waves import grid_points, ode_residual, sample_wave, solve_modulus
+from .waves import REFLECTION_SIGNS, grid_points, ode_residual, sample_wave, solve_modulus
 
 __all__ = ["main", "build_parser"]
 
@@ -142,26 +146,78 @@ def _write_json(path: str, obj) -> None:
 
 
 _CSV_BLOCK_ROWS = 1024
+_WAVE_BLOCK_ROWS = 256  # a wave block holds its h, h1, h2 cells as lists at once
 
 
 def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
-    """Write the 2-D array `rows` under `header`: one line per row, each value's `repr`.
+    """Write the table `rows` under `header`, one line per row.
 
-    After the header line the table goes out in blocks of `_CSV_BLOCK_ROWS`
-    rows, one `write` each.  A block's cells are grouped into lines by
-    `zip`ping one iterator once per column, so no Python code runs per row or
-    per value; the bytes are those of a row-by-row `",".join(map(repr, row))`
-    loop.  A table that is not 2-D, an empty header, or a width other than
-    the header's raises `ValueError` before the file is opened.
+    `rows` is a 2-D array, each value written as its `repr`, or an iterable
+    of text blocks of whole lines, each written as it comes.  After the
+    header line an array goes out in blocks of `_CSV_BLOCK_ROWS` rows, one
+    `write` each.  A block's cells are grouped into lines by `zip`ping one
+    iterator once per column, so no Python code runs per row or per value;
+    the bytes are those of a row-by-row `",".join(map(repr, row))` loop.  An
+    array that is not 2-D, an empty header, or a width other than the
+    header's raises `ValueError` before the file is opened.
     """
-    if rows.ndim != 2 or rows.shape[1] != len(header) or not header:
-        raise ValueError(f"a CSV table under {len(header)} column names must be "
-                         f"2-D with {len(header)} columns, got shape {rows.shape}")
+    if isinstance(rows, np.ndarray):
+        if rows.ndim != 2 or rows.shape[1] != len(header) or not header:
+            raise ValueError(f"a CSV table under {len(header)} column names must be "
+                             f"2-D with {len(header)} columns, got shape {rows.shape}")
+        rows = _table_blocks(rows)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-            cells = map(repr, rows[start:start + _CSV_BLOCK_ROWS].ravel().tolist())
-            fh.write("\n".join(map(",".join, zip(*[cells] * len(header)))) + "\n")
+        for block in rows:
+            fh.write(block)
+
+
+def _table_blocks(rows):
+    """The lines of the 2-D array `rows`, `_CSV_BLOCK_ROWS` rows a block."""
+    for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+        cells = map(repr, rows[start:start + _CSV_BLOCK_ROWS].ravel().tolist())
+        yield "\n".join(map(",".join, zip(*[cells] * rows.shape[1]))) + "\n"
+
+
+def _joined(values):
+    """The `repr`s of `values` joined by commas, and where each one starts.
+
+    The offsets end with one past the text's end, so cells i..j-1 are
+    `text[offsets[i]:offsets[j] - 1]`.
+    """
+    cells = list(map(repr, values.tolist()))
+    return ",".join(cells), np.cumsum([0, *map(len, cells)]) + np.arange(len(cells) + 1)
+
+
+def _wave_blocks(x, samples):
+    """The lines of the wave table (x, h, h', h''), with one `repr` per quarter-period cell.
+
+    `sample_wave` fills each column from x_j, j <= N // 4, by the reflection
+    f_{N/2 - j} = s f_j and the shift f_{j + N/2} = -f_j, so every other cell
+    is a quarter cell's string in reverse order or negated as text:
+    repr(-v) is "-" + repr(v), or repr(v) without its "-" for a negative v.
+    Each quarter column is held as one comma-joined string and its cells'
+    offsets, and each block splits off only its own cells.  x has no such
+    symmetry; its cells are formatted per block.  Blocks hold at most
+    `_WAVE_BLOCK_ROWS` rows and do not cross a quarter period.
+    """
+    N = len(x)
+    quarter, half = N // 4, N // 2
+    columns = [_joined(f[:quarter + 1]) for f in samples]
+    for shift in (0, half):
+        for lo, hi, step in ((0, quarter + 1, 1), (quarter + 1, half, -1)):
+            for start in range(lo, hi, _WAVE_BLOCK_ROWS):
+                stop = min(start + _WAVE_BLOCK_ROWS, hi)
+                # the block's rows map to quarter cells i..j-1, in the order of step
+                i, j = (start, stop) if step > 0 else (half + 1 - stop, half + 1 - start)
+                block = [map(repr, x[shift + start:shift + stop].tolist())]
+                for (text, offsets), s in zip(columns, REFLECTION_SIGNS):
+                    piece = text[offsets[i]:offsets[j] - 1]
+                    # the shift negates, and so does the reflection where s = -1
+                    if (shift > 0) != (step < 0 and s < 0):
+                        piece = ("-" + piece.replace(",", ",-")).replace("--", "")
+                    block.append(piece.split(",")[::step])
+                yield "\n".join(map(",".join, zip(*block))) + "\n"
 
 
 def _metadata(args, wave, **extra) -> dict:
@@ -184,13 +240,13 @@ def _metadata(args, wave, **extra) -> dict:
 def cmd_wave(args) -> int:
     wave = solve_modulus(args.L, args.c)
     samples = sample_wave(wave, args.N)
-    rows = np.column_stack([grid_points(wave.L, args.N), *samples])
+    x = grid_points(wave.L, args.N)
     residual = ode_residual(wave, samples)
     if args.format == "csv":
-        _write_csv(args.out + ".csv", ("x", "h", "h1", "h2"), rows)
+        _write_csv(args.out + ".csv", ("x", "h", "h1", "h2"), _wave_blocks(x, samples))
     else:
-        _write_json(args.out + "_samples.json",
-                    [dict(zip(("x", "h", "h1", "h2"), row)) for row in rows])
+        _write_json(args.out + "_samples.json", [dict(zip(("x", "h", "h1", "h2"), row))
+                                                 for row in np.column_stack([x, *samples])])
     _write_json(args.out + ".json", _metadata(args, wave, a=wave.a, b=wave.b,
                                                ode_residual=residual,
                                                format=args.format))

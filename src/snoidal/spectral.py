@@ -50,9 +50,9 @@ In these modes the derivatives are diagonal: -d2/dx2 is xi_n^2 with xi from
 xi_n cos_n (the Nyquist cosine to zero, as the grid D1 does).  The
 potential v = 3 h^2 - 1 couples modes n and m by
 (1/2) w_n w_m (V[|n - m|] +/- V[min(n + m, N - n - m)]), V = Re rfft(v), +
-between cosines and - between sines.  Only the cosine sums of v enter, so
-its R-odd roundoff drops out, and only even n +/- m, so its T-odd roundoff
-does too.
+between cosines and - between sines.  `sample_wave` fills the grid by the
+wave's symmetries, so v = 3 h^2 - 1 is exactly even and L/2-periodic on the
+grid; the couplings read only the cosine sums V, and only at even n +/- m.
 
 Zero-mean companions: the mean-free fields are the span of every mode but
 the n = 0 cosines, so one rule serves both operators: keep the four

@@ -59,7 +59,7 @@ class TestWaveCommand:
         assert from_json.tobytes() == expected.tobytes()
 
     def test_one_sn_call(self, tmp_path, monkeypatch):
-        # the rows and the ODE residual read one evaluation of the profile
+        # the rows and the ODE residual read one evaluation of the quarter period
         import snoidal.waves as waves
 
         sizes = []
@@ -72,7 +72,7 @@ class TestWaveCommand:
         monkeypatch.setattr(waves, "jacobi_sn_cn_dn", counting)
         assert cli.main(["wave", "--L", "3.14159", "--c", "0.95", "--N", "1024",
                          "--out", str(tmp_path / "wv")]) == 0
-        assert sizes == [1024]
+        assert sizes == [1024 // 4 + 1]
         assert len((tmp_path / "wv.csv").read_text().splitlines()) == 1025
 
     def test_inadmissible_speed_exits_2(self, tmp_path, capsys):
@@ -555,6 +555,27 @@ class TestCsvWriter:
         with pytest.raises(ValueError, match="column names"):
             cli._write_csv(str(path), header, np.zeros(shape))
         assert not path.exists()
+
+    @pytest.mark.parametrize("block", [1, 3, 256])
+    @pytest.mark.parametrize("N", [16, 18, 64, 66, 130, 1000, 2050, 8192])
+    def test_wave_from_its_quarter_period(self, N, block, tmp_path, monkeypatch):
+        # the quarter's strings, reversed and negated as text, give the bytes
+        # of the array writer on the stacked samples; small blocks put a
+        # boundary on every row
+        from snoidal.waves import grid_points, sample_wave, solve_modulus
+
+        monkeypatch.setattr(cli, "_WAVE_BLOCK_ROWS", block)
+        wave = solve_modulus(3.14159, 0.95)
+        rows = np.column_stack([grid_points(wave.L, N), *sample_wave(wave, N)])
+        cli._write_csv(str(tmp_path / "a.csv"), ("x", "h", "h1", "h2"), rows)
+        assert cli.main(["wave", "--L", "3.14159", "--c", "0.95", "--N", str(N),
+                         "--out", str(tmp_path / "w")]) == 0
+        got = (tmp_path / "w.csv").read_bytes()
+        assert got == (tmp_path / "a.csv").read_bytes()
+        # x = L/2 carries h = -h(0) = -0.0, and x = 0 carries h = 0.0
+        lines = got.decode().splitlines()
+        assert lines[1].split(",")[:2] == ["0.0", "0.0"]
+        assert lines[N // 2 + 1].split(",")[1] == "-0.0"
 
     def test_wave_across_blocks(self, tmp_path):
         # N = 2050 is two full blocks and 2 rows

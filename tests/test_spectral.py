@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
+import snoidal.evolution as evolution
+import snoidal.spectral as spectral
 from snoidal.elliptic import jacobi_sn_cn_dn
 from snoidal.spectral import (
     KIND_L1,
@@ -45,7 +47,14 @@ from snoidal.spectral import (
     _sector_parts,
     _to_sector,
 )
-from snoidal.waves import OutOfRangeError, grid_points, sample_wave, solve_modulus
+from snoidal.waves import (
+    OutOfRangeError,
+    admissible_omega_window,
+    grid_points,
+    profile_eval,
+    sample_wave,
+    solve_modulus,
+)
 
 L_CANON, C_CANON = math.pi, 0.95
 # Speed at L = pi whose modulus is exactly 1/2 (from the period relation).
@@ -1241,3 +1250,53 @@ class TestFiniteGap:
             m = min(even.size, odd.size) // 4
             assert m >= N // 32 - 1
             assert np.max(np.abs(even[:m] - odd[:m]) / odd[:m]) <= 1e-11
+
+
+class TestSymmetricSampling:
+    """`sample_wave` fills three quarters of the grid by the wave's symmetries;
+    restoring pointwise sampling moves the spectra and the flow by roundoff
+    only."""
+
+    POINTS = [(math.pi, 0.5), (2.0, 0.3), (5.0, 0.7), (4.0, 0.9), (3.0, 0.2), (2.5, 0.6)]
+
+    @staticmethod
+    def pointwise(wave, N):
+        return profile_eval(wave, grid_points(wave.L, N))
+
+    def test_reports_match_pointwise_sampling(self, monkeypatch):
+        # measured: eigenvalues within 4.5e-15 of the spectral radius and
+        # D1_numeric within 4.6e-14 relative
+        def report(L, fraction, N, sampler):
+            monkeypatch.setattr(spectral, "sample_wave", sampler)
+            _sector_parts.cache_clear()
+            c = math.sqrt(1.0 - fraction * admissible_omega_window(L)[1])
+            return full_report(L, c, N)
+
+        for L, fraction in self.POINTS:
+            for N in (128, 256, 512):
+                exact = report(L, fraction, N, self.pointwise)
+                filled = report(L, fraction, N, sample_wave)
+                for key in ("counts", "n0", "z0"):
+                    assert filled[key] == exact[key]
+                for kind, values in exact["eigenvalues"].items():
+                    values = np.array(values)
+                    radius = np.max(np.abs(values))
+                    assert np.max(np.abs(np.array(filled["eigenvalues"][kind]) - values)) \
+                        <= 1e-13 * radius
+                assert abs(filled["D1_numeric"] - exact["D1_numeric"]) \
+                    <= 1e-12 * abs(exact["D1_numeric"])
+
+    def test_flow_matches_pointwise_sampling(self, monkeypatch):
+        # measured: E and F within 9.3e-16 and the orbit distance within
+        # 1.4e-13 of each column's largest value; the orbit distance is a
+        # difference of O(1) fields, so at eps = 1e-3 the same roundoff
+        # reads 5e-13 to 8e-13 of it
+        wave = solve_modulus(L_CANON, C_CANON)
+        pair = evolution.perturbation_random(wave.L, 128, 1)
+        traces = []
+        for sampler in (self.pointwise, sample_wave):
+            monkeypatch.setattr(evolution, "sample_wave", sampler)
+            traces.append(evolution.run_experiment(wave, pair, 1e-2, 1.0, 1e-3, 50, N=128))
+        for name in ("E", "F", "orbit_distance"):
+            exact, filled = (trace.column(name) for trace in traces)
+            assert np.max(np.abs(filled - exact)) <= 1e-12 * np.max(np.abs(exact))

@@ -173,6 +173,7 @@ class TestSampling:
         assert np.max(np.abs(spectral_derivative(h, wave.L) - h1)) <= 1e-8
 
     def test_one_sn_call_on_the_grid(self, wave, monkeypatch):
+        # one call on the quarter period x_j, j <= N // 4, bit for bit profile_eval there
         sizes = []
         real = waves.jacobi_sn_cn_dn
 
@@ -181,11 +182,41 @@ class TestSampling:
             return real(u, k)
 
         monkeypatch.setattr(waves, "jacobi_sn_cn_dn", counting)
-        h, h1, h2 = sample_wave(wave, 1024)
-        assert sizes == [1024]
-        x = grid_points(wave.L, 1024)
-        for j in (0, 1, 333, 1023):
-            assert (h[j], h1[j], h2[j]) == profile_eval(wave, x[j])
+        for N in (1024, 1026):
+            sizes.clear()
+            samples = sample_wave(wave, N)
+            assert sizes == [N // 4 + 1]
+            quarter = profile_eval(wave, grid_points(wave.L, N)[:N // 4 + 1])
+            for f, q in zip(samples, quarter):
+                assert f[:N // 4 + 1].tobytes() == q.tobytes()
+
+    @pytest.mark.parametrize("N", [16, 18, 64, 66, 130, 1024, 2050, 8192])
+    def test_symmetries_hold_bit_for_bit(self, wave, N):
+        # the half-period shift f_{j + N/2} = -f_j and the reflection
+        # f_{N/2 - j} = s f_j, for every index pair the reflection does not fix
+        half = N // 2
+        j = np.array([j for j in range(1, half) if 2 * j != half])
+        for f, s in zip(sample_wave(wave, N), waves.REFLECTION_SIGNS):
+            assert f[half:].tobytes() == (-f[:half]).tobytes()
+            assert f[half - j].tobytes() == (s * f[j]).tobytes()
+        h, h1, _ = sample_wave(wave, N)
+        # h(L/2) = -h(0): the sign of zero is the shift's
+        assert h[0] == 0.0 and not np.signbit(h[0])
+        assert h[half] == 0.0 and np.signbit(h[half])
+        if N % 4 == 0:  # h'(L/4) keeps cn(K)'s evaluated residue
+            assert abs(h1[N // 4]) <= 1e-15 * np.max(np.abs(h1))
+
+    def test_close_to_pointwise_across_the_window(self):
+        # the filled samples against profile_eval at every grid point; the
+        # largest measured deviation is 2.73e-14 of max |f| (h'' at L = pi,
+        # fraction 0.03, N = 8192), where k is nearest 1
+        for L in (0.5, 1.0, 2.0, math.pi, 5.0, 6.2):
+            for c in speeds_for(L, (0.03, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999)):
+                w = solve_modulus(L, c)
+                for N in (16, 18, 130, 1024, 8192):
+                    exact = profile_eval(w, grid_points(w.L, N))
+                    for f, g in zip(sample_wave(w, N), exact):
+                        assert np.max(np.abs(f - g)) <= 1e-13 * np.max(np.abs(g))
 
     def test_odd_sample_count_rejected(self, wave):
         with pytest.raises(ValueError):
