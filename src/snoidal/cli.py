@@ -149,31 +149,22 @@ _CSV_BLOCK_ROWS = 1024
 _WAVE_BLOCK_ROWS = 256  # a wave block holds its h, h1, h2 cells as lists at once
 
 
-def _write_csv(path: str, header: tuple[str, ...], rows) -> None:
-    """Write the table `rows` under `header`, one line per row.
-
-    `rows` is a 2-D array, each value written as its `repr`, or an iterable
-    of text blocks of whole lines, each written as it comes.  After the
-    header line an array goes out in blocks of `_CSV_BLOCK_ROWS` rows, one
-    `write` each.  A block's cells are grouped into lines by `zip`ping one
-    iterator once per column, so no Python code runs per row or per value;
-    the bytes are those of a row-by-row `",".join(map(repr, row))` loop.  An
-    array that is not 2-D, an empty header, or a width other than the
-    header's raises `ValueError` before the file is opened.
-    """
-    if isinstance(rows, np.ndarray):
-        if rows.ndim != 2 or rows.shape[1] != len(header) or not header:
-            raise ValueError(f"a CSV table under {len(header)} column names must be "
-                             f"2-D with {len(header)} columns, got shape {rows.shape}")
-        rows = _table_blocks(rows)
+def _write_csv(path: str, header: tuple[str, ...], blocks) -> None:
+    """Write `header` as one comma-joined line, then each text block of whole lines as it comes."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for block in rows:
+        for block in blocks:
             fh.write(block)
 
 
 def _table_blocks(rows):
-    """The lines of the 2-D array `rows`, `_CSV_BLOCK_ROWS` rows a block."""
+    """The lines of the 2-D array `rows`, `_CSV_BLOCK_ROWS` rows a block.
+
+    Each value is written as its `repr`.  A block's cells are grouped into
+    lines by `zip`ping one iterator once per column, so no Python code runs
+    per row or per value; the bytes are those of a row-by-row
+    `",".join(map(repr, row))` loop.
+    """
     for start in range(0, len(rows), _CSV_BLOCK_ROWS):
         cells = map(repr, rows[start:start + _CSV_BLOCK_ROWS].ravel().tolist())
         yield "\n".join(map(",".join, zip(*[cells] * rows.shape[1]))) + "\n"
@@ -289,7 +280,7 @@ def cmd_evolve(args, run=None) -> int:
     wave, sample_every, trace = run or _evolve_batch([args])[0]
     if isinstance(trace, BlowUpError):
         raise trace
-    _write_csv(args.out + ".csv", TRACE_COLUMNS, trace.samples)
+    _write_csv(args.out + ".csv", TRACE_COLUMNS, _table_blocks(trace.samples))
     extra = {"sample_every": sample_every}
     if args.command == "stability":
         max_dist = float(np.max(trace.column("orbit_distance")))

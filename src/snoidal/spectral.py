@@ -90,12 +90,13 @@ the 2x2 D = diag(D1, L) for Lblock.
 The wave's samples, xi and the potential block of each character are
 built once per (wave, N) and shared, read-only, by both assemblies and the
 closed-form eigenpairs, so one report samples the wave once and forms four
-potential blocks.  The wave-independent tables, the potential's index
-arrays and Lblock's coupling rows and columns, are built once per
-(N, character), read-only.  The slope condition d''(c) of Grillakis, Shatah &
-Strauss is taken in closed form from K, E and dK/dk through the period
-relation; `d_second_derivative`'s central difference is its independent
-check.
+potential blocks.  No index table is kept: a sector's wavenumbers step by
+2, so each potential block is a Toeplitz view plus a Hankel view of two
+rows of 2 p - 1 entries of V, and Lblock's phi-psi coupling runs over one
+range of shared wavenumbers, both formed at assembly.  The slope condition
+d''(c) of Grillakis, Shatah & Strauss is taken in closed form from K, E
+and dK/dk through the period relation; `d_second_derivative`'s central
+difference is its independent check.
 """
 
 from __future__ import annotations
@@ -274,33 +275,30 @@ def _to_sector(f: np.ndarray, chars: tuple) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _index_tables(N: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Read-only copies of the N-point grid's wavenumber or row arrays in the
-    smallest integer dtype that holds N/2 + 1, so the memos stay small."""
-    tables = tuple(a.astype(np.min_scalar_type(N // 2 + 1)) for a in arrays)
-    for a in tables:
-        a.setflags(write=False)
-    return tables
-
-
-@functools.lru_cache(maxsize=16)
-def _potential_indices(N: int, char: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(|n - m|, min(n + m, N - n - m)) over the modes n, m of character char,
-    built once per (N, char) by _index_tables."""
-    n = _modes(N, char)[0]
-    total = n[:, None] + n[None, :]
-    return _index_tables(N, np.abs(n[:, None] - n[None, :]), np.minimum(total, N - total))
-
-
 def _potential(V: np.ndarray, N: int, char: tuple) -> np.ndarray:
     """Block of the multiplication by v between the modes of character char, V = Re rfft(v).
 
     Entry (n, m) is (1/2) w_n w_m (V[|n - m|] +/- V[min(n + m, N - n - m)]),
     + between cosines and - between sines: bit-symmetric by construction.
+    The p modes step by 2, n_i = n_0 + 2 i, so the first term depends on
+    j - i alone and the second on i + j alone: each is a (p, p) view of
+    one row of 2 p - 1 gathered entries, Toeplitz with strides (-1, 1)
+    from the row's middle and Hankel with strides (1, 1) from its start.
+    Every index i +/- j then lies within 0..2 p - 2, so both views read
+    only inside their rows.  The `np.ndarray` constructor checks that
+    bound, negative strides included; numpy's stride tricks do not, and a
+    view built with V's own stride (V is a .real view of complex data, 16
+    bytes a step) reads out of bounds.  The rows are gathered copies, so
+    the views step by their itemsize.
     """
-    _, sine, w = _modes(N, char)
-    # np.take casts the narrow indices faster than V[i] does
-    diff, wrapped = (np.take(V, i) for i in _potential_indices(N, char))
+    n, sine, w = _modes(N, char)
+    p = n.size
+    k = np.arange(2 * p - 1)
+    s = 2 * (n[0] + k)
+    diff, wrapped = V[2 * np.abs(k - (p - 1))], V[np.minimum(s, N - s)]
+    step = diff.itemsize
+    diff = np.ndarray((p, p), float, diff, (p - 1) * step, (-step, step))
+    wrapped = np.ndarray((p, p), float, wrapped, 0, (step, step))
     return 0.5 * np.outer(w, w) * (diff - wrapped if sine else diff + wrapped)
 
 
@@ -341,16 +339,6 @@ def assemble_L1(wave: WaveParameters, N: int) -> OperatorMatrix:
     return OperatorMatrix(KIND_L1, wave.L, tuple(blocks), kernel)
 
 
-@functools.lru_cache(maxsize=16)
-def _coupling(N: int, chars: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, n): Lblock's sector of characters chars = (phi, psi) joins
-    phi's mode at row rows[i] to psi's at column cols[i], both of wavenumber
-    n[i]; built once per (N, chars) by _index_tables."""
-    n_phi, n_psi = _modes(N, chars[0])[0], _modes(N, chars[1], True)[0]
-    n, rows, cols = np.intersect1d(n_phi, n_psi, assume_unique=True, return_indices=True)
-    return _index_tables(N, rows, n_phi.size + cols, n)
-
-
 def assemble_Lblock(wave: WaveParameters, N: int) -> OperatorMatrix:
     """(R, T) sectors of the pair operator, with kernel (h', c h''), and psi's constant.
 
@@ -365,15 +353,18 @@ def assemble_Lblock(wave: WaveParameters, N: int) -> OperatorMatrix:
     blocks = []
     for chars, potential in zip(_LAYOUT[KIND_LBLOCK], parts.potentials):
         n, sine, _ = _modes(N, chars[0])
+        n_psi = _modes(N, chars[1], True)[0]
         p = n.size
-        size = p + _modes(N, chars[1], True)[0].size
+        size = p + n_psi.size
         block = np.zeros((size, size))
         block[:p, :p] = potential
         diagonal = block.reshape(-1)[::size + 1]
         diagonal[:p] += xi[n] ** 2
         diagonal[p:] = 1.0
-        rows, cols, n_shared = _coupling(N, chars)
-        coupling = (-wave.c if sine else wave.c) * xi[n_shared]
+        # phi and psi step by 2 from n[0] and n_psi[0]: their shared modes are one range
+        shared = np.arange(max(n[0], n_psi[0]), min(n[-1], n_psi[-1]) + 1, 2)
+        rows, cols = (shared - n[0]) // 2, p + (shared - n_psi[0]) // 2
+        coupling = (-wave.c if sine else wave.c) * xi[shared]
         block[rows, cols] = coupling
         block[cols, rows] = coupling
         blocks.append(block)

@@ -40,10 +40,9 @@ from snoidal.spectral import (
     _PHI_CONSTANT,
     _SECTORS,
     _check_solvable,
-    _coupling,
     _d2_closed,
     _modes,
-    _potential_indices,
+    _potential,
     _sector_parts,
     _to_sector,
 )
@@ -54,6 +53,7 @@ from snoidal.waves import (
     profile_eval,
     sample_wave,
     solve_modulus,
+    wavenumbers,
 )
 
 L_CANON, C_CANON = math.pi, 0.95
@@ -250,6 +250,25 @@ def mean_free_basis(n, parts):
     return np.kron(np.eye(parts), q)
 
 
+# Every even grid from the smallest to past 256, and a few large ones, N/2
+# odd among them, for the potential views and the phi-psi coupling.
+BLOCK_GRIDS = [*range(16, 262, 2), 512, 1024, 2050]
+
+
+def reference_potential(V, N, char):
+    """`_potential` by (p, p) gather tables, the construction it replaced.
+
+    The tables hold |n - m| and min(n + m, N - n - m) over the modes n, m
+    of character char, in the smallest integer dtype that holds N/2 + 1,
+    and `np.take` reads V at them.
+    """
+    n, sine, w = _modes(N, char)
+    total = n[:, None] + n[None, :]
+    tables = (np.abs(n[:, None] - n[None, :]), np.minimum(total, N - total))
+    dtype = np.min_scalar_type(N // 2 + 1)
+    diff, wrapped = (np.take(V, t.astype(dtype)) for t in tables)
+    return 0.5 * np.outer(w, w) * (diff - wrapped if sine else diff + wrapped)
+
 
 @pytest.fixture(scope="module")
 def wave():
@@ -371,6 +390,36 @@ class TestAssembly:
             assert np.array_equal(block[n_phi.size:, n_phi.size:], np.eye(n_psi.size))
             assert not np.any(top[n_phi[:, None] != n_psi[None, :]])
             assert np.all(top[n_phi[:, None] == n_psi[None, :]] != 0.0)
+
+    def test_potential_matches_index_tables(self, wave):
+        # the Toeplitz and Hankel views read the entries the gather tables
+        # read, bit for bit: from the wave's V and from a V of distinct
+        # entries, where any misread index shows.  Both are .real views of
+        # complex data, as `_sector_parts` passes V.
+        rng = np.random.default_rng(36)
+        for N in BLOCK_GRIDS:
+            h = sample_wave(wave, N)[0]
+            for v in (3.0 * h * h - 1.0, rng.standard_normal(N)):
+                V = np.fft.rfft(v).real
+                for char in _SECTORS:
+                    got, want = _potential(V, N, char), reference_potential(V, N, char)
+                    assert got.shape == want.shape, (N, char)
+                    assert got.tobytes() == want.tobytes(), (N, char)
+
+    def test_Lblock_coupling_on_shared_wavenumbers(self, wave):
+        # each sector's phi-psi block is nonzero exactly where phi and psi
+        # share a wavenumber n, by np.intersect1d: +c xi_n to a phi cosine
+        # and -c xi_n to a phi sine; the psi-phi block is its transpose
+        for N in BLOCK_GRIDS:
+            xi = wavenumbers(wave.L, N)
+            for block, chars in zip(assemble_Lblock(wave, N).blocks, _LAYOUT[KIND_LBLOCK]):
+                (n_phi, sine, _), n_psi = _modes(N, chars[0]), _modes(N, chars[1], True)[0]
+                n, rows, cols = np.intersect1d(n_phi, n_psi, return_indices=True)
+                expected = np.zeros((n_phi.size, n_psi.size))
+                expected[rows, cols] = (-wave.c if sine else wave.c) * xi[n]
+                assert np.all(expected[rows, cols] != 0.0), (N, chars)
+                assert np.array_equal(block[:n_phi.size, n_phi.size:], expected), (N, chars)
+                assert np.array_equal(block[n_phi.size:, :n_phi.size], expected.T), (N, chars)
 
     def test_symmetry_enforced(self):
         with pytest.raises(ValueError):
@@ -1004,9 +1053,9 @@ class TestFullReport:
             full_report(L_CANON, C_CANON, N)
 
     def test_shared_arrays_are_read_only(self):
-        # the memoized samples, wavenumbers, potential blocks, modes (psi's
-        # too), potential index tables and coupling rows and columns are
-        # shared by every report at their (wave, N) or N: none can be written
+        # the memoized samples, wavenumbers, potential blocks and modes (psi's
+        # too) are shared by every report at their (wave, N) or N: none can
+        # be written
         wave = solve_modulus(L_CANON, C_CANON)
         parts = _sector_parts(wave, 128)
         shared = [*parts.samples, parts.xi, *parts.potentials]
@@ -1014,23 +1063,12 @@ class TestFullReport:
             for psi in (False, True):
                 n, _, w = _modes(128, char, psi)
                 shared += [n, w]
-        tables = []
-        for chars in _LAYOUT[KIND_LBLOCK]:
-            tables += [*_potential_indices(128, chars[0]), *_coupling(128, chars)]
-        assert len(shared) == 24 and len(tables) == 20
-        for a in shared + tables:
+        assert len(shared) == 24
+        for a in shared:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
             with pytest.raises(ValueError, match="read-only"):
                 a += 1
-
-    @pytest.mark.parametrize("N, dtype", [(128, np.uint8), (508, np.uint8), (512, np.uint16)])
-    def test_index_tables_take_the_smallest_dtype(self, N, dtype):
-        # wavenumbers and sector rows stay below N/2 + 1
-        for chars in _LAYOUT[KIND_LBLOCK]:
-            for a in (*_potential_indices(N, chars[0]), *_coupling(N, chars)):
-                assert a.dtype == dtype
-                assert int(a.max()) <= N // 2
 
     def test_assemblies_leave_the_shared_blocks_unchanged(self):
         wave = solve_modulus(L_CANON, C_CANON)
