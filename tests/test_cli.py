@@ -218,6 +218,18 @@ class TestEvolveCommands:
         assert cli.main(args + ["--out", str(tmp_path / "r2")]) == 0
         assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
 
+    @pytest.mark.parametrize("command", ["evolve", "stability"])
+    def test_csv_is_the_trace_row_by_row(self, command, tmp_path):
+        # the trace leaves through `_table_blocks` in the bytes of a
+        # row-by-row writer of its samples
+        argv = [command, *WAVE, "--N", "64", "--T", "1.1", "--dt", "1e-3",
+                "--eps", "1e-3", "--seed", "5", "--out", str(tmp_path / "ev")]
+        assert cli.main(argv) == 0
+        _, _, trace = cli._evolve_batch([cli.build_parser().parse_args(argv)])[0]
+        assert trace.samples.shape == (551, 6)  # every 2nd of 1100 steps
+        expected = reference_csv(evolution.TRACE_COLUMNS, trace.samples)
+        assert (tmp_path / "ev.csv").read_bytes() == expected
+
     def test_stability_ratio_written(self, tmp_path):
         out = str(tmp_path / "st")
         code = cli.main(["stability", "--L", "3.14159", "--c", "0.95", "--N", "64",

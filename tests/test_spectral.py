@@ -254,6 +254,11 @@ def mean_free_basis(n, parts):
 # odd among them, for the potential views and the phi-psi coupling.
 BLOCK_GRIDS = [*range(16, 262, 2), 512, 1024, 2050]
 
+# One test case per sector of _SECTORS, named by its character (r, t).
+by_sector = pytest.mark.parametrize(
+    "sector", range(len(_SECTORS)),
+    ids=["-".join("even" if s == 1 else "odd" for s in char) for char in _SECTORS])
+
 
 def reference_potential(V, N, char):
     """`_potential` by (p, p) gather tables, the construction it replaced.
@@ -391,35 +396,38 @@ class TestAssembly:
             assert not np.any(top[n_phi[:, None] != n_psi[None, :]])
             assert np.all(top[n_phi[:, None] == n_psi[None, :]] != 0.0)
 
-    def test_potential_matches_index_tables(self, wave):
+    @by_sector
+    def test_potential_matches_index_tables(self, wave, sector):
         # the Toeplitz and Hankel views read the entries the gather tables
         # read, bit for bit: from the wave's V and from a V of distinct
         # entries, where any misread index shows.  Both are .real views of
         # complex data, as `_sector_parts` passes V.
+        char = _SECTORS[sector]
         rng = np.random.default_rng(36)
         for N in BLOCK_GRIDS:
             h = sample_wave(wave, N)[0]
             for v in (3.0 * h * h - 1.0, rng.standard_normal(N)):
                 V = np.fft.rfft(v).real
-                for char in _SECTORS:
-                    got, want = _potential(V, N, char), reference_potential(V, N, char)
-                    assert got.shape == want.shape, (N, char)
-                    assert got.tobytes() == want.tobytes(), (N, char)
+                got, want = _potential(V, N, char), reference_potential(V, N, char)
+                assert got.shape == want.shape, N
+                assert got.tobytes() == want.tobytes(), N
 
-    def test_Lblock_coupling_on_shared_wavenumbers(self, wave):
-        # each sector's phi-psi block is nonzero exactly where phi and psi
+    @by_sector
+    def test_Lblock_coupling_on_shared_wavenumbers(self, wave, sector):
+        # the sector's phi-psi block is nonzero exactly where phi and psi
         # share a wavenumber n, by np.intersect1d: +c xi_n to a phi cosine
         # and -c xi_n to a phi sine; the psi-phi block is its transpose
+        chars = _LAYOUT[KIND_LBLOCK][sector]
         for N in BLOCK_GRIDS:
             xi = wavenumbers(wave.L, N)
-            for block, chars in zip(assemble_Lblock(wave, N).blocks, _LAYOUT[KIND_LBLOCK]):
-                (n_phi, sine, _), n_psi = _modes(N, chars[0]), _modes(N, chars[1], True)[0]
-                n, rows, cols = np.intersect1d(n_phi, n_psi, return_indices=True)
-                expected = np.zeros((n_phi.size, n_psi.size))
-                expected[rows, cols] = (-wave.c if sine else wave.c) * xi[n]
-                assert np.all(expected[rows, cols] != 0.0), (N, chars)
-                assert np.array_equal(block[:n_phi.size, n_phi.size:], expected), (N, chars)
-                assert np.array_equal(block[n_phi.size:, :n_phi.size], expected.T), (N, chars)
+            block = assemble_Lblock(wave, N).blocks[sector]
+            (n_phi, sine, _), n_psi = _modes(N, chars[0]), _modes(N, chars[1], True)[0]
+            n, rows, cols = np.intersect1d(n_phi, n_psi, return_indices=True)
+            expected = np.zeros((n_phi.size, n_psi.size))
+            expected[rows, cols] = (-wave.c if sine else wave.c) * xi[n]
+            assert np.all(expected[rows, cols] != 0.0), N
+            assert np.array_equal(block[:n_phi.size, n_phi.size:], expected), N
+            assert np.array_equal(block[n_phi.size:, :n_phi.size], expected.T), N
 
     def test_symmetry_enforced(self):
         with pytest.raises(ValueError):
