@@ -61,22 +61,28 @@ leaves the sup-norm ceiling drops out at its own blow-up time and the
 others go on.
 
 Each trace row is one pass over those coefficients, and `run_experiment`
-makes them in blocks: a sample appends one (t, ph row, pt row) record to
-the pending list of each batch row, so the members' lists fill together.
-Once a stepped block leaves _SAMPLE_BLOCK_ROWS records in each, and after
-the last block, each member's records go through one `conserved` and one
-orbit-distance call on their stacked (rows, N/2 + 1) coefficients: the
-calls, on the same arrays, that its solo run makes.  A member that blows
-up drops its list, so no row of a departed member is evaluated.
+makes them in blocks of _SAMPLE_BLOCK_ROWS rows.  One `advance` call with
+`every` = sample_every steps a block's intervals and returns the state at
+each of its samples: the first block holds the t = 0 row and 15 intervals,
+later ones 16, and a short last interval gets a call of its own.  Each
+member's rows of the block then go, as one contiguous (rows, N/2 + 1)
+array, through one `conserved` and one orbit-distance call: the calls, on
+the same arrays, that its solo run makes.  A member that blows up leaves
+before its block is evaluated, and the others redo the block from its
+start, so no row of a departed member is evaluated.
 `conserved` reads each row with Parseval sums and one irfft for
 integral(phi^4).  The orbit distance uses the energy-space norm
 ||(p, q)||^2 = integral(p^2 + p_x^2) + integral(q^2) with the Parseval
 weights w_n of `ynorm_sq`.  A shift s multiplies mode n by exp(i xi_n s)
 and keeps |ph_n| and |pt_n|, so dist_sq(s) = const - 2 G(s) with
 G(s) = sum_n w_n Re(cross_n exp(i xi_n s)), where cross pairs the state
-with (h, c h').  One irfft of cross gives G at the grid shifts, and
-Newton steps on G'(s) = 0 refine the best of them; Newton's first phase
-exp(i xi s) is that grid shift's, which the final dist_sq reuses.
+with (h, c h').  The wave's samples satisfy h_{j + N/2} = -h_j, so
+(h, c h') has no even modes: G runs over the odd n, and the even modes add
+a Parseval sum that no shift changes.  One irfft of cross gives G at the
+grid shifts, and Newton steps on G'(s) = 0 refine the best of them; the
+odd modes' phases exp(i xi_n s) = e_1 (e_1^2)^m, e_1 = exp(i xi_1 s), take
+one exp per row, and Newton's first phases are the grid shift's, which the
+final dist_sq reuses.
 """
 
 from __future__ import annotations
@@ -106,7 +112,7 @@ __all__ = [
 
 TRACE_COLUMNS = ("t", "E", "F", "mean_phi", "mean_phidot", "orbit_distance")
 
-_NEWTON_STEPS = 8  # per orbit-distance row; about three suffice
+_NEWTON_STEPS = 8  # per orbit-distance row; the ensemble workload's blocks take 3
 _CEILING_FACTOR = 10.0  # run_experiment's blow-up ceiling, in units of max |h|
 _SAMPLE_BLOCK_ROWS = 16  # trace rows per conserved and orbit-distance call
 _CHECK_KICKS = 64  # kicks per ceiling test in SplitStepper.advance
@@ -217,24 +223,30 @@ class SplitStepper:
                                        for table in flow) for flow in self._rotations)
         return self._shaped
 
-    def _trip(self, squares, start, t0):
+    def _trip(self, squares, start, t0, every):
         """Raise BlowUpError for the first kick and row of `squares` over the ceiling.
 
         squares holds phi^2 of kicks start, start + 1, ... one per leading
         index; max |phi| is read off it as sqrt(max phi^2), exact away from
-        under- and overflow.
+        under- and overflow.  Kick j is kick j % every of interval
+        i = j // every, timed from its start t0 + i every dt, or
+        (n + i every) dt if t0 = n dt, as `run_experiment` times samples.
         """
         sups = np.sqrt(np.max(squares, axis=-1)).reshape(len(squares), -1)  # (kick, row)
         over = ~(sups <= self.ceiling)  # NaN trips it too
         kick = int(np.argmax(over.any(axis=1)))
         member = int(np.argmax(over[kick]))
-        sup, t = float(sups[kick, member]), t0 + (start + kick + 0.5) * self.dt
+        sup, dt = float(sups[kick, member]), self.dt
+        interval, local = divmod(start + kick, every)
+        n = round(t0 / dt) if math.isfinite(t0 / dt) else 0
+        begin = (n + interval * every) * dt if n * dt == t0 else t0 + interval * every * dt
+        t = begin + (local + 0.5) * dt
         raise BlowUpError(
             f"||phi||_inf = {sup:.6g} exceeded ceiling {self.ceiling:.6g} at t = {t:.6g}",
             time=t, member=member,
         )
 
-    def advance(self, ph, pt, nsteps: int, t0: float):
+    def advance(self, ph, pt, nsteps: int, t0: float, every: int | None = None):
         """nsteps Strang steps from time t0, fusing interior half flows.
 
         ph, pt are the rfft coefficients of (phi, phi_t), of shape
@@ -263,9 +275,24 @@ class SplitStepper:
         them after a blow-up -- and the arrays returned, two rows of one
         buffer, share no memory with them (nsteps < 1 returns them as is).
         BlowUpError.member names the tripping row.
+
+        With `every`, it returns (nsteps // every,) + ph.shape arrays, row i
+        the state after (i + 1) every steps (no step past the last row
+        runs), with the bits of chained calls of `every` steps: at a sample
+        the closing half flow goes into the row and the opening one starts
+        from it.  Ceiling chunks span samples; a trip is the chained one.
         """
-        if nsteps < 1:
-            return ph, pt
+        sampled = every is not None
+        if not sampled:
+            if nsteps < 1:
+                return ph, pt
+            every = nsteps  # one interval, whose end is the state itself
+        elif every < 1:
+            raise ValueError(f"every must be at least 1, got {every}")
+        samples = max(nsteps, 0) // every
+        nsteps = samples * every  # steps past the last sample are not run
+        if not nsteps:
+            return np.empty((0,) + ph.shape, complex), np.empty((0,) + pt.shape, complex)
         half, full = self._tables(ph.shape)
         N, dt, ceiling, projected = self.N, self.dt, self.ceiling, self.projected
         inv_n = 1.0 / N
@@ -285,15 +312,25 @@ class SplitStepper:
         rows = list(squares)
         p[...] = ph
         q[...] = pt
+        # the sample rows, [p, q] each, and the state's (p, q) without them
+        out = np.empty((2, samples) + ph.shape, complex) if sampled else s[:, None]
+        # the flows before kick j, each (tables, source, (p, q) target): the
+        # fused full flow inside an interval; the opening half flow at j = 0;
+        # at an interior sample, the closing half flow into the sample row,
+        # then the opening half flow from that row
+        fused = ((full, s, (p, q)),)
+        starts = [((half, s, (p, q)),)] + [
+            ((half, s, (out[0, i], out[1, i])), (half, out[:, i], (p, q))) for i in range(samples - 1)]
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, nsteps, _CHECK_KICKS):
                 kicks = min(nsteps - start, _CHECK_KICKS)
                 for j, square in enumerate(rows[:kicks], start):
-                    cos, sin = full if j else half  # the opening half flow at j = 0
-                    multiply(cos, s, y)
-                    multiply(sin, s, z)
-                    add(y0, z1, p)
-                    add(y1, z0, q)
+                    for (cos, sin), source, (target_p, target_q) in (
+                            fused if j % every else starts[j // every]):
+                        multiply(cos, source, y)
+                        multiply(sin, source, z)
+                        add(y0, z1, target_p)
+                        add(y1, z0, target_q)
                     # the kick: q -= dt (phi^3 - mean phi^3)
                     irfft(p, inv_n, phi)
                     multiply(phi, phi, square)
@@ -306,13 +343,13 @@ class SplitStepper:
                 # overflow, so this is max |phi| over the chunk and batch;
                 # NaN trips it too
                 if not math.sqrt(np.maximum.reduce(squares[:kicks], None)) <= ceiling:
-                    self._trip(squares[:kicks], start, t0)
-        cos, sin = half  # the closing half flow
+                    self._trip(squares[:kicks], start, t0, every)
+        cos, sin = half  # the closing half flow, into the last sample row
         multiply(cos, s, y)
         multiply(sin, s, z)
-        add(y0, z1, p)
-        add(y1, z0, q)
-        return p, q
+        add(y0, z1, out[0, -1])
+        add(y1, z0, out[1, -1])
+        return (out[0], out[1]) if sampled else (p, q)
 
 
 def _h1_semi_sq(values: np.ndarray, L: float) -> float:
@@ -349,21 +386,39 @@ def ynorm_sq(p: np.ndarray, q: np.ndarray, L: float) -> float:
 
 
 class _OrbitDistance:
-    """Shift-minimized energy-space distance to a fixed wave pair (h, c h')."""
+    """Shift-minimized energy-space distance to a fixed wave pair (h, c h').
+
+    h_{j + N/2} = -h_j on the grid, so the DFTs of h and h' have no even
+    modes: exact zeros at N = 2^m, residues r_n of about 1e-16 max |rfft|
+    elsewhere.  The even modes add sum w ((1 + xi^2) |ph_n - r_n|^2 +
+    |pt_n - c r'_n|^2) to dist_sq, which keeps the sampled wave at distance
+    0; Newton and the shifted terms run on the K odd modes (N/2 odd adds the
+    half-weight Nyquist mode), with exp(i xi_n s) = e_1 (e_1^2)^m.
+    """
 
     def __init__(self, wave: WaveParameters, h: np.ndarray, h1: np.ndarray):
         self.L, self.N = wave.L, h.size
-        self.hhat = np.fft.rfft(h)
-        self.hthat = wave.c * np.fft.rfft(h1)
         modes = _modes(wave.L, h.size)
-        self.xi, self.weight, self.xi_sq = modes.xi, modes.w, modes.xi_sq
+        odd, even = slice(1, None, 2), slice(0, None, 2)
+        hhat, hthat = np.fft.rfft(h), wave.c * np.fft.rfft(h1)
+        self.hhat, self.hthat = hhat[odd], hthat[odd]
+        # the even modes: their residues, and the Parseval weights of their sum
+        self.even = hhat[even], hthat[even], (modes.w * (1.0 + modes.xi_sq))[even], modes.w[even]
+        self.ixi1 = 1j * modes.xi[1]
+        self.xi, self.weight, self.xi_sq = modes.xi[odd], modes.w[odd], modes.xi_sq[odd]
         self.sobolev = 1.0 + self.xi_sq
         # Complex factors of the complex products.  numpy multiplies a real
         # array into a complex one by casting it to complex first, so these
         # give the same bits without the cast's extra pass.
-        self.ixi = 1j * self.xi
         self.cross_factors = (self.sobolev.astype(complex), np.conj(self.hhat),
                               np.conj(self.hthat), self.weight.astype(complex))
+
+    def _phases(self, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """exp(i xi_n s) of the odd modes into the (len(s), K) array `out`, one exp per shift."""
+        e1 = np.exp(self.ixi1 * s)
+        out[:, 0] = e1
+        out[:, 1:] = (e1 * e1)[:, None]
+        return np.multiply.accumulate(out, axis=-1, out=out)
 
     def __call__(self, ph: np.ndarray, pt: np.ndarray):
         """Distance of the state with rfft coefficients (ph, pt) to the orbit.
@@ -371,34 +426,38 @@ class _OrbitDistance:
         A (B, N/2 + 1) batch gives an array of B distances, a single state a
         float.  The grid shifts, their brackets, the Newton shifts and the
         mask of rows still stepping are arrays over the batch; each Newton
-        iteration takes one exp and two row sums, and the first reuses the
-        grid shift's phase, so n iterations make n + 1 exp passes.
+        iteration takes one exp per row and two row sums over the odd modes,
+        and the first reuses the grid shift's phases, so n iterations make
+        n + 1 exp calls of B elements.
         """
-        N, L, xi, xi_sq, ixi = self.N, self.L, self.xi, self.xi_sq, self.ixi
+        N, L, xi, xi_sq = self.N, self.L, self.xi, self.xi_sq
         sobolev_c, hhat_conj, hthat_conj, weight_c = self.cross_factors
         single = ph.ndim == 1
         ph, pt = np.atleast_2d(ph), np.atleast_2d(pt)
+        ph_odd, pt_odd = ph[:, 1::2], pt[:, 1::2]
         # Coarse pass: one irfft gives G at every grid shift (it supplies the
         # conjugate modes, so no Parseval weights); the exact grid shift, whose
         # phase is exactly representable, stays in the candidate set.
-        cross = sobolev_c * ph * hhat_conj + pt * hthat_conj
-        best = np.argmax(np.fft.irfft(cross, N), axis=-1)
+        cross = sobolev_c * ph_odd * hhat_conj + pt_odd * hthat_conj
+        spectrum = np.zeros(ph.shape, complex)
+        spectrum[:, 1::2] = cross
+        best = np.argmax(np.fft.irfft(spectrum, N), axis=-1)
         lo, s, hi = ((best + k) * L / N for k in (-1, 0, 1))  # the grid shift and its bracket
         # Newton on G'(s) = 0 inside each row's bracket; z holds the terms of
-        # G(s).  Newton starts at the grid shift, whose phase the final
-        # dist_sq needs too.
-        phase = np.empty((2,) + ph.shape, complex)  # at the Newton shift and the grid shift
-        np.exp(ixi * s[:, None], out=phase[1])
+        # G(s).  Newton starts at the grid shift, whose phases the final
+        # dist_sq needs too; the Newton shift's go into phase[0].
+        phase = np.empty((2,) + cross.shape, complex)
+        self._phases(s, phase[1])
         wcross = weight_c * cross
         live = np.ones(len(s), bool)
         # a dead row may divide 0 by 0; an overflowed quotient is clipped to the bracket
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for k in range(_NEWTON_STEPS):
-                # not wcross * exp(...): numpy computes a product with a
-                # temporary of 256 KiB or more in that temporary, with the
-                # operands swapped, and a complex product's bits depend on
+                # np.multiply, not wcross * ...: numpy computes a product
+                # with a temporary of 256 KiB or more in that temporary, with
+                # the operands swapped, and a complex product's bits depend on
                 # their order, so the rows' bits would depend on their number
-                z = np.multiply(wcross, np.exp(ixi * s[:, None]) if k else phase[1])
+                z = np.multiply(wcross, self._phases(s, phase[0]) if k else phase[1])
                 slope = -(xi * z.imag).sum(axis=-1)
                 curvature = -(xi_sq * z.real).sum(axis=-1)
                 live &= curvature < 0.0  # otherwise G has no maximum to step toward
@@ -410,13 +469,17 @@ class _OrbitDistance:
         # dist_sq at the Newton shift and at the grid shift, in the stable
         # form: difference per mode first, then square, so the result has no
         # cancellation floor near the orbit.
-        np.exp(ixi * s[:, None], out=phase[0])
-        dp = ph * phase - self.hhat
-        dq = pt * phase - self.hthat
-        dist_sq = np.sum(self.weight * (
+        self._phases(s, phase[0])
+        dp = np.multiply(ph_odd, phase) - self.hhat
+        dq = np.multiply(pt_odd, phase) - self.hthat
+        odd_sq = np.sum(self.weight * (
             self.sobolev * (dp.real**2 + dp.imag**2) + dq.real**2 + dq.imag**2
         ), axis=-1)
-        dist = np.sqrt(np.minimum(*dist_sq))
+        hhat_even, hthat_even, w_sobolev, w = self.even
+        dp, dq = ph[:, ::2] - hhat_even, pt[:, ::2] - hthat_even
+        even_sq = np.sum(w_sobolev * (dp.real**2 + dp.imag**2) + w * (dq.real**2 + dq.imag**2),
+                         axis=-1)
+        dist = np.sqrt(np.minimum(*odd_sq) + even_sq)
         return float(dist[0]) if single else dist
 
 
@@ -491,15 +554,9 @@ def run_experiment(
     Every member's trace is bit for bit the one it gets alone, because only
     the stepping is batched.
 
-    A sample only appends one (t, ph row, pt row) record to each batch
-    row's pending list; the rows are views of the batch state, which
-    `advance` never writes, so nothing is copied.  After a stepped block
-    that leaves _SAMPLE_BLOCK_ROWS records in each list, and once more at
-    the end, each member's records are stacked and evaluated by their own
-    `conserved` and orbit-distance calls, which are exactly the calls of
-    its solo run; nothing is evaluated before the first stepped block.  A
-    member that blows up takes its list with it, so its unevaluated rows
-    never are.
+    Rows are stepped and evaluated in blocks of _SAMPLE_BLOCK_ROWS, as the
+    module docstring describes; a trip's time counts whole steps, as the t
+    column does.
     """
     batched = np.ndim(eps) == 1
     if not batched:
@@ -540,36 +597,35 @@ def run_experiment(
     rows = [[] for _ in members]
     outcomes = [None] * len(members)
     live = list(range(len(members)))  # the member held in each batch row
-    pending = [[] for _ in members]  # per batch row, (t, ph row, pt row) of its unevaluated rows
-
-    def sample(t, ph, pt):
-        for records, ph_row, pt_row in zip(pending, np.atleast_2d(ph), np.atleast_2d(pt)):
-            records.append((t, ph_row, pt_row))
-
-    def evaluate():  # each member's rows alone, as its solo run stacks them
-        for member, records in zip(live, pending):
-            t, ph, pt = map(np.array, zip(*records))
-            values = np.array([t, *conserved(ph, pt, wave.L), distance(ph, pt)])
-            rows[member].extend(values.T.tolist())
-            records.clear()
-
-    sample(0.0, ph, pt)
-    done = 0
-    while done < nsteps:
-        block = min(sample_every, nsteps - done)
+    ends = list(range(0, nsteps + 1, sample_every))  # steps made at each trace row
+    if ends[-1] < nsteps:
+        ends.append(nsteps)  # after a short last interval
+    first = 0  # the block's first trace row
+    while live and first < len(ends):
+        marks = ends[first:first + _SAMPLE_BLOCK_ROWS]
+        done = ends[first - 1] if first else 0
+        short = (marks[-1] - done) % sample_every  # a short last interval's steps, or 0
+        parts = [(ph[None], pt[None])] if first == 0 else []  # the t = 0 row opens the first block
+        state = ph, pt
         try:
-            ph, pt = stepper.advance(ph, pt, block, done * dt)  # left as they were if it raises
-        except BlowUpError as exc:
+            for steps, every in ((marks[-1] - done - short, sample_every), (short, short)):
+                if steps:
+                    parts.append(stepper.advance(*state, steps, done * dt, every))
+                    state = parts[-1][0][-1], parts[-1][1][-1]
+                    done += steps
+        except BlowUpError as exc:  # ph and pt still hold the block's start
             outcomes[live.pop(exc.member)] = exc
-            del pending[exc.member]  # its unevaluated rows leave with it
-            if not live:
-                break
-            ph, pt = (_lone_row_1d(np.delete(a, exc.member, axis=0)) for a in (ph, pt))
+            if live:
+                ph, pt = (_lone_row_1d(np.delete(a, exc.member, axis=0)) for a in (ph, pt))
             continue
-        done += block
-        sample(done * dt, ph, pt)
-        if len(pending[0]) >= _SAMPLE_BLOCK_ROWS or done == nsteps:  # the members fill together
-            evaluate()
+        t = np.array(marks) * dt
+        for b, member in enumerate(live):  # each member's rows alone, as its solo run stacks them
+            ph_b, pt_b = (np.concatenate([a.reshape(len(a), -1, N // 2 + 1)[:, b] for a in arrays])
+                          for arrays in zip(*parts))
+            values = np.array([t, *conserved(ph_b, pt_b, wave.L), distance(ph_b, pt_b)])
+            rows[member].extend(values.T.tolist())
+        ph, pt = (a.copy() for a in state)  # not views that keep the block's samples alive
+        first += len(marks)
     for member in live:
         outcomes[member] = EvolutionTrace(np.array(rows[member]))
     if batched:

@@ -110,25 +110,40 @@ def reference_advance(stepper, ph, pt, nsteps, t0):
     return linear_flow(ph, pt, half)
 
 
+def odd_mode_phases(distance, s):
+    """exp(i xi_n s) of the odd modes n = 2m + 1, as e_1 (e_1^2)^m with e_1 = exp(i xi_1 s).
+
+    One row of phases per shift, along a new last axis.
+    """
+    e1 = np.exp(distance.ixi1 * np.asarray(s, float))[..., None]
+    squares = np.repeat(e1 * e1, distance.xi.size - 1, axis=-1)
+    return np.cumprod(np.concatenate([e1, squares], axis=-1), axis=-1)
+
+
 def reference_orbit_distance(distance, ph, pt):
     """_OrbitDistance.__call__ with each phase computed where it is used.
 
-    Newton's first iteration takes the exp of the grid shifts, and the final
-    dist_sq one exp over the Newton and the grid shifts together.
+    Newton runs row by row on the odd modes, its first iteration on the
+    phases of the grid shifts, and the final dist_sq takes the odd modes'
+    phases at the Newton and the grid shifts together; the even modes add
+    their unshifted difference to (h, c h').
     """
-    N, L, xi, xi_sq, ixi = distance.N, distance.L, distance.xi, distance.xi_sq, distance.ixi
-    sobolev, hhat_conj, hthat_conj, weight = distance.cross_factors
+    N, L, xi, xi_sq = distance.N, distance.L, distance.xi, distance.xi_sq
+    weight, sobolev, hhat, hthat = distance.weight, distance.sobolev, distance.hhat, distance.hthat
     single = ph.ndim == 1
     ph, pt = np.atleast_2d(ph), np.atleast_2d(pt)
-    cross = sobolev * ph * hhat_conj + pt * hthat_conj
-    best = np.argmax(np.fft.irfft(cross, N), axis=-1).tolist()
+    ph_odd, pt_odd = ph[:, 1::2], pt[:, 1::2]
+    cross = sobolev.astype(complex) * ph_odd * np.conj(hhat) + pt_odd * np.conj(hthat)
+    spectrum = np.zeros(ph.shape, complex)
+    spectrum[:, 1::2] = cross
+    best = np.argmax(np.fft.irfft(spectrum, N), axis=-1).tolist()
     grid = [j * L / N for j in best]
     bracket = [((j - 1) * L / N, (j + 1) * L / N) for j in best]
-    wcross = weight * cross
+    wcross = weight.astype(complex) * cross
     s = list(grid)
     live = list(range(len(s)))
     for _ in range(_NEWTON_STEPS):
-        z = wcross * np.exp(ixi * np.array(s)[:, None])
+        z = np.multiply(wcross, odd_mode_phases(distance, s))
         slopes = (xi * z.imag).sum(axis=-1).tolist()
         curvatures = (xi_sq * z.real).sum(axis=-1).tolist()
         for b in list(live):
@@ -143,14 +158,51 @@ def reference_orbit_distance(distance, ph, pt):
                 live.remove(b)
         if not live:
             break
-    phase = np.exp(ixi * np.array([s, grid])[..., None])
-    dp = ph * phase - distance.hhat
-    dq = pt * phase - distance.hthat
-    dist_sq = np.sum(distance.weight * (
-        distance.sobolev * (dp.real**2 + dp.imag**2) + dq.real**2 + dq.imag**2
-    ), axis=-1).tolist()
-    dist = [math.sqrt(min(a, b)) for a, b in zip(*dist_sq)]
+    phase = odd_mode_phases(distance, [s, grid])
+    dp = np.multiply(ph_odd, phase) - hhat
+    dq = np.multiply(pt_odd, phase) - hthat
+    odd_sq = np.sum(weight * (sobolev * (dp.real**2 + dp.imag**2) + dq.real**2 + dq.imag**2),
+                    axis=-1).tolist()
+    hhat_even, hthat_even, w_sobolev, w = distance.even
+    dp, dq = ph[:, ::2] - hhat_even, pt[:, ::2] - hthat_even
+    even_sq = np.sum(w_sobolev * (dp.real**2 + dp.imag**2) + w * (dq.real**2 + dq.imag**2),
+                     axis=-1).tolist()
+    dist = [math.sqrt(min(a, b) + e) for a, b, e in zip(*odd_sq, even_sq)]
     return dist[0] if single else np.array(dist)
+
+
+def all_mode_orbit_distance(wave, h, h1, ph, pt):
+    """The orbit distance with the shift applied to every mode, even ones included.
+
+    G(s) and its Newton steps run over all N/2 + 1 modes with one exp per
+    mode, from the grid shift of the irfft's maximum, and dist_sq is the
+    smaller of its values at the Newton and the grid shift.
+    """
+    L, n = wave.L, h.size
+    xi = wavenumbers(L, n)
+    w = np.full(n // 2 + 1, 2.0 * L / (n * n))
+    w[0] = w[-1] = L / (n * n)
+    hhat, hthat = np.fft.rfft(h), wave.c * np.fft.rfft(h1)
+    single = ph.ndim == 1
+    ph, pt = np.atleast_2d(ph), np.atleast_2d(pt)
+    cross = (1.0 + xi * xi) * ph * np.conj(hhat) + pt * np.conj(hthat)
+    best = np.argmax(np.fft.irfft(cross, n), axis=-1)
+    lo, s, hi = ((best + k) * L / n for k in (-1, 0, 1))
+    grid = s
+    live = np.ones(len(s), bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            z = w * cross * np.exp(1j * xi * s[:, None])
+            slope, curvature = -(xi * z.imag).sum(axis=-1), -(xi * xi * z.real).sum(axis=-1)
+            live &= curvature < 0.0
+            step = np.minimum(np.maximum(s - slope / curvature, lo), hi) - s
+            s = np.where(live, s + step, s)
+            live &= ~(np.abs(step) <= 1e-15 * L)
+    phase = np.exp(1j * xi * np.array([s, grid])[..., None])
+    dp, dq = ph * phase - hhat, pt * phase - hthat
+    dist_sq = np.sum(w * ((1.0 + xi * xi) * np.abs(dp) ** 2 + np.abs(dq) ** 2), axis=-1)
+    dist = np.sqrt(np.minimum(*dist_sq))
+    return float(dist[0]) if single else dist
 
 
 def reference_run(wave, perturbations, amplitudes, T, dt, every, n, projected=True):
@@ -360,24 +412,60 @@ class TestOrbitDistance:
         oracle = math.sqrt(res.fun)
         assert abs(orbit_distance(phi, phidot, w) - oracle) <= 1e-10 * oracle
 
-    def test_one_sample_makes_at_most_ten_exp_calls(self, wave, monkeypatch):
-        # Newton refinement: the grid shift's phase, at most 7 more Newton
-        # steps and the final dist_sq's phase at the Newton shift
-        p, q = perturbation_random(L, N, seed=4)
+    @pytest.mark.parametrize("rows", [None, 1, 16])
+    def test_one_sample_takes_at_most_ten_exp_elements_per_row(self, wave, monkeypatch, rows):
+        # one exp per row and shift: the grid shift's, at most 7 more Newton
+        # steps and the final dist_sq's at the Newton shift
+        ph, pt = TestBatch.states(wave, N, [1e-3 * (1 + k % 5) for k in range(rows or 1)])
+        if rows is None:
+            ph, pt = ph[0], pt[0]
         h, h1, _ = sample_wave(wave, N)
-        ph = np.fft.rfft(h + 1e-3 * p)
-        pt = np.fft.rfft(wave.c * h1 + 1e-3 * q)
         distance = _OrbitDistance(wave, h, h1)
-        calls = []
+        elements = []
         exp = np.exp
 
-        def counting_exp(*args, **kwargs):
-            calls.append(1)
-            return exp(*args, **kwargs)
+        def counting_exp(x, *args, **kwargs):
+            elements.append(np.size(x))
+            return exp(x, *args, **kwargs)
 
         monkeypatch.setattr(np, "exp", counting_exp)
-        assert distance(ph, pt) > 0.0
-        assert len(calls) <= 10
+        assert np.all(distance(ph, pt) > 0.0)
+        assert 0 < sum(elements) <= 10 * (rows or 1)
+
+    @pytest.mark.parametrize("n", [16, 64, 66, 128, 130, 256, 1024, 1026])
+    @pytest.mark.parametrize("L_, c_", [(math.pi, 0.95), (2.0, 0.97), (5.0, 0.7)])
+    def test_sampled_wave_has_no_even_modes(self, L_, c_, n):
+        # sample_wave fills f_{j + N/2} = -f_j exactly, so the DFT's even
+        # modes vanish: pocketfft's are exact zeros at N = 2^m and rounding
+        # residues elsewhere
+        h, h1, _ = sample_wave(solve_modulus(L_, c_), n)
+        for values in (h, h1):
+            coeff = np.abs(np.fft.rfft(values))
+            if n & (n - 1) == 0:
+                assert np.all(coeff[::2] == 0.0)
+            else:
+                assert np.max(coeff[::2]) <= 1e-13 * np.max(coeff)
+
+    @pytest.mark.parametrize("rows", [None, 4, "dead row"])
+    @pytest.mark.parametrize("n", [64, 66, 128, 130, 256, 1024])
+    @pytest.mark.parametrize("L_, c_", [(math.pi, 0.95), (2.0, 0.97), (5.0, 0.7)])
+    def test_agrees_with_the_all_mode_formula(self, L_, c_, n, rows):
+        # shifting the even modes too, with one exp per mode, moves the
+        # distance by at most 1e-15 ||(h, c h')||_Y: the rows are the wave
+        # itself, small and large perturbations after 7 steps, and the dead
+        # row phi = 0.3
+        w = solve_modulus(L_, c_)
+        h, h1, _ = sample_wave(w, n)
+        ph, pt = SplitStepper(L_, n, 1e-3).advance(
+            *TestBatch.states(w, n, [1e-3, 0.0, 0.3, 4e-4]), 7, 0.0)
+        if rows == "dead row":
+            ph, pt = np.insert(ph, 2, 0.0, axis=0), np.insert(pt, 2, 0.0, axis=0)
+            ph[2, 0] = 0.3 * n
+        elif rows is None:
+            ph, pt = ph[0], pt[0]
+        got = _OrbitDistance(w, h, h1)(ph, pt)
+        want = all_mode_orbit_distance(w, h, h1, ph, pt)
+        assert np.max(np.abs(got - want)) <= 1e-15 * math.sqrt(ynorm_sq(h, w.c * h1, L_))
 
     @pytest.mark.parametrize("rows", [None, 4, 16, "dead row"])
     def test_matches_the_formula_with_the_grid_phase_recomputed(self, wave, rows):
@@ -1022,6 +1110,117 @@ class TestBufferedAdvance:
         assert calls == ["irfft", "rfft"] * 7
 
 
+class TestSampledAdvance:
+    """advance(..., every=k) returns the states of chained k-step calls, bit for bit."""
+
+    @staticmethod
+    def chained(stepper, ph, pt, every, starts):
+        """The states after chained calls of `every` steps, one from each start time."""
+        rows = []
+        for t0 in starts:
+            ph, pt = stepper.advance(ph, pt, every, t0)
+            rows.append((ph, pt))
+        return rows
+
+    # samples fall on (64), inside (7) and across (65, 80) the chunks of
+    # _CHECK_KICKS kicks; every - 1 steps past the last sample are not run
+    @pytest.mark.parametrize("every", [1, 7, _CHECK_KICKS, _CHECK_KICKS + 1, 80])
+    @pytest.mark.parametrize("projected", [True, False])
+    @pytest.mark.parametrize("rows", [None, 1, 3])
+    def test_rows_are_the_chained_calls(self, wave, rows, projected, every):
+        ph, pt = TestBufferedAdvance.states(wave, rows)
+        stepper = SplitStepper(L, N, 1e-3, projected, ceiling=20.0)
+        samples = 3
+        got = stepper.advance(ph, pt, samples * every + every - 1, 0.125, every)
+        assert got[0].shape == got[1].shape == (samples,) + ph.shape
+        starts = [0.125 + i * every * 1e-3 for i in range(samples)]
+        want = self.chained(stepper, ph, pt, every, starts)
+        for i, state in enumerate(want):
+            assert TestBufferedAdvance.same_bits((got[0][i], got[1][i]), state), i
+        assert not np.shares_memory(got[0], got[1])
+
+    def test_one_sample_is_the_unsampled_call(self, wave):
+        ph, pt = TestBufferedAdvance.states(wave, 3)
+        stepper = SplitStepper(L, N, 1e-3, ceiling=20.0)
+        rows = stepper.advance(ph, pt, 150, 0.0, 150)
+        assert TestBufferedAdvance.same_bits((rows[0][0], rows[1][0]),
+                                             stepper.advance(ph, pt, 150, 0.0))
+
+    @pytest.mark.parametrize("nsteps, every", [(6, 7), (0, 3), (-2, 1)])
+    def test_no_whole_interval_gives_no_rows(self, wave, nsteps, every):
+        ph, pt = TestBufferedAdvance.states(wave, 3)
+        got = SplitStepper(L, N, 1e-3, ceiling=20.0).advance(ph, pt, nsteps, 0.0, every)
+        assert got[0].shape == got[1].shape == (0,) + ph.shape
+
+    @pytest.mark.parametrize("every", [0, -3])
+    def test_every_below_one_rejected(self, wave, every):
+        ph, pt = TestBufferedAdvance.states(wave, 3)
+        with pytest.raises(ValueError, match="every must be at least 1"):
+            SplitStepper(L, N, 1e-3).advance(ph, pt, 10, 0.0, every)
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_inputs_untouched_and_unshared(self, wave, rows):
+        ph, pt = TestBufferedAdvance.states(wave, rows)
+        before = ph.copy(), pt.copy()
+        ph.setflags(write=False)  # a write into the inputs raises
+        pt.setflags(write=False)
+        stepper = SplitStepper(L, N, 1e-3)
+        first = stepper.advance(ph, pt, 21, 0.0, 7)
+        second = stepper.advance(ph, pt, 21, 0.0, 7)
+        assert TestBufferedAdvance.same_bits((ph, pt), before)
+        assert TestBufferedAdvance.same_bits(first, second)
+        for a in (*first, *second):
+            assert not np.shares_memory(a, ph) and not np.shares_memory(a, pt)
+
+    # the kicks are inside the first interval, the first of the second,
+    # the last of a chunk, the first of the next, and inside later
+    # intervals that straddle a chunk edge
+    @pytest.mark.parametrize("every, kick", [
+        (7, 3), (7, 7), (_CHECK_KICKS, _CHECK_KICKS - 1), (_CHECK_KICKS, _CHECK_KICKS),
+        (_CHECK_KICKS + 1, 130), (80, 140), (1, 100), (3, 121),
+    ])
+    # t0 = 135 dt is a whole number of steps, and interval i starts at
+    # (135 + i every) dt, as run_experiment times it (5 of these 8 trips
+    # would name another last bit from t0 + i every dt); from 0.2501 it
+    # starts at t0 + i every dt
+    @pytest.mark.parametrize("first_step", [135, None])
+    def test_trip_is_the_chained_calls_trip(self, wave, monkeypatch, every, kick, first_step):
+        # phi = 0 and phi_t = A cos(2 pi x / L): every row's sup grows for
+        # the 150 kicks of dt = 5e-3, so a ceiling at the largest sup of
+        # kick j - 1 of the reference loop trips at about kick j, in row 2
+        n, dt = 130, 5e-3
+        t0 = 0.2501 if first_step is None else first_step * dt
+        x = grid_points(L, n)
+        pt = np.fft.rfft(1e-3 * np.array([1.0, 2.0, 3.0])[:, None] * np.cos(2.0 * math.pi * x / L))
+        ph = np.zeros_like(pt)
+        sups, irfft = [], np.fft.irfft
+
+        def recording(a, n_):
+            phi = irfft(a, n_)
+            sups.append(np.max(np.abs(phi), axis=-1))
+            return phi
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.fft, "irfft", recording)
+            reference_advance(SplitStepper(L, n, dt), ph, pt, 150, t0)
+        sups = np.array(sups)  # (kick, row)
+        assert np.all(np.diff(sups, axis=0) > 0.0)
+        stepper = SplitStepper(L, n, dt, ceiling=float(sups[kick - 1].max()))
+        samples = kick // every + 2
+        with pytest.raises(BlowUpError) as info:
+            stepper.advance(ph, pt, samples * every, t0, every)
+        starts = [t0 + i * every * dt if first_step is None else (first_step + i * every) * dt
+                  for i in range(samples)]
+        with pytest.raises(BlowUpError) as chained:
+            self.chained(stepper, ph, pt, every, starts)
+        assert info.value.member == chained.value.member == 2
+        assert info.value.time == chained.value.time
+        assert str(info.value) == str(chained.value)
+        # the chained calls' half flows at each sample round other bits than
+        # the reference's fused flows, so their sups may cross one kick early
+        assert abs(info.value.time - (t0 + (kick + 0.5) * dt)) <= 1.01 * dt
+
+
 class TestSampleBlocks:
     """Trace rows evaluated in blocks are the rows evaluated one sample at a time, bit for bit."""
 
@@ -1062,7 +1261,11 @@ class TestSampleBlocks:
         # the batch of test_blowup_is_per_member: eps = 60 trips at the first
         # kick and eps = 35 at t = 1.95, each with rows pending
         ([1e-3, 35.0, 60.0, 20.0], 3.0, 0.1, 2),
-    ], ids=["eps100", "eps35_eps60"])
+        # one step per row: eps = 35 trips in the second block of rows, at
+        # 19 dt + dt / 2 = 1.9500000000000002, where 15 dt + 4 dt + dt / 2
+        # is 1.95
+        ([1e-3, 35.0, 60.0, 20.0], 3.0, 0.1, 1),
+    ], ids=["eps100", "eps35_eps60", "eps35_second_block"])
     def test_blowup_while_rows_are_pending(self, wave, amplitudes, T, dt, every):
         pairs = [perturbation_random(L, N, 1)] * len(amplitudes)
         outcomes = run_experiment(wave, pairs, amplitudes, T, dt, every, N=N)
@@ -1111,6 +1314,24 @@ class TestSampleBlocks:
         trace = run_experiment(wave, (p, q), 1e-3, 0.5, 1e-3, 1, N=N)
         assert trace.samples.shape[0] == 501
         assert 0 < calls["conserved"] <= 32 and 0 < calls["distance"] <= 32
+
+    @pytest.mark.parametrize("T, every, calls", [(0.5, 1, 32), (0.502, 3, 12)])
+    def test_one_advance_call_per_block(self, wave, monkeypatch, T, every, calls):
+        # 501 rows: 15 intervals after the t = 0 row, then 16 per block;
+        # 169 rows of 3 steps and a last one of 1 take 11 calls and one for
+        # the short interval
+        steps = []
+        real_advance = SplitStepper.advance
+
+        def counting_advance(self, ph, pt, nsteps, t0, every=None):
+            steps.append((nsteps, every))
+            return real_advance(self, ph, pt, nsteps, t0, every)
+
+        monkeypatch.setattr(SplitStepper, "advance", counting_advance)
+        trace = run_experiment(wave, perturbation_random(L, N, 1), 1e-3, T, 1e-3, every, N=N)
+        assert len(steps) == calls <= 33
+        assert sum(n for n, _ in steps) == horizon_steps(T, 1e-3)
+        assert trace.samples.shape[0] == 1 + sum(n // k for n, k in steps)
 
 
 class TestStateInvariants:
