@@ -61,13 +61,14 @@ leaves the sup-norm ceiling drops out at its own blow-up time and the
 others go on.
 
 Each trace row is one pass over those coefficients, and `run_experiment`
-makes them in blocks of _SAMPLE_BLOCK_ROWS rows.  One `advance` call with
-`every` = sample_every steps a block's intervals and returns the state at
-each of its samples: the first block holds the t = 0 row and 15 intervals,
-later ones 16, and a short last interval gets a call of its own.  Each
-member's rows of the block then go, as one contiguous (rows, N/2 + 1)
-array, through one `conserved` and one orbit-distance call: the calls, on
-the same arrays, that its solo run makes.  A member that blows up leaves
+makes them in blocks of _SAMPLE_BLOCK_ROWS rows.  `advance` always returns
+sample rows, one per interval of `every` steps, the last ending at nsteps,
+so one call with `every` = sample_every steps a block and returns the state
+at each of its samples: the first block holds the t = 0 row and 15
+intervals, later ones 16, and a short last interval is the last block's
+last row.  Each member's rows of the block then go, as one contiguous
+(rows, N/2 + 1) array, through one `conserved` and one orbit-distance call:
+the calls, on the same arrays, that its solo run makes.  A member that blows up leaves
 before its block is evaluated, and the others redo the block from its
 start, so no row of a departed member is evaluated.
 `conserved` reads each row with Parseval sums and one irfft for
@@ -114,7 +115,7 @@ TRACE_COLUMNS = ("t", "E", "F", "mean_phi", "mean_phidot", "orbit_distance")
 
 _NEWTON_STEPS = 8  # per orbit-distance row; the ensemble workload's blocks take 3
 _CEILING_FACTOR = 10.0  # run_experiment's blow-up ceiling, in units of max |h|
-_SAMPLE_BLOCK_ROWS = 16  # trace rows per conserved and orbit-distance call
+_SAMPLE_BLOCK_ROWS = 16  # trace rows per advance, conserved and orbit-distance call
 _CHECK_KICKS = 64  # kicks per ceiling test in SplitStepper.advance
 
 
@@ -223,31 +224,29 @@ class SplitStepper:
                                        for table in flow) for flow in self._rotations)
         return self._shaped
 
-    def _trip(self, squares, start, t0, every):
+    def _trip(self, squares, first, start, every):
         """Raise BlowUpError for the first kick and row of `squares` over the ceiling.
 
-        squares holds phi^2 of kicks start, start + 1, ... one per leading
-        index; max |phi| is read off it as sqrt(max phi^2), exact away from
-        under- and overflow.  Kick j is kick j % every of interval
-        i = j // every, timed from its start t0 + i every dt, or
-        (n + i every) dt if t0 = n dt, as `run_experiment` times samples.
+        squares holds phi^2 of kicks first, first + 1, ... of the call, one
+        per leading index; max |phi| is read off it as sqrt(max phi^2), exact
+        away from under- and overflow.  Kick j is kick k = j % every of
+        interval i = j // every, at time (start + i every) dt + (k + 1/2) dt:
+        the time a call of its own from the interval's first step gives it.
         """
         sups = np.sqrt(np.max(squares, axis=-1)).reshape(len(squares), -1)  # (kick, row)
         over = ~(sups <= self.ceiling)  # NaN trips it too
         kick = int(np.argmax(over.any(axis=1)))
         member = int(np.argmax(over[kick]))
         sup, dt = float(sups[kick, member]), self.dt
-        interval, local = divmod(start + kick, every)
-        n = round(t0 / dt) if math.isfinite(t0 / dt) else 0
-        begin = (n + interval * every) * dt if n * dt == t0 else t0 + interval * every * dt
-        t = begin + (local + 0.5) * dt
+        interval, local = divmod(first + kick, every)
+        t = (start + interval * every) * dt + (local + 0.5) * dt
         raise BlowUpError(
             f"||phi||_inf = {sup:.6g} exceeded ceiling {self.ceiling:.6g} at t = {t:.6g}",
             time=t, member=member,
         )
 
-    def advance(self, ph, pt, nsteps: int, t0: float, every: int | None = None):
-        """nsteps Strang steps from time t0, fusing interior half flows.
+    def advance(self, ph, pt, nsteps: int, start: int, every: int | None = None):
+        """nsteps Strang steps after `start` whole steps, fusing interior half flows.
 
         ph, pt are the rfft coefficients of (phi, phi_t), of shape
         (N/2 + 1,) or (B, N/2 + 1).  A step is ten ufunc calls, nine
@@ -263,36 +262,35 @@ class SplitStepper:
         zero state at dt = -0.05 does), and no sum with a nonzero value sees
         it.  Mode 0 gets copysign(0, dt) + 0j, the product's dt * 0j.
 
+        It returns (ceil(nsteps / every),) + ph.shape arrays (every defaults
+        to nsteps, so one row; nsteps < 1 gives none), row i the state after
+        min((i + 1) every, nsteps) steps, so a short last interval ends in
+        the last row.  Each row has the bits of chained calls, one per
+        interval: at a sample the closing half flow goes into the row and
+        the opening one starts from it.
+
         Each kick writes phi^2 into the next row of a
         (min(nsteps, _CHECK_KICKS),) + phi.shape buffer, and one max over
-        it per chunk of _CHECK_KICKS kicks tests the ceiling; a trip names
-        the first kick and row over it, with that kick's time.  Up to
-        _CHECK_KICKS - 1 kicks run past a trip, so the loop runs with
+        it per chunk of _CHECK_KICKS kicks, which may span samples, tests
+        the ceiling; a trip names the first kick and row over it, timed as
+        the chained call that makes that kick would time it (see `_trip`).
+        Up to _CHECK_KICKS - 1 kicks run past a trip, so the loop runs with
         overflow and invalid-value warnings off, and a trip whose phi^2
         overflowed reports ||phi||_inf = inf.  ph and pt are copied into
         [p, q], which every flow rotates with the same four calls, so the
         inputs are never written -- `run_experiment` redoes a block from
-        them after a blow-up -- and the arrays returned, two rows of one
-        buffer, share no memory with them (nsteps < 1 returns them as is).
-        BlowUpError.member names the tripping row.
-
-        With `every`, it returns (nsteps // every,) + ph.shape arrays, row i
-        the state after (i + 1) every steps (no step past the last row
-        runs), with the bits of chained calls of `every` steps: at a sample
-        the closing half flow goes into the row and the opening one starts
-        from it.  Ceiling chunks span samples; a trip is the chained one.
+        them after a blow-up -- and the rows returned, two halves of one
+        buffer, share no memory with them.  BlowUpError.member names the
+        tripping row.
         """
-        sampled = every is not None
-        if not sampled:
-            if nsteps < 1:
-                return ph, pt
-            every = nsteps  # one interval, whose end is the state itself
+        if every is None:
+            every = max(nsteps, 1)
         elif every < 1:
             raise ValueError(f"every must be at least 1, got {every}")
-        samples = max(nsteps, 0) // every
-        nsteps = samples * every  # steps past the last sample are not run
-        if not nsteps:
-            return np.empty((0,) + ph.shape, complex), np.empty((0,) + pt.shape, complex)
+        samples = -(-max(nsteps, 0) // every)
+        out = np.empty((2, samples) + ph.shape, complex)  # the sample rows, [p, q] each
+        if not samples:
+            return out[0], out[1]
         half, full = self._tables(ph.shape)
         N, dt, ceiling, projected = self.N, self.dt, self.ceiling, self.projected
         inv_n = 1.0 / N
@@ -312,8 +310,6 @@ class SplitStepper:
         rows = list(squares)
         p[...] = ph
         q[...] = pt
-        # the sample rows, [p, q] each, and the state's (p, q) without them
-        out = np.empty((2, samples) + ph.shape, complex) if sampled else s[:, None]
         # the flows before kick j, each (tables, source, (p, q) target): the
         # fused full flow inside an interval; the opening half flow at j = 0;
         # at an interior sample, the closing half flow into the sample row,
@@ -322,9 +318,9 @@ class SplitStepper:
         starts = [((half, s, (p, q)),)] + [
             ((half, s, (out[0, i], out[1, i])), (half, out[:, i], (p, q))) for i in range(samples - 1)]
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, nsteps, _CHECK_KICKS):
-                kicks = min(nsteps - start, _CHECK_KICKS)
-                for j, square in enumerate(rows[:kicks], start):
+            for first in range(0, nsteps, _CHECK_KICKS):
+                kicks = min(nsteps - first, _CHECK_KICKS)
+                for j, square in enumerate(rows[:kicks], first):
                     for (cos, sin), source, (target_p, target_q) in (
                             fused if j % every else starts[j // every]):
                         multiply(cos, source, y)
@@ -343,13 +339,13 @@ class SplitStepper:
                 # overflow, so this is max |phi| over the chunk and batch;
                 # NaN trips it too
                 if not math.sqrt(np.maximum.reduce(squares[:kicks], None)) <= ceiling:
-                    self._trip(squares[:kicks], start, t0, every)
+                    self._trip(squares[:kicks], first, start, every)
         cos, sin = half  # the closing half flow, into the last sample row
         multiply(cos, s, y)
         multiply(sin, s, z)
         add(y0, z1, out[0, -1])
         add(y1, z0, out[1, -1])
-        return (out[0], out[1]) if sampled else (p, q)
+        return out[0], out[1]
 
 
 def _h1_semi_sq(values: np.ndarray, L: float) -> float:
@@ -554,9 +550,10 @@ def run_experiment(
     Every member's trace is bit for bit the one it gets alone, because only
     the stepping is batched.
 
-    Rows are stepped and evaluated in blocks of _SAMPLE_BLOCK_ROWS, as the
+    Rows are stepped and evaluated in blocks of _SAMPLE_BLOCK_ROWS, one
+    `advance` call per block from the whole steps made before it, as the
     module docstring describes; a trip's time counts whole steps, as the t
-    column does.
+    column does.  A short last interval is the last block's last row.
     """
     batched = np.ndim(eps) == 1
     if not batched:
@@ -597,34 +594,27 @@ def run_experiment(
     rows = [[] for _ in members]
     outcomes = [None] * len(members)
     live = list(range(len(members)))  # the member held in each batch row
-    ends = list(range(0, nsteps + 1, sample_every))  # steps made at each trace row
-    if ends[-1] < nsteps:
-        ends.append(nsteps)  # after a short last interval
+    ends = [*range(0, nsteps, sample_every), nsteps]  # steps made at each trace row
     first = 0  # the block's first trace row
     while live and first < len(ends):
         marks = ends[first:first + _SAMPLE_BLOCK_ROWS]
         done = ends[first - 1] if first else 0
-        short = (marks[-1] - done) % sample_every  # a short last interval's steps, or 0
-        parts = [(ph[None], pt[None])] if first == 0 else []  # the t = 0 row opens the first block
-        state = ph, pt
         try:
-            for steps, every in ((marks[-1] - done - short, sample_every), (short, short)):
-                if steps:
-                    parts.append(stepper.advance(*state, steps, done * dt, every))
-                    state = parts[-1][0][-1], parts[-1][1][-1]
-                    done += steps
+            block = stepper.advance(ph, pt, marks[-1] - done, done, sample_every)
         except BlowUpError as exc:  # ph and pt still hold the block's start
             outcomes[live.pop(exc.member)] = exc
             if live:
                 ph, pt = (_lone_row_1d(np.delete(a, exc.member, axis=0)) for a in (ph, pt))
             continue
+        if not first:  # the t = 0 row opens the first block
+            block = [np.concatenate([a[None], rows_a]) for a, rows_a in zip((ph, pt), block)]
         t = np.array(marks) * dt
         for b, member in enumerate(live):  # each member's rows alone, as its solo run stacks them
-            ph_b, pt_b = (np.concatenate([a.reshape(len(a), -1, N // 2 + 1)[:, b] for a in arrays])
-                          for arrays in zip(*parts))
+            ph_b, pt_b = (np.ascontiguousarray(a.reshape(len(a), -1, N // 2 + 1)[:, b])
+                          for a in block)
             values = np.array([t, *conserved(ph_b, pt_b, wave.L), distance(ph_b, pt_b)])
             rows[member].extend(values.T.tolist())
-        ph, pt = (a.copy() for a in state)  # not views that keep the block's samples alive
+        ph, pt = (a[-1].copy() for a in block)  # not views that keep the block's samples alive
         first += len(marks)
     for member in live:
         outcomes[member] = EvolutionTrace(np.array(rows[member]))

@@ -241,7 +241,7 @@ def test_criterion_12_integrator_order():
 
     def final(dt):
         stepper = SplitStepper(wave.L, N_GRID, dt)
-        ph, pt = stepper.advance(ph0.copy(), pt0.copy(), int(round(1.0 / dt)), 0.0)
+        (ph,), (pt,) = stepper.advance(ph0.copy(), pt0.copy(), int(round(1.0 / dt)), 0)
         return np.fft.irfft(ph, N_GRID)
 
     ref = final(1e-3 / 16.0)

@@ -41,10 +41,16 @@ def wave_state(wave):
     return h, wave.c * h1
 
 
+def final_state(stepper, ph, pt, nsteps, start=0):
+    """The state after nsteps steps: the one row of an `advance` call without `every`."""
+    (ph,), (pt,) = stepper.advance(ph, pt, nsteps, start)
+    return ph, pt
+
+
 def advance_state(stepper, state, nsteps=1):
     """nsteps steps of grid samples (phi, phi_t) through SplitStepper.advance."""
     phi, phidot = state
-    ph, pt = stepper.advance(np.fft.rfft(phi), np.fft.rfft(phidot), nsteps, 0.0)
+    ph, pt = final_state(stepper, np.fft.rfft(phi), np.fft.rfft(phidot), nsteps)
     return np.fft.irfft(ph, stepper.N), np.fft.irfft(pt, stepper.N)
 
 
@@ -209,8 +215,9 @@ def reference_run(wave, perturbations, amplitudes, T, dt, every, n, projected=Tr
     """Per member, its trace rows or BlowUpError, each sample evaluated on its own.
 
     The stepping is run_experiment's: one batch from t = 0, a sample every
-    `every` steps, and a member over the ceiling leaves while the others redo
-    the block.  The diagnostics are those of the per-sample loop: one
+    `every` steps and after a short last interval, and a member over the
+    ceiling leaves while the others redo the interval, one `advance` call per
+    interval.  The diagnostics are those of the per-sample loop: one
     `conserved` and one orbit-distance call per member and sample, on its
     1-D row, at the moment it is sampled.
     """
@@ -234,7 +241,7 @@ def reference_run(wave, perturbations, amplitudes, T, dt, every, n, projected=Tr
     while done < nsteps:
         block = min(every, nsteps - done)
         try:
-            ph_next, pt_next = stepper.advance(ph, pt, block, done * dt)
+            (ph_next,), (pt_next,) = stepper.advance(ph, pt, block, done)
         except BlowUpError as exc:
             outcomes[live.pop(exc.member)] = exc
             if not live:
@@ -270,7 +277,7 @@ class TestStep:
     def test_means_preserved_over_many_steps(self, wave, wave_state):
         stepper = SplitStepper(L, N, 1e-3)
         ph, pt = np.fft.rfft(wave_state[0]), np.fft.rfft(wave_state[1])
-        ph, pt = stepper.advance(ph, pt, 10_000, 0.0)
+        ph, pt = final_state(stepper, ph, pt, 10_000)
         phi = np.fft.irfft(ph, N)
         phidot = np.fft.irfft(pt, N)
         assert abs(np.mean(phi)) <= 1e-12
@@ -291,7 +298,7 @@ class TestStep:
         def final(dt):
             stepper = SplitStepper(L, N, dt)
             ph, pt = np.fft.rfft(wave_state[0]), np.fft.rfft(wave_state[1])
-            ph, pt = stepper.advance(ph, pt, int(round(1.0 / dt)), 0.0)
+            ph, pt = final_state(stepper, ph, pt, int(round(1.0 / dt)))
             return np.fft.irfft(ph, N)
 
         ref = final(1e-3 / 16)
@@ -326,7 +333,7 @@ class TestStep:
         # a NaN sup-norm compares false against any ceiling; it must still trip
         ph = np.full(N // 2 + 1, np.nan, dtype=complex)
         with pytest.raises(BlowUpError):
-            SplitStepper(L, N, 1e-3).advance(ph, np.zeros_like(ph), 1, 0.0)
+            SplitStepper(L, N, 1e-3).advance(ph, np.zeros_like(ph), 1, 0)
 
     def test_bad_dt_rejected(self):
         with pytest.raises(ValueError):
@@ -456,8 +463,8 @@ class TestOrbitDistance:
         # row phi = 0.3
         w = solve_modulus(L_, c_)
         h, h1, _ = sample_wave(w, n)
-        ph, pt = SplitStepper(L_, n, 1e-3).advance(
-            *TestBatch.states(w, n, [1e-3, 0.0, 0.3, 4e-4]), 7, 0.0)
+        ph, pt = final_state(SplitStepper(L_, n, 1e-3),
+                             *TestBatch.states(w, n, [1e-3, 0.0, 0.3, 4e-4]), 7)
         if rows == "dead row":
             ph, pt = np.insert(ph, 2, 0.0, axis=0), np.insert(pt, 2, 0.0, axis=0)
             ph[2, 0] = 0.3 * n
@@ -479,7 +486,7 @@ class TestOrbitDistance:
         distance = _OrbitDistance(wave, h, h1)
         ph, pt = TestBatch.states(wave, N, [1e-3, 0.0, 0.3, 4e-4])
         stepper = SplitStepper(L, N, 1e-3)
-        states = [stepper.advance(ph, pt, 3 * k, 0.0) for k in range(1, 5)]
+        states = [final_state(stepper, ph, pt, 3 * k) for k in range(1, 5)]
         ph, pt = (np.vstack(a) for a in zip(*states))
         if rows == "dead row":
             constant = np.zeros(N // 2 + 1, complex)
@@ -598,7 +605,7 @@ class TestRunExperiment:
         pt = np.fft.rfft(wave.c * h1 + eps * q)
         stepper = SplitStepper(L, N, dt)
         for b in range(blocks):
-            ph, pt = stepper.advance(ph, pt, every, b * every * dt)
+            ph, pt = final_state(stepper, ph, pt, every, b * every)
         phi = np.fft.irfft(ph, N)
         phidot = np.fft.irfft(pt, N)
         phi_x = spectral_derivative(phi, L)
@@ -732,10 +739,10 @@ class TestBatch:
     def test_advance_rows_match_single_calls(self, wave, projected, B):
         ph, pt = self.states(wave, N, [0.0, 1e-3, 0.3][:B])
         stepper = SplitStepper(L, N, 1e-3, projected, ceiling=20.0)
-        bph, bpt = stepper.advance(ph, pt, 25, 0.0)
+        bph, bpt = final_state(stepper, ph, pt, 25)
         assert bph.shape == ph.shape
         for b in range(B):
-            rph, rpt = stepper.advance(ph[b], pt[b], 25, 0.0)
+            rph, rpt = final_state(stepper, ph[b], pt[b], 25)
             assert self.same_bits(bph[b], rph) and self.same_bits(bpt[b], rpt)
 
     @pytest.mark.parametrize("B", [1, 2, 3])
@@ -812,9 +819,9 @@ class TestBatch:
         wave = solve_modulus(3.7, 0.9)
         ph, pt = self.sweep_states(wave, 128)
         stepper = SplitStepper(wave.L, 256, 1e-3, ceiling=20.0)
-        bph, bpt = stepper.advance(ph, pt, 50, 0.0)
+        bph, bpt = final_state(stepper, ph, pt, 50)
         for b in range(0, 128, 7):
-            rph, rpt = stepper.advance(ph[b], pt[b], 50, 0.0)
+            rph, rpt = final_state(stepper, ph[b], pt[b], 50)
             assert self.same_bits(bph[b], rph) and self.same_bits(bpt[b], rpt), b
 
     def test_large_distance_block_rows_match_single_calls(self):
@@ -822,8 +829,8 @@ class TestBatch:
         # numpy would compute wcross * exp(...) in the exp's temporary with
         # the operands swapped; that gave 25 of these rows other bits
         wave = solve_modulus(3.7, 0.9)
-        ph, pt = SplitStepper(wave.L, 256, 1e-3, ceiling=20.0).advance(
-            *self.sweep_states(wave, 128), 5, 0.0)
+        ph, pt = final_state(SplitStepper(wave.L, 256, 1e-3, ceiling=20.0),
+                             *self.sweep_states(wave, 128), 5)
         h, h1, _ = sample_wave(wave, 256)
         distance = _OrbitDistance(wave, h, h1)
         assert self.same_bits(distance(ph, pt), [distance(a, b) for a, b in zip(ph, pt)])
@@ -884,10 +891,10 @@ class TestBatch:
     def test_stepper_names_the_tripping_row(self, wave):
         ph, pt = self.states(wave, N, [1e-3, 100.0, 200.0])
         with pytest.raises(BlowUpError) as info:
-            SplitStepper(L, N, 1e-3, ceiling=10.0).advance(ph, pt, 5, 0.0)
+            SplitStepper(L, N, 1e-3, ceiling=10.0).advance(ph, pt, 5, 0)
         assert info.value.member == 1
         with pytest.raises(BlowUpError) as alone:
-            SplitStepper(L, N, 1e-3, ceiling=10.0).advance(ph[1], pt[1], 5, 0.0)
+            SplitStepper(L, N, 1e-3, ceiling=10.0).advance(ph[1], pt[1], 5, 0)
         assert str(info.value) == str(alone.value) and alone.value.member == 0
 
     def test_ceiling_compares_the_exact_sup(self, wave):
@@ -897,9 +904,9 @@ class TestBatch:
         half, _ = linear_flow(ph, pt, rotation_tables(L, N, 0.5e-3))
         sups = np.max(np.abs(np.fft.irfft(half, N)), axis=-1)
         top = float(np.max(sups))
-        SplitStepper(L, N, 1e-3, ceiling=top).advance(ph, pt, 1, 0.0)
+        SplitStepper(L, N, 1e-3, ceiling=top).advance(ph, pt, 1, 0)
         with pytest.raises(BlowUpError) as info:
-            SplitStepper(L, N, 1e-3, ceiling=math.nextafter(top, 0.0)).advance(ph, pt, 1, 0.0)
+            SplitStepper(L, N, 1e-3, ceiling=math.nextafter(top, 0.0)).advance(ph, pt, 1, 0)
         assert info.value.member == int(np.argmax(sups))
         assert f"||phi||_inf = {top:.6g} exceeded" in str(info.value)
 
@@ -937,16 +944,17 @@ class TestBufferedAdvance:
     def test_matches_reference_loop(self, wave, n, rows, projected, dt, nsteps):
         ph, pt = self.states(wave, rows, n)
         stepper = SplitStepper(L, n, dt, projected, ceiling=20.0)
-        got = stepper.advance(ph, pt, nsteps, 0.125)
-        assert got[0].shape == got[1].shape == ph.shape
-        assert self.same_bits(got, reference_advance(stepper, ph, pt, nsteps, 0.125))
+        got = stepper.advance(ph, pt, nsteps, 125)
+        assert got[0].shape == got[1].shape == (1,) + ph.shape
+        want = reference_advance(stepper, ph, pt, nsteps, 125 * dt)
+        assert self.same_bits((got[0][-1], got[1][-1]), want)
 
     @pytest.mark.parametrize("projected", [True, False])
     def test_matches_reference_loop_at_benchmark_shape(self, wave, projected):
         # the stability workload's grid and step, over one 500-step block
         ph, pt = self.states(wave, None, 256)
         stepper = SplitStepper(L, 256, 1e-3, projected, ceiling=20.0)
-        got = stepper.advance(ph, pt, 500, 0.0)
+        got = final_state(stepper, ph, pt, 500)
         assert self.same_bits(got, reference_advance(stepper, ph, pt, 500, 0.0))
 
     def test_tables_follow_the_state_shape(self, wave):
@@ -955,14 +963,8 @@ class TestBufferedAdvance:
         stepper = SplitStepper(L, N, 1e-3, ceiling=20.0)
         for rows in (3, 2, None, 3):
             ph, pt = self.states(wave, rows)
-            got = stepper.advance(ph, pt, 7, 0.0)
+            got = final_state(stepper, ph, pt, 7)
             assert self.same_bits(got, reference_advance(stepper, ph, pt, 7, 0.0))
-
-    @pytest.mark.parametrize("nsteps", [0, -1])
-    def test_no_steps_return_the_inputs(self, wave, nsteps):
-        ph, pt = self.states(wave, 3)
-        got = SplitStepper(L, N, 1e-3, ceiling=20.0).advance(ph, pt, nsteps, 0.25)
-        assert got[0] is ph and got[1] is pt
 
     @pytest.mark.parametrize("rows", [None, 3])
     def test_inputs_untouched_and_unshared(self, wave, rows):
@@ -971,8 +973,8 @@ class TestBufferedAdvance:
         ph.setflags(write=False)  # a write into the inputs raises
         pt.setflags(write=False)
         stepper = SplitStepper(L, N, 1e-3)
-        first = stepper.advance(ph, pt, 7, 0.0)
-        second = stepper.advance(ph, pt, 7, 0.0)
+        first = stepper.advance(ph, pt, 7, 0)
+        second = stepper.advance(ph, pt, 7, 0)
         assert self.same_bits((ph, pt), before)
         assert self.same_bits(first, second)
         arrays = (ph, pt, *first, *second)
@@ -987,9 +989,9 @@ class TestBufferedAdvance:
         ph[row] = np.nan
         stepper = SplitStepper(L, n, 1e-3, ceiling=20.0)
         with pytest.raises(BlowUpError) as info:
-            stepper.advance(ph, pt, 7, 0.25)
+            stepper.advance(ph, pt, 7, 250)
         with pytest.raises(BlowUpError) as ref:
-            reference_advance(stepper, ph, pt, 7, 0.25)
+            reference_advance(stepper, ph, pt, 7, 250 * 1e-3)
         assert info.value.member == ref.value.member == row
         assert info.value.time == ref.value.time == 0.25 + 0.5e-3
         assert str(info.value).startswith("||phi||_inf = nan exceeded ceiling 20 at t = 0.2505")
@@ -1006,7 +1008,8 @@ class TestBufferedAdvance:
         # j >= 3 that exceeds it, so the trip comes after full rotations have
         # swapped the state buffers
         ph, pt = (np.roll(a, roll, axis=0) for a in self.states(wave, 3, n))
-        t0, sups, irfft = 0.25, [], np.fft.irfft
+        start, sups, irfft = 5, [], np.fft.irfft
+        t0 = start * dt
 
         def recording(a, n_):
             phi = irfft(a, n_)
@@ -1022,7 +1025,7 @@ class TestBufferedAdvance:
         ceiling = float(top[j - 1])
         stepper = SplitStepper(L, n, dt, projected, ceiling)
         with pytest.raises(BlowUpError) as info:
-            stepper.advance(ph, pt, 40, t0)
+            stepper.advance(ph, pt, 40, start)
         with pytest.raises(BlowUpError) as ref:
             reference_advance(stepper, ph, pt, 40, t0)
         member = int(np.argmax(sups[j] > ceiling))
@@ -1042,7 +1045,8 @@ class TestBufferedAdvance:
         # phi = 0 and phi_t = A cos(2 pi x / L): every row's sup grows as
         # (A / om) sin(om t) for the 150 kicks of dt = 5e-3, so a ceiling at
         # the largest sup of kick j - 1 first trips at kick j
-        n, dt, t0, nsteps = 130, 5e-3, 0.25, 150
+        n, dt, start, nsteps = 130, 5e-3, 50, 150
+        t0 = start * dt
         x = grid_points(L, n)
         pt = np.fft.rfft(1e-3 * np.array(amplitudes)[:, None] * np.cos(2.0 * math.pi * x / L))
         ph = np.zeros_like(pt)
@@ -1060,7 +1064,7 @@ class TestBufferedAdvance:
         assert np.all(np.diff(sups, axis=0) > 0.0)
         stepper = SplitStepper(L, n, dt, ceiling=float(sups[kick - 1].max()))
         with pytest.raises(BlowUpError) as info:
-            stepper.advance(ph, pt, nsteps, t0)
+            stepper.advance(ph, pt, nsteps, start)
         with pytest.raises(BlowUpError) as ref:
             reference_advance(stepper, ph, pt, nsteps, t0)
         assert info.value.member == ref.value.member == member
@@ -1075,10 +1079,10 @@ class TestBufferedAdvance:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(BlowUpError) as unbounded:
-                SplitStepper(L, N, 0.1).advance(ph, pt, _CHECK_KICKS, 0.0)
+                SplitStepper(L, N, 0.1).advance(ph, pt, _CHECK_KICKS, 0)
             stepper = SplitStepper(L, N, 0.1, ceiling=20.0)
             with pytest.raises(BlowUpError) as info:
-                stepper.advance(ph, pt, _CHECK_KICKS, 0.0)
+                stepper.advance(ph, pt, _CHECK_KICKS, 0)
         assert str(unbounded.value).startswith("||phi||_inf = nan exceeded ceiling inf")
         assert unbounded.value.time == 0.75
         with pytest.raises(BlowUpError) as ref:
@@ -1093,7 +1097,7 @@ class TestBufferedAdvance:
 
         ph, pt = self.states(wave, 3)
         stepper = SplitStepper(L, N, 1e-3)
-        plain = stepper.advance(ph, pt, 7, 0.0)
+        plain = stepper.advance(ph, pt, 7, 0)
         calls = []
 
         def counting(ufunc, transform):
@@ -1106,57 +1110,60 @@ class TestBufferedAdvance:
         bound = evolution._pocketfft_umath
         monkeypatch.setattr(evolution, "_pocketfft_umath", SimpleNamespace(
             irfft=counting(bound.irfft, "irfft"), rfft_n_even=counting(bound.rfft_n_even, "rfft")))
-        assert self.same_bits(stepper.advance(ph, pt, 7, 0.0), plain)
+        assert self.same_bits(stepper.advance(ph, pt, 7, 0), plain)
         assert calls == ["irfft", "rfft"] * 7
 
 
 class TestSampledAdvance:
-    """advance(..., every=k) returns the states of chained k-step calls, bit for bit."""
+    """advance(..., every=k) returns the states of chained calls of k steps, bit for bit."""
 
     @staticmethod
-    def chained(stepper, ph, pt, every, starts):
-        """The states after chained calls of `every` steps, one from each start time."""
+    def chained(stepper, ph, pt, nsteps, start, every):
+        """The states after calls of `every` steps (the last one of the rest), each from its start step."""
         rows = []
-        for t0 in starts:
-            ph, pt = stepper.advance(ph, pt, every, t0)
+        for first in range(0, nsteps, every):
+            ph, pt = final_state(stepper, ph, pt, min(every, nsteps - first), start + first)
             rows.append((ph, pt))
         return rows
 
     # samples fall on (64), inside (7) and across (65, 80) the chunks of
-    # _CHECK_KICKS kicks; every - 1 steps past the last sample are not run
+    # _CHECK_KICKS kicks; the every - 1 steps past the third sample end in a
+    # fourth row (every = 1 has none)
     @pytest.mark.parametrize("every", [1, 7, _CHECK_KICKS, _CHECK_KICKS + 1, 80])
     @pytest.mark.parametrize("projected", [True, False])
     @pytest.mark.parametrize("rows", [None, 1, 3])
     def test_rows_are_the_chained_calls(self, wave, rows, projected, every):
         ph, pt = TestBufferedAdvance.states(wave, rows)
         stepper = SplitStepper(L, N, 1e-3, projected, ceiling=20.0)
-        samples = 3
-        got = stepper.advance(ph, pt, samples * every + every - 1, 0.125, every)
-        assert got[0].shape == got[1].shape == (samples,) + ph.shape
-        starts = [0.125 + i * every * 1e-3 for i in range(samples)]
-        want = self.chained(stepper, ph, pt, every, starts)
+        nsteps = 3 * every + every - 1
+        got = stepper.advance(ph, pt, nsteps, 125, every)
+        assert got[0].shape == got[1].shape == (3 + (every > 1),) + ph.shape
+        want = self.chained(stepper, ph, pt, nsteps, 125, every)
+        assert len(want) == len(got[0])
         for i, state in enumerate(want):
             assert TestBufferedAdvance.same_bits((got[0][i], got[1][i]), state), i
         assert not np.shares_memory(got[0], got[1])
 
-    def test_one_sample_is_the_unsampled_call(self, wave):
-        ph, pt = TestBufferedAdvance.states(wave, 3)
-        stepper = SplitStepper(L, N, 1e-3, ceiling=20.0)
-        rows = stepper.advance(ph, pt, 150, 0.0, 150)
-        assert TestBufferedAdvance.same_bits((rows[0][0], rows[1][0]),
-                                             stepper.advance(ph, pt, 150, 0.0))
+    @pytest.mark.parametrize("projected", [True, False])
+    @pytest.mark.parametrize("rows", [None, 1, 3])
+    def test_fewer_steps_than_every_give_one_short_row(self, wave, rows, projected):
+        ph, pt = TestBufferedAdvance.states(wave, rows)
+        stepper = SplitStepper(L, N, 1e-3, projected, ceiling=20.0)
+        got = stepper.advance(ph, pt, 6, 0, 7)
+        assert got[0].shape == got[1].shape == (1,) + ph.shape
+        assert TestBufferedAdvance.same_bits((got[0][0], got[1][0]), final_state(stepper, ph, pt, 6))
 
-    @pytest.mark.parametrize("nsteps, every", [(6, 7), (0, 3), (-2, 1)])
-    def test_no_whole_interval_gives_no_rows(self, wave, nsteps, every):
+    @pytest.mark.parametrize("nsteps, every", [(0, 3), (-2, 1), (0, None), (-1, None)])
+    def test_no_steps_give_no_rows(self, wave, nsteps, every):
         ph, pt = TestBufferedAdvance.states(wave, 3)
-        got = SplitStepper(L, N, 1e-3, ceiling=20.0).advance(ph, pt, nsteps, 0.0, every)
+        got = SplitStepper(L, N, 1e-3, ceiling=20.0).advance(ph, pt, nsteps, 0, every)
         assert got[0].shape == got[1].shape == (0,) + ph.shape
 
     @pytest.mark.parametrize("every", [0, -3])
     def test_every_below_one_rejected(self, wave, every):
         ph, pt = TestBufferedAdvance.states(wave, 3)
         with pytest.raises(ValueError, match="every must be at least 1"):
-            SplitStepper(L, N, 1e-3).advance(ph, pt, 10, 0.0, every)
+            SplitStepper(L, N, 1e-3).advance(ph, pt, 10, 0, every)
 
     @pytest.mark.parametrize("rows", [None, 3])
     def test_inputs_untouched_and_unshared(self, wave, rows):
@@ -1165,31 +1172,31 @@ class TestSampledAdvance:
         ph.setflags(write=False)  # a write into the inputs raises
         pt.setflags(write=False)
         stepper = SplitStepper(L, N, 1e-3)
-        first = stepper.advance(ph, pt, 21, 0.0, 7)
-        second = stepper.advance(ph, pt, 21, 0.0, 7)
+        first = stepper.advance(ph, pt, 21, 0, 7)
+        second = stepper.advance(ph, pt, 21, 0, 7)
         assert TestBufferedAdvance.same_bits((ph, pt), before)
         assert TestBufferedAdvance.same_bits(first, second)
         for a in (*first, *second):
             assert not np.shares_memory(a, ph) and not np.shares_memory(a, pt)
 
     # the kicks are inside the first interval, the first of the second,
-    # the last of a chunk, the first of the next, and inside later
-    # intervals that straddle a chunk edge
-    @pytest.mark.parametrize("every, kick", [
-        (7, 3), (7, 7), (_CHECK_KICKS, _CHECK_KICKS - 1), (_CHECK_KICKS, _CHECK_KICKS),
-        (_CHECK_KICKS + 1, 130), (80, 140), (1, 100), (3, 121),
+    # the last of a chunk, the first of the next, inside later intervals
+    # that straddle a chunk edge, and inside a short last interval of 22
+    # steps that opens a chunk; the call runs kick // every + 2 intervals,
+    # or nsteps steps where given
+    @pytest.mark.parametrize("every, kick, nsteps", [
+        (7, 3, None), (7, 7, None), (_CHECK_KICKS, _CHECK_KICKS - 1, None),
+        (_CHECK_KICKS, _CHECK_KICKS, None), (_CHECK_KICKS + 1, 130, None), (80, 140, None),
+        (1, 100, None), (3, 121, None), (_CHECK_KICKS, 140, 150),
     ])
-    # t0 = 135 dt is a whole number of steps, and interval i starts at
-    # (135 + i every) dt, as run_experiment times it (5 of these 8 trips
-    # would name another last bit from t0 + i every dt); from 0.2501 it
-    # starts at t0 + i every dt
-    @pytest.mark.parametrize("first_step", [135, None])
-    def test_trip_is_the_chained_calls_trip(self, wave, monkeypatch, every, kick, first_step):
+    def test_trip_is_the_chained_calls_trip(self, wave, monkeypatch, every, kick, nsteps):
         # phi = 0 and phi_t = A cos(2 pi x / L): every row's sup grows for
         # the 150 kicks of dt = 5e-3, so a ceiling at the largest sup of
-        # kick j - 1 of the reference loop trips at about kick j, in row 2
-        n, dt = 130, 5e-3
-        t0 = 0.2501 if first_step is None else first_step * dt
+        # kick j - 1 of the reference loop trips at about kick j, in row 2.
+        # The call starts after 135 steps, and interval i at step
+        # 135 + i every, as run_experiment counts them (5 of these 9 trips
+        # would name another last bit from 135 dt + i every dt).
+        n, dt, start = 130, 5e-3, 135
         x = grid_points(L, n)
         pt = np.fft.rfft(1e-3 * np.array([1.0, 2.0, 3.0])[:, None] * np.cos(2.0 * math.pi * x / L))
         ph = np.zeros_like(pt)
@@ -1202,23 +1209,24 @@ class TestSampledAdvance:
 
         with monkeypatch.context() as patch:
             patch.setattr(np.fft, "irfft", recording)
-            reference_advance(SplitStepper(L, n, dt), ph, pt, 150, t0)
+            reference_advance(SplitStepper(L, n, dt), ph, pt, 150, start * dt)
         sups = np.array(sups)  # (kick, row)
         assert np.all(np.diff(sups, axis=0) > 0.0)
         stepper = SplitStepper(L, n, dt, ceiling=float(sups[kick - 1].max()))
-        samples = kick // every + 2
+        nsteps = nsteps or (kick // every + 2) * every
         with pytest.raises(BlowUpError) as info:
-            stepper.advance(ph, pt, samples * every, t0, every)
-        starts = [t0 + i * every * dt if first_step is None else (first_step + i * every) * dt
-                  for i in range(samples)]
+            stepper.advance(ph, pt, nsteps, start, every)
         with pytest.raises(BlowUpError) as chained:
-            self.chained(stepper, ph, pt, every, starts)
+            self.chained(stepper, ph, pt, nsteps, start, every)
         assert info.value.member == chained.value.member == 2
         assert info.value.time == chained.value.time
         assert str(info.value) == str(chained.value)
         # the chained calls' half flows at each sample round other bits than
         # the reference's fused flows, so their sups may cross one kick early
+        t0 = start * dt
         assert abs(info.value.time - (t0 + (kick + 0.5) * dt)) <= 1.01 * dt
+        if nsteps % every:  # the trip is in the short last interval
+            assert info.value.time > t0 + nsteps // every * every * dt
 
 
 class TestSampleBlocks:
@@ -1249,6 +1257,17 @@ class TestSampleBlocks:
         self.assert_matches_reference(
             outcomes, reference_run(wave, pairs, amplitudes, T, dt, every, N, projected))
 
+    @pytest.mark.parametrize("projected", [True, False])
+    def test_sample_every_past_the_horizon_gives_two_rows(self, wave, projected):
+        # 50 steps with a sample every 80: the t = 0 row and the short
+        # interval's row
+        amplitudes = [1e-3, 4e-4, 0.0]
+        pairs = [perturbation_random(L, N, seed) for seed in (3, 4, 5)]
+        outcomes = run_experiment(wave, pairs, amplitudes, 0.05, 1e-3, 80, N=N, projected=projected)
+        assert all(o.samples.shape[0] == 2 for o in outcomes)
+        self.assert_matches_reference(
+            outcomes, reference_run(wave, pairs, amplitudes, 0.05, 1e-3, 80, N, projected))
+
     def test_single_member_call_matches_reference(self, wave):
         pair = perturbation_random(L, N, 2)
         trace = run_experiment(wave, pair, 1e-3, 0.052, 1e-3, 3, N=N)
@@ -1265,7 +1284,12 @@ class TestSampleBlocks:
         # 19 dt + dt / 2 = 1.9500000000000002, where 15 dt + 4 dt + dt / 2
         # is 1.95
         ([1e-3, 35.0, 60.0, 20.0], 3.0, 0.1, 1),
-    ], ids=["eps100", "eps35_eps60", "eps35_second_block"])
+        # 20 steps of 7 (19) per row: eps = 35 trips at kick 19, in the
+        # short last interval of 6 steps (1 step)
+        ([1e-3, 35.0, 20.0], 2.0, 0.1, 7),
+        ([1e-3, 35.0, 20.0], 2.0, 0.1, 19),
+    ], ids=["eps100", "eps35_eps60", "eps35_second_block", "eps35_short_interval_of_6",
+            "eps35_short_interval_of_1"])
     def test_blowup_while_rows_are_pending(self, wave, amplitudes, T, dt, every):
         pairs = [perturbation_random(L, N, 1)] * len(amplitudes)
         outcomes = run_experiment(wave, pairs, amplitudes, T, dt, every, N=N)
@@ -1315,23 +1339,23 @@ class TestSampleBlocks:
         assert trace.samples.shape[0] == 501
         assert 0 < calls["conserved"] <= 32 and 0 < calls["distance"] <= 32
 
-    @pytest.mark.parametrize("T, every, calls", [(0.5, 1, 32), (0.502, 3, 12)])
+    @pytest.mark.parametrize("T, every, calls", [(0.5, 1, 32), (0.502, 3, 11)])
     def test_one_advance_call_per_block(self, wave, monkeypatch, T, every, calls):
         # 501 rows: 15 intervals after the t = 0 row, then 16 per block;
-        # 169 rows of 3 steps and a last one of 1 take 11 calls and one for
-        # the short interval
+        # 169 rows, the last after a short interval of 1 step, take 11
+        # calls, the short interval ending the last one's rows
         steps = []
         real_advance = SplitStepper.advance
 
-        def counting_advance(self, ph, pt, nsteps, t0, every=None):
+        def counting_advance(self, ph, pt, nsteps, start, every=None):
             steps.append((nsteps, every))
-            return real_advance(self, ph, pt, nsteps, t0, every)
+            return real_advance(self, ph, pt, nsteps, start, every)
 
         monkeypatch.setattr(SplitStepper, "advance", counting_advance)
         trace = run_experiment(wave, perturbation_random(L, N, 1), 1e-3, T, 1e-3, every, N=N)
         assert len(steps) == calls <= 33
         assert sum(n for n, _ in steps) == horizon_steps(T, 1e-3)
-        assert trace.samples.shape[0] == 1 + sum(n // k for n, k in steps)
+        assert trace.samples.shape[0] == 1 + sum(-(-n // k) for n, k in steps)
 
 
 class TestStateInvariants:
