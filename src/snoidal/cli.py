@@ -145,7 +145,6 @@ def _write_json(path: str, obj) -> None:
         fh.write(text)
 
 
-_CSV_BLOCK_ROWS = 1024
 _WAVE_BLOCK_ROWS = 256  # a wave block holds its h, h1, h2 cells as lists at once
 
 
@@ -158,15 +157,16 @@ def _write_csv(path: str, header: tuple[str, ...], blocks) -> None:
 
 
 def _table_blocks(rows):
-    """The lines of the 2-D array `rows`, `_CSV_BLOCK_ROWS` rows a block.
+    """The lines of the 2-D array `rows` as one block, or no block for no rows.
 
-    Each value is written as its `repr`.  A block's cells are grouped into
-    lines by `zip`ping one iterator once per column, so no Python code runs
-    per row or per value; the bytes are those of a row-by-row
-    `",".join(map(repr, row))` loop.
+    Each value is written as its `repr`.  The cells are grouped into lines
+    by `zip`ping one iterator once per column, so no Python code runs per
+    row or per value; the bytes are those of a row-by-row
+    `",".join(map(repr, row))` loop.  A trace has at most 1000 rows
+    (`_evolve_batch` samples every max(1, steps // 500) steps).
     """
-    for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-        cells = map(repr, rows[start:start + _CSV_BLOCK_ROWS].ravel().tolist())
+    if len(rows):
+        cells = map(repr, rows.ravel().tolist())
         yield "\n".join(map(",".join, zip(*[cells] * rows.shape[1]))) + "\n"
 
 
@@ -263,12 +263,10 @@ def _evolve_batch(group: list) -> list:
     lead = group[0]
     wave = solve_modulus(lead.L, lead.c)
     sample_every = max(1, horizon_steps(lead.T, lead.dt) // 500)
-    perturbations = [perturbation_random(wave.L, job.N, job.seed) if job.eps > 0.0 else None
-                     for job in group]
-    outcomes = run_experiment(
-        wave, perturbations, [job.eps for job in group], lead.T, lead.dt, sample_every,
-        N=lead.N, projected=lead.projected,
-    )
+    members = [(job.eps, perturbation_random(wave.L, job.N, job.seed) if job.eps > 0.0 else None)
+               for job in group]
+    outcomes = run_experiment(wave, members, lead.T, lead.dt, sample_every,
+                              N=lead.N, projected=lead.projected)
     return [(wave, sample_every, outcome) for outcome in outcomes]
 
 

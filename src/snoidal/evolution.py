@@ -51,8 +51,9 @@ and a batch pays numpy's call overhead once for all its rows: its FFTs run
 over the last axis, and its rotation tables are real values stored
 complex, so each product scales both components of a coefficient exactly.
 `conserved` and the orbit distance take a batch too, and work row by row
-as well, but `run_experiment`, which evolves several (eps, perturbation)
-members of one wave as a batch, batches only the stepping and evaluates
+as well.  `run_experiment` takes a list of (eps, perturbation) members of
+one wave, steps them as one batch, which may hold a single member, and
+returns one outcome per member; it batches only the stepping and evaluates
 each member's trace rows on their own.  A member's trace is then its solo
 trace by construction, not because every numpy call of the diagnostics
 gives a row the same bits in any block (numpy's elision of temporaries
@@ -524,45 +525,37 @@ def _lone_row_1d(rows: np.ndarray) -> np.ndarray:
 
 def run_experiment(
     wave: WaveParameters,
-    perturbation,
-    eps,
+    members,
     T: float,
     dt: float,
     sample_every: int,
     N: int = 256,
     projected: bool = True,
-):
-    """Evolve (h, c h') + eps * perturbation and record the orbit diagnostics.
+) -> list:
+    """Evolve (h, c h') + eps * (p, q) per member and record the orbit diagnostics.
 
-    Samples at t = 0 and every `sample_every` steps; each row holds
-    (t, E, F, mean phi, mean phi_t, orbit distance).  T must be a whole
-    number of dt steps (see :func:`horizon_steps`), and the perturbation a
-    pair of (N,) arrays on the wave's grid or None; a member with eps = 0
+    `members` is a non-empty sequence of (eps, pair) tuples, pair a (p, q)
+    tuple of (N,) arrays on the wave's grid or None; a member with eps = 0
     ignores its pair.  Every amplitude and pair is checked before the wave
-    is sampled.  Blow-up, ||phi||_inf above _CEILING_FACTOR max |h| during
-    the run, propagates as BlowUpError.
+    is sampled.  T must be a whole number of dt steps (see
+    :func:`horizon_steps`).  Samples are taken at t = 0 and every
+    `sample_every` steps; each row holds (t, E, F, mean phi, mean phi_t,
+    orbit distance).
 
-    A sequence of amplitudes for `eps`, with one perturbation (or None) per
-    amplitude in `perturbation`, evolves those members as one batch and
-    returns a list holding each member's EvolutionTrace, or the BlowUpError
-    it would have raised alone: a member that trips leaves the batch at its
-    own time, and the others redo the current sample block from its start.
-    Every member's trace is bit for bit the one it gets alone, because only
-    the stepping is batched.
+    The members evolve as one batch, and the call returns a list holding
+    each member's EvolutionTrace, or the BlowUpError it would have raised
+    alone: blow-up, ||phi||_inf above _CEILING_FACTOR max |h|, takes a
+    member out of the batch at its own time, and the others redo the
+    current sample block from its start.  Every member's trace is bit for
+    bit the one it gets alone, because only the stepping is batched.
 
     Rows are stepped and evaluated in blocks of _SAMPLE_BLOCK_ROWS, one
     `advance` call per block from the whole steps made before it, as the
     module docstring describes; a trip's time counts whole steps, as the t
     column does.  A short last interval is the last block's last row.
     """
-    batched = np.ndim(eps) == 1
-    if not batched:
-        members = [(eps, perturbation)]
-    elif len(eps) == len(perturbation) > 0:
-        members = list(zip(eps, perturbation))
-    else:
-        raise ValueError(f"a batch needs one perturbation per amplitude and at least one "
-                         f"member, got {len(eps)} and {len(perturbation)}")
+    if not members:
+        raise ValueError("run_experiment needs at least one (eps, pair) member")
     shifts = []  # per member, the (eps, p, q) added to the wave, or None
     for amplitude, pair in members:
         if not 0.0 <= amplitude < math.inf:
@@ -618,8 +611,4 @@ def run_experiment(
         first += len(marks)
     for member in live:
         outcomes[member] = EvolutionTrace(np.array(rows[member]))
-    if batched:
-        return outcomes
-    if isinstance(outcomes[0], BlowUpError):
-        raise outcomes[0]
-    return outcomes[0]
+    return outcomes

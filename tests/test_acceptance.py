@@ -204,7 +204,7 @@ def test_criterion_09_action_concavity():
 def test_criterion_10_conservation():
     wave = solve_modulus(math.pi, 0.95)
     tic = time.perf_counter()
-    trace = run_experiment(wave, None, 0.0, 100.0, 1e-3, 500, N=N_GRID)
+    [trace] = run_experiment(wave, [(0.0, None)], 100.0, 1e-3, 500, N=N_GRID)
     elapsed = time.perf_counter() - tic
     e = trace.column("E")
     f = trace.column("F")
@@ -222,7 +222,8 @@ def test_criterion_11_orbital_stability():
     wave = solve_modulus(math.pi, 0.95)
     perturbation = perturbation_random(wave.L, N_GRID, seed=2026)
     amplitudes = (1e-3, 5e-4)
-    traces = run_experiment(wave, [perturbation] * 2, amplitudes, 100.0, 1e-3, 500, N=N_GRID)
+    traces = run_experiment(wave, [(eps, perturbation) for eps in amplitudes], 100.0, 1e-3, 500,
+                            N=N_GRID)
     ratios = [float(np.max(trace.column("orbit_distance"))) / eps
               for trace, eps in zip(traces, amplitudes)]
     bounded = ratios[0] <= 50.0

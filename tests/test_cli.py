@@ -218,15 +218,19 @@ class TestEvolveCommands:
         assert cli.main(args + ["--out", str(tmp_path / "r2")]) == 0
         assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
 
+    # 1100 steps sampled every 2; 1003 steps every 2, the last row after a
+    # 1-step tail; 999 steps every step, the longest trace (1000 rows)
+    @pytest.mark.parametrize("T, rows", [("1.1", 551), ("1.003", 503), ("0.999", 1000)])
     @pytest.mark.parametrize("command", ["evolve", "stability"])
-    def test_csv_is_the_trace_row_by_row(self, command, tmp_path):
+    def test_csv_is_the_trace_row_by_row(self, command, T, rows, tmp_path):
         # the trace leaves through `_table_blocks` in the bytes of a
         # row-by-row writer of its samples
-        argv = [command, *WAVE, "--N", "64", "--T", "1.1", "--dt", "1e-3",
+        argv = [command, *WAVE, "--N", "64", "--T", T, "--dt", "1e-3",
                 "--eps", "1e-3", "--seed", "5", "--out", str(tmp_path / "ev")]
         assert cli.main(argv) == 0
         _, _, trace = cli._evolve_batch([cli.build_parser().parse_args(argv)])[0]
-        assert trace.samples.shape == (551, 6)  # every 2nd of 1100 steps
+        assert trace.samples.shape == (rows, 6)
+        assert trace.samples[-1, 0] == evolution.horizon_steps(float(T), 1e-3) * 1e-3
         expected = reference_csv(evolution.TRACE_COLUMNS, trace.samples)
         assert (tmp_path / "ev.csv").read_bytes() == expected
 
@@ -524,11 +528,8 @@ class TestCsvWriter:
     @settings(max_examples=200, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(table=hnp.arrays(np.float64, st.tuples(st.integers(0, 9), st.integers(1, 6)),
-                            elements=st.one_of(st.floats(), st.sampled_from(_SPECIAL))),
-           block=st.integers(1, 4))
-    def test_float64_tables(self, table, block, tmp_path, monkeypatch):
-        # small blocks put boundaries inside these small tables
-        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block)
+                            elements=st.one_of(st.floats(), st.sampled_from(_SPECIAL))))
+    def test_float64_tables(self, table, tmp_path):
         got, expected = self.written(table, tmp_path)
         assert got == expected
 
@@ -553,7 +554,7 @@ class TestCsvWriter:
         monkeypatch.setattr(cli, "open", lambda *a, **k: Counting(open(*a, **k)), raising=False)
         got, expected = self.written(_table(nrows, 4), tmp_path)
         assert got == expected
-        assert len(writes) == math.ceil(nrows / 1024) + 1
+        assert len(writes) == (2 if nrows else 1)  # the header, then the table's one block
 
     @pytest.mark.parametrize("block", [1, 3, 256])
     @pytest.mark.parametrize("N", [16, 18, 64, 66, 130, 1000, 2050, 8192])

@@ -370,7 +370,7 @@ class TestConserved:
         assert abs(E - direct) <= 1e-9 * max(1.0, abs(direct))
 
     def test_short_horizon_drift(self, wave, wave_state):
-        trace = run_experiment(wave, None, 0.0, 5.0, 1e-3, 100, N=N)
+        [trace] = run_experiment(wave, [(0.0, None)], 5.0, 1e-3, 100, N=N)
         e = trace.column("E")
         f = trace.column("F")
         assert np.max(np.abs(e - e[0])) / abs(e[0]) <= 1e-8
@@ -543,7 +543,7 @@ class TestPerturbations:
 
 class TestRunExperiment:
     def test_trace_shape_and_monotone_time(self, wave):
-        trace = run_experiment(wave, None, 0.0, 0.5, 1e-3, 50, N=N)
+        [trace] = run_experiment(wave, [(0.0, None)], 0.5, 1e-3, 50, N=N)
         assert trace.samples.shape == (11, 6)
         assert np.all(np.diff(trace.column("t")) > 0.0)
 
@@ -560,7 +560,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(evolution, "sample_wave", counting)
         p, q = perturbation_random(L, N, seed=2)
-        run_experiment(wave, (p, q), 1e-3, 0.1, 1e-3, 50, N=N)
+        run_experiment(wave, [(1e-3, (p, q))], 0.1, 1e-3, 50, N=N)
         assert len(calls) == 1
 
     def test_modes_built_once_per_run(self, wave, monkeypatch):
@@ -577,20 +577,20 @@ class TestRunExperiment:
         monkeypatch.setattr(evolution, "wavenumbers", counting)
         evolution._modes.cache_clear()
         p, q = perturbation_random(L, N, seed=4)
-        trace = run_experiment(wave, (p, q), 1e-3, 0.06, 1e-3, 1, N=N)
+        [trace] = run_experiment(wave, [(1e-3, (p, q))], 0.06, 1e-3, 1, N=N)
         assert trace.samples.shape[0] >= 50
         assert len(calls) <= 2
 
     def test_means_stay_zero(self, wave):
         p, q = perturbation_random(L, N, seed=1)
-        trace = run_experiment(wave, (p, q), 1e-3, 2.0, 1e-3, 100, N=N)
+        [trace] = run_experiment(wave, [(1e-3, (p, q))], 2.0, 1e-3, 100, N=N)
         assert np.max(np.abs(trace.column("mean_phi"))) <= 1e-10
         assert np.max(np.abs(trace.column("mean_phidot"))) <= 1e-10
 
     def test_projected_means_exactly_zero_after_start(self, wave):
         # the projected flow zeroes mode 0, and the means read mode 0 directly
         ones = np.ones(N)
-        trace = run_experiment(wave, (ones, ones), 1e-6, 1.0, 1e-3, 100, N=N)
+        [trace] = run_experiment(wave, [(1e-6, (ones, ones))], 1.0, 1e-3, 100, N=N)
         assert trace.column("mean_phi")[0] != 0.0
         assert np.all(trace.column("mean_phi")[1:] == 0.0)
         assert np.all(trace.column("mean_phidot")[1:] == 0.0)
@@ -599,7 +599,7 @@ class TestRunExperiment:
         # the row's Parseval sums agree with a grid quadrature of the same state
         eps, dt, every, blocks = 1e-3, 1e-3, 100, 3
         p, q = perturbation_random(L, N, seed=3)
-        trace = run_experiment(wave, (p, q), eps, blocks * every * dt, dt, every, N=N)
+        [trace] = run_experiment(wave, [(eps, (p, q))], blocks * every * dt, dt, every, N=N)
         h, h1, _ = sample_wave(wave, N)
         ph = np.fft.rfft(h + eps * p)
         pt = np.fft.rfft(wave.c * h1 + eps * q)
@@ -616,10 +616,10 @@ class TestRunExperiment:
 
     def test_nan_eps_rejected(self, wave):
         with pytest.raises(ValueError):
-            run_experiment(wave, None, float("nan"), 1.0, 1e-3, 10, N=N)
+            run_experiment(wave, [(float("nan"), None)], 1.0, 1e-3, 10, N=N)
 
     def test_pure_wave_rides_the_orbit(self, wave):
-        trace = run_experiment(wave, None, 0.0, 5.0, 1e-3, 250, N=N)
+        [trace] = run_experiment(wave, [(0.0, None)], 5.0, 1e-3, 250, N=N)
         assert np.max(trace.column("orbit_distance")) <= 1e-6
 
     def test_poincare_wirtinger_and_apriori_bound(self, wave):
@@ -648,16 +648,9 @@ class TestRunExperiment:
         for name in ("fft", "ifft", "fftfreq"):
             monkeypatch.setattr(np.fft, name, forbidden)
         p, q = perturbation_random(L, N, seed=2)
-        trace = run_experiment(wave, (p, q), 1e-3, 0.5, 1e-3, 50, N=N)
+        [trace] = run_experiment(wave, [(1e-3, (p, q))], 0.5, 1e-3, 50, N=N)
         assert np.all(np.isfinite(trace.column("orbit_distance")))
         assert orbit_distance(np.ones(N), np.zeros(N), wave) > 0.0
-
-    def test_blowup_propagates(self, wave):
-        # eps = 100 lifts sup |phi| to about 24, past the ceiling 10 max |h|
-        p, q = perturbation_random(L, N, 1)
-        with pytest.raises(BlowUpError) as info:
-            run_experiment(wave, (p, q), 100.0, 1.0, 1e-3, 10, N=N)
-        assert info.value.time == 0.0005
 
     def test_unprojected_mean_contrast_demo(self, wave):
         # contrast mode, demonstrative only: without projection a
@@ -666,12 +659,12 @@ class TestRunExperiment:
         eps = 1e-6
         ones = np.ones(N)
         zero = np.zeros(N)
-        trace = run_experiment(wave, (ones, zero), eps, 4.0, 1e-3, 500,
-                               N=N, projected=False)
+        [trace] = run_experiment(wave, [(eps, (ones, zero))], 4.0, 1e-3, 500,
+                                 N=N, projected=False)
         means = trace.column("mean_phi")
         assert np.max(np.abs(means - means[0])) > 0.3 * eps
-        pinned = run_experiment(wave, (ones, zero), eps, 4.0, 1e-3, 500,
-                                N=N, projected=True)
+        [pinned] = run_experiment(wave, [(eps, (ones, zero))], 4.0, 1e-3, 500,
+                                  N=N, projected=True)
         # row 0 records the raw mean-carrying data; projection acts from step 1
         assert np.max(np.abs(pinned.column("mean_phi")[1:])) <= 1e-10
 
@@ -684,16 +677,16 @@ class TestRunExperiment:
 
         monkeypatch.setattr(evolution, "sample_wave", unreachable)
         with pytest.raises(ValueError):
-            run_experiment(wave, None, -1.0, 1.0, 1e-3, 10, N=N)
+            run_experiment(wave, [(-1.0, None)], 1.0, 1e-3, 10, N=N)
         with pytest.raises(ValueError):
-            run_experiment(wave, None, 0.0, 1.0, -1e-3, 10, N=N)
+            run_experiment(wave, [(0.0, None)], 1.0, -1e-3, 10, N=N)
         p, q = perturbation_random(L, 64, seed=0)
         with pytest.raises(ValueError):
-            run_experiment(wave, (p, q), 1e-3, 1.0, 1e-3, 10, N=N)
+            run_experiment(wave, [(1e-3, (p, q))], 1.0, 1e-3, 10, N=N)
         with pytest.raises(ValueError):
-            run_experiment(wave, (p[None, :], q), 1e-3, 1.0, 1e-3, 10, N=64)
+            run_experiment(wave, [(1e-3, (p[None, :], q))], 1.0, 1e-3, 10, N=64)
         with pytest.raises(ValueError):
-            run_experiment(wave, (p, q), math.inf, 1.0, 1e-3, 10, N=64)
+            run_experiment(wave, [(math.inf, (p, q))], 1.0, 1e-3, 10, N=64)
 
     def test_sample_every_below_one_rejected(self, wave, monkeypatch):
         import snoidal.evolution as evolution
@@ -703,14 +696,14 @@ class TestRunExperiment:
 
         monkeypatch.setattr(evolution, "sample_wave", unreachable)
         with pytest.raises(ValueError, match="^sample_every must be at least 1, got 0$"):
-            run_experiment(wave, None, 0.0, 1.0, 1e-3, 0, N=N)
+            run_experiment(wave, [(0.0, None)], 1.0, 1e-3, 0, N=N)
 
     @pytest.mark.parametrize("T", [-5.0, 0.0105])
     def test_horizon_not_a_whole_number_of_steps_rejected(self, wave, T):
         with pytest.raises(ValueError):
             horizon_steps(T, 1e-3)
         with pytest.raises(ValueError):
-            run_experiment(wave, None, 0.0, T, 1e-3, 10, N=N)
+            run_experiment(wave, [(0.0, None)], T, 1e-3, 10, N=N)
 
     def test_whole_step_horizon_accepted(self):
         # 0.7 / 0.001 is 699.9999999999999 in floating point
@@ -762,24 +755,24 @@ class TestBatch:
     def test_run_experiment_members_match_solo_runs(self, wave, projected, B):
         amplitudes = [1e-3, 0.0, 4e-4][:B]
         perturbations = [perturbation_random(L, N, seed) for seed in (5, 6, 7)][:B]
-        traces = run_experiment(wave, perturbations, amplitudes, 0.3, 1e-3, 20,
-                                N=N, projected=projected)
+        members = list(zip(amplitudes, perturbations))
+        traces = run_experiment(wave, members, 0.3, 1e-3, 20, N=N, projected=projected)
         assert isinstance(traces, list) and len(traces) == B
-        for trace, eps, pair in zip(traces, amplitudes, perturbations):
-            solo = run_experiment(wave, pair, eps, 0.3, 1e-3, 20, N=N, projected=projected)
+        for trace, member in zip(traces, members):
+            [solo] = run_experiment(wave, [member], 0.3, 1e-3, 20, N=N, projected=projected)
             assert self.same_bits(trace.samples, solo.samples)
 
     @staticmethod
     def sweep_members(wave, B, n=256):
-        """B members eps_i = 1e-4 (1 + 0.37 i) with perturbation_random seeds 1, 2, 3, 4, 1, ..."""
+        """B members (1e-4 (1 + 0.37 i), pair), perturbation_random seeds 1, 2, 3, 4, 1, ..."""
         pairs = [perturbation_random(wave.L, n, seed) for seed in (1, 2, 3, 4)]
-        return [1e-4 * (1 + 0.37 * i) for i in range(B)], [pairs[i % 4] for i in range(B)]
+        return [(1e-4 * (1 + 0.37 * i), pairs[i % 4]) for i in range(B)]
 
     @classmethod
     def sweep_states(cls, wave, B, n=256):
         """rfft coefficients of the sweep_members' initial states, one row per member."""
         h, h1, _ = sample_wave(wave, n)
-        members = list(zip(*cls.sweep_members(wave, B, n)))
+        members = cls.sweep_members(wave, B, n)
         ph = np.fft.rfft(np.array([h + eps * p for eps, (p, _) in members]))
         pt = np.fft.rfft(np.array([wave.c * h1 + eps * q for eps, (_, q) in members]))
         return ph, pt
@@ -791,10 +784,10 @@ class TestBatch:
         # 4 of these 16 members (B = 64) and 14 (B = 128) got other last
         # digits than their solo runs
         wave = solve_modulus(3.7, 0.9)
-        amplitudes, pairs = self.sweep_members(wave, B)
-        traces = run_experiment(wave, pairs, amplitudes, 0.1, 1e-3, 1, N=256)
+        members = self.sweep_members(wave, B)
+        traces = run_experiment(wave, members, 0.1, 1e-3, 1, N=256)
         for m in range(0, B, B // 16):
-            solo = run_experiment(wave, pairs[m], amplitudes[m], 0.1, 1e-3, 1, N=256)
+            [solo] = run_experiment(wave, members[m:m + 1], 0.1, 1e-3, 1, N=256)
             assert self.same_bits(traces[m].samples, solo.samples), m
 
     @pytest.mark.parametrize("projected", [True, False])
@@ -804,13 +797,12 @@ class TestBatch:
         every = 80
         assert every > _CHECK_KICKS
         wave = solve_modulus(3.14159, 0.95)
-        amplitudes = [1e-3, 5e-4, 2e-4]
-        pairs = [perturbation_random(wave.L, 64, 1)] * 3
-        traces = run_experiment(wave, pairs, amplitudes, 0.24, 1e-3, every, N=64,
-                                projected=projected)
-        for trace, eps, pair in zip(traces, amplitudes, pairs):
+        pair = perturbation_random(wave.L, 64, 1)
+        members = [(eps, pair) for eps in (1e-3, 5e-4, 2e-4)]
+        traces = run_experiment(wave, members, 0.24, 1e-3, every, N=64, projected=projected)
+        for trace, member in zip(traces, members):
             assert trace.samples.shape == (4, 6)
-            solo = run_experiment(wave, pair, eps, 0.24, 1e-3, every, N=64, projected=projected)
+            [solo] = run_experiment(wave, [member], 0.24, 1e-3, every, N=64, projected=projected)
             assert self.same_bits(trace.samples, solo.samples)
 
     def test_large_advance_batch_rows_match_single_calls(self):
@@ -838,8 +830,8 @@ class TestBatch:
     def test_eps_zero_member_is_the_wave(self, wave):
         # an eps = 0 member evolves (h, c h') whatever its perturbation
         p, q = perturbation_random(L, N, 3)
-        with_pair, without = run_experiment(wave, [(p, q), None], [0.0, 0.0], 0.1, 1e-3, 10, N=N)
-        solo = run_experiment(wave, None, 0.0, 0.1, 1e-3, 10, N=N)
+        with_pair, without = run_experiment(wave, [(0.0, (p, q)), (0.0, None)], 0.1, 1e-3, 10, N=N)
+        [solo] = run_experiment(wave, [(0.0, None)], 0.1, 1e-3, 10, N=N)
         assert self.same_bits(with_pair.samples, solo.samples)
         assert self.same_bits(without.samples, solo.samples)
 
@@ -849,13 +841,12 @@ class TestBatch:
         # run on and match their solo runs
         amplitudes = [1e-3, 35.0, 60.0, 20.0]
         pair = perturbation_random(L, N, 1)
-        outcomes = run_experiment(wave, [pair] * 4, amplitudes, 3.0, 0.1, 2, N=N)
+        outcomes = run_experiment(wave, [(eps, pair) for eps in amplitudes], 3.0, 0.1, 2, N=N)
         for outcome, eps in zip(outcomes, amplitudes):
-            try:
-                solo = run_experiment(wave, pair, eps, 3.0, 0.1, 2, N=N)
-            except BlowUpError as exc:
+            [solo] = run_experiment(wave, [(eps, pair)], 3.0, 0.1, 2, N=N)
+            if isinstance(solo, BlowUpError):
                 assert isinstance(outcome, BlowUpError)
-                assert (str(outcome), outcome.time) == (str(exc), exc.time)
+                assert (str(outcome), outcome.time) == (str(solo), solo.time)
             else:
                 assert self.same_bits(outcome.samples, solo.samples)
         assert [type(o).__name__ for o in outcomes] == [
@@ -872,11 +863,11 @@ class TestBatch:
         pair = perturbation_random(wave.L, 64, 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            outcomes = run_experiment(wave, [pair] * len(amplitudes), amplitudes,
+            outcomes = run_experiment(wave, [(eps, pair) for eps in amplitudes],
                                       0.05, 1e-3, 10, N=64)
-            solo = run_experiment(wave, pair, 1e-3, 0.05, 1e-3, 10, N=64)
-            with pytest.raises(BlowUpError):
-                run_experiment(wave, pair, 1e200, 0.05, 1e-3, 10, N=64)
+            [solo] = run_experiment(wave, [(1e-3, pair)], 0.05, 1e-3, 10, N=64)
+            [alone] = run_experiment(wave, [(1e200, pair)], 0.05, 1e-3, 10, N=64)
+        assert isinstance(alone, BlowUpError)
         for outcome, eps in zip(outcomes, amplitudes):
             if eps == 1e200:
                 assert isinstance(outcome, BlowUpError) and outcome.time == 0.0005
@@ -885,7 +876,7 @@ class TestBatch:
 
     def test_single_member_batch_returns_its_blowup(self, wave):
         pair = perturbation_random(L, N, 1)
-        [outcome] = run_experiment(wave, [pair], [100.0], 1.0, 1e-3, 10, N=N)
+        [outcome] = run_experiment(wave, [(100.0, pair)], 1.0, 1e-3, 10, N=N)
         assert isinstance(outcome, BlowUpError) and outcome.time == 0.0005
 
     def test_stepper_names_the_tripping_row(self, wave):
@@ -910,14 +901,21 @@ class TestBatch:
         assert info.value.member == int(np.argmax(sups))
         assert f"||phi||_inf = {top:.6g} exceeded" in str(info.value)
 
-    def test_batch_input_validation(self, wave):
+    def test_batch_input_validation(self, wave, monkeypatch):
+        # every case fails before the wave is sampled
+        import snoidal.evolution as evolution
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sample_wave ran before the inputs were checked")
+
+        monkeypatch.setattr(evolution, "sample_wave", unreachable)
         pair = perturbation_random(L, N, 1)
         with pytest.raises(ValueError):
-            run_experiment(wave, [pair], [1e-3, 2e-3], 0.1, 1e-3, 10, N=N)
+            run_experiment(wave, [], 0.1, 1e-3, 10, N=N)
         with pytest.raises(ValueError):
-            run_experiment(wave, [], [], 0.1, 1e-3, 10, N=N)
-        with pytest.raises(ValueError):
-            run_experiment(wave, [pair, pair], [1e-3, -1.0], 0.1, 1e-3, 10, N=N)
+            run_experiment(wave, [(1e-3, pair), (-1.0, pair)], 0.1, 1e-3, 10, N=N)
+        with pytest.raises(ValueError):  # a bare (p, q) pair, with no eps
+            run_experiment(wave, [(1e-3, pair), pair], 0.1, 1e-3, 10, N=N)
 
 
 class TestBufferedAdvance:
@@ -1252,7 +1250,8 @@ class TestSampleBlocks:
         pairs = [perturbation_random(L, N, seed) for seed in (3, 4, 5)][:B]
         every, dt = 3, 1e-3
         T = intervals * every * dt
-        outcomes = run_experiment(wave, pairs, amplitudes, T, dt, every, N=N, projected=projected)
+        outcomes = run_experiment(wave, list(zip(amplitudes, pairs)), T, dt, every, N=N,
+                                  projected=projected)
         assert all(o.samples.shape[0] == intervals + 1 for o in outcomes)
         self.assert_matches_reference(
             outcomes, reference_run(wave, pairs, amplitudes, T, dt, every, N, projected))
@@ -1263,14 +1262,15 @@ class TestSampleBlocks:
         # interval's row
         amplitudes = [1e-3, 4e-4, 0.0]
         pairs = [perturbation_random(L, N, seed) for seed in (3, 4, 5)]
-        outcomes = run_experiment(wave, pairs, amplitudes, 0.05, 1e-3, 80, N=N, projected=projected)
+        outcomes = run_experiment(wave, list(zip(amplitudes, pairs)), 0.05, 1e-3, 80, N=N,
+                                  projected=projected)
         assert all(o.samples.shape[0] == 2 for o in outcomes)
         self.assert_matches_reference(
             outcomes, reference_run(wave, pairs, amplitudes, 0.05, 1e-3, 80, N, projected))
 
     def test_single_member_call_matches_reference(self, wave):
         pair = perturbation_random(L, N, 2)
-        trace = run_experiment(wave, pair, 1e-3, 0.052, 1e-3, 3, N=N)
+        [trace] = run_experiment(wave, [(1e-3, pair)], 0.052, 1e-3, 3, N=N)
         self.assert_matches_reference([trace], reference_run(wave, [pair], [1e-3], 0.052,
                                                              1e-3, 3, N))
 
@@ -1292,7 +1292,7 @@ class TestSampleBlocks:
             "eps35_short_interval_of_1"])
     def test_blowup_while_rows_are_pending(self, wave, amplitudes, T, dt, every):
         pairs = [perturbation_random(L, N, 1)] * len(amplitudes)
-        outcomes = run_experiment(wave, pairs, amplitudes, T, dt, every, N=N)
+        outcomes = run_experiment(wave, list(zip(amplitudes, pairs)), T, dt, every, N=N)
         reference = reference_run(wave, pairs, amplitudes, T, dt, every, N)
         assert any(isinstance(o, BlowUpError) for o in reference)
         assert any(not isinstance(o, BlowUpError) for o in reference)
@@ -1313,7 +1313,7 @@ class TestSampleBlocks:
         monkeypatch.setattr(evolution, "conserved", counting_conserved)
         wave = solve_modulus(3.14159, 0.95)
         pair = perturbation_random(wave.L, 64, 1)
-        blowup, trace = run_experiment(wave, [pair, pair], [100.0, 1e-3], 1.0, 1e-3, 10, N=64)
+        blowup, trace = run_experiment(wave, [(100.0, pair), (1e-3, pair)], 1.0, 1e-3, 10, N=64)
         assert isinstance(blowup, BlowUpError) and blowup.time == 0.0005
         assert trace.samples.shape == (101, 6)
         assert sum(rows) == 101
@@ -1335,7 +1335,7 @@ class TestSampleBlocks:
         monkeypatch.setattr(evolution, "conserved", counting_conserved)
         monkeypatch.setattr(_OrbitDistance, "__call__", counting_distance)
         p, q = perturbation_random(L, N, 1)
-        trace = run_experiment(wave, (p, q), 1e-3, 0.5, 1e-3, 1, N=N)
+        [trace] = run_experiment(wave, [(1e-3, (p, q))], 0.5, 1e-3, 1, N=N)
         assert trace.samples.shape[0] == 501
         assert 0 < calls["conserved"] <= 32 and 0 < calls["distance"] <= 32
 
@@ -1352,7 +1352,8 @@ class TestSampleBlocks:
             return real_advance(self, ph, pt, nsteps, start, every)
 
         monkeypatch.setattr(SplitStepper, "advance", counting_advance)
-        trace = run_experiment(wave, perturbation_random(L, N, 1), 1e-3, T, 1e-3, every, N=N)
+        members = [(1e-3, perturbation_random(L, N, 1))]
+        [trace] = run_experiment(wave, members, T, 1e-3, every, N=N)
         assert len(steps) == calls <= 33
         assert sum(n for n, _ in steps) == horizon_steps(T, 1e-3)
         assert trace.samples.shape[0] == 1 + sum(-(-n // k) for n, k in steps)

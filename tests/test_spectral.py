@@ -1342,7 +1342,7 @@ class TestSymmetricSampling:
         traces = []
         for sampler in (self.pointwise, sample_wave):
             monkeypatch.setattr(evolution, "sample_wave", sampler)
-            traces.append(evolution.run_experiment(wave, pair, 1e-2, 1.0, 1e-3, 50, N=128))
+            traces.extend(evolution.run_experiment(wave, [(1e-2, pair)], 1.0, 1e-3, 50, N=128))
         for name in ("E", "F", "orbit_distance"):
             exact, filled = (trace.column(name) for trace in traces)
             assert np.max(np.abs(filled - exact)) <= 1e-12 * np.max(np.abs(exact))
