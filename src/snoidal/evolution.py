@@ -30,13 +30,14 @@ make few of them:
 
 A call allocates its buffers once and no step allocates: the FFTs and
 every product write into them, and a rotation's sums overwrite the state
-its two products have read.  The rotation tables are broadcast to the
-state's shape once and cached on the stepper per shape.  The caller's ph
-and pt are only read, copied into [p, q] before the first flow, so a block
-can be redone from them after a blow-up.  The arithmetic and its order are
-those of the plain expressions cos ph + sin/om pt and
-pt - dt rfft(phi^3), so every nonzero coefficient has their bits (an exact
-zero may differ in its sign; see `SplitStepper.advance`).  The step's two
+its two products have read.  A batch's rotation tables are copied to the
+state's shape once per call, and the stepper keeps no state between
+calls.  The caller's ph and pt are only read, copied into [p, q] before
+the first flow, so a block can be redone from them after a blow-up.  The
+arithmetic and its order are those of the plain expressions
+cos ph + sin/om pt and pt - dt rfft(phi^3), so every nonzero coefficient
+has their bits (an exact zero may differ in its sign; see
+`SplitStepper.advance`).  The step's two
 transforms call numpy's pocketfft ufuncs (`numpy.fft._pocketfft_umath`,
 numpy >= 2.0) directly, with the scale factors 1/N and dt: at N = 256 the
 np.fft wrapper's per-call checks cost about as much as the transform, and
@@ -180,11 +181,10 @@ class SplitStepper:
     -sin om p + cos q, the second with its terms swapped, which IEEE
     addition does not see.  All three flows, the opening half, the fused
     full and the closing half, take this form.  The two tables of each flow
-    are kept for the (N/2 + 1,) state and broadcast to the last batch shape
-    `advance` saw, so a batch pays for them once per run and again only
-    when a blown-up member leaves it; multiplying by a contiguous table of
-    the state's own shape is faster than broadcasting a per-mode one over
-    its rows.  The kick transforms through pocketfft's irfft and
+    are kept for the (N/2 + 1,) state, and each `advance` call on a batch
+    copies them to its (2, B, N/2 + 1) shape: multiplying by a contiguous
+    table of the state's own shape is faster than broadcasting a per-mode
+    one over its rows.  The kick transforms through pocketfft's irfft and
     rfft_n_even ufuncs with the scale factors 1/N and dt, so it gets
     np.fft's bits without the wrapper's per-call cost; rfft_n_even needs
     the grid rule's even N.
@@ -215,15 +215,6 @@ class SplitStepper:
             rotations.append((np.array([cos, cos], complex),
                               np.array([np.r_[sh, -sin * om], np.r_[sh, sin / om]], complex)))
         self._rotations = tuple(rotations)
-        self._shape, self._shaped = (N // 2 + 1,), self._rotations
-
-    def _tables(self, shape):
-        """The half and full flows' rotation tables broadcast to (2,) + `shape`, cached per shape."""
-        if shape != self._shape:
-            self._shape = shape
-            self._shaped = tuple(tuple(np.array([np.broadcast_to(row, shape) for row in table])
-                                       for table in flow) for flow in self._rotations)
-        return self._shaped
 
     def _trip(self, squares, first, start, every):
         """Raise BlowUpError for the first kick and row of `squares` over the ceiling.
@@ -292,7 +283,10 @@ class SplitStepper:
         out = np.empty((2, samples) + ph.shape, complex)  # the sample rows, [p, q] each
         if not samples:
             return out[0], out[1]
-        half, full = self._tables(ph.shape)
+        half, full = self._rotations
+        if ph.ndim == 2:  # contiguous (2, B, N/2 + 1) copies: broadcasting over the rows is slower
+            half, full = ([np.repeat(table[:, None], len(ph), axis=1) for table in flow]
+                          for flow in (half, full))
         N, dt, ceiling, projected = self.N, self.dt, self.ceiling, self.projected
         inv_n = 1.0 / N
         zero = complex(math.copysign(0.0, dt), 0.0)  # mode 0 of dt * rfft(phi^3 - mean)
@@ -490,13 +484,10 @@ def perturbation_random(L: float, N: int, seed: int) -> tuple[np.ndarray, np.nda
     rng = np.random.Generator(np.random.PCG64(seed))
     x = grid_points(L, N)
     m = np.arange(1, max(2, N // 8) + 1)[:, None]
-    fields = []
-    for _ in range(2):
-        draws = rng.random((m.size, 2))  # (amplitude, phase) per mode, in mode order
-        amp = (2.0 * draws[:, :1] - 1.0) / (m * m)
-        phase = 2.0 * math.pi * draws[:, 1:]
-        fields.append(np.sum(amp * np.cos(2.0 * math.pi * m / L * x + phase), axis=0))
-    p, q = fields
+    draws = rng.random((2, m.size, 2))  # (amplitude, phase) per field and mode, in that order
+    amp = (2.0 * draws[..., :1] - 1.0) / (m * m)
+    phase = 2.0 * math.pi * draws[..., 1:]
+    p, q = np.sum(amp * np.cos(2.0 * math.pi * m / L * x + phase), axis=1)
     scale = 1.0 / math.sqrt(ynorm_sq(p, q, L))
     return scale * p, scale * q
 
@@ -534,13 +525,13 @@ def run_experiment(
 ) -> list:
     """Evolve (h, c h') + eps * (p, q) per member and record the orbit diagnostics.
 
-    `members` is a non-empty sequence of (eps, pair) tuples, pair a (p, q)
-    tuple of (N,) arrays on the wave's grid or None; a member with eps = 0
-    ignores its pair.  Every amplitude and pair is checked before the wave
-    is sampled.  T must be a whole number of dt steps (see
-    :func:`horizon_steps`).  Samples are taken at t = 0 and every
-    `sample_every` steps; each row holds (t, E, F, mean phi, mean phi_t,
-    orbit distance).
+    `members` is a non-empty sequence of (eps, pair) tuples, eps a scalar
+    and pair a (p, q) tuple of (N,) arrays on the wave's grid or None; a
+    member with eps = 0 ignores its pair.  Every amplitude and pair is
+    checked before the wave is sampled.  T must be a whole number of dt
+    steps (see :func:`horizon_steps`).  Samples are taken at t = 0 and
+    every `sample_every` steps; each row holds (t, E, F, mean phi,
+    mean phi_t, orbit distance).
 
     The members evolve as one batch, and the call returns a list holding
     each member's EvolutionTrace, or the BlowUpError it would have raised
@@ -556,19 +547,18 @@ def run_experiment(
     """
     if not members:
         raise ValueError("run_experiment needs at least one (eps, pair) member")
-    shifts = []  # per member, the (eps, p, q) added to the wave, or None
-    for amplitude, pair in members:
+    for index, (amplitude, pair) in enumerate(members):
+        if np.ndim(amplitude):
+            raise ValueError(f"member {index} is not an (eps, pair) tuple: "
+                             f"its eps has shape {np.shape(amplitude)}")
         if not 0.0 <= amplitude < math.inf:
             raise ValueError(f"perturbation amplitude must be nonnegative and finite, "
                              f"got {amplitude}")
-        if pair is None or amplitude == 0.0:
-            shifts.append(None)
-            continue
-        p, q = pair
-        if np.shape(p) != (N,) or np.shape(q) != (N,):
-            raise ValueError(f"perturbation shapes {np.shape(p)}, {np.shape(q)} "
-                             f"do not match the wave grid ({N},)")
-        shifts.append((amplitude, p, q))
+        if pair is not None and amplitude != 0.0:
+            p, q = pair
+            if np.shape(p) != (N,) or np.shape(q) != (N,):
+                raise ValueError(f"perturbation shapes {np.shape(p)}, {np.shape(q)} "
+                                 f"do not match the wave grid ({N},)")
     nsteps = horizon_steps(T, dt)
     if sample_every < 1:
         raise ValueError(f"sample_every must be at least 1, got {sample_every}")
@@ -577,8 +567,8 @@ def run_experiment(
     # an amplitude near the largest double may overflow the state or its
     # transform; the first kick then trips the ceiling, as in `advance`
     with np.errstate(over="ignore", invalid="ignore"):
-        starts = [(h, phidot) if s is None else (h + s[0] * s[1], phidot + s[0] * s[2])
-                  for s in shifts]
+        starts = [(h, phidot) if pair is None or eps == 0.0
+                  else (h + eps * pair[0], phidot + eps * pair[1]) for eps, pair in members]
         ph, pt = (_lone_row_1d(np.fft.rfft(np.array(part))) for part in zip(*starts))
 
     ceiling = _CEILING_FACTOR * float(np.max(np.abs(h)))

@@ -506,8 +506,9 @@ class TestCsvWriter:
         return path.read_bytes(), reference_csv(header, table)
 
     @pytest.mark.parametrize("ncols", [1, 4, 6])
-    @pytest.mark.parametrize("nrows", [0, 1, 1023, 1024, 1025, 2049])
-    def test_block_boundaries(self, nrows, ncols, tmp_path):
+    # 2: the shortest trace; 503 and 551: T = 1.003 and 1.1; 1000: the longest trace
+    @pytest.mark.parametrize("nrows", [0, 1, 2, 503, 551, 999, 1000])
+    def test_row_counts(self, nrows, ncols, tmp_path):
         got, expected = self.written(_table(nrows, ncols, seed=nrows + ncols), tmp_path)
         assert got == expected
         assert got.count(b"\n") == nrows + 1
@@ -533,7 +534,7 @@ class TestCsvWriter:
         got, expected = self.written(table, tmp_path)
         assert got == expected
 
-    @pytest.mark.parametrize("nrows", [0, 1, 1024, 1025, 2050, 8192])
+    @pytest.mark.parametrize("nrows", [0, 1, 2, 1000])
     def test_one_write_per_block(self, nrows, tmp_path, monkeypatch):
         writes = []
 

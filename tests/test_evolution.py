@@ -914,7 +914,8 @@ class TestBatch:
             run_experiment(wave, [], 0.1, 1e-3, 10, N=N)
         with pytest.raises(ValueError):
             run_experiment(wave, [(1e-3, pair), (-1.0, pair)], 0.1, 1e-3, 10, N=N)
-        with pytest.raises(ValueError):  # a bare (p, q) pair, with no eps
+        with pytest.raises(ValueError, match=r"member 1 is not an \(eps, pair\) tuple: "
+                                             rf"its eps has shape \({N},\)"):  # a bare (p, q) pair
             run_experiment(wave, [(1e-3, pair), pair], 0.1, 1e-3, 10, N=N)
 
 
@@ -957,12 +958,15 @@ class TestBufferedAdvance:
 
     def test_tables_follow_the_state_shape(self, wave):
         # one stepper on a (3, n) batch, then (2, n) -- a member has left --
-        # then a lone 1-D row, then (3, n) again
+        # then a lone 1-D row, then (3, n) again; it keeps no state between calls
         stepper = SplitStepper(L, N, 1e-3, ceiling=20.0)
+        before = dict(vars(stepper))  # attribute names and the objects they hold
         for rows in (3, 2, None, 3):
             ph, pt = self.states(wave, rows)
             got = final_state(stepper, ph, pt, 7)
             assert self.same_bits(got, reference_advance(stepper, ph, pt, 7, 0.0))
+        after = vars(stepper)
+        assert after.keys() == before.keys() and all(after[k] is v for k, v in before.items())
 
     @pytest.mark.parametrize("rows", [None, 3])
     def test_inputs_untouched_and_unshared(self, wave, rows):
