@@ -41,8 +41,6 @@ neither.  Likewise each command loads only the layers it runs.  The module
 imports `errors`, the exception classes behind the exit codes, and
 `waves`; `spectrum` loads `spectral`, and `evolve`, `stability` and
 sweeps of them load `evolution`, so `wave` loads neither.
-Only `wave` takes --format; the other commands write the one format they
-have.
 
 All floating-point output uses shortest round-trip decimal strings, so a
 repeated run with the same flags and seed is byte-identical.  `wave`'s CSV
@@ -52,10 +50,10 @@ strings in reverse order or negated as text, the bytes `repr` would give
 them.  Every JSON
 file holds the bytes `json.dump(obj, fh, sort_keys=True, indent=2)` writes,
 plus a newline, built as one string and written in one call; its lists and
-dicts of scalars, and lists of such dicts, go through the standard library's
-C encoder.  `main` and `sweep` parse with one parser per process, built on
-first use, so importing the module builds none; `build_parser()` returns a
-new one on every call.
+dicts of scalars go through the standard library's C encoder.  `main` and
+`sweep` parse with one parser per process, built on first use, so
+importing the module builds none; `build_parser()` returns a new one on
+every call.
 """
 
 from __future__ import annotations
@@ -91,15 +89,14 @@ def _fmt(x: float) -> str:
 def _json_text(obj, indent: str = "\n") -> str:
     """The text of `json.dumps(obj, sort_keys=True, indent=2)`, nested at `indent`.
 
-    A dict with str keys and no list or dict value, a list whose first item
-    is neither, and a list of dicts go through the C encoder, which the
-    standard library uses only without `indent`, with the newline and indent
-    as its item separator; the text is kept when no item held a list or dict
-    after all (for a list of dicts: no value did), and a list of dicts then
-    gets its braces on lines of their own.  Other dicts with str keys and
-    other lists recurse.  Anything else goes through the indenting encoder,
-    re-indented after each newline (JSON text has no raw newlines of its
-    own, so every newline is a separator's).
+    A dict with str keys and no list or dict value, and a list whose first
+    item is neither, go through the C encoder, which the standard library
+    uses only without `indent`, with the newline and indent as its item
+    separator; the text is kept when no item held a list or dict after all.
+    Other dicts with str keys and other lists, lists of dicts among them,
+    recurse.  Anything else goes through the indenting encoder, re-indented
+    after each newline (JSON text has no raw newlines of its own, so every
+    newline is a separator's).
     """
     inner = indent + "  "
     if isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
@@ -115,14 +112,6 @@ def _json_text(obj, indent: str = "\n") -> str:
             text = _encoder(inner)(obj)
             if _flat(text):
                 return "[" + inner + text[1:-1] + indent + "]"
-        elif all(isinstance(item, dict) for item in obj):
-            # dicts of scalars in one call: with one "{" per item, no "[" and
-            # no "{}", a "{" opens an item and a "}" before a separator closes one
-            deeper = inner + "  "
-            text = _encoder(deeper)(obj)
-            if text.count("{") == len(obj) and text.find("[", 1) < 0 and "{}" not in text:
-                rows = text[2:-2].replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
-                return "[" + inner + "{" + deeper + rows + inner + "}" + indent + "]"
         items = (_json_text(item, inner) for item in obj)
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", indent)
@@ -233,14 +222,9 @@ def cmd_wave(args) -> int:
     samples = sample_wave(wave, args.N)
     x = grid_points(wave.L, args.N)
     residual = ode_residual(wave, samples)
-    if args.format == "csv":
-        _write_csv(args.out + ".csv", ("x", "h", "h1", "h2"), _wave_blocks(x, samples))
-    else:
-        _write_json(args.out + "_samples.json", [dict(zip(("x", "h", "h1", "h2"), row))
-                                                 for row in np.column_stack([x, *samples])])
+    _write_csv(args.out + ".csv", ("x", "h", "h1", "h2"), _wave_blocks(x, samples))
     _write_json(args.out + ".json", _metadata(args, wave, a=wave.a, b=wave.b,
-                                               ode_residual=residual,
-                                               format=args.format))
+                                               ode_residual=residual))
     return 0
 
 
@@ -439,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_wave = sub.add_parser("wave", help="construct one snoidal profile")
     add_wave_flags(p_wave)
-    p_wave.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_spec = sub.add_parser("spectrum", help="linearized-operator spectral report")
     add_wave_flags(p_spec)

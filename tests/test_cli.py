@@ -33,14 +33,7 @@ class TestWaveCommand:
         meta = json.loads((tmp_path / "wv.json").read_text())
         assert meta["ode_residual"] <= 1e-10
         assert 0.0 < meta["k"] < 1.0
-
-    def test_json_format(self, tmp_path):
-        out = str(tmp_path / "wvj")
-        code = cli.main(["wave", "--L", "3.14159", "--c", "0.95", "--N", "64",
-                         "--format", "json", "--out", out])
-        assert code == 0
-        rows = json.loads((tmp_path / "wvj_samples.json").read_text())
-        assert len(rows) == 64 and set(rows[0]) == {"x", "h", "h1", "h2"}
+        assert meta["format"] == "csv"
 
     def test_samples_round_trip_bit_for_bit(self, tmp_path):
         from snoidal.waves import grid_points, sample_wave, solve_modulus
@@ -48,15 +41,11 @@ class TestWaveCommand:
         wave = solve_modulus(3.14159, 0.95)
         h, h1, h2 = sample_wave(wave, 64)
         expected = np.column_stack([grid_points(wave.L, 64), h, h1, h2])
-        flags = ["wave", "--L", "3.14159", "--c", "0.95", "--N", "64"]
-        assert cli.main(flags + ["--out", str(tmp_path / "c")]) == 0
-        assert cli.main(flags + ["--format", "json", "--out", str(tmp_path / "j")]) == 0
+        assert cli.main(["wave", "--L", "3.14159", "--c", "0.95", "--N", "64",
+                         "--out", str(tmp_path / "c")]) == 0
         lines = (tmp_path / "c.csv").read_text().splitlines()[1:]
         from_csv = np.array([[float(v) for v in line.split(",")] for line in lines])
-        rows = json.loads((tmp_path / "j_samples.json").read_text())
-        from_json = np.array([[row[k] for k in ("x", "h", "h1", "h2")] for row in rows])
         assert from_csv.tobytes() == expected.tobytes()
-        assert from_json.tobytes() == expected.tobytes()
 
     def test_one_sn_call(self, tmp_path, monkeypatch):
         # the rows and the ODE residual read one evaluation of the quarter period
@@ -404,8 +393,8 @@ _SCALARS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.5e-310]),
     _TEXT, st.text(max_size=4),
 )
-# Lists of flat dicts, like the rows of `wave --format json`, mostly with
-# plain keys, so that most of them keep the C encoder's text.
+# Lists of flat dicts, which `_json_text` encodes item by item, mostly with
+# plain keys like a table's column names.
 _FLAT_DICTS = st.dictionaries(st.one_of(st.text(alphabet="xh12", max_size=3), _TEXT), _SCALARS,
                               max_size=4)
 _TREES = st.recursive(
@@ -429,9 +418,9 @@ class TestJsonWriter:
     @pytest.mark.parametrize("argv", [
         ["spectrum", *"--L 3.14159 --c 0.95 --N 64".split()],
         ["spectrum", *"--L 3.14159 --c 0.95 --N 130".split()],
-        ["wave", *"--L 3.14159 --c 0.95 --N 64 --format json".split()],
+        ["wave", *"--L 3.14159 --c 0.95 --N 64".split()],
         ["stability", *"--L 3.14159 --c 0.95 --N 16 --T 0.01 --eps 1e-3 --seed 1".split()],
-    ], ids=["spectrum64", "spectrum130", "wave_json", "stability"])
+    ], ids=["spectrum64", "spectrum130", "wave", "stability"])
     def test_command_outputs(self, argv, tmp_path, monkeypatch):
         written = []
         real = cli._write_json
@@ -445,9 +434,8 @@ class TestJsonWriter:
         assert written
         for path, obj in written:
             assert Path(path).read_bytes() == self.expected(obj), path
-        if argv[0] == "wave":  # the samples are numpy float64 scalars
-            samples = written[0][1]
-            assert len(samples) == 64 and type(samples[0]["h"]) is np.float64
+        if argv[0] == "wave":  # the metadata; the samples go to the CSV
+            assert [Path(path).name for path, _ in written] == ["o.json"]
 
     @pytest.mark.parametrize("obj", [
         [{"x": np.float64(0.1), "h": -2.5e-310}, {"x": 1, "h": None}],
@@ -636,8 +624,8 @@ class TestInputValidation:
         assert "nodir" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["job.cfg"]
 
-    @pytest.mark.parametrize("command", ["spectrum", "evolve", "stability"])
-    def test_format_only_on_wave(self, command, tmp_path):
+    @pytest.mark.parametrize("command", ["wave", "spectrum", "evolve", "stability"])
+    def test_no_command_takes_format(self, command, tmp_path):
         with pytest.raises(SystemExit) as info:
             cli.main([command, *WAVE, "--N", "64", "--format", "json",
                       "--out", str(tmp_path / "f")])
@@ -657,16 +645,25 @@ class TestSweepRobustness:
                          "--out", str(tmp_path / "x")]) == 2
         assert "cannot read sweep config" in capsys.readouterr().err
 
-    def test_job_with_bad_flags_does_not_stop_the_sweep(self, tmp_path, capsys):
+    @pytest.mark.parametrize("keys, failed, flag", [
+        ("N = 64,sixty\n", {1}, "--N sixty"),
+        ("N = 64,66\nformat = json\n", {0, 1}, "--format json"),  # no command takes it
+    ], ids=["N-sixty", "format-json"])
+    def test_job_with_bad_flags_does_not_stop_the_sweep(self, keys, failed, flag,
+                                                        tmp_path, capsys):
         cfg = tmp_path / "two.cfg"
-        cfg.write_text("command = wave\nL = 3.14159\nc = 0.95\nN = 64,sixty\n")
+        cfg.write_text("command = wave\nL = 3.14159\nc = 0.95\n" + keys)
         code = cli.main(["sweep", str(cfg), "--out", str(tmp_path / "tw")])
         assert code == 2
-        assert (tmp_path / "tw_0000.csv").exists() and (tmp_path / "tw_0000.json").exists()
-        assert not (tmp_path / "tw_0001.csv").exists()
         err = capsys.readouterr().err
-        assert "sweep job 1 failed with exit 2" in err and "--N sixty" in err
-        assert "sweep job 0" not in err
+        assert flag in err
+        for idx in (0, 1):
+            written = sorted(p.name for p in tmp_path.glob(f"tw_{idx:04d}*"))
+            if idx in failed:
+                assert written == [] and f"sweep job {idx} failed with exit 2" in err
+            else:
+                assert written == [f"tw_{idx:04d}.csv", f"tw_{idx:04d}.json"]
+                assert f"sweep job {idx}" not in err
 
     def test_pool_capped_at_job_count(self, tmp_path, monkeypatch):
         sizes = []
