@@ -45,9 +45,10 @@ sweeps of them load `evolution`, so `wave` loads neither.
 All floating-point output uses shortest round-trip decimal strings, so a
 repeated run with the same flags and seed is byte-identical.  `wave`'s CSV
 formats h, h1 and h2 on the quarter period only: `sample_wave` fills the
-rest of the grid by the wave's symmetries, and the CSV takes those cells'
-strings in reverse order or negated as text, the bytes `repr` would give
-them.  Every JSON
+rest of the grid by the wave's symmetries, so each quarter cell is
+formatted once and negated once as text, and every other cell of the
+column reuses one of those two strings, in reverse order where the grid is
+reflected; the bytes are those `repr` would give each cell.  Every JSON
 file holds the bytes `json.dump(obj, fh, sort_keys=True, indent=2)` writes,
 plus a newline, built as one string and written in one call; its lists and
 dicts of scalars go through the standard library's C encoder.  `main` and
@@ -159,45 +160,57 @@ def _table_blocks(rows):
         yield "\n".join(map(",".join, zip(*[cells] * rows.shape[1]))) + "\n"
 
 
-def _joined(values):
-    """The `repr`s of `values` joined by commas, and where each one starts.
-
-    The offsets end with one past the text's end, so cells i..j-1 are
-    `text[offsets[i]:offsets[j] - 1]`.
-    """
-    cells = list(map(repr, values.tolist()))
-    return ",".join(cells), np.cumsum([0, *map(len, cells)]) + np.arange(len(cells) + 1)
-
-
 def _wave_blocks(x, samples):
     """The lines of the wave table (x, h, h', h''), with one `repr` per quarter-period cell.
 
     `sample_wave` fills each column from x_j, j <= N // 4, by the reflection
-    f_{N/2 - j} = s f_j and the shift f_{j + N/2} = -f_j, so every other cell
-    is a quarter cell's string in reverse order or negated as text:
-    repr(-v) is "-" + repr(v), or repr(v) without its "-" for a negative v.
-    Each quarter column is held as one comma-joined string and its cells'
-    offsets, and each block splits off only its own cells.  x has no such
-    symmetry; its cells are formatted per block.  Blocks hold at most
-    `_WAVE_BLOCK_ROWS` rows and do not cross a quarter period.
+    f_{N/2 - j} = s f_j and the shift f_{j + N/2} = -f_j.  So the table's
+    rows fall into four segments, the quarter period, its reflection and the
+    shift of both, whose cells are the quarter cells times 1, s, -1 and -s.
+    Each block of rows takes its cells from a slice of one list of quarter
+    cell strings per column, reversed in the reflected segments; the lists
+    come from `_segment_cells`.  x has no such symmetry; its cells are
+    formatted per block.  Blocks hold at most `_WAVE_BLOCK_ROWS` rows and do
+    not cross a segment.
     """
     N = len(x)
     quarter, half = N // 4, N // 2
-    columns = [_joined(f[:quarter + 1]) for f in samples]
+    columns = [_segment_cells(f[:quarter + 1], s) for f, s in zip(samples, REFLECTION_SIGNS)]
     for shift in (0, half):
         for lo, hi, step in ((0, quarter + 1, 1), (quarter + 1, half, -1)):
+            lists = [next(column) for column in columns]
             for start in range(lo, hi, _WAVE_BLOCK_ROWS):
                 stop = min(start + _WAVE_BLOCK_ROWS, hi)
                 # the block's rows map to quarter cells i..j-1, in the order of step
                 i, j = (start, stop) if step > 0 else (half + 1 - stop, half + 1 - start)
                 block = [map(repr, x[shift + start:shift + stop].tolist())]
-                for (text, offsets), s in zip(columns, REFLECTION_SIGNS):
-                    piece = text[offsets[i]:offsets[j] - 1]
-                    # the shift negates, and so does the reflection where s = -1
-                    if (shift > 0) != (step < 0 and s < 0):
-                        piece = ("-" + piece.replace(",", ",-")).replace("--", "")
-                    block.append(piece.split(",")[::step])
+                block.extend(cells[i:j][::step] for cells in lists)
                 yield "\n".join(map(",".join, zip(*block))) + "\n"
+            del lists  # so that `_segment_cells` can let go of a list it no longer yields
+
+
+def _segment_cells(quarter, s):
+    """Yield one quarter column's cell strings for each segment of the wave table.
+
+    The segments take the quarter cells times 1, s, -1 and -s, in row order.
+    Each cell is formatted once, and negated once as text: repr(-v) is
+    "-" + repr(v), or repr(v) without its "-" for a negative v.  For s = 1
+    the negated list replaces the other, so a column holds at most two
+    lists at a time, and the table at most four.
+    """
+    cells = list(map(repr, quarter.tolist()))
+    if s > 0:
+        yield from (cells, cells)
+        cells = _negated(cells)
+        yield from (cells, cells)
+    else:
+        negated = _negated(cells)
+        yield from (cells, negated, negated, cells)
+
+
+def _negated(cells: list) -> list:
+    """The strings of the negated values of the `repr` strings `cells`, made as text."""
+    return ("-" + ",".join(cells).replace(",", ",-")).replace("--", "").split(",")
 
 
 def _metadata(args, wave, **extra) -> dict:

@@ -475,15 +475,18 @@ class _OrbitDistance:
 
 
 def perturbation_random(L: float, N: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-Y-norm random zero-mean pair, band-limited to modes 1..N/8.
+    """Unit-Y-norm random zero-mean pair, band-limited to modes 1..min(max(2, N/8), 32).
 
     Reproducible by construction: amplitudes and phases are uniform doubles
     drawn from a PCG64 stream seeded with `seed` (two draws per mode and
-    component, in mode order, phi before phi_t), with a 1/m^2 falloff.
+    component, in mode order, phi before phi_t), with a 1/m^2 falloff.  The
+    band is N/8 modes up to N = 256 and 32 modes above, so every grid with
+    N >= 256 samples one perturbation per seed, and a stability ratio can be
+    checked by refining the grid.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     x = grid_points(L, N)
-    m = np.arange(1, max(2, N // 8) + 1)[:, None]
+    m = np.arange(1, min(max(2, N // 8), 32) + 1)[:, None]
     draws = rng.random((2, m.size, 2))  # (amplitude, phase) per field and mode, in that order
     amp = (2.0 * draws[..., :1] - 1.0) / (m * m)
     phase = 2.0 * math.pi * draws[..., 1:]

@@ -233,6 +233,23 @@ class TestEvolveCommands:
         assert meta["stability_ratio"] == meta["max_orbit_distance"] / meta["eps"]
         assert meta["stability_ratio"] < 50.0
 
+    # at L = 3 and 5, c = sqrt(1 - fraction L^2 / 4 pi^2) at fractions 0.3 and 0.8
+    @pytest.mark.parametrize("L, c, eps", [
+        (3.14159, 0.95, "1e-3"),
+        (3.0, math.sqrt(1.0 - 0.3 * 9.0 / (4.0 * math.pi**2)), "1e-3"),
+        (5.0, math.sqrt(1.0 - 0.8 * 25.0 / (4.0 * math.pi**2)), "1e-2"),
+    ])
+    def test_stability_ratio_converges_under_grid_refinement(self, L, c, eps, tmp_path):
+        # every grid with N >= 256 draws the same perturbation of a seed, so
+        # the ratio at N = 512 repeats N = 256's up to roundoff
+        ratios = []
+        for n in ("256", "512"):
+            assert cli.main(["stability", "--L", repr(L), "--c", repr(c), "--N", n, "--T", "2",
+                             "--dt", "1e-3", "--eps", eps, "--seed", "1",
+                             "--out", str(tmp_path / n)]) == 0
+            ratios.append(json.loads((tmp_path / f"{n}.json").read_text())["stability_ratio"])
+        assert abs(ratios[1] - ratios[0]) <= 1e-10
+
     def test_stability_needs_positive_eps(self, tmp_path):
         assert cli.main(["stability", "--L", "3.14159", "--c", "0.95",
                          "--N", "64", "--T", "0.1",
@@ -565,6 +582,20 @@ class TestCsvWriter:
         lines = got.decode().splitlines()
         assert lines[1].split(",")[:2] == ["0.0", "0.0"]
         assert lines[N // 2 + 1].split(",")[1] == "-0.0"
+
+    @pytest.mark.parametrize("N", [16, 66, 8192])
+    def test_wave_formats_each_quarter_cell_once(self, N, tmp_path, monkeypatch):
+        # every x cell, and each (h, h1, h2) cell of the quarter period once
+        calls = 0
+
+        def counting_repr(value):
+            nonlocal calls
+            calls += 1
+            return repr(value)
+
+        monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
+        assert cli.main(["wave", *WAVE, "--N", str(N), "--out", str(tmp_path / "w")]) == 0
+        assert calls == N + 3 * (N // 4 + 1)
 
     def test_wave_across_blocks(self, tmp_path):
         # N = 2050 is two full blocks and 2 rows

@@ -20,6 +20,7 @@ from snoidal.evolution import (
     _CEILING_FACTOR,
     _CHECK_KICKS,
     _NEWTON_STEPS,
+    _SAMPLE_BLOCK_ROWS,
     _h1_semi_sq,
     _OrbitDistance,
 )
@@ -530,7 +531,7 @@ class TestPerturbations:
         fields = []
         for _ in range(2):
             vals = np.zeros(n)
-            for m in range(1, max(2, n // 8) + 1):
+            for m in range(1, min(max(2, n // 8), 32) + 1):
                 amp = (2.0 * rng.random() - 1.0) / (m * m)
                 phase = 2.0 * math.pi * rng.random()
                 vals += amp * np.cos(2.0 * math.pi * m / L_ * x + phase)
@@ -1244,12 +1245,18 @@ class TestSampleBlocks:
             else:
                 assert got.samples.tobytes() == want.tobytes()
 
-    # 1 + intervals rows per member: blocks of 16 rows end inside, at and
-    # just past the last sample for B = 1, and after every sixth for B = 3
+    # 1 + intervals rows per member, in blocks of `block` rows per member
+    # whatever B is: blocks of 16 end inside, at and just past the last
+    # sample, and blocks of 1 and 3 put a boundary after every row or third
+    @pytest.mark.parametrize("block", [1, 3, _SAMPLE_BLOCK_ROWS])
     @pytest.mark.parametrize("intervals", [1, 14, 15, 16, 17, 36, 37])
     @pytest.mark.parametrize("projected", [True, False])
     @pytest.mark.parametrize("B", [1, 3])
-    def test_matches_per_sample_reference(self, wave, B, projected, intervals):
+    def test_matches_per_sample_reference(self, wave, B, projected, intervals, block,
+                                          monkeypatch):
+        import snoidal.evolution as evolution
+
+        monkeypatch.setattr(evolution, "_SAMPLE_BLOCK_ROWS", block)
         amplitudes = [1e-3, 4e-4, 0.0][:B]
         pairs = [perturbation_random(L, N, seed) for seed in (3, 4, 5)][:B]
         every, dt = 3, 1e-3
