@@ -22,9 +22,12 @@ steps, seed nonnegative, eps nonnegative and finite (positive for
 stability), sweep --workers at least 1, each key of a sweep config given
 on one line only and none of them `out`, and a sweep's `projected` key
 true, 1 or yes (--projected) or false, 0 or no (--unprojected), in any
-case.  A sweep job that fails, even on its flags, is reported with its
-exit code and the other jobs still run; a job that raises an exception
-counts as exit 1.
+case.  One check needs the run: a stability ratio, max orbit distance /
+eps, that is not finite (an eps so small that the ratio overflows) exits
+2 after the run and before any file is written, since JSON has no inf.
+A sweep job that fails, even on its flags, is reported with its exit code
+and the other jobs still run; a job that raises an exception counts as
+exit 1.
 
 A sweep checks every job's flags before any job runs.  evolve/stability
 jobs that differ only in eps, seed and --out form a group, run through
@@ -44,17 +47,16 @@ sweeps of them load `evolution`, so `wave` loads neither.
 
 All floating-point output uses shortest round-trip decimal strings, so a
 repeated run with the same flags and seed is byte-identical.  `wave`'s CSV
-formats h, h1 and h2 on the quarter period only: `sample_wave` fills the
-rest of the grid by the wave's symmetries, so each quarter cell is
-formatted once and negated once as text, and every other cell of the
-column reuses one of those two strings, in reverse order where the grid is
-reflected; the bytes are those `repr` would give each cell.  Every JSON
-file holds the bytes `json.dump(obj, fh, sort_keys=True, indent=2)` writes,
-plus a newline, built as one string and written in one call; its lists and
-dicts of scalars go through the standard library's C encoder.  `main` and
-`sweep` parse with one parser per process, built on first use, so
-importing the module builds none; `build_parser()` returns a new one on
-every call.
+formats h, h1 and h2 on the quarter period only: each cell is formatted
+once and negated once as text, and `waves.fill_runs`, the rule by which
+`sample_wave` fills its arrays from the quarter period, fills each column
+from those strings; the bytes are those `repr` would give each cell.
+Every JSON file holds the bytes `json.dump(obj, fh, sort_keys=True,
+indent=2)` writes, plus a newline, built as one string and written in one
+call; its lists and dicts of scalars go through the standard library's C
+encoder.  `main` and `sweep` parse with one parser per process, built on
+first use, so importing the module builds none; `build_parser()` returns
+a new one on every call.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from .errors import (
     OutOfRangeError,
     SingularSystemError,
 )
-from .waves import REFLECTION_SIGNS, grid_points, ode_residual, sample_wave, solve_modulus
+from .waves import fill_runs, grid_points, ode_residual, sample_wave, solve_modulus
 
 __all__ = ["main", "build_parser"]
 
@@ -135,7 +137,7 @@ def _write_json(path: str, obj) -> None:
         fh.write(text)
 
 
-_WAVE_BLOCK_ROWS = 256  # a wave block holds its h, h1, h2 cells as lists at once
+_WAVE_BLOCK_ROWS = 256  # a wave block's x cells are formatted at once
 
 
 def _write_csv(path: str, header: tuple[str, ...], blocks) -> None:
@@ -163,53 +165,27 @@ def _table_blocks(rows):
 def _wave_blocks(x, samples):
     """The lines of the wave table (x, h, h', h''), with one `repr` per quarter-period cell.
 
-    `sample_wave` fills each column from x_j, j <= N // 4, by the reflection
-    f_{N/2 - j} = s f_j and the shift f_{j + N/2} = -f_j.  So the table's
-    rows fall into four segments, the quarter period, its reflection and the
-    shift of both, whose cells are the quarter cells times 1, s, -1 and -s.
-    Each block of rows takes its cells from a slice of one list of quarter
-    cell strings per column, reversed in the reflected segments; the lists
-    come from `_segment_cells`.  x has no such symmetry; its cells are
-    formatted per block.  Blocks hold at most `_WAVE_BLOCK_ROWS` rows and do
-    not cross a segment.
+    Each of h, h' and h'' is one list of cell strings, filled from its
+    quarter-period cells by `fill_runs`, the rule `sample_wave` fills its
+    arrays by, with `_negated` for the negation; so each quarter cell is
+    formatted once and negated once, and the other cells reuse those two
+    strings.  x has no such symmetry; its cells are formatted per block of
+    `_WAVE_BLOCK_ROWS` rows.
     """
     N = len(x)
-    quarter, half = N // 4, N // 2
-    columns = [_segment_cells(f[:quarter + 1], s) for f, s in zip(samples, REFLECTION_SIGNS)]
-    for shift in (0, half):
-        for lo, hi, step in ((0, quarter + 1, 1), (quarter + 1, half, -1)):
-            lists = [next(column) for column in columns]
-            for start in range(lo, hi, _WAVE_BLOCK_ROWS):
-                stop = min(start + _WAVE_BLOCK_ROWS, hi)
-                # the block's rows map to quarter cells i..j-1, in the order of step
-                i, j = (start, stop) if step > 0 else (half + 1 - stop, half + 1 - start)
-                block = [map(repr, x[shift + start:shift + stop].tolist())]
-                block.extend(cells[i:j][::step] for cells in lists)
-                yield "\n".join(map(",".join, zip(*block))) + "\n"
-            del lists  # so that `_segment_cells` can let go of a list it no longer yields
-
-
-def _segment_cells(quarter, s):
-    """Yield one quarter column's cell strings for each segment of the wave table.
-
-    The segments take the quarter cells times 1, s, -1 and -s, in row order.
-    Each cell is formatted once, and negated once as text: repr(-v) is
-    "-" + repr(v), or repr(v) without its "-" for a negative v.  For s = 1
-    the negated list replaces the other, so a column holds at most two
-    lists at a time, and the table at most four.
-    """
-    cells = list(map(repr, quarter.tolist()))
-    if s > 0:
-        yield from (cells, cells)
-        cells = _negated(cells)
-        yield from (cells, cells)
-    else:
-        negated = _negated(cells)
-        yield from (cells, negated, negated, cells)
+    quarters = [list(map(repr, f[:N // 4 + 1].tolist())) for f in samples]
+    columns = [list(itertools.chain(*runs)) for runs in fill_runs(quarters, _negated, N)]
+    for start in range(0, N, _WAVE_BLOCK_ROWS):
+        stop = start + _WAVE_BLOCK_ROWS
+        block = [map(repr, x[start:stop].tolist()), *(cells[start:stop] for cells in columns)]
+        yield "\n".join(map(",".join, zip(*block))) + "\n"
 
 
 def _negated(cells: list) -> list:
-    """The strings of the negated values of the `repr` strings `cells`, made as text."""
+    """The strings of the negated values of the `repr` strings `cells`, made as text.
+
+    repr(-v) is "-" + repr(v), or repr(v) without its "-" for a negative v.
+    """
     return ("-" + ",".join(cells).replace(",", ",-")).replace("--", "").split(",")
 
 
@@ -234,10 +210,9 @@ def cmd_wave(args) -> int:
     wave = solve_modulus(args.L, args.c)
     samples = sample_wave(wave, args.N)
     x = grid_points(wave.L, args.N)
-    residual = ode_residual(wave, samples)
     _write_csv(args.out + ".csv", ("x", "h", "h1", "h2"), _wave_blocks(x, samples))
     _write_json(args.out + ".json", _metadata(args, wave, a=wave.a, b=wave.b,
-                                               ode_residual=residual))
+                                               ode_residual=ode_residual(wave, samples)))
     return 0
 
 
@@ -275,13 +250,15 @@ def cmd_evolve(args, run=None) -> int:
     wave, sample_every, trace = run or _evolve_batch([args])[0]
     if isinstance(trace, BlowUpError):
         raise trace
-    _write_csv(args.out + ".csv", TRACE_COLUMNS, _table_blocks(trace.samples))
-    extra = {"sample_every": sample_every}
+    meta = _metadata(args, wave, sample_every=sample_every)
     if args.command == "stability":
         max_dist = float(np.max(trace.column("orbit_distance")))
-        extra["max_orbit_distance"] = max_dist
-        extra["stability_ratio"] = max_dist / args.eps
-    _write_json(args.out + ".json", _metadata(args, wave, **extra))
+        ratio = max_dist / args.eps
+        if not math.isfinite(ratio):  # JSON has no inf or nan
+            raise OutOfRangeError(f"--eps {args.eps!r} is too small: stability ratio {ratio!r}")
+        meta.update(max_orbit_distance=max_dist, stability_ratio=ratio)
+    _write_csv(args.out + ".csv", TRACE_COLUMNS, _table_blocks(trace.samples))
+    _write_json(args.out + ".json", meta)
     return 0
 
 

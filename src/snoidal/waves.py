@@ -31,6 +31,7 @@ __all__ = [
     "admissible_omega_window",
     "solve_modulus",
     "profile_eval",
+    "fill_runs",
     "sample_wave",
     "ode_residual",
 ]
@@ -192,23 +193,37 @@ def profile_eval(p: WaveParameters, x) -> tuple[np.ndarray, np.ndarray, np.ndarr
 REFLECTION_SIGNS = (1.0, -1.0, 1.0)
 
 
+def fill_runs(quarters, negate, N: int):
+    """Yield, for each of (h, h', h''), its four runs of the N-point grid in order.
+
+    quarters holds each field's values f_j at x_j, 0 <= j <= N // 4, as a
+    sequence that slices, and negate(f) gives their negations.  The wave's
+    symmetries fill in the rest: sn(2K - u) = sn u and sn(u + 2K) = -sn u
+    give the reflection f_{N/2 - j} = s f_j, with s from `REFLECTION_SIGNS`,
+    and the half-period shift f_{j + N/2} = -f_j.  So the runs are the
+    quarter, its reflection (x_{N/4 + 1} .. x_{N/2 - 1}), then both
+    negated, each a slice of f or of negate(f).  The same rule fills numpy
+    arrays (negate = np.negative) and lists of cell strings.
+    """
+    last = N // 2 - N // 4 - 1  # the reflection maps x_1..x_last beyond x_{N/4}
+    for f, s in zip(quarters, REFLECTION_SIGNS):
+        g = negate(f)
+        r, nr = (f, g) if s > 0 else (g, f)
+        yield f, r[last:0:-1], g, nr[last:0:-1]
+
+
 def sample_wave(p: WaveParameters, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Arrays of (h, h', h'') at the N points of :func:`grid_points`.
 
     One :func:`profile_eval` call evaluates the quarter period, x_j for
-    0 <= j <= N // 4; the wave's symmetries fill in the rest exactly, since
-    sn(2K - u) = sn u and sn(u + 2K) = -sn u: the reflection
-    f_{N/2 - j} = s f_j with s from `REFLECTION_SIGNS`, then the half-period
-    shift f_{j + N/2} = -f_j.  So h is exactly odd and h^2 exactly even and
-    L/2-periodic on the grid, and h(L/2) = -h(0) = -0.0.  At x = L/4 (N a
-    multiple of 4) h' keeps its evaluated residue of cn(K), about 1e-16 of
-    max |h'|, not 0.
+    0 <= j <= N // 4, and :func:`fill_runs` fills in the rest exactly, by
+    the reflection x -> L/2 - x and the half-period shift.  So h is exactly
+    odd and h^2 exactly even and L/2-periodic on the grid, and
+    h(L/2) = -h(0) = -0.0.  At x = L/4 (N a multiple of 4) h' keeps its
+    evaluated residue of cn(K), about 1e-16 of max |h'|, not 0.
     """
-    x = grid_points(p.L, N)
-    quarter = profile_eval(p, x[:N // 4 + 1])
-    last = N // 2 - N // 4 - 1  # the reflection maps x_1..x_last beyond x_{N/4}
-    halves = (np.concatenate((f, s * f[last:0:-1])) for f, s in zip(quarter, REFLECTION_SIGNS))
-    return tuple(np.concatenate((half, -half)) for half in halves)
+    quarter = profile_eval(p, grid_points(p.L, N)[:N // 4 + 1])
+    return tuple(np.concatenate(runs) for runs in fill_runs(quarter, np.negative, N))
 
 
 def ode_residual(p: WaveParameters, samples: tuple) -> float:

@@ -185,6 +185,15 @@ class TestSpectrumCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+# (L, c, eps) of the stability-ratio checks; at L = 3 and 5,
+# c = sqrt(1 - fraction L^2 / 4 pi^2) at fractions 0.3 and 0.8
+RATIO_POINTS = [
+    (3.14159, 0.95, "1e-3"),
+    (3.0, math.sqrt(1.0 - 0.3 * 9.0 / (4.0 * math.pi**2)), "1e-3"),
+    (5.0, math.sqrt(1.0 - 0.8 * 25.0 / (4.0 * math.pi**2)), "1e-2"),
+]
+
+
 class TestEvolveCommands:
     def test_trace_and_metadata(self, tmp_path):
         out = str(tmp_path / "ev")
@@ -233,12 +242,7 @@ class TestEvolveCommands:
         assert meta["stability_ratio"] == meta["max_orbit_distance"] / meta["eps"]
         assert meta["stability_ratio"] < 50.0
 
-    # at L = 3 and 5, c = sqrt(1 - fraction L^2 / 4 pi^2) at fractions 0.3 and 0.8
-    @pytest.mark.parametrize("L, c, eps", [
-        (3.14159, 0.95, "1e-3"),
-        (3.0, math.sqrt(1.0 - 0.3 * 9.0 / (4.0 * math.pi**2)), "1e-3"),
-        (5.0, math.sqrt(1.0 - 0.8 * 25.0 / (4.0 * math.pi**2)), "1e-2"),
-    ])
+    @pytest.mark.parametrize("L, c, eps", RATIO_POINTS)
     def test_stability_ratio_converges_under_grid_refinement(self, L, c, eps, tmp_path):
         # every grid with N >= 256 draws the same perturbation of a seed, so
         # the ratio at N = 512 repeats N = 256's up to roundoff
@@ -249,6 +253,27 @@ class TestEvolveCommands:
                              "--out", str(tmp_path / n)]) == 0
             ratios.append(json.loads((tmp_path / f"{n}.json").read_text())["stability_ratio"])
         assert abs(ratios[1] - ratios[0]) <= 1e-10
+
+    # T = 5: at T <= 2 the (3, 0.3) ratio is its t = 0 value at every dt,
+    # and the quotient is 0/0
+    @pytest.mark.parametrize("L, c, eps", RATIO_POINTS)
+    def test_stability_ratio_is_second_order_in_dt(self, L, c, eps, tmp_path):
+        # Strang splitting: each halving of dt shrinks the ratio's change 4x
+        ratios = []
+        for dt in ("2e-3", "1e-3", "5e-4"):
+            assert cli.main(["stability", "--L", repr(L), "--c", repr(c), "--N", "256",
+                             "--T", "5", "--dt", dt, "--eps", eps, "--seed", "1",
+                             "--out", str(tmp_path / dt)]) == 0
+            ratios.append(json.loads((tmp_path / f"{dt}.json").read_text())["stability_ratio"])
+        assert 3.6 <= (ratios[0] - ratios[1]) / (ratios[1] - ratios[2]) <= 4.4
+
+    def test_stability_ratio_must_be_finite(self, tmp_path, capsys):
+        # max distance 2.6e-7 / 1e-320 overflows, and JSON has no Infinity
+        code = cli.main(["stability", *WAVE, "--N", "64", "--T", "1", "--dt", "1e-3",
+                         "--eps", "1e-320", "--seed", "1", "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+        assert "--eps" in capsys.readouterr().err
 
     def test_stability_needs_positive_eps(self, tmp_path):
         assert cli.main(["stability", "--L", "3.14159", "--c", "0.95",
@@ -598,7 +623,7 @@ class TestCsvWriter:
         assert calls == N + 3 * (N // 4 + 1)
 
     def test_wave_across_blocks(self, tmp_path):
-        # N = 2050 is two full blocks and 2 rows
+        # N = 2050 is eight full blocks and 2 rows
         from snoidal.waves import grid_points, sample_wave, solve_modulus
 
         wave = solve_modulus(3.14159, 0.95)
