@@ -9,9 +9,9 @@ spectrum   full linearized-operator report as JSON (field names are stable:
 evolve     run the (projected) flow, write the trace CSV
            `t,E,F,mean_phi,mean_phidot,orbit_distance` plus a metadata JSON
 stability  evolve + record the measured ratio max orbit distance / eps
-sweep      fan a key=value config file (comma lists expand to a cartesian
-           product) over a worker pool of at most one process per batch;
-           one output file set per job
+sweep      run every job of a key=value config file (comma lists expand to
+           a cartesian product) in the calling process; one output file set
+           per job
 
 Exit codes: 0 success, 2 invalid parameters, 3 internal consistency
 violation, 4 blow-up (blow-up time goes to stderr).  Flags are checked
@@ -19,10 +19,10 @@ before any compute runs or any file is written: the directory of the
 --out prefix must exist and the prefix must end in a file name, N must be
 even and at least 16 (64 for spectrum), T a positive whole number of dt
 steps, seed nonnegative, eps nonnegative and finite (positive for
-stability), sweep --workers at least 1, each key of a sweep config given
-on one line only and none of them `out`, and a sweep's `projected` key
-true, 1 or yes (--projected) or false, 0 or no (--unprojected), in any
-case.  One check needs the run: a stability ratio, max orbit distance /
+stability), sweep --workers 1, its only value, each key of a sweep config
+given on one line only and none of them `out`, and a sweep's `projected`
+key true, 1 or yes (--projected) or false, 0 or no (--unprojected), in
+any case.  One check needs the run: a stability ratio, max orbit distance /
 eps, that is not finite (an eps so small that the ratio overflows) exits
 2 after the run and before any file is written, since JSON has no inf.
 A sweep job that fails, even on its flags, is reported with its exit code
@@ -35,12 +35,9 @@ jobs that differ only in eps, seed and --out form a group, run through
 a leading array axis, but each member's trace rows are evaluated on their
 own, by the calls of its solo run, so each job writes the bytes of that
 run whatever the batch's size; a member that blows up exits 4 alone.
-With W workers a group of J jobs splits into min(W, J) batches; a batch
-that raises anything else reruns its jobs one by one, so that a failure
-stays with its own job.  Only a sweep with at least 2 workers and 2
-batches loads the process pool (`concurrent.futures`, `multiprocessing`)
-and starts it; every other run stays in the calling process and imports
-neither.  Likewise each command loads only the layers it runs.  The module
+The batches run one after another in the calling process; a batch that
+raises anything else reruns its jobs one by one, so that a failure stays
+with its own job.  Each command loads only the layers it runs.  The module
 imports `errors`, the exception classes behind the exit codes, and
 `waves`; `spectrum` loads `spectral`, and `evolve`, `stability` and
 sweeps of them load `evolution`, so `wave` loads neither.
@@ -328,13 +325,11 @@ def _check_sweep_job(parser, idx: int, job: dict, out_prefix: str):
     return args, 0, text
 
 
-def _work_units(checked: list, workers: int) -> list:
-    """Split the checked (idx, args, argv text) jobs into batches.
+def _work_units(checked: list) -> list:
+    """Group the checked (idx, args, argv text) jobs into batches.
 
-    evolve/stability jobs that differ only in eps, seed and --out form a
-    group, and a group of J jobs splits into min(workers, J) contiguous
-    batches, so that grouping never idles a worker; every other job runs
-    alone.
+    evolve/stability jobs that differ only in eps, seed and --out form one
+    batch; every other job runs alone.
     """
     groups: dict = {}
     for idx, args, text in checked:
@@ -343,12 +338,7 @@ def _work_units(checked: list, workers: int) -> list:
             key = tuple(sorted((k, v) for k, v in vars(args).items()
                                if k not in ("eps", "seed", "out")))
         groups.setdefault(key, []).append((idx, args, text))
-    units = []
-    for group in groups.values():
-        parts = min(workers, len(group))
-        units.extend(group[i * len(group) // parts:(i + 1) * len(group) // parts]
-                     for i in range(parts))
-    return units
+    return list(groups.values())
 
 
 def _run_sweep_job(unit: list) -> list[tuple[int, int, str]]:
@@ -379,16 +369,8 @@ def cmd_sweep(args) -> int:
             results.append((idx, code, text))
         else:
             checked.append((idx, job_args, text))
-    units = _work_units(checked, args.workers)
-    workers = min(args.workers, len(units))  # a pool starts all its workers at once
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_run_sweep_job, units))
-    else:
-        done = [_run_sweep_job(unit) for unit in units]
-    results.extend(result for unit in done for result in unit)
+    for unit in _work_units(checked):
+        results.extend(_run_sweep_job(unit))
     worst = 0
     for idx, code, argv in sorted(results):
         if code != 0:
@@ -430,11 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--unprojected", dest="projected", action="store_false",
                        help="evolve the plain flow (contrast mode)")
 
-    p_sweep = sub.add_parser("sweep", help="fan a config file over a worker pool")
+    p_sweep = sub.add_parser("sweep", help="run a config file's jobs in this process")
     p_sweep.add_argument("config", type=str, help="key = value file; comma lists sweep")
     p_sweep.add_argument("--out", type=str, default=None, help="output path prefix")
-    p_sweep.add_argument("--workers", type=int, default=1,
-                         help="worker pool size (>= 1, capped at the batch count)")
+    p_sweep.add_argument("--workers", type=int, choices=(1,), default=1,
+                         help="1 only: every sweep runs in the calling process")
     return parser
 
 
@@ -452,8 +434,6 @@ def _check_args(args) -> None:
     if not os.path.basename(args.out):
         raise ValueError(f"--out {args.out!r} names a directory, not a file prefix")
     if args.command == "sweep":
-        if args.workers < 1:
-            raise ValueError(f"--workers must be at least 1, got {args.workers}")
         return  # cmd_sweep checks each job's flags before any job runs
     min_N = 16
     if args.command == "spectrum":  # the grid floor of the layer it loads anyway

@@ -336,8 +336,7 @@ class TestSweepCommand:
             "c = 0.90,0.92,0.95\n"
             "N = 96\n"
         )
-        code = cli.main(["sweep", str(cfg), "--out", str(tmp_path / "sw"),
-                         "--workers", "2"])
+        code = cli.main(["sweep", str(cfg), "--out", str(tmp_path / "sw")])
         assert code == 0
         recs = [json.loads((tmp_path / f"sw_{i:04d}.json").read_text())
                 for i in range(3)]
@@ -346,7 +345,8 @@ class TestSweepCommand:
         assert len(signatures) == 1
 
     def test_one_worker_loads_no_pool(self, tmp_path):
-        # only --workers >= 2 imports the pool, which loads multiprocessing
+        # every command, sweep included, runs in the calling process and
+        # imports no process pool
         (tmp_path / "s.cfg").write_text("command = stability\nL = 3.14159\nc = 0.95\nN = 16\n"
                                         "T = 0.05\ndt = 1e-3\neps = 1e-3,5e-4\nseed = 1\n")
         wave = "'--L', '3.14159', '--c', '0.95'"
@@ -721,32 +721,6 @@ class TestSweepRobustness:
                 assert written == [f"tw_{idx:04d}.csv", f"tw_{idx:04d}.json"]
                 assert f"sweep job {idx}" not in err
 
-    def test_pool_capped_at_job_count(self, tmp_path, monkeypatch):
-        sizes = []
-
-        class SerialPool:
-            """Records the pool size and maps serially, so no process starts."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
-        cfg = tmp_path / "two.cfg"
-        cfg.write_text("command = wave\nL = 3.14159\nc = 0.95,0.9\nN = 64\n")
-        code = cli.main(["sweep", str(cfg), "--out", str(tmp_path / "pl"), "--workers", "64"])
-        assert code == 0
-        assert sizes == [2]
-        assert (tmp_path / "pl_0001.csv").exists()
-
     def test_job_that_raises_does_not_stop_the_sweep(self, tmp_path, monkeypatch, capsys):
         exact = spectral.full_report
 
@@ -808,19 +782,36 @@ class TestSweepRobustness:
                for i in range(len(spellings))]
         assert got == [False, False, False, True, True, True]
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_workers_below_one_exits_2(self, workers, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("workers", ["0", "-3", "2", "64"])
+    def test_workers_other_than_one_exits_2(self, workers, tmp_path, monkeypatch, capsys):
         def no_compute(*a, **k):
             raise AssertionError("a sweep job ran before the flags were checked")
 
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_compute)
         monkeypatch.setattr(cli, "_run_sweep_job", no_compute)
         cfg = tmp_path / "two.cfg"
         cfg.write_text("command = wave\nL = 3.14159\nc = 0.95,0.9\nN = 64\n")
-        code = cli.main(["sweep", str(cfg), "--out", str(tmp_path / "wk"), "--workers", workers])
-        assert code == 2
-        assert "--workers must be at least 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            cli.main(["sweep", str(cfg), "--out", str(tmp_path / "wk"), "--workers", workers])
+        assert info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
         assert list(tmp_path.glob("wk*")) == []
+
+    def test_workers_1_given_or_left_out_writes_same_bytes(self, tmp_path, capsys):
+        # a batch of two good jobs and a bad-flag job, so stderr is not empty
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text("command = stability\nL = 3.14159\nc = 0.95\nN = 16\nT = 0.05\n"
+                       "dt = 1e-3\neps = 1e-3,5e-4\nseed = 1,-1\n")
+        runs = {}
+        for name, flag in (("given", ["--workers", "1"]), ("left", [])):
+            (tmp_path / name).mkdir()
+            code = cli.main(["sweep", str(cfg), "--out", str(tmp_path / name / "g"), *flag])
+            err = capsys.readouterr().err.replace(str(tmp_path / name), "<dir>")
+            files = {f.name: f.read_bytes() for f in sorted((tmp_path / name).iterdir())}
+            runs[name] = (code, err, files)
+        assert runs["given"] == runs["left"]
+        code, err, files = runs["left"]
+        assert code == 2 and err.count("failed with exit 2") == 2
+        assert sorted(files) == ["g_0000.csv", "g_0000.json", "g_0002.csv", "g_0002.json"]
 
 
 class TestSweepBatching:
@@ -953,65 +944,23 @@ class TestSweepBatching:
         assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert len(seen) == 1 and "--seed must be nonnegative, got -3" in seen[0]
 
-    def test_batches_in_a_real_pool_match_one_worker(self, tmp_path, monkeypatch):
-        # 2 eps x 2 seeds form one group, which 2 workers split into two
-        # batches, each run in a process of a real pool
-        from concurrent.futures import ProcessPoolExecutor
-
-        started = []
-
-        class RecordingPool(ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                started.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-        cfg = tmp_path / "r.cfg"
-        cfg.write_text("command = stability\nL = 3.14159\nc = 0.95\nN = 64\nT = 0.01\n"
-                       "dt = 1e-3\neps = 1e-3,5e-4\nseed = 1,2\n")
-        for workers in ("2", "1"):
-            assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / f"w{workers}"),
-                             "--workers", workers]) == 0
-        assert started == [2]
-        for idx in range(4):
-            for ext in (".csv", ".json"):
-                pooled = (tmp_path / f"w2_{idx:04d}{ext}").read_bytes()
-                assert pooled == (tmp_path / f"w1_{idx:04d}{ext}").read_bytes(), (idx, ext)
-
-    @pytest.mark.parametrize("workers, pool, units", [
-        (1, None, [[0, 1, 2], [3, 4, 5]]),
-        (2, 2, [[0], [1, 2], [3], [4, 5]]),
-        (3, 3, [[0], [1], [2], [3], [4], [5]]),
-        (64, 6, [[0], [1], [2], [3], [4], [5]]),
-    ])
-    def test_pool_split_rule(self, workers, pool, units, tmp_path, monkeypatch):
-        sizes = []
-
-        class SerialPool:
-            """Records the pool size and maps serially, so no process starts."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    def test_one_batch_per_group(self, tmp_path, monkeypatch):
         seen = self.record_units(monkeypatch)
         cfg = tmp_path / "p.cfg"
-        # two groups of three (one per speed): min(workers, 3) batches each
+        # two groups of three (one per speed), each run as one batch
         cfg.write_text("command = stability\nL = 3.14159\nc = 0.95,0.94\nN = 16\n"
                        "T = 0.01\ndt = 1e-3\neps = 1e-3,5e-4,2e-4\nseed = 1\n")
-        assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "p"),
-                         "--workers", str(workers)]) == 0
-        assert sizes == ([] if pool is None else [pool])
-        assert seen == units
+        assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "p")]) == 0
+        assert seen == [[0, 1, 2], [3, 4, 5]]
+
+    @pytest.mark.parametrize("command", ["wave", "spectrum"])
+    def test_other_commands_run_one_job_per_unit(self, command, tmp_path, monkeypatch):
+        seen = self.record_units(monkeypatch)
+        cfg = tmp_path / "a.cfg"
+        # the same flags but --out, yet only evolve/stability jobs are batched
+        cfg.write_text(f"command = {command}\nL = 3.14159\nc = 0.95,0.95,0.94\nN = 64\n")
+        assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert seen == [[0], [1], [2]]
 
 
 class TestParserReuse:
