@@ -24,9 +24,16 @@ make few of them:
     products with the tables [cos, cos] and [-sin om, sin/om] and two sums;
   - the force comes out of rfft already scaled by dt;
   - each kick stores phi^2 in a row of a chunk buffer, and one max over it
-    per _CHECK_KICKS kicks tests the sup-norm ceiling; a trip is traced
-    back to its first kick and row, and the up to _CHECK_KICKS - 1 kicks
-    run past it have their floating-point warnings silenced.
+    per _CHECK_KICKS kicks tests the sup-norm ceiling the call was given; a
+    trip is traced back to its first kick and row, and the up to
+    _CHECK_KICKS - 1 kicks run past it have their floating-point warnings
+    silenced.
+
+The ceiling is an argument of `advance`, not state of the stepper, which
+depends on (L, N, dt, projected) alone.  It is a per-run guard, not a
+property of the flow: `run_experiment` sets it to _CEILING_FACTOR max |h|
+of its wave, where the zero-mean flow's energy bound would fix one per
+initial datum.
 
 A call allocates its buffers once and no step allocates: the FFTs and
 every product write into them, and a rotation's sums overwrite the state
@@ -168,11 +175,10 @@ def _modes(L: float, N: int) -> _Modes:
 class SplitStepper:
     """Strang splitting with precomputed per-mode linear rotations.
 
-    One instance is bound to (L, N, dt, projected); `ceiling` bounds
-    ||phi||_inf of every batch row and trips BlowUpError, naming the first
-    kick and the first row over it.  The rotation of mode 0 is cosh/sinh
-    unprojected and zero when projected, so one linear flow serves every
-    mode.
+    One instance is bound to (L, N, dt, projected) and holds nothing else;
+    the sup-norm ceiling is an argument of `advance`.  The rotation of mode
+    0 is cosh/sinh unprojected and zero when projected, so one linear flow
+    serves every mode.
 
     `advance` holds the state as one (2,) + shape buffer [p, q], so a
     rotation is four ufunc calls: y = [cos, cos] [p, q] and
@@ -190,8 +196,7 @@ class SplitStepper:
     the grid rule's even N.
     """
 
-    def __init__(self, L: float, N: int, dt: float, projected: bool = True,
-                 ceiling: float = np.inf):
+    def __init__(self, L: float, N: int, dt: float, projected: bool = True):
         if dt == 0.0 or not math.isfinite(dt):
             raise ValueError(f"time step must be nonzero and finite, got {dt}")
         # dt < 0 steps backward; with exact sub-flows this inverts the
@@ -201,7 +206,6 @@ class SplitStepper:
         grid_points(L, N)  # the grid rule: N even and >= 16
         self.L, self.N, self.dt = L, N, dt
         self.projected = projected
-        self.ceiling = ceiling
         om = np.sqrt(_modes(L, N).omega2[1:])  # > 0 for every nonzero mode when L < 2 pi
         rotations = []  # the half flow's and the full flow's
         for tau in (0.5 * dt, dt):
@@ -216,8 +220,8 @@ class SplitStepper:
                               np.array([np.r_[sh, -sin * om], np.r_[sh, sin / om]], complex)))
         self._rotations = tuple(rotations)
 
-    def _trip(self, squares, first, start, every):
-        """Raise BlowUpError for the first kick and row of `squares` over the ceiling.
+    def _trip(self, squares, first, start, every, ceiling):
+        """Raise BlowUpError for the first kick and row of `squares` over `ceiling`.
 
         squares holds phi^2 of kicks first, first + 1, ... of the call, one
         per leading index; max |phi| is read off it as sqrt(max phi^2), exact
@@ -226,18 +230,19 @@ class SplitStepper:
         the time a call of its own from the interval's first step gives it.
         """
         sups = np.sqrt(np.max(squares, axis=-1)).reshape(len(squares), -1)  # (kick, row)
-        over = ~(sups <= self.ceiling)  # NaN trips it too
+        over = ~(sups <= ceiling)  # NaN trips it too
         kick = int(np.argmax(over.any(axis=1)))
         member = int(np.argmax(over[kick]))
         sup, dt = float(sups[kick, member]), self.dt
         interval, local = divmod(first + kick, every)
         t = (start + interval * every) * dt + (local + 0.5) * dt
         raise BlowUpError(
-            f"||phi||_inf = {sup:.6g} exceeded ceiling {self.ceiling:.6g} at t = {t:.6g}",
+            f"||phi||_inf = {sup:.6g} exceeded ceiling {ceiling:.6g} at t = {t:.6g}",
             time=t, member=member,
         )
 
-    def advance(self, ph, pt, nsteps: int, start: int, every: int | None = None):
+    def advance(self, ph, pt, nsteps: int, start: int, every: int | None = None,
+                ceiling: float = math.inf):
         """nsteps Strang steps after `start` whole steps, fusing interior half flows.
 
         ph, pt are the rfft coefficients of (phi, phi_t), of shape
@@ -264,8 +269,10 @@ class SplitStepper:
         Each kick writes phi^2 into the next row of a
         (min(nsteps, _CHECK_KICKS),) + phi.shape buffer, and one max over
         it per chunk of _CHECK_KICKS kicks, which may span samples, tests
-        the ceiling; a trip names the first kick and row over it, timed as
-        the chained call that makes that kick would time it (see `_trip`).
+        ||phi||_inf of every row against `ceiling`, one float for the call
+        (no bound by default; NaN trips even then).  A trip raises
+        BlowUpError naming the first kick and row over it, timed as the
+        chained call that makes that kick would time it (see `_trip`).
         Up to _CHECK_KICKS - 1 kicks run past a trip, so the loop runs with
         overflow and invalid-value warnings off, and a trip whose phi^2
         overflowed reports ||phi||_inf = inf.  ph and pt are copied into
@@ -287,7 +294,7 @@ class SplitStepper:
         if ph.ndim == 2:  # contiguous (2, B, N/2 + 1) copies: broadcasting over the rows is slower
             half, full = ([np.repeat(table[:, None], len(ph), axis=1) for table in flow]
                           for flow in (half, full))
-        N, dt, ceiling, projected = self.N, self.dt, self.ceiling, self.projected
+        N, dt, projected = self.N, self.dt, self.projected
         inv_n = 1.0 / N
         zero = complex(math.copysign(0.0, dt), 0.0)  # mode 0 of dt * rfft(phi^3 - mean)
         # bound here, not at import, so a patched _pocketfft_umath is seen
@@ -334,7 +341,7 @@ class SplitStepper:
                 # overflow, so this is max |phi| over the chunk and batch;
                 # NaN trips it too
                 if not math.sqrt(np.maximum.reduce(squares[:kicks], None)) <= ceiling:
-                    self._trip(squares[:kicks], first, start, every)
+                    self._trip(squares[:kicks], first, start, every, ceiling)
         cos, sin = half  # the closing half flow, into the last sample row
         multiply(cos, s, y)
         multiply(sin, s, z)
@@ -575,7 +582,7 @@ def run_experiment(
         ph, pt = (_lone_row_1d(np.fft.rfft(np.array(part))) for part in zip(*starts))
 
     ceiling = _CEILING_FACTOR * float(np.max(np.abs(h)))
-    stepper = SplitStepper(wave.L, N, dt, projected, ceiling)
+    stepper = SplitStepper(wave.L, N, dt, projected)
     distance = _OrbitDistance(wave, h, h1)
     rows = [[] for _ in members]
     outcomes = [None] * len(members)
@@ -586,7 +593,7 @@ def run_experiment(
         marks = ends[first:first + _SAMPLE_BLOCK_ROWS]
         done = ends[first - 1] if first else 0
         try:
-            block = stepper.advance(ph, pt, marks[-1] - done, done, sample_every)
+            block = stepper.advance(ph, pt, marks[-1] - done, done, sample_every, ceiling=ceiling)
         except BlowUpError as exc:  # ph and pt still hold the block's start
             outcomes[live.pop(exc.member)] = exc
             if live:

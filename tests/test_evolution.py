@@ -42,16 +42,16 @@ def wave_state(wave):
     return h, wave.c * h1
 
 
-def final_state(stepper, ph, pt, nsteps, start=0):
+def final_state(stepper, ph, pt, nsteps, start=0, ceiling=math.inf):
     """The state after nsteps steps: the one row of an `advance` call without `every`."""
-    (ph,), (pt,) = stepper.advance(ph, pt, nsteps, start)
+    (ph,), (pt,) = stepper.advance(ph, pt, nsteps, start, ceiling=ceiling)
     return ph, pt
 
 
-def advance_state(stepper, state, nsteps=1):
+def advance_state(stepper, state, nsteps=1, ceiling=math.inf):
     """nsteps steps of grid samples (phi, phi_t) through SplitStepper.advance."""
     phi, phidot = state
-    ph, pt = final_state(stepper, np.fft.rfft(phi), np.fft.rfft(phidot), nsteps)
+    ph, pt = final_state(stepper, np.fft.rfft(phi), np.fft.rfft(phidot), nsteps, ceiling=ceiling)
     return np.fft.irfft(ph, stepper.N), np.fft.irfft(pt, stepper.N)
 
 
@@ -87,11 +87,11 @@ def linear_flow(ph, pt, table):
     return cos * ph + sin_over * pt, neg_sin_times * ph + cos * pt
 
 
-def reference_advance(stepper, ph, pt, nsteps, t0):
+def reference_advance(stepper, ph, pt, nsteps, t0, ceiling=math.inf):
     """The allocating Strang loop whose arithmetic SplitStepper.advance runs in buffers.
 
     Real tables, a fresh array per product and the exact per-row max |phi|
-    for the ceiling; a row over it raises BlowUpError with its member, time
+    against `ceiling`; a row over it raises BlowUpError with its member, time
     and message.
     """
     n, dt = stepper.N, stepper.dt
@@ -101,9 +101,9 @@ def reference_advance(stepper, ph, pt, nsteps, t0):
     def kick(ph, pt, t):
         phi = np.fft.irfft(ph, n)
         for member, sup in enumerate(np.max(np.abs(phi), axis=-1).reshape(-1)):
-            if not sup <= stepper.ceiling:
+            if not sup <= ceiling:
                 raise BlowUpError(f"||phi||_inf = {sup:.6g} exceeded ceiling "
-                                  f"{stepper.ceiling:.6g} at t = {t:.6g}", time=t, member=member)
+                                  f"{ceiling:.6g} at t = {t:.6g}", time=t, member=member)
         force = np.fft.rfft(phi * phi * phi)
         if stepper.projected:
             force[..., 0] = 0.0
@@ -224,7 +224,8 @@ def reference_run(wave, perturbations, amplitudes, T, dt, every, n, projected=Tr
     """
     h, h1, _ = sample_wave(wave, n)
     distance = _OrbitDistance(wave, h, h1)
-    stepper = SplitStepper(wave.L, n, dt, projected, _CEILING_FACTOR * float(np.max(np.abs(h))))
+    stepper = SplitStepper(wave.L, n, dt, projected)
+    ceiling = _CEILING_FACTOR * float(np.max(np.abs(h)))
     phi = [h if eps == 0.0 else h + eps * p for eps, (p, _) in zip(amplitudes, perturbations)]
     phidot = [wave.c * h1 if eps == 0.0 else wave.c * h1 + eps * q
               for eps, (_, q) in zip(amplitudes, perturbations)]
@@ -242,7 +243,7 @@ def reference_run(wave, perturbations, amplitudes, T, dt, every, n, projected=Tr
     while done < nsteps:
         block = min(every, nsteps - done)
         try:
-            (ph_next,), (pt_next,) = stepper.advance(ph, pt, block, done)
+            (ph_next,), (pt_next,) = stepper.advance(ph, pt, block, done, ceiling=ceiling)
         except BlowUpError as exc:
             outcomes[live.pop(exc.member)] = exc
             if not live:
@@ -310,11 +311,11 @@ class TestStep:
     def test_blowup_detection(self, wave, wave_state):
         big = (50.0 * wave_state[0], np.zeros(N))
         ceiling = 10.0 * float(np.max(np.abs(wave_state[0])))
-        stepper = SplitStepper(L, N, 1e-3, ceiling=ceiling)
+        stepper = SplitStepper(L, N, 1e-3)
         with pytest.raises(BlowUpError) as info:
             st = big
             for _ in range(10):
-                st = advance_state(stepper, st)
+                st = advance_state(stepper, st, ceiling=ceiling)
         assert info.value.time >= 0.0
 
     @pytest.mark.parametrize("projected", [False, True])
@@ -732,11 +733,11 @@ class TestBatch:
     @pytest.mark.parametrize("B", [1, 2, 3])
     def test_advance_rows_match_single_calls(self, wave, projected, B):
         ph, pt = self.states(wave, N, [0.0, 1e-3, 0.3][:B])
-        stepper = SplitStepper(L, N, 1e-3, projected, ceiling=20.0)
-        bph, bpt = final_state(stepper, ph, pt, 25)
+        stepper = SplitStepper(L, N, 1e-3, projected)
+        bph, bpt = final_state(stepper, ph, pt, 25, ceiling=20.0)
         assert bph.shape == ph.shape
         for b in range(B):
-            rph, rpt = final_state(stepper, ph[b], pt[b], 25)
+            rph, rpt = final_state(stepper, ph[b], pt[b], 25, ceiling=20.0)
             assert self.same_bits(bph[b], rph) and self.same_bits(bpt[b], rpt)
 
     @pytest.mark.parametrize("B", [1, 2, 3])
@@ -811,10 +812,10 @@ class TestBatch:
         # products scale each component exactly, and every call names its output
         wave = solve_modulus(3.7, 0.9)
         ph, pt = self.sweep_states(wave, 128)
-        stepper = SplitStepper(wave.L, 256, 1e-3, ceiling=20.0)
-        bph, bpt = final_state(stepper, ph, pt, 50)
+        stepper = SplitStepper(wave.L, 256, 1e-3)
+        bph, bpt = final_state(stepper, ph, pt, 50, ceiling=20.0)
         for b in range(0, 128, 7):
-            rph, rpt = final_state(stepper, ph[b], pt[b], 50)
+            rph, rpt = final_state(stepper, ph[b], pt[b], 50, ceiling=20.0)
             assert self.same_bits(bph[b], rph) and self.same_bits(bpt[b], rpt), b
 
     def test_large_distance_block_rows_match_single_calls(self):
@@ -822,8 +823,8 @@ class TestBatch:
         # numpy would compute wcross * exp(...) in the exp's temporary with
         # the operands swapped; that gave 25 of these rows other bits
         wave = solve_modulus(3.7, 0.9)
-        ph, pt = final_state(SplitStepper(wave.L, 256, 1e-3, ceiling=20.0),
-                             *self.sweep_states(wave, 128), 5)
+        ph, pt = final_state(SplitStepper(wave.L, 256, 1e-3),
+                             *self.sweep_states(wave, 128), 5, ceiling=20.0)
         h, h1, _ = sample_wave(wave, 256)
         distance = _OrbitDistance(wave, h, h1)
         assert self.same_bits(distance(ph, pt), [distance(a, b) for a, b in zip(ph, pt)])
@@ -883,10 +884,10 @@ class TestBatch:
     def test_stepper_names_the_tripping_row(self, wave):
         ph, pt = self.states(wave, N, [1e-3, 100.0, 200.0])
         with pytest.raises(BlowUpError) as info:
-            SplitStepper(L, N, 1e-3, ceiling=10.0).advance(ph, pt, 5, 0)
+            SplitStepper(L, N, 1e-3).advance(ph, pt, 5, 0, ceiling=10.0)
         assert info.value.member == 1
         with pytest.raises(BlowUpError) as alone:
-            SplitStepper(L, N, 1e-3, ceiling=10.0).advance(ph[1], pt[1], 5, 0)
+            SplitStepper(L, N, 1e-3).advance(ph[1], pt[1], 5, 0, ceiling=10.0)
         assert str(info.value) == str(alone.value) and alone.value.member == 0
 
     def test_ceiling_compares_the_exact_sup(self, wave):
@@ -896,11 +897,33 @@ class TestBatch:
         half, _ = linear_flow(ph, pt, rotation_tables(L, N, 0.5e-3))
         sups = np.max(np.abs(np.fft.irfft(half, N)), axis=-1)
         top = float(np.max(sups))
-        SplitStepper(L, N, 1e-3, ceiling=top).advance(ph, pt, 1, 0)
+        SplitStepper(L, N, 1e-3).advance(ph, pt, 1, 0, ceiling=top)
         with pytest.raises(BlowUpError) as info:
-            SplitStepper(L, N, 1e-3, ceiling=math.nextafter(top, 0.0)).advance(ph, pt, 1, 0)
+            SplitStepper(L, N, 1e-3).advance(ph, pt, 1, 0, ceiling=math.nextafter(top, 0.0))
         assert info.value.member == int(np.argmax(sups))
         assert f"||phi||_inf = {top:.6g} exceeded" in str(info.value)
+
+    def test_ceiling_is_an_argument_of_each_call(self, wave):
+        # one stepper and one state: a ceiling at the exact sup passes, one
+        # ulp below it trips at the first kick with the sup and that ceiling
+        # in its line, and a call without a ceiling never trips
+        (ph,), (pt,) = self.states(wave, N, [0.2])
+        stepper = SplitStepper(L, N, 1e-3)
+        half, _ = linear_flow(ph, pt, rotation_tables(L, N, 0.5e-3))
+        top = float(np.max(np.abs(np.fft.irfft(half, N))))
+        below = math.nextafter(top, 0.0)
+        passed = stepper.advance(ph, pt, 1, 0, ceiling=top)
+        with pytest.raises(BlowUpError) as info:
+            stepper.advance(ph, pt, 1, 0, ceiling=below)
+        assert (info.value.member, info.value.time) == (0, 0.5e-3)
+        assert str(info.value) == (f"||phi||_inf = {top:.6g} exceeded ceiling {below:.6g} "
+                                   "at t = 0.0005")
+        with pytest.raises(BlowUpError) as ref:
+            reference_advance(stepper, ph, pt, 1, 0.0, below)
+        assert str(ref.value) == str(info.value)
+        unbounded = stepper.advance(ph, pt, 1, 0)
+        assert TestBatch.same_bits(unbounded, passed)
+        assert not hasattr(stepper, "ceiling")
 
     def test_batch_input_validation(self, wave, monkeypatch):
         # every case fails before the wave is sampled
@@ -943,29 +966,29 @@ class TestBufferedAdvance:
     @pytest.mark.parametrize("n", [16, N, 130])
     def test_matches_reference_loop(self, wave, n, rows, projected, dt, nsteps):
         ph, pt = self.states(wave, rows, n)
-        stepper = SplitStepper(L, n, dt, projected, ceiling=20.0)
-        got = stepper.advance(ph, pt, nsteps, 125)
+        stepper = SplitStepper(L, n, dt, projected)
+        got = stepper.advance(ph, pt, nsteps, 125, ceiling=20.0)
         assert got[0].shape == got[1].shape == (1,) + ph.shape
-        want = reference_advance(stepper, ph, pt, nsteps, 125 * dt)
+        want = reference_advance(stepper, ph, pt, nsteps, 125 * dt, 20.0)
         assert self.same_bits((got[0][-1], got[1][-1]), want)
 
     @pytest.mark.parametrize("projected", [True, False])
     def test_matches_reference_loop_at_benchmark_shape(self, wave, projected):
         # the stability workload's grid and step, over one 500-step block
         ph, pt = self.states(wave, None, 256)
-        stepper = SplitStepper(L, 256, 1e-3, projected, ceiling=20.0)
-        got = final_state(stepper, ph, pt, 500)
-        assert self.same_bits(got, reference_advance(stepper, ph, pt, 500, 0.0))
+        stepper = SplitStepper(L, 256, 1e-3, projected)
+        got = final_state(stepper, ph, pt, 500, ceiling=20.0)
+        assert self.same_bits(got, reference_advance(stepper, ph, pt, 500, 0.0, 20.0))
 
     def test_tables_follow_the_state_shape(self, wave):
         # one stepper on a (3, n) batch, then (2, n) -- a member has left --
         # then a lone 1-D row, then (3, n) again; it keeps no state between calls
-        stepper = SplitStepper(L, N, 1e-3, ceiling=20.0)
+        stepper = SplitStepper(L, N, 1e-3)
         before = dict(vars(stepper))  # attribute names and the objects they hold
         for rows in (3, 2, None, 3):
             ph, pt = self.states(wave, rows)
-            got = final_state(stepper, ph, pt, 7)
-            assert self.same_bits(got, reference_advance(stepper, ph, pt, 7, 0.0))
+            got = final_state(stepper, ph, pt, 7, ceiling=20.0)
+            assert self.same_bits(got, reference_advance(stepper, ph, pt, 7, 0.0, 20.0))
         after = vars(stepper)
         assert after.keys() == before.keys() and all(after[k] is v for k, v in before.items())
 
@@ -990,11 +1013,11 @@ class TestBufferedAdvance:
     def test_nan_row_trips_with_its_member_and_time(self, wave, n, row):
         ph, pt = self.states(wave, 3, n)
         ph[row] = np.nan
-        stepper = SplitStepper(L, n, 1e-3, ceiling=20.0)
+        stepper = SplitStepper(L, n, 1e-3)
         with pytest.raises(BlowUpError) as info:
-            stepper.advance(ph, pt, 7, 250)
+            stepper.advance(ph, pt, 7, 250, ceiling=20.0)
         with pytest.raises(BlowUpError) as ref:
-            reference_advance(stepper, ph, pt, 7, 250 * 1e-3)
+            reference_advance(stepper, ph, pt, 7, 250 * 1e-3, 20.0)
         assert info.value.member == ref.value.member == row
         assert info.value.time == ref.value.time == 0.25 + 0.5e-3
         assert str(info.value).startswith("||phi||_inf = nan exceeded ceiling 20 at t = 0.2505")
@@ -1026,11 +1049,11 @@ class TestBufferedAdvance:
         top = np.maximum.accumulate(sups.max(axis=1))
         j = next(k for k in range(3, len(top)) if top[k] > top[k - 1])
         ceiling = float(top[j - 1])
-        stepper = SplitStepper(L, n, dt, projected, ceiling)
+        stepper = SplitStepper(L, n, dt, projected)
         with pytest.raises(BlowUpError) as info:
-            stepper.advance(ph, pt, 40, start)
+            stepper.advance(ph, pt, 40, start, ceiling=ceiling)
         with pytest.raises(BlowUpError) as ref:
-            reference_advance(stepper, ph, pt, 40, t0)
+            reference_advance(stepper, ph, pt, 40, t0, ceiling)
         member = int(np.argmax(sups[j] > ceiling))
         assert info.value.member == ref.value.member == member
         assert info.value.time == ref.value.time == t0 + (j + 0.5) * dt
@@ -1065,11 +1088,11 @@ class TestBufferedAdvance:
             reference_advance(SplitStepper(L, n, dt), ph, pt, nsteps, t0)
         sups = np.array(sups)  # (kick, row)
         assert np.all(np.diff(sups, axis=0) > 0.0)
-        stepper = SplitStepper(L, n, dt, ceiling=float(sups[kick - 1].max()))
+        stepper, ceiling = SplitStepper(L, n, dt), float(sups[kick - 1].max())
         with pytest.raises(BlowUpError) as info:
-            stepper.advance(ph, pt, nsteps, start)
+            stepper.advance(ph, pt, nsteps, start, ceiling=ceiling)
         with pytest.raises(BlowUpError) as ref:
-            reference_advance(stepper, ph, pt, nsteps, t0)
+            reference_advance(stepper, ph, pt, nsteps, t0, ceiling)
         assert info.value.member == ref.value.member == member
         assert info.value.time == ref.value.time == t0 + (kick + 0.5) * dt
         assert str(info.value) == str(ref.value)
@@ -1081,15 +1104,15 @@ class TestBufferedAdvance:
         ph, pt = TestBatch.states(wave, N, [1e-3, 100.0, 0.3])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            stepper = SplitStepper(L, N, 0.1)
             with pytest.raises(BlowUpError) as unbounded:
-                SplitStepper(L, N, 0.1).advance(ph, pt, _CHECK_KICKS, 0)
-            stepper = SplitStepper(L, N, 0.1, ceiling=20.0)
-            with pytest.raises(BlowUpError) as info:
                 stepper.advance(ph, pt, _CHECK_KICKS, 0)
+            with pytest.raises(BlowUpError) as info:
+                stepper.advance(ph, pt, _CHECK_KICKS, 0, ceiling=20.0)
         assert str(unbounded.value).startswith("||phi||_inf = nan exceeded ceiling inf")
         assert unbounded.value.time == 0.75
         with pytest.raises(BlowUpError) as ref:
-            reference_advance(stepper, ph, pt, _CHECK_KICKS, 0.0)
+            reference_advance(stepper, ph, pt, _CHECK_KICKS, 0.0, 20.0)
         assert (info.value.member, info.value.time) == (ref.value.member, ref.value.time) == (1, 0.05)
         assert str(info.value) == str(ref.value)
 
@@ -1121,11 +1144,11 @@ class TestSampledAdvance:
     """advance(..., every=k) returns the states of chained calls of k steps, bit for bit."""
 
     @staticmethod
-    def chained(stepper, ph, pt, nsteps, start, every):
+    def chained(stepper, ph, pt, nsteps, start, every, ceiling=math.inf):
         """The states after calls of `every` steps (the last one of the rest), each from its start step."""
         rows = []
         for first in range(0, nsteps, every):
-            ph, pt = final_state(stepper, ph, pt, min(every, nsteps - first), start + first)
+            ph, pt = final_state(stepper, ph, pt, min(every, nsteps - first), start + first, ceiling)
             rows.append((ph, pt))
         return rows
 
@@ -1137,11 +1160,11 @@ class TestSampledAdvance:
     @pytest.mark.parametrize("rows", [None, 1, 3])
     def test_rows_are_the_chained_calls(self, wave, rows, projected, every):
         ph, pt = TestBufferedAdvance.states(wave, rows)
-        stepper = SplitStepper(L, N, 1e-3, projected, ceiling=20.0)
+        stepper = SplitStepper(L, N, 1e-3, projected)
         nsteps = 3 * every + every - 1
-        got = stepper.advance(ph, pt, nsteps, 125, every)
+        got = stepper.advance(ph, pt, nsteps, 125, every, ceiling=20.0)
         assert got[0].shape == got[1].shape == (3 + (every > 1),) + ph.shape
-        want = self.chained(stepper, ph, pt, nsteps, 125, every)
+        want = self.chained(stepper, ph, pt, nsteps, 125, every, 20.0)
         assert len(want) == len(got[0])
         for i, state in enumerate(want):
             assert TestBufferedAdvance.same_bits((got[0][i], got[1][i]), state), i
@@ -1151,15 +1174,16 @@ class TestSampledAdvance:
     @pytest.mark.parametrize("rows", [None, 1, 3])
     def test_fewer_steps_than_every_give_one_short_row(self, wave, rows, projected):
         ph, pt = TestBufferedAdvance.states(wave, rows)
-        stepper = SplitStepper(L, N, 1e-3, projected, ceiling=20.0)
-        got = stepper.advance(ph, pt, 6, 0, 7)
+        stepper = SplitStepper(L, N, 1e-3, projected)
+        got = stepper.advance(ph, pt, 6, 0, 7, ceiling=20.0)
         assert got[0].shape == got[1].shape == (1,) + ph.shape
-        assert TestBufferedAdvance.same_bits((got[0][0], got[1][0]), final_state(stepper, ph, pt, 6))
+        want = final_state(stepper, ph, pt, 6, ceiling=20.0)
+        assert TestBufferedAdvance.same_bits((got[0][0], got[1][0]), want)
 
     @pytest.mark.parametrize("nsteps, every", [(0, 3), (-2, 1), (0, None), (-1, None)])
     def test_no_steps_give_no_rows(self, wave, nsteps, every):
         ph, pt = TestBufferedAdvance.states(wave, 3)
-        got = SplitStepper(L, N, 1e-3, ceiling=20.0).advance(ph, pt, nsteps, 0, every)
+        got = SplitStepper(L, N, 1e-3).advance(ph, pt, nsteps, 0, every, ceiling=20.0)
         assert got[0].shape == got[1].shape == (0,) + ph.shape
 
     @pytest.mark.parametrize("every", [0, -3])
@@ -1215,12 +1239,12 @@ class TestSampledAdvance:
             reference_advance(SplitStepper(L, n, dt), ph, pt, 150, start * dt)
         sups = np.array(sups)  # (kick, row)
         assert np.all(np.diff(sups, axis=0) > 0.0)
-        stepper = SplitStepper(L, n, dt, ceiling=float(sups[kick - 1].max()))
+        stepper, ceiling = SplitStepper(L, n, dt), float(sups[kick - 1].max())
         nsteps = nsteps or (kick // every + 2) * every
         with pytest.raises(BlowUpError) as info:
-            stepper.advance(ph, pt, nsteps, start, every)
+            stepper.advance(ph, pt, nsteps, start, every, ceiling=ceiling)
         with pytest.raises(BlowUpError) as chained:
-            self.chained(stepper, ph, pt, nsteps, start, every)
+            self.chained(stepper, ph, pt, nsteps, start, every, ceiling)
         assert info.value.member == chained.value.member == 2
         assert info.value.time == chained.value.time
         assert str(info.value) == str(chained.value)
@@ -1355,16 +1379,19 @@ class TestSampleBlocks:
         # 501 rows: 15 intervals after the t = 0 row, then 16 per block;
         # 169 rows, the last after a short interval of 1 step, take 11
         # calls, the short interval ending the last one's rows
-        steps = []
+        steps, ceilings = [], set()
         real_advance = SplitStepper.advance
 
-        def counting_advance(self, ph, pt, nsteps, start, every=None):
+        def counting_advance(self, ph, pt, nsteps, start, every=None, ceiling=math.inf):
             steps.append((nsteps, every))
-            return real_advance(self, ph, pt, nsteps, start, every)
+            ceilings.add(ceiling)
+            return real_advance(self, ph, pt, nsteps, start, every, ceiling)
 
         monkeypatch.setattr(SplitStepper, "advance", counting_advance)
         members = [(1e-3, perturbation_random(L, N, 1))]
         [trace] = run_experiment(wave, members, T, 1e-3, every, N=N)
+        # every call gets run_experiment's one ceiling, 10 max |h|
+        assert ceilings == {_CEILING_FACTOR * float(np.max(np.abs(sample_wave(wave, N)[0])))}
         assert len(steps) == calls <= 33
         assert sum(n for n, _ in steps) == horizon_steps(T, 1e-3)
         assert trace.samples.shape[0] == 1 + sum(-(-n // k) for n, k in steps)

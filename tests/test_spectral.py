@@ -1009,6 +1009,29 @@ class TestFullReport:
         assert rec["coercivity"] >= 1e-3
         assert (rec["n0"], rec["z0"]) == (1, 0)
 
+    # kappa / ceiling was 0.333 at (1, 0.3) and 0.9963 at (pi, 0.99)
+    @pytest.mark.parametrize("L,fraction", [
+        (1.0, 0.3), (1.0, 0.9), (math.pi, 0.3), (math.pi, 0.9), (math.pi, 0.99), (3.0, 0.5),
+        (2.0, 0.6), (5.0, 0.3), (5.0, 0.8), (5.0, 0.99), (6.0, 0.5),
+    ])
+    def test_coercivity_below_the_band_edge_ceiling(self, L, fraction):
+        # v = sn dn(b x) is L1's band edge with eigenvalue lam_S = 3 k^2 / (1 + k^2),
+        # zero-mean and orthogonal to the kernel and the negative direction;
+        # w = (v, -B^T v), B = c d/dx, gives <Lblock w, w> = lam_S ||v||^2, so
+        # kappa <= lam_S ||v||^2 / (||v||^2 + c^2 ||v'||^2).  The norms are
+        # Parseval sums on 2048 points.
+        c = math.sqrt(1.0 - fraction * admissible_omega_window(L)[1])
+        wave = solve_modulus(L, c)
+        k, n = wave.k.value, 2048
+        sn, _, dn = jacobi_sn_cn_dn(wave.b * grid_points(L, n), k)
+        vhat = np.fft.rfft(sn * dn)
+        weight = np.full(n // 2 + 1, 2.0 * L / (n * n))
+        weight[0] = weight[-1] = L / (n * n)
+        v_sq = float(np.sum(weight * np.abs(vhat) ** 2))
+        dv_sq = float(np.sum(weight * np.abs(wavenumbers(L, n) * vhat) ** 2))
+        ceiling = 3.0 * k * k / (1.0 + k * k) * v_sq / (v_sq + c * c * dv_sq)
+        assert full_report(L, c, 256)["coercivity"] <= ceiling * (1.0 + 1e-9)
+
     def test_each_operator_assembled_and_diagonalized_once(self, monkeypatch):
         # L1, Lblock and their two constrained companions: one values-only
         # eigensolve per distinct block, four for L1 and five for Lblock
