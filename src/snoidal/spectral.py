@@ -71,8 +71,11 @@ A constrained operator's report solves only sector _PHI_CONSTANT and takes
 every other sector's values from its parent's by index.  A full report
 thus makes 11 eigensolves: the four sectors of L1, the five blocks of
 Lblock (the 1 x 1 one returns its entry 1.0 exactly), and the
-phi-constant sector of each constrained operator.  The counts and the
-coercivity constant read those eigenvalues.
+phi-constant sector of each constrained operator.  The spectrum is sorted,
+so the classification is positional: the first n entries are negative, the
+next z zero and the rest positive.  The counts, the kernel guards of the
+constraint solve and the coercivity constant all read n and z from the
+report; with z = 1 the kernel entry is the one at index n.
 
 D1 and the matrix D take one plain solve each, of sector _PHI_CONSTANT for
 sqrt(N) at row 0: the constants have no part in the kernel's sector 0, so
@@ -456,20 +459,21 @@ def D1_closed(wave: WaveParameters) -> float:
 def _check_solvable(report: SpectralReport) -> None:
     """Kernel guards of the constraint solve, raised before it runs.
 
-    Exactly one eigenvalue must be classified zero, and the rest must clear
-    1e3 tau_zero.
+    Exactly one eigenvalue must be classified zero, z = 1, and the rest,
+    the sorted spectrum without the kernel entry at index n, must clear
+    1e3 tau_zero in absolute value.
     """
-    vals, tau_zero, op = report.eigenvalues, report.tau_zero, report.operator
+    tau_zero, op = report.tau_zero, report.operator
     if report.z != 1:
         raise SingularSystemError(
             f"expected a one-dimensional discrete kernel for kind {op.kind}, "
             f"classified {report.z} eigenvalues within {tau_zero:.3e} of zero"
         )
-    retained = np.abs(vals[np.abs(vals) > tau_zero])
-    if np.min(retained) < 1e3 * tau_zero:
+    least = np.min(np.abs(np.delete(report.eigenvalues, report.n)))
+    if least < 1e3 * tau_zero:
         raise SingularSystemError(
             f"retained spectrum of kind {op.kind} nearly singular: "
-            f"min |eigenvalue| {np.min(retained):.3e} at tau_zero {tau_zero:.3e}"
+            f"min |eigenvalue| {least:.3e} at tau_zero {tau_zero:.3e}"
         )
 
 
@@ -549,14 +553,16 @@ def verify_index_counts(
 
 
 def coercivity_constant(report: SpectralReport) -> float:
-    """Smallest eigenvalue on the orthogonal complement of the kernel direction."""
+    """Smallest eigenvalue on the orthogonal complement of the kernel direction.
+
+    With z = 1 the kernel entry of the sorted spectrum sits at index n, so
+    the complement's spectrum is every other entry.
+    """
     if report.z != 1:
         raise SingularSystemError(
             f"coercivity constant needs a one-dimensional kernel, found z = {report.z}"
         )
-    vals = report.eigenvalues
-    nonzero = vals[np.abs(vals) > report.tau_zero]
-    return float(np.min(nonzero))
+    return float(np.min(np.delete(report.eigenvalues, report.n)))
 
 
 def _d2_closed(wave: WaveParameters) -> float:

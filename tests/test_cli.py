@@ -35,6 +35,16 @@ class TestWaveCommand:
         assert 0.0 < meta["k"] < 1.0
         assert meta["format"] == "csv"
 
+    def test_modulus_boundary_maps_to_2(self, tmp_path, monkeypatch, capsys):
+        import snoidal.waves as waves
+
+        monkeypatch.setattr(waves, "_dK_dk", lambda k: math.nan)
+        assert cli.main(["wave", "--L", "3.14159", "--c", "0.95", "--N", "64",
+                         "--out", str(tmp_path / "w")]) == 2
+        assert capsys.readouterr().err == (
+            "invalid parameters: Newton polishing left the modulus bracket at k=nan\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_samples_round_trip_bit_for_bit(self, tmp_path):
         from snoidal.waves import grid_points, sample_wave, solve_modulus
 
@@ -182,6 +192,30 @@ class TestSpectrumCommand:
                          "--out", str(tmp_path / "x")]) == 3
         assert capsys.readouterr().err.splitlines() == [
             "internal consistency violation: solve failed for kind Lblock: Singular matrix"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("L,fraction,N,message", [
+        (3.14159, 0.05, 128, "expected a one-dimensional discrete kernel for kind Lblock, "
+                             "classified 2 eigenvalues within 1.639e-08 of zero"),
+        (3.14159, 0.05, 512, "expected a one-dimensional discrete kernel for kind Lblock, "
+                             "classified 2 eigenvalues within 2.621e-07 of zero"),
+        (1.0, 0.999, 128, "retained spectrum of kind Lblock nearly singular: "
+                          "min |eigenvalue| 5.065e-05 at tau_zero 1.617e-07"),
+        (2.0, 0.9999, 128, "retained spectrum of kind Lblock nearly singular: "
+                           "min |eigenvalue| 2.026e-05 at tau_zero 4.042e-08"),
+        (0.5, 0.5, 512, "retained spectrum of kind Lblock nearly singular: "
+                        "min |eigenvalue| 2.815e-03 at tau_zero 1.035e-05"),
+    ])
+    def test_kernel_guards_at_real_inputs(self, tmp_path, capsys, L, fraction, N, message):
+        # the known exit-3 corners of the constraint solve's kernel guards,
+        # reached by the pipeline's own reports: at small omega Lblock's
+        # negative eigenvalue falls within tau_zero (z = 2), and near either
+        # end of the window the retained spectrum comes within 1e3 tau_zero
+        c = math.sqrt(1.0 - fraction * L * L / (4.0 * math.pi**2))
+        assert cli.main(["spectrum", "--L", repr(L), "--c", repr(c), "--N", str(N),
+                         "--out", str(tmp_path / "x")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"internal consistency violation: {message}"]
         assert list(tmp_path.iterdir()) == []
 
 

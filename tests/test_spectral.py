@@ -769,6 +769,47 @@ class TestIndexBookkeeping:
         assert verify_index_counts(rb, D_matrix(rb), rbc) == (0, 1)
 
 
+class TestSectorPlacement:
+    """Each count lies in its own sector: the kernel in sector 0, L's negative
+    direction in the phi-constant sector, nothing near zero or below elsewhere.
+
+    The totals alone would pass with two sectors' counts swapped; this reads
+    (n, z) per block at the report's tau_zero.  (2, 0.1) is a point where
+    full_report exits 3 (nearly singular retained Lblock spectrum).
+    """
+
+    @pytest.mark.parametrize("L,fraction", [
+        (math.pi, 0.3), (math.pi, 0.9), (3.0, 0.6), (5.0, 0.5), (1.0, 0.5), (6.0, 0.8),
+        (0.5, 0.5), (0.8, 0.5), (0.8, 0.9), (math.pi, 0.97), (5.0, 0.99), (6.2, 0.96),
+        (2.0, 0.1),
+    ])
+    def test_counts_sit_in_their_sectors(self, L, fraction):
+        N = 256
+        c = math.sqrt(1.0 - fraction * admissible_omega_window(L)[1])
+        wave = solve_modulus(L, c)
+        reports = []
+        for m in (assemble_L1(wave, N), assemble_Lblock(wave, N)):
+            parent = eigen_report(m)
+            reports += [parent, eigen_report(constrain_zero_mean(m), _parent=parent)]
+        for report in reports:
+            tau = report.tau_zero
+            counts = [(int(np.sum(v < -tau)), int(np.sum(np.abs(v) <= tau)))
+                      for v in report.sector_eigenvalues]
+            expected = [(0, 0)] * len(counts)
+            expected[0] = (0, 1)
+            if report.operator.kind in (KIND_L1, KIND_LBLOCK):
+                expected[_PHI_CONSTANT] = (1, 0)
+            assert counts == expected, report.operator.kind
+            assert tuple(map(sum, zip(*counts))) == (report.n, report.z)
+        if (L, fraction) == (2.0, 0.1):
+            with pytest.raises(SingularSystemError, match="nearly singular"):
+                full_report(L, c, N)
+            return
+        rec = full_report(L, c, N)
+        n, z = rec["counts"]["Lblock_constrained"]
+        assert rec["coercivity"] == rec["eigenvalues"]["Lblock_constrained"][n + z]
+
+
 class TestConstrainedOperators:
     def test_quadratic_form_agrees_on_mean_free_vectors(self, wave, op_Lblock):
         # (Lc u, u) = (L u, u) when both components of u have zero mean: the

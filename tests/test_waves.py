@@ -73,6 +73,14 @@ class TestSolveModulus:
         with pytest.raises(ModulusBoundaryError):
             solve_modulus(math.pi, math.sqrt(1.0 - 0.02 * hi))
 
+    def test_newton_step_leaving_the_bracket_refused(self, monkeypatch):
+        # a NaN derivative sends the first Newton step out of (eps, 1 - eps);
+        # the bisection before it never reads dK/dk
+        monkeypatch.setattr(waves, "_dK_dk", lambda k: math.nan)
+        with pytest.raises(ModulusBoundaryError,
+                           match=r"^Newton polishing left the modulus bracket at k=nan$"):
+            solve_modulus(math.pi, 0.95)
+
     @pytest.mark.parametrize("L", [0.5, 1.0, 2.0, math.pi, 5.0, 6.2])
     def test_small_omega_rejection_is_one_interval(self, L):
         # the residual's rounding floor rises monotonically as omega falls,
