@@ -58,16 +58,17 @@ case of the same code.  `advance` gives each row the bits it gets alone,
 and a batch pays numpy's call overhead once for all its rows: its FFTs run
 over the last axis, and its rotation tables are real values stored
 complex, so each product scales both components of a coefficient exactly.
-`conserved` and the orbit distance take a batch too, and work row by row
-as well.  `run_experiment` takes a list of (eps, perturbation) members of
-one wave, steps them as one batch, which may hold a single member, and
-returns one outcome per member; it batches only the stepping and evaluates
-each member's trace rows on their own.  A member's trace is then its solo
-trace by construction, not because every numpy call of the diagnostics
-gives a row the same bits in any block (numpy's elision of temporaries
-can break that; see the orbit distance's Newton loop).  A member that
-leaves the sup-norm ceiling drops out at its own blow-up time and the
-others go on.
+`conserved` and the orbit distance take and return blocks of sample rows,
+(rows, N/2 + 1) coefficients in and one value per row out, and they too
+work row by row.  `run_experiment` takes a list of (eps, perturbation)
+members of one wave, steps them as one batch, which may hold a single
+member, and returns one outcome per member; it batches only the stepping
+and evaluates each member's trace rows on their own.  A member's trace is
+then its solo trace by construction, not because every numpy call of the
+diagnostics gives a row the same bits in any block (numpy's elision of
+temporaries can break that; see the orbit distance's Newton loop).  A
+member that leaves the sup-norm ceiling drops out at its own blow-up time
+and the others go on.
 
 Each trace row is one pass over those coefficients, and `run_experiment`
 makes them in blocks of _SAMPLE_BLOCK_ROWS rows.  `advance` always returns
@@ -357,24 +358,23 @@ def _h1_semi_sq(values: np.ndarray, L: float) -> float:
 
 
 def conserved(ph: np.ndarray, pt: np.ndarray, L: float) -> tuple:
-    """(E, F, mean phi, mean phi_t) of the state with rfft coefficients (ph, pt).
+    """(E, F, mean phi, mean phi_t) of each row of the rfft coefficient block (ph, pt).
 
     E = 1/2 integral(phi_x^2 + phi_t^2 - phi^2 + phi^4 / 2), F = integral(phi_x
-    phi_t) on N = 2 (ph.shape[-1] - 1) points.  Quadratic terms are Parseval
+    phi_t) on N = 2 (ph.shape[1] - 1) points.  Quadratic terms are Parseval
     sums; phi_x keeps the Nyquist mode in E, as `ynorm_sq` does, and drops it
     in F, since the grid's spectral first derivative maps the sawtooth mode
-    to zero.  integral(phi^4) takes one irfft.  A (B, N/2 + 1) batch gives four
-    arrays of B values, a single state four floats.
+    to zero.  integral(phi^4) takes one irfft.  A (rows, N/2 + 1) block
+    gives four arrays of one value per row.
     """
-    N = 2 * (ph.shape[-1] - 1)
+    N = 2 * (ph.shape[1] - 1)
     modes = _modes(L, N)
     phi_sq = np.fft.irfft(ph, N) ** 2  # squared twice: phi**4 is a slow pow
     quadratic = modes.omega2 * (ph.real**2 + ph.imag**2) + pt.real**2 + pt.imag**2
-    energy = 0.5 * (np.sum(modes.w * quadratic, axis=-1)
-                    + 0.5 * L / N * np.sum(phi_sq * phi_sq, axis=-1))
+    energy = 0.5 * (np.sum(modes.w * quadratic, axis=1)
+                    + 0.5 * L / N * np.sum(phi_sq * phi_sq, axis=1))
     flux = modes.w_xi * (ph.real * pt.imag - ph.imag * pt.real)
-    values = (energy, np.sum(flux[..., :-1], axis=-1), ph[..., 0].real / N, pt[..., 0].real / N)
-    return tuple(map(float, values)) if ph.ndim == 1 else values
+    return energy, np.sum(flux[:, :-1], axis=1), ph[:, 0].real / N, pt[:, 0].real / N
 
 
 def ynorm_sq(p: np.ndarray, q: np.ndarray, L: float) -> float:
@@ -419,19 +419,17 @@ class _OrbitDistance:
         return np.multiply.accumulate(out, axis=-1, out=out)
 
     def __call__(self, ph: np.ndarray, pt: np.ndarray):
-        """Distance of the state with rfft coefficients (ph, pt) to the orbit.
+        """Distance to the orbit of each row of the rfft coefficient block (ph, pt).
 
-        A (B, N/2 + 1) batch gives an array of B distances, a single state a
-        float.  The grid shifts, their brackets, the Newton shifts and the
-        mask of rows still stepping are arrays over the batch; each Newton
-        iteration takes one exp per row and two row sums over the odd modes,
-        and the first reuses the grid shift's phases, so n iterations make
-        n + 1 exp calls of B elements.
+        A (rows, N/2 + 1) block gives an array of one distance per row.  The
+        grid shifts, their brackets, the Newton shifts and the mask of rows
+        still stepping are arrays over the rows; each Newton iteration takes
+        one exp per row and two row sums over the odd modes, and the first
+        reuses the grid shift's phases, so n iterations make n + 1 exp calls
+        of one element per row.
         """
         N, L, xi, xi_sq = self.N, self.L, self.xi, self.xi_sq
         sobolev_c, hhat_conj, hthat_conj, weight_c = self.cross_factors
-        single = ph.ndim == 1
-        ph, pt = np.atleast_2d(ph), np.atleast_2d(pt)
         ph_odd, pt_odd = ph[:, 1::2], pt[:, 1::2]
         # Coarse pass: one irfft gives G at every grid shift (it supplies the
         # conjugate modes, so no Parseval weights); the exact grid shift, whose
@@ -477,8 +475,7 @@ class _OrbitDistance:
         dp, dq = ph[:, ::2] - hhat_even, pt[:, ::2] - hthat_even
         even_sq = np.sum(w_sobolev * (dp.real**2 + dp.imag**2) + w * (dq.real**2 + dq.imag**2),
                          axis=-1)
-        dist = np.sqrt(np.minimum(*odd_sq) + even_sq)
-        return float(dist[0]) if single else dist
+        return np.sqrt(np.minimum(*odd_sq) + even_sq)
 
 
 def perturbation_random(L: float, N: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

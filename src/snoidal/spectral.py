@@ -153,8 +153,8 @@ KIND_LBLOCK_CONSTRAINED = "Lblock_constrained"
 # to classify on kinetically scaled blocks (ROADMAP, direction 1).
 ZERO_TOL_FACTOR = 1e-12
 
-# The smallest grid the spectrum pipeline accepts: full_report and
-# D1_numeric reject an N below it, and so does the CLI's `spectrum`.
+# The smallest grid the spectrum pipeline accepts: full_report, D1_numeric
+# and D_matrix reject an N below it, and so does the CLI's `spectrum`.
 MIN_SPECTRUM_N = 64
 
 # Speed step of d_second_derivative's cross-check of d2, reported as parameters.dc.
@@ -523,6 +523,8 @@ def D_matrix(report: SpectralReport) -> np.ndarray:
     if op.kind != KIND_LBLOCK:
         raise ValueError(f"D_matrix needs a report of kind Lblock, got {op.kind}")
     N = op.dim // 2
+    if N < MIN_SPECTRUM_N or N % 2 != 0:
+        raise ValueError(f"D_matrix needs an even N of at least {MIN_SPECTRUM_N}, got {N}")
     root = math.sqrt(N)
     return np.diag([_phi_constant_solve(report, N), op.L / N * (root * root)])
 

@@ -160,7 +160,8 @@ class TestSpectrumCommand:
         assert list(tmp_path.iterdir()) == []
 
     def test_grid_floor_is_the_spectral_layers(self, tmp_path, monkeypatch, capsys):
-        # the CLI's spectrum floor, full_report's and D1_numeric's are one constant
+        # the CLI's spectrum floor, full_report's, D1_numeric's and D_matrix's
+        # are one constant
         monkeypatch.setattr(spectral, "MIN_SPECTRUM_N", 96)
         assert cli.main(["spectrum", *WAVE, "--N", "64", "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err == (
@@ -170,6 +171,8 @@ class TestSpectrumCommand:
         wave = spectral.solve_modulus(3.14159, 0.95)
         with pytest.raises(ValueError, match="^D1_numeric needs an even N of at least 96"):
             spectral.D1_numeric(spectral.eigen_report(spectral.assemble_L1(wave, 64)))
+        with pytest.raises(ValueError, match="^D_matrix needs an even N of at least 96"):
+            spectral.D_matrix(spectral.eigen_report(spectral.assemble_Lblock(wave, 64)))
         assert list(tmp_path.iterdir()) == []
 
     def test_index_mismatch_maps_to_3(self, tmp_path, monkeypatch):

@@ -56,9 +56,10 @@ def advance_state(stepper, state, nsteps=1, ceiling=math.inf):
 
 
 def orbit_distance(phi, phidot, wave):
-    """Orbit distance of one state given as grid samples (phi, phi_t)."""
+    """Orbit distance of one state given as grid samples (phi, phi_t), a one-row block."""
     h, h1, _ = sample_wave(wave, len(phi))
-    return _OrbitDistance(wave, h, h1)(np.fft.rfft(phi), np.fft.rfft(phidot))
+    [dist] = _OrbitDistance(wave, h, h1)(np.fft.rfft([phi]), np.fft.rfft([phidot]))
+    return float(dist)
 
 
 def translate_state(wave, n, shift):
@@ -137,8 +138,6 @@ def reference_orbit_distance(distance, ph, pt):
     """
     N, L, xi, xi_sq = distance.N, distance.L, distance.xi, distance.xi_sq
     weight, sobolev, hhat, hthat = distance.weight, distance.sobolev, distance.hhat, distance.hthat
-    single = ph.ndim == 1
-    ph, pt = np.atleast_2d(ph), np.atleast_2d(pt)
     ph_odd, pt_odd = ph[:, 1::2], pt[:, 1::2]
     cross = sobolev.astype(complex) * ph_odd * np.conj(hhat) + pt_odd * np.conj(hthat)
     spectrum = np.zeros(ph.shape, complex)
@@ -174,8 +173,7 @@ def reference_orbit_distance(distance, ph, pt):
     dp, dq = ph[:, ::2] - hhat_even, pt[:, ::2] - hthat_even
     even_sq = np.sum(w_sobolev * (dp.real**2 + dp.imag**2) + w * (dq.real**2 + dq.imag**2),
                      axis=-1).tolist()
-    dist = [math.sqrt(min(a, b) + e) for a, b, e in zip(*odd_sq, even_sq)]
-    return dist[0] if single else np.array(dist)
+    return np.array([math.sqrt(min(a, b) + e) for a, b, e in zip(*odd_sq, even_sq)])
 
 
 def all_mode_orbit_distance(wave, h, h1, ph, pt):
@@ -190,8 +188,6 @@ def all_mode_orbit_distance(wave, h, h1, ph, pt):
     w = np.full(n // 2 + 1, 2.0 * L / (n * n))
     w[0] = w[-1] = L / (n * n)
     hhat, hthat = np.fft.rfft(h), wave.c * np.fft.rfft(h1)
-    single = ph.ndim == 1
-    ph, pt = np.atleast_2d(ph), np.atleast_2d(pt)
     cross = (1.0 + xi * xi) * ph * np.conj(hhat) + pt * np.conj(hthat)
     best = np.argmax(np.fft.irfft(cross, n), axis=-1)
     lo, s, hi = ((best + k) * L / n for k in (-1, 0, 1))
@@ -208,8 +204,7 @@ def all_mode_orbit_distance(wave, h, h1, ph, pt):
     phase = np.exp(1j * xi * np.array([s, grid])[..., None])
     dp, dq = ph * phase - hhat, pt * phase - hthat
     dist_sq = np.sum(w * ((1.0 + xi * xi) * np.abs(dp) ** 2 + np.abs(dq) ** 2), axis=-1)
-    dist = np.sqrt(np.minimum(*dist_sq))
-    return float(dist[0]) if single else dist
+    return np.sqrt(np.minimum(*dist_sq))
 
 
 def reference_run(wave, perturbations, amplitudes, T, dt, every, n, projected=True):
@@ -220,7 +215,7 @@ def reference_run(wave, perturbations, amplitudes, T, dt, every, n, projected=Tr
     ceiling leaves while the others redo the interval, one `advance` call per
     interval.  The diagnostics are those of the per-sample loop: one
     `conserved` and one orbit-distance call per member and sample, on its
-    1-D row, at the moment it is sampled.
+    row as a one-row block, at the moment it is sampled.
     """
     h, h1, _ = sample_wave(wave, n)
     distance = _OrbitDistance(wave, h, h1)
@@ -236,7 +231,9 @@ def reference_run(wave, perturbations, amplitudes, T, dt, every, n, projected=Tr
 
     def sample(t):
         for b, member in enumerate(live):
-            rows[member].append((t, *conserved(ph[b], pt[b], wave.L), distance(ph[b], pt[b])))
+            ph_b, pt_b = ph[b:b + 1], pt[b:b + 1]
+            [row] = np.transpose([*conserved(ph_b, pt_b, wave.L), distance(ph_b, pt_b)])
+            rows[member].append((t, *row))
 
     nsteps, done = horizon_steps(T, dt), 0
     sample(0.0)
@@ -353,11 +350,11 @@ class TestStep:
 class TestConserved:
     def test_zero_state(self):
         z = np.zeros(N)
-        E, F, _, _ = conserved(np.fft.rfft(z), np.fft.rfft(z), L)
+        [E], [F], _, _ = conserved(np.fft.rfft([z]), np.fft.rfft([z]), L)
         assert E == 0.0 and F == 0.0
 
     def test_wave_momentum_sign_and_value(self, wave, wave_state):
-        _, F, _, _ = conserved(np.fft.rfft(wave_state[0]), np.fft.rfft(wave_state[1]), L)
+        _, [F], _, _ = conserved(np.fft.rfft([wave_state[0]]), np.fft.rfft([wave_state[1]]), L)
         _, h1, _ = sample_wave(wave, N)
         expected_f = wave.c * (L / N) * float(np.sum(h1**2))
         assert F > 0.0
@@ -365,7 +362,7 @@ class TestConserved:
 
     def test_energy_matches_direct_quadrature(self, wave_state):
         phi, pt = wave_state
-        E = conserved(np.fft.rfft(phi), np.fft.rfft(pt), L)[0]
+        [E] = conserved(np.fft.rfft([phi]), np.fft.rfft([pt]), L)[0]
         direct = 0.5 * (L / N) * float(np.sum(
             spectral_derivative(phi, L) ** 2 + pt**2 - phi**2 + 0.5 * phi**4
         ))
@@ -421,13 +418,11 @@ class TestOrbitDistance:
         oracle = math.sqrt(res.fun)
         assert abs(orbit_distance(phi, phidot, w) - oracle) <= 1e-10 * oracle
 
-    @pytest.mark.parametrize("rows", [None, 1, 16])
+    @pytest.mark.parametrize("rows", [1, 16])
     def test_one_sample_takes_at_most_ten_exp_elements_per_row(self, wave, monkeypatch, rows):
         # one exp per row and shift: the grid shift's, at most 7 more Newton
         # steps and the final dist_sq's at the Newton shift
-        ph, pt = TestBatch.states(wave, N, [1e-3 * (1 + k % 5) for k in range(rows or 1)])
-        if rows is None:
-            ph, pt = ph[0], pt[0]
+        ph, pt = TestBatch.states(wave, N, [1e-3 * (1 + k % 5) for k in range(rows)])
         h, h1, _ = sample_wave(wave, N)
         distance = _OrbitDistance(wave, h, h1)
         elements = []
@@ -439,7 +434,7 @@ class TestOrbitDistance:
 
         monkeypatch.setattr(np, "exp", counting_exp)
         assert np.all(distance(ph, pt) > 0.0)
-        assert 0 < sum(elements) <= 10 * (rows or 1)
+        assert 0 < sum(elements) <= 10 * rows
 
     @pytest.mark.parametrize("n", [16, 64, 66, 128, 130, 256, 1024, 1026])
     @pytest.mark.parametrize("L_, c_", [(math.pi, 0.95), (2.0, 0.97), (5.0, 0.7)])
@@ -455,7 +450,7 @@ class TestOrbitDistance:
             else:
                 assert np.max(coeff[::2]) <= 1e-13 * np.max(coeff)
 
-    @pytest.mark.parametrize("rows", [None, 4, "dead row"])
+    @pytest.mark.parametrize("rows", [1, 4, "dead row"])
     @pytest.mark.parametrize("n", [64, 66, 128, 130, 256, 1024])
     @pytest.mark.parametrize("L_, c_", [(math.pi, 0.95), (2.0, 0.97), (5.0, 0.7)])
     def test_agrees_with_the_all_mode_formula(self, L_, c_, n, rows):
@@ -470,13 +465,13 @@ class TestOrbitDistance:
         if rows == "dead row":
             ph, pt = np.insert(ph, 2, 0.0, axis=0), np.insert(pt, 2, 0.0, axis=0)
             ph[2, 0] = 0.3 * n
-        elif rows is None:
-            ph, pt = ph[0], pt[0]
+        else:
+            ph, pt = ph[:rows], pt[:rows]
         got = _OrbitDistance(w, h, h1)(ph, pt)
         want = all_mode_orbit_distance(w, h, h1, ph, pt)
         assert np.max(np.abs(got - want)) <= 1e-15 * math.sqrt(ynorm_sq(h, w.c * h1, L_))
 
-    @pytest.mark.parametrize("rows", [None, 4, 16, "dead row"])
+    @pytest.mark.parametrize("rows", [1, 4, 16, "dead row"])
     def test_matches_the_formula_with_the_grid_phase_recomputed(self, wave, rows):
         # Newton's first phase is the grid shift's, reused by the final
         # dist_sq; 3 to 12 steps in, some rows' minimum is at the grid shift.
@@ -495,16 +490,12 @@ class TestOrbitDistance:
             constant[0] = 0.3 * N
             ph = np.insert(ph[:4], 2, constant, axis=0)
             pt = np.insert(pt[:4], 2, 0.0, axis=0)
-        elif rows is None:
-            ph, pt = ph[0], pt[0]
         else:
             ph, pt = ph[:rows], pt[:rows]
         got, want = distance(ph, pt), reference_orbit_distance(distance, ph, pt)
-        assert type(got) is type(want)
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-        if ph.ndim == 2:
-            solo = [distance(a, b) for a, b in zip(ph, pt)]
-            assert got.tobytes() == np.array(solo).tobytes()
+        assert got.tobytes() == want.tobytes()
+        solo = [distance(ph[b:b + 1], pt[b:b + 1]) for b in range(len(ph))]
+        assert got.tobytes() == np.concatenate(solo).tobytes()
 
 
 class TestPerturbations:
@@ -630,7 +621,7 @@ class TestRunExperiment:
         phi = h + 1e-3 * p
         pdot = wave.c * h1 + 1e-3 * q
         st = (phi, pdot)
-        e0 = conserved(np.fft.rfft(phi), np.fft.rfft(pdot), L)[0]
+        [e0] = conserved(np.fft.rfft([phi]), np.fft.rfft([pdot]), L)[0]
         stepper = SplitStepper(L, N, 1e-3)
         for i in range(1000):
             st = advance_state(stepper, st)
@@ -748,9 +739,10 @@ class TestBatch:
         batch = (*conserved(ph, pt, L), distance(ph, pt))
         assert all(isinstance(v, np.ndarray) and v.shape == (B,) for v in batch)
         for b in range(B):
-            alone = (*conserved(ph[b], pt[b], L), distance(ph[b], pt[b]))
-            assert all(isinstance(v, float) for v in alone)
-            assert self.same_bits([v[b] for v in batch], alone)
+            ph_b, pt_b = ph[b:b + 1], pt[b:b + 1]
+            alone = (*conserved(ph_b, pt_b, L), distance(ph_b, pt_b))
+            assert all(isinstance(v, np.ndarray) and v.shape == (1,) for v in alone)
+            assert self.same_bits([v[b] for v in batch], np.concatenate(alone))
 
     @pytest.mark.parametrize("projected", [True, False])
     @pytest.mark.parametrize("B", [1, 2, 3])
@@ -827,7 +819,8 @@ class TestBatch:
                              *self.sweep_states(wave, 128), 5, ceiling=20.0)
         h, h1, _ = sample_wave(wave, 256)
         distance = _OrbitDistance(wave, h, h1)
-        assert self.same_bits(distance(ph, pt), [distance(a, b) for a, b in zip(ph, pt)])
+        solo = [distance(ph[b:b + 1], pt[b:b + 1]) for b in range(len(ph))]
+        assert self.same_bits(distance(ph, pt), np.concatenate(solo))
 
     def test_eps_zero_member_is_the_wave(self, wave):
         # an eps = 0 member evolves (h, c h') whatever its perturbation
@@ -1342,7 +1335,7 @@ class TestSampleBlocks:
         real_conserved = evolution.conserved
 
         def counting_conserved(ph, pt, L_):
-            rows.append(len(np.atleast_2d(ph)))
+            rows.append(len(ph))
             return real_conserved(ph, pt, L_)
 
         monkeypatch.setattr(evolution, "conserved", counting_conserved)

@@ -640,6 +640,21 @@ class TestDMatrix:
         with pytest.raises(ValueError):
             D_matrix(eigen_report(assemble_L1(wave, 64)))
 
+    @pytest.mark.parametrize("N", [16, 32, 62])
+    def test_grid_checked_before_any_solve(self, wave, monkeypatch, N):
+        # the floor D1_numeric and full_report keep: left to the solve, N = 32
+        # and 62 return a D, and N = 16 fails the kernel classification
+        # (exit 3's class)
+        report = eigen_report(assemble_Lblock(wave, N))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before the grid was checked")
+
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        with pytest.raises(ValueError, match=f"^D_matrix needs an even N of at least "
+                                             f"{MIN_SPECTRUM_N}, got {N}$"):
+            D_matrix(report)
+
     @pytest.mark.parametrize("assemble", [assemble_L1, assemble_Lblock], ids=["L1", "Lblock"])
     def test_entries_are_inner_products(self, wave, assemble):
         # D[i, j] = (M^{-1} e_i, e_j) with the grid inner product (L/N) sum
