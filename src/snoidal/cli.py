@@ -14,8 +14,10 @@ sweep      run every job of a key=value config file (comma lists expand to
            per job
 
 Exit codes: 0 success, 2 invalid parameters, 3 internal consistency
-violation, 4 blow-up (blow-up time goes to stderr).  Flags are checked
-before any compute runs or any file is written: the directory of the
+violation, 4 blow-up (blow-up time goes to stderr).  Flags must be spelled
+in full: the parser matches no prefix, so `--ep` is an unknown flag, not
+--eps, and a sweep key `ep` fails its job.  Flags are checked before any
+compute runs or any file is written: the directory of the
 --out prefix must exist and the prefix must end in a file name, N must be
 even and at least 16 (64 for spectrum), T a positive whole number of dt
 steps, seed nonnegative, eps nonnegative and finite (positive for
@@ -380,8 +382,9 @@ def cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no prefix matching: a sweep key such as `ep` must not be read as --eps
     parser = argparse.ArgumentParser(
-        prog="snoidal",
+        prog="snoidal", allow_abbrev=False,
         description="Snoidal traveling waves of the phi^4 equation: profiles, "
                     "spectra, and orbital-stability experiments.",
     )
@@ -393,15 +396,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--N", type=int, default=256, help="grid size (even)")
         p.add_argument("--out", type=str, default=None, help="output path prefix")
 
-    p_wave = sub.add_parser("wave", help="construct one snoidal profile")
+    p_wave = sub.add_parser("wave", allow_abbrev=False, help="construct one snoidal profile")
     add_wave_flags(p_wave)
 
-    p_spec = sub.add_parser("spectrum", help="linearized-operator spectral report")
+    p_spec = sub.add_parser("spectrum", allow_abbrev=False,
+                            help="linearized-operator spectral report")
     add_wave_flags(p_spec)
 
     for name, help_text in (("evolve", "run the projected flow"),
                             ("stability", "evolve and report max distance / eps")):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, allow_abbrev=False, help=help_text)
         add_wave_flags(p)
         p.add_argument("--dt", type=float, default=1e-3, help="time step")
         p.add_argument("--T", type=float, default=100.0, help="time horizon")
@@ -412,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--unprojected", dest="projected", action="store_false",
                        help="evolve the plain flow (contrast mode)")
 
-    p_sweep = sub.add_parser("sweep", help="run a config file's jobs in this process")
+    p_sweep = sub.add_parser("sweep", allow_abbrev=False,
+                             help="run a config file's jobs in this process")
     p_sweep.add_argument("config", type=str, help="key = value file; comma lists sweep")
     p_sweep.add_argument("--out", type=str, default=None, help="output path prefix")
     p_sweep.add_argument("--workers", type=int, choices=(1,), default=1,

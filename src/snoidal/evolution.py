@@ -52,12 +52,14 @@ the buffers already have the shapes those checks verify.  The ufuncs and
 constants the loop uses are bound to locals once per call, and outputs are
 passed positionally.
 
-The state may carry a leading batch axis: (B, N/2 + 1) coefficients hold B
-trajectories on one grid, one per row, and (N/2 + 1,) ones are the B = 1
-case of the same code.  `advance` gives each row the bits it gets alone,
-and a batch pays numpy's call overhead once for all its rows: its FFTs run
-over the last axis, and its rotation tables are real values stored
-complex, so each product scales both components of a coefficient exactly.
+The state is a batch: (B, N/2 + 1) coefficients hold B trajectories on one
+grid, one per row, and `advance` takes and returns that form only; inside
+the call a one-row batch steps on (N/2 + 1,) buffers, since numpy
+broadcasts (1, N/2 + 1) operands more slowly.  `advance` gives each row
+the bits it gets alone, and a batch pays numpy's call overhead once for
+all its rows: its FFTs run over the last axis, and its rotation tables are
+real values stored complex, so each product scales both components of a
+coefficient exactly.
 `conserved` and the orbit distance take and return blocks of sample rows,
 (rows, N/2 + 1) coefficients in and one value per row out, and they too
 work row by row.  `run_experiment` takes a list of (eps, perturbation)
@@ -76,11 +78,12 @@ sample rows, one per interval of `every` steps, the last ending at nsteps,
 so one call with `every` = sample_every steps a block and returns the state
 at each of its samples: the first block holds the t = 0 row and 15
 intervals, later ones 16, and a short last interval is the last block's
-last row.  Each member's rows of the block then go, as one contiguous
-(rows, N/2 + 1) array, through one `conserved` and one orbit-distance call:
-the calls, on the same arrays, that its solo run makes.  A member that blows up leaves
-before its block is evaluated, and the others redo the block from its
-start, so no row of a departed member is evaluated.
+last row.  The block comes back as (rows, B, N/2 + 1) arrays for any B,
+and each member's column of them goes, copied to one contiguous
+(rows, N/2 + 1) array, through one `conserved` and one orbit-distance
+call: the calls, on the same arrays, that its solo run makes.  A member
+that blows up leaves before its block is evaluated, and the others redo
+the block from its start, so no row of a departed member is evaluated.
 `conserved` reads each row with Parseval sums and one irfft for
 integral(phi^4).  The orbit distance uses the energy-space norm
 ||(p, q)||^2 = integral(p^2 + p_x^2) + integral(q^2) with the Parseval
@@ -188,8 +191,8 @@ class SplitStepper:
     -sin om p + cos q, the second with its terms swapped, which IEEE
     addition does not see.  All three flows, the opening half, the fused
     full and the closing half, take this form.  The two tables of each flow
-    are kept for the (N/2 + 1,) state, and each `advance` call on a batch
-    copies them to its (2, B, N/2 + 1) shape: multiplying by a contiguous
+    are kept for one row, and each `advance` call on B >= 2 rows copies
+    them to its (2, B, N/2 + 1) shape: multiplying by a contiguous
     table of the state's own shape is faster than broadcasting a per-mode
     one over its rows.  The kick transforms through pocketfft's irfft and
     rfft_n_even ufuncs with the scale factors 1/N and dt, so it gets
@@ -242,38 +245,40 @@ class SplitStepper:
             time=t, member=member,
         )
 
-    def advance(self, ph, pt, nsteps: int, start: int, every: int | None = None,
-                ceiling: float = math.inf):
+    def advance(self, ph, pt, nsteps: int, start: int, every: int, ceiling: float):
         """nsteps Strang steps after `start` whole steps, fusing interior half flows.
 
-        ph, pt are the rfft coefficients of (phi, phi_t), of shape
-        (N/2 + 1,) or (B, N/2 + 1).  A step is ten ufunc calls, nine
-        unprojected: the four of the rotation, then the kick's irfft,
-        phi^2, phi^3 = phi^2 phi, the rfft scaled by dt, mode 0 of the force
-        set to dt's (signed) zero in projected mode, and q -= force.  The
-        call allocates its buffers once and no step allocates; a rotation's
-        sums overwrite the state its products have read.  The FFTs call the
-        pocketfft ufuncs behind np.fft.irfft and np.fft.rfft, with 1/N and
-        dt as scale factors.  pocketfft scales each real component by dt,
-        which gives the values of the complex128 product dt * force; only a
-        component that is exactly zero can take the other sign of zero (the
-        zero state at dt = -0.05 does), and no sum with a nonzero value sees
-        it.  Mode 0 gets copysign(0, dt) + 0j, the product's dt * 0j.
+        ph, pt are the rfft coefficients of (phi, phi_t) of B trajectories,
+        of shape (B, N/2 + 1); B = 1 steps on (N/2 + 1,) buffers, which
+        numpy multiplies faster than (1, N/2 + 1) ones.  A step is ten ufunc
+        calls, nine unprojected: the four of the rotation, then the kick's
+        irfft, phi^2, phi^3 = phi^2 phi, the rfft scaled by dt, mode 0 of
+        the force set to dt's (signed) zero in projected mode, and
+        q -= force.  The call allocates its buffers once and no step
+        allocates; a rotation's sums overwrite the state its products have
+        read.  The FFTs call the pocketfft ufuncs behind np.fft.irfft and
+        np.fft.rfft, with 1/N and dt as scale factors.  pocketfft scales
+        each real component by dt, which gives the values of the complex128
+        product dt * force; only a component that is exactly zero can take
+        the other sign of zero (the zero state at dt = -0.05 does), and no
+        sum with a nonzero value sees it.  Mode 0 gets copysign(0, dt) + 0j,
+        the product's dt * 0j.
 
-        It returns (ceil(nsteps / every),) + ph.shape arrays (every defaults
-        to nsteps, so one row; nsteps < 1 gives none), row i the state after
-        min((i + 1) every, nsteps) steps, so a short last interval ends in
-        the last row.  Each row has the bits of chained calls, one per
-        interval: at a sample the closing half flow goes into the row and
-        the opening one starts from it.
+        It returns two (ceil(nsteps / every), B, N/2 + 1) arrays, views of
+        one buffer, whatever B is (nsteps < 1 gives no rows, and
+        every = nsteps one), row i the state after min((i + 1) every,
+        nsteps) steps, so a short last interval ends in the last row.  Each
+        row has the bits of chained calls, one per interval: at a sample the
+        closing half flow goes into the row and the opening one starts from
+        it.
 
         Each kick writes phi^2 into the next row of a
         (min(nsteps, _CHECK_KICKS),) + phi.shape buffer, and one max over
         it per chunk of _CHECK_KICKS kicks, which may span samples, tests
         ||phi||_inf of every row against `ceiling`, one float for the call
-        (no bound by default; NaN trips even then).  A trip raises
-        BlowUpError naming the first kick and row over it, timed as the
-        chained call that makes that kick would time it (see `_trip`).
+        (NaN trips even an infinite one).  A trip raises BlowUpError naming
+        the first kick and row over it, timed as the chained call that makes
+        that kick would time it (see `_trip`).
         Up to _CHECK_KICKS - 1 kicks run past a trip, so the loop runs with
         overflow and invalid-value warnings off, and a trip whose phi^2
         overflowed reports ||phi||_inf = inf.  ph and pt are copied into
@@ -283,16 +288,17 @@ class SplitStepper:
         buffer, share no memory with them.  BlowUpError.member names the
         tripping row.
         """
-        if every is None:
-            every = max(nsteps, 1)
-        elif every < 1:
+        if every < 1:
             raise ValueError(f"every must be at least 1, got {every}")
         samples = -(-max(nsteps, 0) // every)
         out = np.empty((2, samples) + ph.shape, complex)  # the sample rows, [p, q] each
         if not samples:
             return out[0], out[1]
+        # a lone row steps as (N/2 + 1,): numpy broadcasts (1, N/2 + 1) operands more slowly
+        state = ph.shape[1:] if len(ph) == 1 else ph.shape
+        sampled = out.reshape((2, samples) + state)  # out's rows in the state's shape, a view
         half, full = self._rotations
-        if ph.ndim == 2:  # contiguous (2, B, N/2 + 1) copies: broadcasting over the rows is slower
+        if len(ph) > 1:  # contiguous (2, B, N/2 + 1) copies: broadcasting over the rows is slower
             half, full = ([np.repeat(table[:, None], len(ph), axis=1) for table in flow]
                           for flow in (half, full))
         N, dt, projected = self.N, self.dt, self.projected
@@ -301,13 +307,12 @@ class SplitStepper:
         # bound here, not at import, so a patched _pocketfft_umath is seen
         irfft, rfft = _pocketfft_umath.irfft, _pocketfft_umath.rfft_n_even
         multiply, add, subtract = np.multiply, np.add, np.subtract
-        shape = (2,) + ph.shape
         # s = [p, q] holds the state and y, z a rotation's two products,
         # whose sums go back into s; the kick's force goes into y[0]
-        s, y, z = (np.empty(shape, complex) for _ in range(3))
+        s, y, z = (np.empty((2,) + state, complex) for _ in range(3))
         (p, q), (y0, y1), (z0, z1) = s, y, z
         force0 = y0[..., 0]
-        phi = np.empty(ph.shape[:-1] + (N,))
+        phi = np.empty(state[:-1] + (N,))
         cube = np.empty_like(phi)
         squares = np.empty((min(nsteps, _CHECK_KICKS),) + phi.shape)  # phi^2 per kick of a chunk
         rows = list(squares)
@@ -319,7 +324,8 @@ class SplitStepper:
         # then the opening half flow from that row
         fused = ((full, s, (p, q)),)
         starts = [((half, s, (p, q)),)] + [
-            ((half, s, (out[0, i], out[1, i])), (half, out[:, i], (p, q))) for i in range(samples - 1)]
+            ((half, s, (sampled[0, i], sampled[1, i])), (half, sampled[:, i], (p, q)))
+            for i in range(samples - 1)]
         with np.errstate(over="ignore", invalid="ignore"):
             for first in range(0, nsteps, _CHECK_KICKS):
                 kicks = min(nsteps - first, _CHECK_KICKS)
@@ -346,8 +352,8 @@ class SplitStepper:
         cos, sin = half  # the closing half flow, into the last sample row
         multiply(cos, s, y)
         multiply(sin, s, z)
-        add(y0, z1, out[0, -1])
-        add(y1, z0, out[1, -1])
+        add(y0, z1, sampled[0, -1])
+        add(y1, z0, sampled[1, -1])
         return out[0], out[1]
 
 
@@ -516,11 +522,6 @@ def horizon_steps(T: float, dt: float) -> int:
     return int(round(steps))
 
 
-def _lone_row_1d(rows: np.ndarray) -> np.ndarray:
-    """A batch of one row as a 1-D array: numpy broadcasts (1, n) arrays more slowly."""
-    return rows[0] if len(rows) == 1 else rows
-
-
 def run_experiment(
     wave: WaveParameters,
     members,
@@ -540,7 +541,8 @@ def run_experiment(
     every `sample_every` steps; each row holds (t, E, F, mean phi,
     mean phi_t, orbit distance).
 
-    The members evolve as one batch, and the call returns a list holding
+    The members evolve as one (B, N/2 + 1) batch from start to end, a lone
+    member too, and the call returns a list holding
     each member's EvolutionTrace, or the BlowUpError it would have raised
     alone: blow-up, ||phi||_inf above _CEILING_FACTOR max |h|, takes a
     member out of the batch at its own time, and the others redo the
@@ -576,7 +578,7 @@ def run_experiment(
     with np.errstate(over="ignore", invalid="ignore"):
         starts = [(h, phidot) if pair is None or eps == 0.0
                   else (h + eps * pair[0], phidot + eps * pair[1]) for eps, pair in members]
-        ph, pt = (_lone_row_1d(np.fft.rfft(np.array(part))) for part in zip(*starts))
+        ph, pt = (np.fft.rfft(np.array(part)) for part in zip(*starts))
 
     ceiling = _CEILING_FACTOR * float(np.max(np.abs(h)))
     stepper = SplitStepper(wave.L, N, dt, projected)
@@ -593,15 +595,13 @@ def run_experiment(
             block = stepper.advance(ph, pt, marks[-1] - done, done, sample_every, ceiling=ceiling)
         except BlowUpError as exc:  # ph and pt still hold the block's start
             outcomes[live.pop(exc.member)] = exc
-            if live:
-                ph, pt = (_lone_row_1d(np.delete(a, exc.member, axis=0)) for a in (ph, pt))
+            ph, pt = (np.delete(a, exc.member, axis=0) for a in (ph, pt))
             continue
         if not first:  # the t = 0 row opens the first block
             block = [np.concatenate([a[None], rows_a]) for a, rows_a in zip((ph, pt), block)]
         t = np.array(marks) * dt
         for b, member in enumerate(live):  # each member's rows alone, as its solo run stacks them
-            ph_b, pt_b = (np.ascontiguousarray(a.reshape(len(a), -1, N // 2 + 1)[:, b])
-                          for a in block)
+            ph_b, pt_b = (np.ascontiguousarray(a[:, b]) for a in block)
             values = np.array([t, *conserved(ph_b, pt_b, wave.L), distance(ph_b, pt_b)])
             rows[member].extend(values.T.tolist())
         ph, pt = (a[-1].copy() for a in block)  # not views that keep the block's samples alive

@@ -48,6 +48,8 @@ def test_advance_spans_count_every_step(monkeypatch):
 
     parameters = inspect.signature(evolution.SplitStepper.advance).parameters
     assert list(parameters) == ["self", "ph", "pt", "nsteps", "start", "every", "ceiling"]
+    # one form: run_experiment passes every argument, and no caller relies on a default
+    assert all(p.default is inspect.Parameter.empty for p in parameters.values())
     wave = solve_modulus(math.pi, 0.95)
     tracer = spans.Tracer()
     tracer.install()

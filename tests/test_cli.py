@@ -725,6 +725,23 @@ class TestInputValidation:
         assert info.value.code == 2
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["stability", *WAVE, "--N", "64", "--T", "0.1", "--ep", "1e-3", "--out", "{tmp}/s"],
+         "--ep"),
+        (["evolve", *WAVE, "--N", "64", "--T", "0.1", "--se", "1", "--out", "{tmp}/e"], "--se"),
+        (["wave", *WAVE, "--N", "64", "--o", "{tmp}/w"], "--o"),
+        (["sweep", "{tmp}/job.cfg", "--work", "1", "--out", "{tmp}/j"], "--work"),
+    ], ids=["stability-ep", "evolve-se", "wave-o", "sweep-work"])
+    def test_flag_prefix_exits_2(self, argv, flag, tmp_path, capsys):
+        # a prefix of a flag is not that flag: --ep must not set --eps
+        (tmp_path / "job.cfg").write_text("command = wave\nL = 3.14159\nc = 0.95\n")
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["job.cfg"]
+
     def test_whole_step_horizon_accepted(self, tmp_path):
         # 0.7 / 0.001 is 699.9999999999999 in floating point: within tolerance
         assert cli.main(["evolve", *WAVE, "--N", "16", "--T", "0.7", "--dt", "0.001",
@@ -797,6 +814,18 @@ class TestSweepRobustness:
         assert list(tmp_path.glob("tw_0000*")) == []
         assert capsys.readouterr().err.splitlines() == [
             f"invalid parameters: {cfg}:6: key 'N' given twice, on lines 4 and 6"]
+
+    def test_key_that_prefixes_a_flag_fails_its_job(self, tmp_path, capsys):
+        # a key that prefixes a flag must not set that flag, which the eps
+        # line would then override silently
+        cfg = tmp_path / "ep.cfg"
+        cfg.write_text("command = stability\nL = 3.14159\nc = 0.95\nN = 64\nT = 0.01\n"
+                       "eps = 1e-3\nep = 5e-4\n")
+        assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "ep")]) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["ep.cfg"]
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --ep 5e-4\n" in err
+        assert "sweep job 0 failed with exit 2: stability " in err
 
     def test_out_key_fails_the_sweep_before_any_job(self, tmp_path, capsys):
         # the --out that sweep appends to each job used to win silently

@@ -43,16 +43,17 @@ def wave_state(wave):
 
 
 def final_state(stepper, ph, pt, nsteps, start=0, ceiling=math.inf):
-    """The state after nsteps steps: the one row of an `advance` call without `every`."""
-    (ph,), (pt,) = stepper.advance(ph, pt, nsteps, start, ceiling=ceiling)
+    """The (B, N/2 + 1) batch after nsteps steps: the one row of `advance` at every = nsteps."""
+    (ph,), (pt,) = stepper.advance(ph, pt, nsteps, start, max(nsteps, 1), ceiling)
     return ph, pt
 
 
 def advance_state(stepper, state, nsteps=1, ceiling=math.inf):
-    """nsteps steps of grid samples (phi, phi_t) through SplitStepper.advance."""
+    """nsteps steps of grid samples (phi, phi_t) through SplitStepper.advance, as one row."""
     phi, phidot = state
-    ph, pt = final_state(stepper, np.fft.rfft(phi), np.fft.rfft(phidot), nsteps, ceiling=ceiling)
-    return np.fft.irfft(ph, stepper.N), np.fft.irfft(pt, stepper.N)
+    ph, pt = final_state(stepper, np.fft.rfft([phi]), np.fft.rfft([phidot]), nsteps,
+                         ceiling=ceiling)
+    return np.fft.irfft(ph[0], stepper.N), np.fft.irfft(pt[0], stepper.N)
 
 
 def orbit_distance(phi, phidot, wave):
@@ -240,7 +241,7 @@ def reference_run(wave, perturbations, amplitudes, T, dt, every, n, projected=Tr
     while done < nsteps:
         block = min(every, nsteps - done)
         try:
-            (ph_next,), (pt_next,) = stepper.advance(ph, pt, block, done, ceiling=ceiling)
+            (ph_next,), (pt_next,) = stepper.advance(ph, pt, block, done, block, ceiling)
         except BlowUpError as exc:
             outcomes[live.pop(exc.member)] = exc
             if not live:
@@ -275,7 +276,7 @@ class TestStep:
 
     def test_means_preserved_over_many_steps(self, wave, wave_state):
         stepper = SplitStepper(L, N, 1e-3)
-        ph, pt = np.fft.rfft(wave_state[0]), np.fft.rfft(wave_state[1])
+        ph, pt = np.fft.rfft([wave_state[0]]), np.fft.rfft([wave_state[1]])
         ph, pt = final_state(stepper, ph, pt, 10_000)
         phi = np.fft.irfft(ph, N)
         phidot = np.fft.irfft(pt, N)
@@ -296,7 +297,7 @@ class TestStep:
     def test_second_order_global_error(self, wave_state):
         def final(dt):
             stepper = SplitStepper(L, N, dt)
-            ph, pt = np.fft.rfft(wave_state[0]), np.fft.rfft(wave_state[1])
+            ph, pt = np.fft.rfft([wave_state[0]]), np.fft.rfft([wave_state[1]])
             ph, pt = final_state(stepper, ph, pt, int(round(1.0 / dt)))
             return np.fft.irfft(ph, N)
 
@@ -330,9 +331,9 @@ class TestStep:
 
     def test_nan_state_trips_blowup(self):
         # a NaN sup-norm compares false against any ceiling; it must still trip
-        ph = np.full(N // 2 + 1, np.nan, dtype=complex)
+        ph = np.full((1, N // 2 + 1), np.nan, dtype=complex)
         with pytest.raises(BlowUpError):
-            SplitStepper(L, N, 1e-3).advance(ph, np.zeros_like(ph), 1, 0)
+            SplitStepper(L, N, 1e-3).advance(ph, np.zeros_like(ph), 1, 0, 1, math.inf)
 
     def test_bad_dt_rejected(self):
         with pytest.raises(ValueError):
@@ -594,13 +595,13 @@ class TestRunExperiment:
         p, q = perturbation_random(L, N, seed=3)
         [trace] = run_experiment(wave, [(eps, (p, q))], blocks * every * dt, dt, every, N=N)
         h, h1, _ = sample_wave(wave, N)
-        ph = np.fft.rfft(h + eps * p)
-        pt = np.fft.rfft(wave.c * h1 + eps * q)
+        ph = np.fft.rfft([h + eps * p])
+        pt = np.fft.rfft([wave.c * h1 + eps * q])
         stepper = SplitStepper(L, N, dt)
         for b in range(blocks):
             ph, pt = final_state(stepper, ph, pt, every, b * every)
-        phi = np.fft.irfft(ph, N)
-        phidot = np.fft.irfft(pt, N)
+        phi = np.fft.irfft(ph[0], N)
+        phidot = np.fft.irfft(pt[0], N)
         phi_x = spectral_derivative(phi, L)
         energy = 0.5 * (L / N) * float(np.sum(phi_x**2 + phidot**2 - phi**2 + 0.5 * phi**4))
         momentum = (L / N) * float(np.sum(phi_x * phidot))
@@ -728,8 +729,8 @@ class TestBatch:
         bph, bpt = final_state(stepper, ph, pt, 25, ceiling=20.0)
         assert bph.shape == ph.shape
         for b in range(B):
-            rph, rpt = final_state(stepper, ph[b], pt[b], 25, ceiling=20.0)
-            assert self.same_bits(bph[b], rph) and self.same_bits(bpt[b], rpt)
+            rph, rpt = final_state(stepper, ph[b:b + 1], pt[b:b + 1], 25, ceiling=20.0)
+            assert self.same_bits(bph[b:b + 1], rph) and self.same_bits(bpt[b:b + 1], rpt)
 
     @pytest.mark.parametrize("B", [1, 2, 3])
     def test_conserved_and_distance_rows_match_single_calls(self, wave, B):
@@ -807,8 +808,8 @@ class TestBatch:
         stepper = SplitStepper(wave.L, 256, 1e-3)
         bph, bpt = final_state(stepper, ph, pt, 50, ceiling=20.0)
         for b in range(0, 128, 7):
-            rph, rpt = final_state(stepper, ph[b], pt[b], 50, ceiling=20.0)
-            assert self.same_bits(bph[b], rph) and self.same_bits(bpt[b], rpt), b
+            rph, rpt = final_state(stepper, ph[b:b + 1], pt[b:b + 1], 50, ceiling=20.0)
+            assert self.same_bits(bph[b:b + 1], rph) and self.same_bits(bpt[b:b + 1], rpt), b
 
     def test_large_distance_block_rows_match_single_calls(self):
         # 128 rows at N = 256 make Newton's complex products 264 KiB, where
@@ -877,10 +878,10 @@ class TestBatch:
     def test_stepper_names_the_tripping_row(self, wave):
         ph, pt = self.states(wave, N, [1e-3, 100.0, 200.0])
         with pytest.raises(BlowUpError) as info:
-            SplitStepper(L, N, 1e-3).advance(ph, pt, 5, 0, ceiling=10.0)
+            SplitStepper(L, N, 1e-3).advance(ph, pt, 5, 0, 5, 10.0)
         assert info.value.member == 1
         with pytest.raises(BlowUpError) as alone:
-            SplitStepper(L, N, 1e-3).advance(ph[1], pt[1], 5, 0, ceiling=10.0)
+            SplitStepper(L, N, 1e-3).advance(ph[1:2], pt[1:2], 5, 0, 5, 10.0)
         assert str(info.value) == str(alone.value) and alone.value.member == 0
 
     def test_ceiling_compares_the_exact_sup(self, wave):
@@ -890,31 +891,31 @@ class TestBatch:
         half, _ = linear_flow(ph, pt, rotation_tables(L, N, 0.5e-3))
         sups = np.max(np.abs(np.fft.irfft(half, N)), axis=-1)
         top = float(np.max(sups))
-        SplitStepper(L, N, 1e-3).advance(ph, pt, 1, 0, ceiling=top)
+        SplitStepper(L, N, 1e-3).advance(ph, pt, 1, 0, 1, top)
         with pytest.raises(BlowUpError) as info:
-            SplitStepper(L, N, 1e-3).advance(ph, pt, 1, 0, ceiling=math.nextafter(top, 0.0))
+            SplitStepper(L, N, 1e-3).advance(ph, pt, 1, 0, 1, math.nextafter(top, 0.0))
         assert info.value.member == int(np.argmax(sups))
         assert f"||phi||_inf = {top:.6g} exceeded" in str(info.value)
 
     def test_ceiling_is_an_argument_of_each_call(self, wave):
         # one stepper and one state: a ceiling at the exact sup passes, one
         # ulp below it trips at the first kick with the sup and that ceiling
-        # in its line, and a call without a ceiling never trips
-        (ph,), (pt,) = self.states(wave, N, [0.2])
+        # in its line, and an infinite ceiling never trips
+        ph, pt = self.states(wave, N, [0.2])
         stepper = SplitStepper(L, N, 1e-3)
         half, _ = linear_flow(ph, pt, rotation_tables(L, N, 0.5e-3))
         top = float(np.max(np.abs(np.fft.irfft(half, N))))
         below = math.nextafter(top, 0.0)
-        passed = stepper.advance(ph, pt, 1, 0, ceiling=top)
+        passed = stepper.advance(ph, pt, 1, 0, 1, top)
         with pytest.raises(BlowUpError) as info:
-            stepper.advance(ph, pt, 1, 0, ceiling=below)
+            stepper.advance(ph, pt, 1, 0, 1, below)
         assert (info.value.member, info.value.time) == (0, 0.5e-3)
         assert str(info.value) == (f"||phi||_inf = {top:.6g} exceeded ceiling {below:.6g} "
                                    "at t = 0.0005")
         with pytest.raises(BlowUpError) as ref:
             reference_advance(stepper, ph, pt, 1, 0.0, below)
         assert str(ref.value) == str(info.value)
-        unbounded = stepper.advance(ph, pt, 1, 0)
+        unbounded = stepper.advance(ph, pt, 1, 0, 1, math.inf)
         assert TestBatch.same_bits(unbounded, passed)
         assert not hasattr(stepper, "ceiling")
 
@@ -941,9 +942,10 @@ class TestBufferedAdvance:
 
     @staticmethod
     def states(wave, rows, n=N):
-        """Three rows of TestBatch.states, or the middle one as a 1-D state (rows=None)."""
+        """The first `rows` rows of TestBatch.states, or the middle one alone (rows=None)."""
         ph, pt = TestBatch.states(wave, n, [1e-3, 0.3, 0.0])
-        return (ph[1], pt[1]) if rows is None else (ph[:rows].copy(), pt[:rows].copy())
+        rows = slice(1, 2) if rows is None else slice(rows)
+        return ph[rows].copy(), pt[rows].copy()
 
     @staticmethod
     def same_bits(got, want):
@@ -960,7 +962,7 @@ class TestBufferedAdvance:
     def test_matches_reference_loop(self, wave, n, rows, projected, dt, nsteps):
         ph, pt = self.states(wave, rows, n)
         stepper = SplitStepper(L, n, dt, projected)
-        got = stepper.advance(ph, pt, nsteps, 125, ceiling=20.0)
+        got = stepper.advance(ph, pt, nsteps, 125, nsteps, 20.0)
         assert got[0].shape == got[1].shape == (1,) + ph.shape
         want = reference_advance(stepper, ph, pt, nsteps, 125 * dt, 20.0)
         assert self.same_bits((got[0][-1], got[1][-1]), want)
@@ -975,7 +977,8 @@ class TestBufferedAdvance:
 
     def test_tables_follow_the_state_shape(self, wave):
         # one stepper on a (3, n) batch, then (2, n) -- a member has left --
-        # then a lone 1-D row, then (3, n) again; it keeps no state between calls
+        # then a lone row, which steps on 1-D buffers, then (3, n) again; it
+        # keeps no state between calls
         stepper = SplitStepper(L, N, 1e-3)
         before = dict(vars(stepper))  # attribute names and the objects they hold
         for rows in (3, 2, None, 3):
@@ -992,8 +995,8 @@ class TestBufferedAdvance:
         ph.setflags(write=False)  # a write into the inputs raises
         pt.setflags(write=False)
         stepper = SplitStepper(L, N, 1e-3)
-        first = stepper.advance(ph, pt, 7, 0)
-        second = stepper.advance(ph, pt, 7, 0)
+        first = stepper.advance(ph, pt, 7, 0, 7, math.inf)
+        second = stepper.advance(ph, pt, 7, 0, 7, math.inf)
         assert self.same_bits((ph, pt), before)
         assert self.same_bits(first, second)
         arrays = (ph, pt, *first, *second)
@@ -1008,7 +1011,7 @@ class TestBufferedAdvance:
         ph[row] = np.nan
         stepper = SplitStepper(L, n, 1e-3)
         with pytest.raises(BlowUpError) as info:
-            stepper.advance(ph, pt, 7, 250, ceiling=20.0)
+            stepper.advance(ph, pt, 7, 250, 7, 20.0)
         with pytest.raises(BlowUpError) as ref:
             reference_advance(stepper, ph, pt, 7, 250 * 1e-3, 20.0)
         assert info.value.member == ref.value.member == row
@@ -1044,7 +1047,7 @@ class TestBufferedAdvance:
         ceiling = float(top[j - 1])
         stepper = SplitStepper(L, n, dt, projected)
         with pytest.raises(BlowUpError) as info:
-            stepper.advance(ph, pt, 40, start, ceiling=ceiling)
+            stepper.advance(ph, pt, 40, start, 40, ceiling)
         with pytest.raises(BlowUpError) as ref:
             reference_advance(stepper, ph, pt, 40, t0, ceiling)
         member = int(np.argmax(sups[j] > ceiling))
@@ -1083,7 +1086,7 @@ class TestBufferedAdvance:
         assert np.all(np.diff(sups, axis=0) > 0.0)
         stepper, ceiling = SplitStepper(L, n, dt), float(sups[kick - 1].max())
         with pytest.raises(BlowUpError) as info:
-            stepper.advance(ph, pt, nsteps, start, ceiling=ceiling)
+            stepper.advance(ph, pt, nsteps, start, nsteps, ceiling)
         with pytest.raises(BlowUpError) as ref:
             reference_advance(stepper, ph, pt, nsteps, t0, ceiling)
         assert info.value.member == ref.value.member == member
@@ -1099,9 +1102,9 @@ class TestBufferedAdvance:
             warnings.simplefilter("error")
             stepper = SplitStepper(L, N, 0.1)
             with pytest.raises(BlowUpError) as unbounded:
-                stepper.advance(ph, pt, _CHECK_KICKS, 0)
+                stepper.advance(ph, pt, _CHECK_KICKS, 0, _CHECK_KICKS, math.inf)
             with pytest.raises(BlowUpError) as info:
-                stepper.advance(ph, pt, _CHECK_KICKS, 0, ceiling=20.0)
+                stepper.advance(ph, pt, _CHECK_KICKS, 0, _CHECK_KICKS, 20.0)
         assert str(unbounded.value).startswith("||phi||_inf = nan exceeded ceiling inf")
         assert unbounded.value.time == 0.75
         with pytest.raises(BlowUpError) as ref:
@@ -1116,7 +1119,7 @@ class TestBufferedAdvance:
 
         ph, pt = self.states(wave, 3)
         stepper = SplitStepper(L, N, 1e-3)
-        plain = stepper.advance(ph, pt, 7, 0)
+        plain = stepper.advance(ph, pt, 7, 0, 7, math.inf)
         calls = []
 
         def counting(ufunc, transform):
@@ -1129,7 +1132,7 @@ class TestBufferedAdvance:
         bound = evolution._pocketfft_umath
         monkeypatch.setattr(evolution, "_pocketfft_umath", SimpleNamespace(
             irfft=counting(bound.irfft, "irfft"), rfft_n_even=counting(bound.rfft_n_even, "rfft")))
-        assert self.same_bits(stepper.advance(ph, pt, 7, 0), plain)
+        assert self.same_bits(stepper.advance(ph, pt, 7, 0, 7, math.inf), plain)
         assert calls == ["irfft", "rfft"] * 7
 
 
@@ -1173,7 +1176,7 @@ class TestSampledAdvance:
         want = final_state(stepper, ph, pt, 6, ceiling=20.0)
         assert TestBufferedAdvance.same_bits((got[0][0], got[1][0]), want)
 
-    @pytest.mark.parametrize("nsteps, every", [(0, 3), (-2, 1), (0, None), (-1, None)])
+    @pytest.mark.parametrize("nsteps, every", [(0, 3), (-2, 1), (0, 1), (-1, 5)])
     def test_no_steps_give_no_rows(self, wave, nsteps, every):
         ph, pt = TestBufferedAdvance.states(wave, 3)
         got = SplitStepper(L, N, 1e-3).advance(ph, pt, nsteps, 0, every, ceiling=20.0)
@@ -1183,7 +1186,7 @@ class TestSampledAdvance:
     def test_every_below_one_rejected(self, wave, every):
         ph, pt = TestBufferedAdvance.states(wave, 3)
         with pytest.raises(ValueError, match="every must be at least 1"):
-            SplitStepper(L, N, 1e-3).advance(ph, pt, 10, 0, every)
+            SplitStepper(L, N, 1e-3).advance(ph, pt, 10, 0, every, math.inf)
 
     @pytest.mark.parametrize("rows", [None, 3])
     def test_inputs_untouched_and_unshared(self, wave, rows):
@@ -1192,8 +1195,8 @@ class TestSampledAdvance:
         ph.setflags(write=False)  # a write into the inputs raises
         pt.setflags(write=False)
         stepper = SplitStepper(L, N, 1e-3)
-        first = stepper.advance(ph, pt, 21, 0, 7)
-        second = stepper.advance(ph, pt, 21, 0, 7)
+        first = stepper.advance(ph, pt, 21, 0, 7, math.inf)
+        second = stepper.advance(ph, pt, 21, 0, 7, math.inf)
         assert TestBufferedAdvance.same_bits((ph, pt), before)
         assert TestBufferedAdvance.same_bits(first, second)
         for a in (*first, *second):
@@ -1371,23 +1374,28 @@ class TestSampleBlocks:
     def test_one_advance_call_per_block(self, wave, monkeypatch, T, every, calls):
         # 501 rows: 15 intervals after the t = 0 row, then 16 per block;
         # 169 rows, the last after a short interval of 1 step, take 11
-        # calls, the short interval ending the last one's rows
-        steps, ceilings = [], set()
+        # calls, the short interval ending the last one's rows.  One member
+        # and two alike pass advance a (B, N/2 + 1) batch on every call.
         real_advance = SplitStepper.advance
 
-        def counting_advance(self, ph, pt, nsteps, start, every=None, ceiling=math.inf):
+        def counting_advance(self, ph, pt, nsteps, start, every, ceiling):
             steps.append((nsteps, every))
+            shapes.add((ph.shape, pt.shape))
             ceilings.add(ceiling)
             return real_advance(self, ph, pt, nsteps, start, every, ceiling)
 
         monkeypatch.setattr(SplitStepper, "advance", counting_advance)
-        members = [(1e-3, perturbation_random(L, N, 1))]
-        [trace] = run_experiment(wave, members, T, 1e-3, every, N=N)
-        # every call gets run_experiment's one ceiling, 10 max |h|
-        assert ceilings == {_CEILING_FACTOR * float(np.max(np.abs(sample_wave(wave, N)[0])))}
-        assert len(steps) == calls <= 33
-        assert sum(n for n, _ in steps) == horizon_steps(T, 1e-3)
-        assert trace.samples.shape[0] == 1 + sum(-(-n // k) for n, k in steps)
+        pair = perturbation_random(L, N, 1)
+        for B in (1, 2):
+            steps, shapes, ceilings = [], set(), set()
+            traces = run_experiment(wave, [(1e-3, pair)] * B, T, 1e-3, every, N=N)
+            assert shapes == {((B, N // 2 + 1),) * 2}
+            # every call gets run_experiment's one ceiling, 10 max |h|
+            assert ceilings == {_CEILING_FACTOR * float(np.max(np.abs(sample_wave(wave, N)[0])))}
+            assert len(steps) == calls <= 33
+            assert sum(n for n, _ in steps) == horizon_steps(T, 1e-3)
+            assert all(trace.samples.shape[0] == 1 + sum(-(-n // k) for n, k in steps)
+                       for trace in traces)
 
 
 class TestStateInvariants:
