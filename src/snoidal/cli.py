@@ -20,12 +20,13 @@ in full: the parser matches no prefix, so `--ep` is an unknown flag, not
 compute runs or any file is written: the directory of the
 --out prefix must exist and the prefix must end in a file name, N must be
 even and at least 16 (64 for spectrum), T a positive whole number of dt
-steps, seed nonnegative, eps nonnegative and finite (positive for
-stability), sweep --workers 1, its only value, each key of a sweep config
-given on one line only and none of them `out`, and a sweep's `projected`
-key true, 1 or yes (--projected) or false, 0 or no (--unprojected), in
-any case.  One check needs the run: a stability ratio, max orbit distance /
-eps, that is not finite (an eps so small that the ratio overflows) exits
+steps, at most 1e9 of them (`evolution.MAX_STEPS`), seed nonnegative,
+eps nonnegative and finite (positive for stability), sweep --workers 1,
+its only value, each key of a sweep config given on one line only and
+none of them `out`, and a sweep's `projected` key true, 1 or yes
+(--projected) or false, 0 or no (--unprojected), in any case.  One
+check needs the run: a stability ratio, max orbit distance / eps, that
+is not finite (an eps so small that the ratio overflows) exits
 2 after the run and before any file is written, since JSON has no inf.
 A sweep job that fails, even on its flags, is reported with its exit code
 and the other jobs still run; a job that raises an exception counts as

@@ -130,6 +130,9 @@ _NEWTON_STEPS = 8  # per orbit-distance row; the ensemble workload's blocks take
 _CEILING_FACTOR = 10.0  # run_experiment's blow-up ceiling, in units of max |h|
 _SAMPLE_BLOCK_ROWS = 16  # trace rows per advance, conserved and orbit-distance call
 _CHECK_KICKS = 64  # kicks per ceiling test in SplitStepper.advance
+# horizon_steps refuses a horizon of more steps: about 3 h at 10 us a step,
+# so no run, and no sweep job ahead of others, goes on without bound
+MAX_STEPS = 10**9
 
 
 @dataclass(frozen=True)
@@ -249,14 +252,16 @@ class SplitStepper:
         """nsteps Strang steps after `start` whole steps, fusing interior half flows.
 
         ph, pt are the rfft coefficients of (phi, phi_t) of B trajectories,
-        of shape (B, N/2 + 1); B = 1 steps on (N/2 + 1,) buffers, which
-        numpy multiplies faster than (1, N/2 + 1) ones.  A step is ten ufunc
-        calls, nine unprojected: the four of the rotation, then the kick's
-        irfft, phi^2, phi^3 = phi^2 phi, the rfft scaled by dt, mode 0 of
-        the force set to dt's (signed) zero in projected mode, and
-        q -= force.  The call allocates its buffers once and no step
-        allocates; a rotation's sums overwrite the state its products have
-        read.  The FFTs call the pocketfft ufuncs behind np.fft.irfft and
+        both of shape (B, N/2 + 1) with B >= 1, the one form it takes: any
+        other raises ValueError naming it, after the check of `every`.
+        B = 1 steps on (N/2 + 1,) buffers, which numpy multiplies faster
+        than (1, N/2 + 1) ones.  A step is ten ufunc calls, nine
+        unprojected: the four of the rotation, then the kick's irfft,
+        phi^2, phi^3 = phi^2 phi, the rfft scaled by dt, mode 0 of the
+        force set to dt's (signed) zero in projected mode, and q -= force.
+        The call allocates its buffers once and no step allocates; a
+        rotation's sums overwrite the state its products have read.  The
+        FFTs call the pocketfft ufuncs behind np.fft.irfft and
         np.fft.rfft, with 1/N and dt as scale factors.  pocketfft scales
         each real component by dt, which gives the values of the complex128
         product dt * force; only a component that is exactly zero can take
@@ -290,6 +295,9 @@ class SplitStepper:
         """
         if every < 1:
             raise ValueError(f"every must be at least 1, got {every}")
+        if ph.shape != pt.shape or ph.shape[1:] != (self.N // 2 + 1,) or not len(ph):
+            raise ValueError(f"advance takes (B, {self.N // 2 + 1}) batches with B >= 1, "
+                             f"got {ph.shape} and {pt.shape}")
         samples = -(-max(nsteps, 0) // every)
         out = np.empty((2, samples) + ph.shape, complex)  # the sample rows, [p, q] each
         if not samples:
@@ -508,7 +516,8 @@ def perturbation_random(L: float, N: int, seed: int) -> tuple[np.ndarray, np.nda
 def horizon_steps(T: float, dt: float) -> int:
     """Number of dt steps that make up the horizon T.
 
-    Raises ValueError unless dt and T are positive and finite and T is a
+    Raises ValueError unless dt and T are positive and finite, T/dt
+    rounds to at most MAX_STEPS (T/dt may overflow to inf), and T is a
     whole number of steps, |T/dt - round(T/dt)| <= 1e-9 T/dt, so that no
     horizon is silently rounded to a different one.
     """
@@ -517,7 +526,9 @@ def horizon_steps(T: float, dt: float) -> int:
     if not 0.0 < T < math.inf:
         raise ValueError(f"time horizon must be positive and finite, got {T}")
     steps = T / dt
-    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
+    if not steps <= MAX_STEPS + 0.5:  # round(steps) > MAX_STEPS, or T / dt overflowed to inf
+        raise ValueError(f"time horizon {T} is over MAX_STEPS = {MAX_STEPS:.0e} steps of {dt}")
+    if abs(steps - round(steps)) > 1e-9 * steps:
         raise ValueError(f"time horizon {T} is not a whole number of {dt} steps")
     return int(round(steps))
 

@@ -79,7 +79,11 @@ report; with z = 1 the kernel entry is the one at index n.
 
 D1 and the matrix D take one plain solve each, of sector _PHI_CONSTANT for
 sqrt(N) at row 0: the constants have no part in the kernel's sector 0, so
-no eigenvectors and no bordering are needed.  D[1, 1] takes no solve: psi's
+no eigenvectors and no bordering are needed.  Both are wrappers of
+`_phi_constant_solve`, which owns every rule of that solve and checks them
+before it runs, in this order: the report's kind, the grid by
+`_check_grid` (the rule full_report applies before any compute), and the
+kernel guards by `_check_solvable`.  D[1, 1] takes no solve: psi's
 constant, the fifth block, is an exact eigenvector of eigenvalue 1, so it
 is the grid inner product (L/N) (e, e) of psi's constant e = sqrt(N) with
 itself.
@@ -153,8 +157,9 @@ KIND_LBLOCK_CONSTRAINED = "Lblock_constrained"
 # to classify on kinetically scaled blocks (ROADMAP, direction 1).
 ZERO_TOL_FACTOR = 1e-12
 
-# The smallest grid the spectrum pipeline accepts: full_report, D1_numeric
-# and D_matrix reject an N below it, and so does the CLI's `spectrum`.
+# The smallest grid the spectrum pipeline accepts: `_check_grid`, which
+# full_report, D1_numeric and D_matrix share, rejects an N below it, and so
+# does the CLI's `spectrum`.
 MIN_SPECTRUM_N = 64
 
 # Speed step of d_second_derivative's cross-check of d2, reported as parameters.dc.
@@ -477,34 +482,46 @@ def _check_solvable(report: SpectralReport) -> None:
         )
 
 
-def _phi_constant_solve(report: SpectralReport, N: int) -> float:
-    """(M^{-1} e, e) in the grid inner product (L/N) (., .), e the constant of M's phi.
+def _check_grid(N: int, caller: str) -> None:
+    """The spectrum pipeline's grid rule: N even and at least MIN_SPECTRUM_N."""
+    if N < MIN_SPECTRUM_N or N % 2 != 0:
+        raise ValueError(f"{caller} needs an even N of at least {MIN_SPECTRUM_N}, got {N}")
 
-    e is sqrt(N) at row 0 of sector _PHI_CONSTANT, a T-even sector clear of
-    the kernel's sector 0, so one plain solve of that sector gives it.
+
+def _phi_constant_solve(report: SpectralReport, kind: str, caller: str) -> tuple[float, int]:
+    """(M^{-1} e, e) in the grid inner product (L/N) (., .), e the constant of M's phi, and N.
+
+    The one entry of the constraint solves, and the owner of their rules,
+    checked in this order before any solve runs: report's operator must be
+    of kind `kind`, its grid (N = dim / components) must pass `_check_grid`,
+    and its spectrum `_check_solvable`; `caller` names the public function
+    in each message.  e is sqrt(N) at row 0 of sector _PHI_CONSTANT, a
+    T-even sector clear of the kernel's sector 0, so one plain solve of
+    that sector gives it.
     """
-    _check_solvable(report)
     op = report.operator
+    if op.kind != kind:
+        raise ValueError(f"{caller} needs a report of kind {kind}, got {op.kind}")
+    N = op.dim // len(_LAYOUT[kind][0])
+    _check_grid(N, caller)
+    _check_solvable(report)
     e = np.zeros(op.blocks[_PHI_CONSTANT].shape[0])
     e[0] = math.sqrt(N)
     try:
         u = np.linalg.solve(op.blocks[_PHI_CONSTANT], e)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"solve failed for kind {op.kind}: {exc}") from exc
-    return op.L / N * (u @ e)
+    return op.L / N * (u @ e), N
 
 
 def D1_numeric(report: SpectralReport) -> float:
     """D1 from the grid: the 1x1 D of L1, L * mean f with L1 f = 1 orthogonal to the kernel.
 
-    report is the eigen_report of L1 on an N-point grid; L is its operator's period.
+    report is the eigen_report of L1 on an N-point grid; L is its operator's
+    period.  `_phi_constant_solve` checks the kind, the grid and the kernel
+    guards before its one solve.
     """
-    if report.operator.kind != KIND_L1:
-        raise ValueError(f"D1_numeric needs a report of kind L1, got {report.operator.kind}")
-    N = report.eigenvalues.size
-    if N < MIN_SPECTRUM_N or N % 2 != 0:
-        raise ValueError(f"D1_numeric needs an even N of at least {MIN_SPECTRUM_N}, got {N}")
-    return float(_phi_constant_solve(report, N))
+    return float(_phi_constant_solve(report, KIND_L1, "D1_numeric")[0])
 
 
 def D_matrix(report: SpectralReport) -> np.ndarray:
@@ -512,21 +529,17 @@ def D_matrix(report: SpectralReport) -> np.ndarray:
 
     report is the eigen_report of Lblock on an N-point grid; L is its
     operator's period.  The constants of phi and psi lie in different
-    blocks, so D is diagonal.  D[0, 0] is one solve of phi's constant.
-    psi's constant e = sqrt(N) is the fifth block, [[1.0]], an exact
-    eigenvector of eigenvalue 1, so D[1, 1] is the grid inner product
-    (L/N) (e, e), which a solve would return bit for bit.
+    blocks, so D is diagonal.  D[0, 0] is one solve of phi's constant, by
+    `_phi_constant_solve`, which checks the kind, the grid and the kernel
+    guards first.  psi's constant e = sqrt(N) is the fifth block, [[1.0]],
+    an exact eigenvector of eigenvalue 1, so D[1, 1] is the grid inner
+    product (L/N) (e, e), which a solve would return bit for bit.
     The constrained counts are then n(Lblock) - n(D) - z(D) and
     z(Lblock) + z(D).
     """
-    op = report.operator
-    if op.kind != KIND_LBLOCK:
-        raise ValueError(f"D_matrix needs a report of kind Lblock, got {op.kind}")
-    N = op.dim // 2
-    if N < MIN_SPECTRUM_N or N % 2 != 0:
-        raise ValueError(f"D_matrix needs an even N of at least {MIN_SPECTRUM_N}, got {N}")
+    d1, N = _phi_constant_solve(report, KIND_LBLOCK, "D_matrix")
     root = math.sqrt(N)
-    return np.diag([_phi_constant_solve(report, N), op.L / N * (root * root)])
+    return np.diag([d1, report.operator.L / N * (root * root)])
 
 
 def _constraint_counts(D: np.ndarray, L: float) -> tuple[int, int]:
@@ -623,8 +636,7 @@ def full_report(L: float, c: float, N: int) -> dict:
     potential block is formed once for both assemblies.  An N that is odd
     or below MIN_SPECTRUM_N raises ValueError before any compute runs.
     """
-    if N < MIN_SPECTRUM_N or N % 2 != 0:
-        raise ValueError(f"full_report needs an even N of at least {MIN_SPECTRUM_N}, got {N}")
+    _check_grid(N, "full_report")
     wave = solve_modulus(L, c)
     m1 = assemble_L1(wave, N)
     mb = assemble_Lblock(wave, N)

@@ -686,14 +686,20 @@ class TestInputValidation:
         ["wave", *WAVE, "--N", "64", "--out", "{tmp}/"],
         ["stability", *WAVE, "--N", "64", "--T", "0.1", "--eps", "1e-3", "--seed", "-1"],
         ["stability", *WAVE, "--N", "64", "--T", "0.1", "--eps", "inf"],
+        # 1e303 and 1e300 steps, over evolution.MAX_STEPS: left to run, they never end
+        ["evolve", *WAVE, "--N", "64", "--T", "1e300", "--dt", "1e-3"],
+        ["evolve", *WAVE, "--N", "64", "--T", "1", "--dt", "1e-300"],
+        ["stability", *WAVE, "--N", "64", "--T", "1e300", "--dt", "1e-3", "--eps", "1e-3"],
     ], ids=["stability-eps-0", "evolve-negative-T", "evolve-T-not-whole-steps",
             "wave-N-0", "wave-N-odd", "spectrum-N-below-64", "wave-out-empty-basename",
-            "stability-negative-seed", "stability-infinite-eps"])
+            "stability-negative-seed", "stability-infinite-eps", "evolve-T-over-step-cap",
+            "evolve-dt-under-step-cap", "stability-T-over-step-cap"])
     def test_exits_2_without_compute_or_output(self, argv, tmp_path, monkeypatch, capsys):
         def no_compute(*a, **k):
             raise AssertionError("compute ran before the flags were checked")
 
         monkeypatch.setattr(cli, "solve_modulus", no_compute)
+        monkeypatch.setattr(evolution, "sample_wave", no_compute)
         monkeypatch.setattr(spectral, "full_report", no_compute)
         argv = [a.format(tmp=tmp_path) for a in argv]
         if "--out" not in argv:
@@ -774,6 +780,17 @@ class TestSweepRobustness:
             else:
                 assert written == [f"tw_{idx:04d}.csv", f"tw_{idx:04d}.json"]
                 assert f"sweep job {idx}" not in err
+
+    def test_job_over_the_step_cap_does_not_stop_the_sweep(self, tmp_path, capsys):
+        # the endless job comes first: refused on its flags, it no longer
+        # holds up the T = 1 job
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("command = evolve\nL = 3.14159\nc = 0.95\nN = 64\nT = 1e300, 1\n")
+        assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "t")]) == 2
+        assert sorted(p.name for p in tmp_path.glob("t_*")) == ["t_0001.csv", "t_0001.json"]
+        err = capsys.readouterr().err
+        assert "is over MAX_STEPS = 1e+09 steps of 0.001" in err
+        assert "sweep job 0 failed with exit 2" in err and "sweep job 1" not in err
 
     def test_job_that_raises_does_not_stop_the_sweep(self, tmp_path, monkeypatch, capsys):
         exact = spectral.full_report

@@ -1,6 +1,7 @@
 """Projected splitting integrator: conservation, reversibility, orbit distance."""
 
 import math
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from snoidal.evolution import (
+    MAX_STEPS,
     BlowUpError,
     SplitStepper,
     conserved,
@@ -703,6 +705,28 @@ class TestRunExperiment:
         # 0.7 / 0.001 is 699.9999999999999 in floating point
         assert horizon_steps(0.7, 1e-3) == 700
 
+    @pytest.mark.parametrize("dt", [1.0, 0.5, 1e-3])
+    def test_step_cap_is_the_last_horizon_accepted(self, dt):
+        # MAX_STEPS steps pass, and the next whole step count is refused
+        assert horizon_steps(MAX_STEPS * dt, dt) == MAX_STEPS
+        T = (MAX_STEPS + 1) * dt
+        with pytest.raises(ValueError, match=rf"^time horizon {T} is over MAX_STEPS = "
+                                             rf"1e\+09 steps of {dt}$"):
+            horizon_steps(T, dt)
+
+    @pytest.mark.parametrize("T, dt", [(1e300, 1e-3), (1.0, 1e-300), (1e300, 1e-300)])
+    def test_horizon_over_the_step_cap_rejected_before_sampling(self, wave, monkeypatch, T, dt):
+        # 1e303 and 1e300 steps: left to run, either goes on until it is
+        # killed; 1e600 overflows T / dt to inf, and is over the cap too
+        import snoidal.evolution as evolution
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sample_wave ran before the horizon was checked")
+
+        monkeypatch.setattr(evolution, "sample_wave", unreachable)
+        with pytest.raises(ValueError, match="is over MAX_STEPS"):
+            run_experiment(wave, [(0.0, None)], T, dt, 10, N=N)
+
 
 class TestBatch:
     """A (B, N/2 + 1) batch gives each row the bits it gets alone."""
@@ -1187,6 +1211,16 @@ class TestSampledAdvance:
         ph, pt = TestBufferedAdvance.states(wave, 3)
         with pytest.raises(ValueError, match="every must be at least 1"):
             SplitStepper(L, N, 1e-3).advance(ph, pt, 10, 0, every, math.inf)
+
+    @pytest.mark.parametrize("ph_shape, pt_shape", [
+        ((9,), (9,)), ((0, 9), (0, 9)), ((1, 9), (1, 8)), ((1, 8), (1, 8))],
+        ids=["one-state", "empty-batch", "mismatched", "wrong-modes"])
+    def test_malformed_batch_rejected(self, ph_shape, pt_shape):
+        # advance takes (B, N/2 + 1) batches, B >= 1, alone; at N = 16 that is (B, 9)
+        ph, pt = np.zeros(ph_shape, complex), np.zeros(pt_shape, complex)
+        with pytest.raises(ValueError, match=re.escape(
+                f"advance takes (B, 9) batches with B >= 1, got {ph_shape} and {pt_shape}")):
+            SplitStepper(L, 16, 1e-3).advance(ph, pt, 10, 0, 1, math.inf)
 
     @pytest.mark.parametrize("rows", [None, 3])
     def test_inputs_untouched_and_unshared(self, wave, rows):

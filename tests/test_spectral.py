@@ -636,24 +636,43 @@ class TestDMatrix:
         d_closed = D1_closed(wave)
         assert abs(D[0, 0] - d_closed) / abs(d_closed) <= 1e-6
 
-    def test_rejects_scalar_operator(self, wave):
-        with pytest.raises(ValueError):
-            D_matrix(eigen_report(assemble_L1(wave, 64)))
+    @pytest.mark.parametrize("assemble, kind", [
+        (assemble_L1, "L1"),
+        (lambda wave, N: constrain_zero_mean(assemble_L1(wave, N)), "L1_constrained"),
+        (lambda wave, N: constrain_zero_mean(assemble_Lblock(wave, N)), "Lblock_constrained")],
+        ids=["L1", "L1_constrained", "Lblock_constrained"])
+    def test_rejects_scalar_operator(self, wave, assemble, kind):
+        with pytest.raises(ValueError,
+                           match=f"^D_matrix needs a report of kind Lblock, got {kind}$"):
+            D_matrix(eigen_report(assemble(wave, 64)))
 
     @pytest.mark.parametrize("N", [16, 32, 62])
-    def test_grid_checked_before_any_solve(self, wave, monkeypatch, N):
-        # the floor D1_numeric and full_report keep: left to the solve, N = 32
-        # and 62 return a D, and N = 16 fails the kernel classification
+    @pytest.mark.parametrize("solve, assemble", [
+        (D_matrix, assemble_Lblock), (D1_numeric, assemble_L1)], ids=["D_matrix", "D1_numeric"])
+    def test_grid_checked_before_any_solve(self, wave, monkeypatch, N, solve, assemble):
+        # the floor full_report keeps: left to the solve, N = 32 and 62
+        # return a D or D1, and N = 16 fails the kernel classification
         # (exit 3's class)
-        report = eigen_report(assemble_Lblock(wave, N))
+        report = eigen_report(assemble(wave, N))
 
         def no_solve(*args, **kwargs):
             raise AssertionError("a solve ran before the grid was checked")
 
         monkeypatch.setattr(np.linalg, "solve", no_solve)
-        with pytest.raises(ValueError, match=f"^D_matrix needs an even N of at least "
+        with pytest.raises(ValueError, match=f"^{solve.__name__} needs an even N of at least "
                                              f"{MIN_SPECTRUM_N}, got {N}$"):
-            D_matrix(report)
+            solve(report)
+
+    @pytest.mark.parametrize("solve, assemble, want, kind", [
+        (D_matrix, assemble_L1, "Lblock", "L1"), (D1_numeric, assemble_Lblock, "L1", "Lblock")],
+        ids=["D_matrix", "D1_numeric"])
+    @pytest.mark.parametrize("N", [16, 32])
+    def test_kind_checked_before_grid(self, wave, solve, assemble, want, kind, N):
+        # a report of the wrong kind on a grid below the floor gets the kind
+        # message: N is read off the operator only once its kind is known
+        with pytest.raises(ValueError, match=f"^{solve.__name__} needs a report of kind {want}, "
+                                             f"got {kind}$"):
+            solve(eigen_report(assemble(wave, N)))
 
     @pytest.mark.parametrize("assemble", [assemble_L1, assemble_Lblock], ids=["L1", "Lblock"])
     def test_entries_are_inner_products(self, wave, assemble):
